@@ -10,8 +10,8 @@ exactly such Laplacians.
 
 from .builtins import available_graphs, builtin_graph, register_graph
 from .errors import (BlowUpError, BudgetExceededError, DegreeCapError,
-                     DirlapError, SingularFormError, StepSizeError,
-                     TruncationError)
+                     DirlapError, InconsistentAdjacencyError,
+                     SingularFormError, StepSizeError, TruncationError)
 from .geometry import Ball, ball, distance, shells, volume
 from .graph import (GraphGenerator, SymmetricView, ValidationConfig,
                     ValidationReport, Vertex, apply_laplacian, decompose_edge,

@@ -13,6 +13,14 @@ class BudgetExceededError(DirlapError):
         self.count = count
 
 
+class InconsistentAdjacencyError(DirlapError):
+    """Two vertices report different weights for the edges between them."""
+
+    def __init__(self, message: str, pair: tuple):
+        super().__init__(message)
+        self.pair = pair
+
+
 class DegreeCapError(DirlapError):
     """A generator reported more neighbours than the configured cap allows."""
 

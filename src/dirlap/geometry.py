@@ -5,29 +5,44 @@ undirected graph whose edges are the pairs with strictly positive symmetric
 weight.  Balls are enumerated breadth-first with sorted adjacency, which
 makes the vertex order deterministic and gives the nesting property that the
 vertex list of ``ball(v, r)`` is a prefix of the vertex list of
-``ball(v, r+1)``.  Truncated simulations rely on that prefix property when
-they compare runs at two radii.
+``ball(v, r+1)``.
+
+A ball is also a snapshot of the directed weights on it.  Enumeration reads
+each vertex's ``(out, inn)`` maps exactly once, derives the vertex measure
+from that read, and keeps every reported weight in CSR arrays: one row per
+ball vertex, one entry per neighbour, holding the neighbour's ball index or
+-1 when it lies outside.  Laplacian parts are assembled from these arrays
+alone, and ``Ball.prefix(r)`` cuts the radius-``r`` ball out of a larger one
+without further adjacency calls.  Truncated simulations therefore enumerate
+once per attempt: the enlarged ball of their truncation check, with the
+primary ball taken as its BFS prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .graph import SymmetricView, Vertex, _as_view
+from .errors import BudgetExceededError, InconsistentAdjacencyError
+from .graph import WEIGHT_RTOL, Vertex, _as_view
 
 DEFAULT_BALL_BUDGET = 1_000_000
 
 
 @dataclass
 class Ball:
-    """A finite ball of the symmetric skeleton, with distances and measures.
+    """A finite ball of the symmetric skeleton: distances, measures, weights.
 
-    ``vertices[i]`` has index ``i`` in every array attached to the ball;
-    ``index`` inverts that. Immutable after construction by convention.
+    ``vertices[i]`` has index ``i`` in every per-vertex array attached to the
+    ball; ``index`` inverts that.  Row ``i`` of the weight snapshot spans
+    entries ``indptr[i]:indptr[i+1]``, one per neighbour ``v'`` of
+    ``v = vertices[i]`` in either direction: ``nbr`` holds the ball index of
+    ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and ``w_in``
+    holds ``w(v', v)``.  Immutable after construction by convention; a prefix
+    shares its arrays with the ball it was cut from.
     """
 
     center: Vertex
@@ -36,6 +51,10 @@ class Ball:
     index: dict
     distances: np.ndarray
     measures: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    w_out: np.ndarray
+    w_in: np.ndarray
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -51,44 +70,129 @@ class Ball:
         for i, v in enumerate(self.vertices):
             yield v, int(self.distances[i]), float(self.measures[i])
 
+    def entry_rows(self) -> np.ndarray:
+        """Row, i.e. ball index of the reporting vertex, of every snapshot entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
-def _bfs(view: SymmetricView, center: Vertex, radius: int, budget: int):
-    """Deterministic BFS over the symmetric skeleton.
+    def prefix(self, r: int) -> "Ball":
+        """The radius-``r`` ball around the same center, cut from this one.
 
-    Returns (vertices in discovery order, distance dict).  Vertices at the
-    boundary distance are listed but not expanded.
+        Equal to ``ball(gen, center, r)`` in vertices, distances, measures and
+        weights, by the BFS prefix property: neighbours beyond the prefix
+        become outside entries.
+        """
+        if not 0 <= r <= self.radius:
+            raise ValueError(f"prefix radius {r} outside [0, {self.radius}]")
+        if r == self.radius:
+            return self
+        n = int(np.searchsorted(self.distances, r, side="right"))
+        m = int(self.indptr[n])
+        vertices = self.vertices[:n]
+        nbr = self.nbr[:m]
+        return Ball(center=self.center, radius=r, vertices=vertices,
+                    index=dict(zip(vertices, range(n))),
+                    distances=self.distances[:n], measures=self.measures[:n],
+                    indptr=self.indptr[:n + 1], nbr=np.where(nbr < n, nbr, -1),
+                    w_out=self.w_out[:m], w_in=self.w_in[:m])
+
+
+def _check_consistency(b: Ball) -> None:
+    """Raise unless both endpoints of every in-ball pair report the same weights.
+
+    Row ``i``'s entry for ``j`` must carry the weights of row ``j``'s entry
+    for ``i`` with the two directions swapped; a missing partner entry
+    reports zero both ways.  The tolerance is ``validate_generator``'s.
     """
-    dist = {center: 0}
-    order = [center]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        d = dist[v]
-        if d >= radius:
-            continue
-        for u in sorted(view.sym_neighbors(v)):
-            if u not in dist:
-                if len(order) >= budget:
-                    raise BudgetExceededError(
-                        f"ball({center}, {radius}) exceeded budget at {len(order)} vertices",
-                        len(order))
-                dist[u] = d + 1
-                order.append(u)
-    return order, dist
+    inside = b.nbr >= 0
+    rows, cols = b.entry_rows()[inside], b.nbr[inside]
+    if not rows.size:
+        return
+    w_out, w_in = b.w_out[inside], b.w_in[inside]
+    n = len(b)
+    keys = rows * n + cols
+    wanted = cols * n + rows
+    order = np.argsort(keys)
+    partner = order[np.minimum(np.searchsorted(keys[order], wanted), keys.size - 1)]
+    found = keys[partner] == wanted
+    p_out = np.where(found, w_out[partner], 0.0)
+    p_in = np.where(found, w_in[partner], 0.0)
+
+    def close(x, y):
+        return np.abs(x - y) <= WEIGHT_RTOL * np.maximum(np.abs(x), np.abs(y))
+
+    bad = np.flatnonzero(~(close(w_out, p_in) & close(w_in, p_out)))
+    if bad.size:
+        k = bad[0]
+        v, u = b.vertices[rows[k]], b.vertices[cols[k]]
+        raise InconsistentAdjacencyError(
+            f"adjacency callbacks disagree on the pair ({v}, {u}): {v} reports "
+            f"w(v,u)={w_out[k]}, w(u,v)={w_in[k]}; {u} reports "
+            f"w(v,u)={p_in[k]}, w(u,v)={p_out[k]}", (v, u))
 
 
 def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
-    """Enumerate the radius-``r`` ball of the symmetric skeleton around ``center``."""
+    """Enumerate the radius-``r`` ball of the symmetric skeleton around ``center``.
+
+    One deterministic BFS that reads every ball vertex's adjacency once;
+    vertices at distance ``r`` are read but not expanded.  Raises
+    ``BudgetExceededError`` past ``budget`` vertices, and
+    ``InconsistentAdjacencyError`` when two ball vertices report different
+    weights for the edges between them.
+    """
     if r < 0:
         raise ValueError("radius must be >= 0")
     view = _as_view(gen)
-    order, dist = _bfs(view, center, r, budget)
-    measures = np.array([view.measure(v) for v in order], dtype=float)
-    return Ball(center=center, radius=r, vertices=order,
-                index={v: i for i, v in enumerate(order)},
-                distances=np.array([dist[v] for v in order], dtype=np.int64),
-                measures=measures)
+    order = [center]
+    index = {center: 0}
+    distances = [0]
+    indptr = [0]
+    nbr = []
+    w_out = []
+    w_in = []
+    pending = []  # (first entry, neighbours) of rows to resolve again at the end
+    zeros, outside = repeat(0.0), repeat(-1)
+    head = 0
+    while head < len(order):
+        v = order[head]
+        d = distances[head]
+        head += 1
+        out, inn = view.edges(v)
+        nb = set(out) | set(inn)
+        if d < r:
+            new = sorted([u for u in nb if u not in index
+                          and (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0 > 0.0])
+            if len(order) + len(new) > budget:
+                raise BudgetExceededError(
+                    f"ball({center}, {r}) exceeded budget at {budget} vertices", budget)
+            for u in new:
+                index[u] = len(order)
+                order.append(u)
+                distances.append(d + 1)
+        row = list(map(index.get, nb, outside))
+        if d < r and -1 in row:
+            # A neighbour without positive symmetric weight may still join the
+            # ball by another path.  Rows at distance r are final: all of the
+            # ball is enumerated before the first of them is read.
+            pending.append((len(nbr), nb))
+        nbr += row
+        w_out += map(out.get, nb, zeros)
+        w_in += map(inn.get, nb, zeros)
+        indptr.append(len(nbr))
+    for start, nb in pending:
+        nbr[start:start + len(nb)] = map(index.get, nb, outside)
+
+    indptr = np.array(indptr, dtype=np.int64)
+    w_out, w_in = np.array(w_out, dtype=float), np.array(w_in, dtype=float)
+    ws = (w_out + w_in) / 2.0
+    # bincount adds in entry order, i.e. in the order the neighbours were read
+    measures = np.bincount(np.repeat(np.arange(len(order)), np.diff(indptr)),
+                           weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
+    b = Ball(center=center, radius=r, vertices=order, index=index,
+             distances=np.array(distances, dtype=np.int64), measures=measures,
+             indptr=indptr, nbr=np.array(nbr, dtype=np.int64),
+             w_out=w_out, w_in=w_in)
+    _check_consistency(b)
+    return b
 
 
 def volume(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> float:

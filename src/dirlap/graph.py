@@ -32,6 +32,18 @@ AdjacencyFn = Callable[[Vertex], tuple[Mapping[Vertex, float], Mapping[Vertex, f
 #: generator should fail loudly instead of stalling a BFS.
 DEFAULT_DEGREE_CAP = 64
 
+#: Relative tolerance within which the two endpoints of an edge must report
+#: the same directed weights.
+WEIGHT_RTOL = 1e-12
+
+#: Weight of each Laplacian part as a function of the directed pair
+#: ``(w(v, v'), w(v', v))``; works on floats and on numpy arrays alike.
+WEIGHT_PARTS = {
+    "full": lambda wf, wb: wf,
+    "sym": lambda wf, wb: (wf + wb) / 2.0,
+    "skew": lambda wf, wb: (wf - wb) / 2.0,
+}
+
 
 @dataclass(frozen=True)
 class GraphGenerator:
@@ -89,7 +101,8 @@ class SymmetricView:
     call, so ``w_sym(v, v') == w_sym(v', v)`` and
     ``w_skew(v, v') == -w_skew(v', v)`` hold exactly in floating point.
 
-    The cache is bounded; sequential large scans simply recompute.
+    The cache is bounded; sequential large scans simply recompute.  With
+    ``cache_size=0`` nothing is kept, for callers that read each vertex once.
     """
 
     def __init__(self, gen: GraphGenerator, cache_size: int = 100_000):
@@ -117,9 +130,10 @@ class SymmetricView:
             raise DegreeCapError(
                 f"vertex {v} reports {max(len(out), len(inn))} edges, "
                 f"cap is {self.gen.degree_cap}")
-        if len(self._cache) >= self._cache_size:
-            self._cache.clear()
-        self._cache[v] = (out, inn)
+        if self._cache_size:
+            if len(self._cache) >= self._cache_size:
+                self._cache.clear()
+            self._cache[v] = (out, inn)
         return out, inn
 
     def directed_pair(self, v: Vertex, v2: Vertex) -> tuple[float, float]:
@@ -152,10 +166,6 @@ class SymmetricView:
     def w_skew(self, v: Vertex, v2: Vertex) -> float:
         a, b = self.directed_pair(v, v2)
         return (a - b) / 2.0
-
-    def measure(self, v: Vertex) -> float:
-        """Vertex measure: total symmetric weight incident to ``v``."""
-        return sum(self.sym_neighbors(v).values())
 
     def skew_row_abs(self, v: Vertex) -> float:
         """Sum of ``|w_skew(v, v')|`` over every neighbour of ``v``."""
@@ -191,8 +201,9 @@ def apply_laplacian(x: Mapping[Vertex, float], gen, part: str = "full") -> dict[
     support of ``x`` enlarged by one adjacency hop, outside of which it
     vanishes, so finitely supported input yields finitely supported output.
     """
-    if part not in ("full", "sym", "skew"):
+    if part not in WEIGHT_PARTS:
         raise ValueError(f"unknown part {part!r}")
+    weight = WEIGHT_PARTS[part]
     view = _as_view(gen)
     support = [v for v, val in x.items() if val != 0.0]
     targets = set(support)
@@ -204,13 +215,7 @@ def apply_laplacian(x: Mapping[Vertex, float], gen, part: str = "full") -> dict[
         xv = x.get(v, 0.0)
         acc = 0.0
         for u in set(out) | set(inn):
-            wf, wb = out.get(u, 0.0), inn.get(u, 0.0)
-            if part == "full":
-                w = wf
-            elif part == "sym":
-                w = (wf + wb) / 2.0
-            else:
-                w = (wf - wb) / 2.0
+            w = weight(out.get(u, 0.0), inn.get(u, 0.0))
             if w != 0.0:
                 acc += w * (x.get(u, 0.0) - xv)
         result[v] = acc
@@ -255,7 +260,7 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    weight_rtol: float = 1e-12
+    weight_rtol: float = WEIGHT_RTOL
     vertex_budget: int = 200_000
 
 

@@ -7,29 +7,37 @@ the ball are removed entirely, which keeps the restriction of the symmetric
 part symmetric with vanishing row sums (so constants stay in its kernel and
 counting mass is conserved).
 
-Truncation adequacy is verified, not assumed: the run is repeated on a ball
-enlarged by the truncation margin, *replaying the identical step sequence*,
-and the two trajectories must agree on the smaller ball to within a small
-multiple of the absolute tolerance.  Replaying the steps means the
-comparison sees truncation error alone instead of step-controller noise.
+Truncation adequacy is verified, not assumed: each attempt enumerates the
+ball enlarged by the truncation margin once, takes the primary ball as its
+BFS prefix, integrates on the primary ball, and repeats the run on the
+enlarged ball *replaying the identical step sequence*.  The two trajectories
+must agree on the smaller ball to within a small multiple of the absolute
+tolerance.  Replaying the steps means the comparison sees truncation error
+alone instead of step-controller noise.
+
+Both balls are weight snapshots (see ``geometry``), so the sparse operators
+are assembled from their arrays without further adjacency calls, and
+``evolve`` and ``simulate_nonlinear`` read the generator through an uncached
+view: each vertex is read once per enumeration and nothing is kept beyond
+the snapshot.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .errors import TruncationError
+from .errors import BudgetExceededError, TruncationError
 from .geometry import Ball, ball
-from .graph import Vertex, _as_view, apply_laplacian
+from .graph import (WEIGHT_PARTS, SymmetricView, Vertex, _as_view,
+                    apply_laplacian)
 from .integrate import integrate
 
-_PARTS = ("full", "sym", "skew")
+_PARTS = tuple(WEIGHT_PARTS)
 
 
 @dataclass
@@ -79,49 +87,35 @@ class StateVector:
 class TruncatedOperator:
     """Sparse restrictions of L, its symmetric and skew parts, to a ball.
 
-    Edges with an endpoint outside the ball are dropped from the weights and
-    from the diagonal alike, so every row sums to zero and the off-diagonal
-    of the symmetric part is a symmetric matrix.
+    Assembled from the ball's weight snapshot alone.  Edges with an endpoint
+    outside the ball are dropped from the weights and from the diagonal
+    alike, so every row sums to zero and the off-diagonal of the symmetric
+    part is a symmetric matrix.
     """
 
-    def __init__(self, gen, b: Ball, parts: Sequence[str] = _PARTS):
-        view = _as_view(gen)
+    def __init__(self, b: Ball, parts: Sequence[str] = _PARTS):
         self.ball = b
         self.parts = tuple(parts)
         for p in self.parts:
             if p not in _PARTS:
                 raise ValueError(f"unknown part {p!r}")
         n = len(b)
-        builders = {p: (array("i"), array("i"), array("d"), np.zeros(n))
-                    for p in self.parts}
-        for i, v in enumerate(b.vertices):
-            out, inn = view.edges(v)
-            for u in set(out) | set(inn):
-                j = b.index.get(u)
-                if j is None:
-                    continue  # edge leaves the ball: dropped entirely
-                wf = out.get(u, 0.0)
-                wb = inn.get(u, 0.0)
-                for p in self.parts:
-                    if p == "full":
-                        w = wf
-                    elif p == "sym":
-                        w = (wf + wb) / 2.0
-                    else:
-                        w = (wf - wb) / 2.0
-                    if w != 0.0:
-                        rows, cols, vals, diag = builders[p]
-                        rows.append(i)
-                        cols.append(j)
-                        vals.append(w)
-                        diag[i] -= w
+        inside = b.nbr >= 0
+        rows, cols = b.entry_rows()[inside], b.nbr[inside]
+        wf, wb = b.w_out[inside], b.w_in[inside]
+        ids = np.arange(n)
         self._mats = {}
-        for p, (rows, cols, vals, diag) in builders.items():
-            r = np.concatenate([np.frombuffer(rows, dtype=np.int32), np.arange(n)])
-            c = np.concatenate([np.frombuffer(cols, dtype=np.int32), np.arange(n)])
-            d = np.concatenate([np.frombuffer(vals, dtype=float), diag])
+        for p in self.parts:
+            w = WEIGHT_PARTS[p](wf, wb)
+            keep = w != 0.0
+            r, c, w = rows[keep], cols[keep], w[keep]
+            # bincount adds each row in snapshot order, so the diagonal is
+            # summed in the order the neighbours were read
+            d = 0.0 - np.bincount(r, weights=w, minlength=n)
             self._mats[p] = scipy.sparse.csr_matrix(
-                scipy.sparse.coo_matrix((d, (r, c)), shape=(n, n)))
+                (np.concatenate([w, d]),
+                 (np.concatenate([r, ids]), np.concatenate([c, ids]))),
+                shape=(n, n))
 
     def matrix(self, part: str) -> scipy.sparse.csr_matrix:
         try:
@@ -209,7 +203,12 @@ class EvolveResult:
         raise KeyError(f"no sample at t={t}")
 
 
-def _support_info(view, x0, center) -> tuple[dict, int]:
+def _flow_view(gen) -> SymmetricView:
+    """Uncached view for the flow runs, which read every vertex once per ball."""
+    return gen if isinstance(gen, SymmetricView) else SymmetricView(gen, cache_size=0)
+
+
+def _support_info(view, x0, center, budget: int) -> tuple[dict, int]:
     if isinstance(x0, StateVector):
         return x0.to_dict(), x0.support_radius
     data = {v: float(val) for v, val in dict(x0).items() if val != 0.0}
@@ -221,13 +220,17 @@ def _support_info(view, x0, center) -> tuple[dict, int]:
     seen = {center}
     frontier = [center]
     while missing:
-        r += 1
-        if r > 10_000:
+        if not frontier:
             raise ValueError("initial support not reachable from the center")
+        r += 1
         nxt = []
         for v in frontier:
             for u in view.sym_neighbors(v):
                 if u not in seen:
+                    if len(seen) >= budget:
+                        raise BudgetExceededError(
+                            f"initial support not found within {budget} vertices "
+                            f"of the center", len(seen))
                     seen.add(u)
                     nxt.append(u)
                     if u in missing:
@@ -243,8 +246,10 @@ def _planned_radius(view, center, support_radius: int, cfg: SimConfig) -> int:
     probe_r = support_radius + 12
     probe = ball(view, center, probe_r, budget=cfg.ball_budget)
     max_m = float(probe.measures.max())
-    outer = [v for i, v in enumerate(probe.vertices) if probe.distances[i] == probe_r]
-    c_ball = max((view.skew_row_abs(v) for v in outer), default=0.0)
+    skew_row_abs = np.bincount(probe.entry_rows(),
+                               weights=np.abs(probe.w_out - probe.w_in) / 2.0,
+                               minlength=len(probe))
+    c_ball = float(skew_row_abs[probe.distances == probe_r].max(initial=0.0))
     spread = c_ball * cfg.t_max + 8.0 * math.sqrt(max_m) * math.sqrt(cfg.t_max)
     return support_radius + math.ceil(spread) + cfg.truncation_margin
 
@@ -254,25 +259,29 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
 
     ``x0`` may be a StateVector or a mapping from vertex to value; the ball
     is centered on ``x0``'s ball center (falling back to the graph root).
-    With ``richardson_check`` the run is repeated on a ball enlarged by the
-    truncation margin with the identical step sequence, and the max-norm
-    disagreement on the shared vertices must stay within ``10 * atol``;
-    otherwise the radius grows and the run is retried, a bounded number of
-    times.  The returned trajectory is the enlarged run when the check is on.
+    Each attempt enumerates one ball and assembles both radii from it.  With
+    ``richardson_check`` that ball is enlarged by the truncation margin, the
+    run on its BFS prefix is repeated on the whole of it with the identical
+    step sequence, and the max-norm disagreement on the shared vertices must
+    stay within ``10 * atol``; otherwise the radius grows and the run is
+    retried, a bounded number of times.  The returned trajectory is the
+    enlarged run when the check is on.
     """
     if part not in ("full", "sym"):
         raise ValueError("part must be 'full' or 'sym'")
-    view = _as_view(gen)
+    view = _flow_view(gen)
     center = x0.ball.center if isinstance(x0, StateVector) else gen.root
-    data, support_radius = _support_info(view, x0, center)
+    data, support_radius = _support_info(view, x0, center, cfg.ball_budget)
     ts = cfg.resolved_sample_times()
     radius = _planned_radius(view, center, support_radius, cfg)
 
     parts = ("full", "sym") if part == "full" else ("sym",)
     retries = 0
     while True:
-        b1 = ball(view, center, radius, budget=cfg.ball_budget)
-        op1 = TruncatedOperator(view, b1, parts=parts)
+        margin = cfg.truncation_margin if cfg.richardson_check else 0
+        b2 = ball(view, center, radius + margin, budget=cfg.ball_budget)
+        b1 = b2.prefix(radius)
+        op1 = TruncatedOperator(b1, parts=parts)
         a1 = op1.matrix(part)
         y0 = StateVector.from_dict(b1, data).values
         res1 = integrate(lambda t, y: a1.dot(y), y0, ts, rtol=cfg.rtol, atol=cfg.atol)
@@ -283,11 +292,8 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
                                 retries=retries, n_steps=res1.n_steps,
                                 richardson_diff=None)
 
-        b2 = ball(view, center, radius + cfg.truncation_margin, budget=cfg.ball_budget)
         n1 = len(b1)
-        if b2.vertices[:n1] != b1.vertices:
-            raise AssertionError("deterministic BFS prefix property violated")
-        op2 = TruncatedOperator(view, b2, parts=parts)
+        op2 = TruncatedOperator(b2, parts=parts)
         a2 = op2.matrix(part)
         y0b = StateVector.from_dict(b2, data).values
         res2 = integrate(lambda t, y: a2.dot(y), y0b, ts, rtol=cfg.rtol,

@@ -10,7 +10,7 @@ from dirlap import (StateVector, TruncatedOperator, advection_oracle,
                     advection_peak, advection_stirling_lower, builtin_graph,
                     dense_expm, evolve, fit_decay, fit_power_law,
                     generator_from_edges, norms, q_seminorm, skew_bound_check)
-from dirlap.errors import TruncationError
+from dirlap.errors import BudgetExceededError, TruncationError
 from dirlap.semigroup import SimConfig
 
 from helpers import dense_laplacian, k2_generator, random_support_vector
@@ -153,7 +153,7 @@ class TestTruncatedOperator:
     def test_parts_sum_and_symmetry(self):
         g = builtin_graph("z2-skew-perturbed", a=0.6)
         b = dirlap.ball(g, (0, 0), 4)
-        op = TruncatedOperator(g, b)
+        op = TruncatedOperator(b)
         full = op.dense("full")
         sym = op.dense("sym")
         skew = op.dense("skew")
@@ -166,14 +166,14 @@ class TestTruncatedOperator:
     def test_matches_dense_oracle(self):
         g = builtin_graph("example-2.2")
         b = dirlap.ball(g, (0,), 5)
-        op = TruncatedOperator(g, b)
+        op = TruncatedOperator(b)
         for part in ("full", "sym", "skew"):
             assert np.abs(op.dense(part) - dense_laplacian(g, b, part)).max() <= 1e-14
 
     def test_sym_pairs_cover_skeleton(self):
         g = builtin_graph("z-lattice", d=2)
         b = dirlap.ball(g, (0, 0), 3)
-        rows, cols = TruncatedOperator(g, b).sym_pairs()
+        rows, cols = TruncatedOperator(b).sym_pairs()
         expected = {(b.index[v], b.index[u])
                     for v in b.vertices for u in b.vertices
                     if abs(v[0] - u[0]) + abs(v[1] - u[1]) == 1}
@@ -284,6 +284,19 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(builtin_graph("example-2.2"), {(0,): 1.0},
                    small_cfg(1.0, [1.0]), part="skew")
+
+
+class TestSupportSearch:
+    def test_disconnected_support_stops_on_empty_frontier(self):
+        g = generator_from_edges({((0,), (1,)): 1.0, ((1,), (0,)): 1.0,
+                                  ((5,), (6,)): 1.0, ((6,), (5,)): 1.0}, root=(0,))
+        with pytest.raises(ValueError, match="not reachable"):
+            evolve(g, {(0,): 1.0, (5,): 1.0}, small_cfg(1.0))
+
+    def test_unreachable_support_on_infinite_graph_hits_budget(self):
+        g = builtin_graph("z-lattice", d=2)
+        with pytest.raises(BudgetExceededError):
+            evolve(g, {(0, 0): 1.0, (0, 0, 0): 1.0}, small_cfg(1.0, ball_budget=500))
 
 
 class TestFitDecay:

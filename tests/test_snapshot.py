@@ -1,0 +1,148 @@
+"""The ball weight snapshot: assembly, prefixes, invariants, and consistency.
+
+Property tests draw random finite directed graphs, including negative
+directed weights and pairs whose symmetric weight is not positive, and check
+the snapshot-derived operators against the edge-by-edge dense oracle.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import dirlap
+from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
+                    TruncatedOperator, ball, builtin_graph, evolve,
+                    generator_from_edges)
+
+from helpers import dense_laplacian
+
+PARTS = ("full", "sym", "skew")
+
+weights = st.one_of(st.sampled_from([1.0, 0.5, 2.0, -0.5, -1.0]),
+                    st.floats(min_value=-1.0, max_value=3.0).filter(lambda w: w != 0.0))
+
+
+@st.composite
+def finite_graphs(draw):
+    """A random ``generator_from_edges`` graph on up to nine vertices."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n,
+                           unique=True))
+    ws = draw(st.lists(weights, min_size=len(chosen), max_size=len(chosen)))
+    root = (draw(st.integers(min_value=0, max_value=n - 1)),)
+    edges = {((a,), (b,)): w for (a, b), w in zip(chosen, ws)}
+    return generator_from_edges(edges, root=root)
+
+
+def measure_oracle(gen, v) -> float:
+    out, inn = gen.adjacency(v)
+    return sum(max((out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0, 0.0)
+               for u in set(out) | set(inn))
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4))
+def test_snapshot_assembly_matches_dense_oracle(gen, r):
+    b = ball(gen, gen.root, r)
+    op = TruncatedOperator(b)
+    for part in PARTS:
+        np.testing.assert_allclose(op.dense(part), dense_laplacian(gen, b, part),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_allclose(b.measures, [measure_oracle(gen, v) for v in b.vertices],
+                               rtol=0, atol=1e-14)
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=4))
+def test_prefix_equals_smaller_ball(gen, r, extra):
+    cut = ball(gen, gen.root, r + extra).prefix(r)
+    direct = ball(gen, gen.root, r)
+    assert cut.radius == direct.radius
+    assert cut.vertices == direct.vertices
+    assert cut.index == direct.index
+    assert np.array_equal(cut.distances, direct.distances)
+    assert np.array_equal(cut.measures, direct.measures)
+    a, c = TruncatedOperator(cut), TruncatedOperator(direct)
+    for part in PARTS:
+        assert np.array_equal(a.dense(part), c.dense(part))
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4))
+def test_rows_sum_to_zero_and_sym_is_symmetric(gen, r):
+    op = TruncatedOperator(ball(gen, gen.root, r))
+    for part in PARTS:
+        m = op.dense(part)
+        assert np.abs(m.sum(axis=1)).max() <= 1e-13 * max(1.0, np.abs(m).max())
+    sym = op.dense("sym")
+    off = sym - np.diag(np.diag(sym))
+    assert np.array_equal(off, off.T)
+
+
+def test_late_neighbour_without_symmetric_weight_is_kept():
+    # (0,) reaches (2,) only through (1,); the direct pair has w(0,2) = 1 and
+    # w(2,0) = -1, so it carries no symmetric weight but a full one.
+    g = generator_from_edges({((0,), (1,)): 1.0, ((1,), (0,)): 1.0,
+                              ((1,), (2,)): 1.0, ((2,), (1,)): 1.0,
+                              ((0,), (2,)): 1.0, ((2,), (0,)): -1.0}, root=(0,))
+    b = ball(g, (0,), 2)
+    assert b.vertices == [(0,), (1,), (2,)]
+    full = TruncatedOperator(b).dense("full")
+    assert full[0, 2] == 1.0 and full[2, 0] == -1.0
+    assert np.array_equal(full, dense_laplacian(g, b, "full"))
+
+
+def test_zero_weights_are_not_stored():
+    # a symmetric graph has no skew weight: only the diagonal is stored
+    b = ball(builtin_graph("z-lattice", d=2), (0, 0), 3)
+    op = TruncatedOperator(b)
+    assert op.matrix("skew").nnz == len(b)
+    assert op.matrix("sym").nnz == len(b) + int((b.nbr >= 0).sum())
+
+
+def test_prefix_radius_out_of_range():
+    b = ball(builtin_graph("z-lattice", d=2), (0, 0), 3)
+    assert b.prefix(3) is b
+    with pytest.raises(ValueError):
+        b.prefix(4)
+    with pytest.raises(ValueError):
+        b.prefix(-1)
+
+
+def planted_line():
+    """Integer line where (3,) over-reports the weight of the edge from (2,)."""
+    def adjacency(v):
+        (n,) = v
+        out = {(n + 1,): 1.0, (n - 1,): 1.0}
+        inn = {(n + 1,): 1.0, (n - 1,): 2.0 if n == 3 else 1.0}
+        return out, inn
+
+    return GraphGenerator(adjacency=adjacency, root=(0,), name="planted")
+
+
+def test_planted_inconsistency_fails_evolve():
+    cfg = SimConfig(t_max=1.0, sample_times=[1.0], c_speed=2.0)
+    with pytest.raises(InconsistentAdjacencyError) as err:
+        evolve(planted_line(), {(0,): 1.0}, cfg, part="sym")
+    assert set(err.value.pair) == {(2,), (3,)}
+    assert "(2,)" in str(err.value) and "(3,)" in str(err.value)
+    assert isinstance(err.value, dirlap.DirlapError)
+
+
+def test_missing_partner_entry_is_inconsistent():
+    def adjacency(v):
+        (n,) = v
+        out = {(n + 1,): 1.0, (n - 1,): 1.0}
+        inn = {(n + 1,): 1.0, (n - 1,): 1.0}
+        if n == 1:
+            out[(5,)] = 0.5  # (5,) never reports an edge from (1,)
+        return out, inn
+
+    g = GraphGenerator(adjacency=adjacency, root=(0,), name="one-sided")
+    with pytest.raises(InconsistentAdjacencyError) as err:
+        ball(g, (0,), 2)
+    assert set(err.value.pair) == {(1,), (5,)}
+
+
+def test_inconsistency_beyond_the_ball_is_not_seen():
+    assert len(ball(planted_line(), (0,), 2)) == 5
