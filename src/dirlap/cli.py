@@ -22,8 +22,6 @@ from . import hypotheses, oscillator, reports, semigroup
 from .errors import DirlapError
 from .graph import validate_generator
 
-_GRAPH_PARAM_KEYS = ("a", "d")
-
 
 def _load_config(path: str | None) -> dict:
     """Key-value config file: one ``key = value`` pair per line, # comments."""

@@ -167,11 +167,6 @@ def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
     return residual
 
 
-def is_locked(sys: OscillatorSystem, cand: PhaseLockCandidate, radius: int,
-              tol: float = 1e-8) -> bool:
-    return verify_phase_lock(sys, cand, radius, tol) <= tol
-
-
 def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator:
     """Directed graph generator of the linearization around a locked state.
 
@@ -268,7 +263,7 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     Works in the co-rotating frame, so the integrated variable is directly
     the deviation from the locked solution.  Exterior oscillators stay
     frozen at the locked motion, consistent with deviations that decay.  The
-    same enlarged-ball replay check as the linear flow guards truncation,
+    same enlarged-ball replay check as the full linear flow guards truncation,
     with the primary ball taken as a BFS prefix of the one enlarged ball
     enumerated per attempt, and any deviation reaching ``blowup_threshold``
     in sup norm aborts.

@@ -262,6 +262,14 @@ class TestEvolve:
         except TruncationError:
             pass  # also acceptable: honest failure after bounded retries
 
+    def test_sym_radius_comparison_catches_undersized_domain(self):
+        # sym runs compare the two radii directly; no step replay is involved
+        g = builtin_graph("z-lattice", d=1)
+        cfg = SimConfig(t_max=40.0, sample_times=[40.0], rtol=1e-8, atol=1e-10,
+                        c_speed=0.05, truncation_margin=2, max_retries=0)
+        with pytest.raises(TruncationError):
+            evolve(g, {(0,): 1.0}, cfg, part="sym")
+
     def test_richardson_diff_reported_small(self):
         g = builtin_graph("example-2.2")
         cfg = small_cfg(3.0, [3.0], c_speed=8.0)

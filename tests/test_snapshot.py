@@ -15,26 +15,9 @@ from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
                     TruncatedOperator, ball, builtin_graph, evolve,
                     generator_from_edges)
 
-from helpers import dense_laplacian
+from helpers import dense_laplacian, finite_graphs
 
 PARTS = ("full", "sym", "skew")
-
-weights = st.one_of(st.sampled_from([1.0, 0.5, 2.0, -0.5, -1.0]),
-                    st.floats(min_value=-1.0, max_value=3.0).filter(lambda w: w != 0.0))
-
-
-@st.composite
-def finite_graphs(draw):
-    """A random ``generator_from_edges`` graph on up to nine vertices."""
-    n = draw(st.integers(min_value=2, max_value=9))
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n,
-                           unique=True))
-    ws = draw(st.lists(weights, min_size=len(chosen), max_size=len(chosen)))
-    root = (draw(st.integers(min_value=0, max_value=n - 1)),)
-    edges = {((a,), (b,)): w for (a, b), w in zip(chosen, ws)}
-    return generator_from_edges(edges, root=root)
-
 
 def measure_oracle(gen, v) -> float:
     out, inn = gen.adjacency(v)
