@@ -234,12 +234,13 @@ def _tridiagonal_expm(alphas, betas, taus) -> tuple[np.ndarray, np.ndarray]:
     return weights @ np.exp(x), np.abs(weights[-1] @ phi1) * taus
 
 
-def _first_pass(matvec, v, scale, taus, atol, max_dim):
-    """Run the recurrence until the estimate meets ``atol`` at every tau.
+def _first_pass(matvec, v, scale, taus, tols, max_dim):
+    """Run the recurrence until the estimate meets ``tols`` at every tau.
 
-    ``scale`` is ``|y0|``.  Returns the alphas and betas, the columns
-    ``exp(tau T) e_1`` for ``taus``, and a mask of the taus whose estimate
-    meets ``atol`` (all of them unless ``max_dim`` was reached first).
+    ``scale`` is ``|y0|`` and ``tols[i]`` the tolerance for ``taus[i]``.
+    Returns the alphas and betas, the columns ``exp(tau T) e_1`` for
+    ``taus``, and a mask of the taus whose estimate meets its tolerance
+    (all of them unless ``max_dim`` was reached first).
     """
     alphas, betas = [], []
     for j, (_, alpha, beta) in enumerate(_lanczos(matvec, v), 1):
@@ -248,7 +249,7 @@ def _first_pass(matvec, v, scale, taus, atol, max_dim):
         if beta == 0.0 or j == max_dim or j % _CHECK_EVERY == 0:
             coefs, factors = _tridiagonal_expm(alphas, betas, taus)
             # an invariant subspace makes the approximation exact
-            met = (beta * scale * factors <= atol) | (beta == 0.0)
+            met = (beta * scale * factors <= tols) | (beta == 0.0)
             if met.all() or j == max_dim:
                 return alphas, betas, coefs, met
 
@@ -279,22 +280,26 @@ def _second_pass(matvec, v, coefs) -> list[np.ndarray]:
 
 
 def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-                 sample_times: Sequence[float], atol: float = 1e-10,
-                 max_dim: int = _MAX_KRYLOV_DIM) -> IntegrationResult:
+                 sample_times: Sequence[float], atol: float = 1e-10) -> IntegrationResult:
     """``exp(tA) y0`` at every sample time for a symmetric ``A``.
 
     ``matvec(v)`` returns ``A v`` as a new array.  A first pass runs the
     Lanczos recurrence, keeping only the tridiagonal coefficients, until
-    Saad's estimate ``beta_m |y0| |e_m^T t phi_1(t T_m) e_1|`` is at most
-    ``atol`` at every sample time (checked every few steps).  A second pass
-    replays the identical recurrence and adds each basis vector into every
-    sample, so the basis is never stored.  If ``max_dim`` vectors do not
-    reach ``atol``, the run restarts from the last sample time they do reach
-    (Sidje 1998, Expokit), or from the longest halving of the span to the
-    next sample time when they reach none; ``StepSizeError`` is raised when
-    not even 1/1024 of that span is reached.  Samples at time 0 are exact
-    copies of ``y0``, and a zero ``y0`` gives zeros.
+    Saad's estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets
+    the tolerance at every sample time (checked every few steps).  A second
+    pass replays the identical recurrence and adds each basis vector into
+    every sample, so the basis is never stored.  If ``_MAX_KRYLOV_DIM``
+    vectors do not meet it, the run restarts from the last sample time they
+    do reach (Sidje 1998, Expokit), or from the longest halving of the span
+    to the next sample time when they reach none; ``StepSizeError`` is
+    raised when not even 1/1024 of that span is reached.  As in Expokit, a
+    segment of length ``tau`` from a restart point gets the share
+    ``atol * tau / t_end`` of the tolerance, so the estimated errors of the
+    segments before any sample time add up to at most ``atol`` (the flow of
+    a symmetric negative semidefinite ``A`` does not amplify them).  Samples
+    at time 0 are exact copies of ``y0``, and a zero ``y0`` gives zeros.
     """
+    max_dim = _MAX_KRYLOV_DIM
     times = _checked_times(sample_times)
     y = np.array(y0, dtype=float)
     samples = []
@@ -314,7 +319,8 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
             return IntegrationResult(samples, np.array(spans), n_steps, 0)
         v = y / nrm
         taus = np.array(times[k:]) - t0
-        alphas, betas, coefs, met = _first_pass(matvec, v, nrm, taus, atol, max_dim)
+        alphas, betas, coefs, met = _first_pass(matvec, v, nrm, taus,
+                                                atol * taus / times[-1], max_dim)
         reached = len(taus) if met.all() else int(np.argmin(met))
         if reached:
             span = taus[reached - 1]
@@ -322,7 +328,7 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         else:
             halves = taus[0] * 0.5 ** np.arange(1, 11)
             _, factors = _tridiagonal_expm(alphas, betas, halves)
-            good = np.nonzero(betas[-1] * nrm * factors <= atol)[0]
+            good = np.nonzero(betas[-1] * nrm * factors <= atol * halves / times[-1])[0]
             if not good.size:
                 raise StepSizeError(f"Lanczos exponential makes no progress at "
                                     f"t={t0:.6g} with {max_dim} basis vectors")

@@ -11,12 +11,12 @@ Truncation adequacy is verified, not assumed: each attempt enumerates the
 ball enlarged by the truncation margin once, takes the primary ball as its
 BFS prefix, computes the flow on both, and requires the two trajectories to
 agree on the smaller ball to within a small multiple of the absolute
-tolerance.  Symmetric-part runs use the Lanczos exponential, whose error at
-every sample time is held under the absolute tolerance, so the two radii are
-compared directly.  Full runs integrate with DOPRI5 on the primary ball and
-repeat the run on the enlarged ball *replaying the identical step sequence*,
-so the comparison sees truncation error alone instead of step-controller
-noise.
+tolerance.  Symmetric-part runs use the Lanczos exponential, whose estimated
+error at every sample time is held under the absolute tolerance (restart
+segments share it), so the two radii are compared directly.  Full runs
+integrate with DOPRI5 on the primary ball and repeat the run on the enlarged
+ball *replaying the identical step sequence*, so the comparison sees
+truncation error alone instead of step-controller noise.
 
 Both balls are weight snapshots (see ``geometry``), so the sparse operators
 are assembled from their arrays without further adjacency calls, and
@@ -145,6 +145,11 @@ class SimConfig:
     When unset, the radius combines a ballistic term from the skew mass seen
     at the edge of a probe ball with a diffusive term from the largest vertex
     measure.  Either way the enlarged-ball comparison below validates it.
+
+    ``rtol`` and ``atol`` are the DOPRI5 tolerances of full linear and
+    nonlinear runs.  Symmetric-part runs are controlled by ``atol`` alone:
+    the Lanczos exponential has no relative tolerance, so ``rtol`` does not
+    affect them.
     """
 
     t_max: float
@@ -272,14 +277,15 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     is centered on ``x0``'s ball center (falling back to the graph root).
     Each attempt enumerates one ball and assembles both radii from it.
     ``part="sym"`` computes ``exp(t L_sym) x0`` at every sample time from
-    one Lanczos basis per radius (``lanczos_expm``); ``part="full"``
-    integrates with DOPRI5.  With ``richardson_check`` that ball is enlarged
-    by the truncation margin and the flow on its BFS prefix is compared with
-    the flow on the whole of it: sym runs compare the two radii directly,
-    full runs repeat the integration with the identical step sequence.  The
-    max-norm disagreement on the shared vertices must stay within
-    ``10 * atol``; otherwise the radius grows and the run is retried, a
-    bounded number of times.  The returned trajectory is the enlarged run
+    one Lanczos basis per radius (``lanczos_expm``, to ``cfg.atol`` alone;
+    ``cfg.rtol`` is not used); ``part="full"`` integrates with DOPRI5 to
+    ``cfg.rtol`` and ``cfg.atol``.  With ``richardson_check`` that ball is
+    enlarged by the truncation margin and the flow on its BFS prefix is
+    compared with the flow on the whole of it: sym runs compare the two radii
+    directly, full runs repeat the integration with the identical step
+    sequence.  The max-norm disagreement on the shared vertices must stay
+    within ``10 * atol``; otherwise the radius grows and the run is retried,
+    a bounded number of times.  The returned trajectory is the enlarged run
     when the check is on.
     """
     if part not in ("full", "sym"):
