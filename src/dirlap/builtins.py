@@ -81,8 +81,7 @@ def _example22() -> GraphGenerator:
             inn[(n - 1,)] = wb
         return out, inn
 
-    return GraphGenerator(adjacency=adjacency, root=(0,), name="example-2.2",
-                          dimension_hint=1.0)
+    return GraphGenerator(adjacency=adjacency, root=(0,), name="example-2.2")
 
 
 def _z_lattice(d: int = 2) -> GraphGenerator:
@@ -99,8 +98,7 @@ def _z_lattice(d: int = 2) -> GraphGenerator:
                 nbrs[tuple(u)] = 1.0
         return dict(nbrs), dict(nbrs)
 
-    return GraphGenerator(adjacency=adjacency, root=(0,) * d, name=f"z-lattice({d})",
-                          dimension_hint=float(d))
+    return GraphGenerator(adjacency=adjacency, root=(0,) * d, name=f"z-lattice({d})")
 
 
 def _z2_advection() -> GraphGenerator:
@@ -122,8 +120,7 @@ def _z2_advection() -> GraphGenerator:
             inn[(i, j - 1)] = 1.0
         return out, inn
 
-    return GraphGenerator(adjacency=adjacency, root=(0, 0), name="z2-advection",
-                          dimension_hint=2.0)
+    return GraphGenerator(adjacency=adjacency, root=(0, 0), name="z2-advection")
 
 
 def _z2_skew_perturbed(a: float = 0.5) -> GraphGenerator:
@@ -154,7 +151,7 @@ def _z2_skew_perturbed(a: float = 0.5) -> GraphGenerator:
         return out, inn
 
     return GraphGenerator(adjacency=adjacency, root=(0, 0),
-                          name=f"z2-skew-perturbed({a})", dimension_hint=2.0)
+                          name=f"z2-skew-perturbed({a})")
 
 
 register_graph("example-2.2", _example22)

@@ -65,11 +65,6 @@ class Ball:
     def volume(self) -> float:
         return float(self.measures.sum())
 
-    def rows(self) -> Iterator[tuple]:
-        """Columnar debug view: (vertex key, distance, measure)."""
-        for i, v in enumerate(self.vertices):
-            yield v, int(self.distances[i]), float(self.measures[i])
-
     def entry_rows(self) -> np.ndarray:
         """Row, i.e. ball index of the reporting vertex, of every snapshot entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
@@ -205,27 +200,9 @@ def distance(gen, a: Vertex, b: Vertex, cutoff: int,
     """Graph distance on the symmetric skeleton, or None beyond ``cutoff``."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    if a == b:
-        return 0
-    view = _as_view(gen)
-    dist = {a: 0}
-    frontier = [a]
-    for d in range(1, cutoff + 1):
-        nxt = []
-        for v in frontier:
-            for u in sorted(view.sym_neighbors(v)):
-                if u not in dist:
-                    if len(dist) >= budget:
-                        raise BudgetExceededError(
-                            f"distance({a}, {b}) exceeded budget at {len(dist)} vertices",
-                            len(dist))
-                    dist[u] = d
-                    if u == b:
-                        return d
-                    nxt.append(u)
-        frontier = nxt
-        if not frontier:
-            return None
+    for d, shell in shells(gen, a, cutoff, budget=budget):
+        if b in shell:
+            return d
     return None
 
 
@@ -233,26 +210,29 @@ def shells(gen, root: Vertex, max_shells: int,
            budget: int = DEFAULT_BALL_BUDGET) -> Iterator[tuple[int, list]]:
     """Yield ``(k, shell vertices)`` for k = 0..max_shells incrementally.
 
-    Shell k is ``ball(root, k) minus ball(root, k-1)``.  Stops early (without
-    raising) once the cumulative vertex count would pass the budget, so
-    callers can distinguish "ran out of shells" from "ran out of budget" by
-    counting what they received.
+    Shell k is ``ball(root, k) minus ball(root, k-1)``, in BFS order with
+    sorted adjacency.  Shell k+1 is built from the adjacency of shell k only
+    when the caller asks for it, so shell ``max_shells`` is yielded but never
+    read.  Stops early when a shell is empty (the root's component is
+    exhausted), and raises ``BudgetExceededError`` once the shells found hold
+    more than ``budget`` vertices.
     """
     view = _as_view(gen)
     seen = {root}
-    frontier = [root]
-    total = 1
-    k = 0
-    while frontier and k <= max_shells:
-        yield k, frontier
+    shell = [root]
+    for k in range(max_shells + 1):
+        yield k, shell
+        if k == max_shells:
+            return
         nxt = []
-        for v in frontier:
+        for v in shell:
             for u in sorted(view.sym_neighbors(v)):
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-        total += len(nxt)
-        if total > budget:
+        if not nxt:
             return
-        frontier = nxt
-        k += 1
+        if len(seen) > budget:
+            raise BudgetExceededError(
+                f"shells({root}) exceeded budget at {budget} vertices", len(seen))
+        shell = nxt

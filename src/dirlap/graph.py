@@ -58,8 +58,6 @@ class GraphGenerator:
         Enumeration origin used by ball construction and shell sums.
     name:
         Label used in reports.
-    dimension_hint:
-        Optional user-declared volume-growth order; informational only.
     degree_cap:
         Maximum number of distinct neighbours a single vertex may report.
     """
@@ -67,7 +65,6 @@ class GraphGenerator:
     adjacency: AdjacencyFn
     root: Vertex
     name: str = "custom"
-    dimension_hint: float | None = None
     degree_cap: int = DEFAULT_DEGREE_CAP
 
 

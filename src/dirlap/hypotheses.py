@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularFormError
-from .geometry import DEFAULT_BALL_BUDGET, ball
+from .errors import BudgetExceededError, SingularFormError
+from .geometry import DEFAULT_BALL_BUDGET, ball, shells
 from .graph import Vertex, _as_view
 
 
@@ -114,10 +114,8 @@ def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int,
     for c in centers:
         b = ball(gen, c, r_max, budget=budget)
         # cumulative volumes by distance, one BFS per center
-        vol_at = np.zeros(r_max + 1)
-        for i in range(len(b)):
-            vol_at[b.distances[i]] += b.measures[i]
-        vol_at = np.cumsum(vol_at)
+        vol_at = np.cumsum(np.bincount(b.distances, weights=b.measures,
+                                       minlength=r_max + 1))
         for r in range(r_min, r_max + 1):
             samples.append((c, r, float(vol_at[r])))
 
@@ -158,23 +156,25 @@ def estimate_alpha(gen, center: Vertex, radius: int,
                                vertices_checked=len(b))
 
 
-def _dirichlet_matrix(view, b) -> np.ndarray:
+def _dirichlet_matrix(b) -> np.ndarray:
     """Quadratic form of the ordered-pair Dirichlet sum over a ball.
 
-    ``x^T Q x = sum over ordered in-ball pairs of w_sym (x_v - x_v')^2``.
+    ``x^T Q x = sum over ordered in-ball pairs of w_sym (x_v - x_v')^2``,
+    read from the ball's weight snapshot.
     """
     n = len(b)
+    rows = b.entry_rows()
+    ws = (b.w_out + b.w_in) / 2.0
+    # each unordered pair appears twice in the ordered sum; take it once, from
+    # the row of its lower-index vertex
+    up = (b.nbr > rows) & (ws > 0.0)
+    i, j, w = rows[up], b.nbr[up], 2.0 * ws[up]
     q = np.zeros((n, n))
-    for i, v in enumerate(b.vertices):
-        for u, ws in view.sym_neighbors(v).items():
-            j = b.index.get(u)
-            if j is None or j <= i:
-                continue
-            # each unordered pair appears twice in the ordered sum
-            q[i, i] += 2.0 * ws
-            q[j, j] += 2.0 * ws
-            q[i, j] -= 2.0 * ws
-            q[j, i] -= 2.0 * ws
+    # interleaved targets add each diagonal in the order of a loop over the pairs
+    q[np.diag_indices(n)] = np.bincount(np.column_stack([i, j]).ravel(),
+                                        weights=np.repeat(w, 2), minlength=n)
+    q[i, j] = -w
+    q[j, i] = -w
     return q
 
 
@@ -186,8 +186,7 @@ def poincare_quotient(gen, center: Vertex, r: int, x: np.ndarray,
     its measure-weighted mean.  Denominator: ``r^2`` times the ordered-pair
     Dirichlet sum over the double ball.  Exposed for property checks.
     """
-    view = _as_view(gen)
-    b2 = ball(view, center, 2 * r, budget=budget)
+    b2 = ball(gen, center, 2 * r, budget=budget)
     x = np.asarray(x, dtype=float)
     if x.shape != (len(b2),):
         raise ValueError("test vector must be indexed by the double ball")
@@ -195,7 +194,7 @@ def poincare_quotient(gen, center: Vertex, r: int, x: np.ndarray,
     m_in = np.where(inner, b2.measures, 0.0)
     mean = float(m_in @ x) / float(m_in.sum())
     num = float(m_in @ (x - mean) ** 2)
-    q = _dirichlet_matrix(view, b2)
+    q = _dirichlet_matrix(b2)
     den = float(r * r * (x @ q @ x))
     if den == 0.0:
         raise ValueError("constant test vector: quotient undefined")
@@ -213,8 +212,7 @@ def estimate_poincare(gen, center: Vertex, r: int,
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    view = _as_view(gen)
-    b2 = ball(view, center, 2 * r, budget=budget)
+    b2 = ball(gen, center, 2 * r, budget=budget)
     n = len(b2)
     if n < 2:
         raise ValueError("double ball has fewer than 2 vertices")
@@ -225,7 +223,7 @@ def estimate_poincare(gen, center: Vertex, r: int,
     c = m_in / vol_in
     t = np.eye(n) - np.outer(np.ones(n), c)  # x -> x minus its weighted mean
     a = t.T @ (m_in[:, None] * t)
-    den = r * r * _dirichlet_matrix(view, b2)
+    den = r * r * _dirichlet_matrix(b2)
 
     # work on the orthogonal complement of the constant vector
     basis = scipy.linalg.null_space(np.ones((1, n)))
@@ -261,34 +259,17 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
         raise ValueError("max_shells must be >= 3")
     view = _as_view(gen)
     contributions: list[float] = []
-    total = 0.0
-    seen = {gen.root}
-    frontier = [gen.root]
-    n_vertices = 1
     budget_cut = False
-    exhausted = False
-    for k in range(max_shells + 1):
-        c = 0.0
-        for v in frontier:
-            c += view.skew_row_abs(v)
-        contributions.append(c)
-        total += c
-        if k == max_shells:
-            break
-        nxt = []
-        for v in frontier:
-            for u in sorted(view.sym_neighbors(v)):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        if not nxt:
-            exhausted = True
-            break
-        n_vertices += len(nxt)
-        if n_vertices > budget:
-            budget_cut = True
-            break
-        frontier = nxt
+    try:
+        for _, shell in shells(view, gen.root, max_shells, budget=budget):
+            c = 0.0
+            for v in shell:
+                c += view.skew_row_abs(v)
+            contributions.append(c)
+    except BudgetExceededError:
+        budget_cut = True
+    total = sum(contributions)
+    exhausted = len(contributions) <= max_shells  # the shells ran out early
 
     tail_slope = _tail_slope(contributions)
     if budget_cut:

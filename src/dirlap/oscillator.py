@@ -24,12 +24,11 @@ from typing import Callable, Iterable
 import numpy as np
 import scipy.sparse
 
-from .errors import BlowUpError, TruncationError
-from .geometry import Ball, ball
+from .errors import BlowUpError
+from .geometry import Ball
 from .graph import GraphGenerator, SymmetricView, Vertex
 from .integrate import integrate
-from .semigroup import (SimConfig, StateVector, _flow_view, _planned_radius,
-                        _support_info)
+from .semigroup import SimConfig, StateVector, _flow_view, _truncated_flow
 
 
 @dataclass(frozen=True)
@@ -263,22 +262,16 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     Works in the co-rotating frame, so the integrated variable is directly
     the deviation from the locked solution.  Exterior oscillators stay
     frozen at the locked motion, consistent with deviations that decay.  The
-    same enlarged-ball replay check as the full linear flow guards truncation,
-    with the primary ball taken as a BFS prefix of the one enlarged ball
-    enumerated per attempt, and any deviation reaching ``blowup_threshold``
-    in sup norm aborts.
+    ball, its enlarged-ball replay check and the retries are the full linear
+    flow's (``semigroup._truncated_flow``), run on the linearization's
+    skeleton.  Any deviation reaching ``blowup_threshold`` in sup norm on
+    the primary ball aborts.
     """
-    from .semigroup import EvolveResult  # local import to avoid a cycle at load
-
-    lin = linearize(sys, cand)
-    view = _flow_view(lin)
-    center = perturbation.ball.center if isinstance(perturbation, StateVector) \
-        else sys.root
-    data, support_radius = _support_info(view, perturbation, center, cfg.ball_budget)
+    data = perturbation.to_dict() if isinstance(perturbation, StateVector) \
+        else dict(perturbation)
     if sum(abs(v) for v in data.values()) > max_perturbation_l1:
         raise ValueError("perturbation exceeds the configured l1 budget")
     ts = cfg.resolved_sample_times()
-    radius = _planned_radius(view, center, support_radius, cfg)
 
     def blowup_guard(t, phi):
         if float(np.max(np.abs(phi))) > blowup_threshold:
@@ -286,38 +279,10 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                 f"deviation reached {np.max(np.abs(phi)):.3f} at t={t:.3g}: "
                 "left perturbative regime")
 
-    retries = 0
-    while True:
-        margin = cfg.truncation_margin if cfg.richardson_check else 0
-        b2 = ball(view, center, radius + margin, budget=cfg.ball_budget)
-        b1 = b2.prefix(radius)
-        table1 = _EdgeTable(sys, cand, b1)
-        y0 = StateVector.from_dict(b1, data).values
-        res1 = integrate(lambda t, y: table1.rhs(y), y0, ts, rtol=cfg.rtol,
-                         atol=cfg.atol, step_callback=blowup_guard)
-        if not cfg.richardson_check:
-            samples = [(t, StateVector.from_values(b1, y)) for t, y in res1.samples]
-            return EvolveResult(samples=samples, ball=b1, operator=None,
-                                radius=radius, retries=retries,
-                                n_steps=res1.n_steps, richardson_diff=None)
+    def flow(b, y0, replay):
+        table = _EdgeTable(sys, cand, b)
+        return integrate(lambda t, y: table.rhs(y), y0, ts, rtol=cfg.rtol,
+                         atol=cfg.atol, replay=replay,
+                         step_callback=blowup_guard if replay is None else None), None
 
-        n1 = len(b1)
-        table2 = _EdgeTable(sys, cand, b2)
-        y0b = StateVector.from_dict(b2, data).values
-        res2 = integrate(lambda t, y: table2.rhs(y), y0b, ts, rtol=cfg.rtol,
-                         atol=cfg.atol, replay=res1.steps)
-        diff = 0.0
-        for (_, ya), (_, yb) in zip(res1.samples, res2.samples):
-            diff = max(diff, float(np.max(np.abs(yb[:n1] - ya))))
-        if diff <= 10.0 * cfg.atol:
-            samples = [(t, StateVector.from_values(b2, y)) for t, y in res2.samples]
-            return EvolveResult(samples=samples, ball=b2, operator=None,
-                                radius=radius + cfg.truncation_margin,
-                                retries=retries, n_steps=res1.n_steps,
-                                richardson_diff=diff)
-        retries += 1
-        if retries > cfg.max_retries:
-            raise TruncationError(
-                f"truncation not converged after {cfg.max_retries} retries "
-                f"(residual {diff:.3e} > {10 * cfg.atol:.3e})")
-        radius += cfg.truncation_margin
+    return _truncated_flow(_flow_view(linearize(sys, cand)), perturbation, cfg, flow)

@@ -68,17 +68,3 @@ def write_trajectory_csv(path: str, series: dict[str, tuple[list, list]]) -> Non
             rows.append((repr(float(t)), kind, repr(float(v))))
     write_csv(path, ("t", "norm_kind", "value"), rows)
 
-
-def write_ball_csv(path: str, b) -> None:
-    """Columnar ball dump: (vertex, distance, measure)."""
-    rows = ((" ".join(str(c) for c in v), d, repr(m)) for v, d, m in b.rows())
-    write_csv(path, ("vertex", "distance", "measure"), rows)
-
-
-def write_oracle_diff(path: str, entries: list[dict], max_abs_diff: float) -> None:
-    """Diff report for simulation-vs-dense-exponential comparisons."""
-    write_json_report(path, {
-        "kind": "oracle-diff",
-        "max_abs_diff": max_abs_diff,
-        "entries": entries,
-    })

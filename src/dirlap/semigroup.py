@@ -7,13 +7,15 @@ the ball are removed entirely, which keeps the restriction of the symmetric
 part symmetric with vanishing row sums (so constants stay in its kernel and
 counting mass is conserved).
 
-Truncation adequacy is verified, not assumed: each attempt enumerates the
-ball enlarged by the truncation margin once, takes the primary ball as its
-BFS prefix, computes the flow on both, and requires the two trajectories to
-agree on the smaller ball to within a small multiple of the absolute
-tolerance.  Symmetric-part runs use the Lanczos exponential, whose estimated
-error at every sample time is held under the absolute tolerance (restart
-segments share it), so the two radii are compared directly.  Full runs
+Truncation adequacy is verified, not assumed, by one driver that the linear
+flow here and the nonlinear flow of ``oscillator`` share: each attempt
+enumerates the ball enlarged by the truncation margin once, takes the
+primary ball as its BFS prefix, computes the flow on both, and requires the
+two trajectories to agree on the smaller ball to within a small multiple of
+the absolute tolerance; otherwise the radius grows and the attempt repeats.
+Symmetric-part runs use the Lanczos exponential, whose estimated error at
+every sample time is held under the absolute tolerance (restart segments
+share it), so the two radii are compared directly.  Full and nonlinear runs
 integrate with DOPRI5 on the primary ball and repeat the run on the enlarged
 ball *replaying the identical step sequence*, so the comparison sees
 truncation error alone instead of step-controller noise.
@@ -34,8 +36,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import scipy.sparse
 
-from .errors import BudgetExceededError, TruncationError
-from .geometry import Ball, ball
+from .errors import TruncationError
+from .geometry import Ball, ball, shells
 from .graph import (WEIGHT_PARTS, SymmetricView, Vertex, _as_view,
                     apply_laplacian)
 from .integrate import integrate, lanczos_expm
@@ -228,32 +230,13 @@ def _support_info(view, x0, center, budget: int) -> tuple[dict, int]:
     if isinstance(x0, StateVector):
         return x0.to_dict(), x0.support_radius
     data = {v: float(val) for v, val in dict(x0).items() if val != 0.0}
-    if not data:
-        return data, 0
-    missing = set(data) - {center}
-    radius = 0
-    r = 0
-    seen = {center}
-    frontier = [center]
-    while missing:
-        if not frontier:
-            raise ValueError("initial support not reachable from the center")
-        r += 1
-        nxt = []
-        for v in frontier:
-            for u in view.sym_neighbors(v):
-                if u not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError(
-                            f"initial support not found within {budget} vertices "
-                            f"of the center", len(seen))
-                    seen.add(u)
-                    nxt.append(u)
-                    if u in missing:
-                        missing.discard(u)
-                        radius = r
-        frontier = nxt
-    return data, radius
+    missing = set(data)
+    # a ball of at most ``budget`` vertices has fewer than ``budget`` shells
+    for radius, shell in shells(view, center, budget, budget=budget):
+        missing.difference_update(shell)
+        if not missing:
+            return data, radius
+    raise ValueError("initial support not reachable from the center")
 
 
 def _planned_radius(view, center, support_radius: int, cfg: SimConfig) -> int:
@@ -270,77 +253,78 @@ def _planned_radius(view, center, support_radius: int, cfg: SimConfig) -> int:
     return support_radius + math.ceil(spread) + cfg.truncation_margin
 
 
+def _truncated_flow(view, x0, cfg: SimConfig, flow) -> EvolveResult:
+    """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
+
+    ``flow(b, y0, replay)`` computes the trajectory from ``y0`` on ball ``b``
+    at the sample times and returns ``(IntegrationResult, operator or None)``;
+    ``replay`` is None on the primary ball and the primary run's step sequence
+    on the enlarged one.  The ball is centered on ``x0``'s ball center (the
+    graph root for a mapping), its radius planned from the support and the
+    light cone.  Each attempt enumerates the ball enlarged by the truncation
+    margin once and takes the primary ball as its BFS prefix.  The max-norm
+    disagreement of the two runs on the primary ball must stay within
+    ``10 * atol``; otherwise the radius grows by the margin and the attempt is
+    repeated, at most ``max_retries`` times before ``TruncationError``.  The
+    returned trajectory is the enlarged run, or the primary run when
+    ``richardson_check`` is off.
+    """
+    center = x0.ball.center if isinstance(x0, StateVector) else view.root
+    data, support_radius = _support_info(view, x0, center, cfg.ball_budget)
+    radius = _planned_radius(view, center, support_radius, cfg)
+    margin = cfg.truncation_margin if cfg.richardson_check else 0
+    retries = 0
+    while True:
+        b2 = ball(view, center, radius + margin, budget=cfg.ball_budget)
+        b1 = b2.prefix(radius)
+        res1, op1 = flow(b1, StateVector.from_dict(b1, data).values, None)
+        b, res, op, diff = b1, res1, op1, None
+        if cfg.richardson_check:
+            b, diff = b2, 0.0
+            res, op = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
+            for (_, ya), (_, yb) in zip(res1.samples, res.samples):
+                diff = max(diff, float(np.max(np.abs(yb[:len(b1)] - ya))))
+        if diff is None or diff <= 10.0 * cfg.atol:
+            samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
+            return EvolveResult(samples=samples, ball=b, operator=op, radius=b.radius,
+                                retries=retries, n_steps=res1.n_steps,
+                                richardson_diff=diff)
+        if retries >= cfg.max_retries:
+            raise TruncationError(
+                f"truncation not converged: radius {radius} vs {radius + margin} "
+                f"still differ by {diff:.3e} (> 10 * atol = {10 * cfg.atol:.3e}) "
+                f"after {cfg.max_retries} retries")
+        retries += 1
+        radius += margin
+
+
 def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     """Integrate ``x' = Lx`` (or the symmetric part) from ``x0`` on a ball.
 
-    ``x0`` may be a StateVector or a mapping from vertex to value; the ball
-    is centered on ``x0``'s ball center (falling back to the graph root).
-    Each attempt enumerates one ball and assembles both radii from it.
+    ``x0`` may be a StateVector or a mapping from vertex to value.
     ``part="sym"`` computes ``exp(t L_sym) x0`` at every sample time from
     one Lanczos basis per radius (``lanczos_expm``, to ``cfg.atol`` alone;
     ``cfg.rtol`` is not used); ``part="full"`` integrates with DOPRI5 to
-    ``cfg.rtol`` and ``cfg.atol``.  With ``richardson_check`` that ball is
-    enlarged by the truncation margin and the flow on its BFS prefix is
-    compared with the flow on the whole of it: sym runs compare the two radii
-    directly, full runs repeat the integration with the identical step
-    sequence.  The max-norm disagreement on the shared vertices must stay
-    within ``10 * atol``; otherwise the radius grows and the run is retried,
-    a bounded number of times.  The returned trajectory is the enlarged run
-    when the check is on.
+    ``cfg.rtol`` and ``cfg.atol``.  The ball, its truncation check and the
+    retries are ``_truncated_flow``'s, the one driver shared with
+    ``simulate_nonlinear``: sym runs compare the two radii directly, full
+    runs repeat the integration on the enlarged ball with the identical step
+    sequence.
     """
     if part not in ("full", "sym"):
         raise ValueError("part must be 'full' or 'sym'")
-    view = _flow_view(gen)
-    center = x0.ball.center if isinstance(x0, StateVector) else gen.root
-    data, support_radius = _support_info(view, x0, center, cfg.ball_budget)
     ts = cfg.resolved_sample_times()
-    radius = _planned_radius(view, center, support_radius, cfg)
-
     parts = ("full", "sym") if part == "full" else ("sym",)
 
-    def flow(a, y0, replay=None):
+    def flow(b, y0, replay):
+        op = TruncatedOperator(b, parts=parts)
+        a = op.matrix(part)
         if part == "sym":
-            return lanczos_expm(a.dot, y0, ts, atol=cfg.atol)
+            return lanczos_expm(a.dot, y0, ts, atol=cfg.atol), op
         return integrate(lambda t, y: a.dot(y), y0, ts, rtol=cfg.rtol,
-                         atol=cfg.atol, replay=replay)
+                         atol=cfg.atol, replay=replay), op
 
-    retries = 0
-    while True:
-        margin = cfg.truncation_margin if cfg.richardson_check else 0
-        b2 = ball(view, center, radius + margin, budget=cfg.ball_budget)
-        b1 = b2.prefix(radius)
-        op1 = TruncatedOperator(b1, parts=parts)
-        a1 = op1.matrix(part)
-        y0 = StateVector.from_dict(b1, data).values
-        res1 = flow(a1, y0)
-
-        if not cfg.richardson_check:
-            samples = [(t, StateVector.from_values(b1, y)) for t, y in res1.samples]
-            return EvolveResult(samples=samples, ball=b1, operator=op1, radius=radius,
-                                retries=retries, n_steps=res1.n_steps,
-                                richardson_diff=None)
-
-        n1 = len(b1)
-        op2 = TruncatedOperator(b2, parts=parts)
-        a2 = op2.matrix(part)
-        y0b = StateVector.from_dict(b2, data).values
-        res2 = flow(a2, y0b, replay=res1.steps)
-        diff = 0.0
-        for (t1, ya), (t2, yb) in zip(res1.samples, res2.samples):
-            diff = max(diff, float(np.max(np.abs(yb[:n1] - ya))))
-        if diff <= 10.0 * cfg.atol:
-            samples = [(t, StateVector.from_values(b2, y)) for t, y in res2.samples]
-            return EvolveResult(samples=samples, ball=b2, operator=op2,
-                                radius=radius + cfg.truncation_margin,
-                                retries=retries, n_steps=res1.n_steps,
-                                richardson_diff=diff)
-        retries += 1
-        if retries > cfg.max_retries:
-            raise TruncationError(
-                f"truncation not converged: radius {radius} vs "
-                f"{radius + cfg.truncation_margin} still differ by {diff:.3e} "
-                f"(> 10 * atol = {10 * cfg.atol:.3e}) after {cfg.max_retries} retries")
-        radius += cfg.truncation_margin
+    return _truncated_flow(_flow_view(gen), x0, cfg, flow)
 
 
 def norms(x, ps: Iterable) -> list[float]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dirlap
-from dirlap import ball, builtin_graph, distance, volume
+from dirlap import GraphGenerator, ball, builtin_graph, distance, volume
 from dirlap.errors import BudgetExceededError
 
 from helpers import l1_ball_count
@@ -124,17 +124,25 @@ class TestShells:
                                                   (0, 0), 6)]
         assert sizes == [1, 4, 8, 12, 16, 20, 24]
 
+    def test_last_shell_is_not_read(self):
+        g = builtin_graph("z-lattice", d=2)
+        reads = []
 
-class TestSerialization:
-    def test_ball_rows_roundtrip(self, tmp_path):
-        from dirlap.reports import write_ball_csv
+        def adjacency(v):
+            reads.append(v)
+            return g.adjacency(v)
 
-        b = ball(builtin_graph("example-2.2"), (0,), 2)
-        path = tmp_path / "ball.csv"
-        write_ball_csv(str(path), b)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "vertex,distance,measure"
-        assert len(lines) == len(b) + 1
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == pytest.approx(2.0)
+        counted = GraphGenerator(adjacency=adjacency, root=g.root)
+        assert len([k for k, _ in dirlap.shells(counted, (0, 0), 4)]) == 5
+        # shells 0..3 (25 vertices) build shell 4; its 16 vertices stay unread
+        assert len(reads) == 25
+
+    def test_budget_raises(self):
+        # shells 0..2 hold 13 vertices; shell 3 would bring the count to 25
+        seen = []
+        with pytest.raises(BudgetExceededError):
+            for k, _ in dirlap.shells(builtin_graph("z-lattice", d=2), (0, 0), 10,
+                                      budget=20):
+                seen.append(k)
+        assert seen == [0, 1, 2]
+

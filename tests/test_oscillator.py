@@ -10,7 +10,7 @@ from dirlap import (OscillatorSystem, PhaseLockCandidate, SymmetricView,
                     builtin_graph, decompose_edge, evolve, linearize,
                     simulate_nonlinear, sin_coupling, split_coupling_matrix,
                     verify_phase_lock)
-from dirlap.errors import BlowUpError
+from dirlap.errors import BlowUpError, TruncationError
 from dirlap.oscillator import (GenericCoupling, check_coupling_gradient,
                                coupling_from_graph)
 from dirlap.semigroup import SimConfig, trajectory_norms
@@ -209,6 +209,35 @@ class TestSimulateNonlinear:
             devs.append(simulate_nonlinear(sys_, cand, {(0,): 0.05}, cfg))
         for (_, sa), (_, sb) in zip(devs[0], devs[1]):
             assert np.abs(sa.values - sb.values).max() <= 1e-12
+
+
+class TestNonlinearTruncation:
+    """The truncation check of the nonlinear flow, on the line lattice."""
+
+    @staticmethod
+    def run(**kwargs):
+        sys_, _ = uniform_sin_system(d=1)
+        cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+        cfg = SimConfig(t_max=6.0, sample_times=[1.0, 6.0], rtol=1e-8,
+                        atol=1e-10, **kwargs)
+        return simulate_nonlinear(sys_, cand, {(0,): 0.01}, cfg), cfg
+
+    def test_undersized_domain_without_retries_fails(self):
+        with pytest.raises(TruncationError):
+            self.run(c_speed=0.05, truncation_margin=2, max_retries=0)
+
+    def test_undersized_domain_grows_until_the_radii_agree(self):
+        res, cfg = self.run(c_speed=0.05, truncation_margin=2, max_retries=40)
+        assert res.retries >= 1
+        assert res.richardson_diff <= 10 * cfg.atol
+
+    def test_unchecked_run_returns_the_primary_ball(self):
+        checked, cfg = self.run(c_speed=2.0)
+        primary, _ = self.run(c_speed=2.0, richardson_check=False)
+        assert primary.richardson_diff is None
+        assert checked.retries == primary.retries == 0
+        assert primary.ball.radius == primary.radius == \
+            checked.radius - cfg.truncation_margin
 
 
 class TestDeviationDecay:

@@ -1,4 +1,4 @@
-"""Report writers: schema tagging, CSV shape, atomicity, diff reports."""
+"""Report writers: schema tagging, CSV shape, atomicity."""
 
 import csv
 import json
@@ -7,8 +7,7 @@ import os
 import pytest
 
 from dirlap.reports import (read_json_report, report_schema_version,
-                            write_json_report, write_oracle_diff,
-                            write_trajectory_csv)
+                            write_json_report, write_trajectory_csv)
 
 
 def test_schema_version_constant():
@@ -36,14 +35,6 @@ def test_trajectory_csv_is_rfc4180(tmp_path):
     assert len(rows) == 5
     kinds = {r[1] for r in rows[1:]}
     assert kinds == {"linf", "l1"}
-
-
-def test_oracle_diff_report(tmp_path):
-    path = str(tmp_path / "diff.json")
-    write_oracle_diff(path, [{"t": 1.0, "abs_diff": 1e-11}], 1e-11)
-    doc = read_json_report(path)
-    assert doc["kind"] == "oracle-diff"
-    assert doc["max_abs_diff"] == 1e-11
 
 
 def test_no_temp_files_left_behind(tmp_path):
