@@ -378,8 +378,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, config)
     except DirlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: reduce radii/shells/t-max or raise the budget via a "
-              "config file", file=sys.stderr)
+        print("hint: reduce the radii (--radius, --r-max), --shells or "
+              "--t-max", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,8 +98,8 @@ class SymmetricView:
     call, so ``w_sym(v, v') == w_sym(v', v)`` and
     ``w_skew(v, v') == -w_skew(v', v)`` hold exactly in floating point.
 
-    The cache is bounded; sequential large scans simply recompute.  With
-    ``cache_size=0`` nothing is kept, for callers that read each vertex once.
+    The cache is bounded and is cleared when full.  With ``cache_size=0``
+    nothing is kept, for callers that read each vertex once.
     """
 
     def __init__(self, gen: GraphGenerator, cache_size: int = 100_000):
@@ -163,14 +163,6 @@ class SymmetricView:
     def w_skew(self, v: Vertex, v2: Vertex) -> float:
         a, b = self.directed_pair(v, v2)
         return (a - b) / 2.0
-
-    def skew_row_abs(self, v: Vertex) -> float:
-        """Sum of ``|w_skew(v, v')|`` over every neighbour of ``v``."""
-        out, inn = self.edges(v)
-        total = 0.0
-        for u in set(out) | set(inn):
-            total += abs(out.get(u, 0.0) - inn.get(u, 0.0)) / 2.0
-        return total
 
 
 def _as_view(gen) -> SymmetricView:

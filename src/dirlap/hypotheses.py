@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import BudgetExceededError, SingularFormError
-from .geometry import DEFAULT_BALL_BUDGET, ball, shells
-from .graph import Vertex, _as_view
+from .errors import SingularFormError
+from .geometry import DEFAULT_BALL_BUDGET, ball
+from .graph import SymmetricView, Vertex, _as_view
 
 
 @dataclass
@@ -254,20 +254,48 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
       half of the shells is >= -0.1 (the tail is not summable-looking);
     * ``inconclusive`` otherwise, including whenever the vertex budget cut
       enumeration short of ``max_shells``.
+
+    Shell k+1 is shell k's new neighbours of positive symmetric weight, taken
+    in shell order with each vertex's neighbours sorted, as in ``shells``.
+    The scan reads each vertex once, through an uncached view of the
+    underlying generator, and takes its skew row and its neighbours from that
+    one read; a view passed in keeps its cache untouched.
     """
     if max_shells < 3:
         raise ValueError("max_shells must be >= 3")
-    view = _as_view(gen)
+    # One read per vertex gives both its skew row and its part of the next
+    # shell, so nothing is worth caching.
+    view = SymmetricView(gen.gen if isinstance(gen, SymmetricView) else gen,
+                         cache_size=0)
+    seen = {gen.root}
+    shell = [gen.root]
     contributions: list[float] = []
     budget_cut = False
-    try:
-        for _, shell in shells(view, gen.root, max_shells, budget=budget):
-            c = 0.0
-            for v in shell:
-                c += view.skew_row_abs(v)
-            contributions.append(c)
-    except BudgetExceededError:
-        budget_cut = True
+    for k in range(max_shells + 1):
+        c = 0.0
+        nxt = []
+        for v in shell:
+            out, inn = view.edges(v)
+            row = 0.0
+            new = []
+            for u in set(out) | set(inn):
+                wf = out.get(u, 0.0)
+                wb = inn.get(u, 0.0)
+                row += abs(wf - wb) / 2.0
+                if (wf + wb) / 2.0 > 0.0 and u not in seen:
+                    new.append(u)
+            c += row
+            if k < max_shells:
+                new.sort()
+                seen.update(new)
+                nxt += new
+        contributions.append(c)
+        if not nxt:  # shell max_shells was summed, or the shells ran out
+            break
+        if len(seen) > budget:
+            budget_cut = True
+            break
+        shell = nxt
     total = sum(contributions)
     exhausted = len(contributions) <= max_shells  # the shells ran out early
 
@@ -358,7 +386,7 @@ def check_hypotheses(gen, centers: Sequence[Vertex] | None = None,
     pi = [estimate_poincare(view, gen.root, r, budget=budget) for r in pi_radii]
     if max_shells is None:
         max_shells = 20_000 if vg.d_fit < 1.5 else 300
-    skew = estimate_skew_mass(view, max_shells, tol=shell_tol)
+    skew = estimate_skew_mass(view, max_shells, tol=shell_tol, budget=budget)
 
     probe = ball(view, gen.root, alpha_radius, budget=budget)
     max_deg = 0

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import re
 
 import pytest
 
-from dirlap.cli import main
+from dirlap import hypotheses
+from dirlap.cli import build_parser, main
+from dirlap.errors import BudgetExceededError
 from dirlap.reports import read_json_report
 
 
@@ -33,6 +36,24 @@ def test_unknown_graph_is_an_error(tmp_path, capsys):
     code = run(["validate", "--graph", "nope", "--out", str(tmp_path)])
     assert code == 1
     assert "unknown graph" in capsys.readouterr().err
+
+
+def test_error_hint_names_existing_options(tmp_path, capsys, monkeypatch):
+    def cut(*args, **kwargs):
+        raise BudgetExceededError("ball exceeded budget", 10)
+
+    monkeypatch.setattr(hypotheses, "check_hypotheses", cut)
+    code = run(["check-hypotheses", "--graph", "example-2.2", "--out", str(tmp_path)])
+    assert code == 1
+    hint = capsys.readouterr().err.splitlines()[-1]
+    assert "config" not in hint
+    flags = re.findall(r"--[a-z-]+", hint)
+    assert flags
+    known = set()
+    for action in build_parser()._subparsers._group_actions:
+        for sub in action.choices.values():
+            known.update(sub._option_string_actions)
+    assert set(flags) <= known
 
 
 def test_check_hypotheses_line_graph(tmp_path, capsys):

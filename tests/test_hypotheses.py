@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 import dirlap
-from dirlap import (builtin_graph, check_hypotheses, estimate_alpha,
-                    estimate_poincare, estimate_skew_mass, fit_volume_growth,
-                    generator_from_edges, poincare_quotient)
+from dirlap import (GraphGenerator, SymmetricView, ball, builtin_graph,
+                    check_hypotheses, estimate_alpha, estimate_poincare,
+                    estimate_skew_mass, fit_volume_growth, generator_from_edges,
+                    poincare_quotient)
 
-from helpers import k2_generator, l1_ball_count, ols_loglog
+from helpers import finite_graphs, k2_generator, l1_ball_count, ols_loglog
 
 Z2_CENTERS = [(0, 0), (3, -2), (-5, 1)]
 
@@ -165,6 +167,52 @@ class TestEstimateSkewMass:
         assert est.verdict == "inconclusive"
         assert est.shells_used < 101
 
+    def test_budget_cut_keeps_partial_sums(self):
+        est = estimate_skew_mass(builtin_graph("z2-skew-perturbed"), 60, budget=500)
+        assert est.verdict == "inconclusive"
+        # shells 0..15 hold 481 vertices; shell 16 would bring the count to 545
+        assert est.shells_used == 16
+        assert est.w_partial == 6.410430468167932
+
+    @pytest.mark.parametrize("budget, shells_used, verdict",
+                             [(41, 5, "convergent"), (40, 4, "inconclusive")])
+    def test_budget_boundary(self, budget, shells_used, verdict):
+        # shells 0..4 hold 41 vertices; shell 5 is never built, so it cannot
+        # exceed the budget
+        est = estimate_skew_mass(builtin_graph("z-lattice", d=2), 4, budget=budget)
+        assert (est.shells_used, est.verdict) == (shells_used, verdict)
+
+    def test_reads_each_vertex_once(self):
+        g = builtin_graph("z2-skew-perturbed")
+        reads = []
+
+        def adjacency(v):
+            reads.append(v)
+            return g.adjacency(v)
+
+        counted = GraphGenerator(adjacency=adjacency, root=g.root)
+        view = SymmetricView(counted, cache_size=0)
+        estimate_skew_mass(view, 20)
+        # the radius-20 ball of Z^2 holds 2 * 20 * 21 + 1 vertices
+        assert len(reads) == len(set(reads)) == 841
+
+    def test_passed_view_cache_untouched(self):
+        view = SymmetricView(builtin_graph("z2-skew-perturbed"))
+        estimate_skew_mass(view, 10)
+        assert view._cache == {}
+
+    @given(finite_graphs())
+    def test_matches_ball_snapshot(self, g):
+        for max_shells in (3, 4, 8):
+            est = estimate_skew_mass(g, max_shells)
+            b = ball(g, g.root, max_shells)
+            rows = np.bincount(b.entry_rows(), weights=np.abs(b.w_out - b.w_in) / 2.0,
+                               minlength=len(b))
+            per_shell = [float(c) for c in np.bincount(b.distances, weights=rows)]
+            assert est.shells_used == len(per_shell)
+            assert est.last_contributions == per_shell[-3:]
+            assert est.w_partial == sum(per_shell)
+
     def test_finite_graph_exact(self):
         g = generator_from_edges(
             {((0,), (1,)): 2.0, ((1,), (0,)): 1.0,
@@ -198,6 +246,14 @@ class TestCheckHypotheses:
                             "warnings"}
         assert doc["vg"]["d_fit"] == report.vg.d_fit
         assert len(doc["pi"]) == 3
+
+    def test_budget_reaches_skew_scan(self):
+        # without the budget the scan covers all 101 shells and reads divergent
+        report = check_hypotheses(builtin_graph("z2-advection"), r_min=2, r_max=4,
+                                  alpha_radius=3, pi_radii=(1,), max_shells=100,
+                                  budget=1000)
+        assert report.skew_mass.verdict == "inconclusive"
+        assert report.skew_mass.shells_used < 101
 
     def test_default_centers_deterministic(self):
         g = builtin_graph("z-lattice", d=2)
