@@ -13,9 +13,9 @@ from that read, and keeps every reported weight in CSR arrays: one row per
 ball vertex, one entry per neighbour, holding the neighbour's ball index or
 -1 when it lies outside.  Laplacian parts are assembled from these arrays
 alone, and ``Ball.prefix(r)`` cuts the radius-``r`` ball out of a larger one
-without further adjacency calls.  Truncated simulations therefore enumerate
-once per attempt: the enlarged ball of their truncation check, with the
-primary ball taken as its BFS prefix.
+without further adjacency calls, as ``ball`` does when handed a snapshot.
+Truncated simulations therefore enumerate once per attempt: the enlarged ball
+of their truncation check, with the primary ball taken as its BFS prefix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, InconsistentAdjacencyError
-from .graph import WEIGHT_RTOL, Vertex, _as_view
+from .graph import WEIGHT_RTOL, SymmetricView, Vertex, _as_view
 
 DEFAULT_BALL_BUDGET = 1_000_000
 
@@ -41,8 +41,8 @@ class Ball:
     entries ``indptr[i]:indptr[i+1]``, one per neighbour ``v'`` of
     ``v = vertices[i]`` in either direction: ``nbr`` holds the ball index of
     ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and ``w_in``
-    holds ``w(v', v)``.  Immutable after construction by convention; a prefix
-    shares its arrays with the ball it was cut from.
+    holds ``w(v', v)``; ``source`` is the view they were read from.  Immutable
+    after construction by convention; a prefix shares all of these.
     """
 
     center: Vertex
@@ -55,6 +55,7 @@ class Ball:
     nbr: np.ndarray
     w_out: np.ndarray
     w_in: np.ndarray
+    source: SymmetricView
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -88,7 +89,7 @@ class Ball:
                     index=dict(zip(vertices, range(n))),
                     distances=self.distances[:n], measures=self.measures[:n],
                     indptr=self.indptr[:n + 1], nbr=np.where(nbr < n, nbr, -1),
-                    w_out=self.w_out[:m], w_in=self.w_in[:m])
+                    w_out=self.w_out[:m], w_in=self.w_in[:m], source=self.source)
 
 
 def _check_consistency(b: Ball) -> None:
@@ -132,10 +133,16 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
     vertices at distance ``r`` are read but not expanded.  Raises
     ``BudgetExceededError`` past ``budget`` vertices, and
     ``InconsistentAdjacencyError`` when two ball vertices report different
-    weights for the edges between them.
+    weights for the edges between them.  ``gen`` may be a ``Ball``: the balls
+    it contains are cut from it as prefixes, and any other is enumerated
+    through the view it was read from.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
+    if isinstance(gen, Ball):
+        if center == gen.center and r <= gen.radius:
+            return gen.prefix(r)
+        gen = gen.source
     view = _as_view(gen)
     order = [center]
     index = {center: 0}
@@ -185,7 +192,7 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
     b = Ball(center=center, radius=r, vertices=order, index=index,
              distances=np.array(distances, dtype=np.int64), measures=measures,
              indptr=indptr, nbr=np.array(nbr, dtype=np.int64),
-             w_out=w_out, w_in=w_in)
+             w_out=w_out, w_in=w_in, source=view)
     _check_consistency(b)
     return b
 

@@ -92,20 +92,18 @@ def generator_from_edges(edges: Mapping[tuple[Vertex, Vertex], float], root: Ver
 
 
 class SymmetricView:
-    """Cached access to directed weights and their symmetric/skew parts.
+    """Checked read of directed weights and their symmetric/skew parts.
 
-    The symmetric weight of a pair is always computed from a single adjacency
-    call, so ``w_sym(v, v') == w_sym(v', v)`` and
+    The view keeps no state.  ``edges(v)`` passes the callback's own maps
+    through, copying them only to drop a reported self-loop, and enforces
+    the degree cap; weights are used as reported (the contract types them as
+    ``float``).  The symmetric weight of a pair is always computed from a
+    single adjacency call, so ``w_sym(v, v') == w_sym(v', v)`` and
     ``w_skew(v, v') == -w_skew(v', v)`` hold exactly in floating point.
-
-    The cache is bounded and is cleared when full.  With ``cache_size=0``
-    nothing is kept, for callers that read each vertex once.
     """
 
-    def __init__(self, gen: GraphGenerator, cache_size: int = 100_000):
+    def __init__(self, gen: GraphGenerator):
         self.gen = gen
-        self._cache: dict[Vertex, tuple[dict, dict]] = {}
-        self._cache_size = cache_size
 
     @property
     def root(self) -> Vertex:
@@ -115,22 +113,16 @@ class SymmetricView:
     def name(self) -> str:
         return self.gen.name
 
-    def edges(self, v: Vertex) -> tuple[dict, dict]:
-        """Return ``(out, inn)`` weight maps for ``v``, self-loops removed."""
-        hit = self._cache.get(v)
-        if hit is not None:
-            return hit
+    def edges(self, v: Vertex) -> tuple[Mapping, Mapping]:
+        """Return the ``(out, inn)`` weight maps for ``v``, self-loops removed."""
         out, inn = self.gen.adjacency(v)
-        out = {u: float(w) for u, w in out.items() if u != v}
-        inn = {u: float(w) for u, w in inn.items() if u != v}
+        if v in out or v in inn:
+            out = {u: w for u, w in out.items() if u != v}
+            inn = {u: w for u, w in inn.items() if u != v}
         if len(out) > self.gen.degree_cap or len(inn) > self.gen.degree_cap:
             raise DegreeCapError(
                 f"vertex {v} reports {max(len(out), len(inn))} edges, "
                 f"cap is {self.gen.degree_cap}")
-        if self._cache_size:
-            if len(self._cache) >= self._cache_size:
-                self._cache.clear()
-            self._cache[v] = (out, inn)
         return out, inn
 
     def directed_pair(self, v: Vertex, v2: Vertex) -> tuple[float, float]:
@@ -258,11 +250,12 @@ def validate_generator(gen: GraphGenerator, sample_radius: int,
     """Enumerate a ball around the root and check the generator contract.
 
     Checks, per sampled vertex: out/in weight reports agree between the two
-    endpoints of every edge, no reported weight is zero, degree stays under
-    the cap, the symmetric weights are nonnegative (a pair with both directed
-    edges present must average to a strictly positive weight), and every
-    vertex keeps at least one symmetric neighbour.  Violations are returned,
-    not raised; only blowing the vertex budget raises.
+    endpoints of every edge, no self-loop and no zero weight is reported,
+    degree stays under the cap, the symmetric weights are nonnegative (a pair
+    with both directed edges present must average to a strictly positive
+    weight), and every vertex keeps at least one symmetric neighbour.
+    Violations are returned, not raised; only blowing the vertex budget
+    raises.
     """
     if sample_radius < 1:
         raise ValueError("sample_radius must be >= 1")
@@ -292,6 +285,9 @@ def validate_generator(gen: GraphGenerator, sample_radius: int,
         except Exception as exc:  # generator itself failed
             report.violations.append(Violation("adjacency-error", (v,), str(exc)))
             continue
+        if v in out or v in inn:
+            report.violations.append(Violation(
+                "self-loop", (v,), "self-loop reported; edges join distinct vertices"))
         if len(out) > cap or len(inn) > cap:
             report.violations.append(Violation(
                 "degree-cap", (v,), f"{max(len(out), len(inn))} edges exceeds cap {cap}"))

@@ -13,7 +13,6 @@ radii, and shells were inspected.  The four estimators cover
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import scipy.linalg
 
 from .errors import SingularFormError
 from .geometry import DEFAULT_BALL_BUDGET, ball
-from .graph import SymmetricView, Vertex, _as_view
+from .graph import Vertex, _as_view
 
 
 @dataclass
@@ -136,24 +135,27 @@ def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int,
 
 def estimate_alpha(gen, center: Vertex, radius: int,
                    budget: int = DEFAULT_BALL_BUDGET) -> EllipticityEstimate:
-    """Worst-case ratio ``w_sym(v, v') / m(v)`` over a sampled ball."""
-    view = _as_view(gen)
-    b = ball(view, center, radius, budget=budget)
-    best = math.inf
-    witness = None
-    for i, v in enumerate(b.vertices):
-        m = b.measures[i]
-        if m <= 0.0:
-            raise ValueError(f"vertex {v} has nonpositive measure {m}")
-        for u, ws in view.sym_neighbors(v).items():
-            ratio = ws / m
-            if ratio < best:
-                best = ratio
-                witness = (v, u)
-    if witness is None:
+    """Worst-case ratio ``w_sym(v, v') / m(v)`` over a sampled ball.
+
+    Read from the radius ``radius + 1`` ball, which holds every ``v'``; the
+    witness is the first minimiser in the snapshot's entry order.
+    """
+    b = ball(gen, center, radius + 1, budget=budget)
+    n = int(np.searchsorted(b.distances, radius, side="right"))
+    bad = np.flatnonzero(b.measures[:n] <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"vertex {b.vertices[i]} has nonpositive measure {b.measures[i]}")
+    rows = b.entry_rows()[:b.indptr[n]]
+    ws = (b.w_out[:rows.size] + b.w_in[:rows.size]) / 2.0
+    pos = np.flatnonzero(ws > 0.0)
+    if not pos.size:
         raise ValueError("sample contains no symmetric edges")
-    return EllipticityEstimate(alpha=float(best), witness=witness,
-                               vertices_checked=len(b))
+    ratios = ws[pos] / b.measures[rows[pos]]
+    k = pos[np.argmin(ratios)]
+    witness = (b.vertices[rows[k]], b.vertices[b.nbr[k]])
+    return EllipticityEstimate(alpha=float(ratios.min()), witness=witness,
+                               vertices_checked=n)
 
 
 def _dirichlet_matrix(b) -> np.ndarray:
@@ -257,16 +259,12 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
 
     Shell k+1 is shell k's new neighbours of positive symmetric weight, taken
     in shell order with each vertex's neighbours sorted, as in ``shells``.
-    The scan reads each vertex once, through an uncached view of the
-    underlying generator, and takes its skew row and its neighbours from that
-    one read; a view passed in keeps its cache untouched.
+    The scan reads each vertex once and takes its skew row and its
+    neighbours from that one read.
     """
     if max_shells < 3:
         raise ValueError("max_shells must be >= 3")
-    # One read per vertex gives both its skew row and its part of the next
-    # shell, so nothing is worth caching.
-    view = SymmetricView(gen.gen if isinstance(gen, SymmetricView) else gen,
-                         cache_size=0)
+    view = _as_view(gen)
     seen = {gen.root}
     shell = [gen.root]
     contributions: list[float] = []
@@ -369,33 +367,32 @@ def check_hypotheses(gen, centers: Sequence[Vertex] | None = None,
     (seeded) from the radius-3 ball around the root.  When ``max_shells`` is
     omitted it is picked from the fitted growth order: slowly growing graphs
     afford many shells, faster ones fewer.
+    Every ball around the root is cut from one snapshot; only the volume fit's
+    other centers and the skew-mass scan read the graph again.
     """
-    view = _as_view(gen)
     rng = np.random.default_rng(seed)
+    snap = ball(gen, gen.root, max(r_max, 3, alpha_radius + 1, 2 * max(pi_radii, default=0)),
+                budget=budget)
     if centers is None:
-        nearby = [v for v in ball(view, gen.root, 3, budget=budget).vertices
-                  if v != gen.root]
+        nearby = snap.prefix(3).vertices[1:]
         if len(nearby) >= 2:
             picks = rng.choice(len(nearby), size=2, replace=False)
             centers = [gen.root, nearby[int(picks[0])], nearby[int(picks[1])]]
         else:
             centers = [gen.root] * 3
 
-    vg = fit_volume_growth(view, centers, r_min, r_max, budget=budget)
-    delta = estimate_alpha(view, gen.root, alpha_radius, budget=budget)
-    pi = [estimate_poincare(view, gen.root, r, budget=budget) for r in pi_radii]
+    vg = fit_volume_growth(snap, centers, r_min, r_max, budget=budget)
+    delta = estimate_alpha(snap, gen.root, alpha_radius, budget=budget)
+    pi = [estimate_poincare(snap, gen.root, r, budget=budget) for r in pi_radii]
     if max_shells is None:
         max_shells = 20_000 if vg.d_fit < 1.5 else 300
-    skew = estimate_skew_mass(view, max_shells, tol=shell_tol, budget=budget)
+    skew = estimate_skew_mass(gen, max_shells, tol=shell_tol, budget=budget)
 
-    probe = ball(view, gen.root, alpha_radius, budget=budget)
-    max_deg = 0
-    max_w = 0.0
-    for v in probe.vertices:
-        nbrs = view.sym_neighbors(v)
-        max_deg = max(max_deg, len(nbrs))
-        if nbrs:
-            max_w = max(max_w, max(nbrs.values()))
+    probe = snap.prefix(alpha_radius)
+    ws = (probe.w_out + probe.w_in) / 2.0
+    sym = ws > 0.0
+    max_deg = int(np.bincount(probe.entry_rows()[sym], minlength=len(probe)).max())
+    max_w = ws[sym].max(initial=0.0)
 
     warnings = []
     if vg.d_fit < 2.0:

@@ -17,6 +17,7 @@ and return the deviation from the locked state over time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -26,9 +27,9 @@ import scipy.sparse
 
 from .errors import BlowUpError
 from .geometry import Ball
-from .graph import GraphGenerator, SymmetricView, Vertex
+from .graph import GraphGenerator, SymmetricView, Vertex, _as_view
 from .integrate import integrate
-from .semigroup import SimConfig, StateVector, _flow_view, _truncated_flow
+from .semigroup import SimConfig, StateVector, _truncated_flow
 
 
 @dataclass(frozen=True)
@@ -67,21 +68,25 @@ def sin_coupling(weight: Callable[[Vertex, Vertex], float],
                              support=support)
 
 
+COUPLING_READ_MEMO = 100_000  # vertices whose adjacency coupling_from_graph keeps
+
+
 def coupling_from_graph(gen: GraphGenerator) -> tuple[Callable, Callable]:
     """Use a graph's directed out-weights as coupling strengths.
 
     Returns ``(weight, support)`` where the support of a vertex is every
     neighbour in either direction, so pairs stay symmetric even when the
-    strengths are not.
+    strengths are not.  Both read through one bounded memo of the adjacency,
+    as linearization and the edge table re-read every vertex many times.
     """
-    view = SymmetricView(gen)
+    edges = functools.lru_cache(maxsize=COUPLING_READ_MEMO)(SymmetricView(gen).edges)
 
     def weight(v: Vertex, v2: Vertex) -> float:
-        out, _ = view.edges(v)
-        return out.get(v2, 0.0)
+        return edges(v)[0].get(v2, 0.0)
 
     def support(v: Vertex):
-        return sorted(view.neighbors(v))
+        out, inn = edges(v)
+        return sorted(set(out) | set(inn))
 
     return weight, support
 
@@ -222,7 +227,7 @@ class _EdgeTable:
         dlag: list[float] = []
         par: list[float] = []
         self.separable = isinstance(coup, SeparableCoupling)
-        self.pairs: list[tuple[Vertex, Vertex]] = []
+        self.pairs: list[tuple[Vertex, Vertex]] = []  # read by the generic path only
         for i, v in enumerate(b.vertices):
             for u in coup.support(v):
                 j = b.index.get(u, n)  # sentinel n = frozen exterior
@@ -231,7 +236,8 @@ class _EdgeTable:
                 dlag.append(lag(u) - lag(v))
                 if self.separable:
                     par.append(coup.weight(v, u))
-                self.pairs.append((v, u))
+                else:
+                    self.pairs.append((v, u))
         self.src = np.array(src, dtype=np.int64)
         self.dst = np.array(dst, dtype=np.int64)
         self.dlag = np.array(dlag)
@@ -285,4 +291,4 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                          atol=cfg.atol, replay=replay,
                          step_callback=blowup_guard if replay is None else None), None
 
-    return _truncated_flow(_flow_view(linearize(sys, cand)), perturbation, cfg, flow)
+    return _truncated_flow(_as_view(linearize(sys, cand)), perturbation, cfg, flow)

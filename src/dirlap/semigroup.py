@@ -21,10 +21,8 @@ ball *replaying the identical step sequence*, so the comparison sees
 truncation error alone instead of step-controller noise.
 
 Both balls are weight snapshots (see ``geometry``), so the sparse operators
-are assembled from their arrays without further adjacency calls, and
-``evolve`` and ``simulate_nonlinear`` read the generator through an uncached
-view: each vertex is read once per enumeration and nothing is kept beyond
-the snapshot.
+are assembled from their arrays without further adjacency calls: each vertex
+is read once per enumeration and nothing is kept beyond the snapshot.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ import scipy.sparse
 
 from .errors import TruncationError
 from .geometry import Ball, ball, shells
-from .graph import (WEIGHT_PARTS, SymmetricView, Vertex, _as_view,
-                    apply_laplacian)
+from .graph import WEIGHT_PARTS, Vertex, _as_view, apply_laplacian
 from .integrate import integrate, lanczos_expm
 
 _PARTS = tuple(WEIGHT_PARTS)
@@ -221,11 +218,6 @@ class EvolveResult:
         raise KeyError(f"no sample at t={t}")
 
 
-def _flow_view(gen) -> SymmetricView:
-    """Uncached view for the flow runs, which read every vertex once per ball."""
-    return gen if isinstance(gen, SymmetricView) else SymmetricView(gen, cache_size=0)
-
-
 def _support_info(view, x0, center, budget: int) -> tuple[dict, int]:
     if isinstance(x0, StateVector):
         return x0.to_dict(), x0.support_radius
@@ -324,7 +316,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         return integrate(lambda t, y: a.dot(y), y0, ts, rtol=cfg.rtol,
                          atol=cfg.atol, replay=replay), op
 
-    return _truncated_flow(_flow_view(gen), x0, cfg, flow)
+    return _truncated_flow(_as_view(gen), x0, cfg, flow)
 
 
 def norms(x, ps: Iterable) -> list[float]:

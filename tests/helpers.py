@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from dirlap.graph import generator_from_edges
+from dirlap.graph import GraphGenerator, generator_from_edges
 
 
 def l1_ball_count(d: int, r: int) -> int:
@@ -30,6 +30,17 @@ def k2_generator():
     """Two vertices joined by a unit edge in both directions."""
     return generator_from_edges(
         {((0,), (1,)): 1.0, ((1,), (0,)): 1.0}, root=(0,), name="K2")
+
+
+def counted(gen):
+    """``gen`` with every adjacency call appended to the returned list."""
+    reads = []
+
+    def adjacency(v):
+        reads.append(v)
+        return gen.adjacency(v)
+
+    return GraphGenerator(adjacency=adjacency, root=gen.root, name=gen.name), reads
 
 
 def dense_laplacian(gen, b, part: str) -> np.ndarray:

@@ -81,6 +81,28 @@ class TestSymmetricView:
         with pytest.raises(DegreeCapError):
             SymmetricView(g).edges((0,))
 
+    def test_edges_pass_the_callback_maps_through(self):
+        g = builtin_graph("z2-skew-perturbed")
+        reported = []
+
+        def adjacency(v):
+            reported.append(g.adjacency(v))
+            return reported[-1]
+
+        view = SymmetricView(GraphGenerator(adjacency=adjacency, root=g.root))
+        out, inn = view.edges((2, -1))
+        assert out is reported[0][0] and inn is reported[0][1]
+
+    def test_self_loop_dropped_before_the_degree_cap(self):
+        def adjacency(v):
+            (n,) = v
+            nbrs = {(n - 1,): 1.0, (n,): 3.0, (n + 1,): 1.0}
+            return nbrs, dict(nbrs)
+
+        view = SymmetricView(GraphGenerator(adjacency=adjacency, root=(0,), degree_cap=2))
+        out, inn = view.edges((0,))
+        assert out == inn == {(-1,): 1.0, (1,): 1.0}
+
 
 class TestApplyLaplacian:
     def test_constant_in_kernel_on_interior(self):
@@ -173,6 +195,19 @@ class TestValidateGenerator:
         g = GraphGenerator(adjacency=adjacency, root=(0,))
         report = validate_generator(g, 2)
         assert any(v.kind == "zero-weight" for v in report.violations)
+
+    def test_self_loop_reported_once_per_vertex(self):
+        def adjacency(v):
+            (n,) = v
+            nbrs = {(n - 1,): 1.0, (n + 1,): 1.0}
+            if n % 2 == 0:
+                nbrs[v] = 0.5
+            return nbrs, dict(nbrs)
+
+        report = validate_generator(GraphGenerator(adjacency=adjacency, root=(0,)), 4)
+        assert report.vertices_checked == 9
+        assert sorted((v.kind, v.vertices) for v in report.violations) == [
+            ("self-loop", ((n,),)) for n in (-4, -2, 0, 2, 4)]
 
     def test_negative_symmetric_rejected(self):
         g = generator_from_edges(

@@ -1,6 +1,7 @@
 """Volume growth, ellipticity, Poincare, and skew-mass estimators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dirlap import (GraphGenerator, SymmetricView, ball, builtin_graph,
                     estimate_skew_mass, fit_volume_growth, generator_from_edges,
                     poincare_quotient)
 
-from helpers import finite_graphs, k2_generator, l1_ball_count, ols_loglog
+from helpers import counted, finite_graphs, k2_generator, l1_ball_count, ols_loglog
 
 Z2_CENTERS = [(0, 0), (3, -2), (-5, 1)]
 
@@ -96,6 +97,34 @@ class TestEstimateAlpha:
         for i, v in enumerate(b.vertices):
             for u, ws in view.sym_neighbors(v).items():
                 assert ws >= est.alpha * b.measures[i] * (1 - 1e-12)
+
+    @given(finite_graphs())
+    def test_matches_brute_force_over_sym_neighbors(self, g):
+        view = SymmetricView(g)
+
+        def brute(radius):
+            b = ball(g, g.root, radius)
+            best, witness = math.inf, None
+            for i, v in enumerate(b.vertices):
+                m = b.measures[i]
+                if m <= 0.0:
+                    raise ValueError(f"vertex {v} has nonpositive measure {m}")
+                for u, ws in view.sym_neighbors(v).items():
+                    if ws / m < best:
+                        best, witness = ws / m, (v, u)
+            if witness is None:
+                raise ValueError("sample contains no symmetric edges")
+            return best, witness, len(b)
+
+        for radius in range(4):
+            try:
+                expected = brute(radius)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    estimate_alpha(g, g.root, radius)
+                continue
+            est = estimate_alpha(g, g.root, radius)
+            assert (est.alpha, est.witness, est.vertices_checked) == expected
 
 
 class TestEstimatePoincare:
@@ -191,15 +220,10 @@ class TestEstimateSkewMass:
             return g.adjacency(v)
 
         counted = GraphGenerator(adjacency=adjacency, root=g.root)
-        view = SymmetricView(counted, cache_size=0)
+        view = SymmetricView(counted)
         estimate_skew_mass(view, 20)
         # the radius-20 ball of Z^2 holds 2 * 20 * 21 + 1 vertices
         assert len(reads) == len(set(reads)) == 841
-
-    def test_passed_view_cache_untouched(self):
-        view = SymmetricView(builtin_graph("z2-skew-perturbed"))
-        estimate_skew_mass(view, 10)
-        assert view._cache == {}
 
     @given(finite_graphs())
     def test_matches_ball_snapshot(self, g):
@@ -254,6 +278,17 @@ class TestCheckHypotheses:
                                   budget=1000)
         assert report.skew_mass.verdict == "inconclusive"
         assert report.skew_mass.shells_used < 101
+
+    def test_root_balls_read_once(self):
+        g = builtin_graph("z-lattice", d=2)
+        g_counted, reads = counted(g)
+        report = check_hypotheses(g_counted, r_min=2, r_max=5, alpha_radius=3,
+                                  pi_radii=(1, 2), max_shells=4, seed=9)
+        assert report.vg.centers[0] == g.root
+        assert len(set(report.vg.centers)) == 3
+        # three radius-5 volume-fit balls of 61 vertices and the 41 vertices
+        # of skew shells 0..4; every other root ball is cut from the first
+        assert len(reads) == 3 * 61 + 41
 
     def test_default_centers_deterministic(self):
         g = builtin_graph("z-lattice", d=2)

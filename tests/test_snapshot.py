@@ -15,7 +15,7 @@ from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
                     TruncatedOperator, ball, builtin_graph, evolve,
                     generator_from_edges)
 
-from helpers import dense_laplacian, finite_graphs
+from helpers import counted, dense_laplacian, finite_graphs
 
 PARTS = ("full", "sym", "skew")
 
@@ -90,6 +90,49 @@ def test_prefix_radius_out_of_range():
         b.prefix(4)
     with pytest.raises(ValueError):
         b.prefix(-1)
+
+
+def assert_same_ball(a, b):
+    assert (a.center, a.radius) == (b.center, b.radius)
+    assert a.vertices == b.vertices
+    assert a.index == b.index
+    for name in ("distances", "measures", "indptr", "nbr", "w_out", "w_in"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=4))
+def test_ball_of_a_snapshot(gen, r, extra):
+    g, reads = counted(gen)
+    snap = ball(g, g.root, r + extra)
+    reads.clear()
+    for radius in range(r + extra + 1):
+        assert_same_ball(ball(snap, snap.center, radius), snap.prefix(radius))
+    assert reads == []
+    # another center, or a larger radius, is enumerated through the snapshot's view
+    for center in snap.vertices[1:3]:
+        assert_same_ball(ball(snap, center, r), ball(gen, center, r))
+    assert_same_ball(ball(snap, snap.center, r + extra + 1),
+                     ball(gen, gen.root, r + extra + 1))
+
+
+def test_integer_weights_read_as_floats():
+    g = builtin_graph("z2-advection")
+
+    def adjacency(v):
+        out, inn = g.adjacency(v)
+        return ({u: int(w) for u, w in out.items()},
+                {u: int(w) for u, w in inn.items()})
+
+    twin = GraphGenerator(adjacency=adjacency, root=g.root, name=g.name)
+    assert type(next(iter(twin.adjacency(g.root)[0].values()))) is int
+    assert_same_ball(ball(twin, g.root, 6), ball(g, g.root, 6))
+    a, b = dirlap.estimate_skew_mass(twin, 30), dirlap.estimate_skew_mass(g, 30)
+    assert a.w_partial == b.w_partial and a.last_contributions == b.last_contributions
+    kw = dict(r_min=2, r_max=5, alpha_radius=3, pi_radii=(1, 2), max_shells=10)
+    assert (dirlap.check_hypotheses(twin, **kw).to_json_dict()
+            == dirlap.check_hypotheses(g, **kw).to_json_dict())
 
 
 def planted_line():
