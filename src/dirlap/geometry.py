@@ -186,9 +186,10 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
     indptr = np.array(indptr, dtype=np.int64)
     w_out, w_in = np.array(w_out, dtype=float), np.array(w_in, dtype=float)
     ws = (w_out + w_in) / 2.0
-    # bincount adds in entry order, i.e. in the order the neighbours were read
-    measures = np.bincount(np.repeat(np.arange(len(order)), np.diff(indptr)),
-                           weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
+    # bincount adds in entry order, i.e. in the order the neighbours were read;
+    # 0.0 + keeps measures float when there are no entries (bincount gives int)
+    measures = 0.0 + np.bincount(np.repeat(np.arange(len(order)), np.diff(indptr)),
+                                 weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
     b = Ball(center=center, radius=r, vertices=order, index=index,
              distances=np.array(distances, dtype=np.int64), measures=measures,
              indptr=indptr, nbr=np.array(nbr, dtype=np.int64),

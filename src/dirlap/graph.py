@@ -239,14 +239,11 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class ValidationConfig:
-    weight_rtol: float = WEIGHT_RTOL
-    vertex_budget: int = 200_000
+# validate_generator's BFS raises past this many vertices; read at call time.
+_VALIDATION_BUDGET = 200_000
 
 
-def validate_generator(gen: GraphGenerator, sample_radius: int,
-                       config: ValidationConfig | None = None) -> ValidationReport:
+def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationReport:
     """Enumerate a ball around the root and check the generator contract.
 
     Checks, per sampled vertex: out/in weight reports agree between the two
@@ -254,17 +251,17 @@ def validate_generator(gen: GraphGenerator, sample_radius: int,
     degree stays under the cap, the symmetric weights are nonnegative (a pair
     with both directed edges present must average to a strictly positive
     weight), and every vertex keeps at least one symmetric neighbour.
-    Violations are returned, not raised; only blowing the vertex budget
-    raises.
+    Weights agree when they are within ``WEIGHT_RTOL`` of each other.
+    Violations are returned, not raised; only a sample of more than
+    ``_VALIDATION_BUDGET`` (200,000) vertices raises.
     """
     if sample_radius < 1:
         raise ValueError("sample_radius must be >= 1")
-    cfg = config or ValidationConfig()
     report = ValidationReport()
     cap = gen.degree_cap
 
     def close(a: float, b: float) -> bool:
-        return abs(a - b) <= cfg.weight_rtol * max(abs(a), abs(b))
+        return abs(a - b) <= WEIGHT_RTOL * max(abs(a), abs(b))
 
     # BFS over the symmetric skeleton, tolerating per-vertex defects.
     dist = {gen.root: 0}
@@ -336,9 +333,9 @@ def validate_generator(gen: GraphGenerator, sample_radius: int,
         if dist[v] < sample_radius:
             for u in sym_nbrs:
                 if u not in dist:
-                    if len(dist) >= cfg.vertex_budget:
+                    if len(dist) >= _VALIDATION_BUDGET:
                         raise BudgetExceededError(
-                            f"validation ball exceeded {cfg.vertex_budget} vertices", len(dist))
+                            f"validation ball exceeded {_VALIDATION_BUDGET} vertices", len(dist))
                     dist[u] = dist[v] + 1
                     order.append(u)
 

@@ -242,7 +242,7 @@ def estimate_poincare(gen, center: Vertex, r: int,
 
 
 def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
-                       budget: int = 500_000) -> SkewMassEstimate:
+                       budget: int = DEFAULT_BALL_BUDGET) -> SkewMassEstimate:
     """Accumulate total skew mass shell by shell and judge convergence.
 
     Shell k contributes ``sum over v in shell k, v' adjacent`` of

@@ -49,6 +49,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
+_MAX_STEPS = 1_000_000
 
 
 # Lanczos: largest Krylov dimension of one basis before a restart, how many
@@ -111,8 +112,7 @@ def _step(f, t, y, h, k1):
 
 
 def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
-              sample_times: Sequence[float], rtol: float = 1e-8,
-              atol: float = 1e-10, max_steps: int = 1_000_000,
+              sample_times: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
               replay: np.ndarray | None = None,
               step_callback: Callable[[float, np.ndarray], None] | None = None,
               ) -> IntegrationResult:
@@ -122,7 +122,8 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     sampled from the initial state.  With ``replay`` the exact step sequence
     of a previous run is reused and no error control happens.  An optional
     ``step_callback(t, y)`` runs after every accepted step and may raise to
-    abort (used for blow-up detection).
+    abort (used for blow-up detection).  A run that needs more than
+    ``_MAX_STEPS`` accepted steps raises ``StepSizeError``.
     """
     times = _checked_times(sample_times)
     t_end = times[-1]
@@ -147,8 +148,8 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     k1 = f0
 
     while t < t_end:
-        if len(taken) >= max_steps:
-            raise StepSizeError(f"exceeded {max_steps} steps at t={t:.6g}")
+        if len(taken) >= _MAX_STEPS:
+            raise StepSizeError(f"exceeded {_MAX_STEPS} steps at t={t:.6g}")
         if replay_seq is not None:
             if replay_pos >= len(replay_seq):
                 raise ValueError("replay sequence shorter than the integration span")

@@ -31,6 +31,10 @@ from .graph import GraphGenerator, SymmetricView, Vertex, _as_view
 from .integrate import integrate
 from .semigroup import SimConfig, StateVector, _truncated_flow
 
+# simulate_nonlinear's guards, read at call time
+_MAX_PERTURBATION_L1 = 1.0
+_BLOWUP_THRESHOLD = math.pi / 2
+
 
 @dataclass(frozen=True)
 class SeparableCoupling:
@@ -143,13 +147,12 @@ def check_coupling_gradient(sys: OscillatorSystem, n_samples: int = 1000,
 
 
 def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
-                      radius: int, tol: float = 1e-8) -> float:
+                      radius: int) -> float:
     """Max ansatz residual over the sampled ball around the system root.
 
     The residual at v is ``|Omega - omega_v - sum H(lag_v' - lag_v, v, v')|``.
-    The candidate is acceptable when the returned value is <= ``tol``, which
-    is the threshold the stability drivers use; the raw residual is returned
-    so callers can report it.
+    The raw residual is returned; callers compare it with their own
+    threshold and report it.
     """
     coup = sys.coupling
     lag = cand.lags
@@ -260,9 +263,7 @@ class _EdgeTable:
 
 
 def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
-                       perturbation, cfg: SimConfig,
-                       max_perturbation_l1: float = 1.0,
-                       blowup_threshold: float = math.pi / 2):
+                       perturbation, cfg: SimConfig):
     """Integrate the full lattice near a locked state; return the deviation.
 
     Works in the co-rotating frame, so the integrated variable is directly
@@ -270,17 +271,19 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     frozen at the locked motion, consistent with deviations that decay.  The
     ball, its enlarged-ball replay check and the retries are the full linear
     flow's (``semigroup._truncated_flow``), run on the linearization's
-    skeleton.  Any deviation reaching ``blowup_threshold`` in sup norm on
-    the primary ball aborts.
+    skeleton.  A perturbation of l1 norm above ``_MAX_PERTURBATION_L1``
+    (1.0) is rejected with ``ValueError``, and any deviation exceeding
+    ``_BLOWUP_THRESHOLD`` (pi/2) in sup norm on the primary ball aborts with
+    ``BlowUpError``.
     """
     data = perturbation.to_dict() if isinstance(perturbation, StateVector) \
         else dict(perturbation)
-    if sum(abs(v) for v in data.values()) > max_perturbation_l1:
-        raise ValueError("perturbation exceeds the configured l1 budget")
+    if sum(abs(v) for v in data.values()) > _MAX_PERTURBATION_L1:
+        raise ValueError(f"perturbation exceeds the l1 budget {_MAX_PERTURBATION_L1}")
     ts = cfg.resolved_sample_times()
 
     def blowup_guard(t, phi):
-        if float(np.max(np.abs(phi))) > blowup_threshold:
+        if float(np.max(np.abs(phi))) > _BLOWUP_THRESHOLD:
             raise BlowUpError(
                 f"deviation reached {np.max(np.abs(phi)):.3f} at t={t:.3g}: "
                 "left perturbative regime")

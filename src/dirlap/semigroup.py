@@ -41,6 +41,11 @@ from .integrate import integrate, lanczos_expm
 
 _PARTS = tuple(WEIGHT_PARTS)
 
+# _truncated_flow's enlargement in hops, retries and ball budget (call time)
+_TRUNCATION_MARGIN = 8
+_MAX_RETRIES = 3
+_BALL_BUDGET = 4_000_000
+
 
 @dataclass
 class StateVector:
@@ -140,10 +145,12 @@ class SimConfig:
     """Settings for a truncated simulation.
 
     ``c_speed`` overrides the light-cone heuristic: the simulation radius is
-    then ``support_radius + ceil(c_speed * t_max) + truncation_margin``.
-    When unset, the radius combines a ballistic term from the skew mass seen
-    at the edge of a probe ball with a diffusive term from the largest vertex
-    measure.  Either way the enlarged-ball comparison below validates it.
+    then ``support_radius + ceil(c_speed * t_max) + 8``, the 8 being the
+    truncation margin.  When unset, the radius combines a ballistic term from
+    the skew mass seen at the edge of a probe ball with a diffusive term from
+    the largest vertex measure.  Either way the enlarged-ball comparison of
+    ``_truncated_flow`` validates it; its margin (8 hops), retries (3) and
+    ball budget (4,000,000 vertices) are module constants, not settings.
 
     ``rtol`` and ``atol`` are the DOPRI5 tolerances of full linear and
     nonlinear runs.  Symmetric-part runs are controlled by ``atol`` alone:
@@ -155,19 +162,13 @@ class SimConfig:
     sample_times: Sequence[float] | None = None
     rtol: float = 1e-8
     atol: float = 1e-10
-    truncation_margin: int = 8
-    richardson_check: bool = True
     c_speed: float | None = None
-    ball_budget: int = 4_000_000
-    max_retries: int = 3
 
     def __post_init__(self):
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.truncation_margin < 1:
-            raise ValueError("truncation_margin must be >= 1")
 
     def resolved_sample_times(self) -> list[float]:
         if self.sample_times is not None:
@@ -189,9 +190,9 @@ class EvolveResult:
     ``n_steps`` is the cost of the run on the primary ball: the accepted
     DOPRI5 steps for full and nonlinear runs, and the Krylov dimension of
     the Lanczos basis for symmetric-part runs (summed over restarts, if the
-    dimension cap forced any).  ``richardson_diff`` is the max-norm
-    disagreement of the two radii on the primary ball, or None when the
-    check is off.
+    dimension cap forced any).  ``ball`` and the samples are the enlarged
+    run's, and ``richardson_diff`` is the max-norm disagreement of the two
+    radii on the primary ball.
     """
 
     samples: list  # (t, StateVector)
@@ -200,7 +201,7 @@ class EvolveResult:
     radius: int
     retries: int
     n_steps: int
-    richardson_diff: float | None
+    richardson_diff: float
 
     def __iter__(self):
         return iter(self.samples)
@@ -233,16 +234,16 @@ def _support_info(view, x0, center, budget: int) -> tuple[dict, int]:
 
 def _planned_radius(view, center, support_radius: int, cfg: SimConfig) -> int:
     if cfg.c_speed is not None:
-        return support_radius + math.ceil(cfg.c_speed * cfg.t_max) + cfg.truncation_margin
+        return support_radius + math.ceil(cfg.c_speed * cfg.t_max) + _TRUNCATION_MARGIN
     probe_r = support_radius + 12
-    probe = ball(view, center, probe_r, budget=cfg.ball_budget)
+    probe = ball(view, center, probe_r, budget=_BALL_BUDGET)
     max_m = float(probe.measures.max())
     skew_row_abs = np.bincount(probe.entry_rows(),
                                weights=np.abs(probe.w_out - probe.w_in) / 2.0,
                                minlength=len(probe))
     c_ball = float(skew_row_abs[probe.distances == probe_r].max(initial=0.0))
     spread = c_ball * cfg.t_max + 8.0 * math.sqrt(max_m) * math.sqrt(cfg.t_max)
-    return support_radius + math.ceil(spread) + cfg.truncation_margin
+    return support_radius + math.ceil(spread) + _TRUNCATION_MARGIN
 
 
 def _truncated_flow(view, x0, cfg: SimConfig, flow) -> EvolveResult:
@@ -253,41 +254,37 @@ def _truncated_flow(view, x0, cfg: SimConfig, flow) -> EvolveResult:
     ``replay`` is None on the primary ball and the primary run's step sequence
     on the enlarged one.  The ball is centered on ``x0``'s ball center (the
     graph root for a mapping), its radius planned from the support and the
-    light cone.  Each attempt enumerates the ball enlarged by the truncation
-    margin once and takes the primary ball as its BFS prefix.  The max-norm
-    disagreement of the two runs on the primary ball must stay within
-    ``10 * atol``; otherwise the radius grows by the margin and the attempt is
-    repeated, at most ``max_retries`` times before ``TruncationError``.  The
-    returned trajectory is the enlarged run, or the primary run when
-    ``richardson_check`` is off.
+    light cone.  Each attempt enumerates the ball enlarged by
+    ``_TRUNCATION_MARGIN`` hops once and takes the primary ball as its BFS
+    prefix.  The max-norm disagreement of the two runs on the primary ball
+    must stay within ``10 * atol``; otherwise the radius grows by the margin
+    and the attempt is repeated, at most ``_MAX_RETRIES`` times before
+    ``TruncationError``.  The returned trajectory is the enlarged run.
     """
     center = x0.ball.center if isinstance(x0, StateVector) else view.root
-    data, support_radius = _support_info(view, x0, center, cfg.ball_budget)
+    data, support_radius = _support_info(view, x0, center, _BALL_BUDGET)
     radius = _planned_radius(view, center, support_radius, cfg)
-    margin = cfg.truncation_margin if cfg.richardson_check else 0
     retries = 0
     while True:
-        b2 = ball(view, center, radius + margin, budget=cfg.ball_budget)
+        b2 = ball(view, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
         b1 = b2.prefix(radius)
-        res1, op1 = flow(b1, StateVector.from_dict(b1, data).values, None)
-        b, res, op, diff = b1, res1, op1, None
-        if cfg.richardson_check:
-            b, diff = b2, 0.0
-            res, op = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
-            for (_, ya), (_, yb) in zip(res1.samples, res.samples):
-                diff = max(diff, float(np.max(np.abs(yb[:len(b1)] - ya))))
-        if diff is None or diff <= 10.0 * cfg.atol:
-            samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
-            return EvolveResult(samples=samples, ball=b, operator=op, radius=b.radius,
+        res1, _ = flow(b1, StateVector.from_dict(b1, data).values, None)
+        res2, op = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
+        diff = 0.0
+        for (_, ya), (_, yb) in zip(res1.samples, res2.samples):
+            diff = max(diff, float(np.max(np.abs(yb[:len(b1)] - ya))))
+        if diff <= 10.0 * cfg.atol:
+            samples = [(t, StateVector.from_values(b2, y)) for t, y in res2.samples]
+            return EvolveResult(samples=samples, ball=b2, operator=op, radius=b2.radius,
                                 retries=retries, n_steps=res1.n_steps,
                                 richardson_diff=diff)
-        if retries >= cfg.max_retries:
+        if retries >= _MAX_RETRIES:
             raise TruncationError(
-                f"truncation not converged: radius {radius} vs {radius + margin} "
+                f"truncation not converged: radius {radius} vs {radius + _TRUNCATION_MARGIN} "
                 f"still differ by {diff:.3e} (> 10 * atol = {10 * cfg.atol:.3e}) "
-                f"after {cfg.max_retries} retries")
+                f"after {_MAX_RETRIES} retries")
         retries += 1
-        radius += margin
+        radius += _TRUNCATION_MARGIN
 
 
 def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
@@ -301,7 +298,8 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     retries are ``_truncated_flow``'s, the one driver shared with
     ``simulate_nonlinear``: sym runs compare the two radii directly, full
     runs repeat the integration on the enlarged ball with the identical step
-    sequence.
+    sequence.  Every run is checked, and the result carries the enlarged
+    ball and its trajectory.
     """
     if part not in ("full", "sym"):
         raise ValueError("part must be 'full' or 'sym'")
@@ -338,14 +336,14 @@ def norms(x, ps: Iterable) -> list[float]:
     return out
 
 
-def q_seminorm(x, gen, ps: Iterable, require_enlarged: bool = True) -> list[float]:
+def q_seminorm(x, gen, ps: Iterable) -> list[float]:
     """Discrete-gradient seminorms: p-norms of differences across symmetric edges.
 
     Sums ``|x_v' - x_v|^p`` over ordered pairs with ``v'`` in the symmetric
-    neighbourhood of ``v``.  With ``require_enlarged`` the one-hop enlargement
-    of the support must fit inside the state's ball (the sum is then exact
-    for the infinite graph); otherwise only in-ball pairs are counted, which
-    is the truncation-tolerant variant used on simulated trajectories.
+    neighbourhood of ``v``, exactly for the infinite graph.  For a
+    StateVector the one-hop enlargement of the support must fit inside its
+    ball, or ``ValueError`` is raised.  The in-ball variant used on simulated
+    trajectories is ``q_norm_fast`` (``trajectory_norms(kind="q")``).
     """
     view = _as_view(gen)
     if isinstance(x, StateVector):
@@ -357,43 +355,31 @@ def q_seminorm(x, gen, ps: Iterable, require_enlarged: bool = True) -> list[floa
     ring = set(data)
     for v in list(data):
         ring.update(view.sym_neighbors(v))
-    if domain is not None:
-        outside = [v for v in ring if v not in domain]
-        if outside and require_enlarged:
-            raise ValueError(
-                "support touches the ball boundary; enlarge the ball "
-                "(increase truncation_margin) or pass require_enlarged=False")
-        if outside:
-            ring.difference_update(outside)
+    if domain is not None and any(v not in domain for v in ring):
+        raise ValueError("support touches the ball boundary; enlarge the ball")
 
     diffs = []
     for v in ring:
         xv = data.get(v, 0.0)
         for u in view.sym_neighbors(v):
-            if domain is not None and u not in domain:
-                continue
             diffs.append(abs(data.get(u, 0.0) - xv))
-    diffs = np.array(diffs) if diffs else np.zeros(1)
-    out = []
-    for p in ps:
-        p = float(p)
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        if math.isinf(p):
-            out.append(float(diffs.max()))
-        else:
-            out.append(float(np.sum(diffs ** p) ** (1.0 / p)))
-    return out
+    return [_difference_norm(np.array(diffs), float(p)) for p in ps]
+
+
+def _difference_norm(d: np.ndarray, p: float) -> float:
+    """lp norm, p in [1, inf], of an array of absolute differences."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if math.isinf(p):
+        return float(d.max()) if d.size else 0.0
+    return float(np.sum(d ** p) ** (1.0 / p))
 
 
 def q_norm_fast(values: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
                 p: float) -> float:
     """Q_p over precomputed ordered symmetric pairs (in-ball variant)."""
     rows, cols = pairs
-    d = np.abs(values[cols] - values[rows])
-    if math.isinf(p):
-        return float(d.max()) if d.size else 0.0
-    return float(np.sum(d ** p) ** (1.0 / p))
+    return _difference_norm(np.abs(values[cols] - values[rows]), p)
 
 
 def skew_bound_check(x, gen) -> tuple[float, float]:

@@ -232,7 +232,7 @@ def test_criterion_08_semigroup_and_conservation():
     # dense matrix-exponential oracle on a small ball
     z1 = builtin_graph("z-lattice", d=1)
     cfg4 = SimConfig(t_max=8.0, sample_times=[1.0, 4.0, 8.0], rtol=1e-10,
-                     atol=1e-12, richardson_check=False, c_speed=12.0)
+                     atol=1e-12, c_speed=12.0)
     res1 = evolve(z1, {(0,): 1.0}, cfg4, part="sym")
     assert len(res1.ball) <= 400
     a = res1.operator.dense("sym")

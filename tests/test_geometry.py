@@ -52,6 +52,16 @@ class TestBall:
         with pytest.raises(ValueError):
             ball(builtin_graph("example-2.2"), (0,), -1)
 
+    def test_measures_are_float_without_weight_entries(self):
+        # a center that reports no edges leaves the snapshot without entries
+        g = dirlap.generator_from_edges({((0,), (1,)): 1.0, ((1,), (0,)): 1.0},
+                                        root=(5,))
+        b = ball(g, (5,), 2)
+        assert b.measures.dtype == np.float64
+        assert b.measures.tolist() == [0.0]
+        with pytest.raises(ValueError, match="nonpositive measure 0.0"):
+            dirlap.estimate_alpha(g, (5,), 1)
+
 
 class TestVolume:
     def test_line_volume(self):

@@ -229,13 +229,13 @@ class TestValidateGenerator:
         with pytest.raises(ValueError):
             validate_generator(builtin_graph("example-2.2"), 0)
 
-    def test_vertex_budget_raises(self):
-        from dirlap import ValidationConfig
+    def test_vertex_budget_raises(self, monkeypatch):
+        from dirlap import graph
         from dirlap.errors import BudgetExceededError
 
+        monkeypatch.setattr(graph, "_VALIDATION_BUDGET", 50)
         with pytest.raises(BudgetExceededError):
-            validate_generator(builtin_graph("z-lattice", d=2), 40,
-                               ValidationConfig(vertex_budget=50))
+            validate_generator(builtin_graph("z-lattice", d=2), 40)
 
 
 class TestBuiltins:

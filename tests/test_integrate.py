@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dirlap.integrate as integrate_module
 from dirlap.errors import StepSizeError
 from dirlap.integrate import integrate
 
@@ -54,10 +55,11 @@ def test_replay_on_augmented_system():
         assert yb[0] == pytest.approx(ya[0], abs=1e-14)
 
 
-def test_step_budget():
+def test_step_budget(monkeypatch):
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 10)
     with pytest.raises(StepSizeError):
         integrate(lambda t, y: -1000.0 * y, np.array([1.0]), [50.0],
-                  rtol=1e-10, atol=1e-13, max_steps=10)
+                  rtol=1e-10, atol=1e-13)
 
 
 def test_bad_sample_times():

@@ -10,6 +10,7 @@ from dirlap import (OscillatorSystem, PhaseLockCandidate, SymmetricView,
                     builtin_graph, decompose_edge, evolve, linearize,
                     simulate_nonlinear, sin_coupling, split_coupling_matrix,
                     verify_phase_lock)
+from dirlap import oscillator
 from dirlap.errors import BlowUpError, TruncationError
 from dirlap.oscillator import (GenericCoupling, check_coupling_gradient,
                                coupling_from_graph)
@@ -162,14 +163,14 @@ class TestSimulateNonlinear:
         for _, s in dev:
             assert np.all(s.values == 0.0)
 
-    def test_blow_up_detected(self):
+    def test_blow_up_detected(self, monkeypatch):
+        monkeypatch.setattr(oscillator, "_MAX_PERTURBATION_L1", 10.0)
         sys_, _ = uniform_sin_system(d=2)
         cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
         cfg = SimConfig(t_max=5.0, sample_times=[5.0], rtol=1e-8, atol=1e-10,
                         c_speed=2.0)
         with pytest.raises(BlowUpError, match="perturbative"):
-            simulate_nonlinear(sys_, cand, {(0, 0): 3.0}, cfg,
-                               max_perturbation_l1=10.0)
+            simulate_nonlinear(sys_, cand, {(0, 0): 3.0}, cfg)
 
     def test_perturbation_l1_budget(self):
         sys_, _ = uniform_sin_system(d=2)
@@ -215,29 +216,22 @@ class TestNonlinearTruncation:
     """The truncation check of the nonlinear flow, on the line lattice."""
 
     @staticmethod
-    def run(**kwargs):
+    def run(t_max):
         sys_, _ = uniform_sin_system(d=1)
         cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
-        cfg = SimConfig(t_max=6.0, sample_times=[1.0, 6.0], rtol=1e-8,
-                        atol=1e-10, **kwargs)
+        cfg = SimConfig(t_max=t_max, sample_times=[1.0, t_max], rtol=1e-8,
+                        atol=1e-10, c_speed=0.05)
         return simulate_nonlinear(sys_, cand, {(0,): 0.01}, cfg), cfg
 
     def test_undersized_domain_without_retries_fails(self):
+        # at t_max 40 the radius still grows too slowly after every retry
         with pytest.raises(TruncationError):
-            self.run(c_speed=0.05, truncation_margin=2, max_retries=0)
+            self.run(40.0)
 
     def test_undersized_domain_grows_until_the_radii_agree(self):
-        res, cfg = self.run(c_speed=0.05, truncation_margin=2, max_retries=40)
+        res, cfg = self.run(6.0)
         assert res.retries >= 1
         assert res.richardson_diff <= 10 * cfg.atol
-
-    def test_unchecked_run_returns_the_primary_ball(self):
-        checked, cfg = self.run(c_speed=2.0)
-        primary, _ = self.run(c_speed=2.0, richardson_check=False)
-        assert primary.richardson_diff is None
-        assert checked.retries == primary.retries == 0
-        assert primary.ball.radius == primary.radius == \
-            checked.radius - cfg.truncation_margin
 
 
 class TestDeviationDecay:

@@ -1,5 +1,6 @@
 """Norms, truncated operators, heat-flow runs, and decay fitting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ import dirlap
 from dirlap import (StateVector, TruncatedOperator, advection_oracle,
                     advection_peak, advection_stirling_lower, builtin_graph,
                     dense_expm, evolve, fit_decay, fit_power_law,
-                    generator_from_edges, norms, q_seminorm, skew_bound_check)
+                    generator_from_edges, norms, q_seminorm, skew_bound_check,
+                    trajectory_norms)
+from dirlap import semigroup
 from dirlap.errors import BudgetExceededError, TruncationError
 from dirlap.semigroup import SimConfig
 
@@ -81,9 +84,20 @@ class TestQSeminorm:
         g = builtin_graph("z-lattice", d=2)
         b = dirlap.ball(g, (0, 0), 2)
         x = StateVector.from_dict(b, {v: 1.0 for v in b.vertices})
-        with pytest.raises(ValueError, match="truncation_margin"):
+        with pytest.raises(ValueError, match="enlarge the ball"):
             q_seminorm(x, g, [2])
-        assert q_seminorm(x, g, [2], require_enlarged=False)[0] >= 0.0
+        wider = StateVector.from_dict(dirlap.ball(g, (0, 0), 3), x.to_dict())
+        assert q_seminorm(wider, g, [2])[0] >= 0.0
+        # 20 edges join distance 2 to distance 3, each counted both ways
+        assert q_seminorm(wider, g, [2])[0] == pytest.approx(math.sqrt(40))
+
+    def test_q_norm_rejects_p_below_one(self):
+        g = builtin_graph("z-lattice", d=1)
+        res = evolve(g, {g.root: 1.0}, small_cfg(2.0, [1.0, 2.0], c_speed=2.0),
+                     part="sym")
+        assert trajectory_norms(res, kind="q", p=1.0)[1][-1] > 0.0
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            trajectory_norms(res, kind="q", p=0.5)
 
     def test_dict_input_exact(self):
         # two incident line edges, both ordered directions each
@@ -215,7 +229,7 @@ class TestEvolve:
     @pytest.mark.parametrize("name", ["z-lattice", "example-2.2"])
     def test_dense_oracle_agreement(self, name):
         g = builtin_graph(name, d=1) if name == "z-lattice" else builtin_graph(name)
-        cfg = small_cfg(8.0, [1.0, 4.0, 8.0], richardson_check=False, c_speed=10.0)
+        cfg = small_cfg(8.0, [1.0, 4.0, 8.0], c_speed=10.0)
         res = evolve(g, {g.root: 1.0}, cfg, part="sym")
         a = res.operator.dense("sym")
         y0 = StateVector.indicator(res.ball, g.root).values
@@ -254,7 +268,7 @@ class TestEvolve:
         # a deliberately absurd light cone must either trigger retries or fail
         g = builtin_graph("z-lattice", d=1)
         cfg = SimConfig(t_max=40.0, sample_times=[40.0], rtol=1e-8, atol=1e-10,
-                        c_speed=0.05, truncation_margin=2, max_retries=2)
+                        c_speed=0.05)
         try:
             res = evolve(g, {(0,): 1.0}, cfg, part="sym")
             assert res.retries >= 1
@@ -266,7 +280,7 @@ class TestEvolve:
         # sym runs compare the two radii directly; no step replay is involved
         g = builtin_graph("z-lattice", d=1)
         cfg = SimConfig(t_max=40.0, sample_times=[40.0], rtol=1e-8, atol=1e-10,
-                        c_speed=0.05, truncation_margin=2, max_retries=0)
+                        c_speed=0.05)
         with pytest.raises(TruncationError):
             evolve(g, {(0,): 1.0}, cfg, part="sym")
 
@@ -301,10 +315,11 @@ class TestSupportSearch:
         with pytest.raises(ValueError, match="not reachable"):
             evolve(g, {(0,): 1.0, (5,): 1.0}, small_cfg(1.0))
 
-    def test_unreachable_support_on_infinite_graph_hits_budget(self):
+    def test_unreachable_support_on_infinite_graph_hits_budget(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "_BALL_BUDGET", 500)
         g = builtin_graph("z-lattice", d=2)
         with pytest.raises(BudgetExceededError):
-            evolve(g, {(0, 0): 1.0, (0, 0, 0): 1.0}, small_cfg(1.0, ball_budget=500))
+            evolve(g, {(0, 0): 1.0, (0, 0, 0): 1.0}, small_cfg(1.0))
 
 
 class TestFitDecay:
@@ -347,13 +362,17 @@ class TestFitDecay:
 
 
 class TestSimConfig:
+    def test_only_caller_settings_are_fields(self):
+        # margin, retries and budgets are module constants, not settings
+        assert [f.name for f in dataclasses.fields(SimConfig)] == \
+            ["t_max", "sample_times", "rtol", "atol", "c_speed"]
+        assert not hasattr(dirlap, "ValidationConfig")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SimConfig(t_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, rtol=-1e-8)
-        with pytest.raises(ValueError):
-            SimConfig(t_max=1.0, truncation_margin=0)
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, sample_times=[2.0]).resolved_sample_times()
 
