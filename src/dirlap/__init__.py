@@ -8,7 +8,7 @@ and runs coupled-oscillator stability experiments whose linearizations are
 exactly such Laplacians.
 """
 
-from .builtins import available_graphs, builtin_graph, register_graph
+from .builtins import builtin_graph, register_graph
 from .errors import (BlowUpError, BudgetExceededError, DegreeCapError,
                      DirlapError, InconsistentAdjacencyError,
                      SingularFormError, StepSizeError, TruncationError)

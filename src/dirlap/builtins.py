@@ -54,10 +54,6 @@ def builtin_graph(name: str, **params) -> GraphGenerator:
     return factory(**params)
 
 
-def available_graphs() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 def _example22() -> GraphGenerator:
     def forward(n: int) -> float:
         # weight of the edge n -> n+1; exactly zero for n == 0

@@ -6,7 +6,7 @@ class DirlapError(RuntimeError):
 
 
 class BudgetExceededError(DirlapError):
-    """An enumeration grew past its configured vertex budget."""
+    """An enumeration outgrew its vertex budget after finding ``count`` vertices."""
 
     def __init__(self, message: str, count: int):
         super().__init__(message)

@@ -2,10 +2,11 @@
 
 Distances, balls, and volumes all live on the symmetric skeleton: the
 undirected graph whose edges are the pairs with strictly positive symmetric
-weight.  Balls are enumerated breadth-first with sorted adjacency, which
-makes the vertex order deterministic and gives the nesting property that the
-vertex list of ``ball(v, r)`` is a prefix of the vertex list of
-``ball(v, r+1)``.
+weight.  ``ball``, ``shells`` and the skew-mass scan all walk it with one
+breadth-first walk, ``_walk``, which owns the shell rule and the budget
+rule.  Sorted adjacency makes the vertex order deterministic and gives the
+nesting property that the vertex list of ``ball(v, r)`` is a prefix of the
+vertex list of ``ball(v, r+1)``.
 
 A ball is also a snapshot of the directed weights on it.  Enumeration reads
 each vertex's ``(out, inn)`` maps exactly once, derives the vertex measure
@@ -20,6 +21,7 @@ of their truncation check, with the primary ball taken as its BFS prefix.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
@@ -129,9 +131,8 @@ def _check_consistency(b: Ball) -> None:
 def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
     """Enumerate the radius-``r`` ball of the symmetric skeleton around ``center``.
 
-    One deterministic BFS that reads every ball vertex's adjacency once;
-    vertices at distance ``r`` are read but not expanded.  Raises
-    ``BudgetExceededError`` past ``budget`` vertices, and
+    The ball is shells 0..r of ``_walk``, which reads every ball vertex once
+    and raises ``BudgetExceededError`` under its budget rule.  Raises
     ``InconsistentAdjacencyError`` when two ball vertices report different
     weights for the edges between them.  ``gen`` may be a ``Ball``: the balls
     it contains are cut from it as prefixes, and any other is enumerated
@@ -144,44 +145,22 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
             return gen.prefix(r)
         gen = gen.source
     view = _as_view(gen)
-    order = [center]
-    index = {center: 0}
-    distances = [0]
+    order = []
+    distances = []
     indptr = [0]
-    nbr = []
+    keys = []
     w_out = []
     w_in = []
-    pending = []  # (first entry, neighbours) of rows to resolve again at the end
-    zeros, outside = repeat(0.0), repeat(-1)
-    head = 0
-    while head < len(order):
-        v = order[head]
-        d = distances[head]
-        head += 1
-        out, inn = view.edges(v)
-        nb = set(out) | set(inn)
-        if d < r:
-            new = sorted([u for u in nb if u not in index
-                          and (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0 > 0.0])
-            if len(order) + len(new) > budget:
-                raise BudgetExceededError(
-                    f"ball({center}, {r}) exceeded budget at {budget} vertices", budget)
-            for u in new:
-                index[u] = len(order)
-                order.append(u)
-                distances.append(d + 1)
-        row = list(map(index.get, nb, outside))
-        if d < r and -1 in row:
-            # A neighbour without positive symmetric weight may still join the
-            # ball by another path.  Rows at distance r are final: all of the
-            # ball is enumerated before the first of them is read.
-            pending.append((len(nbr), nb))
-        nbr += row
-        w_out += map(out.get, nb, zeros)
-        w_in += map(inn.get, nb, zeros)
-        indptr.append(len(nbr))
-    for start, nb in pending:
-        nbr[start:start + len(nb)] = map(index.get, nb, outside)
+    zeros = repeat(0.0)
+    for d, shell, reads in _walk(view, center, r, budget):
+        order += shell
+        distances += repeat(d, len(shell))
+        for out, inn, nb in reads:
+            keys += nb
+            w_out += map(out.get, nb, zeros)
+            w_in += map(inn.get, nb, zeros)
+            indptr.append(len(keys))
+    index = dict(zip(order, range(len(order))))
 
     indptr = np.array(indptr, dtype=np.int64)
     w_out, w_in = np.array(w_out, dtype=float), np.array(w_in, dtype=float)
@@ -192,7 +171,7 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
                                  weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
     b = Ball(center=center, radius=r, vertices=order, index=index,
              distances=np.array(distances, dtype=np.int64), measures=measures,
-             indptr=indptr, nbr=np.array(nbr, dtype=np.int64),
+             indptr=indptr, nbr=np.fromiter(map(index.get, keys, repeat(-1)), np.int64),
              w_out=w_out, w_in=w_in, source=view)
     _check_consistency(b)
     return b
@@ -216,31 +195,62 @@ def distance(gen, a: Vertex, b: Vertex, cutoff: int,
 
 def shells(gen, root: Vertex, max_shells: int,
            budget: int = DEFAULT_BALL_BUDGET) -> Iterator[tuple[int, list]]:
-    """Yield ``(k, shell vertices)`` for k = 0..max_shells incrementally.
+    """Yield ``(k, shell vertices)`` of ``_walk`` for k = 0..max_shells.
 
-    Shell k is ``ball(root, k) minus ball(root, k-1)``, in BFS order with
-    sorted adjacency.  Shell k+1 is built from the adjacency of shell k only
-    when the caller asks for it, so shell ``max_shells`` is yielded but never
-    read.  Stops early when a shell is empty (the root's component is
-    exhausted), and raises ``BudgetExceededError`` once the shells found hold
-    more than ``budget`` vertices.
+    Shell k is ``ball(root, k) minus ball(root, k-1)``.  Shell k is read only
+    when the caller asks for shell k+1, so shell ``max_shells`` is yielded
+    but never read.  Stops early when the root's component is exhausted.
     """
-    view = _as_view(gen)
+    for k, shell, _ in _walk(_as_view(gen), root, max_shells, budget):
+        yield k, shell
+
+
+def _walk(view: SymmetricView, root: Vertex, max_shells: int, budget: int):
+    """Breadth-first walk of the symmetric skeleton: ``(k, shell, reads)``.
+
+    Shell k+1 is shell k's new neighbours of positive symmetric weight, in
+    shell order with each vertex's new neighbours sorted; the first find
+    wins.  Each shell is yielded before it is read.  ``reads`` reads it one
+    vertex at a time, one ``view.edges`` call each, yielding ``(out, inn,
+    set(out) | set(inn))``; what the caller leaves unread is read when it
+    asks for the next shell.  Shell ``max_shells`` is not expanded, and is
+    read only as far as the caller reads it.  The walk stops at an empty
+    shell.  Budget rule: before yielding a shell that takes the number of
+    vertices found past ``budget``, it raises ``BudgetExceededError`` with
+    that number as ``count``.
+
+    ``validate_generator`` keeps its own walk because it records defective
+    callbacks and goes on; ``verify_phase_lock`` and
+    ``check_coupling_gradient`` walk a coupling's support, not the skeleton.
+    """
     seen = {root}
     shell = [root]
     for k in range(max_shells + 1):
-        yield k, shell
-        if k == max_shells:
-            return
-        nxt = []
-        for v in shell:
-            for u in sorted(view.sym_neighbors(v)):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        if not nxt:
-            return
         if len(seen) > budget:
             raise BudgetExceededError(
-                f"shells({root}) exceeded budget at {budget} vertices", len(seen))
+                f"walk from {root} found {len(seen)} vertices, budget {budget}", len(seen))
+        nxt = []
+        reads = _read_shell(view.edges, shell, seen, nxt if k < max_shells else None)
+        yield k, shell, reads
+        if k == max_shells:
+            return
+        deque(reads, maxlen=0)
+        if not nxt:
+            return
         shell = nxt
+
+
+def _read_shell(edges, shell: list, seen: set, nxt: list | None):
+    for v in shell:
+        out, inn = edges(v)
+        nb = set(out) | set(inn)
+        if nxt is not None:
+            new = []
+            for u in nb - seen:  # the C-level difference first: fewer weights to read
+                if (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0 > 0.0:
+                    new.append(u)
+            if new:
+                new.sort()
+                seen.update(new)
+                nxt += new
+        yield out, inn, nb

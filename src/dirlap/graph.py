@@ -19,6 +19,7 @@ as plain ``dict`` mappings from vertex to value.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -161,6 +162,14 @@ def _as_view(gen) -> SymmetricView:
     return gen if isinstance(gen, SymmetricView) else SymmetricView(gen)
 
 
+def _read_once(gen) -> SymmetricView:
+    """A view of ``gen`` that keeps each row it reads, for one helper call."""
+    view = _as_view(gen)
+    once = SymmetricView(view.gen)
+    once.edges = functools.cache(view.edges)
+    return once
+
+
 def decompose_edge(v: Vertex, v2: Vertex, gen) -> tuple[float, float]:
     """Split the weights between ``v`` and ``v2`` into symmetric and skew parts.
 
@@ -181,11 +190,12 @@ def apply_laplacian(x: Mapping[Vertex, float], gen, part: str = "full") -> dict[
     symmetric or skew part when requested.  The result is evaluated on the
     support of ``x`` enlarged by one adjacency hop, outside of which it
     vanishes, so finitely supported input yields finitely supported output.
+    Each vertex is read once.
     """
     if part not in WEIGHT_PARTS:
         raise ValueError(f"unknown part {part!r}")
     weight = WEIGHT_PARTS[part]
-    view = _as_view(gen)
+    view = _read_once(gen)
     support = [v for v, val in x.items() if val != 0.0]
     targets = set(support)
     for v in support:

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularFormError
-from .geometry import DEFAULT_BALL_BUDGET, ball
+from .errors import BudgetExceededError, SingularFormError
+from .geometry import DEFAULT_BALL_BUDGET, _walk, ball
 from .graph import Vertex, _as_view
 
 
@@ -257,43 +257,26 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
     * ``inconclusive`` otherwise, including whenever the vertex budget cut
       enumeration short of ``max_shells``.
 
-    Shell k+1 is shell k's new neighbours of positive symmetric weight, taken
-    in shell order with each vertex's neighbours sorted, as in ``shells``.
-    The scan reads each vertex once and takes its skew row and its
-    neighbours from that one read.
+    The shells are those of ``geometry._walk``, which reads each vertex
+    once; the scan takes the vertex's skew row from that read.  When the
+    walk's budget rule cuts it, the verdict is ``inconclusive`` over the
+    shells completed before the cut.
     """
     if max_shells < 3:
         raise ValueError("max_shells must be >= 3")
-    view = _as_view(gen)
-    seen = {gen.root}
-    shell = [gen.root]
     contributions: list[float] = []
     budget_cut = False
-    for k in range(max_shells + 1):
-        c = 0.0
-        nxt = []
-        for v in shell:
-            out, inn = view.edges(v)
-            row = 0.0
-            new = []
-            for u in set(out) | set(inn):
-                wf = out.get(u, 0.0)
-                wb = inn.get(u, 0.0)
-                row += abs(wf - wb) / 2.0
-                if (wf + wb) / 2.0 > 0.0 and u not in seen:
-                    new.append(u)
-            c += row
-            if k < max_shells:
-                new.sort()
-                seen.update(new)
-                nxt += new
-        contributions.append(c)
-        if not nxt:  # shell max_shells was summed, or the shells ran out
-            break
-        if len(seen) > budget:
-            budget_cut = True
-            break
-        shell = nxt
+    try:
+        for _, _, reads in _walk(_as_view(gen), gen.root, max_shells, budget):
+            c = 0.0
+            for out, inn, nb in reads:
+                row = 0.0
+                for u in nb:
+                    row += abs(out.get(u, 0.0) - inn.get(u, 0.0)) / 2.0
+                c += row
+            contributions.append(c)
+    except BudgetExceededError:
+        budget_cut = True
     total = sum(contributions)
     exhausted = len(contributions) <= max_shells  # the shells ran out early
 

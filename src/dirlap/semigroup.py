@@ -36,7 +36,7 @@ import scipy.sparse
 
 from .errors import TruncationError
 from .geometry import Ball, ball, shells
-from .graph import WEIGHT_PARTS, Vertex, _as_view, apply_laplacian
+from .graph import WEIGHT_PARTS, Vertex, _as_view, _read_once, apply_laplacian
 from .integrate import integrate, lanczos_expm
 
 _PARTS = tuple(WEIGHT_PARTS)
@@ -345,7 +345,7 @@ def q_seminorm(x, gen, ps: Iterable) -> list[float]:
     ball, or ``ValueError`` is raised.  The in-ball variant used on simulated
     trajectories is ``q_norm_fast`` (``trajectory_norms(kind="q")``).
     """
-    view = _as_view(gen)
+    view = _read_once(gen)
     if isinstance(x, StateVector):
         data = x.to_dict()
         domain = x.ball
@@ -388,9 +388,9 @@ def skew_bound_check(x, gen) -> tuple[float, float]:
     Returns ``(|L_skew x|_1, W_local * Q_inf(x))`` where ``W_local`` sums
     ``|w_skew|`` over exactly the ordered pairs with a nonzero term, so the
     right side is a valid (sharpened) instance of the bound for finitely
-    supported vectors.
+    supported vectors.  Each vertex is read once, by one view for all parts.
     """
-    view = _as_view(gen)
+    view = _read_once(gen)
     data = x.to_dict() if isinstance(x, StateVector) else \
         {v: float(val) for v, val in dict(x).items() if val != 0.0}
     image = apply_laplacian(data, view, part="skew")

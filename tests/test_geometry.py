@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import dirlap
-from dirlap import GraphGenerator, ball, builtin_graph, distance, volume
+from dirlap import (GraphGenerator, ball, builtin_graph, distance,
+                    estimate_skew_mass, volume)
 from dirlap.errors import BudgetExceededError
 
-from helpers import l1_ball_count
+from helpers import finite_graphs, l1_ball_count
 
 
 class TestBall:
@@ -156,3 +159,21 @@ class TestShells:
                 seen.append(k)
         assert seen == [0, 1, 2]
 
+
+@given(finite_graphs(), st.integers(min_value=3, max_value=5))
+def test_ball_shells_and_skew_scan_share_one_budget_rule(g, k):
+    b = ball(g, g.root, k)
+    n = len(b)
+    assume(n >= 2)
+    # a budget of n vertices lets every walk complete
+    assert ball(g, g.root, k, budget=n).vertices == b.vertices
+    walked = [v for _, shell in dirlap.shells(g, g.root, k, budget=n) for v in shell]
+    assert walked == b.vertices
+    assert estimate_skew_mass(g, k, budget=n).shells_used == b.distances[-1] + 1
+    # one vertex less stops each walk before the shell that brings the count to n
+    for walk in (lambda: ball(g, g.root, k, budget=n - 1),
+                 lambda: list(dirlap.shells(g, g.root, k, budget=n - 1))):
+        with pytest.raises(BudgetExceededError) as err:
+            walk()
+        assert err.value.count == n
+    assert estimate_skew_mass(g, k, budget=n - 1).verdict == "inconclusive"

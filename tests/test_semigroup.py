@@ -16,7 +16,7 @@ from dirlap import semigroup
 from dirlap.errors import BudgetExceededError, TruncationError
 from dirlap.semigroup import SimConfig
 
-from helpers import dense_laplacian, k2_generator, random_support_vector
+from helpers import counted, dense_laplacian, k2_generator, random_support_vector
 
 INF = math.inf
 
@@ -131,6 +131,18 @@ class TestSkewBound:
             x = random_support_vector(g, b, rng)
             lhs, rhs = skew_bound_check(x, g)
             assert lhs <= rhs * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("helper", [
+    skew_bound_check,
+    lambda x, g: dirlap.apply_laplacian(x, g, part="full"),
+    lambda x, g: q_seminorm(x, g, [1, 2, INF]),
+], ids=["skew_bound_check", "apply_laplacian", "q_seminorm"])
+def test_dict_helpers_read_each_vertex_once(helper):
+    g, reads = counted(builtin_graph("z2-skew-perturbed"))
+    helper({(0, 0): 1.0, (1, 0): -0.5, (2, 1): 0.25}, g)
+    # the support and its neighbours hold 11 vertices
+    assert len(reads) == len(set(reads)) == 11
 
 
 class TestAdvectionOracle:
@@ -265,16 +277,14 @@ class TestEvolve:
             assert s.values.min() >= -10 * cfg.atol
 
     def test_richardson_catches_undersized_domain(self):
-        # a deliberately absurd light cone must either trigger retries or fail
+        # a deliberately absurd light cone must trigger retries until the
+        # two radii agree
         g = builtin_graph("z-lattice", d=1)
-        cfg = SimConfig(t_max=40.0, sample_times=[40.0], rtol=1e-8, atol=1e-10,
+        cfg = SimConfig(t_max=6.0, sample_times=[6.0], rtol=1e-8, atol=1e-10,
                         c_speed=0.05)
-        try:
-            res = evolve(g, {(0,): 1.0}, cfg, part="sym")
-            assert res.retries >= 1
-            assert res.richardson_diff <= 10 * cfg.atol
-        except TruncationError:
-            pass  # also acceptable: honest failure after bounded retries
+        res = evolve(g, {(0,): 1.0}, cfg, part="sym")
+        assert res.retries >= 1
+        assert res.richardson_diff <= 10 * cfg.atol
 
     def test_sym_radius_comparison_catches_undersized_domain(self):
         # sym runs compare the two radii directly; no step replay is involved
