@@ -13,9 +13,8 @@ from .errors import (BlowUpError, BudgetExceededError, DegreeCapError,
                      DirlapError, InconsistentAdjacencyError,
                      SingularFormError, StepSizeError, TruncationError)
 from .geometry import Ball, ball, distance, shells, volume
-from .graph import (GraphGenerator, SymmetricView, ValidationReport, Vertex,
-                    apply_laplacian, decompose_edge, generator_from_edges,
-                    validate_generator)
+from .graph import (GraphGenerator, ValidationReport, Vertex, apply_laplacian,
+                    decompose_edge, generator_from_edges, validate_generator)
 from .hypotheses import (HypothesisReport, check_hypotheses, estimate_alpha,
                          estimate_poincare, estimate_skew_mass,
                          fit_volume_growth, poincare_quotient)

@@ -180,8 +180,7 @@ def _cmd_counterexample(args, config) -> int:
     cfg = semigroup.SimConfig(t_max=t_max, sample_times=sample_times,
                               rtol=1e-7, atol=1e-10, c_speed=1.25)
     traj = semigroup.evolve(gen, {gen.root: 1.0}, cfg, part="full")
-    window = (min(10.0, t_max / 4.0), t_max)
-    fit = semigroup.fit_decay(traj, kind="p", p=math.inf, window=window)
+    fit = semigroup.fit_decay(traj, kind="p", p=math.inf, window=_fit_window(t_max))
 
     closed_form = []
     for t in (1.0, 5.0, 10.0, 20.0):
@@ -308,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--out", help="output directory (default dirlap-out)")
-        p.add_argument("--seed", type=int, help="seed for any randomized sampling")
-        p.add_argument("--tol", type=float, help="action-specific tolerance")
 
     def graphish(p):
         p.add_argument("--graph", help="graph family name")
@@ -329,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-min", dest="r_min", type=int)
     p.add_argument("--r-max", dest="r_max", type=int)
     p.add_argument("--shells", type=int, help="shell count for the skew-mass sum")
+    p.add_argument("--tol", type=float, help="skew-mass convergence tolerance per shell")
+    p.add_argument("--seed", type=int, help="seed for the sampled fit centers")
     p.set_defaults(func=_cmd_check_hypotheses)
 
     p = sub.add_parser("simulate", help="heat flow from a point source plus decay fit")
@@ -352,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--a", type=float)
     p.add_argument("--eps", type=float, help="perturbation size")
+    p.add_argument("--tol", type=float, help="largest accepted phase-lock residual")
     p.add_argument("--t-max", dest="t_max", type=float)
     p.set_defaults(func=_cmd_oscillate)
 

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetExceededError, InconsistentAdjacencyError
-from .graph import WEIGHT_RTOL, SymmetricView, Vertex, _as_view
+from .graph import GraphGenerator, Vertex, _weights_agree
 
 DEFAULT_BALL_BUDGET = 1_000_000
 
@@ -43,8 +43,8 @@ class Ball:
     entries ``indptr[i]:indptr[i+1]``, one per neighbour ``v'`` of
     ``v = vertices[i]`` in either direction: ``nbr`` holds the ball index of
     ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and ``w_in``
-    holds ``w(v', v)``; ``source`` is the view they were read from.  Immutable
-    after construction by convention; a prefix shares all of these.
+    holds ``w(v', v)``; ``source`` is the generator they were read from.
+    Immutable after construction by convention; a prefix shares all of these.
     """
 
     center: Vertex
@@ -57,7 +57,7 @@ class Ball:
     nbr: np.ndarray
     w_out: np.ndarray
     w_in: np.ndarray
-    source: SymmetricView
+    source: GraphGenerator
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -99,7 +99,8 @@ def _check_consistency(b: Ball) -> None:
 
     Row ``i``'s entry for ``j`` must carry the weights of row ``j``'s entry
     for ``i`` with the two directions swapped; a missing partner entry
-    reports zero both ways.  The tolerance is ``validate_generator``'s.
+    reports zero both ways.  Weights agree by ``graph._weights_agree``, the
+    rule ``validate_generator`` applies.
     """
     inside = b.nbr >= 0
     rows, cols = b.entry_rows()[inside], b.nbr[inside]
@@ -114,11 +115,7 @@ def _check_consistency(b: Ball) -> None:
     found = keys[partner] == wanted
     p_out = np.where(found, w_out[partner], 0.0)
     p_in = np.where(found, w_in[partner], 0.0)
-
-    def close(x, y):
-        return np.abs(x - y) <= WEIGHT_RTOL * np.maximum(np.abs(x), np.abs(y))
-
-    bad = np.flatnonzero(~(close(w_out, p_in) & close(w_in, p_out)))
+    bad = np.flatnonzero(~(_weights_agree(w_out, p_in) & _weights_agree(w_in, p_out)))
     if bad.size:
         k = bad[0]
         v, u = b.vertices[rows[k]], b.vertices[cols[k]]
@@ -136,7 +133,7 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
     ``InconsistentAdjacencyError`` when two ball vertices report different
     weights for the edges between them.  ``gen`` may be a ``Ball``: the balls
     it contains are cut from it as prefixes, and any other is enumerated
-    through the view it was read from.
+    through the generator it was read from.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -144,23 +141,40 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
         if center == gen.center and r <= gen.radius:
             return gen.prefix(r)
         gen = gen.source
-    view = _as_view(gen)
     order = []
+    index = {}
     distances = []
     indptr = [0]
-    keys = []
+    nbr = []  # one index array per shell, resolved once the next shell is found
+    keys = []  # neighbour keys of the shell read last
+    late = []  # (entry, key) of neighbours outside the ball when resolved
     w_out = []
     w_in = []
     zeros = repeat(0.0)
-    for d, shell, reads in _walk(view, center, r, budget):
+
+    def resolve():
+        # every skeleton neighbour of the shell read last is indexed by now;
+        # a neighbour of no symmetric weight may still be found later
+        got = np.fromiter(map(index.get, keys, repeat(-1)), np.int64, len(keys))
+        start = len(w_out) - len(keys)
+        late.extend((start + int(i), keys[i]) for i in np.flatnonzero(got < 0))
+        nbr.append(got)
+        keys.clear()
+
+    for d, shell, reads in _walk(gen, center, r, budget):
+        index.update(zip(shell, range(len(order), len(order) + len(shell))))
         order += shell
         distances += repeat(d, len(shell))
+        resolve()
         for out, inn, nb in reads:
             keys += nb
             w_out += map(out.get, nb, zeros)
             w_in += map(inn.get, nb, zeros)
-            indptr.append(len(keys))
-    index = dict(zip(order, range(len(order))))
+            indptr.append(len(w_out))
+    resolve()
+    nbr = np.concatenate(nbr)
+    for k, key in late:
+        nbr[k] = index.get(key, -1)
 
     indptr = np.array(indptr, dtype=np.int64)
     w_out, w_in = np.array(w_out, dtype=float), np.array(w_in, dtype=float)
@@ -171,8 +185,7 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
                                  weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
     b = Ball(center=center, radius=r, vertices=order, index=index,
              distances=np.array(distances, dtype=np.int64), measures=measures,
-             indptr=indptr, nbr=np.fromiter(map(index.get, keys, repeat(-1)), np.int64),
-             w_out=w_out, w_in=w_in, source=view)
+             indptr=indptr, nbr=nbr, w_out=w_out, w_in=w_in, source=gen)
     _check_consistency(b)
     return b
 
@@ -201,17 +214,17 @@ def shells(gen, root: Vertex, max_shells: int,
     when the caller asks for shell k+1, so shell ``max_shells`` is yielded
     but never read.  Stops early when the root's component is exhausted.
     """
-    for k, shell, _ in _walk(_as_view(gen), root, max_shells, budget):
+    for k, shell, _ in _walk(gen, root, max_shells, budget):
         yield k, shell
 
 
-def _walk(view: SymmetricView, root: Vertex, max_shells: int, budget: int):
+def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int):
     """Breadth-first walk of the symmetric skeleton: ``(k, shell, reads)``.
 
     Shell k+1 is shell k's new neighbours of positive symmetric weight, in
     shell order with each vertex's new neighbours sorted; the first find
     wins.  Each shell is yielded before it is read.  ``reads`` reads it one
-    vertex at a time, one ``view.edges`` call each, yielding ``(out, inn,
+    vertex at a time, one ``gen.edges`` call each, yielding ``(out, inn,
     set(out) | set(inn))``; what the caller leaves unread is read when it
     asks for the next shell.  Shell ``max_shells`` is not expanded, and is
     read only as far as the caller reads it.  The walk stops at an empty
@@ -230,7 +243,7 @@ def _walk(view: SymmetricView, root: Vertex, max_shells: int, budget: int):
             raise BudgetExceededError(
                 f"walk from {root} found {len(seen)} vertices, budget {budget}", len(seen))
         nxt = []
-        reads = _read_shell(view.edges, shell, seen, nxt if k < max_shells else None)
+        reads = _read_shell(gen.edges, shell, seen, nxt if k < max_shells else None)
         yield k, shell, reads
         if k == max_shells:
             return

@@ -13,15 +13,21 @@ weight zero and must not be reported.  Both directions are required because
 the symmetric weight ``(w(v,v') + w(v',v)) / 2`` needs the reverse weight
 without a global reverse index.
 
-Every operator derived here works with finitely supported vectors represented
-as plain ``dict`` mappings from vertex to value.
+``GraphGenerator.edges(v)`` is the one checked read of a graph: every walk,
+snapshot and helper in the package reads through it, so the self-loop filter
+and the degree cap apply everywhere.  Every operator derived here works with
+finitely supported vectors represented as plain ``dict`` mappings from vertex
+to value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import BudgetExceededError, DegreeCapError
 
@@ -46,6 +52,11 @@ WEIGHT_PARTS = {
 }
 
 
+def _weights_agree(a, b):
+    """Whether two reports of one weight agree to ``WEIGHT_RTOL``; floats or arrays."""
+    return abs(a - b) <= WEIGHT_RTOL * np.maximum(abs(a), abs(b))
+
+
 @dataclass(frozen=True)
 class GraphGenerator:
     """Lazy description of an infinite directed weighted graph.
@@ -67,6 +78,24 @@ class GraphGenerator:
     root: Vertex
     name: str = "custom"
     degree_cap: int = DEFAULT_DEGREE_CAP
+
+    def edges(self, v: Vertex) -> tuple[Mapping, Mapping]:
+        """Checked read: the ``(out, inn)`` weight maps for ``v``, self-loops removed.
+
+        The callback's own maps are passed through, copied only to drop a
+        reported self-loop; weights are used as reported (the contract types
+        them as ``float``).  Raises ``DegreeCapError`` when either map has more
+        than ``degree_cap`` entries.
+        """
+        out, inn = self.adjacency(v)
+        if v in out or v in inn:
+            out = {u: w for u, w in out.items() if u != v}
+            inn = {u: w for u, w in inn.items() if u != v}
+        if len(out) > self.degree_cap or len(inn) > self.degree_cap:
+            raise DegreeCapError(
+                f"vertex {v} reports {max(len(out), len(inn))} edges, "
+                f"cap is {self.degree_cap}")
+        return out, inn
 
 
 def generator_from_edges(edges: Mapping[tuple[Vertex, Vertex], float], root: Vertex,
@@ -92,98 +121,28 @@ def generator_from_edges(edges: Mapping[tuple[Vertex, Vertex], float], root: Ver
     return GraphGenerator(adjacency=adjacency, root=root, name=name)
 
 
-class SymmetricView:
-    """Checked read of directed weights and their symmetric/skew parts.
-
-    The view keeps no state.  ``edges(v)`` passes the callback's own maps
-    through, copying them only to drop a reported self-loop, and enforces
-    the degree cap; weights are used as reported (the contract types them as
-    ``float``).  The symmetric weight of a pair is always computed from a
-    single adjacency call, so ``w_sym(v, v') == w_sym(v', v)`` and
-    ``w_skew(v, v') == -w_skew(v', v)`` hold exactly in floating point.
-    """
-
-    def __init__(self, gen: GraphGenerator):
-        self.gen = gen
-
-    @property
-    def root(self) -> Vertex:
-        return self.gen.root
-
-    @property
-    def name(self) -> str:
-        return self.gen.name
-
-    def edges(self, v: Vertex) -> tuple[Mapping, Mapping]:
-        """Return the ``(out, inn)`` weight maps for ``v``, self-loops removed."""
-        out, inn = self.gen.adjacency(v)
-        if v in out or v in inn:
-            out = {u: w for u, w in out.items() if u != v}
-            inn = {u: w for u, w in inn.items() if u != v}
-        if len(out) > self.gen.degree_cap or len(inn) > self.gen.degree_cap:
-            raise DegreeCapError(
-                f"vertex {v} reports {max(len(out), len(inn))} edges, "
-                f"cap is {self.gen.degree_cap}")
-        return out, inn
-
-    def directed_pair(self, v: Vertex, v2: Vertex) -> tuple[float, float]:
-        """Return ``(w(v, v2), w(v2, v))``, zeros where no edge exists."""
-        out, inn = self.edges(v)
-        return out.get(v2, 0.0), inn.get(v2, 0.0)
-
-    def neighbors(self, v: Vertex) -> set:
-        """All vertices connected to ``v`` by an edge in either direction."""
-        out, inn = self.edges(v)
-        return set(out) | set(inn)
-
-    def sym_neighbors(self, v: Vertex) -> dict[Vertex, float]:
-        """Map ``v' -> w_sym(v, v')`` over the strictly positive pairs.
-
-        This is the neighbourhood of ``v`` in the induced undirected graph.
-        """
-        out, inn = self.edges(v)
-        result = {}
-        for u in set(out) | set(inn):
-            ws = (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0
-            if ws > 0.0:
-                result[u] = ws
-        return result
-
-    def w_sym(self, v: Vertex, v2: Vertex) -> float:
-        a, b = self.directed_pair(v, v2)
-        return (a + b) / 2.0
-
-    def w_skew(self, v: Vertex, v2: Vertex) -> float:
-        a, b = self.directed_pair(v, v2)
-        return (a - b) / 2.0
+def _read_once(gen: GraphGenerator) -> GraphGenerator:
+    """``gen`` with each vertex's adjacency kept after its first read, for one helper call."""
+    return dataclasses.replace(gen, adjacency=functools.cache(gen.adjacency))
 
 
-def _as_view(gen) -> SymmetricView:
-    return gen if isinstance(gen, SymmetricView) else SymmetricView(gen)
-
-
-def _read_once(gen) -> SymmetricView:
-    """A view of ``gen`` that keeps each row it reads, for one helper call."""
-    view = _as_view(gen)
-    once = SymmetricView(view.gen)
-    once.edges = functools.cache(view.edges)
-    return once
-
-
-def decompose_edge(v: Vertex, v2: Vertex, gen) -> tuple[float, float]:
+def decompose_edge(v: Vertex, v2: Vertex, gen: GraphGenerator) -> tuple[float, float]:
     """Split the weights between ``v`` and ``v2`` into symmetric and skew parts.
 
     Returns ``((w(v,v2) + w(v2,v)) / 2, (w(v,v2) - w(v2,v)) / 2)``; both are
-    zero when neither directed edge exists.
+    zero when neither directed edge exists.  Both come from the one read of
+    ``v``, so ``w_sym`` is exactly symmetric and ``w_skew`` exactly
+    antisymmetric in floating point.
     """
     if v == v2:
         raise ValueError("decompose_edge requires two distinct vertices")
-    view = _as_view(gen)
-    a, b = view.directed_pair(v, v2)
+    out, inn = gen.edges(v)
+    a, b = out.get(v2, 0.0), inn.get(v2, 0.0)
     return (a + b) / 2.0, (a - b) / 2.0
 
 
-def apply_laplacian(x: Mapping[Vertex, float], gen, part: str = "full") -> dict[Vertex, float]:
+def apply_laplacian(x: Mapping[Vertex, float], gen: GraphGenerator,
+                    part: str = "full") -> dict[Vertex, float]:
     """Apply the graph Laplacian of the selected weight part to a vector.
 
     ``[Lx]_v = sum_{v'} w(v, v') (x_{v'} - x_v)`` with ``w`` replaced by its
@@ -195,14 +154,15 @@ def apply_laplacian(x: Mapping[Vertex, float], gen, part: str = "full") -> dict[
     if part not in WEIGHT_PARTS:
         raise ValueError(f"unknown part {part!r}")
     weight = WEIGHT_PARTS[part]
-    view = _read_once(gen)
+    edges = _read_once(gen).edges
     support = [v for v, val in x.items() if val != 0.0]
     targets = set(support)
     for v in support:
-        targets.update(view.neighbors(v))
+        out, inn = edges(v)
+        targets.update(set(out) | set(inn))
     result: dict[Vertex, float] = {}
     for v in targets:
-        out, inn = view.edges(v)
+        out, inn = edges(v)
         xv = x.get(v, 0.0)
         acc = 0.0
         for u in set(out) | set(inn):
@@ -269,10 +229,6 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
         raise ValueError("sample_radius must be >= 1")
     report = ValidationReport()
     cap = gen.degree_cap
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= WEIGHT_RTOL * max(abs(a), abs(b))
-
     # BFS over the symmetric skeleton, tolerating per-vertex defects.
     dist = {gen.root: 0}
     order = [gen.root]
@@ -331,12 +287,12 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
                 report.violations.append(Violation("adjacency-error", (u,), str(exc)))
                 continue
             wf = out.get(u, 0.0)
-            if not close(wf, u_inn.get(v, 0.0)):
+            if not _weights_agree(wf, u_inn.get(v, 0.0)):
                 report.violations.append(Violation(
                     "weight-consistency", (v, u),
                     f"out-edge weight {wf} vs in-edge report {u_inn.get(v, 0.0)}"))
             wb = inn.get(u, 0.0)
-            if not close(wb, u_out.get(v, 0.0)):
+            if not _weights_agree(wb, u_out.get(v, 0.0)):
                 report.violations.append(Violation(
                     "weight-consistency", (u, v),
                     f"in-edge report {wb} vs out-edge weight {u_out.get(v, 0.0)}"))

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import BudgetExceededError, SingularFormError
 from .geometry import DEFAULT_BALL_BUDGET, _walk, ball
-from .graph import Vertex, _as_view
+from .graph import Vertex
 
 
 @dataclass
@@ -267,7 +267,7 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
     contributions: list[float] = []
     budget_cut = False
     try:
-        for _, _, reads in _walk(_as_view(gen), gen.root, max_shells, budget):
+        for _, _, reads in _walk(gen, gen.root, max_shells, budget):
             c = 0.0
             for out, inn, nb in reads:
                 row = 0.0

@@ -27,7 +27,7 @@ import scipy.sparse
 
 from .errors import BlowUpError
 from .geometry import Ball
-from .graph import GraphGenerator, SymmetricView, Vertex, _as_view
+from .graph import GraphGenerator, Vertex
 from .integrate import integrate
 from .semigroup import SimConfig, StateVector, _truncated_flow
 
@@ -83,7 +83,7 @@ def coupling_from_graph(gen: GraphGenerator) -> tuple[Callable, Callable]:
     strengths are not.  Both read through one bounded memo of the adjacency,
     as linearization and the edge table re-read every vertex many times.
     """
-    edges = functools.lru_cache(maxsize=COUPLING_READ_MEMO)(SymmetricView(gen).edges)
+    edges = functools.lru_cache(maxsize=COUPLING_READ_MEMO)(gen.edges)
 
     def weight(v: Vertex, v2: Vertex) -> float:
         return edges(v)[0].get(v2, 0.0)
@@ -163,10 +163,11 @@ def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
         nxt = []
         for v in frontier:
             total = 0.0
-            for u in coup.support(v):
+            support = list(coup.support(v))  # may be a one-pass iterable
+            for u in support:
                 total += coup.h(lag(u) - lag(v), v, u)
             residual = max(residual, abs(cand.velocity - sys.omega(v) - total))
-            for u in coup.support(v):
+            for u in support:
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -294,4 +295,4 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                          atol=cfg.atol, replay=replay,
                          step_callback=blowup_guard if replay is None else None), None
 
-    return _truncated_flow(_as_view(linearize(sys, cand)), perturbation, cfg, flow)
+    return _truncated_flow(linearize(sys, cand), perturbation, cfg, flow)

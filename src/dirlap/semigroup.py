@@ -36,7 +36,7 @@ import scipy.sparse
 
 from .errors import TruncationError
 from .geometry import Ball, ball, shells
-from .graph import WEIGHT_PARTS, Vertex, _as_view, _read_once, apply_laplacian
+from .graph import WEIGHT_PARTS, Vertex, _read_once, apply_laplacian
 from .integrate import integrate, lanczos_expm
 
 _PARTS = tuple(WEIGHT_PARTS)
@@ -219,24 +219,24 @@ class EvolveResult:
         raise KeyError(f"no sample at t={t}")
 
 
-def _support_info(view, x0, center, budget: int) -> tuple[dict, int]:
+def _support_info(gen, x0, center, budget: int) -> tuple[dict, int]:
     if isinstance(x0, StateVector):
         return x0.to_dict(), x0.support_radius
     data = {v: float(val) for v, val in dict(x0).items() if val != 0.0}
     missing = set(data)
     # a ball of at most ``budget`` vertices has fewer than ``budget`` shells
-    for radius, shell in shells(view, center, budget, budget=budget):
+    for radius, shell in shells(gen, center, budget, budget=budget):
         missing.difference_update(shell)
         if not missing:
             return data, radius
     raise ValueError("initial support not reachable from the center")
 
 
-def _planned_radius(view, center, support_radius: int, cfg: SimConfig) -> int:
+def _planned_radius(gen, center, support_radius: int, cfg: SimConfig) -> int:
     if cfg.c_speed is not None:
         return support_radius + math.ceil(cfg.c_speed * cfg.t_max) + _TRUNCATION_MARGIN
     probe_r = support_radius + 12
-    probe = ball(view, center, probe_r, budget=_BALL_BUDGET)
+    probe = ball(gen, center, probe_r, budget=_BALL_BUDGET)
     max_m = float(probe.measures.max())
     skew_row_abs = np.bincount(probe.entry_rows(),
                                weights=np.abs(probe.w_out - probe.w_in) / 2.0,
@@ -246,7 +246,7 @@ def _planned_radius(view, center, support_radius: int, cfg: SimConfig) -> int:
     return support_radius + math.ceil(spread) + _TRUNCATION_MARGIN
 
 
-def _truncated_flow(view, x0, cfg: SimConfig, flow) -> EvolveResult:
+def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
 
     ``flow(b, y0, replay)`` computes the trajectory from ``y0`` on ball ``b``
@@ -261,12 +261,12 @@ def _truncated_flow(view, x0, cfg: SimConfig, flow) -> EvolveResult:
     and the attempt is repeated, at most ``_MAX_RETRIES`` times before
     ``TruncationError``.  The returned trajectory is the enlarged run.
     """
-    center = x0.ball.center if isinstance(x0, StateVector) else view.root
-    data, support_radius = _support_info(view, x0, center, _BALL_BUDGET)
-    radius = _planned_radius(view, center, support_radius, cfg)
+    center = x0.ball.center if isinstance(x0, StateVector) else gen.root
+    data, support_radius = _support_info(gen, x0, center, _BALL_BUDGET)
+    radius = _planned_radius(gen, center, support_radius, cfg)
     retries = 0
     while True:
-        b2 = ball(view, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
+        b2 = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
         b1 = b2.prefix(radius)
         res1, _ = flow(b1, StateVector.from_dict(b1, data).values, None)
         res2, op = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
@@ -314,7 +314,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         return integrate(lambda t, y: a.dot(y), y0, ts, rtol=cfg.rtol,
                          atol=cfg.atol, replay=replay), op
 
-    return _truncated_flow(_as_view(gen), x0, cfg, flow)
+    return _truncated_flow(gen, x0, cfg, flow)
 
 
 def norms(x, ps: Iterable) -> list[float]:
@@ -345,7 +345,12 @@ def q_seminorm(x, gen, ps: Iterable) -> list[float]:
     ball, or ``ValueError`` is raised.  The in-ball variant used on simulated
     trajectories is ``q_norm_fast`` (``trajectory_norms(kind="q")``).
     """
-    view = _read_once(gen)
+    edges = _read_once(gen).edges
+
+    def sym_neighbors(v):
+        out, inn = edges(v)
+        return [u for u in set(out) | set(inn) if (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0 > 0.0]
+
     if isinstance(x, StateVector):
         data = x.to_dict()
         domain = x.ball
@@ -354,14 +359,14 @@ def q_seminorm(x, gen, ps: Iterable) -> list[float]:
         domain = None
     ring = set(data)
     for v in list(data):
-        ring.update(view.sym_neighbors(v))
+        ring.update(sym_neighbors(v))
     if domain is not None and any(v not in domain for v in ring):
         raise ValueError("support touches the ball boundary; enlarge the ball")
 
     diffs = []
     for v in ring:
         xv = data.get(v, 0.0)
-        for u in view.sym_neighbors(v):
+        for u in sym_neighbors(v):
             diffs.append(abs(data.get(u, 0.0) - xv))
     return [_difference_norm(np.array(diffs), float(p)) for p in ps]
 
@@ -388,24 +393,27 @@ def skew_bound_check(x, gen) -> tuple[float, float]:
     Returns ``(|L_skew x|_1, W_local * Q_inf(x))`` where ``W_local`` sums
     ``|w_skew|`` over exactly the ordered pairs with a nonzero term, so the
     right side is a valid (sharpened) instance of the bound for finitely
-    supported vectors.  Each vertex is read once, by one view for all parts.
+    supported vectors.  Each vertex is read once for all parts: this check
+    and the helpers it calls share one ``_read_once`` copy of ``gen``.
     """
-    view = _read_once(gen)
+    gen = _read_once(gen)
     data = x.to_dict() if isinstance(x, StateVector) else \
         {v: float(val) for v, val in dict(x).items() if val != 0.0}
-    image = apply_laplacian(data, view, part="skew")
+    image = apply_laplacian(data, gen, part="skew")
     lhs = sum(abs(val) for val in image.values())
 
     touched = set(data)
     for v in list(data):
-        touched.update(view.neighbors(v))
+        out, inn = gen.edges(v)
+        touched.update(set(out) | set(inn))
     w_local = 0.0
     for v in touched:
         xv = data.get(v, 0.0)
-        for u in view.neighbors(v):
+        out, inn = gen.edges(v)
+        for u in set(out) | set(inn):
             if xv != 0.0 or data.get(u, 0.0) != 0.0:
-                w_local += abs(view.w_skew(v, u))
-    q_inf = q_seminorm(data, view, [math.inf])[0]
+                w_local += abs((out.get(u, 0.0) - inn.get(u, 0.0)) / 2.0)
+    q_inf = q_seminorm(data, gen, [math.inf])[0]
     return float(lhs), float(w_local * q_inf)
 
 

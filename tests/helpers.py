@@ -43,6 +43,22 @@ def counted(gen):
     return GraphGenerator(adjacency=adjacency, root=gen.root, name=gen.name), reads
 
 
+def sym_neighbors(gen, v) -> dict:
+    """Brute-force map ``u -> w_sym(v, u)`` over the strictly positive pairs.
+
+    Reads the raw adjacency callback, not ``GraphGenerator.edges``.
+    """
+    out, inn = gen.adjacency(v)
+    result = {}
+    for u in set(out) | set(inn):
+        if u == v:
+            continue
+        ws = (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0
+        if ws > 0.0:
+            result[u] = ws
+    return result
+
+
 def dense_laplacian(gen, b, part: str) -> np.ndarray:
     """Dense in-ball Laplacian assembled edge by edge from raw adjacency.
 

@@ -155,3 +155,29 @@ def test_schema_rejects_other_versions(tmp_path):
     bad.write_text(json.dumps({"schema": "v0", "x": 1}))
     with pytest.raises(ValueError, match="schema"):
         read_json_report(str(bad))
+
+
+# Arguments under which each command runs to exit 0 when the flag is accepted.
+_QUICK_ARGS = {
+    "validate": ["--graph", "example-2.2", "--radius", "2"],
+    "simulate": ["--graph", "z-lattice", "--d", "1", "--t-max", "4"],
+    "counterexample": ["--t-max", "20"],
+    "oscillate": ["--t-max", "4"],
+    "fit-decay": ["--window", "5", "49"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--seed"), ("simulate", "--seed"), ("counterexample", "--seed"),
+    ("oscillate", "--seed"), ("fit-decay", "--seed"),
+    ("validate", "--tol"), ("simulate", "--tol"), ("counterexample", "--tol"),
+    ("fit-decay", "--tol")])
+def test_flags_no_command_reads_are_rejected(tmp_path, command, flag):
+    args = [command, *_QUICK_ARGS[command], flag, "1", "--out", str(tmp_path)]
+    if command == "fit-decay":
+        data = tmp_path / "norms.csv"
+        data.write_text("\n".join(["t,value"] + [f"{t},{(1 + t) ** -0.5}" for t in range(50)]))
+        args += ["--csv", str(data)]
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2

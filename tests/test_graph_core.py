@@ -3,13 +3,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dirlap import (SymmetricView, apply_laplacian, builtin_graph,
+from dirlap import (TruncatedOperator, apply_laplacian, ball, builtin_graph,
                     decompose_edge, generator_from_edges, validate_generator)
 from dirlap.errors import DegreeCapError
 from dirlap.graph import GraphGenerator
 
-from helpers import dense_laplacian, k2_generator
+from helpers import dense_laplacian, finite_graphs, k2_generator
 
 
 class TestDecomposeEdge:
@@ -45,8 +47,10 @@ class TestDecomposeEdge:
 
 
 class TestSymmetricView:
+    """``GraphGenerator.edges``, the checked read, and the split read from it."""
+
     def test_exact_symmetry_and_antisymmetry(self):
-        view = SymmetricView(builtin_graph("z2-skew-perturbed", a=0.7))
+        g = builtin_graph("z2-skew-perturbed", a=0.7)
         rng = np.random.default_rng(3)
         for _ in range(200):
             v = (int(rng.integers(-8, 9)), int(rng.integers(-8, 9)))
@@ -54,22 +58,25 @@ class TestSymmetricView:
             u = list(v)
             u[axis] += step
             u = tuple(u)
-            assert view.w_sym(v, u) == view.w_sym(u, v)
-            assert view.w_skew(v, u) + view.w_skew(u, v) == 0.0
+            ws_vu, wk_vu = decompose_edge(v, u, g)
+            ws_uv, wk_uv = decompose_edge(u, v, g)
+            assert ws_vu == ws_uv
+            assert wk_vu + wk_uv == 0.0
 
     def test_decomposition_identity(self):
-        view = SymmetricView(builtin_graph("example-2.2"))
+        g = builtin_graph("example-2.2")
         for n in range(-10, 10):
             v, u = (n,), (n + 1,)
-            w_forward, _ = view.directed_pair(v, u)
-            recombined = view.w_sym(v, u) + view.w_skew(v, u)
+            w_forward = g.edges(v)[0].get(u, 0.0)
+            ws, wk = decompose_edge(v, u, g)
+            recombined = ws + wk
             assert abs(recombined - w_forward) <= 1e-15 * max(1.0, abs(w_forward))
 
     def test_missing_edge_from_zero(self):
-        view = SymmetricView(builtin_graph("example-2.2"))
-        out, _ = view.edges((0,))
+        g = builtin_graph("example-2.2")
+        out, _ = g.edges((0,))
         assert (1,) not in out  # w(0,1) = 0 means no edge
-        out1, _ = view.edges((1,))
+        out1, _ = g.edges((1,))
         assert out1[(0,)] == 2.0
 
     def test_degree_cap(self):
@@ -79,7 +86,7 @@ class TestSymmetricView:
 
         g = GraphGenerator(adjacency=adjacency, root=(0,), degree_cap=16)
         with pytest.raises(DegreeCapError):
-            SymmetricView(g).edges((0,))
+            g.edges((0,))
 
     def test_edges_pass_the_callback_maps_through(self):
         g = builtin_graph("z2-skew-perturbed")
@@ -89,8 +96,7 @@ class TestSymmetricView:
             reported.append(g.adjacency(v))
             return reported[-1]
 
-        view = SymmetricView(GraphGenerator(adjacency=adjacency, root=g.root))
-        out, inn = view.edges((2, -1))
+        out, inn = GraphGenerator(adjacency=adjacency, root=g.root).edges((2, -1))
         assert out is reported[0][0] and inn is reported[0][1]
 
     def test_self_loop_dropped_before_the_degree_cap(self):
@@ -99,8 +105,7 @@ class TestSymmetricView:
             nbrs = {(n - 1,): 1.0, (n,): 3.0, (n + 1,): 1.0}
             return nbrs, dict(nbrs)
 
-        view = SymmetricView(GraphGenerator(adjacency=adjacency, root=(0,), degree_cap=2))
-        out, inn = view.edges((0,))
+        out, inn = GraphGenerator(adjacency=adjacency, root=(0,), degree_cap=2).edges((0,))
         assert out == inn == {(-1,): 1.0, (1,): 1.0}
 
 
@@ -157,6 +162,20 @@ class TestApplyLaplacian:
         result = apply_laplacian(x, g, part="sym")
         l1 = sum(abs(v) for v in x.values())
         assert abs(sum(result.values())) <= 1e-12 * l1
+
+    @given(finite_graphs(), st.sampled_from(["full", "sym", "skew"]), st.data())
+    def test_matches_truncated_operator(self, g, part, data):
+        b = ball(g, g.root, 3)
+        values = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=len(b),
+                                             max_size=len(b))))
+        result = apply_laplacian(dict(zip(b.vertices, values)), g, part=part)
+        image = TruncatedOperator(b).matrix(part) @ values
+        for i, v in enumerate(b.vertices):
+            # a row is the infinite graph's row when all its neighbours are in
+            # the ball; the two sum in different orders, and at most 16 terms
+            # of size <= 3 * 4 keep the rounding far below 1e-12
+            if (b.nbr[b.indptr[i]:b.indptr[i + 1]] >= 0).all():
+                assert result.get(v, 0.0) == pytest.approx(image[i], rel=1e-12, abs=1e-12)
 
     def test_unknown_part_rejected(self):
         with pytest.raises(ValueError):
@@ -240,24 +259,22 @@ class TestValidateGenerator:
 
 class TestBuiltins:
     def test_z_lattice_degrees(self):
-        view = SymmetricView(builtin_graph("z-lattice", d=2))
-        out, inn = view.edges((3, -1))
+        out, inn = builtin_graph("z-lattice", d=2).edges((3, -1))
         assert len(out) == len(inn) == 4
         assert all(w == 1.0 for w in out.values())
 
     def test_advection_row_zero_out_edges(self):
-        view = SymmetricView(builtin_graph("z2-advection"))
-        out, _ = view.edges((5, 0))
+        out, _ = builtin_graph("z2-advection").edges((5, 0))
         assert out == {(4, 0): 1.0}
 
     def test_skew_perturbed_positive_weights(self):
-        view = SymmetricView(builtin_graph("z2-skew-perturbed", a=0.9))
+        g = builtin_graph("z2-skew-perturbed", a=0.9)
         for v in [(0, 0), (1, 2), (-3, 1)]:
-            out, inn = view.edges(v)
+            out, inn = g.edges(v)
             assert all(w > 0 for w in out.values())
             assert all(w > 0 for w in inn.values())
             for u in out:
-                assert view.w_sym(v, u) == 1.0
+                assert decompose_edge(v, u, g)[0] == 1.0
 
     def test_skew_perturbed_parameter_range(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dirlap
 from dirlap import (StateVector, TruncatedOperator, advection_oracle,
@@ -14,9 +16,10 @@ from dirlap import (StateVector, TruncatedOperator, advection_oracle,
                     trajectory_norms)
 from dirlap import semigroup
 from dirlap.errors import BudgetExceededError, TruncationError
-from dirlap.semigroup import SimConfig
+from dirlap.semigroup import SimConfig, q_norm_fast
 
-from helpers import counted, dense_laplacian, k2_generator, random_support_vector
+from helpers import (counted, dense_laplacian, finite_graphs, k2_generator,
+                     random_support_vector)
 
 INF = math.inf
 
@@ -103,6 +106,21 @@ class TestQSeminorm:
         # two incident line edges, both ordered directions each
         g = builtin_graph("example-2.2")
         assert q_seminorm({(0,): 1.0}, g, [1])[0] == pytest.approx(4.0)
+
+    @given(finite_graphs(), st.integers(min_value=1, max_value=4), st.data())
+    def test_matches_q_norm_fast(self, g, r, data):
+        # a support within radius r - 1 has its symmetric ring inside the
+        # radius-r ball, so both sums see every pair with a nonzero difference
+        b = dirlap.ball(g, g.root, r)
+        inner = int(np.searchsorted(b.distances, r - 1, side="right"))
+        values = np.zeros(len(b))
+        values[:inner] = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=inner,
+                                            max_size=inner))
+        q1, q2, qinf = q_seminorm(StateVector.from_values(b, values), g, [1, 2, INF])
+        pairs = TruncatedOperator(b, parts=("sym",)).sym_pairs()
+        assert qinf == q_norm_fast(values, pairs, INF)
+        assert q1 == pytest.approx(q_norm_fast(values, pairs, 1.0), rel=1e-12)
+        assert q2 == pytest.approx(q_norm_fast(values, pairs, 2.0), rel=1e-12)
 
 
 class TestSkewBound:

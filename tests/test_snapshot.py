@@ -110,7 +110,7 @@ def test_ball_of_a_snapshot(gen, r, extra):
     for radius in range(r + extra + 1):
         assert_same_ball(ball(snap, snap.center, radius), snap.prefix(radius))
     assert reads == []
-    # another center, or a larger radius, is enumerated through the snapshot's view
+    # another center, or a larger radius, is enumerated through the snapshot's generator
     for center in snap.vertices[1:3]:
         assert_same_ball(ball(snap, center, r), ball(gen, center, r))
     assert_same_ball(ball(snap, snap.center, r + extra + 1),
