@@ -41,22 +41,23 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Flag > config file > default, with config values coerced by default type."""
+    """Flag > config file > default; config values are checked like flags.
+
+    A config key outside ``defaults`` is an error.  A config value is
+    converted by the type of the flag that sets its key, else by its
+    default's type, so a file and the equivalent flags give the same spec.
+    """
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
     spec = {}
     for key, default in defaults.items():
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             spec[key] = flag_value
         elif key in config:
-            raw = config[key]
-            if isinstance(default, bool):
-                spec[key] = raw.lower() in ("1", "true", "yes")
-            elif default is None or isinstance(default, str):
-                spec[key] = raw
-            elif isinstance(default, int):
-                spec[key] = int(raw)
-            else:
-                spec[key] = float(raw)
+            convert = args.flag_types.get(key) or (str if default is None else type(default))
+            spec[key] = convert(config[key])
         else:
             spec[key] = default
     return spec
@@ -103,7 +104,7 @@ def _cmd_validate(args, config) -> int:
     spec = _resolve(args, config, defaults)
     gen = _make_graph(spec)
     report = validate_generator(gen, int(spec["radius"]))
-    payload = {"action": "validate", "spec": _embedded_spec(spec), "result": report.to_json_dict()}
+    payload = {"action": "validate", "spec": _embedded_spec(spec), "result": report}
     path = _write_report(spec["out"], "validate.json", payload)
     print(f"validate: {'ok' if report.ok else 'VIOLATIONS'} "
           f"({report.vertices_checked} vertices) -> {path}")
@@ -120,8 +121,7 @@ def _cmd_check_hypotheses(args, config) -> int:
     report = hypotheses.check_hypotheses(
         gen, r_min=int(spec["r_min"]), r_max=int(spec["r_max"]),
         max_shells=shells, shell_tol=float(spec["tol"]), seed=int(spec["seed"]))
-    payload = {"action": "check-hypotheses", "spec": _embedded_spec(spec),
-               "result": report.to_json_dict()}
+    payload = {"action": "check-hypotheses", "spec": _embedded_spec(spec), "result": report}
     path = _write_report(spec["out"], "hypotheses.json", payload)
     failed = report.skew_mass.verdict == "divergent" or report.delta.alpha <= 0
     print(f"check-hypotheses[{gen.name}]: d_fit={report.vg.d_fit:.3f} "
@@ -153,7 +153,7 @@ def _cmd_simulate(args, config) -> int:
         series["Qinf"] = semigroup.trajectory_norms(traj, "q", math.inf)
     reports.write_trajectory_csv(os.path.join(spec["out"], "trajectory.csv"), series)
     payload = {"action": "simulate", "spec": _embedded_spec(spec),
-               "result": {"fit": fit.to_json_dict(),
+               "result": {"fit": fit,
                           "radius": traj.radius,
                           "richardson_diff": traj.richardson_diff,
                           "retries": traj.retries}}
@@ -212,8 +212,8 @@ def _cmd_counterexample(args, config) -> int:
     reports.write_trajectory_csv(os.path.join(spec["out"], "counterexample.csv"),
                                  series)
     payload = {"action": "counterexample", "spec": _embedded_spec(spec), "result": {
-        "skew_mass": skew.to_json_dict(),
-        "fit": fit.to_json_dict(),
+        "skew_mass": skew,
+        "fit": fit,
         "symmetric_prediction": symmetric_prediction,
         "closed_form_errors": closed_form,
         "peak_bounds_hold": peaks_ok,
@@ -261,7 +261,7 @@ def _cmd_oscillate(args, config) -> int:
     reports.write_trajectory_csv(os.path.join(spec["out"], "oscillate.csv"), series)
     payload = {"action": "oscillate", "spec": _embedded_spec(spec), "result": {
         "lock_residual": residual,
-        "deviation_fit": fit.to_json_dict(),
+        "deviation_fit": fit,
         "l1_over_eps_max": l1_ratio,
         "radius": traj.radius,
         "richardson_diff": traj.richardson_diff,
@@ -291,7 +291,7 @@ def _cmd_fit_decay(args, config) -> int:
     if spec["window_lo"] is not None and spec["window_hi"] is not None:
         window = (float(spec["window_lo"]), float(spec["window_hi"]))
     fit = semigroup.fit_power_law(times, values, window=window)
-    payload = {"action": "fit-decay", "spec": _embedded_spec(spec), "result": fit.to_json_dict()}
+    payload = {"action": "fit-decay", "spec": _embedded_spec(spec), "result": fit}
     path = _write_report(spec["out"], "fit.json", payload)
     print(f"fit-decay: exponent {fit.exponent:+.4f} (r2={fit.r_squared:.5f}) "
           f"-> {path}")
@@ -365,6 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schema-version", help="print the report schema tag")
     p.set_defaults(func=_cmd_schema_version)
+
+    # a config value takes the type of the flag that sets its key
+    for p in sub.choices.values():
+        types = {a.dest: a.type for a in p._actions if a.type is not None}
+        if "window_pair" in types:
+            types["window_lo"] = types["window_hi"] = types.pop("window_pair")
+        p.set_defaults(flag_types=types)
     return parser
 
 

@@ -72,6 +72,11 @@ class Ball:
         """Row, i.e. ball index of the reporting vertex, of every snapshot entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def sym_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ordered in-ball index pairs ``(rows, cols)`` with positive symmetric weight."""
+        keep = (self.nbr >= 0) & ((self.w_out + self.w_in) / 2.0 > 0.0)
+        return self.entry_rows()[keep], self.nbr[keep]
+
     def prefix(self, r: int) -> "Ball":
         """The radius-``r`` ball around the same center, cut from this one.
 

@@ -186,27 +186,17 @@ class ValidationReport:
 
     ``violations`` are hard failures of the graph contract; ``notes`` flag
     legal but unusual structure (for instance a negative directed weight
-    whose symmetric average is still positive).
+    whose symmetric average is still positive).  ``ok`` is set from
+    ``violations`` on construction.
     """
 
-    vertices_checked: int = 0
-    violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    vertices_checked: int
+    violations: list[Violation]
+    notes: list[str]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices_checked": self.vertices_checked,
-            "ok": self.ok,
-            "violations": [
-                {"kind": v.kind, "vertices": [list(u) for u in v.vertices], "detail": v.detail}
-                for v in self.violations
-            ],
-            "notes": list(self.notes),
-        }
+    def __post_init__(self):
+        self.ok = not self.violations
 
 
 # validate_generator's BFS raises past this many vertices; read at call time.
@@ -227,7 +217,8 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
     """
     if sample_radius < 1:
         raise ValueError("sample_radius must be >= 1")
-    report = ValidationReport()
+    violations: list[Violation] = []
+    notes: list[str] = []
     cap = gen.degree_cap
     # BFS over the symmetric skeleton, tolerating per-vertex defects.
     dist = {gen.root: 0}
@@ -246,18 +237,18 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
         try:
             out, inn = edges_of(v)
         except Exception as exc:  # generator itself failed
-            report.violations.append(Violation("adjacency-error", (v,), str(exc)))
+            violations.append(Violation("adjacency-error", (v,), str(exc)))
             continue
         if v in out or v in inn:
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "self-loop", (v,), "self-loop reported; edges join distinct vertices"))
         if len(out) > cap or len(inn) > cap:
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "degree-cap", (v,), f"{max(len(out), len(inn))} edges exceeds cap {cap}"))
             continue
         for u, w in list(out.items()) + list(inn.items()):
             if w == 0.0:
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "zero-weight", (v, u), "zero weight reported; absent edges must be omitted"))
         sym_nbrs = []
         for u in set(out) | set(inn):
@@ -266,16 +257,16 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
             wf, wb = out.get(u, 0.0), inn.get(u, 0.0)
             ws = (wf + wb) / 2.0
             if ws < 0.0 or (wf * wb != 0.0 and ws <= 0.0):
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "negative-symmetric", (v, u),
                     f"w(v,v')={wf}, w(v',v)={wb} average to {ws}"))
             elif wf < 0.0 or wb < 0.0:
-                report.notes.append(
+                notes.append(
                     f"negative directed weight on ({v}, {u}) with positive symmetric part")
             if ws > 0.0:
                 sym_nbrs.append(u)
         if not sym_nbrs:
-            report.violations.append(Violation(
+            violations.append(Violation(
                 "isolated-vertex", (v,), "no strictly positive symmetric neighbour"))
         # Cross-check both endpoints of every incident edge.
         for u in set(out) | set(inn):
@@ -284,16 +275,16 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
             try:
                 u_out, u_inn = edges_of(u)
             except Exception as exc:
-                report.violations.append(Violation("adjacency-error", (u,), str(exc)))
+                violations.append(Violation("adjacency-error", (u,), str(exc)))
                 continue
             wf = out.get(u, 0.0)
             if not _weights_agree(wf, u_inn.get(v, 0.0)):
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "weight-consistency", (v, u),
                     f"out-edge weight {wf} vs in-edge report {u_inn.get(v, 0.0)}"))
             wb = inn.get(u, 0.0)
             if not _weights_agree(wb, u_out.get(v, 0.0)):
-                report.violations.append(Violation(
+                violations.append(Violation(
                     "weight-consistency", (u, v),
                     f"in-edge report {wb} vs out-edge weight {u_out.get(v, 0.0)}"))
         if dist[v] < sample_radius:
@@ -305,8 +296,7 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
                     dist[u] = dist[v] + 1
                     order.append(u)
 
-    report.vertices_checked = len(order)
     # BFS reaches exactly the connected component of the root within the
     # sampled radius, so connectivity of the sample holds by construction;
     # disconnection can only manifest as isolated vertices above.
-    return report
+    return ValidationReport(vertices_checked=len(order), violations=violations, notes=notes)

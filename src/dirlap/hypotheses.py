@@ -31,16 +31,7 @@ class VolumeGrowthFit:
     c_vol_high: float
     r_range: tuple[int, int]
     centers: list
-    samples: list  # (center, r, volume)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d_fit": self.d_fit,
-            "c_vol_low": self.c_vol_low,
-            "c_vol_high": self.c_vol_high,
-            "r_range": list(self.r_range),
-            "centers": [list(c) for c in self.centers],
-        }
+    samples: list = field(metadata={"report": False})  # (center, r, volume)
 
 
 @dataclass
@@ -49,13 +40,6 @@ class EllipticityEstimate:
     witness: tuple  # (v, v') attaining the minimum
     vertices_checked: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "witness": [list(v) for v in self.witness],
-            "vertices_checked": self.vertices_checked,
-        }
-
 
 @dataclass
 class PoincareEstimate:
@@ -63,14 +47,6 @@ class PoincareEstimate:
     r: int
     value: float
     double_ball_size: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "r": self.r,
-            "value": self.value,
-            "double_ball_size": self.double_ball_size,
-        }
 
 
 @dataclass
@@ -81,16 +57,6 @@ class SkewMassEstimate:
     tail_slope: float | None
     verdict: str  # convergent | divergent | inconclusive
     last_contributions: list[float] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "w_partial": self.w_partial,
-            "shells_used": self.shells_used,
-            "shells_requested": self.shells_requested,
-            "tail_slope": self.tail_slope,
-            "verdict": self.verdict,
-            "last_contributions": self.last_contributions,
-        }
 
 
 def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int,
@@ -322,18 +288,6 @@ class HypothesisReport:
     max_degree_observed: int
     max_sym_weight_observed: float
     warnings: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph,
-            "vg": self.vg.to_json_dict(),
-            "delta": self.delta.to_json_dict(),
-            "pi": [p.to_json_dict() for p in self.pi],
-            "skew_mass": self.skew_mass.to_json_dict(),
-            "max_degree_observed": self.max_degree_observed,
-            "max_sym_weight_observed": self.max_sym_weight_observed,
-            "warnings": list(self.warnings),
-        }
 
 
 def check_hypotheses(gen, centers: Sequence[Vertex] | None = None,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.sparse
 
 from .errors import BlowUpError
 from .geometry import Ball
@@ -220,6 +219,7 @@ class _EdgeTable:
 
     Rows are ordered pairs (v in ball, v' in support(v)); exterior v' are
     mapped to a sentinel slot holding deviation zero (frozen at the lock).
+    ``rhs`` sums each vertex's pair terms in row order with ``np.bincount``.
     """
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
@@ -246,9 +246,6 @@ class _EdgeTable:
         self.dst = np.array(dst, dtype=np.int64)
         self.dlag = np.array(dlag)
         self.par = np.array(par) if self.separable else None
-        ones = np.ones(len(src))
-        self.scatter = scipy.sparse.csr_matrix(
-            (ones, (self.src, np.arange(len(src)))), shape=(n, len(src)))
         self.offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
         self.coup = coup
 
@@ -260,7 +257,7 @@ class _EdgeTable:
         else:
             vals = np.array([self.coup.h(xi, v, u)
                              for xi, (v, u) in zip(x, self.pairs)])
-        return self.offset + self.scatter.dot(vals)
+        return self.offset + np.bincount(self.src, weights=vals, minlength=len(self.offset))
 
 
 def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
@@ -293,6 +290,6 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
         table = _EdgeTable(sys, cand, b)
         return integrate(lambda t, y: table.rhs(y), y0, ts, rtol=cfg.rtol,
                          atol=cfg.atol, replay=replay,
-                         step_callback=blowup_guard if replay is None else None), None
+                         step_callback=blowup_guard if replay is None else None)
 
     return _truncated_flow(linearize(sys, cand), perturbation, cfg, flow)

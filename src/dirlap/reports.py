@@ -1,5 +1,8 @@
 """Report serialization: versioned JSON and RFC-4180 CSV, written atomically.
 
+Result objects are written field by field: a dataclass becomes the object of
+its fields, except those declared with ``field(metadata={"report": False})``,
+and tuples become lists.  No result type carries its own serializer.
 Reports never embed timestamps or machine identifiers, so a given resolved
 experiment spec produces byte-identical files on every run.
 """
@@ -7,6 +10,7 @@ experiment spec produces byte-identical files on every run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -35,11 +39,22 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _fields(obj) -> dict:
+    """The reported fields of a dataclass instance; ``TypeError`` for anything else."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                if f.metadata.get("report", True)}
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
+
+
 def write_json_report(path: str, payload: dict) -> None:
-    """Write a schema-tagged JSON report (sorted keys, stable float repr)."""
+    """Write a schema-tagged JSON report (sorted keys, stable float repr).
+
+    ``payload`` may hold result dataclasses at any depth; see ``_fields``.
+    """
     doc = {"schema": SCHEMA_VERSION}
     doc.update(payload)
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, default=_fields) + "\n")
 
 
 def read_json_report(path: str) -> dict:

@@ -133,12 +133,6 @@ class TruncatedOperator:
     def dense(self, part: str) -> np.ndarray:
         return self.matrix(part).toarray()
 
-    def sym_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ordered in-ball vertex pairs with positive symmetric weight."""
-        m = self.matrix("sym").tocoo()
-        mask = (m.data > 0) & (m.row != m.col)
-        return m.row[mask], m.col[mask]
-
 
 @dataclass
 class SimConfig:
@@ -197,7 +191,6 @@ class EvolveResult:
 
     samples: list  # (t, StateVector)
     ball: Ball
-    operator: TruncatedOperator
     radius: int
     retries: int
     n_steps: int
@@ -250,9 +243,9 @@ def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
 
     ``flow(b, y0, replay)`` computes the trajectory from ``y0`` on ball ``b``
-    at the sample times and returns ``(IntegrationResult, operator or None)``;
-    ``replay`` is None on the primary ball and the primary run's step sequence
-    on the enlarged one.  The ball is centered on ``x0``'s ball center (the
+    at the sample times and returns its ``IntegrationResult``; ``replay`` is
+    None on the primary ball and the primary run's step sequence on the
+    enlarged one.  The ball is centered on ``x0``'s ball center (the
     graph root for a mapping), its radius planned from the support and the
     light cone.  Each attempt enumerates the ball enlarged by
     ``_TRUNCATION_MARGIN`` hops once and takes the primary ball as its BFS
@@ -268,14 +261,14 @@ def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     while True:
         b2 = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
         b1 = b2.prefix(radius)
-        res1, _ = flow(b1, StateVector.from_dict(b1, data).values, None)
-        res2, op = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
+        res1 = flow(b1, StateVector.from_dict(b1, data).values, None)
+        res2 = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
         diff = 0.0
         for (_, ya), (_, yb) in zip(res1.samples, res2.samples):
             diff = max(diff, float(np.max(np.abs(yb[:len(b1)] - ya))))
         if diff <= 10.0 * cfg.atol:
             samples = [(t, StateVector.from_values(b2, y)) for t, y in res2.samples]
-            return EvolveResult(samples=samples, ball=b2, operator=op, radius=b2.radius,
+            return EvolveResult(samples=samples, ball=b2, radius=b2.radius,
                                 retries=retries, n_steps=res1.n_steps,
                                 richardson_diff=diff)
         if retries >= _MAX_RETRIES:
@@ -298,21 +291,20 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     retries are ``_truncated_flow``'s, the one driver shared with
     ``simulate_nonlinear``: sym runs compare the two radii directly, full
     runs repeat the integration on the enlarged ball with the identical step
-    sequence.  Every run is checked, and the result carries the enlarged
-    ball and its trajectory.
+    sequence.  Only the part that runs is assembled.  Every run is checked,
+    and the result carries the enlarged ball and its trajectory; rebuild an
+    operator from the ball with ``TruncatedOperator(result.ball, parts)``.
     """
     if part not in ("full", "sym"):
         raise ValueError("part must be 'full' or 'sym'")
     ts = cfg.resolved_sample_times()
-    parts = ("full", "sym") if part == "full" else ("sym",)
 
     def flow(b, y0, replay):
-        op = TruncatedOperator(b, parts=parts)
-        a = op.matrix(part)
+        a = TruncatedOperator(b, parts=(part,)).matrix(part)
         if part == "sym":
-            return lanczos_expm(a.dot, y0, ts, atol=cfg.atol), op
+            return lanczos_expm(a.dot, y0, ts, atol=cfg.atol)
         return integrate(lambda t, y: a.dot(y), y0, ts, rtol=cfg.rtol,
-                         atol=cfg.atol, replay=replay), op
+                         atol=cfg.atol, replay=replay)
 
     return _truncated_flow(gen, x0, cfg, flow)
 
@@ -429,17 +421,6 @@ class DecayFit:
     window: tuple[float, float]
     label: str = "norm"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "exponent": self.exponent,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "times": self.times,
-            "norms": self.norms,
-        }
-
 
 def fit_power_law(times: Sequence[float], values: Sequence[float],
                   window: tuple[float, float] | None = None,
@@ -470,22 +451,17 @@ def fit_power_law(times: Sequence[float], values: Sequence[float],
                     r_squared=max(0.0, min(1.0, r2)), window=(lo, hi), label=label)
 
 
-def trajectory_norms(trajectory, kind: str = "p", p: float = math.inf,
-                     pairs=None) -> tuple[list[float], list[float]]:
+def trajectory_norms(trajectory, kind: str = "p",
+                     p: float = math.inf) -> tuple[list[float], list[float]]:
     """Norm values along a trajectory.
 
     ``kind='p'`` gives lp norms; ``kind='q'`` gives the discrete-gradient
-    seminorm over in-ball symmetric pairs (``pairs`` is taken from the
-    trajectory's operator when available).
+    seminorm over the symmetric pairs inside the trajectory's ball.
     """
     if kind not in ("p", "q"):
         raise ValueError("kind must be 'p' or 'q'")
-    if kind == "q" and pairs is None:
-        op = getattr(trajectory, "operator", None)
-        if op is None or "sym" not in getattr(op, "parts", ()):
-            raise ValueError("gradient norms need symmetric pairs; pass pairs= "
-                             "or a trajectory carrying an operator with a sym part")
-        pairs = op.sym_pairs()
+    if kind == "q":
+        pairs = trajectory.ball.sym_pairs()
     times, values = [], []
     for t, state in trajectory:
         times.append(float(t))
@@ -497,9 +473,9 @@ def trajectory_norms(trajectory, kind: str = "p", p: float = math.inf,
 
 
 def fit_decay(trajectory, kind: str = "p", p: float = math.inf,
-              window: tuple[float, float] | None = None, pairs=None) -> DecayFit:
+              window: tuple[float, float] | None = None) -> DecayFit:
     """Fit the decay exponent of a norm along a trajectory."""
-    times, values = trajectory_norms(trajectory, kind=kind, p=p, pairs=pairs)
+    times, values = trajectory_norms(trajectory, kind=kind, p=p)
     prefix = "Q" if kind == "q" else "l"
     suffix = "inf" if math.isinf(p) else f"{p:g}"
     return fit_power_law(times, values, window=window, label=prefix + suffix)

@@ -181,3 +181,44 @@ def test_flags_no_command_reads_are_rejected(tmp_path, command, flag):
     with pytest.raises(SystemExit) as exc:
         run(args)
     assert exc.value.code == 2
+
+
+def test_hypotheses_report_leaves_out_volume_samples(tmp_path):
+    assert run(["check-hypotheses", "--graph", "z-lattice", "--d", "2", "--r-min", "2",
+                "--r-max", "4", "--shells", "5", "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "hypotheses.json").read_text()
+    assert "samples" not in text
+    assert set(json.loads(text)["result"]["vg"]) == {"d_fit", "c_vol_low", "c_vol_high",
+                                                     "r_range", "centers"}
+
+
+def test_unknown_config_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("tol = 5\nbogus = 1\nradius = 2\n")
+    code = run(["validate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "tol" in err
+    assert not (tmp_path / "validate.json").exists()
+
+
+@pytest.mark.parametrize("command, config, flags, report", [
+    ("validate", "graph = z-lattice\nd = 1\nradius = 2\n",
+     ["--graph", "z-lattice", "--d", "1", "--radius", "2"], "validate.json"),
+    ("check-hypotheses", "graph = z2-skew-perturbed\na = 0.5\nshells = 5\nr_min = 2\nr_max = 4\n",
+     ["--graph", "z2-skew-perturbed", "--a", "0.5", "--shells", "5", "--r-min", "2",
+      "--r-max", "4"], "hypotheses.json"),
+    ("simulate", "graph = z-lattice\nd = 1\nt_max = 4\nc_speed = 3\n",
+     ["--graph", "z-lattice", "--d", "1", "--t-max", "4", "--c-speed", "3"], "simulate.json"),
+    ("fit-decay", "window_lo = 5\nwindow_hi = 49\n", ["--window", "5", "49"], "fit.json"),
+], ids=["validate", "check-hypotheses", "simulate", "fit-decay"])
+def test_config_file_matches_flags(tmp_path, command, config, flags, report):
+    data = tmp_path / "norms.csv"
+    data.write_text("\n".join(["t,value"] + [f"{t},{(1 + t) ** -0.5}" for t in range(50)]))
+    extra = ["--csv", str(data)] if command == "fit-decay" else []
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+    assert run([command, "--config", str(cfg), *extra, "--out", str(by_file)]) == 0
+    assert run([command, *flags, *extra, "--out", str(by_flags)]) == 0
+    assert (by_file / report).read_bytes() == (by_flags / report).read_bytes()

@@ -12,6 +12,7 @@ from dirlap import (GraphGenerator, ball, builtin_graph,
                     check_hypotheses, estimate_alpha, estimate_poincare,
                     estimate_skew_mass, fit_volume_growth, generator_from_edges,
                     poincare_quotient)
+from dirlap.reports import read_json_report, write_json_report
 
 from helpers import (counted, finite_graphs, k2_generator, l1_ball_count, ols_loglog,
                      sym_neighbors)
@@ -259,9 +260,11 @@ class TestCheckHypotheses:
         assert any("d =" in w and "< 2" in w for w in report.warnings)
         assert report.max_degree_observed == 2
 
-    def test_json_shape(self):
+    def test_json_shape(self, tmp_path):
         report = check_hypotheses(builtin_graph("example-2.2"), max_shells=100)
-        doc = report.to_json_dict()
+        path = str(tmp_path / "hypotheses.json")
+        write_json_report(path, {"result": report})
+        doc = read_json_report(path)["result"]
         assert set(doc) == {"graph", "vg", "delta", "pi", "skew_mass",
                             "max_degree_observed", "max_sym_weight_observed",
                             "warnings"}

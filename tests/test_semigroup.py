@@ -117,7 +117,7 @@ class TestQSeminorm:
         values[:inner] = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=inner,
                                             max_size=inner))
         q1, q2, qinf = q_seminorm(StateVector.from_values(b, values), g, [1, 2, INF])
-        pairs = TruncatedOperator(b, parts=("sym",)).sym_pairs()
+        pairs = b.sym_pairs()
         assert qinf == q_norm_fast(values, pairs, INF)
         assert q1 == pytest.approx(q_norm_fast(values, pairs, 1.0), rel=1e-12)
         assert q2 == pytest.approx(q_norm_fast(values, pairs, 2.0), rel=1e-12)
@@ -217,13 +217,22 @@ class TestTruncatedOperator:
     def test_sym_pairs_cover_skeleton(self):
         g = builtin_graph("z-lattice", d=2)
         b = dirlap.ball(g, (0, 0), 3)
-        rows, cols = TruncatedOperator(b).sym_pairs()
+        rows, cols = b.sym_pairs()
         expected = {(b.index[v], b.index[u])
                     for v in b.vertices for u in b.vertices
                     if abs(v[0] - u[0]) + abs(v[1] - u[1]) == 1}
         pairs = set(zip(rows.tolist(), cols.tolist()))
         assert pairs == expected
         assert all((j, i) in pairs for i, j in pairs)
+
+    @given(finite_graphs(), st.integers(min_value=0, max_value=4))
+    def test_sym_pairs_match_operator(self, g, r):
+        b = dirlap.ball(g, g.root, r)
+        m = TruncatedOperator(b, ("sym",)).matrix("sym").tocoo()
+        off = (m.data > 0) & (m.row != m.col)
+        rows, cols = b.sym_pairs()
+        assert sorted(zip(rows.tolist(), cols.tolist())) == \
+            sorted(zip(m.row[off].tolist(), m.col[off].tolist()))
 
 
 class TestDenseExpm:
@@ -261,7 +270,7 @@ class TestEvolve:
         g = builtin_graph(name, d=1) if name == "z-lattice" else builtin_graph(name)
         cfg = small_cfg(8.0, [1.0, 4.0, 8.0], c_speed=10.0)
         res = evolve(g, {g.root: 1.0}, cfg, part="sym")
-        a = res.operator.dense("sym")
+        a = TruncatedOperator(res.ball, ("sym",)).dense("sym")
         y0 = StateVector.indicator(res.ball, g.root).values
         for t, s in res:
             exact = dense_expm(a * t) @ y0

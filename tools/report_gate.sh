@@ -1,0 +1,41 @@
+#!/bin/sh
+# Write the reports that a no-output-change commit must leave byte-identical.
+#
+#   tools/report_gate.sh SRC OUT
+#
+# SRC is a checkout's src/ directory and OUT a fresh output root.  Each run
+# goes through `python -m dirlap.cli` with PYTHONPATH=SRC, so two checkouts
+# can be compared without installing either; each run's exit code is written
+# to OUT/<run>/exit_code.  Compare two checkouts with
+#
+#   tools/report_gate.sh parent/src /tmp/gate-a
+#   tools/report_gate.sh src /tmp/gate-b
+#   diff -r /tmp/gate-a /tmp/gate-b
+set -u
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 1
+fi
+SRC=$1
+OUT=$2
+export OPENBLAS_NUM_THREADS=1
+export PYTHONPATH="$SRC"
+
+run() {
+    name=$1
+    shift
+    mkdir -p "$OUT/$name"
+    python -m dirlap.cli "$@" --out "$OUT/$name" > /dev/null
+    echo $? > "$OUT/$name/exit_code"
+}
+
+run ch-ex22 check-hypotheses --graph example-2.2
+run ch-adv check-hypotheses --graph z2-advection --shells 40
+run ch-skew check-hypotheses --graph z2-skew-perturbed
+run ch-lat check-hypotheses --graph z-lattice --d 2
+run sim-lat simulate --graph z-lattice --d 2 --part sym --t-max 20
+run sim-skew simulate --graph z2-skew-perturbed --t-max 20
+run osc oscillate --t-max 10
+run cex counterexample --t-max 20
+run val-ex22 validate --graph example-2.2
+run val-skew validate --graph z2-skew-perturbed
