@@ -287,9 +287,11 @@ def _cmd_fit_decay(args, config) -> int:
                 continue
             times.append(float(row[0]))
             values.append(float(row[-1]))
-    window = None
-    if spec["window_lo"] is not None and spec["window_hi"] is not None:
-        window = (float(spec["window_lo"]), float(spec["window_hi"]))
+    bounds = [spec["window_lo"], spec["window_hi"]]
+    if bounds.count(None) == 1:
+        missing = "window_hi" if bounds[1] is None else "window_lo"
+        raise ValueError(f"fit-decay: {missing} is missing; set both window bounds or neither")
+    window = None if bounds[0] is None else (float(bounds[0]), float(bounds[1]))
     fit = semigroup.fit_power_law(times, values, window=window)
     payload = {"action": "fit-decay", "spec": _embedded_spec(spec), "result": fit}
     path = _write_report(spec["out"], "fit.json", payload)

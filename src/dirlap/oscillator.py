@@ -12,7 +12,9 @@ phase differences, which plugs straight into the heat-flow machinery.
 
 Nonlinear stability experiments integrate the full lattice on a truncated
 ball in the co-rotating frame, freezing the exterior at the locked motion,
-and return the deviation from the locked state over time.
+and return the deviation from the locked state over time.  For the sine
+coupling the right-hand side is evaluated in harmonic form, two sparse
+matvecs and one sin and cos per vertex (Strogatz 2000, Physica D 143:1).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
+import scipy.sparse
 
 from .errors import BlowUpError
 from .geometry import Ball
@@ -37,22 +40,20 @@ _BLOWUP_THRESHOLD = math.pi / 2
 
 @dataclass(frozen=True)
 class SeparableCoupling:
-    """Interaction of the form ``H(x, v, v') = weight(v, v') * shape(x)``.
+    """The sine interaction ``H(x, v, v') = weight(v, v') * sin(x)``.
 
-    ``shape`` and ``dshape`` must accept numpy arrays; this is what lets the
-    nonlinear right-hand side evaluate every edge in one vectorized call.
+    Its separable form lets the nonlinear right-hand side expand
+    ``sin(psi_u - psi_v)`` into two sparse matvecs (see ``_EdgeTable``).
     """
 
-    shape: Callable
-    dshape: Callable
     weight: Callable[[Vertex, Vertex], float]
     support: Callable[[Vertex], Iterable[Vertex]]
 
     def h(self, x: float, v: Vertex, v2: Vertex) -> float:
-        return self.weight(v, v2) * float(self.shape(x))
+        return self.weight(v, v2) * float(np.sin(x))
 
     def dh(self, x: float, v: Vertex, v2: Vertex) -> float:
-        return self.weight(v, v2) * float(self.dshape(x))
+        return self.weight(v, v2) * float(np.cos(x))
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,7 @@ class GenericCoupling:
 def sin_coupling(weight: Callable[[Vertex, Vertex], float],
                  support: Callable[[Vertex], Iterable[Vertex]]) -> SeparableCoupling:
     """The classic sine interaction with per-pair coupling strengths."""
-    return SeparableCoupling(shape=np.sin, dshape=np.cos, weight=weight,
-                             support=support)
+    return SeparableCoupling(weight=weight, support=support)
 
 
 COUPLING_READ_MEMO = 100_000  # vertices whose adjacency coupling_from_graph keeps
@@ -215,48 +215,46 @@ def split_coupling_matrix(weight: Callable[[Vertex, Vertex], float]
 
 
 class _EdgeTable:
-    """Per-edge arrays for the truncated lattice right-hand side.
+    """The truncated lattice right-hand side, in the deviation phi.
 
-    Rows are ordered pairs (v in ball, v' in support(v)); exterior v' are
-    mapped to a sentinel slot holding deviation zero (frozen at the lock).
-    ``rhs`` sums each vertex's pair terms in row order with ``np.bincount``.
+    Exterior neighbours stay frozen at the lock (deviation zero).  For the
+    sine coupling, with ``psi = phi + lag`` and ``K`` the in-ball coupling
+    weights, ``sin(psi_u - psi_v) = sin psi_u cos psi_v - cos psi_u sin psi_v``
+    gives ``offset + cos psi * (K sin psi + s_ext) - sin psi * (K cos psi +
+    c_ext)``: two sparse matvecs, where ``s_ext`` and ``c_ext`` sum
+    ``K_vu sin(lag_u)`` and ``K_vu cos(lag_u)`` over exterior u.  A
+    ``GenericCoupling`` calls ``h`` once per ordered pair (v in ball,
+    v' in support(v)) and sums each vertex's terms with ``np.bincount``.
     """
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
-        coup = sys.coupling
-        lag = cand.lags
-        n = len(b)
-        src: list[int] = []
-        dst: list[int] = []
-        dlag: list[float] = []
-        par: list[float] = []
-        self.separable = isinstance(coup, SeparableCoupling)
-        self.pairs: list[tuple[Vertex, Vertex]] = []  # read by the generic path only
-        for i, v in enumerate(b.vertices):
-            for u in coup.support(v):
-                j = b.index.get(u, n)  # sentinel n = frozen exterior
-                src.append(i)
-                dst.append(j)
-                dlag.append(lag(u) - lag(v))
-                if self.separable:
-                    par.append(coup.weight(v, u))
-                else:
-                    self.pairs.append((v, u))
-        self.src = np.array(src, dtype=np.int64)
-        self.dst = np.array(dst, dtype=np.int64)
-        self.dlag = np.array(dlag)
-        self.par = np.array(par) if self.separable else None
+        self.coup, n = sys.coupling, len(b)
         self.offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
-        self.coup = coup
+        self.lag = np.array([cand.lags(v) for v in b.vertices])
+        nbrs = [list(self.coup.support(v)) for v in b.vertices]
+        self.src = np.repeat(np.arange(n, dtype=np.int64), [len(us) for us in nbrs])
+        self.dst = np.array([b.index.get(u, n) for us in nbrs for u in us])  # n: exterior
+        lag_u = np.array([cand.lags(u) for us in nbrs for u in us])
+        if isinstance(self.coup, SeparableCoupling):
+            k = np.array([self.coup.weight(v, u) for v, us in zip(b.vertices, nbrs) for u in us])
+            inner, ext = self.dst < n, self.dst == n
+            self.k = scipy.sparse.csr_matrix(
+                (k[inner], (self.src[inner], self.dst[inner])), shape=(n, n))
+            self.s_ext = np.bincount(self.src[ext], k[ext] * np.sin(lag_u[ext]), n)
+            self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
+        else:
+            self.pairs = [(v, u) for v, us in zip(b.vertices, nbrs) for u in us]
+            self.dlag = lag_u - self.lag[self.src]
 
     def rhs(self, phi: np.ndarray) -> np.ndarray:
+        if isinstance(self.coup, SeparableCoupling):
+            psi = phi + self.lag
+            s, c = np.sin(psi), np.cos(psi)
+            return (self.offset + c * (self.k @ s + self.s_ext)
+                    - s * (self.k @ c + self.c_ext))
         padded = np.append(phi, 0.0)
         x = self.dlag + padded[self.dst] - padded[self.src]
-        if self.separable:
-            vals = self.par * self.coup.shape(x)
-        else:
-            vals = np.array([self.coup.h(xi, v, u)
-                             for xi, (v, u) in zip(x, self.pairs)])
+        vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x, self.pairs)])
         return self.offset + np.bincount(self.src, weights=vals, minlength=len(self.offset))
 
 

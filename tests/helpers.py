@@ -109,3 +109,26 @@ def finite_graphs(draw):
     root = (draw(st.integers(min_value=0, max_value=n - 1)),)
     edges = {((a,), (b,)): w for (a, b), w in zip(chosen, ws)}
     return generator_from_edges(edges, root=root)
+
+
+def pairwise_sine_rhs(sys, cand, b, phi) -> np.ndarray:
+    """The sine lattice right-hand side summed pair by pair.
+
+    For every ordered pair (v in ``b``, u in support(v)) it adds
+    ``weight(v, u) * sin(lag_u - lag_v + phi_u - phi_v)``, with ``phi_u = 0``
+    for an exterior ``u`` (frozen at the lock); per-vertex sums run in pair
+    order.  The oracle for the harmonic form in ``oscillator._EdgeTable``.
+    """
+    coup, lag = sys.coupling, cand.lags
+    n = len(b)
+    src, dst, dlag, par = [], [], [], []
+    for i, v in enumerate(b.vertices):
+        for u in coup.support(v):
+            src.append(i)
+            dst.append(b.index.get(u, n))
+            dlag.append(lag(u) - lag(v))
+            par.append(coup.weight(v, u))
+    padded = np.append(phi, 0.0)
+    x = np.array(dlag) + padded[dst] - padded[src]
+    offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
+    return offset + np.bincount(src, weights=np.array(par) * np.sin(x), minlength=n)

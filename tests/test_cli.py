@@ -114,6 +114,21 @@ def test_fit_decay_roundtrip(tmp_path):
     assert abs(doc["result"]["exponent"] + 0.75) <= 1e-9
 
 
+@pytest.mark.parametrize("given, missing", [("window_lo = 5", "window_hi"),
+                                            ("window_hi = 49", "window_lo")],
+                         ids=["lo-only", "hi-only"])
+def test_fit_decay_one_window_bound_is_an_error(tmp_path, capsys, given, missing):
+    data = tmp_path / "norms.csv"
+    data.write_text("\n".join(["t,value"] + [f"{t},{(1 + t) ** -0.5}" for t in range(50)]))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(given + "\n")
+    code = run(["fit-decay", "--config", str(cfg), "--csv", str(data),
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert missing in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("graph = z2-advection\nshells = 40\nr_min = 4\nr_max = 12\n")

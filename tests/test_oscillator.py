@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dirlap
 from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
@@ -12,9 +15,11 @@ from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
                     verify_phase_lock)
 from dirlap import oscillator
 from dirlap.errors import BlowUpError, TruncationError
+from dirlap.geometry import ball
 from dirlap.oscillator import (GenericCoupling, check_coupling_gradient,
                                coupling_from_graph)
 from dirlap.semigroup import SimConfig, trajectory_norms
+from helpers import pairwise_sine_rhs
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):
@@ -190,24 +195,55 @@ class TestSimulateNonlinear:
         for (_, sa), (_, sb) in zip(dev_a, dev_b):
             assert np.abs(sa.values - sb.values).max() <= 10 * cfg.atol
 
-    def test_generic_coupling_slow_path_matches_separable(self):
-        g = builtin_graph("z-lattice", d=1)
-        weight, support = coupling_from_graph(g)
-        fast = sin_coupling(weight, support)
+    @staticmethod
+    def assert_generic_matches_separable(sys_, cand, perturbation, t_max):
+        weight, support = sys_.coupling.weight, sys_.coupling.support
         slow = GenericCoupling(
             h=lambda x, v, u: weight(v, u) * math.sin(x),
             dh=lambda x, v, u: weight(v, u) * math.cos(x),
             support=support)
-        cfg = SimConfig(t_max=2.0, sample_times=[1.0, 2.0], rtol=1e-10,
+        cfg = SimConfig(t_max=t_max, sample_times=[t_max / 2, t_max], rtol=1e-10,
                         atol=1e-12, c_speed=3.0)
-        cand = PhaseLockCandidate(velocity=0.0, lags=lambda v: 0.0)
-        devs = []
-        for coup in (fast, slow):
-            sys_ = OscillatorSystem(omega=lambda v: 0.0, coupling=coup,
-                                    root=(0,))
-            devs.append(simulate_nonlinear(sys_, cand, {(0,): 0.05}, cfg))
+        devs = [simulate_nonlinear(OscillatorSystem(
+                    omega=sys_.omega, coupling=coup, root=sys_.root),
+                    cand, perturbation, cfg)
+                for coup in (sys_.coupling, slow)]
         for (_, sa), (_, sb) in zip(devs[0], devs[1]):
             assert np.abs(sa.values - sb.values).max() <= 1e-12
+
+    def test_generic_coupling_slow_path_matches_separable(self):
+        sys_, _ = uniform_sin_system(d=1, omega=0.0)
+        cand = PhaseLockCandidate(velocity=0.0, lags=lambda v: 0.0)
+        self.assert_generic_matches_separable(sys_, cand, {(0,): 0.05}, 2.0)
+
+    def test_generic_coupling_matches_separable_with_nonuniform_lags(self):
+        # the zero lags above give sin(lag) = 0 at every frozen exterior
+        # neighbour; the planted lags do not
+        sys_, cand = planted_system()
+        self.assert_generic_matches_separable(sys_, cand, {(0, 0): 0.05}, 1.0)
+
+
+_SKEW_PLANE = builtin_graph("z2-skew-perturbed", a=0.5)
+_RHS_BALL = ball(_SKEW_PLANE, (0, 0), 3)  # 25 vertices, 16 exterior neighbours
+_RHS_REACH = ball(_SKEW_PLANE, (0, 0), 4)
+
+
+@given(arrays(float, len(_RHS_REACH), elements=st.floats(0.1, 3.0)),
+       arrays(float, len(_RHS_BALL), elements=st.floats(-0.5, 0.5)))
+def test_harmonic_rhs_matches_pairwise_sum(lags, phi):
+    # lags in [0.1, 3] keep sin(lag) > 0 at the exterior neighbours, so the
+    # frozen-exterior row constants s_ext and c_ext are both nonzero
+    weight, support = coupling_from_graph(_SKEW_PLANE)
+    sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0] - 0.1 * v[1],
+                            coupling=sin_coupling(weight, support), root=(0, 0))
+    cand = PhaseLockCandidate(velocity=0.2,
+                              lags=dict(zip(_RHS_REACH.vertices, lags)).__getitem__)
+    table = oscillator._EdgeTable(sys_, cand, _RHS_BALL)
+    assert np.count_nonzero(table.s_ext) == np.count_nonzero(table.c_ext) > 0
+    scale = np.array([sum(abs(weight(v, u)) for u in support(v))
+                      for v in _RHS_BALL.vertices])
+    err = np.abs(table.rhs(phi) - pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi))
+    assert np.all(err <= 1e-14 * scale)
 
 
 class TestNonlinearTruncation:
