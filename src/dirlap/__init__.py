@@ -14,15 +14,14 @@ from .errors import (BlowUpError, BudgetExceededError, DegreeCapError,
                      SingularFormError, StepSizeError, TruncationError)
 from .geometry import Ball, ball, distance, shells, volume
 from .graph import (GraphGenerator, ValidationReport, Vertex, apply_laplacian,
-                    decompose_edge, generator_from_edges, validate_generator)
+                    generator_from_edges, validate_generator)
 from .hypotheses import (HypothesisReport, check_hypotheses, estimate_alpha,
                          estimate_poincare, estimate_skew_mass,
-                         fit_volume_growth, poincare_quotient)
+                         fit_volume_growth)
 from .oscillator import (GenericCoupling, OscillatorSystem,
                          PhaseLockCandidate, SeparableCoupling,
                          coupling_from_graph, linearize, simulate_nonlinear,
-                         sin_coupling, split_coupling_matrix,
-                         verify_phase_lock)
+                         sin_coupling, verify_phase_lock)
 from .reports import report_schema_version
 from .semigroup import (DecayFit, EvolveResult, SimConfig, StateVector,
                         TruncatedOperator, advection_oracle, advection_peak,

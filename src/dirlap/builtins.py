@@ -25,19 +25,36 @@ Families
     lower endpoint is ``b``, the forward weight is ``1 - a/(1+|b|^2)^2`` and
     the reverse ``1 + a/(1+|b|^2)^2``.  The symmetric weights are exactly 1,
     and the bias decays fast enough for the total skew mass to converge.
+
+Each family also has a ``batch_adjacency`` that computes the same weights
+with the same floating-point operations for a whole array of vertices, so a
+walk gives the same snapshot whether it reads a vertex alone or in a batch.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .graph import GraphGenerator, Vertex
 
 _REGISTRY: dict[str, Callable[..., GraphGenerator]] = {}
 
+# the plane's four neighbour steps in ascending order of the neighbour
+_PLANE_STEPS = np.array([(-1, 0), (0, -1), (0, 1), (1, 0)], dtype=np.int64)
+
 
 def register_graph(name: str, factory: Callable[..., GraphGenerator]) -> None:
-    """Register a custom family under ``name`` for config-driven loading."""
+    """Register a custom family under ``name`` for config-driven loading.
+
+    The factory returns a ``GraphGenerator``.  Its snapshot rows list each
+    vertex's neighbours in ascending order whatever order the callback's maps
+    have.  A factory may set ``batch_adjacency`` as well (see
+    ``GraphGenerator``); a copy made with ``dataclasses.replace(gen,
+    adjacency=...)`` must replace ``batch_adjacency`` too, unless both
+    callbacks still compute the same function.
+    """
     _REGISTRY[name] = factory
 
 
@@ -77,7 +94,16 @@ def _example22() -> GraphGenerator:
             inn[(n - 1,)] = wb
         return out, inn
 
-    return GraphGenerator(adjacency=adjacency, root=(0,), name="example-2.2")
+    def batch(coords):
+        n = coords[:, 0]
+        # slots (n-1,) and (n+1,); forward(n) is 0.0 at n == 0, so one weight of a slot may be 0
+        nbrs = np.stack([coords - 1, coords + 1], axis=1)
+        w_out = np.stack([backward(n - 1), forward(n)], axis=1)
+        w_in = np.stack([forward(n - 1), backward(n)], axis=1)
+        return nbrs, w_out, w_in
+
+    return GraphGenerator(adjacency=adjacency, root=(0,), name="example-2.2",
+                          batch_adjacency=batch)
 
 
 def _z_lattice(d: int = 2) -> GraphGenerator:
@@ -94,7 +120,15 @@ def _z_lattice(d: int = 2) -> GraphGenerator:
                 nbrs[tuple(u)] = 1.0
         return dict(nbrs), dict(nbrs)
 
-    return GraphGenerator(adjacency=adjacency, root=(0,) * d, name=f"z-lattice({d})")
+    # v - e_0 < v - e_1 < ... < v - e_{d-1} < v + e_{d-1} < ... < v + e_0
+    steps = np.concatenate([-np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)[::-1]])
+
+    def batch(coords):
+        ones = np.ones((len(coords), 2 * d))
+        return coords[:, None, :] + steps, ones, ones
+
+    return GraphGenerator(adjacency=adjacency, root=(0,) * d, name=f"z-lattice({d})",
+                          batch_adjacency=batch)
 
 
 def _z2_advection() -> GraphGenerator:
@@ -116,7 +150,16 @@ def _z2_advection() -> GraphGenerator:
             inn[(i, j - 1)] = 1.0
         return out, inn
 
-    return GraphGenerator(adjacency=adjacency, root=(0, 0), name="z2-advection")
+    def batch(coords):
+        # slots (i-1, j), (i, j-1), (i, j+1), (i+1, j)
+        j = coords[:, 1]
+        one, zero = np.ones(len(coords)), np.zeros(len(coords))
+        w_out = np.stack([one, (j >= 1) * 1.0, (j <= -1) * 1.0, zero], axis=1)
+        w_in = np.stack([zero, (j <= 0) * 1.0, (j >= 0) * 1.0, one], axis=1)
+        return coords[:, None, :] + _PLANE_STEPS, w_out, w_in
+
+    return GraphGenerator(adjacency=adjacency, root=(0, 0), name="z2-advection",
+                          batch_adjacency=batch)
 
 
 def _z2_skew_perturbed(a: float = 0.5) -> GraphGenerator:
@@ -128,6 +171,11 @@ def _z2_skew_perturbed(a: float = 0.5) -> GraphGenerator:
     def bias(b: Vertex) -> float:
         # bias attached to the edge whose lower endpoint is b
         r2 = 1.0 + float(b[0] * b[0] + b[1] * b[1])
+        return a / (r2 * r2)
+
+    def batch_bias(b):
+        # bias of the array's rows, with bias's operations
+        r2 = 1.0 + (b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1]).astype(float)
         return a / (r2 * r2)
 
     def adjacency(v: Vertex):
@@ -146,8 +194,17 @@ def _z2_skew_perturbed(a: float = 0.5) -> GraphGenerator:
             inn[u] = 1.0 - d_low
         return out, inn
 
+    def batch(coords):
+        # slots (i-1, j) and (i, j-1) carry their own bias, (i, j+1) and (i+1, j) the vertex's
+        nbrs = coords[:, None, :] + _PLANE_STEPS
+        low = batch_bias(nbrs[:, :2])
+        here = np.repeat(batch_bias(coords)[:, None], 2, axis=1)
+        w_out = np.concatenate([1.0 + low, 1.0 - here], axis=1)
+        w_in = np.concatenate([1.0 - low, 1.0 + here], axis=1)
+        return nbrs, w_out, w_in
+
     return GraphGenerator(adjacency=adjacency, root=(0, 0),
-                          name=f"z2-skew-perturbed({a})")
+                          name=f"z2-skew-perturbed({a})", batch_adjacency=batch)
 
 
 register_graph("example-2.2", _example22)

@@ -6,13 +6,16 @@ weight.  ``ball``, ``shells`` and the skew-mass scan all walk it with one
 breadth-first walk, ``_walk``, which owns the shell rule and the budget
 rule.  Sorted adjacency makes the vertex order deterministic and gives the
 nesting property that the vertex list of ``ball(v, r)`` is a prefix of the
-vertex list of ``ball(v, r+1)``.
+vertex list of ``ball(v, r+1)``.  The walk reads a large shell in one
+``batch_adjacency`` call when the generator has one, and a small shell
+vertex by vertex; both steps give the same shells and the same rows.
 
 A ball is also a snapshot of the directed weights on it.  Enumeration reads
-each vertex's ``(out, inn)`` maps exactly once, derives the vertex measure
-from that read, and keeps every reported weight in CSR arrays: one row per
-ball vertex, one entry per neighbour, holding the neighbour's ball index or
--1 when it lies outside.  Laplacian parts are assembled from these arrays
+each vertex's weights exactly once, derives the vertex measure from that
+read, and keeps every reported weight in CSR arrays: one row per ball
+vertex, one entry per neighbour in ascending neighbour order (not the order
+of the callback's maps), holding the neighbour's ball index or -1 when it
+lies outside.  Laplacian parts are assembled from these arrays
 alone, and ``Ball.prefix(r)`` cuts the radius-``r`` ball out of a larger one
 without further adjacency calls, as ``ball`` does when handed a snapshot.
 Truncated simulations therefore enumerate once per attempt: the enlarged ball
@@ -21,15 +24,14 @@ of their truncation check, with the primary ball taken as its BFS prefix.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceededError, InconsistentAdjacencyError
-from .graph import GraphGenerator, Vertex, _weights_agree
+from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
+from .graph import GraphGenerator, Vertex, _keys, _weights_agree
 
 DEFAULT_BALL_BUDGET = 1_000_000
 
@@ -134,11 +136,12 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
     """Enumerate the radius-``r`` ball of the symmetric skeleton around ``center``.
 
     The ball is shells 0..r of ``_walk``, which reads every ball vertex once
-    and raises ``BudgetExceededError`` under its budget rule.  Raises
-    ``InconsistentAdjacencyError`` when two ball vertices report different
-    weights for the edges between them.  ``gen`` may be a ``Ball``: the balls
-    it contains are cut from it as prefixes, and any other is enumerated
-    through the generator it was read from.
+    and raises ``BudgetExceededError`` under its budget rule; the snapshot is
+    the walk's rows, shell after shell.  Raises ``InconsistentAdjacencyError``
+    when two ball vertices report different weights for the edges between
+    them.  ``gen`` may be a ``Ball``: the balls it contains are cut from it as
+    prefixes, and any other is enumerated through the generator it was read
+    from.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -148,51 +151,81 @@ def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball
         gen = gen.source
     order = []
     index = {}
-    distances = []
-    indptr = [0]
-    nbr = []  # one index array per shell, resolved once the next shell is found
-    keys = []  # neighbour keys of the shell read last
-    late = []  # (entry, key) of neighbours outside the ball when resolved
-    w_out = []
-    w_in = []
-    zeros = repeat(0.0)
+    sizes = []
+    counts, w_out, w_in = [], [], []  # one chunk per shell
+    shell_keys = []  # the batch step's keys of each shell's vertices, or None
+    nbr = []  # one index array per shell; a batch shell's is resolved at the end
+    keyed = []  # (shell, neighbour keys) of the batch shells
+    pending = []  # neighbour vertices of the shell read last, if read vertex by vertex
+    late = []  # (entry, vertex) of neighbours outside the ball when resolved
+    entries = 0
 
     def resolve():
         # every skeleton neighbour of the shell read last is indexed by now;
         # a neighbour of no symmetric weight may still be found later
-        got = np.fromiter(map(index.get, keys, repeat(-1)), np.int64, len(keys))
-        start = len(w_out) - len(keys)
-        late.extend((start + int(i), keys[i]) for i in np.flatnonzero(got < 0))
-        nbr.append(got)
-        keys.clear()
+        got = np.fromiter(map(index.get, pending, repeat(-1)), np.int64, len(pending))
+        start = entries - len(pending)
+        late.extend((start + int(i), pending[i]) for i in np.flatnonzero(got < 0))
+        nbr[-1] = got
+        pending.clear()
 
-    for d, shell, reads in _walk(gen, center, r, budget):
+    for _, shell, read in _walk(gen, center, r, budget):
         index.update(zip(shell, range(len(order), len(order) + len(shell))))
         order += shell
-        distances += repeat(d, len(shell))
+        sizes.append(len(shell))
+        if pending:
+            resolve()
+        rows = read()
+        counts.append(rows.counts)
+        w_out.append(rows.w_out)
+        w_in.append(rows.w_in)
+        shell_keys.append(rows.keys)
+        entries += len(rows.nbr)
+        nbr.append(np.empty(0, np.int64))
+        if rows.keys is None:
+            pending += rows.nbr
+        else:
+            keyed.append((len(nbr) - 1, rows.nbr))
+    if pending:
         resolve()
-        for out, inn, nb in reads:
-            keys += nb
-            w_out += map(out.get, nb, zeros)
-            w_in += map(inn.get, nb, zeros)
-            indptr.append(len(w_out))
-    resolve()
+    if keyed:
+        _resolve_keys(nbr, keyed, shell_keys, order, sizes)
+    del keyed, shell_keys  # the key chunks go before the arrays are joined: a lower peak
     nbr = np.concatenate(nbr)
-    for k, key in late:
-        nbr[k] = index.get(key, -1)
+    for k, v in late:
+        nbr[k] = index.get(v, -1)
 
-    indptr = np.array(indptr, dtype=np.int64)
-    w_out, w_in = np.array(w_out, dtype=float), np.array(w_in, dtype=float)
+    indptr = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(_flat(counts, np.int64), out=indptr[1:])
+    w_out = _flat(w_out, float)
+    w_in = _flat(w_in, float)
     ws = (w_out + w_in) / 2.0
     # bincount adds in entry order, i.e. in the order the neighbours were read;
     # 0.0 + keeps measures float when there are no entries (bincount gives int)
     measures = 0.0 + np.bincount(np.repeat(np.arange(len(order)), np.diff(indptr)),
                                  weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
     b = Ball(center=center, radius=r, vertices=order, index=index,
-             distances=np.array(distances, dtype=np.int64), measures=measures,
-             indptr=indptr, nbr=nbr, w_out=w_out, w_in=w_in, source=gen)
+             distances=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+             measures=measures, indptr=indptr, nbr=nbr, w_out=w_out, w_in=w_in, source=gen)
     _check_consistency(b)
     return b
+
+
+def _flat(chunks: list, dtype) -> np.ndarray:
+    """One array from per-shell lists or arrays."""
+    return np.concatenate([np.asarray(c, dtype=dtype) for c in chunks])
+
+
+def _resolve_keys(nbr: list, keyed: list, shell_keys: list, order: list, sizes: list) -> None:
+    """Ball indices of the batch shells' neighbour keys, -1 outside the ball."""
+    ends = np.cumsum(sizes)
+    keys = np.concatenate([k if k is not None else _shell_keys(order[e - n:e])
+                           for k, n, e in zip(shell_keys, sizes, ends)])
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    for s, nk in keyed:
+        at = np.minimum(np.searchsorted(sorted_keys, nk), len(keys) - 1)
+        nbr[s] = np.where(sorted_keys[at] == nk, by_key[at], -1)
 
 
 def volume(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> float:
@@ -223,45 +256,111 @@ def shells(gen, root: Vertex, max_shells: int,
         yield k, shell
 
 
+#: Shells with fewer vertices are read vertex by vertex even when the generator
+#: has a batch callback: below it one batch call costs more than the
+#: single-vertex reads it replaces.  Read at call time.
+_BATCH_MIN_SHELL = 16
+
+class _Rows(NamedTuple):
+    """One read shell: CSR rows in shell order, each in ascending neighbour order.
+
+    Row ``i`` has ``counts[i]`` entries, holding the neighbour (``nbr``),
+    ``w(v, v')`` (``w_out``) and ``w(v', v)`` (``w_in``).  The vertex-by-vertex
+    step gives lists, with neighbours as vertices and ``keys`` None; the batch
+    step gives arrays, with neighbours as int64 keys and ``keys`` the keys of
+    the shell's vertices (see ``graph._keys``).
+    """
+
+    counts: list | np.ndarray
+    nbr: list | np.ndarray
+    w_out: list | np.ndarray
+    w_in: list | np.ndarray
+    keys: np.ndarray | None
+
+
 def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int):
-    """Breadth-first walk of the symmetric skeleton: ``(k, shell, reads)``.
+    """Breadth-first walk of the symmetric skeleton: ``(k, shell, read)``.
 
     Shell k+1 is shell k's new neighbours of positive symmetric weight, in
-    shell order with each vertex's new neighbours sorted; the first find
-    wins.  Each shell is yielded before it is read.  ``reads`` reads it one
-    vertex at a time, one ``gen.edges`` call each, yielding ``(out, inn,
-    set(out) | set(inn))``; what the caller leaves unread is read when it
-    asks for the next shell.  Shell ``max_shells`` is not expanded, and is
-    read only as far as the caller reads it.  The walk stops at an empty
-    shell.  Budget rule: before yielding a shell that takes the number of
-    vertices found past ``budget``, it raises ``BudgetExceededError`` with
-    that number as ``count``.
+    shell order with each vertex's new neighbours sorted; the first find over
+    all earlier shells wins.  Each shell is yielded before it is read;
+    ``read()`` reads it (once, however often it is called) and returns its
+    ``_Rows``, and the walk reads what the caller left unread when it is
+    asked for the next shell.  Shell ``max_shells`` is not expanded, and is
+    read only if the caller reads it.  The walk stops at an empty shell.
+    Budget rule: before yielding a shell that takes the number of vertices
+    found past ``budget``, it raises ``BudgetExceededError`` with that number
+    as ``count``.
+
+    A shell is read in one ``gen.batch_adjacency`` call when the generator
+    has one, the shell holds at least ``_BATCH_MIN_SHELL`` vertices, and it
+    and every neighbour the call reports fit the int64 key; otherwise each
+    vertex is read with ``gen.edges``.  Both steps drop self-loops, apply the
+    degree cap, share one ``seen`` set and give the same rows, so which one
+    read a shell changes nothing but the time.
 
     ``validate_generator`` keeps its own walk because it records defective
     callbacks and goes on; ``verify_phase_lock`` and
     ``check_coupling_gradient`` walk a coupling's support, not the skeleton.
     """
     seen = {root}
-    shell = [root]
+    shell, coords, keys = [root], None, None
+    recent = None  # keys of the shell before, when known
     for k in range(max_shells + 1):
         if len(seen) > budget:
             raise BudgetExceededError(
                 f"walk from {root} found {len(seen)} vertices, budget {budget}", len(seen))
-        nxt = []
-        reads = _read_shell(gen.edges, shell, seen, nxt if k < max_shells else None)
-        yield k, shell, reads
+        read = _ShellRead(gen, shell, coords, keys, recent, seen, k < max_shells)
+        yield k, shell, read
         if k == max_shells:
             return
-        deque(reads, maxlen=0)
-        if not nxt:
+        rows, shell, coords, keys = read.step()
+        if not shell:
             return
-        shell = nxt
+        recent = rows.keys
 
 
-def _read_shell(edges, shell: list, seen: set, nxt: list | None):
+class _ShellRead:
+    """``read()`` of one shell of ``_walk``: reads it on the first call only.
+
+    ``step()`` gives ``_read_shell``'s result.  The inputs are dropped once
+    read, so that the walk's ``seen`` set does not outlive the walk.
+    """
+
+    __slots__ = ("args", "got")
+
+    def __init__(self, *args):
+        self.args, self.got = args, None
+
+    def __call__(self) -> _Rows:
+        return self.step()[0]
+
+    def step(self):
+        if self.got is None:
+            self.got, self.args = _read_shell(*self.args), None
+        return self.got
+
+
+def _read_shell(gen, shell, coords, keys, recent, seen, expand):
+    """``(rows, next shell, its coordinates and keys or None)``; the next shell only if ``expand``."""
+    if gen.batch_adjacency is not None and len(shell) >= _BATCH_MIN_SHELL:
+        if coords is None:
+            coords = _coords(shell)
+            keys = _keys(coords) if coords is not None and coords.shape[1] <= 3 else None
+        if keys is not None and keys.min() >= 0:
+            step = _batch_step(gen, shell, coords, keys, recent, seen, expand)
+            if step is not None:
+                return step
+    nxt = [] if expand else None
+    return _scalar_step(gen.edges, shell, seen, nxt), nxt or [], None, None
+
+
+def _scalar_step(edges, shell: list, seen: set, nxt: list | None) -> _Rows:
+    counts, nbr, w_out, w_in = [], [], [], []
+    zeros = repeat(0.0)
     for v in shell:
         out, inn = edges(v)
-        nb = set(out) | set(inn)
+        nb = out.keys() | inn.keys()
         if nxt is not None:
             new = []
             for u in nb - seen:  # the C-level difference first: fewer weights to read
@@ -271,4 +370,67 @@ def _read_shell(edges, shell: list, seen: set, nxt: list | None):
                 new.sort()
                 seen.update(new)
                 nxt += new
-        yield out, inn, nb
+        nb = sorted(nb)
+        counts.append(len(nb))
+        nbr += nb
+        w_out += map(out.get, nb, zeros)
+        w_in += map(inn.get, nb, zeros)
+    return _Rows(counts, nbr, w_out, w_in, None)
+
+
+def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
+                recent: np.ndarray | None, seen: set, expand: bool):
+    """``_read_shell`` by one batch call; None if a neighbour does not fit the key."""
+    nc, wo, wi = gen.batch_adjacency(coords)
+    nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
+    nkeys = _keys(nc)
+    present = ((wo != 0.0) | (wi != 0.0)) & (nkeys != keys[:, None])  # no self-loops
+    if (nkeys[present] < 0).any():
+        return None
+    if wo.shape[1] > gen.degree_cap:
+        n_out = ((wo != 0.0) & present).sum(axis=1)
+        n_in = ((wi != 0.0) & present).sum(axis=1)
+        over = np.flatnonzero((n_out > gen.degree_cap) | (n_in > gen.degree_cap))
+        if over.size:
+            i = over[0]
+            raise DegreeCapError(f"vertex {shell[i]} reports {max(n_out[i], n_in[i])} "
+                                 f"edges, cap is {gen.degree_cap}")
+    counts = present.sum(axis=1)
+    slots = np.flatnonzero(present)
+    nkeys, wo, wi = nkeys.ravel()[slots], wo.ravel()[slots], wi.ravel()[slots]
+    rows = _Rows(counts, nkeys, wo, wi, keys)
+    if not expand:
+        return rows, [], None, None
+    # the first find of each key that no earlier shell holds, in read order;
+    # a consistent graph's neighbours lie in this shell, the one before and the next
+    cand = np.flatnonzero((wo + wi) / 2.0 > 0.0)
+    old = [keys] if recent is None else [recent, keys]
+    n_old = sum(len(k) for k in old)
+    every = np.concatenate(old + [nkeys[cand]])
+    order = np.argsort(every)
+    ordered = every[order]
+    heads = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    first = np.minimum.reduceat(order, heads)
+    first = np.sort(first[first >= n_old] - n_old)
+    new_keys = nkeys[cand[first]]
+    new_coords = nc.reshape(-1, nc.shape[2])[slots[cand[first]]]
+    new = list(zip(*new_coords.T.tolist()))
+    if not seen.isdisjoint(new):  # an older shell's vertex
+        fresh = np.array([u not in seen for u in new], dtype=bool)
+        new, new_coords, new_keys = [u for u, f in zip(new, fresh) if f], \
+            new_coords[fresh], new_keys[fresh]
+    seen.update(new)
+    return rows, new, new_coords, new_keys
+
+
+def _coords(shell: list) -> np.ndarray | None:
+    """The shell as a ``(k, d)`` int64 array, or None if it is not one."""
+    try:
+        return np.array(shell, dtype=np.int64).reshape(len(shell), -1)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _shell_keys(shell: list) -> np.ndarray:
+    coords = _coords(shell)
+    return _keys(coords) if coords is not None else np.full(len(shell), -1, np.int64)

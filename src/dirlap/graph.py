@@ -13,11 +13,18 @@ weight zero and must not be reported.  Both directions are required because
 the symmetric weight ``(w(v,v') + w(v',v)) / 2`` needs the reverse weight
 without a global reverse index.
 
-``GraphGenerator.edges(v)`` is the one checked read of a graph: every walk,
-snapshot and helper in the package reads through it, so the self-loop filter
-and the degree cap apply everywhere.  Every operator derived here works with
-finitely supported vectors represented as plain ``dict`` mappings from vertex
-to value.
+``GraphGenerator.edges(v)`` is the one checked read of a single vertex: every
+walk, snapshot and helper in the package reads through it, so the self-loop
+filter and the degree cap apply everywhere.  A generator may also carry a
+``batch_adjacency`` callback that reads a whole array of integer vertices at
+once; ``geometry._walk`` uses it for large shells and applies the same
+filter and cap to its rows.  ``dataclasses.replace(gen, adjacency=...)``
+keeps ``batch_adjacency``, so replace it too unless both callbacks still
+compute the same function.  A snapshot row lists a vertex's neighbours in
+ascending (lexicographic) order whichever callback read it, so results never
+depend on the iteration order of the callback's maps.  Every operator
+derived here works with finitely supported vectors represented as plain
+``dict`` mappings from vertex to value.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .errors import BudgetExceededError, DegreeCapError
 
 Vertex = tuple
 AdjacencyFn = Callable[[Vertex], tuple[Mapping[Vertex, float], Mapping[Vertex, float]]]
+BatchAdjacencyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 #: Default bound on |out-edges| + |in-edges| reported for a single vertex.
 #: Bounded degree is assumed by all the geometric estimators, so a runaway
@@ -50,6 +58,21 @@ WEIGHT_PARTS = {
     "sym": lambda wf, wb: (wf + wb) / 2.0,
     "skew": lambda wf, wb: (wf - wb) / 2.0,
 }
+
+
+#: Bits per axis of the int64 key that the batch walk gives a vertex: a vertex
+#: is read in batch only when it has at most 3 axes, each with |c| < 2**20.
+_KEY_BITS = 21
+_KEY_LIMIT = 1 << (_KEY_BITS - 1)
+
+
+def _keys(coords: np.ndarray) -> np.ndarray:
+    """Int64 key of each coordinate row, -1 where a row does not fit; keys sort as rows do."""
+    fits = ((coords > -_KEY_LIMIT) & (coords < _KEY_LIMIT)).all(axis=-1)
+    key = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for j in range(coords.shape[-1]):
+        key = (key << _KEY_BITS) | (coords[..., j] + _KEY_LIMIT)
+    return np.where(fits, key, -1)
 
 
 def _weights_agree(a, b):
@@ -72,12 +95,25 @@ class GraphGenerator:
         Label used in reports.
     degree_cap:
         Maximum number of distinct neighbours a single vertex may report.
+    batch_adjacency:
+        Optional vectorized form of ``adjacency`` for vertices that are tuples
+        of integers.  It maps a ``(k, d)`` int64 array of vertices to
+        neighbour coordinates of shape ``(k, deg, d)`` and to ``w_out`` and
+        ``w_in`` of shape ``(k, deg)``, holding ``w(v, v')`` and ``w(v', v)``.
+        Each row's slots are in ascending lexicographic neighbour order, and a
+        slot whose two weights are both zero is absent (its coordinates are
+        ignored), so rows of different length pad to one ``deg``.  It must
+        compute exactly the weights ``adjacency`` reports:
+        ``validate_generator`` compares the two.  ``dataclasses.replace(gen,
+        adjacency=...)`` keeps this field, so replace it too unless both
+        callbacks still compute the same function.
     """
 
     adjacency: AdjacencyFn
     root: Vertex
     name: str = "custom"
     degree_cap: int = DEFAULT_DEGREE_CAP
+    batch_adjacency: BatchAdjacencyFn | None = None
 
     def edges(self, v: Vertex) -> tuple[Mapping, Mapping]:
         """Checked read: the ``(out, inn)`` weight maps for ``v``, self-loops removed.
@@ -124,21 +160,6 @@ def generator_from_edges(edges: Mapping[tuple[Vertex, Vertex], float], root: Ver
 def _read_once(gen: GraphGenerator) -> GraphGenerator:
     """``gen`` with each vertex's adjacency kept after its first read, for one helper call."""
     return dataclasses.replace(gen, adjacency=functools.cache(gen.adjacency))
-
-
-def decompose_edge(v: Vertex, v2: Vertex, gen: GraphGenerator) -> tuple[float, float]:
-    """Split the weights between ``v`` and ``v2`` into symmetric and skew parts.
-
-    Returns ``((w(v,v2) + w(v2,v)) / 2, (w(v,v2) - w(v2,v)) / 2)``; both are
-    zero when neither directed edge exists.  Both come from the one read of
-    ``v``, so ``w_sym`` is exactly symmetric and ``w_skew`` exactly
-    antisymmetric in floating point.
-    """
-    if v == v2:
-        raise ValueError("decompose_edge requires two distinct vertices")
-    out, inn = gen.edges(v)
-    a, b = out.get(v2, 0.0), inn.get(v2, 0.0)
-    return (a + b) / 2.0, (a - b) / 2.0
 
 
 def apply_laplacian(x: Mapping[Vertex, float], gen: GraphGenerator,
@@ -211,9 +232,14 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
     degree stays under the cap, the symmetric weights are nonnegative (a pair
     with both directed edges present must average to a strictly positive
     weight), and every vertex keeps at least one symmetric neighbour.
-    Weights agree when they are within ``WEIGHT_RTOL`` of each other.
-    Violations are returned, not raised; only a sample of more than
-    ``_VALIDATION_BUDGET`` (200,000) vertices raises.
+    Weights agree when they are within ``WEIGHT_RTOL`` of each other.  Each
+    defect is reported once: a pair is cross-checked from the endpoint
+    visited first, and a failing callback is called and reported once.  For a
+    generator with ``batch_adjacency``, every sampled vertex that the batch
+    walk would read is read in one batch call, and a row that differs from
+    the checked single-vertex read is a ``batch-mismatch``.  Violations are
+    returned, not raised; only a sample of more than ``_VALIDATION_BUDGET``
+    (200,000) vertices raises.
     """
     if sample_radius < 1:
         raise ValueError("sample_radius must be >= 1")
@@ -224,21 +250,27 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
     dist = {gen.root: 0}
     order = [gen.root]
     head = 0
-    adj_cache: dict[Vertex, tuple[dict, dict]] = {}
+    adj_cache: dict[Vertex, tuple[dict, dict] | None] = {}
+    checked = set()  # unordered pairs, as (lower, higher)
+    readable = []  # (v, out, inn) of the vertices read within the cap
 
     def edges_of(v):
+        # the callback's maps, or None once its failure has been reported
         if v not in adj_cache:
-            adj_cache[v] = gen.adjacency(v)
+            try:
+                adj_cache[v] = gen.adjacency(v)
+            except Exception as exc:  # generator itself failed
+                adj_cache[v] = None
+                violations.append(Violation("adjacency-error", (v,), str(exc)))
         return adj_cache[v]
 
     while head < len(order):
         v = order[head]
         head += 1
-        try:
-            out, inn = edges_of(v)
-        except Exception as exc:  # generator itself failed
-            violations.append(Violation("adjacency-error", (v,), str(exc)))
+        read = edges_of(v)
+        if read is None:
             continue
+        out, inn = read
         if v in out or v in inn:
             violations.append(Violation(
                 "self-loop", (v,), "self-loop reported; edges join distinct vertices"))
@@ -246,14 +278,14 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
             violations.append(Violation(
                 "degree-cap", (v,), f"{max(len(out), len(inn))} edges exceeds cap {cap}"))
             continue
+        readable.append((v, out, inn))
         for u, w in list(out.items()) + list(inn.items()):
             if w == 0.0:
                 violations.append(Violation(
                     "zero-weight", (v, u), "zero weight reported; absent edges must be omitted"))
+        nbrs = sorted(u for u in out.keys() | inn.keys() if u != v)
         sym_nbrs = []
-        for u in set(out) | set(inn):
-            if u == v:
-                continue
+        for u in nbrs:
             wf, wb = out.get(u, 0.0), inn.get(u, 0.0)
             ws = (wf + wb) / 2.0
             if ws < 0.0 or (wf * wb != 0.0 and ws <= 0.0):
@@ -269,14 +301,15 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
             violations.append(Violation(
                 "isolated-vertex", (v,), "no strictly positive symmetric neighbour"))
         # Cross-check both endpoints of every incident edge.
-        for u in set(out) | set(inn):
-            if u == v:
+        for u in nbrs:
+            pair = (v, u) if v < u else (u, v)
+            if pair in checked:
                 continue
-            try:
-                u_out, u_inn = edges_of(u)
-            except Exception as exc:
-                violations.append(Violation("adjacency-error", (u,), str(exc)))
+            checked.add(pair)
+            read = edges_of(u)
+            if read is None:
                 continue
+            u_out, u_inn = read
             wf = out.get(u, 0.0)
             if not _weights_agree(wf, u_inn.get(v, 0.0)):
                 violations.append(Violation(
@@ -296,7 +329,46 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
                     dist[u] = dist[v] + 1
                     order.append(u)
 
+    if gen.batch_adjacency is not None:
+        violations += _batch_mismatches(gen, readable)
     # BFS reaches exactly the connected component of the root within the
     # sampled radius, so connectivity of the sample holds by construction;
     # disconnection can only manifest as isolated vertices above.
     return ValidationReport(vertices_checked=len(order), violations=violations, notes=notes)
+
+
+def _batch_mismatches(gen: GraphGenerator, reads: list) -> list[Violation]:
+    """Compare one ``batch_adjacency`` call with the single-vertex reads ``(v, out, inn)``.
+
+    Only vertices that the batch walk would read take part: at most three
+    integer axes, each with ``|c| < 2**20``.  A row matches when it lists the
+    same neighbours, in the same order, with equal weights, once self-loops
+    and absent slots are dropped, as the walk drops them.
+    """
+    try:
+        coords = np.array([v for v, _, _ in reads], dtype=np.int64).reshape(len(reads), -1)
+        keep = np.flatnonzero(_keys(coords) >= 0) if coords.shape[1] <= 3 else []
+        if not len(keep):
+            return []
+        coords = coords[keep]
+        nc, wo, wi = gen.batch_adjacency(coords)
+        nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
+        if wo.shape != wi.shape or wo.shape[:1] != coords.shape[:1] \
+                or nc.shape != wo.shape + coords.shape[1:]:
+            raise ValueError(f"shapes {nc.shape}, {wo.shape}, {wi.shape} "
+                             f"for {coords.shape[0]} vertices")
+    except Exception as exc:
+        return [Violation("batch-mismatch", (), f"batch_adjacency failed: {exc}")]
+    present = ((wo != 0.0) | (wi != 0.0)) & ~(nc == coords[:, None, :]).all(axis=2)
+    found = []
+    for i, k in enumerate(keep):
+        v, out, inn = reads[k]
+        expect = [(u, out.get(u, 0.0), inn.get(u, 0.0))
+                  for u in sorted(out.keys() | inn.keys()) if u != v]
+        row = present[i]
+        got = list(zip(map(tuple, nc[i][row].tolist()), wo[i][row].tolist(),
+                       wi[i][row].tolist()))
+        if got != expect:
+            found.append(Violation("batch-mismatch", (v,),
+                                   f"batch row {got} vs adjacency row {expect}"))
+    return found

@@ -146,29 +146,6 @@ def _dirichlet_matrix(b) -> np.ndarray:
     return q
 
 
-def poincare_quotient(gen, center: Vertex, r: int, x: np.ndarray,
-                      budget: int = DEFAULT_BALL_BUDGET) -> float:
-    """Evaluate the Poincare quotient of a test vector on the double ball.
-
-    Numerator: measure-weighted variance of ``x`` over the inner ball around
-    its measure-weighted mean.  Denominator: ``r^2`` times the ordered-pair
-    Dirichlet sum over the double ball.  Exposed for property checks.
-    """
-    b2 = ball(gen, center, 2 * r, budget=budget)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(b2),):
-        raise ValueError("test vector must be indexed by the double ball")
-    inner = b2.distances <= r
-    m_in = np.where(inner, b2.measures, 0.0)
-    mean = float(m_in @ x) / float(m_in.sum())
-    num = float(m_in @ (x - mean) ** 2)
-    q = _dirichlet_matrix(b2)
-    den = float(r * r * (x @ q @ x))
-    if den == 0.0:
-        raise ValueError("constant test vector: quotient undefined")
-    return num / den
-
-
 def estimate_poincare(gen, center: Vertex, r: int,
                       budget: int = DEFAULT_BALL_BUDGET) -> PoincareEstimate:
     """Sharpest Poincare constant on one ball pair, by dense eigensolve.
@@ -224,7 +201,9 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
       enumeration short of ``max_shells``.
 
     The shells are those of ``geometry._walk``, which reads each vertex
-    once; the scan takes the vertex's skew row from that read.  When the
+    once; the scan takes the vertex's skew row from that read.  Each row
+    sum adds its entries in neighbour order and each shell sum adds its rows
+    in shell order, whichever step of the walk read the shell.  When the
     walk's budget rule cuts it, the verdict is ``inconclusive`` over the
     shells completed before the cut.
     """
@@ -233,14 +212,8 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
     contributions: list[float] = []
     budget_cut = False
     try:
-        for _, _, reads in _walk(gen, gen.root, max_shells, budget):
-            c = 0.0
-            for out, inn, nb in reads:
-                row = 0.0
-                for u in nb:
-                    row += abs(out.get(u, 0.0) - inn.get(u, 0.0)) / 2.0
-                c += row
-            contributions.append(c)
+        for _, _, read in _walk(gen, gen.root, max_shells, budget):
+            contributions.append(_shell_skew(read()))
     except BudgetExceededError:
         budget_cut = True
     total = sum(contributions)
@@ -263,6 +236,33 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
                             shells_requested=max_shells + 1, tail_slope=tail_slope,
                             verdict=verdict,
                             last_contributions=[float(c) for c in contributions[-3:]])
+
+
+def _shell_skew(rows) -> float:
+    """Sum over a shell's rows of ``|w_skew|``, every sum added left to right."""
+    if isinstance(rows.w_out, np.ndarray):
+        skew = np.abs(rows.w_out - rows.w_in) / 2.0
+        counts = rows.counts
+        width = int(counts.max(initial=0))
+        if counts.min(initial=0) == width:
+            table = skew.reshape(len(counts), width)
+        else:  # rows padded with zeros, which leave every sum as it is
+            table = np.zeros((len(counts), width))
+            table[np.repeat(np.arange(len(counts)), counts),
+                  np.arange(len(skew)) - np.repeat(np.cumsum(counts) - counts, counts)] = skew
+        sums = np.zeros(len(counts))
+        for j in range(width):
+            sums += table[:, j]
+        return float(np.cumsum(sums)[-1]) if len(sums) else 0.0
+    w_out, w_in = rows.w_out, rows.w_in
+    c, i = 0.0, 0
+    for n in rows.counts:
+        row = 0.0
+        for j in range(i, i + n):
+            row += abs(w_out[j] - w_in[j]) / 2.0
+        c += row
+        i += n
+    return c
 
 
 def _tail_slope(contributions: list[float]) -> float | None:

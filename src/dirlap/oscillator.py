@@ -201,19 +201,6 @@ def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator
                           name=f"linearized({sys.name})")
 
 
-def split_coupling_matrix(weight: Callable[[Vertex, Vertex], float]
-                          ) -> tuple[Callable, Callable]:
-    """Symmetric and skew accessors ``(K + K^T)/2`` and ``(K - K^T)/2``."""
-
-    def k_sym(v: Vertex, v2: Vertex) -> float:
-        return (weight(v, v2) + weight(v2, v)) / 2.0
-
-    def k_skew(v: Vertex, v2: Vertex) -> float:
-        return (weight(v, v2) - weight(v2, v)) / 2.0
-
-    return k_sym, k_skew
-
-
 class _EdgeTable:
     """The truncated lattice right-hand side, in the deviation phi.
 

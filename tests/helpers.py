@@ -9,7 +9,9 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
+from dirlap.geometry import ball
 from dirlap.graph import GraphGenerator, generator_from_edges
+from dirlap.hypotheses import _dirichlet_matrix
 
 
 def l1_ball_count(d: int, r: int) -> int:
@@ -57,6 +59,66 @@ def sym_neighbors(gen, v) -> dict:
         if ws > 0.0:
             result[u] = ws
     return result
+
+
+def assert_same_ball(a, b):
+    """Two balls agree in center, radius, vertices and every snapshot array, bit for bit."""
+    assert (a.center, a.radius) == (b.center, b.radius)
+    assert a.vertices == b.vertices
+    assert a.index == b.index
+    for name in ("distances", "measures", "indptr", "nbr", "w_out", "w_in"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def decompose_edge(v, v2, gen) -> tuple[float, float]:
+    """Split the weights between ``v`` and ``v2`` into symmetric and skew parts.
+
+    Returns ``((w(v,v2) + w(v2,v)) / 2, (w(v,v2) - w(v2,v)) / 2)``; both are
+    zero when neither directed edge exists.  Both come from the one read of
+    ``v``, so ``w_sym`` is exactly symmetric and ``w_skew`` exactly
+    antisymmetric in floating point.
+    """
+    if v == v2:
+        raise ValueError("decompose_edge requires two distinct vertices")
+    out, inn = gen.edges(v)
+    a, b = out.get(v2, 0.0), inn.get(v2, 0.0)
+    return (a + b) / 2.0, (a - b) / 2.0
+
+
+def split_coupling_matrix(weight):
+    """Symmetric and skew accessors ``(K + K^T)/2`` and ``(K - K^T)/2``."""
+
+    def k_sym(v, v2) -> float:
+        return (weight(v, v2) + weight(v2, v)) / 2.0
+
+    def k_skew(v, v2) -> float:
+        return (weight(v, v2) - weight(v2, v)) / 2.0
+
+    return k_sym, k_skew
+
+
+def poincare_quotient(gen, center, r: int, x: np.ndarray) -> float:
+    """Evaluate the Poincare quotient of a test vector on the double ball.
+
+    Numerator: measure-weighted variance of ``x`` over the inner ball around
+    its measure-weighted mean.  Denominator: ``r^2`` times the ordered-pair
+    Dirichlet sum over the double ball.  ``estimate_poincare`` must dominate
+    it for every nonconstant ``x``.
+    """
+    b2 = ball(gen, center, 2 * r)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (len(b2),):
+        raise ValueError("test vector must be indexed by the double ball")
+    inner = b2.distances <= r
+    m_in = np.where(inner, b2.measures, 0.0)
+    mean = float(m_in @ x) / float(m_in.sum())
+    num = float(m_in @ (x - mean) ** 2)
+    q = _dirichlet_matrix(b2)
+    den = float(r * r * (x @ q @ x))
+    if den == 0.0:
+        raise ValueError("constant test vector: quotient undefined")
+    return num / den
 
 
 def dense_laplacian(gen, b, part: str) -> np.ndarray:

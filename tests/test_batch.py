@@ -1,0 +1,256 @@
+"""The batch shell step: the same walk, snapshot and skew sums as the vertex-by-vertex step.
+
+Every builtin family has a ``batch_adjacency``.  ``geometry._walk`` reads a
+shell with it when the shell holds at least ``_BATCH_MIN_SHELL`` vertices, so
+setting that constant to 0 reads every shell in batch (where the keys fit)
+and setting it to 10**9 reads none.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dirlap
+from dirlap import (BudgetExceededError, DegreeCapError, GraphGenerator,
+                    InconsistentAdjacencyError, ball, builtin_graph,
+                    estimate_skew_mass, validate_generator)
+from dirlap import geometry
+from dirlap.hypotheses import _shell_skew
+
+from helpers import assert_same_ball
+
+BUILTINS = [("example-2.2", {}), ("z-lattice", {"d": 1}), ("z-lattice", {"d": 2}),
+            ("z-lattice", {"d": 3}), ("z-lattice", {"d": 4}), ("z2-advection", {}),
+            ("z2-skew-perturbed", {"a": 0.5}), ("z2-skew-perturbed", {"a": -0.9})]
+LIMIT = 1 << 20  # the first coordinate magnitude that the int64 key cannot hold
+
+EVERY_SHELL, NO_SHELL = 0, 10**9
+
+
+def both_steps(monkeypatch, fn, sizes=(EVERY_SHELL, NO_SHELL)):
+    """``fn()`` with every shell read in batch, then with every shell read vertex by vertex."""
+    results = []
+    for size in sizes:
+        monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", size)
+        results.append(fn())
+    return results
+
+
+def walk_record(gen, root, k):
+    """Every shell of the walk and every shell's skew contribution."""
+    shells, contributions = [], []
+    for _, shell, read in geometry._walk(gen, root, k, geometry.DEFAULT_BALL_BUDGET):
+        shells.append(shell)
+        contributions.append(_shell_skew(read()))
+    return shells, contributions
+
+
+def holey_plane():
+    """The plane lattice without the edge from (i, j) to (i + 1, j) where 3 divides i + j.
+
+    Its batch rows have absent slots, so rows differ in length.
+    """
+    g = builtin_graph("z-lattice", d=2)
+
+    def adjacency(v):
+        i, j = v
+        out, inn = g.adjacency(v)
+        for u, lower in (((i + 1, j), i), ((i - 1, j), i - 1)):
+            if (lower + j) % 3 == 0:
+                del out[u], inn[u]
+        return out, inn
+
+    def batch(coords):
+        nbrs, _, _ = g.batch_adjacency(coords)
+        i, j = coords[:, 0], coords[:, 1]
+        w = np.ones(nbrs.shape[:2])
+        w[(i - 1 + j) % 3 == 0, 0] = 0.0  # slot (i - 1, j)
+        w[(i + j) % 3 == 0, 3] = 0.0  # slot (i + 1, j)
+        return nbrs, w, w.copy()
+
+    return GraphGenerator(adjacency=adjacency, root=(0, 0), name="holey-plane",
+                          batch_adjacency=batch)
+
+
+GENERATORS = [builtin_graph(name, **params) for name, params in BUILTINS] + [holey_plane()]
+
+roots = st.one_of(
+    st.just(0),
+    st.integers(min_value=-1000, max_value=1000),
+    # walks that cross the key limit, where the batch step hands shells back
+    st.integers(min_value=LIMIT - 6, max_value=LIMIT + 2),
+    st.integers(min_value=-LIMIT - 2, max_value=-LIMIT + 6))
+
+
+@settings(max_examples=45, deadline=None)
+@given(st.sampled_from(GENERATORS), st.lists(roots, min_size=4, max_size=4))
+def test_batch_step_is_bit_equal_to_the_vertex_step(gen, shifts):
+    root = tuple(shifts[:len(gen.root)])
+    radius = 4 if len(root) >= 3 else 8
+    with pytest.MonkeyPatch.context() as mp:
+        # the middle run turns from vertex reads to batch reads during the walk
+        runs = both_steps(mp, lambda: (ball(gen, root, radius), walk_record(gen, root, radius),
+                                       estimate_skew_mass(dataclasses.replace(gen, root=root),
+                                                          radius)),
+                          sizes=(EVERY_SHELL, 5, NO_SHELL))
+    (ball_1, walk_1, skew_1) = runs[-1]
+    for b, walk, skew in runs[:-1]:
+        assert_same_ball(b, ball_1)
+        assert walk == walk_1
+        assert skew == skew_1
+
+
+def test_every_builtin_takes_the_batch_step(monkeypatch):
+    calls = []
+    for name, params in BUILTINS[:-1]:
+        gen = builtin_graph(name, **params)
+
+        def batch(coords, inner=gen.batch_adjacency):
+            calls.append(len(coords))
+            return inner(coords)
+
+        monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", 0)
+        ball(dataclasses.replace(gen, batch_adjacency=batch), gen.root, 3)
+    # one call per shell 0..3, except for d = 4, whose keys do not fit
+    assert len(calls) == 4 * (len(BUILTINS) - 2)
+
+
+def test_line_shells_stay_on_the_vertex_step():
+    assert geometry._BATCH_MIN_SHELL > 2
+
+
+def lattice_with(batch=None, adjacency=None, **fields):
+    """The plane lattice with its callbacks swapped for the given ones."""
+    g = builtin_graph("z-lattice", d=2)
+    return dataclasses.replace(g, adjacency=adjacency or g.adjacency,
+                               batch_adjacency=batch or g.batch_adjacency, **fields)
+
+
+def test_degree_cap_on_the_batch_step(monkeypatch):
+    g = lattice_with(degree_cap=3)
+    errors = both_steps(monkeypatch, lambda: pytest.raises(DegreeCapError, ball, g, (0, 0), 2))
+    assert [str(e.value) for e in errors] == ["vertex (0, 0) reports 4 edges, cap is 3"] * 2
+
+
+def test_self_loops_are_dropped_on_the_batch_step(monkeypatch):
+    plain = builtin_graph("z-lattice", d=2)
+
+    def adjacency(v):
+        out, inn = plain.adjacency(v)
+        out[v] = inn[v] = 5.0
+        return out, inn
+
+    def batch(coords):
+        nbrs, w_out, w_in = plain.batch_adjacency(coords)
+        # the vertex itself sorts between its lower and its upper neighbours
+        nbrs = np.concatenate([nbrs[:, :2], coords[:, None, :], nbrs[:, 2:]], axis=1)
+        w_out = np.insert(w_out, 2, 5.0, axis=1)
+        return nbrs, w_out, np.insert(w_in, 2, 5.0, axis=1)
+
+    looped = lattice_with(batch, adjacency)
+    for b in both_steps(monkeypatch, lambda: ball(looped, (0, 0), 5)):
+        assert_same_ball(b, ball(plain, (0, 0), 5))
+
+
+def test_inconsistent_batch_weights_raise(monkeypatch):
+    plain = builtin_graph("z-lattice", d=2)
+
+    def batch(coords):
+        nbrs, w_out, w_in = plain.batch_adjacency(coords)
+        w_in = w_in.copy()
+        # (2, 0) reports its edge from (1, 0), its first slot, twice as heavy
+        w_in[(coords == (2, 0)).all(axis=1), 0] = 2.0
+        return nbrs, w_out, w_in
+
+    monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", 0)
+    with pytest.raises(InconsistentAdjacencyError) as err:
+        ball(lattice_with(batch), (0, 0), 3)
+    assert set(err.value.pair) == {(1, 0), (2, 0)}
+
+
+def test_budget_count_is_the_vertex_steps(monkeypatch):
+    g = builtin_graph("z2-skew-perturbed")
+    errors = both_steps(monkeypatch,
+                        lambda: pytest.raises(BudgetExceededError, ball, g, (0, 0), 30,
+                                              budget=500))
+    # shells 0..15 hold 481 vertices; shell 16 brings the count to 545
+    assert [e.value.count for e in errors] == [545, 545]
+
+
+def test_row_order_does_not_follow_the_callback(monkeypatch):
+    g = builtin_graph("z2-advection")
+
+    def reversed_maps(v):
+        out, inn = g.adjacency(v)
+        return dict(reversed(out.items())), dict(reversed(inn.items()))
+
+    twin = GraphGenerator(adjacency=reversed_maps, root=g.root, name=g.name)
+    expected, _ = both_steps(monkeypatch, lambda: ball(g, g.root, 6))
+    assert_same_ball(ball(twin, g.root, 6), expected)
+    rows = np.split(expected.nbr, expected.indptr[1:-1])
+    for i, row in enumerate(rows):  # every row of neighbours inside the ball is sorted
+        inside = [expected.vertices[j] for j in row if j >= 0]
+        assert inside == sorted(inside), expected.vertices[i]
+
+
+def test_validation_accepts_every_builtin():
+    for gen in GENERATORS:
+        report = validate_generator(gen, 6)
+        assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("defect", ["weights", "order", "missing", "shape", "raises"])
+def test_validation_reports_a_wrong_batch_callback(defect):
+    g = builtin_graph("z2-skew-perturbed", a=0.5)
+    other = builtin_graph("z2-skew-perturbed", a=0.25)
+
+    def batch(coords):
+        nbrs, w_out, w_in = g.batch_adjacency(coords)
+        if defect == "weights":
+            return other.batch_adjacency(coords)
+        if defect == "order":
+            return nbrs[:, ::-1], w_out[:, ::-1], w_in[:, ::-1]
+        if defect == "missing":
+            w_out[:, 3] = w_in[:, 3] = 0.0
+        if defect == "shape":
+            return nbrs, w_out, w_in[:, :2]
+        if defect == "raises":
+            raise RuntimeError("no batch today")
+        return nbrs, w_out, w_in
+
+    report = validate_generator(dataclasses.replace(g, batch_adjacency=batch), 2)
+    kinds = {v.kind for v in report.violations}
+    assert kinds == {"batch-mismatch"}
+    if defect in ("shape", "raises"):
+        assert len(report.violations) == 1 and report.violations[0].vertices == ()
+    else:  # each of the 13 rows of the radius-2 sample
+        assert len(report.violations) == report.vertices_checked == 13
+
+
+def test_validation_reports_each_defect_once():
+    def adjacency(v):
+        (n,) = v
+        if n == 2:
+            raise RuntimeError("no adjacency at 2")
+        out = {(n - 1,): 1.0, (n + 1,): 1.0}
+        inn = {(n - 1,): 1.0, (n + 1,): 3.0 if n == 0 else 1.0}
+        return out, inn
+
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return adjacency(v)
+
+    report = validate_generator(GraphGenerator(adjacency=counted, root=(0,)), 3)
+    assert [(v.kind, v.vertices) for v in report.violations] == [
+        ("weight-consistency", ((1,), (0,))), ("adjacency-error", ((2,),))]
+    assert calls.count((2,)) == 1
+
+
+def test_package_exports_no_test_only_helpers():
+    for name in ("decompose_edge", "split_coupling_matrix", "poincare_quotient"):
+        assert not hasattr(dirlap, name)

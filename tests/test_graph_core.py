@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirlap import (TruncatedOperator, apply_laplacian, ball, builtin_graph,
-                    decompose_edge, generator_from_edges, validate_generator)
+                    generator_from_edges, validate_generator)
 from dirlap.errors import DegreeCapError
 from dirlap.graph import GraphGenerator
 
-from helpers import dense_laplacian, finite_graphs, k2_generator
+from helpers import decompose_edge, dense_laplacian, finite_graphs, k2_generator
 
 
 class TestDecomposeEdge:

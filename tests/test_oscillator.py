@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import dirlap
 from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
-                    decompose_edge, evolve, linearize,
-                    simulate_nonlinear, sin_coupling, split_coupling_matrix,
+                    evolve, linearize, simulate_nonlinear, sin_coupling,
                     verify_phase_lock)
 from dirlap import oscillator
 from dirlap.errors import BlowUpError, TruncationError
@@ -19,7 +18,7 @@ from dirlap.geometry import ball
 from dirlap.oscillator import (GenericCoupling, check_coupling_gradient,
                                coupling_from_graph)
 from dirlap.semigroup import SimConfig, trajectory_norms
-from helpers import pairwise_sine_rhs
+from helpers import decompose_edge, pairwise_sine_rhs, split_coupling_matrix
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):

@@ -82,7 +82,7 @@ def _defective_line(v):
 
 
 def test_validation_report_json_is_pinned(tmp_path):
-    # the exact document of the serializer that preceded the field encoder
+    # the exact document, with each of the five defects reported once
     report = validate_generator(GraphGenerator(adjacency=_defective_line, root=(0,)), 3)
     path = str(tmp_path / "validate.json")
     write_json_report(path, {"result": report})
@@ -98,13 +98,10 @@ def test_validation_report_json_is_pinned(tmp_path):
                       "zero weight reported; absent edges must be omitted"),
             violation("weight-consistency", [[-1], [-2]],
                       "out-edge weight 0.0 vs in-edge report 1.0"),
-            violation("self-loop", [[2]], "self-loop reported; edges join distinct vertices"),
             violation("adjacency-error", [[-3]], "no adjacency at -3"),
-            violation("weight-consistency", [[-1], [-2]],
-                      "in-edge report 1.0 vs out-edge weight 0.0"),
+            violation("self-loop", [[2]], "self-loop reported; edges join distinct vertices"),
             violation("weight-consistency", [[4], [3]],
                       "in-edge report 3.0 vs out-edge weight 1.0"),
-            violation("adjacency-error", [[-3]], "no adjacency at -3"),
         ],
         "notes": [
             "negative directed weight on ((0,), (1,)) with positive symmetric part",

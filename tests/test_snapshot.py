@@ -15,7 +15,7 @@ from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
                     TruncatedOperator, ball, builtin_graph, evolve,
                     generator_from_edges)
 
-from helpers import counted, dense_laplacian, finite_graphs
+from helpers import assert_same_ball, counted, dense_laplacian, finite_graphs
 
 PARTS = ("full", "sym", "skew")
 
@@ -90,15 +90,6 @@ def test_prefix_radius_out_of_range():
         b.prefix(4)
     with pytest.raises(ValueError):
         b.prefix(-1)
-
-
-def assert_same_ball(a, b):
-    assert (a.center, a.radius) == (b.center, b.radius)
-    assert a.vertices == b.vertices
-    assert a.index == b.index
-    for name in ("distances", "measures", "indptr", "nbr", "w_out", "w_in"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
 @given(finite_graphs(), st.integers(min_value=0, max_value=4),

@@ -11,9 +11,15 @@
 # other; even pairs start with the parent, odd pairs with the change.
 #
 # Every output line of every run is kept.  For each end-to-end metric the
-# file gives both sides' medians and quartiles over the pairs and the number
-# of pairs in which the change read lower.  An OUT that exists already gets
-# this run appended to its "runs" list, so one file can hold several seeds.
+# file gives both sides' medians and quartiles over the pairs, the number of
+# pairs in which the change read better, and "gain_resolved": whether the
+# change was better in at least nine tenths of the pairs (ties count for
+# neither) and its median beat the parent's by more than the parent's
+# interquartile range.  Which direction is better comes from BENCHMARK.json.
+# Both sides' failed and attempted solves are printed with the medians.  An
+# OUT that exists already gets this run appended to its "runs" list, so one
+# file can hold several seeds; runs written before "gain_resolved" existed
+# are kept as they are.
 set -eu
 if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
     echo "usage: $0 PARENT WORKLOAD PAIRS OUT [SEED]" >&2
@@ -89,15 +95,23 @@ def quartiles(values):
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as f:
+    better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+
 metrics = {}
 for name in results["change"][0]["metrics"]:
     value = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in results.items()}
+    sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
     lower = sum(c < p for p, c in zip(value["parent"], value["change"]))
+    wins = sum(sign * c < sign * p for p, c in zip(value["parent"], value["change"]))
+    spread = {s: quartiles(v) for s, v in value.items()}
     metrics[name] = {
         "unit": results["change"][0]["metrics"][name]["unit"],
-        "parent": quartiles(value["parent"]),
-        "change": quartiles(value["change"]),
+        "parent": spread["parent"],
+        "change": spread["change"],
         "change_lower_in": f"change lower in {lower} of {pairs} pairs",
+        "gain_resolved": 10 * wins >= 9 * pairs and sign * (
+            spread["parent"]["median"] - spread["change"]["median"]) > spread["parent"]["iqr"],
     }
 
 command = f"perfbench/run.py --workload {workload} --seed {seed} --seconds 30 --trace 0"
@@ -122,8 +136,10 @@ doc["runs"].append(run)
 with open(out, "w", encoding="utf-8") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
+print(f"failed/attempted solves: parent {run['failed']['parent']}/{run['attempted']['parent']}, "
+      f"change {run['failed']['change']}/{run['attempted']['change']}")
 for name, m in metrics.items():
     print(f"{name}: parent median {m['parent']['median']:.4g} (IQR {m['parent']['iqr']:.3g}), "
           f"change median {m['change']['median']:.4g} (IQR {m['change']['iqr']:.3g}); "
-          f"{m['change_lower_in']}")
+          f"{m['change_lower_in']}; gain resolved: {'yes' if m['gain_resolved'] else 'no'}")
 EOF
