@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 when a hypothesis check reports a failure verdict,
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -99,8 +100,7 @@ def _cmd_schema_version(_args, _config) -> int:
 
 
 def _cmd_validate(args, config) -> int:
-    defaults = {"graph": "example-2.2", "a": None, "d": None, "radius": 10,
-                "out": "dirlap-out", "seed": 0}
+    defaults = {"graph": "example-2.2", "a": None, "d": None, "radius": 10, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
     gen = _make_graph(spec)
     report = validate_generator(gen, int(spec["radius"]))
@@ -134,8 +134,7 @@ def _cmd_check_hypotheses(args, config) -> int:
 
 def _cmd_simulate(args, config) -> int:
     defaults = {"graph": "z-lattice", "a": None, "d": 2, "t_max": 200.0,
-                "p": "inf", "part": "full", "c_speed": None,
-                "seed": 0, "out": "dirlap-out"}
+                "p": "inf", "part": "full", "c_speed": None, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
     gen = _make_graph(spec)
     t_max = float(spec["t_max"])
@@ -154,7 +153,7 @@ def _cmd_simulate(args, config) -> int:
     reports.write_trajectory_csv(os.path.join(spec["out"], "trajectory.csv"), series)
     payload = {"action": "simulate", "spec": _embedded_spec(spec),
                "result": {"fit": fit,
-                          "radius": traj.radius,
+                          "radius": traj.ball.radius,
                           "richardson_diff": traj.richardson_diff,
                           "retries": traj.retries}}
     path = _write_report(spec["out"], "simulate.json", payload)
@@ -164,7 +163,7 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _cmd_counterexample(args, config) -> int:
-    defaults = {"t_max": 400.0, "tol": 1e-6, "seed": 0, "out": "dirlap-out"}
+    defaults = {"t_max": 400.0, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
     t_max = float(spec["t_max"])
     gen = graph_builtins.builtin_graph("z2-advection")
@@ -229,8 +228,7 @@ def _cmd_counterexample(args, config) -> int:
 
 
 def _cmd_oscillate(args, config) -> int:
-    defaults = {"a": 0.5, "eps": 0.01, "t_max": 150.0, "tol": 1e-8,
-                "seed": 0, "out": "dirlap-out"}
+    defaults = {"a": 0.5, "eps": 0.01, "t_max": 150.0, "tol": 1e-8, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
     a = float(spec["a"])
     eps = float(spec["eps"])
@@ -263,7 +261,7 @@ def _cmd_oscillate(args, config) -> int:
         "lock_residual": residual,
         "deviation_fit": fit,
         "l1_over_eps_max": l1_ratio,
-        "radius": traj.radius,
+        "radius": traj.ball.radius,
         "richardson_diff": traj.richardson_diff,
     }}
     path = _write_report(spec["out"], "oscillate.json", payload)
@@ -273,19 +271,20 @@ def _cmd_oscillate(args, config) -> int:
 
 
 def _cmd_fit_decay(args, config) -> int:
-    defaults = {"csv": None, "window_lo": None, "window_hi": None,
-                "out": "dirlap-out", "seed": 0}
+    defaults = {"csv": None, "window_lo": None, "window_hi": None, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
     if not spec["csv"]:
         raise ValueError("fit-decay needs --csv FILE with columns t,value")
     times, values = [], []
-    import csv as _csv
-
     with open(spec["csv"], encoding="utf-8", newline="") as fh:
-        for row in _csv.reader(fh):
+        for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or not row[0].strip() or row[0].strip().lower() == "t":
                 continue
-            times.append(float(row[0]))
+            t = float(row[0])
+            if times and t < times[-1]:
+                raise ValueError(f"{spec['csv']}:{lineno}: t decreases from {times[-1]} to "
+                                 f"{t}; fit-decay reads one series per file")
+            times.append(t)
             values.append(float(row[-1]))
     bounds = [spec["window_lo"], spec["window_hi"]]
     if bounds.count(None) == 1:
@@ -359,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-decay", help="fit a power law to a t,value CSV")
     common(p)
-    p.add_argument("--csv", help="input CSV with t in the first column, "
-                                 "value in the last")
+    p.add_argument("--csv", help="input CSV of one series: t in the first column, "
+                                 "not decreasing, value in the last")
     p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"),
                    dest="window_pair")
     p.set_defaults(func=_cmd_fit_decay)

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
 from .graph import GraphGenerator, Vertex, _keys, _weights_agree
 
+#: The vertex budget of a walk that is given none.  Read at call time.
 DEFAULT_BALL_BUDGET = 1_000_000
 
 
@@ -132,11 +133,12 @@ def _check_consistency(b: Ball) -> None:
             f"w(v,u)={p_in[k]}, w(u,v)={p_out[k]}", (v, u))
 
 
-def ball(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> Ball:
+def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
     """Enumerate the radius-``r`` ball of the symmetric skeleton around ``center``.
 
     The ball is shells 0..r of ``_walk``, which reads every ball vertex once
-    and raises ``BudgetExceededError`` under its budget rule; the snapshot is
+    and raises ``BudgetExceededError`` under its budget rule; without a
+    ``budget`` it reads ``DEFAULT_BALL_BUDGET`` at call time.  The snapshot is
     the walk's rows, shell after shell.  Raises ``InconsistentAdjacencyError``
     when two ball vertices report different weights for the edges between
     them.  ``gen`` may be a ``Ball``: the balls it contains are cut from it as
@@ -228,29 +230,29 @@ def _resolve_keys(nbr: list, keyed: list, shell_keys: list, order: list, sizes: 
         nbr[s] = np.where(sorted_keys[at] == nk, by_key[at], -1)
 
 
-def volume(gen, center: Vertex, r: int, budget: int = DEFAULT_BALL_BUDGET) -> float:
+def volume(gen, center: Vertex, r: int) -> float:
     """Total measure of the ball: sum of vertex measures over it."""
-    return ball(gen, center, r, budget=budget).volume()
+    return ball(gen, center, r).volume()
 
 
-def distance(gen, a: Vertex, b: Vertex, cutoff: int,
-             budget: int = DEFAULT_BALL_BUDGET) -> int | None:
+def distance(gen, a: Vertex, b: Vertex, cutoff: int) -> int | None:
     """Graph distance on the symmetric skeleton, or None beyond ``cutoff``."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    for d, shell in shells(gen, a, cutoff, budget=budget):
+    for d, shell in shells(gen, a, cutoff):
         if b in shell:
             return d
     return None
 
 
 def shells(gen, root: Vertex, max_shells: int,
-           budget: int = DEFAULT_BALL_BUDGET) -> Iterator[tuple[int, list]]:
+           budget: int | None = None) -> Iterator[tuple[int, list]]:
     """Yield ``(k, shell vertices)`` of ``_walk`` for k = 0..max_shells.
 
     Shell k is ``ball(root, k) minus ball(root, k-1)``.  Shell k is read only
     when the caller asks for shell k+1, so shell ``max_shells`` is yielded
     but never read.  Stops early when the root's component is exhausted.
+    Without a ``budget`` the walk reads ``DEFAULT_BALL_BUDGET`` when it starts.
     """
     for k, shell, _ in _walk(gen, root, max_shells, budget):
         yield k, shell
@@ -278,7 +280,7 @@ class _Rows(NamedTuple):
     keys: np.ndarray | None
 
 
-def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int):
+def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None = None):
     """Breadth-first walk of the symmetric skeleton: ``(k, shell, read)``.
 
     Shell k+1 is shell k's new neighbours of positive symmetric weight, in
@@ -290,7 +292,8 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int):
     read only if the caller reads it.  The walk stops at an empty shell.
     Budget rule: before yielding a shell that takes the number of vertices
     found past ``budget``, it raises ``BudgetExceededError`` with that number
-    as ``count``.
+    as ``count``.  Without a ``budget`` the walk reads ``DEFAULT_BALL_BUDGET``
+    when it starts, not when it is defined.
 
     A shell is read in one ``gen.batch_adjacency`` call when the generator
     has one, the shell holds at least ``_BATCH_MIN_SHELL`` vertices, and it
@@ -300,9 +303,10 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int):
     read a shell changes nothing but the time.
 
     ``validate_generator`` keeps its own walk because it records defective
-    callbacks and goes on; ``verify_phase_lock`` and
-    ``check_coupling_gradient`` walk a coupling's support, not the skeleton.
+    callbacks and goes on; ``verify_phase_lock`` walks a coupling's support,
+    not the skeleton.
     """
+    budget = DEFAULT_BALL_BUDGET if budget is None else budget
     seen = {root}
     shell, coords, keys = [root], None, None
     recent = None  # keys of the shell before, when known

@@ -20,8 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BudgetExceededError, SingularFormError
-from .geometry import DEFAULT_BALL_BUDGET, _walk, ball
+from .geometry import _walk, ball
 from .graph import Vertex
+
+# check_hypotheses' ellipticity radius and Poincare radii (read at call time)
+_ALPHA_RADIUS = 12
+_PI_RADII = (2, 4, 8)
 
 
 @dataclass
@@ -59,8 +63,7 @@ class SkewMassEstimate:
     last_contributions: list[float] = field(default_factory=list)
 
 
-def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int,
-                      budget: int = DEFAULT_BALL_BUDGET) -> VolumeGrowthFit:
+def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int) -> VolumeGrowthFit:
     """Fit the volume-growth order from pooled log-log volume samples.
 
     ``d_fit`` is the least-squares slope of ``log Vol(v, r)`` against
@@ -77,7 +80,7 @@ def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int,
 
     samples = []
     for c in centers:
-        b = ball(gen, c, r_max, budget=budget)
+        b = ball(gen, c, r_max)
         # cumulative volumes by distance, one BFS per center
         vol_at = np.cumsum(np.bincount(b.distances, weights=b.measures,
                                        minlength=r_max + 1))
@@ -99,14 +102,13 @@ def fit_volume_growth(gen, centers: Sequence[Vertex], r_min: int, r_max: int,
     return fit
 
 
-def estimate_alpha(gen, center: Vertex, radius: int,
-                   budget: int = DEFAULT_BALL_BUDGET) -> EllipticityEstimate:
+def estimate_alpha(gen, center: Vertex, radius: int) -> EllipticityEstimate:
     """Worst-case ratio ``w_sym(v, v') / m(v)`` over a sampled ball.
 
     Read from the radius ``radius + 1`` ball, which holds every ``v'``; the
     witness is the first minimiser in the snapshot's entry order.
     """
-    b = ball(gen, center, radius + 1, budget=budget)
+    b = ball(gen, center, radius + 1)
     n = int(np.searchsorted(b.distances, radius, side="right"))
     bad = np.flatnonzero(b.measures[:n] <= 0.0)
     if bad.size:
@@ -146,8 +148,7 @@ def _dirichlet_matrix(b) -> np.ndarray:
     return q
 
 
-def estimate_poincare(gen, center: Vertex, r: int,
-                      budget: int = DEFAULT_BALL_BUDGET) -> PoincareEstimate:
+def estimate_poincare(gen, center: Vertex, r: int) -> PoincareEstimate:
     """Sharpest Poincare constant on one ball pair, by dense eigensolve.
 
     The estimate is the supremum over nonconstant vectors on the double ball
@@ -157,7 +158,7 @@ def estimate_poincare(gen, center: Vertex, r: int,
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    b2 = ball(gen, center, 2 * r, budget=budget)
+    b2 = ball(gen, center, 2 * r)
     n = len(b2)
     if n < 2:
         raise ValueError("double ball has fewer than 2 vertices")
@@ -184,8 +185,7 @@ def estimate_poincare(gen, center: Vertex, r: int,
                             double_ball_size=n)
 
 
-def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
-                       budget: int = DEFAULT_BALL_BUDGET) -> SkewMassEstimate:
+def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6) -> SkewMassEstimate:
     """Accumulate total skew mass shell by shell and judge convergence.
 
     Shell k contributes ``sum over v in shell k, v' adjacent`` of
@@ -203,16 +203,17 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6,
     The shells are those of ``geometry._walk``, which reads each vertex
     once; the scan takes the vertex's skew row from that read.  Each row
     sum adds its entries in neighbour order and each shell sum adds its rows
-    in shell order, whichever step of the walk read the shell.  When the
-    walk's budget rule cuts it, the verdict is ``inconclusive`` over the
-    shells completed before the cut.
+    in shell order, whichever step of the walk read the shell.  The walk's
+    budget is ``geometry.DEFAULT_BALL_BUDGET``, read when the scan starts;
+    when the budget rule cuts the walk, the verdict is ``inconclusive`` over
+    the shells completed before the cut.
     """
     if max_shells < 3:
         raise ValueError("max_shells must be >= 3")
     contributions: list[float] = []
     budget_cut = False
     try:
-        for _, _, read in _walk(gen, gen.root, max_shells, budget):
+        for _, _, read in _walk(gen, gen.root, max_shells):
             contributions.append(_shell_skew(read()))
     except BudgetExceededError:
         budget_cut = True
@@ -290,42 +291,39 @@ class HypothesisReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def check_hypotheses(gen, centers: Sequence[Vertex] | None = None,
-                     r_min: int = 8, r_max: int = 64,
-                     alpha_radius: int = 12,
-                     pi_radii: Sequence[int] = (2, 4, 8),
+def check_hypotheses(gen, r_min: int = 8, r_max: int = 64,
                      max_shells: int | None = None,
                      shell_tol: float = 1e-6,
-                     seed: int = 0,
-                     budget: int = DEFAULT_BALL_BUDGET) -> HypothesisReport:
+                     seed: int = 0) -> HypothesisReport:
     """Run every estimator on one graph and assemble the evidence report.
 
-    When ``centers`` is omitted, three centers are drawn deterministically
-    (seeded) from the radius-3 ball around the root.  When ``max_shells`` is
-    omitted it is picked from the fitted growth order: slowly growing graphs
-    afford many shells, faster ones fewer.
+    The volume fit's centers are the root and two vertices drawn (seeded)
+    from the radius-3 ball around it.  Ellipticity is read on the radius
+    ``_ALPHA_RADIUS`` (12) ball and the Poincare constant on the ball pairs of
+    radii ``_PI_RADII`` (2, 4, 8); they and the vertex budget
+    ``geometry.DEFAULT_BALL_BUDGET`` are read at call time.  When ``max_shells``
+    is omitted it is picked from the fitted growth order: slowly growing
+    graphs afford many shells, faster ones fewer.
     Every ball around the root is cut from one snapshot; only the volume fit's
     other centers and the skew-mass scan read the graph again.
     """
     rng = np.random.default_rng(seed)
-    snap = ball(gen, gen.root, max(r_max, 3, alpha_radius + 1, 2 * max(pi_radii, default=0)),
-                budget=budget)
-    if centers is None:
-        nearby = snap.prefix(3).vertices[1:]
-        if len(nearby) >= 2:
-            picks = rng.choice(len(nearby), size=2, replace=False)
-            centers = [gen.root, nearby[int(picks[0])], nearby[int(picks[1])]]
-        else:
-            centers = [gen.root] * 3
+    snap = ball(gen, gen.root, max(r_max, 3, _ALPHA_RADIUS + 1, 2 * max(_PI_RADII)))
+    nearby = snap.prefix(3).vertices[1:]
+    if len(nearby) >= 2:
+        picks = rng.choice(len(nearby), size=2, replace=False)
+        centers = [gen.root, nearby[int(picks[0])], nearby[int(picks[1])]]
+    else:
+        centers = [gen.root] * 3
 
-    vg = fit_volume_growth(snap, centers, r_min, r_max, budget=budget)
-    delta = estimate_alpha(snap, gen.root, alpha_radius, budget=budget)
-    pi = [estimate_poincare(snap, gen.root, r, budget=budget) for r in pi_radii]
+    vg = fit_volume_growth(snap, centers, r_min, r_max)
+    delta = estimate_alpha(snap, gen.root, _ALPHA_RADIUS)
+    pi = [estimate_poincare(snap, gen.root, r) for r in _PI_RADII]
     if max_shells is None:
         max_shells = 20_000 if vg.d_fit < 1.5 else 300
-    skew = estimate_skew_mass(gen, max_shells, tol=shell_tol, budget=budget)
+    skew = estimate_skew_mass(gen, max_shells, tol=shell_tol)
 
-    probe = snap.prefix(alpha_radius)
+    probe = snap.prefix(_ALPHA_RADIUS)
     ws = (probe.w_out + probe.w_in) / 2.0
     sym = ws > 0.0
     max_deg = int(np.bincount(probe.entry_rows()[sym], minlength=len(probe)).max())

@@ -191,7 +191,6 @@ class EvolveResult:
 
     samples: list  # (t, StateVector)
     ball: Ball
-    radius: int
     retries: int
     n_steps: int
     richardson_diff: float
@@ -268,9 +267,8 @@ def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
             diff = max(diff, float(np.max(np.abs(yb[:len(b1)] - ya))))
         if diff <= 10.0 * cfg.atol:
             samples = [(t, StateVector.from_values(b2, y)) for t, y in res2.samples]
-            return EvolveResult(samples=samples, ball=b2, radius=b2.radius,
-                                retries=retries, n_steps=res1.n_steps,
-                                richardson_diff=diff)
+            return EvolveResult(samples=samples, ball=b2, retries=retries,
+                                n_steps=res1.n_steps, richardson_diff=diff)
         if retries >= _MAX_RETRIES:
             raise TruncationError(
                 f"truncation not converged: radius {radius} vs {radius + _TRUNCATION_MARGIN} "

@@ -5,6 +5,7 @@ assembly code paths so that agreement between the two is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -194,3 +195,38 @@ def pairwise_sine_rhs(sys, cand, b, phi) -> np.ndarray:
     x = np.array(dlag) + padded[dst] - padded[src]
     offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
     return offset + np.bincount(src, weights=np.array(par) * np.sin(x), minlength=n)
+
+
+def check_coupling_gradient(sys, n_samples: int = 1000, seed: int = 0,
+                            dx: float = 1e-6) -> float:
+    """Worst disagreement between the declared slope and finite differences.
+
+    Samples random phase differences on random local pairs; also spot-checks
+    two-pi periodicity.  Returns the max abs error (slope check only).
+    """
+    rng = np.random.default_rng(seed)
+    view_support = sys.coupling.support
+    pairs = []
+    frontier = [sys.root]
+    seen = {sys.root}
+    while frontier and len(pairs) < 64:
+        v = frontier.pop()
+        for u in view_support(v):
+            pairs.append((v, u))
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    if not pairs:
+        raise ValueError("coupling support is empty at the root")
+    h, dh = sys.coupling.h, sys.coupling.dh
+    worst = 0.0
+    for _ in range(n_samples):
+        v, u = pairs[int(rng.integers(len(pairs)))]
+        x = float(rng.uniform(-2 * math.pi, 2 * math.pi))
+        fd = (h(x + dx, v, u) - h(x - dx, v, u)) / (2 * dx)
+        worst = max(worst, abs(fd - dh(x, v, u)))
+        per = abs(h(x + 2 * math.pi, v, u) - h(x, v, u))
+        if per > 1e-12:
+            raise ValueError(f"coupling is not 2*pi-periodic at x={x}: "
+                             f"difference {per}")
+    return worst

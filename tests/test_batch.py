@@ -42,7 +42,7 @@ def both_steps(monkeypatch, fn, sizes=(EVERY_SHELL, NO_SHELL)):
 def walk_record(gen, root, k):
     """Every shell of the walk and every shell's skew contribution."""
     shells, contributions = [], []
-    for _, shell, read in geometry._walk(gen, root, k, geometry.DEFAULT_BALL_BUDGET):
+    for _, shell, read in geometry._walk(gen, root, k):
         shells.append(shell)
         contributions.append(_shell_skew(read()))
     return shells, contributions
@@ -254,3 +254,4 @@ def test_validation_reports_each_defect_once():
 def test_package_exports_no_test_only_helpers():
     for name in ("decompose_edge", "split_coupling_matrix", "poincare_quotient"):
         assert not hasattr(dirlap, name)
+    assert not hasattr(dirlap.oscillator, "check_coupling_gradient")

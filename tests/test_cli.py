@@ -114,6 +114,22 @@ def test_fit_decay_roundtrip(tmp_path):
     assert abs(doc["result"]["exponent"] + 0.75) <= 1e-9
 
 
+def test_fit_decay_rejects_stacked_series(tmp_path, capsys):
+    # the layout of simulate's trajectory.csv: one series per norm kind, stacked
+    data = tmp_path / "trajectory.csv"
+    rows = ["t,norm_kind,value"]
+    for kind, p in (("l1", 0.0), ("linf", 1.0)):
+        rows += [f"{float(t)!r},{kind},{(1 + t) ** -p!r}" for t in range(50)]
+    data.write_text("\n".join(rows) + "\n")
+    code = run(["fit-decay", "--csv", str(data), "--window", "5", "49",
+                "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{data}:52:" in err  # the first linf row, where t falls back to 0
+    assert "one series per file" in err
+    assert not (tmp_path / "fit.json").exists()
+
+
 @pytest.mark.parametrize("given, missing", [("window_lo = 5", "window_hi"),
                                             ("window_hi = 49", "window_lo")],
                          ids=["lo-only", "hi-only"])
@@ -187,15 +203,23 @@ _QUICK_ARGS = {
     ("oscillate", "--seed"), ("fit-decay", "--seed"),
     ("validate", "--tol"), ("simulate", "--tol"), ("counterexample", "--tol"),
     ("fit-decay", "--tol")])
-def test_flags_no_command_reads_are_rejected(tmp_path, command, flag):
-    args = [command, *_QUICK_ARGS[command], flag, "1", "--out", str(tmp_path)]
+def test_flags_no_command_reads_are_rejected(tmp_path, capsys, command, flag):
+    args = [command, *_QUICK_ARGS[command], "--out", str(tmp_path)]
     if command == "fit-decay":
         data = tmp_path / "norms.csv"
         data.write_text("\n".join(["t,value"] + [f"{t},{(1 + t) ** -0.5}" for t in range(50)]))
         args += ["--csv", str(data)]
     with pytest.raises(SystemExit) as exc:
-        run(args)
+        run(args + [flag, "1"])
     assert exc.value.code == 2
+    # the same key in a config file is an unknown key
+    key = flag[2:]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    capsys.readouterr()
+    assert run(args + ["--config", str(cfg)]) == 1
+    assert key in capsys.readouterr().err
+    assert {p.name for p in tmp_path.iterdir()} <= {"norms.csv", "exp.cfg"}
 
 
 def test_hypotheses_report_leaves_out_volume_samples(tmp_path):

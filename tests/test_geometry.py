@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dirlap
 from dirlap import (GraphGenerator, ball, builtin_graph, distance,
-                    estimate_skew_mass, volume)
+                    estimate_skew_mass, geometry, volume)
 from dirlap.errors import BudgetExceededError
 
 from helpers import finite_graphs, l1_ball_count
@@ -169,11 +169,19 @@ def test_ball_shells_and_skew_scan_share_one_budget_rule(g, k):
     assert ball(g, g.root, k, budget=n).vertices == b.vertices
     walked = [v for _, shell in dirlap.shells(g, g.root, k, budget=n) for v in shell]
     assert walked == b.vertices
-    assert estimate_skew_mass(g, k, budget=n).shells_used == b.distances[-1] + 1
+    with pytest.MonkeyPatch.context() as mp:  # the skew scan reads the default budget
+        mp.setattr(geometry, "DEFAULT_BALL_BUDGET", n)
+        assert estimate_skew_mass(g, k).shells_used == b.distances[-1] + 1
     # one vertex less stops each walk before the shell that brings the count to n
     for walk in (lambda: ball(g, g.root, k, budget=n - 1),
                  lambda: list(dirlap.shells(g, g.root, k, budget=n - 1))):
         with pytest.raises(BudgetExceededError) as err:
             walk()
         assert err.value.count == n
-    assert estimate_skew_mass(g, k, budget=n - 1).verdict == "inconclusive"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "DEFAULT_BALL_BUDGET", n - 1)
+        assert estimate_skew_mass(g, k).verdict == "inconclusive"
+        # ball and shells read the default at call time too
+        for walk in (lambda: ball(g, g.root, k), lambda: list(dirlap.shells(g, g.root, k))):
+            with pytest.raises(BudgetExceededError):
+                walk()

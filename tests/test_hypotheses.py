@@ -1,5 +1,6 @@
 """Volume growth, ellipticity, Poincare, and skew-mass estimators."""
 
+import inspect
 import math
 import re
 
@@ -10,7 +11,8 @@ from hypothesis import given
 import dirlap
 from dirlap import (GraphGenerator, ball, builtin_graph,
                     check_hypotheses, estimate_alpha, estimate_poincare,
-                    estimate_skew_mass, fit_volume_growth, generator_from_edges)
+                    estimate_skew_mass, fit_volume_growth, generator_from_edges,
+                    geometry, hypotheses)
 from dirlap.reports import read_json_report, write_json_report
 
 from helpers import (counted, finite_graphs, k2_generator, l1_ball_count, ols_loglog,
@@ -189,13 +191,15 @@ class TestEstimateSkewMass:
         assert est.tail_slope == pytest.approx(1.0, abs=0.05)
         assert est.w_partial == pytest.approx(2.0 + sum(8.0 * k for k in range(1, 49)))
 
-    def test_budget_cut_is_inconclusive(self):
-        est = estimate_skew_mass(builtin_graph("z2-advection"), 100, budget=500)
+    def test_budget_cut_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DEFAULT_BALL_BUDGET", 500)
+        est = estimate_skew_mass(builtin_graph("z2-advection"), 100)
         assert est.verdict == "inconclusive"
         assert est.shells_used < 101
 
-    def test_budget_cut_keeps_partial_sums(self):
-        est = estimate_skew_mass(builtin_graph("z2-skew-perturbed"), 60, budget=500)
+    def test_budget_cut_keeps_partial_sums(self, monkeypatch):
+        monkeypatch.setattr(geometry, "DEFAULT_BALL_BUDGET", 500)
+        est = estimate_skew_mass(builtin_graph("z2-skew-perturbed"), 60)
         assert est.verdict == "inconclusive"
         # shells 0..15 hold 481 vertices; shell 16 would bring the count to 545
         assert est.shells_used == 16
@@ -203,10 +207,11 @@ class TestEstimateSkewMass:
 
     @pytest.mark.parametrize("budget, shells_used, verdict",
                              [(41, 5, "convergent"), (40, 4, "inconclusive")])
-    def test_budget_boundary(self, budget, shells_used, verdict):
+    def test_budget_boundary(self, monkeypatch, budget, shells_used, verdict):
         # shells 0..4 hold 41 vertices; shell 5 is never built, so it cannot
         # exceed the budget
-        est = estimate_skew_mass(builtin_graph("z-lattice", d=2), 4, budget=budget)
+        monkeypatch.setattr(geometry, "DEFAULT_BALL_BUDGET", budget)
+        est = estimate_skew_mass(builtin_graph("z-lattice", d=2), 4)
         assert (est.shells_used, est.verdict) == (shells_used, verdict)
 
     def test_reads_each_vertex_once(self):
@@ -270,19 +275,22 @@ class TestCheckHypotheses:
         assert doc["vg"]["d_fit"] == report.vg.d_fit
         assert len(doc["pi"]) == 3
 
-    def test_budget_reaches_skew_scan(self):
+    def test_budget_reaches_skew_scan(self, monkeypatch):
         # without the budget the scan covers all 101 shells and reads divergent
+        monkeypatch.setattr(hypotheses, "_ALPHA_RADIUS", 3)
+        monkeypatch.setattr(hypotheses, "_PI_RADII", (1,))
+        monkeypatch.setattr(geometry, "DEFAULT_BALL_BUDGET", 1000)
         report = check_hypotheses(builtin_graph("z2-advection"), r_min=2, r_max=4,
-                                  alpha_radius=3, pi_radii=(1,), max_shells=100,
-                                  budget=1000)
+                                  max_shells=100)
         assert report.skew_mass.verdict == "inconclusive"
         assert report.skew_mass.shells_used < 101
 
-    def test_root_balls_read_once(self):
+    def test_root_balls_read_once(self, monkeypatch):
         g = builtin_graph("z-lattice", d=2)
         g_counted, reads = counted(g)
-        report = check_hypotheses(g_counted, r_min=2, r_max=5, alpha_radius=3,
-                                  pi_radii=(1, 2), max_shells=4, seed=9)
+        monkeypatch.setattr(hypotheses, "_ALPHA_RADIUS", 3)
+        monkeypatch.setattr(hypotheses, "_PI_RADII", (1, 2))
+        report = check_hypotheses(g_counted, r_min=2, r_max=5, max_shells=4, seed=9)
         assert report.vg.centers[0] == g.root
         assert len(set(report.vg.centers)) == 3
         # three radius-5 volume-fit balls of 61 vertices and the 41 vertices
@@ -294,3 +302,18 @@ class TestCheckHypotheses:
         r1 = check_hypotheses(g, r_min=2, r_max=5, max_shells=4, seed=9)
         r2 = check_hypotheses(g, r_min=2, r_max=5, max_shells=4, seed=9)
         assert r1.vg.centers == r2.vg.centers
+
+
+@pytest.mark.parametrize("fn, params", [
+    (check_hypotheses, ["gen", "r_min", "r_max", "max_shells", "shell_tol", "seed"]),
+    (fit_volume_growth, ["gen", "centers", "r_min", "r_max"]),
+    (estimate_alpha, ["gen", "center", "radius"]),
+    (estimate_poincare, ["gen", "center", "r"]),
+    (estimate_skew_mass, ["gen", "max_shells", "tol"]),
+    (dirlap.volume, ["gen", "center", "r"]),
+    (dirlap.distance, ["gen", "a", "b", "cutoff"]),
+], ids=["check_hypotheses", "fit_volume_growth", "estimate_alpha", "estimate_poincare",
+        "estimate_skew_mass", "volume", "distance"])
+def test_only_caller_settings_are_parameters(fn, params):
+    # sample radii and the vertex budget are module constants, not parameters
+    assert list(inspect.signature(fn).parameters) == params

@@ -15,10 +15,10 @@ from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
 from dirlap import oscillator
 from dirlap.errors import BlowUpError, TruncationError
 from dirlap.geometry import ball
-from dirlap.oscillator import (GenericCoupling, check_coupling_gradient,
-                               coupling_from_graph)
+from dirlap.oscillator import GenericCoupling, coupling_from_graph
 from dirlap.semigroup import SimConfig, trajectory_norms
-from helpers import decompose_edge, pairwise_sine_rhs, split_coupling_matrix
+from helpers import (check_coupling_gradient, decompose_edge, pairwise_sine_rhs,
+                     split_coupling_matrix)
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):

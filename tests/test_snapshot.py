@@ -108,7 +108,7 @@ def test_ball_of_a_snapshot(gen, r, extra):
                      ball(gen, gen.root, r + extra + 1))
 
 
-def test_integer_weights_read_as_floats():
+def test_integer_weights_read_as_floats(monkeypatch):
     g = builtin_graph("z2-advection")
 
     def adjacency(v):
@@ -121,7 +121,9 @@ def test_integer_weights_read_as_floats():
     assert_same_ball(ball(twin, g.root, 6), ball(g, g.root, 6))
     a, b = dirlap.estimate_skew_mass(twin, 30), dirlap.estimate_skew_mass(g, 30)
     assert a.w_partial == b.w_partial and a.last_contributions == b.last_contributions
-    kw = dict(r_min=2, r_max=5, alpha_radius=3, pi_radii=(1, 2), max_shells=10)
+    monkeypatch.setattr(dirlap.hypotheses, "_ALPHA_RADIUS", 3)
+    monkeypatch.setattr(dirlap.hypotheses, "_PI_RADII", (1, 2))
+    kw = dict(r_min=2, r_max=5, max_shells=10)
     assert dirlap.check_hypotheses(twin, **kw) == dirlap.check_hypotheses(g, **kw)
 
 

@@ -5,8 +5,10 @@
 #
 # SRC is a checkout's src/ directory and OUT a fresh output root.  Each run
 # goes through `python -m dirlap.cli` with PYTHONPATH=SRC, so two checkouts
-# can be compared without installing either; each run's exit code is written
-# to OUT/<run>/exit_code.  Compare two checkouts with
+# can be compared without installing either.  Runs start inside OUT, so the
+# relative input path of the fit-decay run makes its spec the same under any
+# root; each run's exit code is written to OUT/<run>/exit_code.  Compare two
+# checkouts with
 #
 #   tools/report_gate.sh parent/src /tmp/gate-a
 #   tools/report_gate.sh src /tmp/gate-b
@@ -16,8 +18,9 @@ if [ "$#" -ne 2 ]; then
     echo "usage: $0 SRC OUT" >&2
     exit 1
 fi
-SRC=$1
-OUT=$2
+mkdir -p "$2" || exit 1
+SRC=$(cd "$1" && pwd) || exit 1
+OUT=$(cd "$2" && pwd) || exit 1
 export OPENBLAS_NUM_THREADS=1
 export PYTHONPATH="$SRC"
 
@@ -25,7 +28,7 @@ run() {
     name=$1
     shift
     mkdir -p "$OUT/$name"
-    python -m dirlap.cli "$@" --out "$OUT/$name" > /dev/null
+    (cd "$OUT" && python -m dirlap.cli "$@" --out "$name" > /dev/null)
     echo $? > "$OUT/$name/exit_code"
 }
 
@@ -39,3 +42,7 @@ run osc oscillate --t-max 10
 run cex counterexample --t-max 20
 run val-ex22 validate --graph example-2.2
 run val-skew validate --graph z2-skew-perturbed
+# the linf series of sim-lat, one series as fit-decay reads it
+mkdir -p "$OUT/fit"
+grep -e '^t,' -e ',linf,' "$OUT/sim-lat/trajectory.csv" > "$OUT/fit/linf.csv"
+run fit fit-decay --csv fit/linf.csv --window 5 20
