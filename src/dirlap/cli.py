@@ -20,7 +20,7 @@ import numpy as np
 
 from . import builtins as graph_builtins
 from . import hypotheses, oscillator, reports, semigroup
-from .errors import DirlapError
+from .errors import BudgetExceededError, DirlapError, TruncationError
 from .graph import validate_generator
 
 
@@ -386,8 +386,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, config)
     except DirlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: reduce the radii (--radius, --r-max), --shells or "
-              "--t-max", file=sys.stderr)
+        if isinstance(exc, (BudgetExceededError, TruncationError)):
+            print("hint: reduce the radii (--radius, --r-max), --shells or "
+                  "--t-max", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

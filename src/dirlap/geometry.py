@@ -2,22 +2,25 @@
 
 Distances, balls, and volumes all live on the symmetric skeleton: the
 undirected graph whose edges are the pairs with strictly positive symmetric
-weight.  ``ball``, ``shells`` and the skew-mass scan all walk it with one
-breadth-first walk, ``_walk``, which owns the shell rule and the budget
-rule.  Sorted adjacency makes the vertex order deterministic and gives the
-nesting property that the vertex list of ``ball(v, r)`` is a prefix of the
-vertex list of ``ball(v, r+1)``.  The walk reads a large shell in one
-``batch_adjacency`` call when the generator has one, and a small shell
-vertex by vertex; both steps give the same shells and the same rows.
+weight.  ``ball``, ``shells``, the skew-mass scan and
+``graph.validate_generator`` all walk it with one breadth-first walk,
+``_walk``, which owns the shell rule and the budget rule.  Sorted adjacency
+makes the vertex order deterministic and gives the nesting property that the
+vertex list of ``ball(v, r)`` is a prefix of the vertex list of
+``ball(v, r+1)``.  The walk reads a large shell in one ``batch_adjacency``
+call when the generator has one, and a small shell vertex by vertex; both
+steps give the same shells and the same rows.
 
 A ball is also a snapshot of the directed weights on it.  Enumeration reads
 each vertex's weights exactly once, derives the vertex measure from that
 read, and keeps every reported weight in CSR arrays: one row per ball
 vertex, one entry per neighbour in ascending neighbour order (not the order
 of the callback's maps), holding the neighbour's ball index or -1 when it
-lies outside.  Laplacian parts are assembled from these arrays
-alone, and ``Ball.prefix(r)`` cuts the radius-``r`` ball out of a larger one
-without further adjacency calls, as ``ball`` does when handed a snapshot.
+lies outside.  Every vertex and every neighbour has one int64 id, and one
+sort of the ball's ids resolves every neighbour after the walk.  Laplacian
+parts are assembled from these arrays alone, and ``Ball.prefix(r)`` cuts the
+radius-``r`` ball out of a larger one without further adjacency calls, as
+``ball`` does when handed a snapshot.
 Truncated simulations therefore enumerate once per attempt: the enlarged ball
 of their truncation check, with the primary ball taken as its BFS prefix.
 """
@@ -25,13 +28,13 @@ of their truncation check, with the primary ball taken as its BFS prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
-from .graph import GraphGenerator, Vertex, _keys, _weights_agree
+from .graph import GraphGenerator, Vertex, _coords, _keys, _weights_agree
 
 #: The vertex budget of a walk that is given none.  Read at call time.
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -139,11 +142,15 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
     The ball is shells 0..r of ``_walk``, which reads every ball vertex once
     and raises ``BudgetExceededError`` under its budget rule; without a
     ``budget`` it reads ``DEFAULT_BALL_BUDGET`` at call time.  The snapshot is
-    the walk's rows, shell after shell.  Raises ``InconsistentAdjacencyError``
-    when two ball vertices report different weights for the edges between
-    them.  ``gen`` may be a ``Ball``: the balls it contains are cut from it as
-    prefixes, and any other is enumerated through the generator it was read
-    from.
+    the walk's rows, shell after shell.  Each ball vertex and each row
+    neighbour has one int64 id: the batch step's key, or ``_ids`` of the
+    vertex-step rows; after the walk one argsort of the ball's ids and one
+    search per shell give every neighbour its ball index, or -1 when it lies
+    outside, even when the walk found it only in a later shell.  Raises
+    ``InconsistentAdjacencyError`` when two ball vertices report different
+    weights for the edges between them.  ``gen`` may be a ``Ball``: the balls
+    it contains are cut from it as prefixes, and any other is enumerated
+    through the generator it was read from.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
@@ -151,51 +158,30 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
         if center == gen.center and r <= gen.radius:
             return gen.prefix(r)
         gen = gen.source
-    order = []
-    index = {}
-    sizes = []
+    order, sizes = [], []
     counts, w_out, w_in = [], [], []  # one chunk per shell
-    shell_keys = []  # the batch step's keys of each shell's vertices, or None
-    nbr = []  # one index array per shell; a batch shell's is resolved at the end
-    keyed = []  # (shell, neighbour keys) of the batch shells
-    pending = []  # neighbour vertices of the shell read last, if read vertex by vertex
-    late = []  # (entry, vertex) of neighbours outside the ball when resolved
-    entries = 0
-
-    def resolve():
-        # every skeleton neighbour of the shell read last is indexed by now;
-        # a neighbour of no symmetric weight may still be found later
-        got = np.fromiter(map(index.get, pending, repeat(-1)), np.int64, len(pending))
-        start = entries - len(pending)
-        late.extend((start + int(i), pending[i]) for i in np.flatnonzero(got < 0))
-        nbr[-1] = got
-        pending.clear()
-
+    ids, nbr = [], []  # int64 ids of each shell's vertices and of its rows' neighbours
+    interned = {}  # the negative ids of the vertices that do not fit the key
     for _, shell, read in _walk(gen, center, r, budget):
-        index.update(zip(shell, range(len(order), len(order) + len(shell))))
         order += shell
         sizes.append(len(shell))
-        if pending:
-            resolve()
         rows = read()
         counts.append(rows.counts)
         w_out.append(rows.w_out)
         w_in.append(rows.w_in)
-        shell_keys.append(rows.keys)
-        entries += len(rows.nbr)
-        nbr.append(np.empty(0, np.int64))
         if rows.keys is None:
-            pending += rows.nbr
+            ids.append(_ids(shell, interned))
+            nbr.append(_ids(rows.nbr, interned))
         else:
-            keyed.append((len(nbr) - 1, rows.nbr))
-    if pending:
-        resolve()
-    if keyed:
-        _resolve_keys(nbr, keyed, shell_keys, order, sizes)
-    del keyed, shell_keys  # the key chunks go before the arrays are joined: a lower peak
+            ids.append(rows.keys)
+            nbr.append(rows.nbr)
+    ids = np.concatenate(ids)
+    by_id = np.argsort(ids)
+    sorted_ids = ids[by_id]
+    for s, chunk in enumerate(nbr):  # each neighbour's ball index, -1 outside
+        at = np.minimum(np.searchsorted(sorted_ids, chunk), len(ids) - 1)
+        nbr[s] = np.where(sorted_ids[at] == chunk, by_id[at], -1)
     nbr = np.concatenate(nbr)
-    for k, v in late:
-        nbr[k] = index.get(v, -1)
 
     indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(_flat(counts, np.int64), out=indptr[1:])
@@ -206,7 +192,7 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
     # 0.0 + keeps measures float when there are no entries (bincount gives int)
     measures = 0.0 + np.bincount(np.repeat(np.arange(len(order)), np.diff(indptr)),
                                  weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
-    b = Ball(center=center, radius=r, vertices=order, index=index,
+    b = Ball(center=center, radius=r, vertices=order, index=dict(zip(order, range(len(order)))),
              distances=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
              measures=measures, indptr=indptr, nbr=nbr, w_out=w_out, w_in=w_in, source=gen)
     _check_consistency(b)
@@ -216,18 +202,6 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
 def _flat(chunks: list, dtype) -> np.ndarray:
     """One array from per-shell lists or arrays."""
     return np.concatenate([np.asarray(c, dtype=dtype) for c in chunks])
-
-
-def _resolve_keys(nbr: list, keyed: list, shell_keys: list, order: list, sizes: list) -> None:
-    """Ball indices of the batch shells' neighbour keys, -1 outside the ball."""
-    ends = np.cumsum(sizes)
-    keys = np.concatenate([k if k is not None else _shell_keys(order[e - n:e])
-                           for k, n, e in zip(shell_keys, sizes, ends)])
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    for s, nk in keyed:
-        at = np.minimum(np.searchsorted(sorted_keys, nk), len(keys) - 1)
-        nbr[s] = np.where(sorted_keys[at] == nk, by_key[at], -1)
 
 
 def volume(gen, center: Vertex, r: int) -> float:
@@ -279,6 +253,12 @@ class _Rows(NamedTuple):
     w_in: list | np.ndarray
     keys: np.ndarray | None
 
+    def entries(self) -> Iterator[list]:
+        """Each row as a list of ``(neighbour, w_out, w_in)``, in shell order."""
+        nbr, w_out, w_in = iter(self.nbr), iter(self.w_out), iter(self.w_in)
+        for n in self.counts:
+            yield list(zip(islice(nbr, n), islice(w_out, n), islice(w_in, n)))
+
 
 def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None = None):
     """Breadth-first walk of the symmetric skeleton: ``(k, shell, read)``.
@@ -302,9 +282,9 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None
     degree cap, share one ``seen`` set and give the same rows, so which one
     read a shell changes nothing but the time.
 
-    ``validate_generator`` keeps its own walk because it records defective
-    callbacks and goes on; ``verify_phase_lock`` walks a coupling's support,
-    not the skeleton.
+    ``graph.validate_generator`` walks a tolerant copy of the generator, so
+    that it can record defective callbacks and go on; ``verify_phase_lock``
+    walks a coupling's support, not the skeleton.
     """
     budget = DEFAULT_BALL_BUDGET if budget is None else budget
     seen = {root}
@@ -427,14 +407,19 @@ def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
     return rows, new, new_coords, new_keys
 
 
-def _coords(shell: list) -> np.ndarray | None:
-    """The shell as a ``(k, d)`` int64 array, or None if it is not one."""
-    try:
-        return np.array(shell, dtype=np.int64).reshape(len(shell), -1)
-    except (TypeError, ValueError, OverflowError):
-        return None
+def _ids(vertices: list, interned: dict) -> np.ndarray:
+    """One int64 id per vertex: its key (``graph._keys``), or a negative id from ``interned``.
 
-
-def _shell_keys(shell: list) -> np.ndarray:
-    coords = _coords(shell)
-    return _keys(coords) if coords is not None else np.full(len(shell), -1, np.int64)
+    The id depends on the vertex alone, so a list that is not one integer
+    array is converted vertex by vertex.
+    """
+    coords = _coords(vertices)
+    if coords is None and len(vertices) > 1:
+        return np.concatenate([_ids([v], interned) for v in vertices])
+    if coords is None or coords.shape[1] > 3:
+        ids = np.full(len(vertices), -1, np.int64)
+    else:
+        ids = _keys(coords)
+    for i in np.flatnonzero(ids < 0):
+        ids[i] = interned.setdefault(vertices[i], -1 - len(interned))
+    return ids

@@ -30,7 +30,6 @@ derived here works with finitely supported vectors represented as plain
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -42,7 +41,7 @@ Vertex = tuple
 AdjacencyFn = Callable[[Vertex], tuple[Mapping[Vertex, float], Mapping[Vertex, float]]]
 BatchAdjacencyFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
-#: Default bound on |out-edges| + |in-edges| reported for a single vertex.
+#: Default bound on the out-edges, and apart on the in-edges, of a single vertex.
 #: Bounded degree is assumed by all the geometric estimators, so a runaway
 #: generator should fail loudly instead of stalling a BFS.
 DEFAULT_DEGREE_CAP = 64
@@ -60,8 +59,9 @@ WEIGHT_PARTS = {
 }
 
 
-#: Bits per axis of the int64 key that the batch walk gives a vertex: a vertex
-#: is read in batch only when it has at most 3 axes, each with |c| < 2**20.
+#: Bits per axis of the int64 key (>= 0) of a vertex with at most 3 integer axes,
+#: each with |c| < 2**20; different axis counts give different keys.  The batch
+#: walk reads only vertices with a key.
 _KEY_BITS = 21
 _KEY_LIMIT = 1 << (_KEY_BITS - 1)
 
@@ -73,6 +73,17 @@ def _keys(coords: np.ndarray) -> np.ndarray:
     for j in range(coords.shape[-1]):
         key = (key << _KEY_BITS) | (coords[..., j] + _KEY_LIMIT)
     return np.where(fits, key, -1)
+
+
+def _coords(vertices: list) -> np.ndarray | None:
+    """The vertices as a ``(k, d)`` int64 array, or None unless numpy makes them integers."""
+    try:
+        coords = np.array(vertices)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if coords.dtype.kind not in "biu" or coords.dtype == np.uint64:
+        return None
+    return coords.astype(np.int64).reshape(len(vertices), -1)
 
 
 def _weights_agree(a, b):
@@ -94,7 +105,8 @@ class GraphGenerator:
     name:
         Label used in reports.
     degree_cap:
-        Maximum number of distinct neighbours a single vertex may report.
+        Maximum number of out-edges a single vertex may report, and apart
+        from them of in-edges: each direction is capped on its own.
     batch_adjacency:
         Optional vectorized form of ``adjacency`` for vertices that are tuples
         of integers.  It maps a ``(k, d)`` int64 array of vertices to
@@ -157,11 +169,6 @@ def generator_from_edges(edges: Mapping[tuple[Vertex, Vertex], float], root: Ver
     return GraphGenerator(adjacency=adjacency, root=root, name=name)
 
 
-def _read_once(gen: GraphGenerator) -> GraphGenerator:
-    """``gen`` with each vertex's adjacency kept after its first read, for one helper call."""
-    return dataclasses.replace(gen, adjacency=functools.cache(gen.adjacency))
-
-
 def apply_laplacian(x: Mapping[Vertex, float], gen: GraphGenerator,
                     part: str = "full") -> dict[Vertex, float]:
     """Apply the graph Laplacian of the selected weight part to a vector.
@@ -170,26 +177,40 @@ def apply_laplacian(x: Mapping[Vertex, float], gen: GraphGenerator,
     symmetric or skew part when requested.  The result is evaluated on the
     support of ``x`` enlarged by one adjacency hop, outside of which it
     vanishes, so finitely supported input yields finitely supported output.
-    Each vertex is read once.
+    Each vertex is read once (``_local_rows``), and each sum runs in
+    ascending neighbour order.
     """
     if part not in WEIGHT_PARTS:
         raise ValueError(f"unknown part {part!r}")
-    weight = WEIGHT_PARTS[part]
-    edges = _read_once(gen).edges
-    support = [v for v, val in x.items() if val != 0.0]
-    targets = set(support)
-    for v in support:
-        out, inn = edges(v)
-        targets.update(set(out) | set(inn))
-    result: dict[Vertex, float] = {}
-    for v in targets:
-        out, inn = edges(v)
-        xv = x.get(v, 0.0)
+    data = {v: val for v, val in x.items() if val != 0.0}
+    return _laplacian(data, _local_rows(gen, data), WEIGHT_PARTS[part])
+
+
+def _local_rows(gen: GraphGenerator, support) -> dict:
+    """``v -> [(neighbour, w_out, w_in), ...]`` for the support, then its new neighbours.
+
+    Each is read once, by the walk's vertex step, so rows are in ascending
+    neighbour order.
+    """
+    from .geometry import _scalar_step
+
+    rows, todo = {}, list(support)
+    for _ in range(2):
+        rows.update(zip(todo, _scalar_step(gen.edges, todo, set(), None).entries()))
+        todo = list(dict.fromkeys(u for v in todo for u, _, _ in rows[v] if u not in rows))
+    return rows
+
+
+def _laplacian(data: Mapping, rows: dict, weight) -> dict[Vertex, float]:
+    """``apply_laplacian`` of the vector ``data`` on the rows of ``_local_rows``."""
+    result = {}
+    for v, row in rows.items():
+        xv = data.get(v, 0.0)
         acc = 0.0
-        for u in set(out) | set(inn):
-            w = weight(out.get(u, 0.0), inn.get(u, 0.0))
+        for u, wf, wb in row:
+            w = weight(wf, wb)
             if w != 0.0:
-                acc += w * (x.get(u, 0.0) - xv)
+                acc += w * (data.get(u, 0.0) - xv)
         result[v] = acc
     return result
 
@@ -225,132 +246,124 @@ _VALIDATION_BUDGET = 200_000
 
 
 def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationReport:
-    """Enumerate a ball around the root and check the generator contract.
+    """Walk a ball around the root and check the generator contract.
 
     Checks, per sampled vertex: out/in weight reports agree between the two
     endpoints of every edge, no self-loop and no zero weight is reported,
     degree stays under the cap, the symmetric weights are nonnegative (a pair
     with both directed edges present must average to a strictly positive
     weight), and every vertex keeps at least one symmetric neighbour.
-    Weights agree when they are within ``WEIGHT_RTOL`` of each other.  Each
-    defect is reported once: a pair is cross-checked from the endpoint
-    visited first, and a failing callback is called and reported once.  For a
-    generator with ``batch_adjacency``, every sampled vertex that the batch
-    walk would read is read in one batch call, and a row that differs from
-    the checked single-vertex read is a ``batch-mismatch``.  Violations are
-    returned, not raised; only a sample of more than ``_VALIDATION_BUDGET``
-    (200,000) vertices raises.
+    Weights agree when they are within ``WEIGHT_RTOL`` of each other.
+
+    The sample is shells 0..``sample_radius`` of ``geometry._walk`` over the
+    raw callback read once per vertex; a vertex whose callback failed or is
+    over the cap is walked without edges.  Each defect is reported once: a
+    failing callback when first called, a pair on the raw maps of both
+    endpoints from the endpoint visited first.  For a generator with
+    ``batch_adjacency``, every sampled vertex that the batch walk would read
+    is read in one batch call, and a row that differs from the checked
+    single-vertex read is a ``batch-mismatch``.  Violations are returned, not
+    raised; only a sample of more than ``_VALIDATION_BUDGET`` (200,000)
+    vertices raises, by the walk's budget rule.
     """
+    from .geometry import _walk
+
     if sample_radius < 1:
         raise ValueError("sample_radius must be >= 1")
     violations: list[Violation] = []
     notes: list[str] = []
     cap = gen.degree_cap
-    # BFS over the symmetric skeleton, tolerating per-vertex defects.
-    dist = {gen.root: 0}
-    order = [gen.root]
-    head = 0
-    adj_cache: dict[Vertex, tuple[dict, dict] | None] = {}
+    raw: dict[Vertex, tuple | None] = {}  # the callback's maps, None once its failure is reported
     checked = set()  # unordered pairs, as (lower, higher)
-    readable = []  # (v, out, inn) of the vertices read within the cap
+    readable = []  # (v, row) of the vertices read within the cap
 
-    def edges_of(v):
-        # the callback's maps, or None once its failure has been reported
-        if v not in adj_cache:
+    def read(v):
+        if v not in raw:
             try:
-                adj_cache[v] = gen.adjacency(v)
+                raw[v] = gen.adjacency(v)
             except Exception as exc:  # generator itself failed
-                adj_cache[v] = None
+                raw[v] = None
                 violations.append(Violation("adjacency-error", (v,), str(exc)))
-        return adj_cache[v]
+        return raw[v]
 
-    while head < len(order):
-        v = order[head]
-        head += 1
-        read = edges_of(v)
-        if read is None:
-            continue
-        out, inn = read
-        if v in out or v in inn:
-            violations.append(Violation(
-                "self-loop", (v,), "self-loop reported; edges join distinct vertices"))
-        if len(out) > cap or len(inn) > cap:
-            violations.append(Violation(
-                "degree-cap", (v,), f"{max(len(out), len(inn))} edges exceeds cap {cap}"))
-            continue
-        readable.append((v, out, inn))
-        for u, w in list(out.items()) + list(inn.items()):
-            if w == 0.0:
-                violations.append(Violation(
-                    "zero-weight", (v, u), "zero weight reported; absent edges must be omitted"))
-        nbrs = sorted(u for u in out.keys() | inn.keys() if u != v)
-        sym_nbrs = []
-        for u in nbrs:
-            wf, wb = out.get(u, 0.0), inn.get(u, 0.0)
-            ws = (wf + wb) / 2.0
-            if ws < 0.0 or (wf * wb != 0.0 and ws <= 0.0):
-                violations.append(Violation(
-                    "negative-symmetric", (v, u),
-                    f"w(v,v')={wf}, w(v',v)={wb} average to {ws}"))
-            elif wf < 0.0 or wb < 0.0:
-                notes.append(
-                    f"negative directed weight on ({v}, {u}) with positive symmetric part")
-            if ws > 0.0:
-                sym_nbrs.append(u)
-        if not sym_nbrs:
-            violations.append(Violation(
-                "isolated-vertex", (v,), "no strictly positive symmetric neighbour"))
-        # Cross-check both endpoints of every incident edge.
-        for u in nbrs:
-            pair = (v, u) if v < u else (u, v)
-            if pair in checked:
+    def tolerant(v):
+        got = read(v)
+        if got is None or len(got[0]) > cap or len(got[1]) > cap:
+            return {}, {}
+        return got
+
+    walker = dataclasses.replace(gen, adjacency=tolerant, batch_adjacency=None)
+    sampled = 0
+    for _, shell, read_rows in _walk(walker, gen.root, sample_radius, _VALIDATION_BUDGET):
+        sampled += len(shell)
+        for v, row in zip(shell, read_rows().entries()):
+            if raw[v] is None:
                 continue
-            checked.add(pair)
-            read = edges_of(u)
-            if read is None:
+            out, inn = raw[v]
+            if v in out or v in inn:
+                violations.append(Violation(
+                    "self-loop", (v,), "self-loop reported; edges join distinct vertices"))
+            if len(out) > cap or len(inn) > cap:
+                violations.append(Violation(
+                    "degree-cap", (v,), f"{max(len(out), len(inn))} edges exceeds cap {cap}"))
                 continue
-            u_out, u_inn = read
-            wf = out.get(u, 0.0)
-            if not _weights_agree(wf, u_inn.get(v, 0.0)):
+            readable.append((v, row))
+            for u, w in list(out.items()) + list(inn.items()):
+                if w == 0.0:
+                    violations.append(Violation("zero-weight", (v, u),
+                                                "zero weight reported; absent edges must be omitted"))
+            for u, wf, wb in row:
+                ws = (wf + wb) / 2.0
+                if ws < 0.0 or (wf * wb != 0.0 and ws <= 0.0):
+                    violations.append(Violation(
+                        "negative-symmetric", (v, u),
+                        f"w(v,v')={wf}, w(v',v)={wb} average to {ws}"))
+                elif wf < 0.0 or wb < 0.0:
+                    notes.append(
+                        f"negative directed weight on ({v}, {u}) with positive symmetric part")
+            if all((wf + wb) / 2.0 <= 0.0 for _, wf, wb in row):
                 violations.append(Violation(
-                    "weight-consistency", (v, u),
-                    f"out-edge weight {wf} vs in-edge report {u_inn.get(v, 0.0)}"))
-            wb = inn.get(u, 0.0)
-            if not _weights_agree(wb, u_out.get(v, 0.0)):
-                violations.append(Violation(
-                    "weight-consistency", (u, v),
-                    f"in-edge report {wb} vs out-edge weight {u_out.get(v, 0.0)}"))
-        if dist[v] < sample_radius:
-            for u in sym_nbrs:
-                if u not in dist:
-                    if len(dist) >= _VALIDATION_BUDGET:
-                        raise BudgetExceededError(
-                            f"validation ball exceeded {_VALIDATION_BUDGET} vertices", len(dist))
-                    dist[u] = dist[v] + 1
-                    order.append(u)
+                    "isolated-vertex", (v,), "no strictly positive symmetric neighbour"))
+            # Cross-check both endpoints of every incident edge.
+            for u, wf, wb in row:
+                pair = (v, u) if v < u else (u, v)
+                if pair in checked:
+                    continue
+                checked.add(pair)
+                if read(u) is None:
+                    continue
+                u_out, u_inn = raw[u]
+                if not _weights_agree(wf, u_inn.get(v, 0.0)):
+                    violations.append(Violation(
+                        "weight-consistency", (v, u),
+                        f"out-edge weight {wf} vs in-edge report {u_inn.get(v, 0.0)}"))
+                if not _weights_agree(wb, u_out.get(v, 0.0)):
+                    violations.append(Violation(
+                        "weight-consistency", (u, v),
+                        f"in-edge report {wb} vs out-edge weight {u_out.get(v, 0.0)}"))
 
     if gen.batch_adjacency is not None:
         violations += _batch_mismatches(gen, readable)
-    # BFS reaches exactly the connected component of the root within the
+    # The walk reaches exactly the connected component of the root within the
     # sampled radius, so connectivity of the sample holds by construction;
     # disconnection can only manifest as isolated vertices above.
-    return ValidationReport(vertices_checked=len(order), violations=violations, notes=notes)
+    return ValidationReport(vertices_checked=sampled, violations=violations, notes=notes)
 
 
 def _batch_mismatches(gen: GraphGenerator, reads: list) -> list[Violation]:
-    """Compare one ``batch_adjacency`` call with the single-vertex reads ``(v, out, inn)``.
+    """Compare one ``batch_adjacency`` call with the vertex step's rows ``(v, row)``.
 
     Only vertices that the batch walk would read take part: at most three
     integer axes, each with ``|c| < 2**20``.  A row matches when it lists the
-    same neighbours, in the same order, with equal weights, once self-loops
-    and absent slots are dropped, as the walk drops them.
+    same ``(neighbour, w_out, w_in)`` entries, in the same order, once
+    self-loops and absent slots are dropped, as the walk drops them.
     """
+    coords = _coords([v for v, _ in reads])
+    keep = [] if coords is None or coords.shape[1] > 3 else np.flatnonzero(_keys(coords) >= 0)
+    if not len(keep):
+        return []
+    coords = coords[keep]
     try:
-        coords = np.array([v for v, _, _ in reads], dtype=np.int64).reshape(len(reads), -1)
-        keep = np.flatnonzero(_keys(coords) >= 0) if coords.shape[1] <= 3 else []
-        if not len(keep):
-            return []
-        coords = coords[keep]
         nc, wo, wi = gen.batch_adjacency(coords)
         nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
         if wo.shape != wi.shape or wo.shape[:1] != coords.shape[:1] \
@@ -362,9 +375,7 @@ def _batch_mismatches(gen: GraphGenerator, reads: list) -> list[Violation]:
     present = ((wo != 0.0) | (wi != 0.0)) & ~(nc == coords[:, None, :]).all(axis=2)
     found = []
     for i, k in enumerate(keep):
-        v, out, inn = reads[k]
-        expect = [(u, out.get(u, 0.0), inn.get(u, 0.0))
-                  for u in sorted(out.keys() | inn.keys()) if u != v]
+        v, expect = reads[k]
         row = present[i]
         got = list(zip(map(tuple, nc[i][row].tolist()), wo[i][row].tolist(),
                        wi[i][row].tolist()))

@@ -36,7 +36,7 @@ import scipy.sparse
 
 from .errors import TruncationError
 from .geometry import Ball, ball, shells
-from .graph import WEIGHT_PARTS, Vertex, _read_once, apply_laplacian
+from .graph import WEIGHT_PARTS, Vertex, _laplacian, _local_rows
 from .integrate import integrate, lanczos_expm
 
 _PARTS = tuple(WEIGHT_PARTS)
@@ -332,33 +332,35 @@ def q_seminorm(x, gen, ps: Iterable) -> list[float]:
     Sums ``|x_v' - x_v|^p`` over ordered pairs with ``v'`` in the symmetric
     neighbourhood of ``v``, exactly for the infinite graph.  For a
     StateVector the one-hop enlargement of the support must fit inside its
-    ball, or ``ValueError`` is raised.  The in-ball variant used on simulated
-    trajectories is ``q_norm_fast`` (``trajectory_norms(kind="q")``).
+    ball, or ``ValueError`` is raised.  The support and then its neighbours
+    are read once each (``graph._local_rows``).  The in-ball variant used on
+    simulated trajectories is ``q_norm_fast`` (``trajectory_norms(kind="q")``).
     """
-    edges = _read_once(gen).edges
+    data = _nonzero(x)
+    domain = x.ball if isinstance(x, StateVector) else None
+    diffs = _sym_differences(data, _local_rows(gen, data), domain)
+    return [_difference_norm(diffs, float(p)) for p in ps]
 
-    def sym_neighbors(v):
-        out, inn = edges(v)
-        return [u for u in set(out) | set(inn) if (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0 > 0.0]
 
-    if isinstance(x, StateVector):
-        data = x.to_dict()
-        domain = x.ball
-    else:
-        data = {v: float(val) for v, val in dict(x).items() if val != 0.0}
-        domain = None
-    ring = set(data)
-    for v in list(data):
-        ring.update(sym_neighbors(v))
+def _nonzero(x) -> dict:
+    """The nonzero entries of a StateVector or a mapping, as floats."""
+    return x.to_dict() if isinstance(x, StateVector) else \
+        {v: float(val) for v, val in dict(x).items() if val != 0.0}
+
+
+def _sym_differences(data: dict, rows: dict, domain: Ball | None = None) -> np.ndarray:
+    """``|x_v' - x_v|`` over the pairs of positive symmetric weight from the ring.
+
+    The ring is the support and its symmetric neighbours, whose rows ``rows``
+    holds (``graph._local_rows``); with a ``domain``, it must lie inside.
+    """
+    sym = {v: [u for u, wf, wb in row if (wf + wb) / 2.0 > 0.0] for v, row in rows.items()}
+    ring = dict.fromkeys(data)
+    for v in data:
+        ring.update(dict.fromkeys(sym[v]))
     if domain is not None and any(v not in domain for v in ring):
         raise ValueError("support touches the ball boundary; enlarge the ball")
-
-    diffs = []
-    for v in ring:
-        xv = data.get(v, 0.0)
-        for u in sym_neighbors(v):
-            diffs.append(abs(data.get(u, 0.0) - xv))
-    return [_difference_norm(np.array(diffs), float(p)) for p in ps]
+    return np.array([abs(data.get(u, 0.0) - data.get(v, 0.0)) for v in ring for u in sym[v]])
 
 
 def _difference_norm(d: np.ndarray, p: float) -> float:
@@ -383,27 +385,19 @@ def skew_bound_check(x, gen) -> tuple[float, float]:
     Returns ``(|L_skew x|_1, W_local * Q_inf(x))`` where ``W_local`` sums
     ``|w_skew|`` over exactly the ordered pairs with a nonzero term, so the
     right side is a valid (sharpened) instance of the bound for finitely
-    supported vectors.  Each vertex is read once for all parts: this check
-    and the helpers it calls share one ``_read_once`` copy of ``gen``.
+    supported vectors.  All three terms come from one read of the support
+    and its neighbours (``graph._local_rows``).
     """
-    gen = _read_once(gen)
-    data = x.to_dict() if isinstance(x, StateVector) else \
-        {v: float(val) for v, val in dict(x).items() if val != 0.0}
-    image = apply_laplacian(data, gen, part="skew")
-    lhs = sum(abs(val) for val in image.values())
-
-    touched = set(data)
-    for v in list(data):
-        out, inn = gen.edges(v)
-        touched.update(set(out) | set(inn))
+    data = _nonzero(x)
+    rows = _local_rows(gen, data)
+    lhs = sum(abs(val) for val in _laplacian(data, rows, WEIGHT_PARTS["skew"]).values())
     w_local = 0.0
-    for v in touched:
+    for v, row in rows.items():
         xv = data.get(v, 0.0)
-        out, inn = gen.edges(v)
-        for u in set(out) | set(inn):
+        for u, wf, wb in row:
             if xv != 0.0 or data.get(u, 0.0) != 0.0:
-                w_local += abs((out.get(u, 0.0) - inn.get(u, 0.0)) / 2.0)
-    q_inf = q_seminorm(data, gen, [math.inf])[0]
+                w_local += abs((wf - wb) / 2.0)
+    q_inf = _difference_norm(_sym_differences(data, rows), math.inf)
     return float(lhs), float(w_local * q_inf)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from dirlap import hypotheses
 from dirlap.cli import build_parser, main
-from dirlap.errors import BudgetExceededError
+from dirlap.errors import BudgetExceededError, InconsistentAdjacencyError
 from dirlap.reports import read_json_report
 
 
@@ -54,6 +54,16 @@ def test_error_hint_names_existing_options(tmp_path, capsys, monkeypatch):
         for sub in action.choices.values():
             known.update(sub._option_string_actions)
     assert set(flags) <= known
+
+
+def test_no_hint_where_a_smaller_run_does_not_help(tmp_path, capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise InconsistentAdjacencyError("callbacks disagree", ((0,), (1,)))
+
+    monkeypatch.setattr(hypotheses, "check_hypotheses", disagree)
+    code = run(["check-hypotheses", "--graph", "example-2.2", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: callbacks disagree"]
 
 
 def test_check_hypotheses_line_graph(tmp_path, capsys):

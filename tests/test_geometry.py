@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import dirlap
 from dirlap import (GraphGenerator, ball, builtin_graph, distance,
-                    estimate_skew_mass, geometry, volume)
+                    estimate_skew_mass, generator_from_edges, geometry, volume)
 from dirlap.errors import BudgetExceededError
 
 from helpers import finite_graphs, l1_ball_count
@@ -185,3 +185,46 @@ def test_ball_shells_and_skew_scan_share_one_budget_rule(g, k):
         for walk in (lambda: ball(g, g.root, k), lambda: list(dirlap.shells(g, g.root, k))):
             with pytest.raises(BudgetExceededError):
                 walk()
+
+
+# Order-keeping renamings of one-axis vertices, each with an inverse: past the
+# int64 key, into four axes (which have no key), across the key limit, into
+# one or two axes by parity, so that rows mix vertices of both lengths, into
+# halves, which must not be rounded to integers, and into -4..-1 and integers
+# near 2**64, which must not wrap around to -4..-1.
+RELABELS = [(lambda v: (v[0] + 2**20,), lambda v: (v[0] - 2**20,)),
+            (lambda v: (v[0], 0, 0, 0), lambda v: (v[0],)),
+            (lambda v: (v[0] + 2**20 - 4,), lambda v: (v[0] - 2**20 + 4,)),
+            (lambda v: v if v[0] % 2 else (v[0], 0), lambda v: v[:1]),
+            (lambda v: (v[0] / 2,), lambda v: (round(v[0] * 2),)),
+            (lambda v: (v[0] - 4,) if v[0] < 4 else (v[0] + 2**64 - 8,),
+             lambda v: (v[0] + 4,) if v[0] < 0 else (v[0] - 2**64 + 8,))]
+
+# (0,) reaches (2,) only through (1,); the direct pair has no symmetric
+# weight, so (2,) is a neighbour of (0,) that the walk finds a shell later.
+LATE_NEIGHBOUR = generator_from_edges({((0,), (1,)): 1.0, ((1,), (0,)): 1.0,
+                                       ((1,), (2,)): 1.0, ((2,), (1,)): 1.0,
+                                       ((0,), (2,)): 1.0, ((2,), (0,)): -1.0}, root=(0,))
+
+
+def relabelled(gen, f, f_inv):
+    """``gen`` with each vertex ``v`` renamed ``f(v)``."""
+    def adjacency(v):
+        out, inn = gen.adjacency(f_inv(v))
+        return {f(u): w for u, w in out.items()}, {f(u): w for u, w in inn.items()}
+
+    return GraphGenerator(adjacency=adjacency, root=f(gen.root), name=gen.name)
+
+
+@example(LATE_NEIGHBOUR, 2)
+@given(finite_graphs(), st.integers(min_value=0, max_value=4))
+def test_vertices_without_a_key_give_the_same_ball(gen, r):
+    # renamed vertices that do not fit the key get interned ids instead, and
+    # a row that numpy cannot make one array gets its ids vertex by vertex
+    b = ball(gen, gen.root, r)
+    for f, f_inv in RELABELS:
+        other = ball(relabelled(gen, f, f_inv), f(gen.root), r)
+        assert other.vertices == [f(v) for v in b.vertices]
+        for name in ("distances", "measures", "indptr", "nbr", "w_out", "w_in"):
+            x, y = getattr(b, name), getattr(other, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name

@@ -1,5 +1,6 @@
 """Graph generators, weight decomposition, and the lazy Laplacian."""
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirlap import (TruncatedOperator, apply_laplacian, ball, builtin_graph,
-                    generator_from_edges, validate_generator)
+                    generator_from_edges, geometry, validate_generator)
 from dirlap.errors import DegreeCapError
 from dirlap.graph import GraphGenerator
 
@@ -255,6 +256,54 @@ class TestValidateGenerator:
         monkeypatch.setattr(graph, "_VALIDATION_BUDGET", 50)
         with pytest.raises(BudgetExceededError):
             validate_generator(builtin_graph("z-lattice", d=2), 40)
+
+
+def star(cap, n_out, n_in):
+    """(0,) with edges to (1,)..(n_out,) and from (-1,)..(-n_in,), with a batch callback."""
+    edges = {((0,), (k,)): 1.0 for k in range(1, n_out + 1)}
+    edges.update({((-k,), (0,)): 1.0 for k in range(1, n_in + 1)})
+    g = generator_from_edges(edges, root=(0,), name="star")
+    calls = []
+
+    def batch(coords):
+        calls.append(len(coords))
+        rows = [g.adjacency(v) for v in map(tuple, coords.tolist())]
+        nbrs = [sorted(out.keys() | inn.keys()) for out, inn in rows]
+        deg = max(map(len, nbrs))
+        coords_out = np.zeros((len(rows), deg, 1), np.int64)
+        w_out, w_in = np.zeros((len(rows), deg)), np.zeros((len(rows), deg))
+        for i, ((out, inn), row) in enumerate(zip(rows, nbrs)):
+            for j, u in enumerate(row):
+                coords_out[i, j], w_out[i, j], w_in[i, j] = u, out.get(u, 0.0), inn.get(u, 0.0)
+        return coords_out, w_out, w_in
+
+    return dataclasses.replace(g, degree_cap=cap, batch_adjacency=batch), calls
+
+
+class TestDegreeCap:
+    def test_each_direction_has_its_own_cap(self, monkeypatch):
+        g, calls = star(3, 3, 3)
+        out, inn = g.edges((0,))
+        assert len(out) == len(inn) == 3
+        monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", 0)
+        assert len(ball(g, (0,), 1)) == 7
+        assert calls == [1, 6]  # both shells were read in batch
+        report = validate_generator(g, 2)
+        assert report.ok, report.violations
+
+    @pytest.mark.parametrize("n_out, n_in", [(4, 3), (3, 4)])
+    def test_one_edge_over_the_cap(self, monkeypatch, n_out, n_in):
+        g, calls = star(3, n_out, n_in)
+        with pytest.raises(DegreeCapError, match="reports 4 edges, cap is 3"):
+            g.edges((0,))
+        for size in (0, 10**9):  # the batch step, then the vertex step
+            monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", size)
+            with pytest.raises(DegreeCapError, match="reports 4 edges, cap is 3"):
+                ball(g, (0,), 1)
+        assert calls == [1]
+        report = validate_generator(g, 2)
+        assert [(v.kind, v.vertices, v.detail) for v in report.violations] == [
+            ("degree-cap", ((0,),), "4 edges exceeds cap 3")]
 
 
 class TestBuiltins:

@@ -15,11 +15,14 @@
 # pairs in which the change read better, and "gain_resolved": whether the
 # change was better in at least nine tenths of the pairs (ties count for
 # neither) and its median beat the parent's by more than the parent's
-# interquartile range.  Which direction is better comes from BENCHMARK.json.
-# Both sides' failed and attempted solves are printed with the medians.  An
-# OUT that exists already gets this run appended to its "runs" list, so one
-# file can hold several seeds; runs written before "gain_resolved" existed
-# are kept as they are.
+# interquartile range.  "within_bound": whether the change's median is no
+# worse than the parent's by more than the metric's relative "bound".
+# "unresolved": whether the parent's interquartile range exceeds "bound" times
+# its median, so that the runs spread too widely to tell.  Which direction is
+# better, and each bound, come from BENCHMARK.json.  Both sides' failed and
+# attempted solves are printed with the medians.  An OUT that exists already
+# gets this run appended to its "runs" list, so one file can hold several
+# seeds; runs written before a field existed are kept as they are.
 set -eu
 if [ "$#" -lt 4 ] || [ "$#" -gt 5 ]; then
     echo "usage: $0 PARENT WORKLOAD PAIRS OUT [SEED]" >&2
@@ -96,22 +99,28 @@ def quartiles(values):
 
 
 with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as f:
-    better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    declared = {m["name"]: m for m in json.load(f)["end_to_end"]}
 
 metrics = {}
 for name in results["change"][0]["metrics"]:
     value = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in results.items()}
-    sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+    spec = declared.get(name, {})
+    sign = -1.0 if spec.get("better") == "higher" else 1.0
     lower = sum(c < p for p, c in zip(value["parent"], value["change"]))
     wins = sum(sign * c < sign * p for p, c in zip(value["parent"], value["change"]))
     spread = {s: quartiles(v) for s, v in value.items()}
+    parent_median, bound = spread["parent"]["median"], spec.get("bound")
     metrics[name] = {
         "unit": results["change"][0]["metrics"][name]["unit"],
         "parent": spread["parent"],
         "change": spread["change"],
         "change_lower_in": f"change lower in {lower} of {pairs} pairs",
         "gain_resolved": 10 * wins >= 9 * pairs and sign * (
-            spread["parent"]["median"] - spread["change"]["median"]) > spread["parent"]["iqr"],
+            parent_median - spread["change"]["median"]) > spread["parent"]["iqr"],
+        "within_bound": None if bound is None else sign * (
+            spread["change"]["median"] - parent_median) <= bound * abs(parent_median),
+        "unresolved": None if bound is None else spread["parent"]["iqr"] > bound * abs(
+            parent_median),
     }
 
 command = f"perfbench/run.py --workload {workload} --seed {seed} --seconds 30 --trace 0"
@@ -138,8 +147,10 @@ with open(out, "w", encoding="utf-8") as f:
     f.write("\n")
 print(f"failed/attempted solves: parent {run['failed']['parent']}/{run['attempted']['parent']}, "
       f"change {run['failed']['change']}/{run['attempted']['change']}")
+yes = {True: "yes", False: "no", None: "no bound"}
 for name, m in metrics.items():
     print(f"{name}: parent median {m['parent']['median']:.4g} (IQR {m['parent']['iqr']:.3g}), "
           f"change median {m['change']['median']:.4g} (IQR {m['change']['iqr']:.3g}); "
-          f"{m['change_lower_in']}; gain resolved: {'yes' if m['gain_resolved'] else 'no'}")
+          f"{m['change_lower_in']}; gain resolved: {yes[m['gain_resolved']]}; "
+          f"within bound: {yes[m['within_bound']]}; unresolved: {yes[m['unresolved']]}")
 EOF
