@@ -169,19 +169,10 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
         counts.append(rows.counts)
         w_out.append(rows.w_out)
         w_in.append(rows.w_in)
-        if rows.keys is None:
-            ids.append(_ids(shell, interned))
-            nbr.append(_ids(rows.nbr, interned))
-        else:
-            ids.append(rows.keys)
-            nbr.append(rows.nbr)
-    ids = np.concatenate(ids)
-    by_id = np.argsort(ids)
-    sorted_ids = ids[by_id]
-    for s, chunk in enumerate(nbr):  # each neighbour's ball index, -1 outside
-        at = np.minimum(np.searchsorted(sorted_ids, chunk), len(ids) - 1)
-        nbr[s] = np.where(sorted_ids[at] == chunk, by_id[at], -1)
-    nbr = np.concatenate(nbr)
+        shell_ids, nbr_ids = _row_ids(shell, rows, interned)
+        ids.append(shell_ids)
+        nbr.append(nbr_ids)
+    nbr = np.concatenate(_index_by_id(np.concatenate(ids), nbr))
 
     indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(_flat(counts, np.int64), out=indptr[1:])
@@ -405,6 +396,24 @@ def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
             new_coords[fresh], new_keys[fresh]
     seen.update(new)
     return rows, new, new_coords, new_keys
+
+
+def _row_ids(shell: list, rows: _Rows, interned: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 ids of a read shell's vertices and of its rows' neighbours."""
+    if rows.keys is None:
+        return _ids(shell, interned), _ids(rows.nbr, interned)
+    return rows.keys, rows.nbr
+
+
+def _index_by_id(ids: np.ndarray, chunks: list) -> list:
+    """The position in ``ids`` of each id of each chunk, -1 where absent: one argsort."""
+    by_id = np.argsort(ids)
+    sorted_ids = ids[by_id]
+    found = []
+    for chunk in chunks:
+        at = np.minimum(np.searchsorted(sorted_ids, chunk), len(ids) - 1)
+        found.append(np.where(sorted_ids[at] == chunk, by_id[at], -1))
+    return found
 
 
 def _ids(vertices: list, interned: dict) -> np.ndarray:

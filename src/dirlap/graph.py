@@ -75,6 +75,13 @@ def _keys(coords: np.ndarray) -> np.ndarray:
     return np.where(fits, key, -1)
 
 
+def _unkey(keys: np.ndarray, d: int) -> list:
+    """The vertices, as tuples of ``d`` ints, whose keys (``_keys``) are ``keys``."""
+    shifts = _KEY_BITS * np.arange(d - 1, -1, -1)
+    coords = ((keys[:, None] >> shifts) & ((1 << _KEY_BITS) - 1)) - _KEY_LIMIT
+    return list(zip(*coords.T.tolist()))
+
+
 def _coords(vertices: list) -> np.ndarray | None:
     """The vertices as a ``(k, d)`` int64 array, or None unless numpy makes them integers."""
     try:

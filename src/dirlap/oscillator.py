@@ -15,11 +15,17 @@ ball in the co-rotating frame, freezing the exterior at the locked motion,
 and return the deviation from the locked state over time.  For the sine
 coupling the right-hand side is evaluated in harmonic form, two sparse
 matvecs and one sin and cos per vertex (Strogatz 2000, Physica D 143:1).
+
+A sine coupling whose strengths come from a graph (``coupling_from_graph``)
+is read from that graph in rows, as the skeleton walk reads any graph: the
+linearization reads a vertex's weights once, and a whole shell in one
+``batch_adjacency`` call where the graph has one; the right-hand side takes
+its coupling weights from one read of each ball vertex.  Any other coupling
+is read pair by pair through its callables.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -28,8 +34,8 @@ import numpy as np
 import scipy.sparse
 
 from .errors import BlowUpError
-from .geometry import Ball
-from .graph import GraphGenerator, Vertex
+from .geometry import Ball, _index_by_id, _read_shell, _row_ids
+from .graph import DEFAULT_DEGREE_CAP, GraphGenerator, Vertex, _unkey
 from .integrate import integrate
 from .semigroup import SimConfig, StateVector, _truncated_flow
 
@@ -71,7 +77,22 @@ def sin_coupling(weight: Callable[[Vertex, Vertex], float],
     return SeparableCoupling(weight=weight, support=support)
 
 
-COUPLING_READ_MEMO = 100_000  # vertices whose adjacency coupling_from_graph keeps
+@dataclass(frozen=True)
+class _GraphWeight:
+    """``weight(v, v')``: the out-weight ``w(v, v')`` of ``gen``, read by ``gen.edges(v)``.
+
+    It carries the graph, so that ``linearize`` and ``_EdgeTable`` can read
+    the weights of whole shells from it instead of pair by pair.
+    """
+
+    gen: GraphGenerator
+
+    def __call__(self, v: Vertex, v2: Vertex) -> float:
+        return self.gen.edges(v)[0].get(v2, 0.0)
+
+    def support(self, v: Vertex) -> list:
+        out, inn = self.gen.edges(v)
+        return sorted(out.keys() | inn.keys())
 
 
 def coupling_from_graph(gen: GraphGenerator) -> tuple[Callable, Callable]:
@@ -79,19 +100,21 @@ def coupling_from_graph(gen: GraphGenerator) -> tuple[Callable, Callable]:
 
     Returns ``(weight, support)`` where the support of a vertex is every
     neighbour in either direction, so pairs stay symmetric even when the
-    strengths are not.  Both read through one bounded memo of the adjacency,
-    as linearization and the edge table re-read every vertex many times.
+    strengths are not.  Each call reads the graph, with no memo.  A
+    ``sin_coupling`` of this pair is read from the graph in rows instead:
+    ``linearize`` and ``_EdgeTable`` read every vertex they need once per use,
+    a whole shell in one ``batch_adjacency`` call where the graph has one.
     """
-    edges = functools.lru_cache(maxsize=COUPLING_READ_MEMO)(gen.edges)
+    weight = _GraphWeight(gen)
+    return weight, weight.support
 
-    def weight(v: Vertex, v2: Vertex) -> float:
-        return edges(v)[0].get(v2, 0.0)
 
-    def support(v: Vertex):
-        out, inn = edges(v)
-        return sorted(set(out) | set(inn))
-
-    return weight, support
+def _coupling_graph(coup) -> GraphGenerator | None:
+    """The graph that a sine coupling takes both its weight and its support from, if any."""
+    weight = getattr(coup, "weight", None)
+    if isinstance(weight, _GraphWeight) and coup.support == weight.support:
+        return weight.gen
+    return None
 
 
 @dataclass
@@ -146,24 +169,60 @@ def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator
     zero slopes are pruned like absent edges.  Requires the interaction
     support to be symmetric (v' interacts with v whenever v does with v'),
     which holds for every lattice coupling used here.
+
+    For a ``sin_coupling`` of ``coupling_from_graph``'s pair, a vertex read is
+    one read of the coupling graph, ``w(v, v') cos(lag_v' - lag_v)`` and
+    ``w(v', v) cos(lag_v - lag_v')`` from the one ``(out, inn)`` pair, and the
+    generator has a ``batch_adjacency`` when the graph has one: one graph
+    batch call per shell, times the same cosines, with the lags read only on
+    present slots.  Any other coupling is read pair by pair through ``dh``.
     """
     coup = sys.coupling
     lag = cand.lags
+    name = f"linearized({sys.name})"
+    graph = _coupling_graph(coup)
+    if graph is None:
+        def adjacency(v: Vertex):
+            out = {}
+            inn = {}
+            for u in coup.support(v):
+                w = coup.dh(lag(u) - lag(v), v, u)
+                if w != 0.0:
+                    out[u] = w
+                wb = coup.dh(lag(v) - lag(u), u, v)
+                if wb != 0.0:
+                    inn[u] = wb
+            return out, inn
+
+        return GraphGenerator(adjacency=adjacency, root=sys.root, name=name)
+
+    def sloped(w_out, w_in, lag_v, lag_u):
+        # +0.0, not -0.0, where a weight is zero: the vertex read prunes those
+        return (np.where(w_out != 0.0, w_out * np.cos(lag_u - lag_v), 0.0),
+                np.where(w_in != 0.0, w_in * np.cos(lag_v - lag_u), 0.0))
 
     def adjacency(v: Vertex):
-        out = {}
-        inn = {}
-        for u in coup.support(v):
-            w = coup.dh(lag(u) - lag(v), v, u)
-            if w != 0.0:
-                out[u] = w
-            wb = coup.dh(lag(v) - lag(u), u, v)
-            if wb != 0.0:
-                inn[u] = wb
-        return out, inn
+        out, inn = graph.edges(v)
+        nb = list(out.keys() | inn.keys())
+        w_out, w_in = sloped(np.array([out.get(u, 0.0) for u in nb]),
+                             np.array([inn.get(u, 0.0) for u in nb]),
+                             lag(v), np.array([lag(u) for u in nb]))
+        return ({u: w for u, w in zip(nb, w_out.tolist()) if w != 0.0},
+                {u: w for u, w in zip(nb, w_in.tolist()) if w != 0.0})
 
-    return GraphGenerator(adjacency=adjacency, root=sys.root,
-                          name=f"linearized({sys.name})")
+    def batch(coords):
+        nc, wo, wi = graph.batch_adjacency(coords)
+        nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
+        present = (wo != 0.0) | (wi != 0.0)  # an absent slot's coordinates are arbitrary
+        lag_u = np.zeros(wo.shape)
+        lag_u[present] = [lag(u) for u in zip(*nc[present].T.tolist())]
+        lag_v = np.array([lag(v) for v in zip(*coords.T.tolist())])
+        return (nc,) + sloped(wo, wi, lag_v[:, None], lag_u)
+
+    # the graph's reads cap its degree, the generator's its own
+    return GraphGenerator(adjacency=adjacency, root=sys.root, name=name,
+                          degree_cap=min(graph.degree_cap, DEFAULT_DEGREE_CAP),
+                          batch_adjacency=None if graph.batch_adjacency is None else batch)
 
 
 class _EdgeTable:
@@ -177,25 +236,53 @@ class _EdgeTable:
     ``K_vu sin(lag_u)`` and ``K_vu cos(lag_u)`` over exterior u.  A
     ``GenericCoupling`` calls ``h`` once per ordered pair (v in ball,
     v' in support(v)) and sums each vertex's terms with ``np.bincount``.
+
+    The pairs come from one of two gathers.  A ``sin_coupling`` of
+    ``coupling_from_graph``'s pair reads the ball's rows of the coupling graph
+    once, by the walk's own shell read (one batch call where the keys fit),
+    resolves their neighbours to ball indices by id as ``geometry.ball`` does,
+    and takes ``K`` from the rows' out-weights.  Any other coupling is
+    gathered pair by pair through ``support`` and ``weight``.  Either way the
+    lags and ``omega`` are read once per ball vertex, and the lags once more
+    per exterior pair.
     """
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
         self.coup, n = sys.coupling, len(b)
         self.offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
         self.lag = np.array([cand.lags(v) for v in b.vertices])
-        nbrs = [list(self.coup.support(v)) for v in b.vertices]
-        self.src = np.repeat(np.arange(n, dtype=np.int64), [len(us) for us in nbrs])
-        self.dst = np.array([b.index.get(u, n) for us in nbrs for u in us])  # n: exterior
-        lag_u = np.array([cand.lags(u) for us in nbrs for u in us])
+        graph = _coupling_graph(self.coup)
+        if graph is not None:
+            rows = _read_shell(graph, b.vertices, None, None, None, None, False)[0]
+            ids, nbr = _row_ids(b.vertices, rows, {})
+            (dst,) = _index_by_id(ids, [nbr])
+            away = np.flatnonzero(dst < 0)
+            outside = [rows.nbr[j] for j in away] if rows.keys is None \
+                else _unkey(nbr[away], len(b.center))
+            dst[away] = n
+            counts, k = rows.counts, np.asarray(rows.w_out, float)
+        else:
+            nbrs = [list(self.coup.support(v)) for v in b.vertices]
+            counts = [len(us) for us in nbrs]
+            dst = np.array([b.index.get(u, n) for us in nbrs for u in us], dtype=np.int64)
+            outside = [u for us in nbrs for u in us if u not in b.index]
+            if isinstance(self.coup, SeparableCoupling):
+                k = np.array([self.coup.weight(v, u) for v, us in zip(b.vertices, nbrs)
+                              for u in us])
+            else:
+                self.pairs = [(v, u) for v, us in zip(b.vertices, nbrs) for u in us]
+        self.src = np.repeat(np.arange(n, dtype=np.int64), counts)
+        self.dst = dst  # n: exterior
+        ext = dst == n
+        lag_u = np.append(self.lag, 0.0)[dst]
+        lag_u[ext] = [cand.lags(u) for u in outside]
         if isinstance(self.coup, SeparableCoupling):
-            k = np.array([self.coup.weight(v, u) for v, us in zip(b.vertices, nbrs) for u in us])
-            inner, ext = self.dst < n, self.dst == n
+            inner = ~ext
             self.k = scipy.sparse.csr_matrix(
-                (k[inner], (self.src[inner], self.dst[inner])), shape=(n, n))
+                (k[inner], (self.src[inner], dst[inner])), shape=(n, n))
             self.s_ext = np.bincount(self.src[ext], k[ext] * np.sin(lag_u[ext]), n)
             self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
         else:
-            self.pairs = [(v, u) for v, us in zip(b.vertices, nbrs) for u in us]
             self.dlag = lag_u - self.lag[self.src]
 
     def rhs(self, phi: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from dirlap import geometry
 from dirlap.geometry import ball
 from dirlap.graph import GraphGenerator, generator_from_edges
 from dirlap.hypotheses import _dirichlet_matrix
@@ -60,6 +61,20 @@ def sym_neighbors(gen, v) -> dict:
         if ws > 0.0:
             result[u] = ws
     return result
+
+
+#: ``geometry._BATCH_MIN_SHELL`` values that read every shell in batch (where
+#: the keys fit) and none
+EVERY_SHELL, NO_SHELL = 0, 10**9
+
+
+def both_steps(monkeypatch, fn, sizes=(EVERY_SHELL, NO_SHELL)):
+    """``fn()`` with every shell read in batch, then with every shell read vertex by vertex."""
+    results = []
+    for size in sizes:
+        monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", size)
+        results.append(fn())
+    return results
 
 
 def assert_same_ball(a, b):

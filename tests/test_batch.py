@@ -7,6 +7,8 @@ and setting it to 10**9 reads none.
 """
 
 import dataclasses
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,28 +17,19 @@ from hypothesis import strategies as st
 
 import dirlap
 from dirlap import (BudgetExceededError, DegreeCapError, GraphGenerator,
-                    InconsistentAdjacencyError, ball, builtin_graph,
-                    estimate_skew_mass, validate_generator)
-from dirlap import geometry
+                    InconsistentAdjacencyError, OscillatorSystem, PhaseLockCandidate,
+                    ball, builtin_graph, estimate_skew_mass, linearize, sin_coupling,
+                    validate_generator)
+from dirlap import geometry, oscillator
+from dirlap.oscillator import coupling_from_graph
 from dirlap.hypotheses import _shell_skew
 
-from helpers import assert_same_ball
+from helpers import EVERY_SHELL, NO_SHELL, assert_same_ball, both_steps
 
 BUILTINS = [("example-2.2", {}), ("z-lattice", {"d": 1}), ("z-lattice", {"d": 2}),
             ("z-lattice", {"d": 3}), ("z-lattice", {"d": 4}), ("z2-advection", {}),
             ("z2-skew-perturbed", {"a": 0.5}), ("z2-skew-perturbed", {"a": -0.9})]
 LIMIT = 1 << 20  # the first coordinate magnitude that the int64 key cannot hold
-
-EVERY_SHELL, NO_SHELL = 0, 10**9
-
-
-def both_steps(monkeypatch, fn, sizes=(EVERY_SHELL, NO_SHELL)):
-    """``fn()`` with every shell read in batch, then with every shell read vertex by vertex."""
-    results = []
-    for size in sizes:
-        monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", size)
-        results.append(fn())
-    return results
 
 
 def walk_record(gen, root, k):
@@ -255,3 +248,101 @@ def test_package_exports_no_test_only_helpers():
     for name in ("decompose_edge", "split_coupling_matrix", "poincare_quotient"):
         assert not hasattr(dirlap, name)
     assert not hasattr(dirlap.oscillator, "check_coupling_gradient")
+
+
+# The oscillator flow reads its coupling graph through the same two steps.
+
+def junk_absent_slots(gen):
+    """``gen`` whose batch rows put far-away coordinates in every absent slot.
+
+    The batch contract leaves an absent slot's coordinates arbitrary, so
+    nothing may read them.
+    """
+    def batch(coords):
+        nbrs, w_out, w_in = gen.batch_adjacency(coords)
+        nbrs = nbrs.copy()
+        nbrs[(w_out == 0.0) & (w_in == 0.0)] = 999_999
+        return nbrs, w_out, w_in
+
+    return dataclasses.replace(gen, batch_adjacency=batch)
+
+
+def sine_lattice(gen, a, b, radius):
+    """The sine coupling of ``gen`` at lags ``a sin(b (v_0 + 2 v_1 + ...))``, on ``gen``'s radius ball.
+
+    On the holey plane the graph's absent slots hold junk, and the lags
+    raise on any vertex that no vertex of the ball reaches by an edge.
+    """
+    reached = None
+    if gen.name == "holey-plane":
+        reached = set(ball(gen, gen.root, radius + 1).vertices)
+        gen = junk_absent_slots(gen)
+
+    def lags(v):
+        if reached is not None and v not in reached:
+            raise AssertionError(f"lags read at {v}, which no edge reaches")
+        return a * math.sin(b * sum((j + 1) * c for j, c in enumerate(v)))
+
+    weight, support = coupling_from_graph(gen)
+    sys_ = OscillatorSystem(omega=lambda v: 0.1 * v[0], coupling=sin_coupling(weight, support),
+                            root=gen.root, name=gen.name)
+    return sys_, PhaseLockCandidate(velocity=1.0, lags=lags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GENERATORS), st.floats(-1.5, 1.5), st.floats(0.1, 2.0))
+def test_linearized_batch_step_is_bit_equal_to_the_vertex_step(gen, a, b):
+    radius = 3 if len(gen.root) >= 3 else 7
+    sys_, cand = sine_lattice(gen, a, b, radius)
+    lin = linearize(sys_, cand)
+    with pytest.MonkeyPatch.context() as mp:
+        balls = both_steps(mp, lambda: ball(lin, gen.root, radius))
+    assert_same_ball(*balls)
+    if gen.name == "holey-plane":  # the validator reads one hop further
+        sys_, cand = sine_lattice(gen, a, b, 6)
+        lin = linearize(sys_, cand)
+    assert not [v for v in validate_generator(lin, 5).violations if v.kind == "batch-mismatch"]
+
+
+def test_oscillator_flow_reads_the_coupling_graph_once_per_vertex_step_vertex(monkeypatch):
+    # the linearized ball reads by shells, the edge table its whole ball as one
+    g = builtin_graph("z2-skew-perturbed", a=0.5)
+    calls = []
+
+    def adjacency(v):
+        calls.append(v)
+        return g.adjacency(v)
+
+    weight, support = coupling_from_graph(dataclasses.replace(g, adjacency=adjacency))
+    sys_ = OscillatorSystem(omega=lambda v: 1.0, coupling=sin_coupling(weight, support),
+                            root=g.root)
+    cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.1 * v[0])
+    lin = linearize(sys_, cand)
+    for size in (EVERY_SHELL, geometry._BATCH_MIN_SHELL, NO_SHELL):
+        monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", size)
+        calls.clear()
+        b = ball(lin, g.root, 10)
+        shell_size = np.bincount(b.distances)[b.distances]
+        by_vertex_step = [v for v, n in zip(b.vertices, shell_size) if n < size]
+        assert Counter(calls) == Counter(by_vertex_step)
+        calls.clear()
+        oscillator._EdgeTable(sys_, cand, b)
+        assert Counter(calls) == Counter(b.vertices if len(b) < size else [])
+
+
+@pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
+def test_edge_table_is_the_same_on_both_steps_and_pair_by_pair(monkeypatch, gen):
+    radius = 3 if len(gen.root) >= 3 else 6
+    sys_, cand = sine_lattice(gen, 0.7, 0.9, radius)
+    b = ball(linearize(sys_, cand), gen.root, radius)
+    pairwise = dataclasses.replace(sys_, coupling=sin_coupling(
+        lambda v, u: sys_.coupling.weight(v, u), lambda v: sys_.coupling.support(v)))
+    tables = both_steps(monkeypatch, lambda: oscillator._EdgeTable(sys_, cand, b))
+    tables.append(oscillator._EdgeTable(pairwise, cand, b))
+    first = tables[0]
+    for table in tables[1:]:
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(first.k, name), getattr(table.k, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        for name in ("s_ext", "c_ext", "offset", "lag"):
+            assert np.array_equal(getattr(first, name), getattr(table, name)), name

@@ -1,5 +1,7 @@
 """Phase-locked states, linearization, and nonlinear stability runs."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -17,8 +19,8 @@ from dirlap.errors import BlowUpError, TruncationError
 from dirlap.geometry import ball
 from dirlap.oscillator import GenericCoupling, coupling_from_graph
 from dirlap.semigroup import SimConfig, trajectory_norms
-from helpers import (check_coupling_gradient, decompose_edge, pairwise_sine_rhs,
-                     split_coupling_matrix)
+from helpers import (assert_same_ball, both_steps, check_coupling_gradient, decompose_edge,
+                     pairwise_sine_rhs, split_coupling_matrix)
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):
@@ -196,7 +198,9 @@ class TestSimulateNonlinear:
 
     @staticmethod
     def assert_generic_matches_separable(sys_, cand, perturbation, t_max):
-        weight, support = sys_.coupling.weight, sys_.coupling.support
+        # h runs once per pair per right-hand side and the graph weight reads
+        # the graph each time, so the slow path reads it through a cache
+        weight, support = functools.cache(sys_.coupling.weight), sys_.coupling.support
         slow = GenericCoupling(
             h=lambda x, v, u: weight(v, u) * math.sin(x),
             dh=lambda x, v, u: weight(v, u) * math.cos(x),
@@ -227,22 +231,92 @@ _RHS_BALL = ball(_SKEW_PLANE, (0, 0), 3)  # 25 vertices, 16 exterior neighbours
 _RHS_REACH = ball(_SKEW_PLANE, (0, 0), 4)
 
 
-@given(arrays(float, len(_RHS_REACH), elements=st.floats(0.1, 3.0)),
-       arrays(float, len(_RHS_BALL), elements=st.floats(-0.5, 0.5)))
-def test_harmonic_rhs_matches_pairwise_sum(lags, phi):
-    # lags in [0.1, 3] keep sin(lag) > 0 at the exterior neighbours, so the
-    # frozen-exterior row constants s_ext and c_ext are both nonzero
-    weight, support = coupling_from_graph(_SKEW_PLANE)
-    sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0] - 0.1 * v[1],
-                            coupling=sin_coupling(weight, support), root=(0, 0))
+def skew_plane_coupling(kind):
+    """The sine coupling of ``_SKEW_PLANE``, read from the graph or pair by pair."""
+    gen = _SKEW_PLANE if kind != "graph without batch" else \
+        dataclasses.replace(_SKEW_PLANE, batch_adjacency=None)
+    weight, support = coupling_from_graph(gen)
+    if kind == "lambdas":
+        calls = []
+
+        def counted(v, u):
+            calls.append((v, u))
+            return weight(v, u)
+
+        return sin_coupling(counted, lambda v: support(v)), calls
+    return sin_coupling(weight, support), None
+
+
+def check_harmonic_rhs(kind, lags, phi):
+    """The edge table of ``kind``, under both steps, against the pairwise sum."""
+    coup, calls = skew_plane_coupling(kind)
+    sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0] - 0.1 * v[1], coupling=coup,
+                            root=(0, 0))
     cand = PhaseLockCandidate(velocity=0.2,
                               lags=dict(zip(_RHS_REACH.vertices, lags)).__getitem__)
-    table = oscillator._EdgeTable(sys_, cand, _RHS_BALL)
-    assert np.count_nonzero(table.s_ext) == np.count_nonzero(table.c_ext) > 0
-    scale = np.array([sum(abs(weight(v, u)) for u in support(v))
+    with pytest.MonkeyPatch.context() as mp:
+        tables = both_steps(mp, lambda: oscillator._EdgeTable(sys_, cand, _RHS_BALL))
+    if calls is not None:  # user callables keep the per-pair gather
+        assert len(calls) == sum(t.src.size for t in tables)
+    scale = np.array([sum(abs(coup.weight(v, u)) for u in coup.support(v))
                       for v in _RHS_BALL.vertices])
-    err = np.abs(table.rhs(phi) - pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi))
-    assert np.all(err <= 1e-14 * scale)
+    expected = pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi)
+    for table in tables:
+        assert np.count_nonzero(table.s_ext) == np.count_nonzero(table.c_ext) > 0
+        err = np.abs(table.rhs(phi) - expected)
+        assert np.all(err <= 1e-14 * scale)
+
+
+# lags in [0.1, 3] keep sin(lag) > 0 at the exterior neighbours, so the
+# frozen-exterior row constants s_ext and c_ext are both nonzero
+rhs_inputs = given(arrays(float, len(_RHS_REACH), elements=st.floats(0.1, 3.0)),
+                   arrays(float, len(_RHS_BALL), elements=st.floats(-0.5, 0.5)))
+
+
+@rhs_inputs
+def test_harmonic_rhs_matches_pairwise_sum(lags, phi):
+    check_harmonic_rhs("graph", lags, phi)
+
+
+@pytest.mark.parametrize("kind", ["graph without batch", "lambdas"])
+@rhs_inputs
+def test_harmonic_rhs_of_other_sine_couplings_matches_pairwise_sum(kind, lags, phi):
+    check_harmonic_rhs(kind, lags, phi)
+
+
+def lagged_lock():
+    """An exact lock with nonzero lags on the skew-perturbed plane.
+
+    ``omega_v = 1 - sum_u K_vu sin(lag_u - lag_v)``, so the velocity 1 and
+    the lags solve the ansatz; the cosines of the linearization are not 1.
+    """
+    weight, support = coupling_from_graph(_SKEW_PLANE)
+
+    def lags(v):
+        return 0.3 * math.sin(0.7 * v[0]) + 0.2 * math.cos(0.5 * v[1])
+
+    def omega(v):
+        return 1.0 - sum(weight(v, u) * math.sin(lags(u) - lags(v)) for u in support(v))
+
+    sys_ = OscillatorSystem(omega=omega, coupling=sin_coupling(weight, support),
+                            root=(0, 0), name="lagged")
+    return sys_, PhaseLockCandidate(velocity=1.0, lags=lags)
+
+
+def test_nonzero_lag_lock_flows_the_same_on_both_steps(monkeypatch):
+    sys_, cand = lagged_lock()
+    assert verify_phase_lock(sys_, cand, radius=6) <= 1e-12
+    cfg = SimConfig(t_max=4.0, sample_times=[0.5, 2.0, 4.0], rtol=1e-9, atol=1e-12,
+                    c_speed=2.0)
+    batch, vertex = both_steps(monkeypatch, lambda: simulate_nonlinear(
+        sys_, cand, {(0, 0): 0.01, (1, 0): -0.005}, cfg))
+    assert (batch.n_steps, batch.richardson_diff, batch.retries) == \
+        (vertex.n_steps, vertex.richardson_diff, vertex.retries)
+    assert_same_ball(batch.ball, vertex.ball)
+    assert len(batch) == len(vertex) == 3
+    for (ta, sa), (tb, sb) in zip(batch, vertex):
+        assert ta == tb and np.array_equal(sa.values, sb.values)
+    assert np.any(sa.values != 0.0)
 
 
 class TestNonlinearTruncation:

@@ -39,6 +39,8 @@ run ch-lat check-hypotheses --graph z-lattice --d 2
 run sim-lat simulate --graph z-lattice --d 2 --part sym --t-max 20
 run sim-skew simulate --graph z2-skew-perturbed --t-max 20
 run osc oscillate --t-max 10
+# the negative-bias coupling
+run osc-neg oscillate --a -0.9 --t-max 10
 run cex counterexample --t-max 20
 run val-ex22 validate --graph example-2.2
 run val-skew validate --graph z2-skew-perturbed
