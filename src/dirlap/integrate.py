@@ -1,14 +1,26 @@
 """Time propagation for the truncated flows: adaptive Runge-Kutta and Lanczos.
 
-``integrate`` is the Dormand-Prince 5(4) embedded pair with a standard PI
-step-size controller.  Two features matter for the truncated-domain
-simulations built on top of it:
+``integrate`` is the Dormand-Prince 5(4) embedded pair (Dormand & Prince,
+J. Comput. Appl. Math. 6:19, 1980) with a standard PI step-size controller.
+The seven stages of a step are the rows of one ``(7, w)`` array, and each
+stage input is one product of a tableau row with the earlier stages; for a
+linear ``f = A y`` a step is the method's stability polynomial applied to
+``hA`` (Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations
+I*).  Three features matter for the truncated-domain simulations:
 
 * accepted steps are clipped so that every requested sample time is hit
-  exactly (no interpolation), and
+  exactly (no interpolation);
 * the accepted step sequence can be recorded and replayed on a second system
   of a different size, so two truncation radii can be compared with the
-  integrator contributing only roundoff to the difference.
+  integrator contributing only roundoff to the difference;
+* on a BFS-ordered ball vector the run works on the live prefix.  After
+  every accepted step it finds the last entry above ``tau = 1e-10 * atol``
+  (``_WINDOW_TOL``); the window runs to that entry's shell plus 8 shells,
+  grows 16 shells at a time and never shrinks.  The state and the stages
+  have the window's length, the error norm still divides by the full
+  length, and the samples are exact zeros past the window.  What is
+  dropped starts at most ``tau``, so a flow that contracts the sup norm
+  loses about ``steps * tau`` at most.
 
 ``lanczos_expm`` computes ``exp(tA) y0`` for a symmetric ``A`` at every
 sample time from one Lanczos basis.  It needs no step controller, so two
@@ -28,21 +40,22 @@ import scipy.linalg
 
 from .errors import StepSizeError
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6:19,
+# 1980).  Row i of _A weights the stages of stage i + 1; row 6 is the
+# 5th-order solution, so the last stage is evaluated at it (FSAL).
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0.0] * 7,
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
+_ERR = _A[6] - _B4
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -50,6 +63,13 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MAX_STEPS = 1_000_000
+
+# The live window of integrate: entries at most _WINDOW_TOL * atol count as
+# dead, the window keeps _WINDOW_MARGIN shells past the last live one and
+# grows by _WINDOW_GROWTH shells (read at call time).
+_WINDOW_TOL = 1e-10
+_WINDOW_MARGIN = 8
+_WINDOW_GROWTH = 16
 
 
 # Lanczos: largest Krylov dimension of one basis before a restart, how many
@@ -85,14 +105,19 @@ def _checked_times(sample_times: Sequence[float]) -> list[float]:
     return times
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, t_span):
+def _rms(x: np.ndarray, n: int) -> float:
+    """Root mean square of ``x`` padded with zeros to length ``n``."""
+    return float(np.sqrt(np.sum(x ** 2) / n)) if n else 0.0
+
+
+def _initial_step(f, t0, y0, f0, rtol, atol, t_span, n):
     scale = atol + rtol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2)) if y0.size else 0.0
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2)) if y0.size else 0.0
+    d0 = _rms(y0 / scale, n)
+    d1 = _rms(f0 / scale, n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     y1 = y0 + h0 * f0
     f1 = f(t0 + h0, y1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    d2 = _rms((f1 - f0) / scale, n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -100,35 +125,64 @@ def _initial_step(f, t0, y0, f0, rtol, atol, t_span):
     return min(100 * h0, h1, t_span)
 
 
-def _step(f, t, y, h, k1):
-    """One Dormand-Prince step.  Returns (y_new, err_vec, k_last)."""
-    k = [k1]
+def _step(f, t, y, h, k):
+    """One Dormand-Prince step from ``y``, whose derivative ``k[0]`` holds.
+
+    Fills the stages ``k[1:]`` of the ``(7, len(y))`` array ``k`` and returns
+    ``(y_new, err_vec)``; ``k[6]`` is the derivative at ``y_new`` (FSAL).
+    """
     for i in range(1, 7):
-        yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-        k.append(f(t + _C[i] * h, yi))
-    y_new = yi  # stage 7 uses the 5th-order weights (FSAL)
-    err = h * sum(e * ki for e, ki in zip(_ERR, k) if e != 0.0)
-    return y_new, err, k[6]
+        # h scales the i weights, not the window-length sum
+        yi = y + (h * _A[i, :i]) @ k[:i]
+        k[i] = f(t + _C[i] * h, yi)
+    return yi, (h * _ERR) @ k
+
+
+def _window_shells(y: np.ndarray, ends: np.ndarray, last: int, tau: float) -> int:
+    """The last shell of the live window of ``y``, grown from ``last``.
+
+    ``ends[r]`` counts the entries of shells 0..r of the BFS-ordered vector.
+    The window reaches ``_WINDOW_MARGIN`` shells past the last entry above
+    ``tau``: first exactly that far (``last`` < 0), then by whole
+    ``_WINDOW_GROWTH``-shell chunks, and never past the last shell.
+    """
+    live = np.flatnonzero(np.abs(y) > tau)
+    need = _WINDOW_MARGIN + (int(np.searchsorted(ends, live[-1], side="right"))
+                             if live.size else 0)
+    if need > last:
+        last = need if last < 0 else \
+            last + _WINDOW_GROWTH * -(-(need - last) // _WINDOW_GROWTH)
+    return min(last, len(ends) - 1)
 
 
 def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
               sample_times: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
               replay: np.ndarray | None = None,
               step_callback: Callable[[float, np.ndarray], None] | None = None,
-              ) -> IntegrationResult:
+              shell_ends: np.ndarray | None = None) -> IntegrationResult:
     """Integrate ``y' = f(t, y)`` from 0, sampling at the given times.
 
     ``sample_times`` must be nondecreasing and nonnegative; a leading 0 is
     sampled from the initial state.  With ``replay`` the exact step sequence
-    of a previous run is reused and no error control happens.  An optional
-    ``step_callback(t, y)`` runs after every accepted step and may raise to
-    abort (used for blow-up detection).  A run that needs more than
-    ``_MAX_STEPS`` accepted steps raises ``StepSizeError``.
+    of a previous run is reused and no error control happens; a replayed
+    step that passes a sample time, or steps left over at the last one,
+    raise ``ValueError``.  An optional ``step_callback(t, y)`` runs after
+    every accepted step and may raise to abort (used for blow-up
+    detection).  A run that needs more than ``_MAX_STEPS`` accepted steps
+    raises ``StepSizeError``.
+
+    ``shell_ends`` are a BFS-ordered ball's shell-end offsets (entry ``r``
+    counts the vertices within distance ``r``).  With them the run works on
+    the live window of the module docstring: ``f`` and ``step_callback``
+    get the window-length vector, a grown window pads the state with zeros
+    and evaluates its derivative again, and the samples are padded back to
+    full length.  Without them the window is the whole vector.
     """
     times = _checked_times(sample_times)
     t_end = times[-1]
 
     y = np.array(y0, dtype=float)
+    n = y.size
     t = 0.0
     samples = []
     next_idx = 0
@@ -138,22 +192,31 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     if next_idx >= len(times):
         return IntegrationResult(samples, np.array([]), 0, 0)
 
-    f0 = f(t, y)
+    # without shell ends the vector is one shell, so the window is all of it
+    ends = np.array([n]) if shell_ends is None else np.asarray(shell_ends)
+    tau = _WINDOW_TOL * atol
+    last = _window_shells(y, ends, -1, tau)
+    y = y[:ends[last]].copy()
+    k = np.empty((7, y.size))
+    k[0] = f(t, y)
     taken: list[float] = []
     n_rejected = 0
     replay_seq = None if replay is None else list(replay)
     replay_pos = 0
-    h = None if replay_seq is not None else _initial_step(f, t, y, f0, rtol, atol, t_end)
+    h = None if replay_seq is not None else \
+        _initial_step(f, t, y, k[0], rtol, atol, t_end, n)
     err_prev = 1.0
-    k1 = f0
 
-    while t < t_end:
+    while next_idx < len(times):
         if len(taken) >= _MAX_STEPS:
             raise StepSizeError(f"exceeded {_MAX_STEPS} steps at t={t:.6g}")
         if replay_seq is not None:
             if replay_pos >= len(replay_seq):
                 raise ValueError("replay sequence shorter than the integration span")
             h_try = replay_seq[replay_pos]
+            if t + h_try > times[next_idx] + 1e-12 * max(1.0, times[next_idx]):
+                raise ValueError(f"replayed step {replay_pos} passes the sample time "
+                                 f"{times[next_idx]:.6g}")
         else:
             h_try = min(h, t_end - t)
             # land exactly on the next sample time
@@ -162,13 +225,13 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
         if h_try <= 1e-14 * max(1.0, t):
             raise StepSizeError(f"step size underflow at t={t:.6g}")
 
-        y_new, err_vec, k_last = _step(f, t, y, h_try, k1)
+        y_new, err_vec = _step(f, t, y, h_try, k)
         if replay_seq is not None:
             accept = True
             replay_pos += 1
         else:
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+            err = _rms(err_vec / scale, n)
             if err <= 1.0:
                 accept = True
                 err = max(err, 1e-10)
@@ -180,17 +243,26 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
                 n_rejected += 1
                 h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
 
+        # on rejection t and y are unchanged, so the FSAL stage k[0] stays valid
         if accept:
             t = t + h_try
             y = y_new
-            k1 = k_last
             taken.append(h_try)
+            grown = last if last == len(ends) - 1 else _window_shells(y, ends, last, tau)
+            if grown > last:
+                last, y = grown, np.pad(y, (0, ends[grown] - y.size))
+                k = np.empty((7, y.size))
+                k[0] = f(t, y)
+            else:
+                k[0] = k[6]
             if step_callback is not None:
                 step_callback(t, y)
             while next_idx < len(times) and t >= times[next_idx] - 1e-12 * max(1.0, t):
-                samples.append((times[next_idx], y.copy()))
+                samples.append((times[next_idx], np.pad(y, (0, n - y.size))))
                 next_idx += 1
-        # on rejection t and y are unchanged, so the FSAL stage k1 stays valid
+    if replay_seq is not None and replay_pos < len(replay_seq):
+        raise ValueError(f"{len(replay_seq) - replay_pos} replayed steps remain "
+                         f"at t={t_end:.6g}")
 
     return IntegrationResult(samples, np.array(taken), len(taken), n_rejected)
 

@@ -37,7 +37,7 @@ from .errors import BlowUpError
 from .geometry import Ball, _index_by_id, _read_shell, _row_ids
 from .graph import DEFAULT_DEGREE_CAP, GraphGenerator, Vertex, _unkey
 from .integrate import integrate
-from .semigroup import SimConfig, StateVector, _truncated_flow
+from .semigroup import SimConfig, StateVector, _shell_ends, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -245,6 +245,10 @@ class _EdgeTable:
     gathered pair by pair through ``support`` and ``weight``.  Either way the
     lags and ``omega`` are read once per ball vertex, and the lags once more
     per exterior pair.
+
+    ``rhs`` takes the deviation on the integrator's window, the first ``w``
+    ball vertices, and keeps one cut of the table for the current ``w``
+    (``_cut``); the ball vertices past it stay at the lock like the exterior.
     """
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
@@ -284,17 +288,40 @@ class _EdgeTable:
             self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
         else:
             self.dlag = lag_u - self.lag[self.src]
+        self._window = None
+
+    def _cut(self, w: int) -> tuple:
+        """The table on the first ``w`` ball vertices; the others stay at the lock.
+
+        For the sine coupling the frozen ball vertices past ``w`` join the
+        exterior sums ``s_ext`` and ``c_ext``.  A ``GenericCoupling`` keeps the
+        pairs whose ``v`` lies in the window (``src`` is sorted), with the
+        phases past ``w`` read as 0 like the exterior ones.
+        """
+        if isinstance(self.coup, SeparableCoupling):
+            rest = self.k[:w, w:]
+            return (w, self.k[:w, :w], self.s_ext[:w] + rest @ np.sin(self.lag[w:]),
+                    self.c_ext[:w] + rest @ np.cos(self.lag[w:]))
+        m = int(np.searchsorted(self.src, w))
+        return (w, self.src[:m], np.minimum(self.dst[:m], w), self.dlag[:m],
+                self.pairs[:m])
 
     def rhs(self, phi: np.ndarray) -> np.ndarray:
+        """The right-hand side on the window of ``phi``'s length, cut once per window."""
+        if self._window is None or self._window[0] != phi.size:
+            self._window = self._cut(phi.size)
+        w = phi.size
+        offset = self.offset[:w]
         if isinstance(self.coup, SeparableCoupling):
-            psi = phi + self.lag
+            _, k, s_ext, c_ext = self._window
+            psi = phi + self.lag[:w]
             s, c = np.sin(psi), np.cos(psi)
-            return (self.offset + c * (self.k @ s + self.s_ext)
-                    - s * (self.k @ c + self.c_ext))
+            return offset + c * (k @ s + s_ext) - s * (k @ c + c_ext)
+        _, src, dst, dlag, pairs = self._window
         padded = np.append(phi, 0.0)
-        x = self.dlag + padded[self.dst] - padded[self.src]
-        vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x, self.pairs)])
-        return self.offset + np.bincount(self.src, weights=vals, minlength=len(self.offset))
+        x = dlag + padded[dst] - padded[src]
+        vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x.tolist(), pairs)])
+        return offset + np.bincount(src, weights=vals, minlength=w)
 
 
 def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
@@ -327,6 +354,7 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
         table = _EdgeTable(sys, cand, b)
         return integrate(lambda t, y: table.rhs(y), y0, ts, rtol=cfg.rtol,
                          atol=cfg.atol, replay=replay,
-                         step_callback=blowup_guard if replay is None else None)
+                         step_callback=blowup_guard if replay is None else None,
+                         shell_ends=_shell_ends(b))
 
     return _truncated_flow(linearize(sys, cand), perturbation, cfg, flow)

@@ -18,7 +18,9 @@ every sample time is held under the absolute tolerance (restart segments
 share it), so the two radii are compared directly.  Full and nonlinear runs
 integrate with DOPRI5 on the primary ball and repeat the run on the enlarged
 ball *replaying the identical step sequence*, so the comparison sees
-truncation error alone instead of step-controller noise.
+truncation error alone instead of step-controller noise.  Each of the two
+runs works on its own live prefix of the ball (``integrate``'s window,
+from the ball's shell ends), with the operator cut to it once per window.
 
 Both balls are weight snapshots (see ``geometry``), so the sparse operators
 are assembled from their arrays without further adjacency calls: each vertex
@@ -238,6 +240,11 @@ def _planned_radius(gen, center, support_radius: int, cfg: SimConfig) -> int:
     return support_radius + math.ceil(spread) + _TRUNCATION_MARGIN
 
 
+def _shell_ends(b: Ball) -> np.ndarray:
+    """Entry ``r``: how many of ``b``'s BFS-ordered vertices lie within distance ``r``."""
+    return np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
+
+
 def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
 
@@ -301,8 +308,16 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         a = TruncatedOperator(b, parts=(part,)).matrix(part)
         if part == "sym":
             return lanczos_expm(a.dot, y0, ts, atol=cfg.atol)
-        return integrate(lambda t, y: a.dot(y), y0, ts, rtol=cfg.rtol,
-                         atol=cfg.atol, replay=replay)
+        cut = a
+
+        def rhs(t, y):
+            nonlocal cut
+            if cut.shape[0] != y.size:  # a new window: the ball's diagonal, cut
+                cut = a[:y.size, :y.size]
+            return cut @ y
+
+        return integrate(rhs, y0, ts, rtol=cfg.rtol, atol=cfg.atol, replay=replay,
+                         shell_ends=_shell_ends(b))
 
     return _truncated_flow(gen, x0, cfg, flow)
 

@@ -1,11 +1,19 @@
-"""Adaptive integrator accuracy, sampling, and replay."""
+"""Adaptive integrator accuracy, sampling, replay, the stacked step and the live window."""
+
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirlap.integrate as integrate_module
 from dirlap.errors import StepSizeError
+from dirlap.geometry import ball
+from dirlap.graph import generator_from_edges
 from dirlap.integrate import integrate
+from dirlap.semigroup import TruncatedOperator, _shell_ends
 
 
 def test_exponential_decay_accuracy():
@@ -90,3 +98,156 @@ def test_step_callback_runs_and_can_abort():
     with pytest.raises(RuntimeError):
         integrate(lambda t, y: -y, np.array([1.0]), [2.0], step_callback=cb)
     assert seen
+
+
+def test_replay_that_passes_a_sample_time_raises():
+    # 0.3 + 0.3 steps over the sample at 0.5: no sample mislabelled as t=0.5
+    with pytest.raises(ValueError, match="passes the sample time"):
+        integrate(lambda t, y: -y, [1.0], [0.5], replay=[0.3, 0.3, 0.3])
+
+
+def test_replay_with_steps_left_at_the_end_raises():
+    with pytest.raises(ValueError, match="remain"):
+        integrate(lambda t, y: -y, [1.0], [0.5], replay=[0.3, 0.2, 0.3])
+    res = integrate(lambda t, y: -y, [1.0], [0.5], replay=[0.3, 0.2])
+    assert res.n_steps == 2 and res.samples[0][0] == 0.5
+
+
+# Dormand & Prince 1980, written out apart from the module's float tableau
+_DP_A = [[],
+         [F(1, 5)],
+         [F(3, 40), F(9, 40)],
+         [F(44, 45), F(-56, 15), F(32, 9)],
+         [F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)],
+         [F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)],
+         [F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84)]]
+_DP_B4 = [F(5179, 57600), F(0), F(7571, 16695), F(393, 640), F(-92097, 339200),
+          F(187, 2100), F(1, 40)]
+
+
+def _stage_powers(weights):
+    """``weights . A^(k-1) . 1`` for k = 1..7, exactly: the coefficient of ``(hA)^k y``."""
+    a = [row + [F(0)] * (7 - len(row)) for row in _DP_A]
+    vec = [F(1)] * 7
+    out = []
+    for _ in range(7):
+        out.append(sum(w * x for w, x in zip(weights, vec)))
+        vec = [sum(a[i][j] * vec[j] for j in range(7)) for i in range(7)]
+    return out
+
+
+def test_tableau_gives_the_dopri5_stability_polynomial():
+    # R(z) = sum_k z^k / k! to order 5, plus z^6 / 600 (Hairer, Norsett & Wanner)
+    b5 = _DP_A[6] + [F(0)]
+    assert [F(1)] + _stage_powers(b5) == [F(1), F(1), F(1, 2), F(1, 6), F(1, 24),
+                                          F(1, 120), F(1, 600), F(0)]
+
+
+def _random_generator_matrix(seed, n=30):
+    """Sparse ``A`` with nonnegative off-diagonals and zero row sums."""
+    rng = np.random.default_rng(seed)
+    m = scipy.sparse.random(n, n, density=0.15, random_state=rng, format="csr")
+    m.setdiag(0.0)
+    m.eliminate_zeros()
+    return (m - scipy.sparse.diags(np.asarray(m.sum(axis=1)).ravel())).tocsr()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+def test_stacked_step_is_the_stability_polynomial_of_hA(seed, h):
+    a = _random_generator_matrix(seed)
+    y = np.random.default_rng(seed + 1).standard_normal(a.shape[0])
+    k = np.empty((7, y.size))
+    k[0] = a @ y
+    y_new, err = integrate_module._step(lambda t, x: a @ x, 0.0, y, h, k)
+    powers = [y]
+    for _ in range(7):
+        powers.append(h * (a @ powers[-1]))
+    r = [1.0] + [float(c) for c in _stage_powers(_DP_A[6] + [F(0)])]
+    e = [0.0] + [float(c5 - c4) for c5, c4 in zip(_stage_powers(_DP_A[6] + [F(0)]),
+                                                   _stage_powers(_DP_B4))]
+    # both are sums of the same terms (hA)^k y; the error's cancel down to h^5
+    scale = sum(abs(c) * np.abs(p).max() for c, p in zip(r, powers))
+    for got, coef in ((y_new, r), (err, e)):
+        want = sum(c * p for c, p in zip(coef, powers))
+        assert np.abs(got - want).max() <= 1e-14 * scale
+    assert np.array_equal(k[6], a @ y_new)  # FSAL: the last stage is f(y_new)
+
+
+@st.composite
+def long_graphs(draw):
+    """A random directed strip ``0 - 1 - ... - n-1`` with chords of length 2.
+
+    Every weight is nonnegative, and each path link is present in at least
+    one direction, so the BFS from vertex 0 has at least ``n / 2`` shells.
+    """
+    n = draw(st.integers(60, 150))
+    weights = st.floats(0.0, 2.0)
+    edges = {}
+    for i in range(n - 1):
+        fwd, back = draw(weights), draw(weights)
+        if fwd == back == 0.0:
+            fwd = 1.0
+        for (a, b), w in (((i, i + 1), fwd), ((i + 1, i), back)):
+            if w > 0.0:
+                edges[(a,), (b,)] = w
+    for i in draw(st.lists(st.integers(0, n - 3), max_size=n // 3, unique=True)):
+        edges[(i,), (i + 2,)] = draw(st.floats(0.1, 2.0))
+    return generator_from_edges(edges, root=(0,))
+
+
+def whole_graph_flow(gen):
+    """The whole graph as a ball, its full operator, and the root's indicator."""
+    b = ball(gen, gen.root, 200)
+    y0 = np.zeros(len(b))
+    y0[0] = 1.0
+    return b, TruncatedOperator(b, parts=("full",)).matrix("full"), y0
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_graphs(), st.floats(2.0, 12.0), st.sampled_from([1e2, 1e3, 1e5]))
+def test_windowed_run_matches_the_whole_ball_replay(gen, t_max, tol):
+    # tau = tol * atol from 1e-8 to 1e-5, so the window drops entries that matter
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate_module, "_WINDOW_TOL", tol)
+        check_window_against_replay(gen, t_max, tol)
+
+
+def check_window_against_replay(gen, t_max, tol):
+    atol = 1e-10
+    tau = tol * atol
+    b, a, y0 = whole_graph_flow(gen)
+    sizes = []
+
+    def rhs(t, y):
+        sizes.append(y.size)
+        return a[:y.size, :y.size] @ y
+
+    ts = [t_max / 3, t_max]
+    win = integrate(rhs, y0, ts, rtol=1e-8, atol=atol, shell_ends=_shell_ends(b))
+    whole = integrate(lambda t, y: a @ y, y0, ts, replay=win.steps)
+    assert min(sizes) < len(b)
+    for (ta, ya), (tb, yb) in zip(win.samples, whole.samples):
+        assert ta == tb and ya.size == yb.size == len(b)
+        assert np.abs(ya - yb).max() <= win.n_steps * tau + 1e-13
+        # past the window the samples are exact zeros
+        assert not ya[max(sizes):].any()
+
+
+@settings(max_examples=10, deadline=None)
+@given(long_graphs(), st.floats(2.0, 12.0))
+def test_window_of_the_nonzero_entries_changes_nothing(gen, t_max):
+    # at tau = 0 the window holds every nonzero entry and 8 shells more, and
+    # a step reaches 7 hops, so the run is the whole-ball run: same controller
+    # norm, same steps, same samples up to the order of the norm's sum
+    b, a, y0 = whole_graph_flow(gen)
+    ts = [t_max / 3, t_max]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate_module, "_WINDOW_TOL", 0.0)
+        win = integrate(lambda t, y: a[:y.size, :y.size] @ y, y0, ts, rtol=1e-8,
+                        atol=1e-10, shell_ends=_shell_ends(b))
+    whole = integrate(lambda t, y: a @ y, y0, ts, rtol=1e-8, atol=1e-10)
+    assert win.n_steps == whole.n_steps and win.n_rejected == whole.n_rejected
+    assert np.allclose(win.steps, whole.steps, rtol=1e-12, atol=0.0)
+    for (_, ya), (_, yb) in zip(win.samples, whole.samples):
+        assert np.abs(ya - yb).max() <= 1e-13

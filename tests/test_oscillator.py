@@ -284,6 +284,31 @@ def test_harmonic_rhs_of_other_sine_couplings_matches_pairwise_sum(kind, lags, p
     check_harmonic_rhs(kind, lags, phi)
 
 
+@given(arrays(float, len(_RHS_REACH), elements=st.floats(0.1, 3.0)),
+       arrays(float, len(_RHS_BALL), elements=st.floats(-0.5, 0.5)),
+       st.integers(1, len(_RHS_BALL)), st.sampled_from(["sine", "generic"]))
+def test_windowed_rhs_is_the_whole_ball_rhs_on_the_window(lags, phi, w, kind):
+    weight, support = coupling_from_graph(_SKEW_PLANE)
+    coup = sin_coupling(weight, support) if kind == "sine" else GenericCoupling(
+        h=lambda x, v, u: weight(v, u) * (math.sin(x) + 0.25 * math.sin(2 * x)),
+        dh=lambda x, v, u: weight(v, u) * (math.cos(x) + 0.5 * math.cos(2 * x)),
+        support=support)
+    sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0] - 0.1 * v[1], coupling=coup,
+                            root=(0, 0))
+    cand = PhaseLockCandidate(velocity=0.2,
+                              lags=dict(zip(_RHS_REACH.vertices, lags)).__getitem__)
+    phi = np.where(np.arange(phi.size) < w, phi, 0.0)  # past the window: at the lock
+    whole = oscillator._EdgeTable(sys_, cand, _RHS_BALL).rhs(phi)
+    table = oscillator._EdgeTable(sys_, cand, _RHS_BALL)
+    windowed = table.rhs(phi[:w])
+    scale = np.array([1.25 * sum(abs(weight(v, u)) for u in support(v))
+                      for v in _RHS_BALL.vertices[:w]])
+    assert windowed.shape == (w,)
+    assert np.all(np.abs(windowed - whole[:w]) <= 1e-14 * scale)
+    # a grown window is cut again: the whole ball gives the whole-ball table
+    assert np.array_equal(table.rhs(phi), whole)
+
+
 def lagged_lock():
     """An exact lock with nonzero lags on the skew-perturbed plane.
 
