@@ -153,8 +153,13 @@ def estimate_poincare(gen, center: Vertex, r: int) -> PoincareEstimate:
 
     The estimate is the supremum over nonconstant vectors on the double ball
     of variance form / (r^2 * Dirichlet form), i.e. the largest generalized
-    eigenvalue of the two forms restricted to the complement of the constant
-    vector.
+    eigenvalue of the two forms on the vectors that vanish at one grounded
+    vertex, the last of the double ball.  Both forms vanish on constants, so
+    ``x -> x - x_g * 1`` maps any complement of the constants one-to-one onto
+    those vectors without changing either form: the eigenvalues are the ones
+    on the complement of the constant vector.  The double ball counts as
+    disconnected (``SingularFormError``) when the grounded Dirichlet form's
+    smallest eigenvalue is at most ``1e-12 * max(1, largest |entry|)``.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -163,24 +168,17 @@ def estimate_poincare(gen, center: Vertex, r: int) -> PoincareEstimate:
     if n < 2:
         raise ValueError("double ball has fewer than 2 vertices")
 
-    inner = b2.distances <= r
-    m_in = np.where(inner, b2.measures, 0.0)
-    vol_in = float(m_in.sum())
-    c = m_in / vol_in
-    t = np.eye(n) - np.outer(np.ones(n), c)  # x -> x minus its weighted mean
-    a = t.T @ (m_in[:, None] * t)
-    den = r * r * _dirichlet_matrix(b2)
-
-    # work on the orthogonal complement of the constant vector
-    basis = scipy.linalg.null_space(np.ones((1, n)))
-    a_red = basis.T @ a @ basis
-    den_red = basis.T @ den @ basis
-    min_eig = scipy.linalg.eigvalsh(den_red)[0]
-    if min_eig <= 1e-12 * max(1.0, abs(den_red).max()):
+    m_in = np.where(b2.distances <= r, b2.measures, 0.0)
+    # sum of m_in * (x - weighted mean)^2 over the inner ball; both forms
+    # grounded at the last vertex
+    a = (np.diag(m_in) - np.outer(m_in, m_in) / m_in.sum())[:-1, :-1]
+    den = r * r * _dirichlet_matrix(b2)[:-1, :-1]
+    min_eig = scipy.linalg.eigvalsh(den, subset_by_index=[0, 0])[0]
+    if min_eig <= 1e-12 * max(1.0, abs(den).max()):
         raise SingularFormError(
             "Dirichlet form is singular beyond constants; double ball "
             "appears disconnected")
-    eigs = scipy.linalg.eigvalsh(a_red, den_red)
+    eigs = scipy.linalg.eigvalsh(a, den, subset_by_index=[n - 2, n - 2])
     return PoincareEstimate(center=center, r=r, value=float(eigs[-1]),
                             double_ball_size=n)
 

@@ -8,12 +8,14 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import strategies as st
 
 from dirlap import geometry
+from dirlap.errors import SingularFormError
 from dirlap.geometry import ball
 from dirlap.graph import GraphGenerator, generator_from_edges
-from dirlap.hypotheses import _dirichlet_matrix
+from dirlap.hypotheses import PoincareEstimate, _dirichlet_matrix
 
 
 def l1_ball_count(d: int, r: int) -> int:
@@ -135,6 +137,43 @@ def poincare_quotient(gen, center, r: int, x: np.ndarray) -> float:
     if den == 0.0:
         raise ValueError("constant test vector: quotient undefined")
     return num / den
+
+
+def poincare_projected(gen, center, r: int) -> PoincareEstimate:
+    """``estimate_poincare`` on an orthonormal basis of the complement of 1.
+
+    The variance form is built as ``T^T diag(m_in) T`` with
+    ``T = I - 1 c^T``, both forms are projected onto the null space of the
+    all-ones row, and every eigenvalue is computed.  The differential oracle
+    for the grounded eigensolve, which must give the same errors and values.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    b2 = ball(gen, center, 2 * r)
+    n = len(b2)
+    if n < 2:
+        raise ValueError("double ball has fewer than 2 vertices")
+
+    inner = b2.distances <= r
+    m_in = np.where(inner, b2.measures, 0.0)
+    vol_in = float(m_in.sum())
+    c = m_in / vol_in
+    t = np.eye(n) - np.outer(np.ones(n), c)  # x -> x minus its weighted mean
+    a = t.T @ (m_in[:, None] * t)
+    den = r * r * _dirichlet_matrix(b2)
+
+    # work on the orthogonal complement of the constant vector
+    basis = scipy.linalg.null_space(np.ones((1, n)))
+    a_red = basis.T @ a @ basis
+    den_red = basis.T @ den @ basis
+    min_eig = scipy.linalg.eigvalsh(den_red)[0]
+    if min_eig <= 1e-12 * max(1.0, abs(den_red).max()):
+        raise SingularFormError(
+            "Dirichlet form is singular beyond constants; double ball "
+            "appears disconnected")
+    eigs = scipy.linalg.eigvalsh(a_red, den_red)
+    return PoincareEstimate(center=center, r=r, value=float(eigs[-1]),
+                            double_ball_size=n)
 
 
 def dense_laplacian(gen, b, part: str) -> np.ndarray:

@@ -6,17 +6,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import dirlap
-from dirlap import (GraphGenerator, ball, builtin_graph,
+from dirlap import (GraphGenerator, SingularFormError, ball, builtin_graph,
                     check_hypotheses, estimate_alpha, estimate_poincare,
                     estimate_skew_mass, fit_volume_growth, generator_from_edges,
                     geometry, hypotheses)
 from dirlap.reports import read_json_report, write_json_report
 
 from helpers import (counted, finite_graphs, k2_generator, l1_ball_count, ols_loglog,
-                     poincare_quotient, sym_neighbors)
+                     poincare_projected, poincare_quotient, sym_neighbors)
 
 Z2_CENTERS = [(0, 0), (3, -2), (-5, 1)]
 
@@ -150,13 +151,53 @@ class TestEstimatePoincare:
             poincare_quotient(g, (0, 0), 1, np.ones(len(b2)))
 
     def test_estimate_dominates_random_quotients(self):
-        g = builtin_graph("z-lattice", d=2)
-        est = estimate_poincare(g, (0, 0), 2)
         rng = np.random.default_rng(1)
-        b2 = dirlap.ball(g, (0, 0), 4)
-        for _ in range(25):
-            q = poincare_quotient(g, (0, 0), 2, rng.normal(size=len(b2)))
-            assert q <= est.value * (1 + 1e-10)
+        # r=8 on the skew plane is check_hypotheses' 545-vertex double ball
+        for g, r in ((builtin_graph("z-lattice", d=2), 2),
+                     (builtin_graph("z2-skew-perturbed", a=0.5), 8)):
+            est = estimate_poincare(g, (0, 0), r)
+            n = len(dirlap.ball(g, (0, 0), 2 * r))
+            for _ in range(25):
+                q = poincare_quotient(g, (0, 0), r, rng.normal(size=n))
+                assert q <= est.value * (1 + 1e-10)
+
+    @pytest.mark.parametrize("r", [2, 4, 8])
+    def test_grounded_matches_projected_on_skew_plane(self, r):
+        g = builtin_graph("z2-skew-perturbed", a=0.5)
+        est = estimate_poincare(g, (0, 0), r)
+        expected = poincare_projected(g, (0, 0), r)
+        assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+        assert est.double_ball_size == expected.double_ball_size
+
+    @given(finite_graphs(), st.integers(min_value=1, max_value=3))
+    def test_grounded_matches_projected(self, g, r):
+        b2 = ball(g, g.root, 2 * r)
+        ws = (b2.w_out + b2.w_in) / 2.0
+        pos = ws[(b2.nbr >= 0) & (ws > 0.0)]
+        # near the threshold the two singular checks read different matrices
+        assume(pos.size == 0 or pos.min() >= 1e-6 * pos.max())
+        try:
+            expected = poincare_projected(g, g.root, r)
+        except (ValueError, SingularFormError) as exc:
+            with pytest.raises(type(exc)) as info:
+                estimate_poincare(g, g.root, r)
+            assert type(info.value) is type(exc)
+            return
+        est = estimate_poincare(g, g.root, r)
+        assert est.value == pytest.approx(expected.value, rel=1e-9, abs=0.0)
+        assert est.double_ball_size == expected.double_ball_size
+
+    @pytest.mark.parametrize("weak", [0, 1])
+    def test_nearly_cut_path_is_singular(self, weak):
+        # a three-vertex path whose link `weak` has weight 1e-20
+        w = [1.0, 1.0]
+        w[weak] = 1e-20
+        edges = {}
+        for k in (0, 1):
+            edges[((k,), (k + 1,))] = edges[((k + 1,), (k,))] = w[k]
+        g = generator_from_edges(edges, root=(0,))
+        with pytest.raises(SingularFormError):
+            estimate_poincare(g, (0,), 1)
 
     def test_z2_uniformity_evidence(self):
         g = builtin_graph("z-lattice", d=2)
