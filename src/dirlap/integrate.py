@@ -168,8 +168,9 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     step that passes a sample time, or steps left over at the last one,
     raise ``ValueError``.  An optional ``step_callback(t, y)`` runs after
     every accepted step and may raise to abort (used for blow-up
-    detection).  A run that needs more than ``_MAX_STEPS`` accepted steps
-    raises ``StepSizeError``.
+    detection).  A run that needs more than ``_MAX_STEPS`` accepted steps,
+    or whose step falls below ``1e-14 * max(1, t)`` or is not finite (as
+    from a NaN state or derivative), raises ``StepSizeError``.
 
     ``shell_ends`` are a BFS-ordered ball's shell-end offsets (entry ``r``
     counts the vertices within distance ``r``).  With them the run works on
@@ -222,8 +223,8 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
             # land exactly on the next sample time
             if t + h_try > times[next_idx] - 1e-14 * max(1.0, times[next_idx]):
                 h_try = times[next_idx] - t
-        if h_try <= 1e-14 * max(1.0, t):
-            raise StepSizeError(f"step size underflow at t={t:.6g}")
+        if not h_try > 1e-14 * max(1.0, t):  # a NaN step fails too
+            raise StepSizeError(f"step size underflow or not finite at t={t:.6g}")
 
         y_new, err_vec = _step(f, t, y, h_try, k)
         if replay_seq is not None:

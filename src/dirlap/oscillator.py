@@ -16,12 +16,14 @@ and return the deviation from the locked state over time.  For the sine
 coupling the right-hand side is evaluated in harmonic form, two sparse
 matvecs and one sin and cos per vertex (Strogatz 2000, Physica D 143:1).
 
-A sine coupling whose strengths come from a graph (``coupling_from_graph``)
-is read from that graph in rows, as the skeleton walk reads any graph: the
-linearization reads a vertex's weights once, and a whole shell in one
+A sine coupling (``SeparableCoupling``) takes its strengths from a graph,
+and is read from that graph in rows, as the skeleton walk reads any graph:
+the linearization reads a vertex's weights once, and a whole shell in one
 ``batch_adjacency`` call where the graph has one; the right-hand side takes
-its coupling weights from one read of each ball vertex.  Any other coupling
-is read pair by pair through its callables.
+its coupling weights from one read of each ball vertex.  ``sin_coupling``
+wraps user callables into such a graph.  A ``GenericCoupling`` is read pair
+by pair through its callables, with no memo, so the right-hand side calls
+``h`` once per pair on every evaluation.
 """
 
 from __future__ import annotations
@@ -46,14 +48,22 @@ _BLOWUP_THRESHOLD = math.pi / 2
 
 @dataclass(frozen=True)
 class SeparableCoupling:
-    """The sine interaction ``H(x, v, v') = weight(v, v') * sin(x)``.
+    """The sine interaction ``H(x, v, v') = w(v, v') * sin(x)``, ``w`` the out-weights of ``graph``.
 
-    Its separable form lets the nonlinear right-hand side expand
-    ``sin(psi_u - psi_v)`` into two sparse matvecs (see ``_EdgeTable``).
+    A vertex's support is its neighbours in either direction, so pairs stay
+    symmetric even when the strengths are not.  The separable form lets the
+    right-hand side expand ``sin(psi_u - psi_v)`` into two sparse matvecs
+    (see ``_EdgeTable``).
     """
 
-    weight: Callable[[Vertex, Vertex], float]
-    support: Callable[[Vertex], Iterable[Vertex]]
+    graph: GraphGenerator
+
+    def weight(self, v: Vertex, v2: Vertex) -> float:
+        return self.graph.edges(v)[0].get(v2, 0.0)
+
+    def support(self, v: Vertex) -> list:
+        out, inn = self.graph.edges(v)
+        return sorted(out.keys() | inn.keys())
 
     def h(self, x: float, v: Vertex, v2: Vertex) -> float:
         return self.weight(v, v2) * float(np.sin(x))
@@ -73,48 +83,37 @@ class GenericCoupling:
 
 def sin_coupling(weight: Callable[[Vertex, Vertex], float],
                  support: Callable[[Vertex], Iterable[Vertex]]) -> SeparableCoupling:
-    """The classic sine interaction with per-pair coupling strengths."""
-    return SeparableCoupling(weight=weight, support=support)
+    """The classic sine interaction with per-pair coupling strengths.
 
-
-@dataclass(frozen=True)
-class _GraphWeight:
-    """``weight(v, v')``: the out-weight ``w(v, v')`` of ``gen``, read by ``gen.edges(v)``.
-
-    It carries the graph, so that ``linearize`` and ``_EdgeTable`` can read
-    the weights of whole shells from it instead of pair by pair.
+    ``coupling_from_graph``'s pair gives back its own coupling.  Any other
+    callables are wrapped once into a ``GraphGenerator`` whose read of ``v``
+    is ``{u: weight(v, u)}`` and ``{u: weight(u, v)}`` over ``support(v)``,
+    zero weights dropped, with no ``batch_adjacency``.  So they are read
+    through ``GraphGenerator.edges``: a self-pair is dropped, each direction
+    is capped at ``DEFAULT_DEGREE_CAP`` (64) neighbours, and an edge table
+    reads each pair's weight twice, once from each end.
     """
+    owner = getattr(weight, "__self__", None)
+    if isinstance(owner, SeparableCoupling) and (weight, support) == (owner.weight, owner.support):
+        return owner
 
-    gen: GraphGenerator
+    def adjacency(v: Vertex):
+        nb = list(support(v))  # may be a one-pass iterable
+        return ({u: w for u in nb if (w := weight(v, u)) != 0.0},
+                {u: w for u in nb if (w := weight(u, v)) != 0.0})
 
-    def __call__(self, v: Vertex, v2: Vertex) -> float:
-        return self.gen.edges(v)[0].get(v2, 0.0)
-
-    def support(self, v: Vertex) -> list:
-        out, inn = self.gen.edges(v)
-        return sorted(out.keys() | inn.keys())
+    # no walk starts from this graph, so its root is never read
+    return SeparableCoupling(GraphGenerator(adjacency=adjacency, root=(), name="sin_coupling"))
 
 
 def coupling_from_graph(gen: GraphGenerator) -> tuple[Callable, Callable]:
     """Use a graph's directed out-weights as coupling strengths.
 
-    Returns ``(weight, support)`` where the support of a vertex is every
-    neighbour in either direction, so pairs stay symmetric even when the
-    strengths are not.  Each call reads the graph, with no memo.  A
-    ``sin_coupling`` of this pair is read from the graph in rows instead:
-    ``linearize`` and ``_EdgeTable`` read every vertex they need once per use,
-    a whole shell in one ``batch_adjacency`` call where the graph has one.
+    Returns the ``(weight, support)`` of ``SeparableCoupling(gen)``, which
+    ``sin_coupling`` turns back into that coupling.
     """
-    weight = _GraphWeight(gen)
-    return weight, weight.support
-
-
-def _coupling_graph(coup) -> GraphGenerator | None:
-    """The graph that a sine coupling takes both its weight and its support from, if any."""
-    weight = getattr(coup, "weight", None)
-    if isinstance(weight, _GraphWeight) and coup.support == weight.support:
-        return weight.gen
-    return None
+    coup = SeparableCoupling(gen)
+    return coup.weight, coup.support
 
 
 @dataclass
@@ -170,18 +169,17 @@ def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator
     support to be symmetric (v' interacts with v whenever v does with v'),
     which holds for every lattice coupling used here.
 
-    For a ``sin_coupling`` of ``coupling_from_graph``'s pair, a vertex read is
-    one read of the coupling graph, ``w(v, v') cos(lag_v' - lag_v)`` and
-    ``w(v', v) cos(lag_v - lag_v')`` from the one ``(out, inn)`` pair, and the
-    generator has a ``batch_adjacency`` when the graph has one: one graph
-    batch call per shell, times the same cosines, with the lags read only on
-    present slots.  Any other coupling is read pair by pair through ``dh``.
+    For a sine coupling a vertex read is one read of the coupling graph,
+    ``w(v, v') cos(lag_v' - lag_v)`` and ``w(v', v) cos(lag_v - lag_v')`` from
+    the one ``(out, inn)`` pair, and the generator has a ``batch_adjacency``
+    when the graph has one: one graph batch call per shell, times the same
+    cosines, with the lags read only on present slots.  A ``GenericCoupling``
+    is read pair by pair through ``dh``.
     """
     coup = sys.coupling
     lag = cand.lags
     name = f"linearized({sys.name})"
-    graph = _coupling_graph(coup)
-    if graph is None:
+    if isinstance(coup, GenericCoupling):
         def adjacency(v: Vertex):
             out = {}
             inn = {}
@@ -195,6 +193,8 @@ def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator
             return out, inn
 
         return GraphGenerator(adjacency=adjacency, root=sys.root, name=name)
+
+    graph = coup.graph
 
     def sloped(w_out, w_in, lag_v, lag_u):
         # +0.0, not -0.0, where a weight is zero: the vertex read prunes those
@@ -237,14 +237,13 @@ class _EdgeTable:
     ``GenericCoupling`` calls ``h`` once per ordered pair (v in ball,
     v' in support(v)) and sums each vertex's terms with ``np.bincount``.
 
-    The pairs come from one of two gathers.  A ``sin_coupling`` of
-    ``coupling_from_graph``'s pair reads the ball's rows of the coupling graph
-    once, by the walk's own shell read (one batch call where the keys fit),
-    resolves their neighbours to ball indices by id as ``geometry.ball`` does,
-    and takes ``K`` from the rows' out-weights.  Any other coupling is
-    gathered pair by pair through ``support`` and ``weight``.  Either way the
-    lags and ``omega`` are read once per ball vertex, and the lags once more
-    per exterior pair.
+    The pairs come from one of two gathers.  A sine coupling reads the ball's
+    rows of its graph once, by the walk's own shell read (one batch call where
+    the keys fit), resolves their neighbours to ball indices by id as
+    ``geometry.ball`` does, and takes ``K`` from the rows' out-weights.  A
+    ``GenericCoupling`` is gathered pair by pair through ``support``.  Either
+    way the lags and ``omega`` are read once per ball vertex, and the lags
+    once more per exterior pair.
 
     ``rhs`` takes the deviation on the integrator's window, the first ``w``
     ball vertices, and keeps one cut of the table for the current ``w``
@@ -255,9 +254,8 @@ class _EdgeTable:
         self.coup, n = sys.coupling, len(b)
         self.offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
         self.lag = np.array([cand.lags(v) for v in b.vertices])
-        graph = _coupling_graph(self.coup)
-        if graph is not None:
-            rows = _read_shell(graph, b.vertices, None, None, None, None, False)[0]
+        if isinstance(self.coup, SeparableCoupling):
+            rows = _read_shell(self.coup.graph, b.vertices, None, None, None, None, False)[0]
             ids, nbr = _row_ids(b.vertices, rows, {})
             (dst,) = _index_by_id(ids, [nbr])
             away = np.flatnonzero(dst < 0)
@@ -270,11 +268,7 @@ class _EdgeTable:
             counts = [len(us) for us in nbrs]
             dst = np.array([b.index.get(u, n) for us in nbrs for u in us], dtype=np.int64)
             outside = [u for us in nbrs for u in us if u not in b.index]
-            if isinstance(self.coup, SeparableCoupling):
-                k = np.array([self.coup.weight(v, u) for v, us in zip(b.vertices, nbrs)
-                              for u in us])
-            else:
-                self.pairs = [(v, u) for v, us in zip(b.vertices, nbrs) for u in us]
+            self.pairs = [(v, u) for v, us in zip(b.vertices, nbrs) for u in us]
         self.src = np.repeat(np.arange(n, dtype=np.int64), counts)
         self.dst = dst  # n: exterior
         ext = dst == n
@@ -340,7 +334,7 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     """
     data = perturbation.to_dict() if isinstance(perturbation, StateVector) \
         else dict(perturbation)
-    if sum(abs(v) for v in data.values()) > _MAX_PERTURBATION_L1:
+    if not sum(abs(v) for v in data.values()) <= _MAX_PERTURBATION_L1:  # NaN fails too
         raise ValueError(f"perturbation exceeds the l1 budget {_MAX_PERTURBATION_L1}")
     ts = cfg.resolved_sample_times()
 

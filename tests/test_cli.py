@@ -191,6 +191,12 @@ def test_oscillate_short_run(tmp_path):
     assert -1.4 <= res["deviation_fit"]["exponent"] <= -0.6
 
 
+def test_oscillate_nan_perturbation_exits_1(tmp_path, capsys):
+    code = run(["oscillate", "--eps", "nan", "--t-max", "4", "--out", str(tmp_path)])
+    assert code == 1
+    assert "l1 budget" in capsys.readouterr().err
+
+
 def test_schema_rejects_other_versions(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "v0", "x": 1}))

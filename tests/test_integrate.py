@@ -70,6 +70,16 @@ def test_step_budget(monkeypatch):
                   rtol=1e-10, atol=1e-13)
 
 
+@pytest.mark.parametrize("rhs, y0", [
+    (lambda t, y: -y, [np.nan]),  # a NaN state
+    (lambda t, y: np.full_like(y, np.nan), [1.0]),  # a NaN derivative
+], ids=["state", "derivative"])
+def test_nan_raises_at_the_first_step(rhs, y0):
+    # the first step size is NaN, so no step can be accepted or rejected into range
+    with pytest.raises(StepSizeError, match="not finite at t=0"):
+        integrate(rhs, np.array(y0), [1.0])
+
+
 def test_bad_sample_times():
     with pytest.raises(ValueError):
         integrate(lambda t, y: -y, np.array([1.0]), [2.0, 1.0])

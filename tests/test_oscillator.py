@@ -15,12 +15,14 @@ from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
                     evolve, linearize, simulate_nonlinear, sin_coupling,
                     verify_phase_lock)
 from dirlap import oscillator
-from dirlap.errors import BlowUpError, TruncationError
+from dirlap.errors import BlowUpError, DegreeCapError, TruncationError
 from dirlap.geometry import ball
+from dirlap.graph import DEFAULT_DEGREE_CAP
 from dirlap.oscillator import GenericCoupling, coupling_from_graph
 from dirlap.semigroup import SimConfig, trajectory_norms
-from helpers import (assert_same_ball, both_steps, check_coupling_gradient, decompose_edge,
-                     pairwise_sine_rhs, split_coupling_matrix)
+from helpers import (assert_same_ball, assert_same_edge_table, both_steps,
+                     check_coupling_gradient, decompose_edge, pairwise_sine_rhs,
+                     split_coupling_matrix)
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):
@@ -183,6 +185,13 @@ class TestSimulateNonlinear:
         with pytest.raises(ValueError, match="l1 budget"):
             simulate_nonlinear(sys_, cand, {(0, 0): 2.0}, cfg)
 
+    def test_nan_perturbation_is_over_the_l1_budget(self):
+        sys_, _ = uniform_sin_system(d=2)
+        cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+        cfg = SimConfig(t_max=1.0, sample_times=[1.0], c_speed=2.0)
+        with pytest.raises(ValueError, match="l1 budget"):
+            simulate_nonlinear(sys_, cand, {(0, 0): math.nan}, cfg)
+
     def test_phase_shift_equivariance(self):
         # the interaction depends on differences only, so shifting every lag
         # by a constant shifts the locked state and leaves deviations alone
@@ -232,7 +241,11 @@ _RHS_REACH = ball(_SKEW_PLANE, (0, 0), 4)
 
 
 def skew_plane_coupling(kind):
-    """The sine coupling of ``_SKEW_PLANE``, read from the graph or pair by pair."""
+    """The sine coupling of ``_SKEW_PLANE``, and the list of weight calls or None.
+
+    ``graph`` and ``graph without batch`` read the graph; ``lambdas`` gives its
+    pair as user callables, which ``sin_coupling`` wraps, and keeps their calls.
+    """
     gen = _SKEW_PLANE if kind != "graph without batch" else \
         dataclasses.replace(_SKEW_PLANE, batch_adjacency=None)
     weight, support = coupling_from_graph(gen)
@@ -247,6 +260,57 @@ def skew_plane_coupling(kind):
     return sin_coupling(weight, support), None
 
 
+class TestSineCouplingGraph:
+    """Every sine coupling is read from a graph; ``sin_coupling`` wraps user callables into one."""
+
+    @staticmethod
+    def table(weight, support, b=_RHS_BALL):
+        sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0], coupling=sin_coupling(weight, support),
+                                root=b.center)
+        cand = PhaseLockCandidate(velocity=0.2, lags=lambda v: 0.4 * v[0] - 0.3 * v[-1])
+        return oscillator._EdgeTable(sys_, cand, b)
+
+    def test_the_graph_pair_gives_back_its_graph(self):
+        # so the workload's coupling keeps its batch reads
+        coup = sin_coupling(*coupling_from_graph(_SKEW_PLANE))
+        assert coup.graph is _SKEW_PLANE
+
+    def test_a_self_pair_is_dropped(self):
+        weight, support = coupling_from_graph(_SKEW_PLANE)
+        with_self = self.table(lambda v, u: 5.0 if u == v else weight(v, u),
+                               lambda v: [v] + support(v))
+        assert_same_edge_table(with_self, self.table(weight, support))
+
+    def test_a_pair_of_zero_weight_both_ways_leaves_no_entry(self):
+        weight, support = coupling_from_graph(_SKEW_PLANE)
+        far = self.table(weight, lambda v: support(v) + [(v[0] + 2, v[1])])
+        assert_same_edge_table(far, self.table(weight, support))
+
+    @pytest.mark.parametrize("degree", [DEFAULT_DEGREE_CAP, DEFAULT_DEGREE_CAP + 1])
+    def test_a_user_support_is_capped_like_a_graph(self, degree):
+        # each vertex couples to the next `degree` vertices up the line: `degree`
+        # out-neighbours and, from the vertices below, `degree` in-neighbours
+        def support(v):
+            return [(v[0] + j,) for j in range(-degree, degree + 1) if j]
+
+        def weight(v, u):
+            return 1.0 if u[0] > v[0] else 0.0
+
+        line = ball(builtin_graph("z-lattice", d=1), (0,), 2)
+        sys_ = OscillatorSystem(omega=lambda v: 0.0, coupling=sin_coupling(weight, support),
+                                root=(0,))
+        lin = linearize(sys_, PhaseLockCandidate(velocity=0.0, lags=lambda v: 0.0))
+        if degree > DEFAULT_DEGREE_CAP:
+            with pytest.raises(DegreeCapError):
+                self.table(weight, support, line)
+            with pytest.raises(DegreeCapError):
+                ball(lin, (0,), 1)
+        else:
+            assert np.array_equal(np.bincount(self.table(weight, support, line).src),
+                                  [2 * degree] * len(line))
+            assert len(ball(lin, (0,), 1)) == 2 * degree + 1
+
+
 def check_harmonic_rhs(kind, lags, phi):
     """The edge table of ``kind``, under both steps, against the pairwise sum."""
     coup, calls = skew_plane_coupling(kind)
@@ -256,8 +320,8 @@ def check_harmonic_rhs(kind, lags, phi):
                               lags=dict(zip(_RHS_REACH.vertices, lags)).__getitem__)
     with pytest.MonkeyPatch.context() as mp:
         tables = both_steps(mp, lambda: oscillator._EdgeTable(sys_, cand, _RHS_BALL))
-    if calls is not None:  # user callables keep the per-pair gather
-        assert len(calls) == sum(t.src.size for t in tables)
+    if calls is not None:  # the wrapped callables: each pair read from both ends per build
+        assert len(calls) == 2 * sum(t.src.size for t in tables)
     scale = np.array([sum(abs(coup.weight(v, u)) for u in coup.support(v))
                       for v in _RHS_BALL.vertices])
     expected = pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi)
