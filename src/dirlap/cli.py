@@ -243,7 +243,7 @@ def _cmd_oscillate(args, config) -> int:
         name=f"sin/{coupling_graph.name}")
     cand = oscillator.PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
     residual = oscillator.verify_phase_lock(sys_, cand, radius=6)
-    if residual > float(spec["tol"]):
+    if not residual <= float(spec["tol"]):  # a NaN residual fails too
         raise DirlapError(f"phase-lock candidate rejected: residual {residual}")
 
     cfg = semigroup.SimConfig(t_max=t_max, sample_times=_sample_grid(t_max),

@@ -21,8 +21,8 @@ sort of the ball's ids resolves every neighbour after the walk.  Laplacian
 parts are assembled from these arrays alone, and ``Ball.prefix(r)`` cuts the
 radius-``r`` ball out of a larger one without further adjacency calls, as
 ``ball`` does when handed a snapshot.
-Truncated simulations therefore enumerate once per attempt: the enlarged ball
-of their truncation check, with the primary ball taken as its BFS prefix.
+Truncated simulations enumerate once per attempt: the enlarged ball of their
+truncation check, whose first vertices are the primary run's.
 """
 
 from __future__ import annotations
@@ -274,8 +274,7 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None
     read a shell changes nothing but the time.
 
     ``graph.validate_generator`` walks a tolerant copy of the generator, so
-    that it can record defective callbacks and go on; ``verify_phase_lock``
-    walks a coupling's support, not the skeleton.
+    that it can record defective callbacks and go on.
     """
     budget = DEFAULT_BALL_BUDGET if budget is None else budget
     seen = {root}

@@ -36,10 +36,10 @@ import numpy as np
 import scipy.sparse
 
 from .errors import BlowUpError
-from .geometry import Ball, _index_by_id, _read_shell, _row_ids
+from .geometry import Ball, _index_by_id, _read_shell, _row_ids, ball
 from .graph import DEFAULT_DEGREE_CAP, GraphGenerator, Vertex, _unkey
 from .integrate import integrate
-from .semigroup import SimConfig, StateVector, _shell_ends, _truncated_flow
+from .semigroup import SimConfig, StateVector, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -134,31 +134,18 @@ class PhaseLockCandidate:
 
 def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
                       radius: int) -> float:
-    """Max ansatz residual over the sampled ball around the system root.
+    """Max ansatz residual over the linearization's radius-``radius`` ball.
 
-    The residual at v is ``|Omega - omega_v - sum H(lag_v' - lag_v, v, v')|``.
+    The residual at v is ``|Omega - omega_v - sum H(lag_v' - lag_v, v, v')|``,
+    the deviation flow's right-hand side at zero (``_EdgeTable.rhs``).  The
+    ball walks the pairs of positive symmetric slope from the system root,
+    and the walk and the table read each ball vertex once each.  A NaN
+    residual at any vertex gives NaN, and a negative radius ``ValueError``.
     The raw residual is returned; callers compare it with their own
     threshold and report it.
     """
-    coup = sys.coupling
-    lag = cand.lags
-    seen = {sys.root}
-    frontier = [sys.root]
-    residual = 0.0
-    for _ in range(radius + 1):
-        nxt = []
-        for v in frontier:
-            total = 0.0
-            support = list(coup.support(v))  # may be a one-pass iterable
-            for u in support:
-                total += coup.h(lag(u) - lag(v), v, u)
-            residual = max(residual, abs(cand.velocity - sys.omega(v) - total))
-            for u in support:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return residual
+    b = ball(linearize(sys, cand), sys.root, radius)
+    return float(np.max(np.abs(_EdgeTable(sys, cand, b).rhs(np.zeros(len(b))))))
 
 
 def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator:
@@ -329,8 +316,9 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     flow's (``semigroup._truncated_flow``), run on the linearization's
     skeleton.  A perturbation of l1 norm above ``_MAX_PERTURBATION_L1``
     (1.0) is rejected with ``ValueError``, and any deviation exceeding
-    ``_BLOWUP_THRESHOLD`` (pi/2) in sup norm on the primary ball aborts with
-    ``BlowUpError``.
+    ``_BLOWUP_THRESHOLD`` (pi/2) in sup norm in the primary run aborts with
+    ``BlowUpError``.  One ``_EdgeTable`` is built per attempt, on the
+    enlarged ball; the primary run reads it cut to the primary radius.
     """
     data = perturbation.to_dict() if isinstance(perturbation, StateVector) \
         else dict(perturbation)
@@ -344,11 +332,10 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                 f"deviation reached {np.max(np.abs(phi)):.3f} at t={t:.3g}: "
                 "left perturbative regime")
 
-    def flow(b, y0, replay):
+    def flow(b):
         table = _EdgeTable(sys, cand, b)
-        return integrate(lambda t, y: table.rhs(y), y0, ts, rtol=cfg.rtol,
-                         atol=cfg.atol, replay=replay,
-                         step_callback=blowup_guard if replay is None else None,
-                         shell_ends=_shell_ends(b))
+        return lambda y0, replay, ends: integrate(
+            lambda t, y: table.rhs(y), y0, ts, rtol=cfg.rtol, atol=cfg.atol, replay=replay,
+            step_callback=blowup_guard if replay is None else None, shell_ends=ends)
 
     return _truncated_flow(linearize(sys, cand), perturbation, cfg, flow)

@@ -9,22 +9,22 @@ counting mass is conserved).
 
 Truncation adequacy is verified, not assumed, by one driver that the linear
 flow here and the nonlinear flow of ``oscillator`` share: each attempt
-enumerates the ball enlarged by the truncation margin once, takes the
-primary ball as its BFS prefix, computes the flow on both, and requires the
-two trajectories to agree on the smaller ball to within a small multiple of
-the absolute tolerance; otherwise the radius grows and the attempt repeats.
-Symmetric-part runs use the Lanczos exponential, whose estimated error at
-every sample time is held under the absolute tolerance (restart segments
-share it), so the two radii are compared directly.  Full and nonlinear runs
-integrate with DOPRI5 on the primary ball and repeat the run on the enlarged
-ball *replaying the identical step sequence*, so the comparison sees
-truncation error alone instead of step-controller noise.  Each of the two
-runs works on its own live prefix of the ball (``integrate``'s window,
-from the ball's shell ends), with the operator cut to it once per window.
+enumerates the ball enlarged by the truncation margin and builds the flow's
+operator on it, once each.  The primary run is that operator cut to the BFS
+prefix of the primary radius, as ``integrate``'s live window cuts it (the
+ball's diagonal, the vertices past the cut frozen at zero); the two runs
+must agree on the prefix to within a small multiple of the absolute
+tolerance, or the radius grows and the attempt repeats.  Symmetric-part
+runs use the Lanczos exponential, whose estimated error at every sample
+time is held under the absolute tolerance (restart segments share it), so
+the two runs are compared directly.  Full and nonlinear runs integrate with
+DOPRI5 on the prefix and repeat the run on the whole ball *replaying the
+identical step sequence*, so the comparison sees truncation error alone
+instead of step-controller noise.
 
-Both balls are weight snapshots (see ``geometry``), so the sparse operators
-are assembled from their arrays without further adjacency calls: each vertex
-is read once per enumeration and nothing is kept beyond the snapshot.
+The ball is a weight snapshot (see ``geometry``), so the sparse operator is
+assembled from its arrays without further adjacency calls: each vertex is
+read once per enumeration and nothing is kept beyond the snapshot.
 """
 
 from __future__ import annotations
@@ -183,12 +183,12 @@ class SimConfig:
 class EvolveResult:
     """Trajectory of a truncated run plus the truncation bookkeeping.
 
-    ``n_steps`` is the cost of the run on the primary ball: the accepted
-    DOPRI5 steps for full and nonlinear runs, and the Krylov dimension of
-    the Lanczos basis for symmetric-part runs (summed over restarts, if the
-    dimension cap forced any).  ``ball`` and the samples are the enlarged
-    run's, and ``richardson_diff`` is the max-norm disagreement of the two
-    radii on the primary ball.
+    ``n_steps`` is the cost of the primary run, on the primary radius: the
+    accepted DOPRI5 steps for full and nonlinear runs, and the Krylov
+    dimension of the Lanczos basis for symmetric-part runs (summed over
+    restarts, if the dimension cap forced any).  ``ball`` and the samples
+    are the enlarged run's, and ``richardson_diff`` is the max-norm
+    disagreement of the two runs on the primary radius.
     """
 
     samples: list  # (t, StateVector)
@@ -248,33 +248,36 @@ def _shell_ends(b: Ball) -> np.ndarray:
 def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
 
-    ``flow(b, y0, replay)`` computes the trajectory from ``y0`` on ball ``b``
-    at the sample times and returns its ``IntegrationResult``; ``replay`` is
-    None on the primary ball and the primary run's step sequence on the
-    enlarged one.  The ball is centered on ``x0``'s ball center (the
-    graph root for a mapping), its radius planned from the support and the
-    light cone.  Each attempt enumerates the ball enlarged by
-    ``_TRUNCATION_MARGIN`` hops once and takes the primary ball as its BFS
-    prefix.  The max-norm disagreement of the two runs on the primary ball
-    must stay within ``10 * atol``; otherwise the radius grows by the margin
-    and the attempt is repeated, at most ``_MAX_RETRIES`` times before
-    ``TruncationError``.  The returned trajectory is the enlarged run.
+    ``flow(b)`` builds the flow on ball ``b`` and returns ``run(y0, replay,
+    ends)``: the trajectory from ``y0`` on the first ``len(y0)`` vertices
+    of ``b`` (shell ends ``ends``), as an ``IntegrationResult``; ``replay``
+    is None on the primary run and its step sequence on the enlarged one.
+    The ball is centered on ``x0``'s ball center (the graph root for a
+    mapping), its radius planned from the support and the light cone.  Each
+    attempt builds the flow once, on the ball enlarged by
+    ``_TRUNCATION_MARGIN`` hops, and runs it on the BFS prefix of the
+    radius and on the whole ball.  Their max-norm disagreement on the
+    prefix must stay within ``10 * atol``; otherwise the radius grows by
+    the margin and the attempt is repeated, at most ``_MAX_RETRIES`` times
+    before ``TruncationError``.  The returned trajectory is the enlarged run.
     """
     center = x0.ball.center if isinstance(x0, StateVector) else gen.root
     data, support_radius = _support_info(gen, x0, center, _BALL_BUDGET)
     radius = _planned_radius(gen, center, support_radius, cfg)
     retries = 0
     while True:
-        b2 = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
-        b1 = b2.prefix(radius)
-        res1 = flow(b1, StateVector.from_dict(b1, data).values, None)
-        res2 = flow(b2, StateVector.from_dict(b2, data).values, res1.steps)
+        b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
+        ends = _shell_ends(b)
+        y0 = StateVector.from_dict(b, data).values
+        run = flow(b)
+        res1 = run(y0[:ends[radius]], None, ends[:radius + 1])
+        res2 = run(y0, res1.steps, ends)
         diff = 0.0
         for (_, ya), (_, yb) in zip(res1.samples, res2.samples):
-            diff = max(diff, float(np.max(np.abs(yb[:len(b1)] - ya))))
+            diff = max(diff, float(np.max(np.abs(yb[:ya.size] - ya))))
         if diff <= 10.0 * cfg.atol:
-            samples = [(t, StateVector.from_values(b2, y)) for t, y in res2.samples]
-            return EvolveResult(samples=samples, ball=b2, retries=retries,
+            samples = [(t, StateVector.from_values(b, y)) for t, y in res2.samples]
+            return EvolveResult(samples=samples, ball=b, retries=retries,
                                 n_steps=res1.n_steps, richardson_diff=diff)
         if retries >= _MAX_RETRIES:
             raise TruncationError(
@@ -296,28 +299,29 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     retries are ``_truncated_flow``'s, the one driver shared with
     ``simulate_nonlinear``: sym runs compare the two radii directly, full
     runs repeat the integration on the enlarged ball with the identical step
-    sequence.  Only the part that runs is assembled.  Every run is checked,
-    and the result carries the enlarged ball and its trajectory; rebuild an
-    operator from the ball with ``TruncatedOperator(result.ball, parts)``.
+    sequence.  Only the part that runs is assembled, once per attempt.
+    Every run is checked, and the result carries the enlarged ball and its
+    trajectory; rebuild an operator from the ball with
+    ``TruncatedOperator(result.ball, parts)``.
     """
     if part not in ("full", "sym"):
         raise ValueError("part must be 'full' or 'sym'")
     ts = cfg.resolved_sample_times()
 
-    def flow(b, y0, replay):
+    def flow(b):
         a = TruncatedOperator(b, parts=(part,)).matrix(part)
-        if part == "sym":
-            return lanczos_expm(a.dot, y0, ts, atol=cfg.atol)
         cut = a
 
-        def rhs(t, y):
+        def matvec(y):
             nonlocal cut
             if cut.shape[0] != y.size:  # a new window: the ball's diagonal, cut
                 cut = a[:y.size, :y.size]
             return cut @ y
 
-        return integrate(rhs, y0, ts, rtol=cfg.rtol, atol=cfg.atol, replay=replay,
-                         shell_ends=_shell_ends(b))
+        if part == "sym":
+            return lambda y0, replay, ends: lanczos_expm(matvec, y0, ts, atol=cfg.atol)
+        return lambda y0, replay, ends: integrate(lambda t, y: matvec(y), y0, ts, rtol=cfg.rtol,
+                                                  atol=cfg.atol, replay=replay, shell_ends=ends)
 
     return _truncated_flow(gen, x0, cfg, flow)
 

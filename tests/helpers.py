@@ -49,6 +49,19 @@ def counted(gen):
     return GraphGenerator(adjacency=adjacency, root=gen.root, name=gen.name), reads
 
 
+def count_builds(monkeypatch, module, name):
+    """Wrap ``module.name`` so that every call appends its positional arguments to the returned list."""
+    built = []
+    make = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return built
+
+
 def sym_neighbors(gen, v) -> dict:
     """Brute-force map ``u -> w_sym(v, u)`` over the strictly positive pairs.
 
@@ -64,6 +77,11 @@ def sym_neighbors(gen, v) -> dict:
             result[u] = ws
     return result
 
+
+#: every builtin family, with the parameters the tests run it at
+BUILTINS = [("example-2.2", {}), ("z-lattice", {"d": 1}), ("z-lattice", {"d": 2}),
+            ("z-lattice", {"d": 3}), ("z-lattice", {"d": 4}), ("z2-advection", {}),
+            ("z2-skew-perturbed", {"a": 0.5}), ("z2-skew-perturbed", {"a": -0.9})]
 
 #: ``geometry._BATCH_MIN_SHELL`` values that read every shell in batch (where
 #: the keys fit) and none

@@ -24,12 +24,9 @@ from dirlap import geometry, oscillator
 from dirlap.oscillator import coupling_from_graph
 from dirlap.hypotheses import _shell_skew
 
-from helpers import (EVERY_SHELL, NO_SHELL, assert_same_ball, assert_same_edge_table,
-                     both_steps)
+from helpers import (BUILTINS, EVERY_SHELL, NO_SHELL, assert_same_ball,
+                     assert_same_edge_table, both_steps)
 
-BUILTINS = [("example-2.2", {}), ("z-lattice", {"d": 1}), ("z-lattice", {"d": 2}),
-            ("z-lattice", {"d": 3}), ("z-lattice", {"d": 4}), ("z2-advection", {}),
-            ("z2-skew-perturbed", {"a": 0.5}), ("z2-skew-perturbed", {"a": -0.9})]
 LIMIT = 1 << 20  # the first coordinate magnitude that the int64 key cannot hold
 
 

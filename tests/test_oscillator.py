@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from dirlap.geometry import ball
 from dirlap.graph import DEFAULT_DEGREE_CAP
 from dirlap.oscillator import GenericCoupling, coupling_from_graph
 from dirlap.semigroup import SimConfig, trajectory_norms
-from helpers import (assert_same_ball, assert_same_edge_table, both_steps,
-                     check_coupling_gradient, decompose_edge, pairwise_sine_rhs,
-                     split_coupling_matrix)
+from helpers import (BUILTINS, assert_same_ball, assert_same_edge_table, both_steps,
+                     check_coupling_gradient, count_builds, decompose_edge,
+                     pairwise_sine_rhs, split_coupling_matrix)
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):
@@ -92,6 +93,76 @@ class TestVerifyPhaseLock:
     def test_planted_lags_verify(self):
         sys_, cand = planted_system()
         assert verify_phase_lock(sys_, cand, radius=6) <= 1e-10
+
+    @pytest.mark.parametrize("field", ["omega", "lags"])
+    def test_a_nan_at_one_vertex_gives_a_nan_residual(self, field):
+        sys_, _ = uniform_sin_system(d=2, omega=0.0)
+        cand = PhaseLockCandidate(velocity=0.0, lags=lambda v: 0.0)
+
+        def nan_at(v):
+            return math.nan if v == (1, 0) else 0.0
+
+        if field == "omega":
+            sys_ = dataclasses.replace(sys_, omega=nan_at)
+        else:
+            cand = dataclasses.replace(cand, lags=nan_at)
+        assert math.isnan(verify_phase_lock(sys_, cand, radius=3))
+
+    def test_negative_radius_is_an_error(self):
+        sys_, _ = uniform_sin_system(d=2, omega=1.0)
+        cand = PhaseLockCandidate(velocity=5.0, lags=lambda v: 0.0)
+        with pytest.raises(ValueError, match="radius"):
+            verify_phase_lock(sys_, cand, radius=-1)
+
+    def test_reads_each_vertex_at_most_twice(self):
+        # the CLI's check: once by the linearization's ball, once by the edge table
+        g = builtin_graph("z2-skew-perturbed", a=0.5)
+        reads = Counter()
+
+        def adjacency(v):
+            reads[v] += 1
+            return g.adjacency(v)
+
+        def batch(coords):
+            reads.update(map(tuple, np.asarray(coords).tolist()))
+            return g.batch_adjacency(coords)
+
+        weight, support = coupling_from_graph(
+            dataclasses.replace(g, adjacency=adjacency, batch_adjacency=batch))
+        sys_ = OscillatorSystem(omega=lambda v: 1.0, coupling=sin_coupling(weight, support),
+                                root=g.root)
+        cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+        assert verify_phase_lock(sys_, cand, radius=6) == 0.0
+        assert set(reads) == set(ball(g, g.root, 6).vertices)
+        assert max(reads.values()) <= 2
+
+    @staticmethod
+    def support_bfs(sys_, radius):
+        """The vertices within ``radius`` hops of the root along the coupling's support."""
+        seen, frontier = {sys_.root}, [sys_.root]
+        for _ in range(radius):
+            frontier = [u for v in frontier for u in sys_.coupling.support(v)
+                        if u not in seen and not seen.add(u)]
+        return seen
+
+    @pytest.mark.parametrize("system", [f"{n}{p}" for n, p in BUILTINS]
+                             + ["planted", "lagged"])
+    def test_samples_the_support_ball(self, system):
+        # with every support pair of positive symmetric slope, the
+        # linearization's skeleton ball is the old walk along the support
+        if system in ("planted", "lagged"):
+            sys_, cand = planted_system() if system == "planted" else lagged_lock()
+        else:
+            name, params = {f"{n}{p}": (n, p) for n, p in BUILTINS}[system]
+            sys_, _ = uniform_sin_system(name, **params)
+            cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+        radius = 3 if len(sys_.root) >= 3 else 6
+        sampled = []
+        omega = sys_.omega
+        sys_ = dataclasses.replace(sys_, omega=lambda v: sampled.append(v) or omega(v))
+        assert verify_phase_lock(sys_, cand, radius) <= 1e-12
+        assert len(sampled) == len(set(sampled))
+        assert set(sampled) == self.support_bfs(sys_, radius)
 
 
 class TestLinearize:
@@ -428,6 +499,14 @@ class TestNonlinearTruncation:
         res, cfg = self.run(6.0)
         assert res.retries >= 1
         assert res.richardson_diff <= 10 * cfg.atol
+
+    @pytest.mark.parametrize("t_max", [6.0, 1.0])
+    def test_one_edge_table_per_attempt(self, monkeypatch, t_max):
+        built = count_builds(monkeypatch, oscillator, "_EdgeTable")
+        res, _ = self.run(t_max)
+        assert res.retries == (2 if t_max == 6.0 else 0)
+        assert len(built) == res.retries + 1
+        assert built[-1][2] is res.ball
 
 
 class TestDeviationDecay:

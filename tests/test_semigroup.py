@@ -16,10 +16,11 @@ from dirlap import (StateVector, TruncatedOperator, advection_oracle,
                     trajectory_norms)
 from dirlap import semigroup
 from dirlap.errors import BudgetExceededError, TruncationError
+from dirlap.integrate import integrate
 from dirlap.semigroup import SimConfig, q_norm_fast
 
-from helpers import (counted, dense_laplacian, finite_graphs, k2_generator,
-                     random_support_vector)
+from helpers import (count_builds, counted, dense_laplacian, finite_graphs,
+                     k2_generator, random_support_vector)
 
 INF = math.inf
 
@@ -320,6 +321,40 @@ class TestEvolve:
                         c_speed=0.05)
         with pytest.raises(TruncationError):
             evolve(g, {(0,): 1.0}, cfg, part="sym")
+
+    @pytest.mark.parametrize("part, cfg, retries", [
+        # the undersized fixture above, and the same undersized line on the full part
+        ("sym", SimConfig(t_max=6.0, sample_times=[6.0], rtol=1e-8, atol=1e-10,
+                          c_speed=0.05), 2),
+        ("full", SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05), 2),
+        ("full", small_cfg(3.0, [3.0], c_speed=8.0), 0),
+    ])
+    def test_one_operator_per_attempt(self, monkeypatch, part, cfg, retries):
+        built = count_builds(monkeypatch, semigroup, "TruncatedOperator")
+        res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part=part)
+        assert res.retries == retries
+        assert len(built) == retries + 1
+        assert built[-1][0] is res.ball
+
+    def test_primary_run_is_the_enlarged_operator_cut(self):
+        # the primary run of the last attempt, rebuilt from the public pieces:
+        # the enlarged ball's operator cut to each window, from the first
+        # ends[radius] vertices, gives the reported disagreement bit for bit
+        g = builtin_graph("z-lattice", d=1)
+        cfg = SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        res = evolve(g, {(0,): 1.0}, cfg, part="full")
+        radius = res.ball.radius - semigroup._TRUNCATION_MARGIN
+        b = dirlap.ball(g, g.root, res.ball.radius)
+        a = TruncatedOperator(b, ("full",)).matrix("full")
+        ends = np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
+        y0 = StateVector.from_dict(b, {(0,): 1.0}).values[:ends[radius]]
+        primary = integrate(lambda t, y: a[:y.size, :y.size] @ y, y0,
+                            cfg.resolved_sample_times(), rtol=cfg.rtol, atol=cfg.atol,
+                            shell_ends=ends[:radius + 1])
+        diff = max(float(np.max(np.abs(s.values[:y0.size] - y)))
+                   for (_, s), (_, y) in zip(res, primary.samples))
+        assert res.retries == 2 and res.n_steps == primary.n_steps
+        assert diff == res.richardson_diff
 
     def test_richardson_diff_reported_small(self):
         g = builtin_graph("example-2.2")
