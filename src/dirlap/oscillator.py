@@ -134,17 +134,20 @@ class PhaseLockCandidate:
 
 def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
                       radius: int) -> float:
-    """Max ansatz residual over the linearization's radius-``radius`` ball.
+    """Max ansatz residual over the radius-``radius`` ball of the coupling's support.
 
     The residual at v is ``|Omega - omega_v - sum H(lag_v' - lag_v, v, v')|``,
     the deviation flow's right-hand side at zero (``_EdgeTable.rhs``).  The
-    ball walks the pairs of positive symmetric slope from the system root,
-    and the walk and the table read each ball vertex once each.  A NaN
-    residual at any vertex gives NaN, and a negative radius ``ValueError``.
-    The raw residual is returned; callers compare it with their own
-    threshold and report it.
+    ball follows every (symmetric) support pair, whatever its slope, so an
+    anti-phase lock is sampled as fully as a synchronous one; the walk and
+    the table read each ball vertex once each.  A NaN residual at any vertex
+    gives NaN, and a negative radius ``ValueError``.  The raw residual is
+    returned; callers compare it with their own threshold and report it.
     """
-    b = ball(linearize(sys, cand), sys.root, radius)
+    coup = sys.coupling  # the support has no degree cap of its own
+    support = GraphGenerator(adjacency=lambda v: (dict.fromkeys(coup.support(v), 1.0),) * 2,
+                             root=sys.root, degree_cap=math.inf)
+    b = ball(support, sys.root, radius)
     return float(np.max(np.abs(_EdgeTable(sys, cand, b).rhs(np.zeros(len(b))))))
 
 
@@ -280,6 +283,8 @@ class _EdgeTable:
         phases past ``w`` read as 0 like the exterior ones.
         """
         if isinstance(self.coup, SeparableCoupling):
+            if w == self.k.shape[0]:  # the whole ball: no copy
+                return w, self.k, self.s_ext, self.c_ext
             rest = self.k[:w, w:]
             return (w, self.k[:w, :w], self.s_ext[:w] + rest @ np.sin(self.lag[w:]),
                     self.c_ext[:w] + rest @ np.cos(self.lag[w:]))

@@ -2,10 +2,12 @@
 
 The flow ``x' = Lx`` (or its symmetric part) on an infinite graph is
 simulated on a finite ball that is large enough for the initial condition's
-influence not to reach the boundary before the final time.  Edges leaving
-the ball are removed entirely, which keeps the restriction of the symmetric
-part symmetric with vanishing row sums (so constants stay in its kernel and
-counting mass is conserved).
+influence not to reach the boundary before the final time.  The ball's
+operator removes the edges leaving the ball entirely, which keeps the
+restriction of the symmetric part symmetric with vanishing row sums (so
+constants stay in its kernel and the enlarged run conserves counting mass).
+The primary run's cut of it keeps that diagonal, so its boundary rows absorb
+along the edges leaving the cut.
 
 Truncation adequacy is verified, not assumed, by one driver that the linear
 flow here and the nonlinear flow of ``oscillator`` share: each attempt
@@ -315,7 +317,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         def matvec(y):
             nonlocal cut
             if cut.shape[0] != y.size:  # a new window: the ball's diagonal, cut
-                cut = a[:y.size, :y.size]
+                cut = a if y.size == a.shape[0] else a[:y.size, :y.size]
             return cut @ y
 
         if part == "sym":

@@ -115,7 +115,7 @@ class TestVerifyPhaseLock:
             verify_phase_lock(sys_, cand, radius=-1)
 
     def test_reads_each_vertex_at_most_twice(self):
-        # the CLI's check: once by the linearization's ball, once by the edge table
+        # the CLI's check: once by the support ball, once by the edge table
         g = builtin_graph("z2-skew-perturbed", a=0.5)
         reads = Counter()
 
@@ -146,12 +146,13 @@ class TestVerifyPhaseLock:
         return seen
 
     @pytest.mark.parametrize("system", [f"{n}{p}" for n, p in BUILTINS]
-                             + ["planted", "lagged"])
+                             + ["planted", "lagged", "anti-phase"])
     def test_samples_the_support_ball(self, system):
-        # with every support pair of positive symmetric slope, the
-        # linearization's skeleton ball is the old walk along the support
         if system in ("planted", "lagged"):
             sys_, cand = planted_system() if system == "planted" else lagged_lock()
+        elif system == "anti-phase":  # every slope is negative
+            sys_, _ = uniform_sin_system(d=2)
+            cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: math.pi * (sum(v) % 2))
         else:
             name, params = {f"{n}{p}": (n, p) for n, p in BUILTINS}[system]
             sys_, _ = uniform_sin_system(name, **params)
@@ -163,6 +164,31 @@ class TestVerifyPhaseLock:
         assert verify_phase_lock(sys_, cand, radius) <= 1e-12
         assert len(sampled) == len(set(sampled))
         assert set(sampled) == self.support_bfs(sys_, radius)
+
+    def test_a_wrong_omega_off_the_root_of_an_anti_phase_lock_shows(self):
+        # the slopes at lags pi * (x mod 2) are all -1: no skeleton edge is
+        # positive, but the support still reaches (3,)
+        sys_, _ = uniform_sin_system(d=1)
+        sys_ = dataclasses.replace(sys_, omega=lambda v: 1.5 if v == (3,) else 1.0)
+        cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: math.pi * (v[0] % 2))
+        assert verify_phase_lock(sys_, cand, radius=5) == pytest.approx(0.5)
+        assert verify_phase_lock(sys_, cand, radius=2) <= 1e-12
+
+    def test_generic_coupling_needs_no_slope_and_no_degree_cap(self):
+        # 70 neighbours each way, past DEFAULT_DEGREE_CAP, and no usable dh
+        def support(v):
+            return [(v[0] + k,) for k in range(-70, 71) if k]
+
+        def dh(x, v, u):
+            raise AssertionError("the lock check reads no slope")
+
+        coup = GenericCoupling(h=lambda x, v, u: math.sin(x), dh=dh, support=support)
+        sys_ = OscillatorSystem(omega=lambda v: 1.25 if v == (100,) else 1.0,
+                                coupling=coup, root=(0,))
+        cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+        assert 70 > DEFAULT_DEGREE_CAP
+        assert verify_phase_lock(sys_, cand, radius=1) == 0.0
+        assert verify_phase_lock(sys_, cand, radius=2) == 0.25
 
 
 class TestLinearize:
@@ -440,8 +466,10 @@ def test_windowed_rhs_is_the_whole_ball_rhs_on_the_window(lags, phi, w, kind):
                       for v in _RHS_BALL.vertices[:w]])
     assert windowed.shape == (w,)
     assert np.all(np.abs(windowed - whole[:w]) <= 1e-14 * scale)
-    # a grown window is cut again: the whole ball gives the whole-ball table
+    # a grown window is cut again: the whole ball gives the whole-ball table,
+    # read in place
     assert np.array_equal(table.rhs(phi), whole)
+    assert kind == "generic" or table._window[1] is table.k
 
 
 def lagged_lock():
