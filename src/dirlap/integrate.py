@@ -23,11 +23,14 @@ I*).  Three features matter for the truncated-domain simulations:
   loses about ``steps * tau`` at most.
 
 ``lanczos_expm`` computes ``exp(tA) y0`` for a symmetric ``A`` at every
-sample time from one Lanczos basis.  It needs no step controller, so two
-radii are compared directly: each result is within ``atol`` by Saad's
-a-posteriori estimate (SIAM J. Numer. Anal. 29:209, 1992).  The dimension
-grows like ``sqrt(t |A|)`` (Hochbruck & Lubich, SIAM J. Numer. Anal.
-34:1911, 1997), about 90 on the plane lattice at t = 40.
+sample time from one Lanczos basis.  It needs no step controller: each
+result is within ``atol`` by Saad's a-posteriori estimate (SIAM J. Numer.
+Anal. 29:209, 1992).  For a graph operator the m-step basis from ``y0``
+stays within ``m - 1`` hops of ``y0``'s support, so on a ball that holds
+that reach the basis and the estimate are those of the infinite graph; the
+dimension, and so the reach, grows like ``sqrt(t |A|)`` (Hochbruck &
+Lubich, SIAM J. Numer. Anal. 34:1911, 1997), about 90 on the plane lattice
+at t = 40.
 """
 
 from __future__ import annotations
@@ -372,10 +375,15 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     segments before any sample time add up to at most ``atol`` (the flow of
     a symmetric negative semidefinite ``A`` does not amplify them).  Samples
     at time 0 are exact copies of ``y0``, and a zero ``y0`` gives zeros.
+    A non-finite entry of ``y0`` raises ``ValueError`` before the recurrence
+    starts.
     """
     max_dim = _MAX_KRYLOV_DIM
     times = _checked_times(sample_times)
     y = np.array(y0, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"initial value y0[{bad[0]}] = {y[bad[0]]} is not finite")
     samples = []
     spans: list[float] = []
     n_steps = 0

@@ -5,24 +5,26 @@ simulated on a finite ball that is large enough for the initial condition's
 influence not to reach the boundary before the final time.  The ball's
 operator removes the edges leaving the ball entirely, which keeps the
 restriction of the symmetric part symmetric with vanishing row sums (so
-constants stay in its kernel and the enlarged run conserves counting mass).
-The primary run's cut of it keeps that diagonal, so its boundary rows absorb
-along the edges leaving the cut.
+constants stay in its kernel and the run conserves counting mass).
 
-Truncation adequacy is verified, not assumed, by one driver that the linear
-flow here and the nonlinear flow of ``oscillator`` share: each attempt
-enumerates the ball enlarged by the truncation margin and builds the flow's
-operator on it, once each.  The primary run is that operator cut to the BFS
-prefix of the primary radius, as ``integrate``'s live window cuts it (the
-ball's diagonal, the vertices past the cut frozen at zero); the two runs
-must agree on the prefix to within a small multiple of the absolute
-tolerance, or the radius grows and the attempt repeats.  Symmetric-part
-runs use the Lanczos exponential, whose estimated error at every sample
-time is held under the absolute tolerance (restart segments share it), so
-the two runs are compared directly.  Full and nonlinear runs integrate with
-DOPRI5 on the prefix and repeat the run on the whole ball *replaying the
+Symmetric-part runs (``part="sym"``) use the Lanczos exponential, whose
+estimated error at every sample time is held under the absolute tolerance
+(restart segments share it), on one ball that holds the Krylov reach of
+``x0`` (``_krylov_flow``).  There the basis and the error estimate are the
+infinite graph's, so no second radius is needed.
+
+Full and nonlinear runs are checked by ``_truncated_flow``, which the
+linear flow here and the nonlinear flow of ``oscillator`` share: each
+attempt enumerates the ball enlarged by the truncation margin and builds
+the flow's operator on it, once each.  The primary run is that operator cut
+to the BFS prefix of the primary radius, as ``integrate``'s live window
+cuts it (the ball's diagonal, so its boundary rows absorb along the edges
+leaving the cut, and the vertices past the cut frozen at zero).  Both runs
+integrate with DOPRI5, the enlarged one on the whole ball *replaying the
 identical step sequence*, so the comparison sees truncation error alone
-instead of step-controller noise.
+instead of step-controller noise; they must agree on the prefix to within a
+small multiple of the absolute tolerance, or the radius grows and the
+attempt repeats.
 
 The ball is a weight snapshot (see ``geometry``), so the sparse operator is
 assembled from its arrays without further adjacency calls: each vertex is
@@ -45,7 +47,8 @@ from .integrate import integrate, lanczos_expm
 
 _PARTS = tuple(WEIGHT_PARTS)
 
-# _truncated_flow's enlargement in hops, retries and ball budget (call time)
+# _truncated_flow's enlargement in hops and retries, and every run's ball
+# budget (read at call time)
 _TRUNCATION_MARGIN = 8
 _MAX_RETRIES = 3
 _BALL_BUDGET = 4_000_000
@@ -142,13 +145,16 @@ class TruncatedOperator:
 class SimConfig:
     """Settings for a truncated simulation.
 
-    ``c_speed`` overrides the light-cone heuristic: the simulation radius is
-    then ``support_radius + ceil(c_speed * t_max) + 8``, the 8 being the
-    truncation margin.  When unset, the radius combines a ballistic term from
-    the skew mass seen at the edge of a probe ball with a diffusive term from
-    the largest vertex measure.  Either way the enlarged-ball comparison of
-    ``_truncated_flow`` validates it; its margin (8 hops), retries (3) and
-    ball budget (4,000,000 vertices) are module constants, not settings.
+    ``c_speed`` (finite, nonnegative) overrides the light-cone heuristic: the
+    simulation radius is then ``support_radius + ceil(c_speed * t_max) + 8``,
+    the 8 being the truncation margin.  When unset, the radius combines a
+    ballistic term from the skew mass seen at the edge of a probe ball with a
+    diffusive term from the largest vertex measure.  Full and nonlinear runs
+    validate it by the enlarged-ball comparison of ``_truncated_flow``, whose
+    margin (8 hops) and retries (3) are module constants, not settings.
+    Symmetric-part runs validate it by the Krylov reach instead: when a
+    Lanczos vector touches the ball's outer shell, the allowance past the
+    support doubles.  No ball may exceed 4,000,000 vertices.
 
     ``rtol`` and ``atol`` are the DOPRI5 tolerances of full linear and
     nonlinear runs.  Symmetric-part runs are controlled by ``atol`` alone:
@@ -167,6 +173,8 @@ class SimConfig:
             raise ValueError("t_max must be positive")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.c_speed is not None and not 0 <= self.c_speed < math.inf:
+            raise ValueError("c_speed must be finite and nonnegative")
 
     def resolved_sample_times(self) -> list[float]:
         if self.sample_times is not None:
@@ -185,12 +193,17 @@ class SimConfig:
 class EvolveResult:
     """Trajectory of a truncated run plus the truncation bookkeeping.
 
-    ``n_steps`` is the cost of the primary run, on the primary radius: the
-    accepted DOPRI5 steps for full and nonlinear runs, and the Krylov
-    dimension of the Lanczos basis for symmetric-part runs (summed over
-    restarts, if the dimension cap forced any).  ``ball`` and the samples
-    are the enlarged run's, and ``richardson_diff`` is the max-norm
-    disagreement of the two runs on the primary radius.
+    For full and nonlinear runs ``n_steps`` counts the accepted DOPRI5
+    steps of the primary run, ``ball`` and the samples are the enlarged
+    run's, ``richardson_diff`` is the max-norm disagreement of the two runs
+    on the primary radius and ``retries`` counts the failed comparisons.
+    For symmetric-part runs ``n_steps`` is the Krylov dimension of the
+    Lanczos basis (summed over restarts, if the dimension cap forced any),
+    ``ball`` is the one ball the run used and ``retries`` counts its
+    growths.  Their ``richardson_diff`` is 0.0 by construction: no vector
+    of the run touched the ball's outer shell, so its matvecs, Krylov
+    vectors and error estimate are those of the infinite graph, and a
+    larger ball would give the same samples.
     """
 
     samples: list  # (t, StateVector)
@@ -247,25 +260,29 @@ def _shell_ends(b: Ball) -> np.ndarray:
     return np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
 
 
+def _plan(gen, x0, cfg: SimConfig) -> tuple[Vertex, dict, int, int]:
+    """Center (``x0``'s, or the root), support values and radius, planned radius."""
+    center = x0.ball.center if isinstance(x0, StateVector) else gen.root
+    data, support_radius = _support_info(gen, x0, center, _BALL_BUDGET)
+    return center, data, support_radius, _planned_radius(gen, center, support_radius, cfg)
+
+
 def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
 
-    ``flow(b)`` builds the flow on ball ``b`` and returns ``run(y0, replay,
-    ends)``: the trajectory from ``y0`` on the first ``len(y0)`` vertices
-    of ``b`` (shell ends ``ends``), as an ``IntegrationResult``; ``replay``
-    is None on the primary run and its step sequence on the enlarged one.
-    The ball is centered on ``x0``'s ball center (the graph root for a
-    mapping), its radius planned from the support and the light cone.  Each
-    attempt builds the flow once, on the ball enlarged by
-    ``_TRUNCATION_MARGIN`` hops, and runs it on the BFS prefix of the
-    radius and on the whole ball.  Their max-norm disagreement on the
+    Serves full linear and nonlinear runs.  ``flow(b)`` builds the flow on
+    ball ``b`` and returns ``run(y0, replay, ends)``: the trajectory from
+    ``y0`` on the first ``len(y0)`` vertices of ``b`` (shell ends ``ends``),
+    as an ``IntegrationResult``; ``replay`` is None on the primary run and
+    its step sequence on the enlarged one.  The ball's center and radius
+    are ``_plan``'s.  Each attempt builds the flow once, on the ball
+    enlarged by ``_TRUNCATION_MARGIN`` hops, and runs it on the BFS prefix
+    of the radius and on the whole ball.  Their max-norm disagreement on the
     prefix must stay within ``10 * atol``; otherwise the radius grows by
     the margin and the attempt is repeated, at most ``_MAX_RETRIES`` times
     before ``TruncationError``.  The returned trajectory is the enlarged run.
     """
-    center = x0.ball.center if isinstance(x0, StateVector) else gen.root
-    data, support_radius = _support_info(gen, x0, center, _BALL_BUDGET)
-    radius = _planned_radius(gen, center, support_radius, cfg)
+    center, data, _, radius = _plan(gen, x0, cfg)
     retries = 0
     while True:
         b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
@@ -290,28 +307,72 @@ def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
         radius += _TRUNCATION_MARGIN
 
 
+class _ReachError(Exception):
+    """A Lanczos vector is nonzero on the outer shell of its ball."""
+
+
+def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
+    """``exp(t L_sym) x0`` from one Lanczos run on a ball that holds its reach.
+
+    The ball has ``_plan``'s radius.  By the generator contract every
+    nonzero symmetric weight is positive, hence an edge of the skeleton
+    walk, so every vertex within ``radius - 1`` hops has its whole
+    symmetric row in the ball.  The ball's operator applied to a vector
+    that vanishes on the shell at distance ``radius`` is then the infinite
+    graph's: the outer shell's truncated rows meet only zeros, and the
+    vertices past the ball have no neighbour where the vector is nonzero.  The matvec raises ``_ReachError`` on any other
+    input; a ball whose walk exhausted its component has no such shell, so
+    it is exact as it stands.  On that error the allowance ``radius -
+    support_radius`` doubles and the ball is read again, bounded only by
+    ``_BALL_BUDGET`` (``BudgetExceededError``).
+    """
+    center, data, support_radius, radius = _plan(gen, x0, cfg)
+    retries = 0
+    while True:
+        b = ball(gen, center, radius, budget=_BALL_BUDGET)
+        a = TruncatedOperator(b, parts=("sym",)).matrix("sym")
+        edge = int(np.searchsorted(b.distances, radius))  # the outer shell's start
+
+        def matvec(y):
+            if y[edge:].any():
+                raise _ReachError
+            return a @ y
+
+        try:
+            res = lanczos_expm(matvec, StateVector.from_dict(b, data).values,
+                               cfg.resolved_sample_times(), atol=cfg.atol)
+        except _ReachError:
+            retries += 1
+            radius = support_radius + 2 * (radius - support_radius)
+            continue
+        samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
+        return EvolveResult(samples=samples, ball=b, retries=retries,
+                            n_steps=res.n_steps, richardson_diff=0.0)
+
+
 def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     """Integrate ``x' = Lx`` (or the symmetric part) from ``x0`` on a ball.
 
     ``x0`` may be a StateVector or a mapping from vertex to value.
     ``part="sym"`` computes ``exp(t L_sym) x0`` at every sample time from
-    one Lanczos basis per radius (``lanczos_expm``, to ``cfg.atol`` alone;
-    ``cfg.rtol`` is not used); ``part="full"`` integrates with DOPRI5 to
-    ``cfg.rtol`` and ``cfg.atol``.  The ball, its truncation check and the
-    retries are ``_truncated_flow``'s, the one driver shared with
-    ``simulate_nonlinear``: sym runs compare the two radii directly, full
-    runs repeat the integration on the enlarged ball with the identical step
+    one Lanczos run (``lanczos_expm``, to ``cfg.atol`` alone; ``cfg.rtol``
+    is not used) on a ball that holds its Krylov reach (``_krylov_flow``).
+    ``part="full"`` integrates with DOPRI5 to ``cfg.rtol`` and ``cfg.atol``
+    under ``_truncated_flow``, shared with ``simulate_nonlinear``, which
+    repeats the integration on the enlarged ball with the identical step
     sequence.  Only the part that runs is assembled, once per attempt.
-    Every run is checked, and the result carries the enlarged ball and its
+    Every run is checked, and the result carries the run's ball and its
     trajectory; rebuild an operator from the ball with
     ``TruncatedOperator(result.ball, parts)``.
     """
     if part not in ("full", "sym"):
         raise ValueError("part must be 'full' or 'sym'")
+    if part == "sym":
+        return _krylov_flow(gen, x0, cfg)
     ts = cfg.resolved_sample_times()
 
     def flow(b):
-        a = TruncatedOperator(b, parts=(part,)).matrix(part)
+        a = TruncatedOperator(b, parts=("full",)).matrix("full")
         cut = a
 
         def matvec(y):
@@ -320,8 +381,6 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
                 cut = a if y.size == a.shape[0] else a[:y.size, :y.size]
             return cut @ y
 
-        if part == "sym":
-            return lambda y0, replay, ends: lanczos_expm(matvec, y0, ts, atol=cfg.atol)
         return lambda y0, replay, ends: integrate(lambda t, y: matvec(y), y0, ts, rtol=cfg.rtol,
                                                   atol=cfg.atol, replay=replay, shell_ends=ends)
 

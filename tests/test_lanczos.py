@@ -5,13 +5,15 @@ Property tests draw random finite directed graphs and propagate on the
 vertices, so the recurrence always exhausts them before any cap.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirlap import (SimConfig, TruncatedOperator, ball, builtin_graph,
-                    dense_expm, evolve, integrate, semigroup)
+from dirlap import (SimConfig, StateVector, TruncatedOperator, ball,
+                    builtin_graph, dense_expm, evolve, integrate, semigroup)
 from dirlap.errors import StepSizeError
 from dirlap.integrate import lanczos_expm
 
@@ -43,6 +45,42 @@ def test_matches_dense_expm_on_random_graphs(gen, r, times, seed, zero):
         exact = dense_expm(dense * t) @ y0
         assert np.abs(y - exact).max() <= 10 * ATOL * max(1.0, np.abs(exact).max())
         assert abs(y.sum() - y0.sum()) <= 100 * ATOL
+
+
+@given(finite_graphs(), st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1,
+                                  max_size=4))
+def test_sym_evolve_matches_dense_expm_on_the_component(gen, times):
+    # a graph of at most nine vertices: the planned radius, at least 9 hops,
+    # exhausts the root's component, so the ball has no outer shell to touch
+    ts = sorted(times)
+    cfg = SimConfig(t_max=max(ts[-1], 0.5), sample_times=ts, atol=ATOL, c_speed=0.05)
+    res = evolve(gen, {gen.root: 1.0}, cfg, part="sym")
+    component = ball(gen, gen.root, 9)
+    assert res.retries == 0 and res.ball.vertices == component.vertices
+    dense = TruncatedOperator(component, ("sym",)).dense("sym")
+    y0 = StateVector.indicator(component, gen.root).values
+    for t, s in res:
+        assert np.abs(s.values - dense_expm(dense * t) @ y0).max() <= 10 * ATOL
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_value_fails_fast(bad):
+    a = sym_operator(builtin_graph("z-lattice", d=1), 4)
+    y0 = np.zeros(a.shape[0])
+    y0[3] = bad
+    with pytest.raises(ValueError, match=rf"y0\[3\] = {bad} is not finite"):
+        lanczos_expm(a.dot, y0, [1.0], atol=ATOL)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sym_evolve_fails_fast(monkeypatch, bad):
+    # a non-finite Lanczos vector would read as touching the outer shell and
+    # grow the ball without end; the small budget bounds that failure mode
+    monkeypatch.setattr(semigroup, "_BALL_BUDGET", 10_000)
+    g = builtin_graph("z-lattice", d=1)
+    cfg = SimConfig(t_max=6.0, c_speed=0.05)
+    with pytest.raises(ValueError, match=f"= {bad} is not finite"):
+        evolve(g, {(0,): bad}, cfg, part="sym")
 
 
 def test_invariant_subspace_ends_the_recurrence():
@@ -94,6 +132,6 @@ def test_only_full_runs_integrate_with_replay(monkeypatch):
     cfg = SimConfig(t_max=2.0, sample_times=[1.0, 2.0], c_speed=4.0)
     sym = evolve(g, {(0,): 1.0}, cfg, part="sym")
     assert calls == []
-    assert sym.richardson_diff <= 10 * cfg.atol
+    assert sym.richardson_diff == 0.0
     evolve(g, {(0,): 1.0}, cfg, part="full")
     assert calls == [False, True]

@@ -15,8 +15,9 @@ from dirlap import (StateVector, TruncatedOperator, advection_oracle,
                     generator_from_edges, norms, q_seminorm, skew_bound_check,
                     trajectory_norms)
 from dirlap import semigroup
-from dirlap.errors import BudgetExceededError, TruncationError
-from dirlap.integrate import integrate
+from dirlap import integrate as integrate_module
+from dirlap.errors import BudgetExceededError
+from dirlap.integrate import integrate, lanczos_expm
 from dirlap.semigroup import SimConfig, q_norm_fast
 
 from helpers import (count_builds, counted, dense_laplacian, finite_graphs,
@@ -304,23 +305,75 @@ class TestEvolve:
         for _, s in res:
             assert s.values.min() >= -10 * cfg.atol
 
-    def test_richardson_catches_undersized_domain(self):
-        # a deliberately absurd light cone must trigger retries until the
-        # two radii agree
+    def test_undersized_sym_ball_grows_to_the_krylov_reach(self):
+        # a deliberately absurd light cone: the allowance past the support
+        # doubles, 9 -> 18 -> 36, until the ball holds the Krylov reach
         g = builtin_graph("z-lattice", d=1)
         cfg = SimConfig(t_max=6.0, sample_times=[6.0], rtol=1e-8, atol=1e-10,
                         c_speed=0.05)
         res = evolve(g, {(0,): 1.0}, cfg, part="sym")
-        assert res.retries >= 1
-        assert res.richardson_diff <= 10 * cfg.atol
+        assert (res.retries, res.ball.radius, res.n_steps) == (2, 36, 32)
+        assert res.ball.radius >= res.n_steps  # support radius 0, one basis
+        assert res.richardson_diff == 0.0
 
-    def test_sym_radius_comparison_catches_undersized_domain(self):
-        # sym runs compare the two radii directly; no step replay is involved
+    def test_undersized_sym_line_matches_dense_on_twice_the_ball(self):
+        # the input that used to exhaust the two-radius comparison's retries
+        # now grows three times, 10 -> 80, and matches the exponential on a
+        # ball of twice the radius
         g = builtin_graph("z-lattice", d=1)
         cfg = SimConfig(t_max=40.0, sample_times=[40.0], rtol=1e-8, atol=1e-10,
                         c_speed=0.05)
-        with pytest.raises(TruncationError):
-            evolve(g, {(0,): 1.0}, cfg, part="sym")
+        res = evolve(g, {(0,): 1.0}, cfg, part="sym")
+        assert (res.retries, res.ball.radius, res.n_steps) == (3, 80, 64)
+        big = dirlap.ball(g, (0,), 160)
+        n = len(res.ball)
+        assert big.vertices[:n] == res.ball.vertices
+        a = TruncatedOperator(big, ("sym",)).dense("sym")
+        exact = dense_expm(a * 40.0) @ StateVector.indicator(big, (0,)).values
+        got = np.pad(res.state_at(40.0).values, (0, len(big) - n))
+        assert np.abs(got - exact).max() <= 1e-9
+
+    def test_sym_restarts_stay_inside_the_grown_ball(self, monkeypatch):
+        # a cap of 8 vectors forces restarts; each basis of m vectors starts
+        # from the last one's output and reaches m - 1 hops further, and the
+        # last matvec input must stay off the outer shell
+        monkeypatch.setattr(integrate_module, "_MAX_KRYLOV_DIM", 8)
+        runs = []
+        lanczos = semigroup.lanczos_expm
+
+        def recording(*args, **kwargs):
+            runs.append(lanczos(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(semigroup, "lanczos_expm", recording)
+        g = builtin_graph("z-lattice", d=1)
+        cfg = SimConfig(t_max=6.0, sample_times=[1.0, 3.0, 6.0], atol=1e-10, c_speed=0.05)
+        res = evolve(g, {(0,): 1.0, (2,): 0.5}, cfg, part="sym")
+        bases = len(runs[-1].steps)
+        assert len(runs) == 1 and res.retries >= 1 and bases > 1
+        assert res.n_steps == runs[-1].n_steps
+        # on the line each matvec spreads exactly one hop
+        reach = 2 + res.n_steps - bases
+        assert res.state_at(6.0).support_radius == reach < res.ball.radius
+
+    def test_sym_samples_equal_those_on_twice_the_ball(self):
+        # once the ball holds the Krylov reach, more vertices change nothing:
+        # the larger run's samples are exact zeros past the ball and agree on
+        # it to roundoff (bit for bit under one BLAS thread)
+        g = builtin_graph("z-lattice", d=2)
+        x0 = {(0, 0): 1.0, (1, -1): -0.5}
+        cfg = SimConfig(t_max=10.0, sample_times=[0.5, 2.0, 10.0], c_speed=0.05)
+        res = evolve(g, x0, cfg, part="sym")
+        big = dirlap.ball(g, (0, 0), 2 * res.ball.radius)
+        n = len(res.ball)
+        assert res.retries >= 1 and big.vertices[:n] == res.ball.vertices
+        a = TruncatedOperator(big, ("sym",)).matrix("sym")
+        ref = lanczos_expm(a.dot, StateVector.from_dict(big, x0).values,
+                           cfg.resolved_sample_times(), atol=cfg.atol)
+        assert ref.n_steps == res.n_steps
+        for (_, s), (_, y) in zip(res, ref.samples):
+            assert np.all(y[n:] == 0.0)
+            assert np.abs(s.values - y[:n]).max() <= 1e-15
 
     @pytest.mark.parametrize("part, cfg, retries", [
         # the undersized fixture above, and the same undersized line on the full part
@@ -445,6 +498,10 @@ class TestSimConfig:
             SimConfig(t_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, rtol=-1e-8)
+        # a negative speed could leave the sym ball no room to grow
+        for c in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="c_speed"):
+                SimConfig(t_max=1.0, c_speed=c)
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, sample_times=[2.0]).resolved_sample_times()
 
