@@ -137,7 +137,7 @@ def _cmd_simulate(args, config) -> int:
                 "p": "inf", "part": "full", "c_speed": None, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
     gen = _make_graph(spec)
-    t_max = float(spec["t_max"])
+    t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
     p = math.inf if str(spec["p"]).lower() in ("inf", "infinity") else float(spec["p"])
     cfg = semigroup.SimConfig(
         t_max=t_max, sample_times=_sample_grid(t_max),
@@ -165,13 +165,13 @@ def _cmd_simulate(args, config) -> int:
 def _cmd_counterexample(args, config) -> int:
     defaults = {"t_max": 400.0, "out": "dirlap-out"}
     spec = _resolve(args, config, defaults)
-    t_max = float(spec["t_max"])
+    t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
     gen = graph_builtins.builtin_graph("z2-advection")
 
     skew = hypotheses.estimate_skew_mass(gen, max_shells=48)
     # transport moves at unit rate along each influenced direction, so a
     # light cone just above 1 plus the diffusive cushion is enough; the
-    # enlarged-ball replay check still validates the choice.
+    # truncation bound still validates the choice.
     sample_times = sorted(set(
         [float(i) for i in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20)
          if i <= t_max]
@@ -232,7 +232,7 @@ def _cmd_oscillate(args, config) -> int:
     spec = _resolve(args, config, defaults)
     a = float(spec["a"])
     eps = float(spec["eps"])
-    t_max = float(spec["t_max"])
+    t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
 
     coupling_graph = graph_builtins.builtin_graph("z2-skew-perturbed", a=a)
     weight, support = oscillator.coupling_from_graph(coupling_graph)
@@ -387,8 +387,13 @@ def main(argv: list[str] | None = None) -> int:
     except DirlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (BudgetExceededError, TruncationError)):
-            print("hint: reduce the radii (--radius, --r-max), --shells or "
-                  "--t-max", file=sys.stderr)
+            # what makes the run smaller, in the failing subcommand's own flags;
+            # a failed truncation check needs a wider light cone, where one is a flag
+            smaller = {"validate": "--radius", "check-hypotheses": "--r-max or --shells",
+                       "simulate": "--t-max or --c-speed", "counterexample": "--t-max",
+                       "oscillate": "--t-max"}[args.command]
+            wider = isinstance(exc, TruncationError) and args.command == "simulate"
+            print(f"hint: {'raise --c-speed' if wider else 'reduce ' + smaller}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,8 @@ parts are assembled from these arrays alone, and ``Ball.prefix(r)`` cuts the
 radius-``r`` ball out of a larger one without further adjacency calls, as
 ``ball`` does when handed a snapshot.
 Truncated simulations enumerate once per attempt: the one ball of a
-symmetric-part run, or the enlarged ball of the full and nonlinear flows'
-truncation check, whose first vertices are the primary run's.
+symmetric-part run, or the enlarged ball of the full and nonlinear flows,
+whose first vertices are the cut their truncation bound is about.
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ I*).  Three features matter for the truncated-domain simulations:
 
 * accepted steps are clipped so that every requested sample time is hit
   exactly (no interpolation);
-* the accepted step sequence can be recorded and replayed on a second system
-  of a different size, so two truncation radii can be compared with the
-  integrator contributing only roundoff to the difference;
+* a callback sees the state after every accepted step, which is where the
+  truncated flows sum their boundary-flux bound and guard against blow-up;
 * on a BFS-ordered ball vector the run works on the live prefix.  After
   every accepted step it finds the last entry above ``tau = 1e-10 * atol``
   (``_WINDOW_TOL``); the window runs to that entry's shell plus 8 shells,
@@ -160,20 +159,17 @@ def _window_shells(y: np.ndarray, ends: np.ndarray, last: int, tau: float) -> in
 
 def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
               sample_times: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
-              replay: np.ndarray | None = None,
               step_callback: Callable[[float, np.ndarray], None] | None = None,
               shell_ends: np.ndarray | None = None) -> IntegrationResult:
     """Integrate ``y' = f(t, y)`` from 0, sampling at the given times.
 
     ``sample_times`` must be nondecreasing and nonnegative; a leading 0 is
-    sampled from the initial state.  With ``replay`` the exact step sequence
-    of a previous run is reused and no error control happens; a replayed
-    step that passes a sample time, or steps left over at the last one,
-    raise ``ValueError``.  An optional ``step_callback(t, y)`` runs after
-    every accepted step and may raise to abort (used for blow-up
-    detection).  A run that needs more than ``_MAX_STEPS`` accepted steps,
-    or whose step falls below ``1e-14 * max(1, t)`` or is not finite (as
-    from a NaN state or derivative), raises ``StepSizeError``.
+    sampled from the initial state.  An optional ``step_callback(t, y)``
+    runs after every accepted step and may raise to abort (the truncated
+    flows sum their truncation bound in it and detect blow-up).  A run that
+    needs more than ``_MAX_STEPS`` accepted steps, or whose step falls below
+    ``1e-14 * max(1, t)`` or is not finite (as from a NaN state or
+    derivative), raises ``StepSizeError``.
 
     ``shell_ends`` are a BFS-ordered ball's shell-end offsets (entry ``r``
     counts the vertices within distance ``r``).  With them the run works on
@@ -188,12 +184,9 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     y = np.array(y0, dtype=float)
     n = y.size
     t = 0.0
-    samples = []
-    next_idx = 0
-    while next_idx < len(times) and times[next_idx] <= 0.0:
-        samples.append((times[next_idx], y.copy()))
-        next_idx += 1
-    if next_idx >= len(times):
+    samples = [(ts, y.copy()) for ts in times if ts <= 0.0]  # the times are sorted
+    next_idx = len(samples)
+    if next_idx == len(times):
         return IntegrationResult(samples, np.array([]), 0, 0)
 
     # without shell ends the vector is one shell, so the window is all of it
@@ -205,50 +198,31 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     k[0] = f(t, y)
     taken: list[float] = []
     n_rejected = 0
-    replay_seq = None if replay is None else list(replay)
-    replay_pos = 0
-    h = None if replay_seq is not None else \
-        _initial_step(f, t, y, k[0], rtol, atol, t_end, n)
+    h = _initial_step(f, t, y, k[0], rtol, atol, t_end, n)
     err_prev = 1.0
 
     while next_idx < len(times):
         if len(taken) >= _MAX_STEPS:
             raise StepSizeError(f"exceeded {_MAX_STEPS} steps at t={t:.6g}")
-        if replay_seq is not None:
-            if replay_pos >= len(replay_seq):
-                raise ValueError("replay sequence shorter than the integration span")
-            h_try = replay_seq[replay_pos]
-            if t + h_try > times[next_idx] + 1e-12 * max(1.0, times[next_idx]):
-                raise ValueError(f"replayed step {replay_pos} passes the sample time "
-                                 f"{times[next_idx]:.6g}")
-        else:
-            h_try = min(h, t_end - t)
-            # land exactly on the next sample time
-            if t + h_try > times[next_idx] - 1e-14 * max(1.0, times[next_idx]):
-                h_try = times[next_idx] - t
+        h_try = min(h, t_end - t)
+        # land exactly on the next sample time
+        if t + h_try > times[next_idx] - 1e-14 * max(1.0, times[next_idx]):
+            h_try = times[next_idx] - t
         if not h_try > 1e-14 * max(1.0, t):  # a NaN step fails too
             raise StepSizeError(f"step size underflow or not finite at t={t:.6g}")
 
         y_new, err_vec = _step(f, t, y, h_try, k)
-        if replay_seq is not None:
-            accept = True
-            replay_pos += 1
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(err_vec / scale, n)
+        if not err <= 1.0:  # a NaN error rejects too
+            # t and y are unchanged, so the FSAL stage k[0] stays valid
+            n_rejected += 1
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
         else:
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms(err_vec / scale, n)
-            if err <= 1.0:
-                accept = True
-                err = max(err, 1e-10)
-                factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA
-                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                err_prev = err
-            else:
-                accept = False
-                n_rejected += 1
-                h = h_try * max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-
-        # on rejection t and y are unchanged, so the FSAL stage k[0] stays valid
-        if accept:
+            err = max(err, 1e-10)
+            factor = _SAFETY * err ** -_PI_ALPHA * err_prev ** _PI_BETA
+            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = err
             t = t + h_try
             y = y_new
             taken.append(h_try)
@@ -264,9 +238,6 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
             while next_idx < len(times) and t >= times[next_idx] - 1e-12 * max(1.0, t):
                 samples.append((times[next_idx], np.pad(y, (0, n - y.size))))
                 next_idx += 1
-    if replay_seq is not None and replay_pos < len(replay_seq):
-        raise ValueError(f"{len(replay_seq) - replay_pos} replayed steps remain "
-                         f"at t={t_end:.6g}")
 
     return IntegrationResult(samples, np.array(taken), len(taken), n_rejected)
 
@@ -332,7 +303,7 @@ def _first_pass(matvec, v, scale, taus, tols, max_dim):
 
 
 def _second_pass(matvec, v, coefs) -> list[np.ndarray]:
-    """Replay the recurrence; return ``V_m @ c`` for each column ``c`` of ``coefs``.
+    """Run the recurrence again; return ``V_m @ c`` for each column ``c`` of ``coefs``.
 
     Each result has its own array, and the basis vectors are added into
     them a block at a time, so at most ``_BLOCK`` of them are held at once.
@@ -364,7 +335,7 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     Lanczos recurrence, keeping only the tridiagonal coefficients, until
     Saad's estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets
     the tolerance at every sample time (checked every few steps).  A second
-    pass replays the identical recurrence and adds each basis vector into
+    pass runs the identical recurrence again and adds each basis vector into
     every sample, so the basis is never stored.  If ``_MAX_KRYLOV_DIM``
     vectors do not meet it, the run restarts from the last sample time they
     do reach (Sidje 1998, Expokit), or from the longest halving of the span

@@ -38,7 +38,6 @@ import scipy.sparse
 from .errors import BlowUpError
 from .geometry import Ball, _index_by_id, _read_shell, _row_ids, ball
 from .graph import DEFAULT_DEGREE_CAP, GraphGenerator, Vertex, _unkey
-from .integrate import integrate
 from .semigroup import SimConfig, StateVector, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
@@ -236,8 +235,9 @@ class _EdgeTable:
     once more per exterior pair.
 
     ``rhs`` takes the deviation on the integrator's window, the first ``w``
-    ball vertices, and keeps one cut of the table for the current ``w``
-    (``_cut``); the ball vertices past it stay at the lock like the exterior.
+    ball vertices; the ball vertices past it stay at the lock like the
+    exterior.  ``slopes`` gives ``H'`` at every pair, which the truncation
+    bound of ``simulate_nonlinear`` reads where its certificate fails.
     """
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
@@ -264,50 +264,65 @@ class _EdgeTable:
         ext = dst == n
         lag_u = np.append(self.lag, 0.0)[dst]
         lag_u[ext] = [cand.lags(u) for u in outside]
+        self.dlag = lag_u - self.lag[self.src]
         if isinstance(self.coup, SeparableCoupling):
             inner = ~ext
+            self.kw = k  # every pair's weight
             self.k = scipy.sparse.csr_matrix(
                 (k[inner], (self.src[inner], dst[inner])), shape=(n, n))
             self.s_ext = np.bincount(self.src[ext], k[ext] * np.sin(lag_u[ext]), n)
             self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
-        else:
-            self.dlag = lag_u - self.lag[self.src]
         self._window = None
 
     def _cut(self, w: int) -> tuple:
-        """The table on the first ``w`` ball vertices; the others stay at the lock.
+        """The sine table on the first ``w`` ball vertices; the others stay at the lock.
 
-        For the sine coupling the frozen ball vertices past ``w`` join the
-        exterior sums ``s_ext`` and ``c_ext``.  A ``GenericCoupling`` keeps the
-        pairs whose ``v`` lies in the window (``src`` is sorted), with the
-        phases past ``w`` read as 0 like the exterior ones.
+        The frozen ball vertices past ``w`` join the exterior sums ``s_ext``
+        and ``c_ext``.
         """
-        if isinstance(self.coup, SeparableCoupling):
-            if w == self.k.shape[0]:  # the whole ball: no copy
-                return w, self.k, self.s_ext, self.c_ext
-            rest = self.k[:w, w:]
-            return (w, self.k[:w, :w], self.s_ext[:w] + rest @ np.sin(self.lag[w:]),
-                    self.c_ext[:w] + rest @ np.cos(self.lag[w:]))
-        m = int(np.searchsorted(self.src, w))
-        return (w, self.src[:m], np.minimum(self.dst[:m], w), self.dlag[:m],
-                self.pairs[:m])
+        if w == self.k.shape[0]:  # the whole ball: no copy
+            return w, self.k, self.s_ext, self.c_ext
+        rest = self.k[:w, w:]
+        return (w, self.k[:w, :w], self.s_ext[:w] + rest @ np.sin(self.lag[w:]),
+                self.c_ext[:w] + rest @ np.cos(self.lag[w:]))
+
+    def _differences(self, phi: np.ndarray) -> np.ndarray:
+        """``lag_u - lag_v + phi_u - phi_v`` of every pair, ``phi`` zero past its length."""
+        padded = np.zeros(self.lag.size + 1)  # entry n: the exterior
+        padded[:phi.size] = phi
+        return self.dlag + padded[self.dst] - padded[self.src]
 
     def rhs(self, phi: np.ndarray) -> np.ndarray:
-        """The right-hand side on the window of ``phi``'s length, cut once per window."""
-        if self._window is None or self._window[0] != phi.size:
-            self._window = self._cut(phi.size)
+        """The right-hand side on the window of ``phi``'s length.
+
+        A sine table is cut once per window (``_cut``); a ``GenericCoupling``
+        calls ``h`` on the pairs whose ``v`` lies in the window (``src`` is
+        sorted).
+        """
         w = phi.size
         offset = self.offset[:w]
         if isinstance(self.coup, SeparableCoupling):
+            if self._window is None or self._window[0] != w:
+                self._window = self._cut(w)
             _, k, s_ext, c_ext = self._window
             psi = phi + self.lag[:w]
             s, c = np.sin(psi), np.cos(psi)
             return offset + c * (k @ s + s_ext) - s * (k @ c + c_ext)
-        _, src, dst, dlag, pairs = self._window
-        padded = np.append(phi, 0.0)
-        x = dlag + padded[dst] - padded[src]
-        vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x.tolist(), pairs)])
-        return offset + np.bincount(src, weights=vals, minlength=w)
+        m = int(np.searchsorted(self.src, w))
+        x = self._differences(phi)[:m].tolist()
+        vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x, self.pairs)])
+        return offset + np.bincount(self.src[:m], weights=vals, minlength=w)
+
+    def slopes(self, phi: np.ndarray) -> np.ndarray:
+        """``H'`` of every pair at the deviation ``phi`` on the window, the lock past it.
+
+        ``K_vu cos(psi_u - psi_v)`` for the sine coupling, ``dh`` as
+        ``linearize`` reads it for a ``GenericCoupling``.
+        """
+        x = self._differences(phi)
+        if isinstance(self.coup, SeparableCoupling):
+            return self.kw * np.cos(x)
+        return np.array([self.coup.dh(xi, v, u) for xi, (v, u) in zip(x.tolist(), self.pairs)])
 
 
 def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
@@ -317,30 +332,53 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     Works in the co-rotating frame, so the integrated variable is directly
     the deviation from the locked solution.  Exterior oscillators stay
     frozen at the locked motion, consistent with deviations that decay.  The
-    ball, its enlarged-ball replay check and the retries are the full linear
-    flow's (``semigroup._truncated_flow``), run on the linearization's
-    skeleton.  A perturbation of l1 norm above ``_MAX_PERTURBATION_L1``
-    (1.0) is rejected with ``ValueError``, and any deviation exceeding
-    ``_BLOWUP_THRESHOLD`` (pi/2) in sup norm in the primary run aborts with
-    ``BlowUpError``.  One ``_EdgeTable`` is built per attempt, on the
-    enlarged ball; the primary run reads it cut to the primary radius.
+    ball, its truncation bound and the retries are the full linear flow's
+    (``semigroup._truncated_flow``), run on the linearization's skeleton.  A
+    perturbation of l1 norm above ``_MAX_PERTURBATION_L1`` (1.0) is rejected
+    with ``ValueError``, and any deviation exceeding ``_BLOWUP_THRESHOLD``
+    (pi/2) in sup norm aborts with ``BlowUpError``.  One ``_EdgeTable`` is
+    built per attempt, on the enlarged ball, and integrated once.
+
+    The bound's terms at each accepted state: since ``sin`` is 1-Lipschitz,
+    the flux into the cut is at most ``|K| |phi|`` over the pairs from the
+    cut to the rest of the ball.  ``mu`` is 0 while a certificate holds:
+    every sine weight is nonnegative and the largest lag gap over the
+    table's pairs plus ``2 (sup|phi| + bound)`` is at most pi/2, so every
+    slope between this run and one on the cut alone is nonnegative and the
+    cut's Jacobian is a Metzler matrix whose rows sum to at most 0.
+    Otherwise, and always for a ``GenericCoupling``, ``mu`` is the infinity
+    log-norm of the cut's Jacobian from the slopes at the accepted state
+    (``_EdgeTable.slopes``), at least 0, and a ``GenericCoupling`` weighs
+    the flux by the absolute slopes.
     """
     data = perturbation.to_dict() if isinstance(perturbation, StateVector) \
         else dict(perturbation)
     if not sum(abs(v) for v in data.values()) <= _MAX_PERTURBATION_L1:  # NaN fails too
         raise ValueError(f"perturbation exceeds the l1 budget {_MAX_PERTURBATION_L1}")
-    ts = cfg.resolved_sample_times()
+    sine = isinstance(sys.coupling, SeparableCoupling)
 
-    def blowup_guard(t, phi):
-        if float(np.max(np.abs(phi))) > _BLOWUP_THRESHOLD:
-            raise BlowUpError(
-                f"deviation reached {np.max(np.abs(phi)):.3f} at t={t:.3g}: "
-                "left perturbative regime")
-
-    def flow(b):
+    def flow(b, n1):
         table = _EdgeTable(sys, cand, b)
-        return lambda y0, replay, ends: integrate(
-            lambda t, y: table.rhs(y), y0, ts, rtol=cfg.rtol, atol=cfg.atol, replay=replay,
-            step_callback=blowup_guard if replay is None else None, shell_ends=ends)
+        # the pairs from the cut to the rest of the ball
+        across = (table.src < n1) & (table.dst >= n1) & (table.dst < len(b))
+        # the certificate's part fixed per table: no negative weight, and the largest lag gap
+        gap = float(np.max(np.abs(table.dlag), initial=0.0)) \
+            if sine and not np.any(table.kw < 0.0) else math.inf
+
+        def terms(t, phi, bound):
+            top = float(np.max(np.abs(phi)))
+            if top > _BLOWUP_THRESHOLD:
+                raise BlowUpError(f"deviation {top:.3f} at t={t:.3g} left the perturbative regime")
+            if gap + 2.0 * (top + bound) <= math.pi / 2:
+                mu, s = 0.0, table.kw
+            else:
+                s = table.slopes(phi)  # per-vertex sums below; the cut is the first n1
+                rows = np.bincount(table.src, np.where(table.dst < n1, np.abs(s) - s, -s))[:n1]
+                mu = float(np.max(rows, initial=0.0))
+            phi_u = np.append(phi, np.zeros(len(b) - phi.size))[table.dst[across]]
+            flux = np.bincount(table.src[across], np.abs((table.kw if sine else s)[across] * phi_u))
+            return float(np.max(flux, initial=0.0)), mu
+
+        return lambda t, y: table.rhs(y), terms
 
     return _truncated_flow(linearize(sys, cand), perturbation, cfg, flow)

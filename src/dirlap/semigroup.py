@@ -15,16 +15,13 @@ infinite graph's, so no second radius is needed.
 
 Full and nonlinear runs are checked by ``_truncated_flow``, which the
 linear flow here and the nonlinear flow of ``oscillator`` share: each
-attempt enumerates the ball enlarged by the truncation margin and builds
-the flow's operator on it, once each.  The primary run is that operator cut
-to the BFS prefix of the primary radius, as ``integrate``'s live window
-cuts it (the ball's diagonal, so its boundary rows absorb along the edges
-leaving the cut, and the vertices past the cut frozen at zero).  Both runs
-integrate with DOPRI5, the enlarged one on the whole ball *replaying the
-identical step sequence*, so the comparison sees truncation error alone
-instead of step-controller noise; they must agree on the prefix to within a
-small multiple of the absolute tolerance, or the radius grows and the
-attempt repeats.
+attempt enumerates the ball enlarged by the truncation margin, builds the
+flow's operator on it and integrates it once with DOPRI5.  The check is a
+bound on how far a run on the cut to the planned radius would differ from
+that run there: the coupling into the cut from the vertices past it,
+integrated under the growth the cut's logarithmic norm allows.  It must
+stay within a small multiple of the absolute tolerance, or the radius grows
+and the attempt repeats.
 
 The ball is a weight snapshot (see ``geometry``), so the sparse operator is
 assembled from its arrays without further adjacency calls: each vertex is
@@ -150,8 +147,8 @@ class SimConfig:
     the 8 being the truncation margin.  When unset, the radius combines a
     ballistic term from the skew mass seen at the edge of a probe ball with a
     diffusive term from the largest vertex measure.  Full and nonlinear runs
-    validate it by the enlarged-ball comparison of ``_truncated_flow``, whose
-    margin (8 hops) and retries (3) are module constants, not settings.
+    validate it by the truncation bound of ``_truncated_flow``, whose margin
+    (8 hops) and retries (3) are module constants, not settings.
     Symmetric-part runs validate it by the Krylov reach instead: when a
     Lanczos vector touches the ball's outer shell, the allowance past the
     support doubles.  No ball may exceed 4,000,000 vertices.
@@ -159,7 +156,8 @@ class SimConfig:
     ``rtol`` and ``atol`` are the DOPRI5 tolerances of full linear and
     nonlinear runs.  Symmetric-part runs are controlled by ``atol`` alone:
     the Lanczos exponential has no relative tolerance, so ``rtol`` does not
-    affect them.
+    affect them.  ``t_max``, ``rtol`` and ``atol`` must be finite and
+    positive: an infinite ``atol`` would pass every truncation check.
     """
 
     t_max: float
@@ -169,10 +167,9 @@ class SimConfig:
     c_speed: float | None = None
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        for name in ("t_max", "rtol", "atol"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and positive")
         if self.c_speed is not None and not 0 <= self.c_speed < math.inf:
             raise ValueError("c_speed must be finite and nonnegative")
 
@@ -194,9 +191,11 @@ class EvolveResult:
     """Trajectory of a truncated run plus the truncation bookkeeping.
 
     For full and nonlinear runs ``n_steps`` counts the accepted DOPRI5
-    steps of the primary run, ``ball`` and the samples are the enlarged
-    run's, ``richardson_diff`` is the max-norm disagreement of the two runs
-    on the primary radius and ``retries`` counts the failed comparisons.
+    steps of the one run on ``ball``, the enlarged ball, whose samples these
+    are; ``richardson_diff`` is the truncation bound of ``_truncated_flow``,
+    a bound on the max-norm distance on the planned radius between this run
+    and one on that radius alone, and ``retries`` counts the attempts whose
+    bound exceeded ``10 * atol``.
     For symmetric-part runs ``n_steps`` is the Krylov dimension of the
     Lanczos basis (summed over restarts, if the dimension cap forced any),
     ``ball`` is the one ball the run used and ``retries`` counts its
@@ -267,42 +266,71 @@ def _plan(gen, x0, cfg: SimConfig) -> tuple[Vertex, dict, int, int]:
     return center, data, support_radius, _planned_radius(gen, center, support_radius, cfg)
 
 
-def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
-    """Run ``flow`` on a ball large enough for ``x0``, checked against a larger one.
+class _FluxBound:
+    """The truncation bound of one run, summed after every accepted step.
 
-    Serves full linear and nonlinear runs.  ``flow(b)`` builds the flow on
-    ball ``b`` and returns ``run(y0, replay, ends)``: the trajectory from
-    ``y0`` on the first ``len(y0)`` vertices of ``b`` (shell ends ``ends``),
-    as an ``IntegrationResult``; ``replay`` is None on the primary run and
-    its step sequence on the enlarged one.  The ball's center and radius
-    are ``_plan``'s.  Each attempt builds the flow once, on the ball
-    enlarged by ``_TRUNCATION_MARGIN`` hops, and runs it on the BFS prefix
-    of the radius and on the whole ball.  Their max-norm disagreement on the
-    prefix must stay within ``10 * atol``; otherwise the radius grows by
-    the margin and the attempt is repeated, at most ``_MAX_RETRIES`` times
-    before ``TruncationError``.  The returned trajectory is the enlarged run.
+    ``terms(t, y, bound)`` gives ``|flux|_inf`` and ``mu >= 0`` at the
+    accepted state ``y``, given the bound so far.  The sum stands for
+    ``int_0^t exp(mu (t - s)) |flux(s)|_inf ds``: a step of length ``h``
+    multiplies it by ``exp(mu h)``, with ``mu`` taken at the step's end, and
+    adds ``h exp(mu h)`` times the larger flux norm of the step's two ends,
+    which bounds the step's share while the flux norm is monotone over it.
+    (The trapezoid rule fell short of the two-run disagreement by up to
+    1e-4 relative where the flux feeds one cut row with one sign, so that
+    the bound is tight.)  With ``mu >= 0`` the sum never falls, so its last
+    value bounds the disagreement at every sample time.
+    """
+
+    def __init__(self, terms):
+        self.terms = terms
+        self.t = self.flux = self.value = 0.0
+
+    def __call__(self, t: float, y: np.ndarray) -> None:
+        flux, mu = self.terms(t, y, self.value)
+        h, self.t, prev, self.flux = t - self.t, t, self.flux, flux
+        self.value = math.exp(mu * h) * (self.value + h * max(prev, flux))
+
+
+def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
+    """Run ``flow`` once on a ball past the planned radius, and bound what the cut would change.
+
+    Serves full linear and nonlinear runs.  The ball's center and radius are
+    ``_plan``'s, and each attempt reads the ball enlarged by
+    ``_TRUNCATION_MARGIN`` hops.  ``flow(b, n1)`` builds the flow on ball
+    ``b`` once and returns ``(f, terms)``: ``f(t, y)`` is the right-hand
+    side on the first ``len(y)`` vertices of ``b`` (the others at rest), and
+    ``terms`` those of ``_FluxBound`` for the cut to the first ``n1``
+    vertices, the BFS prefix of the radius.  One DOPRI5 run integrates
+    ``f`` on the whole ball.
+
+    A run on the cut alone (the primary run) would differ from it there by
+    ``e`` with ``e' = J e + flux``, ``e(0) = 0``: ``J`` is the cut's
+    Jacobian and ``flux`` the coupling into the cut from the vertices past
+    it.  So ``|e(t)|_inf <= int_0^t exp(mu (t - s)) |flux(s)|_inf ds`` for
+    ``mu`` the infinity log-norm of ``J`` (Soderlind, BIT 46:631, 2006).
+    That bound, summed by ``_FluxBound``, must stay within ``10 * atol``;
+    otherwise the radius grows by the margin and the attempt is repeated, at
+    most ``_MAX_RETRIES`` times before ``TruncationError``.
     """
     center, data, _, radius = _plan(gen, x0, cfg)
     retries = 0
     while True:
         b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
         ends = _shell_ends(b)
-        y0 = StateVector.from_dict(b, data).values
-        run = flow(b)
-        res1 = run(y0[:ends[radius]], None, ends[:radius + 1])
-        res2 = run(y0, res1.steps, ends)
-        diff = 0.0
-        for (_, ya), (_, yb) in zip(res1.samples, res2.samples):
-            diff = max(diff, float(np.max(np.abs(yb[:ya.size] - ya))))
-        if diff <= 10.0 * cfg.atol:
-            samples = [(t, StateVector.from_values(b, y)) for t, y in res2.samples]
+        f, terms = flow(b, int(ends[radius]))
+        bound = _FluxBound(terms)
+        res = integrate(f, StateVector.from_dict(b, data).values,
+                        cfg.resolved_sample_times(), rtol=cfg.rtol, atol=cfg.atol,
+                        step_callback=bound, shell_ends=ends)
+        if bound.value <= 10.0 * cfg.atol:
+            samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
             return EvolveResult(samples=samples, ball=b, retries=retries,
-                                n_steps=res1.n_steps, richardson_diff=diff)
+                                n_steps=res.n_steps, richardson_diff=bound.value)
         if retries >= _MAX_RETRIES:
             raise TruncationError(
-                f"truncation not converged: radius {radius} vs {radius + _TRUNCATION_MARGIN} "
-                f"still differ by {diff:.3e} (> 10 * atol = {10 * cfg.atol:.3e}) "
-                f"after {_MAX_RETRIES} retries")
+                f"truncation not converged: cutting the radius-{radius + _TRUNCATION_MARGIN} "
+                f"ball to radius {radius} may change the run by up to {bound.value:.3e} "
+                f"(> 10 * atol = {10 * cfg.atol:.3e}) after {_MAX_RETRIES} retries")
         retries += 1
         radius += _TRUNCATION_MARGIN
 
@@ -358,9 +386,12 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     one Lanczos run (``lanczos_expm``, to ``cfg.atol`` alone; ``cfg.rtol``
     is not used) on a ball that holds its Krylov reach (``_krylov_flow``).
     ``part="full"`` integrates with DOPRI5 to ``cfg.rtol`` and ``cfg.atol``
-    under ``_truncated_flow``, shared with ``simulate_nonlinear``, which
-    repeats the integration on the enlarged ball with the identical step
-    sequence.  Only the part that runs is assembled, once per attempt.
+    under ``_truncated_flow``, shared with ``simulate_nonlinear``, once per
+    attempt on the enlarged ball.  There ``mu`` is the exact infinity
+    log-norm of the operator cut to the planned radius, at least 0 (it is 0
+    when no weight is negative), and the flux is the cut's coupling to the
+    rest of the ball applied to the run's state there.  Only the part that
+    runs is assembled, once per attempt.
     Every run is checked, and the result carries the run's ball and its
     trajectory; rebuild an operator from the ball with
     ``TruncatedOperator(result.ball, parts)``.
@@ -369,20 +400,26 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         raise ValueError("part must be 'full' or 'sym'")
     if part == "sym":
         return _krylov_flow(gen, x0, cfg)
-    ts = cfg.resolved_sample_times()
 
-    def flow(b):
+    def flow(b, n1):
         a = TruncatedOperator(b, parts=("full",)).matrix("full")
-        cut = a
+        cut, out = a[:n1, :n1], a[:n1, n1:]
+        out = out[np.flatnonzero(np.diff(out.indptr))]  # the cut's rows with an edge past it
+        # the exact infinity log-norm of the cut: its |row| sums, the diagonal signed
+        mu = max(0.0, float((abs(cut) @ np.ones(n1) + 2 * np.minimum(cut.diagonal(), 0)).max()))
+        window = a
 
-        def matvec(y):
-            nonlocal cut
-            if cut.shape[0] != y.size:  # a new window: the ball's diagonal, cut
-                cut = a if y.size == a.shape[0] else a[:y.size, :y.size]
-            return cut @ y
+        def matvec(t, y):
+            nonlocal window
+            if window.shape[0] != y.size:  # a new window: the ball's diagonal, cut
+                window = a if y.size == a.shape[0] else a[:y.size, :y.size]
+            return window @ y
 
-        return lambda y0, replay, ends: integrate(lambda t, y: matvec(y), y0, ts, rtol=cfg.rtol,
-                                                  atol=cfg.atol, replay=replay, shell_ends=ends)
+        def terms(t, y, bound):  # the flux from the window past the cut
+            flux = out[:, :max(y.size - n1, 0)] @ y[n1:]
+            return float(np.max(np.abs(flux), initial=0.0)), mu
+
+        return matvec, terms
 
     return _truncated_flow(gen, x0, cfg, flow)
 

@@ -6,16 +6,19 @@ assembly code paths so that agreement between the two is meaningful.
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from dirlap import geometry
+from dirlap import geometry, semigroup
+from dirlap import integrate as integrate_module
 from dirlap.errors import SingularFormError
 from dirlap.geometry import ball
 from dirlap.graph import GraphGenerator, generator_from_edges
 from dirlap.hypotheses import PoincareEstimate, _dirichlet_matrix
+from dirlap.integrate import IntegrationResult, _step, _window_shells
 
 
 def l1_ball_count(d: int, r: int) -> int:
@@ -30,6 +33,19 @@ def ols_loglog(xs, ys) -> float:
     ys = np.log(np.asarray(ys, dtype=float))
     xm, ym = xs.mean(), ys.mean()
     return float(((xs - xm) * (ys - ym)).sum() / ((xs - xm) ** 2).sum())
+
+
+def tight_cut_graph():
+    """Five vertices where a truncation bound is tight under a one-hop margin.
+
+    From the root ``(1,)``, the cut to radius 1 is ``(1,)`` and ``(3,)``,
+    and the radius-2 ball adds ``(0,)``.  The one flux into the cut feeds
+    the root's row, whose weight to ``(0,)`` is -0.5, so the cut's
+    log-norm is 0.5: a bound taken with ``mu = 0`` falls short of the
+    two-run disagreement.
+    """
+    return generator_from_edges({((1,), (0,)): -0.5, ((0,), (1,)): 0.5, ((3,), (1,)): 1.0,
+                                 ((0,), (3,)): 1.0, ((0,), (2,)): 1.0}, root=(1,))
 
 
 def k2_generator():
@@ -60,6 +76,97 @@ def count_builds(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return built
+
+
+class Run(NamedTuple):
+    """One recorded ``integrate`` call of a truncated flow."""
+
+    f: object
+    y0: np.ndarray
+    sample_times: list
+    kwargs: dict
+    result: IntegrationResult
+
+
+def record_runs(monkeypatch) -> list:
+    """Wrap ``semigroup.integrate``: every finished call appends its ``Run`` to the returned list."""
+    runs = []
+    dopri = semigroup.integrate
+
+    def recording(f, y0, sample_times, **kwargs):
+        res = dopri(f, y0, sample_times, **kwargs)
+        runs.append(Run(f, y0, sample_times, kwargs, res))
+        return res
+
+    monkeypatch.setattr(semigroup, "integrate", recording)
+    return runs
+
+
+def dopri_replay(f, y0, sample_times, steps, shell_ends=None, tau=0.0) -> list:
+    """DOPRI5 along a given step sequence with no error control: ``(t, y)`` at each sample time.
+
+    Steps with ``integrate._step`` and its FSAL stage, on the live window of
+    ``integrate`` (``shell_ends`` and the threshold ``tau``; without shell
+    ends, the whole vector), and samples where ``integrate`` does, so
+    replaying an ``integrate`` run's own steps gives its samples bit for bit.
+    """
+    y = np.array(y0, dtype=float)
+    n = y.size
+    ends = np.array([n]) if shell_ends is None else np.asarray(shell_ends)
+    last = _window_shells(y, ends, -1, tau)
+    y = y[:ends[last]].copy()
+    k = np.empty((7, y.size))
+    t = 0.0
+    k[0] = f(t, y)
+    times = list(sample_times)
+    samples = [(ts, np.pad(y, (0, n - y.size))) for ts in times if ts <= 0.0]
+    for h in steps:
+        y, _ = _step(f, t, y, h, k)
+        t = t + h
+        grown = last if last == len(ends) - 1 else _window_shells(y, ends, last, tau)
+        if grown > last:
+            last, y = grown, np.pad(y, (0, ends[grown] - y.size))
+            k = np.empty((7, y.size))
+            k[0] = f(t, y)
+        else:
+            k[0] = k[6]
+        while len(samples) < len(times) and t >= times[len(samples)] - 1e-12 * max(1.0, t):
+            samples.append((times[len(samples)], np.pad(y, (0, n - y.size))))
+    return samples
+
+
+def truncation_check(run: Run) -> tuple[float, float]:
+    """The bound a truncated run reported, and the two-run disagreement it stands for.
+
+    The primary run is the run's own right-hand side on the cut, the first
+    ``n1`` ball vertices (a flow's right-hand side holds the vertices past
+    its input at rest), replayed along the run's steps from ``y0[:n1]`` on
+    its own live window, as a run on the cut alone takes it.  ``n1`` is the
+    BFS prefix of the ball's radius less ``semigroup._TRUNCATION_MARGIN``.
+    The disagreement is their largest difference on the cut over the
+    sample times, with the integrator contributing only roundoff.
+    """
+    r = len(run.kwargs["shell_ends"]) - 1 - semigroup._TRUNCATION_MARGIN
+    ends = run.kwargs["shell_ends"][:r + 1]
+    primary = dopri_replay(run.f, run.y0[:ends[-1]], run.sample_times, run.result.steps,
+                           ends, integrate_module._WINDOW_TOL * run.kwargs["atol"])
+    n1 = int(ends[-1])
+    diff = max(float(np.max(np.abs(y[:n1] - z), initial=0.0))
+               for (_, y), (_, z) in zip(run.result.samples, primary))
+    return run.kwargs["step_callback"].value, diff
+
+
+#: how far a truncation bound may fall short of the two-run disagreement,
+#: relative to the initial state's sup norm: the two runs round differently
+ROUNDOFF = 1e-14
+
+
+def assert_bound_covers_disagreement(runs):
+    """Every recorded attempt's bound is at least its two-run disagreement, to roundoff."""
+    assert runs
+    for run in runs:
+        bound, diff = truncation_check(run)
+        assert diff <= bound + ROUNDOFF * np.max(np.abs(run.y0), initial=0.0)
 
 
 def sym_neighbors(gen, v) -> dict:

@@ -38,6 +38,16 @@ def test_unknown_graph_is_an_error(tmp_path, capsys):
     assert "unknown graph" in capsys.readouterr().err
 
 
+def assert_hint_names_own_options(command, capsys):
+    """The last line of stderr is a hint, and every flag it names is one of ``command``'s."""
+    hint = capsys.readouterr().err.splitlines()[-1]
+    assert hint.startswith("hint:") and "config" not in hint
+    flags = re.findall(r"--[a-z-]+", hint)
+    assert flags
+    (subparsers,) = build_parser()._subparsers._group_actions
+    assert set(flags) <= set(subparsers.choices[command]._option_string_actions)
+
+
 def test_error_hint_names_existing_options(tmp_path, capsys, monkeypatch):
     def cut(*args, **kwargs):
         raise BudgetExceededError("ball exceeded budget", 10)
@@ -45,15 +55,26 @@ def test_error_hint_names_existing_options(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hypotheses, "check_hypotheses", cut)
     code = run(["check-hypotheses", "--graph", "example-2.2", "--out", str(tmp_path)])
     assert code == 1
-    hint = capsys.readouterr().err.splitlines()[-1]
-    assert "config" not in hint
-    flags = re.findall(r"--[a-z-]+", hint)
-    assert flags
-    known = set()
-    for action in build_parser()._subparsers._group_actions:
-        for sub in action.choices.values():
-            known.update(sub._option_string_actions)
-    assert set(flags) <= known
+    assert_hint_names_own_options("check-hypotheses", capsys)
+
+
+def test_truncation_hint_names_simulate_options(tmp_path, capsys):
+    # a light cone too narrow for the skew-perturbed plane: the remedy is a
+    # larger --c-speed, and simulate has no radius or shell flag
+    code = run(["simulate", "--graph", "z2-skew-perturbed", "--t-max", "20",
+                "--c-speed", "0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert_hint_names_own_options("simulate", capsys)
+    assert not (tmp_path / "simulate.json").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "counterexample", "oscillate"])
+def test_non_finite_t_max_exits_1(tmp_path, capsys, command, value):
+    # rejected before a sample grid is built from it
+    assert run([command, "--t-max", value, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: t_max must be finite and positive"]
+    assert not any(tmp_path.iterdir())
 
 
 def test_no_hint_where_a_smaller_run_does_not_help(tmp_path, capsys, monkeypatch):

@@ -117,21 +117,3 @@ def test_no_progress_raises(monkeypatch):
     y0[0] = 1.0
     with pytest.raises(StepSizeError):
         integrate.lanczos_expm(a.dot, y0, [20.0], atol=ATOL)
-
-
-def test_only_full_runs_integrate_with_replay(monkeypatch):
-    calls = []
-    dopri = semigroup.integrate
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("replay") is not None)
-        return dopri(*args, **kwargs)
-
-    monkeypatch.setattr(semigroup, "integrate", recording)
-    g = builtin_graph("z-lattice", d=1)
-    cfg = SimConfig(t_max=2.0, sample_times=[1.0, 2.0], c_speed=4.0)
-    sym = evolve(g, {(0,): 1.0}, cfg, part="sym")
-    assert calls == []
-    assert sym.richardson_diff == 0.0
-    evolve(g, {(0,): 1.0}, cfg, part="full")
-    assert calls == [False, True]

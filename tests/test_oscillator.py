@@ -15,15 +15,16 @@ import dirlap
 from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
                     evolve, linearize, simulate_nonlinear, sin_coupling,
                     verify_phase_lock)
-from dirlap import oscillator
+from dirlap import oscillator, semigroup
 from dirlap.errors import BlowUpError, DegreeCapError, TruncationError
 from dirlap.geometry import ball
 from dirlap.graph import DEFAULT_DEGREE_CAP
 from dirlap.oscillator import GenericCoupling, coupling_from_graph
 from dirlap.semigroup import SimConfig, trajectory_norms
-from helpers import (BUILTINS, assert_same_ball, assert_same_edge_table, both_steps,
-                     check_coupling_gradient, count_builds, decompose_edge,
-                     pairwise_sine_rhs, split_coupling_matrix)
+from helpers import (BUILTINS, assert_bound_covers_disagreement, assert_same_ball,
+                     assert_same_edge_table, both_steps, check_coupling_gradient,
+                     count_builds, decompose_edge, pairwise_sine_rhs, record_runs,
+                     split_coupling_matrix, tight_cut_graph)
 
 
 def uniform_sin_system(graph_name="z-lattice", omega=1.0, **params):
@@ -52,6 +53,18 @@ def planted_system():
     sys_ = OscillatorSystem(omega=omega, coupling=coup, root=(0, 0),
                             name="planted")
     return sys_, PhaseLockCandidate(velocity=velocity, lags=lags)
+
+
+def generic_twin(coupling):
+    """The sine coupling ``coupling`` as a ``GenericCoupling``, read pair by pair.
+
+    ``h`` runs once per pair per right-hand side and the graph weight reads
+    the graph each time, so the twin reads it through a cache.
+    """
+    weight, support = functools.cache(coupling.weight), coupling.support
+    return GenericCoupling(h=lambda x, v, u: weight(v, u) * math.sin(x),
+                           dh=lambda x, v, u: weight(v, u) * math.cos(x),
+                           support=support)
 
 
 class TestCouplingChecks:
@@ -304,13 +317,7 @@ class TestSimulateNonlinear:
 
     @staticmethod
     def assert_generic_matches_separable(sys_, cand, perturbation, t_max):
-        # h runs once per pair per right-hand side and the graph weight reads
-        # the graph each time, so the slow path reads it through a cache
-        weight, support = functools.cache(sys_.coupling.weight), sys_.coupling.support
-        slow = GenericCoupling(
-            h=lambda x, v, u: weight(v, u) * math.sin(x),
-            dh=lambda x, v, u: weight(v, u) * math.cos(x),
-            support=support)
+        slow = generic_twin(sys_.coupling)
         cfg = SimConfig(t_max=t_max, sample_times=[t_max / 2, t_max], rtol=1e-10,
                         atol=1e-12, c_speed=3.0)
         devs = [simulate_nonlinear(OscillatorSystem(
@@ -508,7 +515,7 @@ def test_nonzero_lag_lock_flows_the_same_on_both_steps(monkeypatch):
 
 
 class TestNonlinearTruncation:
-    """The truncation check of the nonlinear flow, on the line lattice."""
+    """The truncation check of the nonlinear flow."""
 
     @staticmethod
     def run(t_max):
@@ -531,10 +538,46 @@ class TestNonlinearTruncation:
     @pytest.mark.parametrize("t_max", [6.0, 1.0])
     def test_one_edge_table_per_attempt(self, monkeypatch, t_max):
         built = count_builds(monkeypatch, oscillator, "_EdgeTable")
+        runs = record_runs(monkeypatch)
         res, _ = self.run(t_max)
         assert res.retries == (2 if t_max == 6.0 else 0)
-        assert len(built) == res.retries + 1
+        assert len(built) == len(runs) == res.retries + 1
         assert built[-1][2] is res.ball
+        # each attempt integrates once, on its whole ball
+        assert runs[-1].y0.size == len(res.ball)
+        assert (res.n_steps, res.richardson_diff) == \
+            (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
+
+    @pytest.mark.parametrize("case", ["lagged", "twisted", "generic", "negative"])
+    def test_bound_covers_the_two_run_disagreement(self, monkeypatch, case):
+        cfg = SimConfig(t_max=6.0, sample_times=[1.5, 6.0], rtol=1e-9, atol=1e-12,
+                        c_speed=0.05)
+        if case == "lagged":  # certified: mu is 0 throughout
+            sys_, cand = lagged_lock()
+            perturbation = {(0, 0): 0.01, (1, 0): -0.005}
+        elif case == "negative":
+            # a negative sine weight: no certificate, and a bound taken with
+            # mu = 0 falls short; a one-hop margin puts the cut inside
+            g = tight_cut_graph()
+            sys_ = OscillatorSystem(omega=lambda v: 0.0, root=g.root,
+                                    coupling=sin_coupling(*coupling_from_graph(g)))
+            cand = PhaseLockCandidate(velocity=0.0, lags=lambda v: 0.0)
+            perturbation = {g.root: 0.01}
+            cfg = SimConfig(t_max=1.0, sample_times=[0.25, 1.0], c_speed=0.0)
+            monkeypatch.setattr(semigroup, "_TRUNCATION_MARGIN", 1)
+        else:
+            # neighbours 1.4 apart: no certificate, so mu comes from the
+            # slopes, some of which the deviation turns negative early on;
+            # the generic case reads them through dh
+            sys_, _ = uniform_sin_system(d=1)
+            if case == "generic":
+                sys_ = dataclasses.replace(sys_, coupling=generic_twin(sys_.coupling))
+            cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 1.4 * v[0])
+            perturbation = {(0,): 0.2, (1,): -0.1}
+        runs = record_runs(monkeypatch)
+        res = simulate_nonlinear(sys_, cand, perturbation, cfg)
+        assert res.retries == len(runs) - 1 >= 1
+        assert_bound_covers_disagreement(runs)
 
 
 class TestDeviationDecay:

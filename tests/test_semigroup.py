@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dirlap
@@ -16,12 +16,13 @@ from dirlap import (StateVector, TruncatedOperator, advection_oracle,
                     trajectory_norms)
 from dirlap import semigroup
 from dirlap import integrate as integrate_module
-from dirlap.errors import BudgetExceededError
-from dirlap.integrate import integrate, lanczos_expm
+from dirlap.errors import BudgetExceededError, TruncationError
+from dirlap.integrate import lanczos_expm
 from dirlap.semigroup import SimConfig, q_norm_fast
 
-from helpers import (count_builds, counted, dense_laplacian, finite_graphs,
-                     k2_generator, random_support_vector)
+from helpers import (assert_bound_covers_disagreement, count_builds, counted,
+                     dense_laplacian, finite_graphs, k2_generator, random_support_vector,
+                     record_runs, tight_cut_graph, truncation_check)
 
 INF = math.inf
 
@@ -384,30 +385,27 @@ class TestEvolve:
     ])
     def test_one_operator_per_attempt(self, monkeypatch, part, cfg, retries):
         built = count_builds(monkeypatch, semigroup, "TruncatedOperator")
+        runs = record_runs(monkeypatch)
         res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part=part)
         assert res.retries == retries
         assert len(built) == retries + 1
         assert built[-1][0] is res.ball
+        # a full attempt integrates once, on its whole ball; sym runs never do
+        assert len(runs) == (0 if part == "sym" else retries + 1)
+        if part == "full":
+            assert runs[-1].y0.size == len(res.ball)
+            assert (res.n_steps, res.richardson_diff) == \
+                (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
 
-    def test_primary_run_is_the_enlarged_operator_cut(self):
-        # the primary run of the last attempt, rebuilt from the public pieces:
-        # the enlarged ball's operator cut to each window, from the first
-        # ends[radius] vertices, gives the reported disagreement bit for bit
-        g = builtin_graph("z-lattice", d=1)
+    def test_bound_covers_the_disagreement_at_every_retry(self, monkeypatch):
+        # the sim-retry gate line: the radii 9, 17 and 25, and only the last
+        # within 10 * atol
+        runs = record_runs(monkeypatch)
         cfg = SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
-        res = evolve(g, {(0,): 1.0}, cfg, part="full")
-        radius = res.ball.radius - semigroup._TRUNCATION_MARGIN
-        b = dirlap.ball(g, g.root, res.ball.radius)
-        a = TruncatedOperator(b, ("full",)).matrix("full")
-        ends = np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
-        y0 = StateVector.from_dict(b, {(0,): 1.0}).values[:ends[radius]]
-        primary = integrate(lambda t, y: a[:y.size, :y.size] @ y, y0,
-                            cfg.resolved_sample_times(), rtol=cfg.rtol, atol=cfg.atol,
-                            shell_ends=ends[:radius + 1])
-        diff = max(float(np.max(np.abs(s.values[:y0.size] - y)))
-                   for (_, s), (_, y) in zip(res, primary.samples))
-        assert res.retries == 2 and res.n_steps == primary.n_steps
-        assert diff == res.richardson_diff
+        res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part="full")
+        assert (res.retries, res.ball.radius, len(runs)) == (2, 33, 3)
+        assert [truncation_check(r)[0] > 10 * cfg.atol for r in runs] == [True, True, False]
+        assert_bound_covers_disagreement(runs)
 
     def test_richardson_diff_reported_small(self):
         g = builtin_graph("example-2.2")
@@ -431,6 +429,24 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(builtin_graph("example-2.2"), {(0,): 1.0},
                    small_cfg(1.0, [1.0]), part="skew")
+
+
+@settings(max_examples=60)
+@given(finite_graphs(), st.floats(0.1, 4.0), st.sampled_from([0.0, 0.5]))
+# the bound with mu = 0 falls 12 % short of the disagreement here
+@example(tight_cut_graph(), 1.0, 0.0)
+def test_bound_covers_the_two_run_disagreement(g, t_max, c_speed):
+    # negative weights give the cut a positive log-norm; a one-hop margin
+    # puts the cut inside the graph, where the flux is not zero
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "_TRUNCATION_MARGIN", 1)
+        runs = record_runs(mp)
+        cfg = SimConfig(t_max=t_max, sample_times=[t_max / 4, t_max], c_speed=c_speed)
+        try:
+            evolve(g, {g.root: 1.0}, cfg, part="full")
+        except TruncationError:
+            pass
+        assert_bound_covers_disagreement(runs)
 
 
 class TestSupportSearch:
@@ -498,6 +514,11 @@ class TestSimConfig:
             SimConfig(t_max=0.0)
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, rtol=-1e-8)
+        # a non-finite tolerance would pass the truncation check vacuously
+        for name in ("t_max", "rtol", "atol"):
+            for x in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    SimConfig(**{"t_max": 1.0, name: x})
         # a negative speed could leave the sym ball no room to grow
         for c in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="c_speed"):
