@@ -117,3 +117,24 @@ def test_no_progress_raises(monkeypatch):
     y0[0] = 1.0
     with pytest.raises(StepSizeError):
         integrate.lanczos_expm(a.dot, y0, [20.0], atol=ATOL)
+
+
+def test_only_full_runs_integrate_with_replay(monkeypatch):
+    # sym runs never integrate; a full attempt integrates once, on its whole
+    # ball, and no call passes a replay
+    calls = []
+    dopri = semigroup.integrate
+
+    def recording(*args, **kwargs):
+        calls.append("replay" in kwargs)
+        return dopri(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "integrate", recording)
+    g = builtin_graph("z-lattice", d=1)
+    cfg = SimConfig(t_max=2.0, sample_times=[1.0, 2.0], c_speed=4.0)
+    sym = evolve(g, {(0,): 1.0}, cfg, part="sym")
+    assert calls == []
+    assert sym.richardson_diff == 0.0
+    full = evolve(g, {(0,): 1.0}, cfg, part="full")
+    assert full.retries == 0
+    assert calls == [False]

@@ -20,9 +20,9 @@ from dirlap.errors import BudgetExceededError, TruncationError
 from dirlap.integrate import lanczos_expm
 from dirlap.semigroup import SimConfig, q_norm_fast
 
-from helpers import (assert_bound_covers_disagreement, count_builds, counted,
-                     dense_laplacian, finite_graphs, k2_generator, random_support_vector,
-                     record_runs, tight_cut_graph, truncation_check)
+from helpers import (ROUNDOFF, assert_bound_covers_disagreement, count_builds, counted,
+                     dense_laplacian, dopri_replay, finite_graphs, k2_generator,
+                     random_support_vector, record_runs, tight_cut_graph, truncation_check)
 
 INF = math.inf
 
@@ -396,6 +396,30 @@ class TestEvolve:
             assert runs[-1].y0.size == len(res.ball)
             assert (res.n_steps, res.richardson_diff) == \
                 (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
+
+    def test_primary_run_is_the_enlarged_operator_cut(self, monkeypatch):
+        # the primary run the last attempt's bound stands for, rebuilt from the
+        # public pieces: the enlarged ball's operator cut to each window, from
+        # the first ends[radius] vertices, along the one run's steps, gives the
+        # oracle's disagreement bit for bit, and the bound covers it
+        runs = record_runs(monkeypatch)
+        g = builtin_graph("z-lattice", d=1)
+        cfg = SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        res = evolve(g, {(0,): 1.0}, cfg, part="full")
+        radius = res.ball.radius - semigroup._TRUNCATION_MARGIN
+        b = dirlap.ball(g, g.root, res.ball.radius)
+        a = TruncatedOperator(b, ("full",)).matrix("full")
+        ends = np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
+        y0 = StateVector.from_dict(b, {(0,): 1.0}).values[:ends[radius]]
+        steps = runs[-1].result.steps
+        primary = dopri_replay(lambda t, y: a[:y.size, :y.size] @ y, y0,
+                               cfg.resolved_sample_times(), steps, ends[:radius + 1],
+                               integrate_module._WINDOW_TOL * cfg.atol)
+        diff = max(float(np.max(np.abs(s.values[:y0.size] - y)))
+                   for (_, s), (_, y) in zip(res, primary))
+        assert res.retries == 2 and res.n_steps == len(steps)
+        assert diff == truncation_check(runs[-1])[1]
+        assert diff <= res.richardson_diff + ROUNDOFF
 
     def test_bound_covers_the_disagreement_at_every_retry(self, monkeypatch):
         # the sim-retry gate line: the radii 9, 17 and 25, and only the last
