@@ -18,9 +18,10 @@ vertex, one entry per neighbour in ascending neighbour order (not the order
 of the callback's maps), holding the neighbour's ball index or -1 when it
 lies outside.  Every vertex and every neighbour has one int64 id, and one
 sort of the ball's ids resolves every neighbour after the walk.  Laplacian
-parts are assembled from these arrays alone, and ``Ball.prefix(r)`` cuts the
-radius-``r`` ball out of a larger one without further adjacency calls, as
-``ball`` does when handed a snapshot.
+parts are assembled from these arrays alone.  ``Ball.prefix(r)`` cuts the
+radius-``r`` ball out of a larger one without further adjacency calls, and
+``ball`` handed a snapshot cuts from it every ball it holds, around any of its
+vertices, by the walk's shell rule on its rows.
 Truncated simulations enumerate once per attempt: the one ball of a
 symmetric-part run, or the enlarged ball of the full and nonlinear flows,
 whose first vertices are the cut their truncation bound is about.
@@ -29,7 +30,7 @@ whose first vertices are the cut their truncation bound is about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -149,15 +150,19 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
     search per shell give every neighbour its ball index, or -1 when it lies
     outside, even when the walk found it only in a later shell.  Raises
     ``InconsistentAdjacencyError`` when two ball vertices report different
-    weights for the edges between them.  ``gen`` may be a ``Ball``: the balls
-    it contains are cut from it as prefixes, and any other is enumerated
-    through the generator it was read from.
+    weights for the edges between them.
+
+    ``gen`` may be a ``Ball``, a snapshot.  It holds the ball when ``center``
+    lies in it at distance ``d`` with ``d + r <= radius``; that ball is cut
+    from its rows without a callback or a budget (``_cut``), and any other is
+    enumerated through the generator the snapshot was read from.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
     if isinstance(gen, Ball):
-        if center == gen.center and r <= gen.radius:
-            return gen.prefix(r)
+        i = gen.index.get(center)
+        if i is not None and gen.distances[i] + r <= gen.radius:
+            return gen.prefix(r) if i == 0 else _cut(gen, i, r)
         gen = gen.source
     order, sizes = [], []
     counts, w_out, w_in = [], [], []  # one chunk per shell
@@ -189,6 +194,50 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
              measures=measures, indptr=indptr, nbr=nbr, w_out=w_out, w_in=w_in, source=gen)
     _check_consistency(b)
     return b
+
+
+def _cut(snap: Ball, i: int, r: int) -> Ball:
+    """``ball(snap.source, snap.vertices[i], r)`` read from the rows of ``snap``, which holds it.
+
+    The walk's shell rule on the rows: shell k+1 is the first find of each
+    neighbour of positive symmetric weight that no earlier shell holds, in
+    shell order and ascending neighbour order.  Every vertex of the cut lies within ``snap.radius`` of the snapshot's
+    center, so its row and its in-ball neighbours are all in ``snap``; the
+    measures are the snapshot's, and pairs it checked need no second check.
+    """
+    step = (snap.nbr >= 0) & ((snap.w_out + snap.w_in) / 2.0 > 0.0)
+    found = np.zeros(len(snap), dtype=bool)
+    found[i] = True
+    shells = [np.array([i])]
+    for _ in range(r):
+        at = _spans(snap.indptr, shells[-1])
+        reached = snap.nbr[at[step[at]]]
+        reached = reached[~found[reached]]
+        if not reached.size:
+            break
+        shell = reached[np.sort(np.unique(reached, return_index=True)[1])]
+        found[shell] = True
+        shells.append(shell)
+    idx = np.concatenate(shells)
+    n = idx.size
+    at = _spans(snap.indptr, idx)
+    to_cut = np.full(len(snap) + 1, -1, np.int64)  # the last slot takes the -1 entries
+    to_cut[idx] = np.arange(n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(snap.indptr[idx + 1] - snap.indptr[idx], out=indptr[1:])
+    vertices = [snap.vertices[j] for j in idx.tolist()]
+    return Ball(center=vertices[0], radius=r, vertices=vertices, index=dict(zip(vertices, range(n))),
+                distances=np.repeat(np.arange(len(shells), dtype=np.int64),
+                                    [s.size for s in shells]),
+                measures=snap.measures[idx], indptr=indptr, nbr=to_cut[snap.nbr[at]],
+                w_out=snap.w_out[at], w_in=snap.w_in[at], source=snap.source)
+
+
+def _spans(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entry positions of ``rows``, row after row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _flat(chunks: list, dtype) -> np.ndarray:
@@ -332,24 +381,18 @@ def _read_shell(gen, shell, coords, keys, recent, seen, expand):
 
 def _scalar_step(edges, shell: list, seen: set, nxt: list | None) -> _Rows:
     counts, nbr, w_out, w_in = [], [], [], []
-    zeros = repeat(0.0)
     for v in shell:
         out, inn = edges(v)
-        nb = out.keys() | inn.keys()
-        if nxt is not None:
-            new = []
-            for u in nb - seen:  # the C-level difference first: fewer weights to read
-                if (out.get(u, 0.0) + inn.get(u, 0.0)) / 2.0 > 0.0:
-                    new.append(u)
-            if new:
-                new.sort()
-                seen.update(new)
-                nxt += new
-        nb = sorted(nb)
+        nb = sorted(out.keys() | inn.keys())
         counts.append(len(nb))
         nbr += nb
-        w_out += map(out.get, nb, zeros)
-        w_in += map(inn.get, nb, zeros)
+        for u in nb:  # ascending, so each vertex's new neighbours come sorted
+            a, b = out.get(u, 0.0), inn.get(u, 0.0)
+            w_out.append(a)
+            w_in.append(b)
+            if nxt is not None and u not in seen and (a + b) / 2.0 > 0.0:
+                seen.add(u)
+                nxt.append(u)
     return _Rows(counts, nbr, w_out, w_in, None)
 
 

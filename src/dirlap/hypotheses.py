@@ -302,11 +302,13 @@ def check_hypotheses(gen, r_min: int = 8, r_max: int = 64,
     ``geometry.DEFAULT_BALL_BUDGET`` are read at call time.  When ``max_shells``
     is omitted it is picked from the fitted growth order: slowly growing
     graphs afford many shells, faster ones fewer.
-    Every ball around the root is cut from one snapshot; only the volume fit's
-    other centers and the skew-mass scan read the graph again.
+    Every ball is cut from one snapshot of radius ``r_max + 3`` (or the
+    largest sample radius) around the root, which holds the radius-``r_max``
+    balls of the centers drawn within distance 3; only the skew-mass scan
+    reads the graph again.
     """
     rng = np.random.default_rng(seed)
-    snap = ball(gen, gen.root, max(r_max, 3, _ALPHA_RADIUS + 1, 2 * max(_PI_RADII)))
+    snap = ball(gen, gen.root, max(r_max + 3, _ALPHA_RADIUS + 1, 2 * max(_PI_RADII)))
     nearby = snap.prefix(3).vertices[1:]
     if len(nearby) >= 2:
         picks = rng.choice(len(nearby), size=2, replace=False)

@@ -326,7 +326,7 @@ class TestCheckHypotheses:
         assert report.skew_mass.verdict == "inconclusive"
         assert report.skew_mass.shells_used < 101
 
-    def test_root_balls_read_once(self, monkeypatch):
+    def test_every_vertex_read_once(self, monkeypatch):
         g = builtin_graph("z-lattice", d=2)
         g_counted, reads = counted(g)
         monkeypatch.setattr(hypotheses, "_ALPHA_RADIUS", 3)
@@ -334,9 +334,12 @@ class TestCheckHypotheses:
         report = check_hypotheses(g_counted, r_min=2, r_max=5, max_shells=4, seed=9)
         assert report.vg.centers[0] == g.root
         assert len(set(report.vg.centers)) == 3
-        # three radius-5 volume-fit balls of 61 vertices and the 41 vertices
-        # of skew shells 0..4; every other root ball is cut from the first
-        assert len(reads) == 3 * 61 + 41
+        # the radius-8 snapshot (r_max + 3) of 145 vertices and the 41 vertices
+        # of skew shells 0..4; every other ball is cut from the snapshot
+        assert len(reads) == 145 + 41
+        snapshot = ball(g, g.root, 8).vertices
+        assert sorted(reads[:145]) == sorted(snapshot)  # each snapshot vertex once
+        assert sorted(reads[145:]) == sorted(snapshot[:41])
 
     def test_default_centers_deterministic(self):
         g = builtin_graph("z-lattice", d=2)

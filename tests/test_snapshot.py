@@ -15,7 +15,8 @@ from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
                     TruncatedOperator, ball, builtin_graph, evolve,
                     generator_from_edges)
 
-from helpers import assert_same_ball, counted, dense_laplacian, finite_graphs
+from helpers import (BUILTINS, assert_same_ball, both_steps, counted, dense_laplacian,
+                     finite_graphs)
 
 PARTS = ("full", "sym", "skew")
 
@@ -101,11 +102,53 @@ def test_ball_of_a_snapshot(gen, r, extra):
     for radius in range(r + extra + 1):
         assert_same_ball(ball(snap, snap.center, radius), snap.prefix(radius))
     assert reads == []
-    # another center, or a larger radius, is enumerated through the snapshot's generator
+    # another center is cut from the snapshot, a larger radius read through its generator
     for center in snap.vertices[1:3]:
         assert_same_ball(ball(snap, center, r), ball(gen, center, r))
     assert_same_ball(ball(snap, snap.center, r + extra + 1),
                      ball(gen, gen.root, r + extra + 1))
+
+
+def held_balls(snap) -> list:
+    """Every ``(center, r)`` whose ball ``snap`` holds: ``dist(center) + r <= snap.radius``."""
+    return [(c, r) for c, d in zip(snap.vertices, snap.distances.tolist())
+            for r in range(snap.radius - d + 1)]
+
+
+@pytest.mark.parametrize("name, params", BUILTINS, ids=[f"{n}{p}" for n, p in BUILTINS])
+def test_held_balls_are_cut_on_both_steps(monkeypatch, name, params):
+    gen = builtin_graph(name, **params)
+    radius = 3 if params.get("d", 2) > 2 else 5
+
+    def compare():
+        snap = ball(gen, gen.root, radius)
+        for c, r in held_balls(snap):
+            assert_same_ball(ball(snap, c, r), ball(gen, c, r))
+
+    both_steps(monkeypatch, compare)
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4))
+def test_held_balls_are_cut_without_a_read(gen, radius):
+    g, reads = counted(gen)
+    snap = ball(g, g.root, radius)
+    reads.clear()
+    cuts = [(c, r, ball(snap, c, r)) for c, r in held_balls(snap)]
+    assert reads == []
+    for c, r, cut in cuts:
+        assert_same_ball(cut, ball(gen, c, r))
+
+
+@pytest.mark.parametrize("center, r", [((4, 0), 1), ((1, 0), 3)],
+                         ids=["center-outside", "radius-one-too-large"])
+def test_balls_the_snapshot_does_not_hold_are_read(center, r):
+    gen = builtin_graph("z-lattice", d=2)
+    g, reads = counted(gen)
+    snap = ball(g, g.root, 3)
+    reads.clear()
+    b = ball(snap, center, r)
+    assert_same_ball(b, ball(gen, center, r))
+    assert sorted(reads) == sorted(b.vertices)
 
 
 def test_integer_weights_read_as_floats(monkeypatch):

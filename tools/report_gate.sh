@@ -35,6 +35,8 @@ run() {
 run ch-ex22 check-hypotheses --graph example-2.2
 run ch-adv check-hypotheses --graph z2-advection --shells 40
 run ch-skew check-hypotheses --graph z2-skew-perturbed
+# other fit centers, (0, 1) and (1, -2): a cut ball at distance 1
+run ch-skew-s3 check-hypotheses --graph z2-skew-perturbed --seed 3
 run ch-lat check-hypotheses --graph z-lattice --d 2
 run sim-lat simulate --graph z-lattice --d 2 --part sym --t-max 20
 run sim-skew simulate --graph z2-skew-perturbed --t-max 20
