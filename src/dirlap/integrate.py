@@ -29,11 +29,18 @@ stays within ``m - 1`` hops of ``y0``'s support, so on a ball that holds
 that reach the basis and the estimate are those of the infinite graph; the
 dimension, and so the reach, grows like ``sqrt(t |A|)`` (Hochbruck &
 Lubich, SIAM J. Numer. Anal. 34:1911, 1997), about 90 on the plane lattice
-at t = 40.
+at t = 40.  Given a BFS-ordered ball's shell ends, the recurrence works on
+that reach alone: the j-th vector is zero past the shell ``j - 1`` beyond
+the start vector's last nonzero, so step j multiplies, dots, normalizes and
+updates only the rows to the end of the next shell, a prefix that grows by
+one shell per step.  Each prefix is rounded up to whole ``_PREFIX_ALIGN``
+blocks, so the run is bit-identical to the full-length one on one BLAS
+thread.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -80,6 +87,14 @@ _WINDOW_GROWTH = 16
 _MAX_KRYLOV_DIM = 256
 _CHECK_EVERY = 8
 _BLOCK = 8
+
+# With shell ends, every Lanczos prefix is rounded up to a multiple of this
+# many entries, capped at the vector's length.  BLAS dot kernels sum in
+# fixed-width blocks, so a prefix of whole blocks sums the same entries in
+# the same order as the full-length call did over a vector that is zero past
+# it: the run is bit-identical to one without shell ends (on one BLAS
+# thread; a threaded dot splits the two lengths differently).
+_PREFIX_ALIGN = 64
 
 
 @dataclass
@@ -242,27 +257,35 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     return IntegrationResult(samples, np.array(taken), len(taken), n_rejected)
 
 
-def _lanczos(matvec: Callable[[np.ndarray], np.ndarray], v: np.ndarray):
+def _lanczos(matvec, v: np.ndarray, prefixes):
     """Plain three-term Lanczos recurrence from the unit vector ``v``.
 
     Yields ``(v_j, alpha_j, beta_j)`` for j = 1, 2, ..., where ``beta_j``
     couples ``v_j`` to ``v_{j+1}``, and stops after a zero ``beta_j`` (the
-    basis spans an invariant subspace).  No vector is kept beyond the last
-    two, and the same inputs give bit-identical vectors on every run.
+    basis spans an invariant subspace).  ``prefixes`` yields ``p_0, p_1,
+    ...``: ``v`` vanishes past ``p_0``, and step j asks ``matvec(v_j,
+    p_j)`` for the first ``p_j`` entries of ``A v_j``, which must hold its
+    whole support.  Every update, dot and norm of step j runs over those
+    entries, and ``v_j`` is yielded as its first ``p_{j-1}`` entries, a view
+    that the step after next overwrites.  The vectors live in full-length
+    buffers that are zero past their prefix, so ``matvec`` may read any
+    column; the same inputs give bit-identical vectors on every run.
     """
-    v_prev = np.zeros_like(v)
+    p = next(prefixes)
+    v, v_prev, spare = v.copy(), np.zeros(v.size), np.zeros(v.size)
     beta_prev = 0.0
-    while True:
-        w = matvec(v)
-        w -= beta_prev * v_prev
-        alpha = float(v @ w)
-        w -= alpha * v
+    for rows in prefixes:
+        w = matvec(v, rows)
+        w -= beta_prev * v_prev[:rows]
+        alpha = float(v[:rows] @ w)
+        w -= alpha * v[:rows]
         beta = float(np.linalg.norm(w))
-        yield v, alpha, beta
+        yield v[:p], alpha, beta
         if beta == 0.0:
             return
-        w /= beta
-        v_prev, v, beta_prev = v, w, beta
+        # the prefixes never shrink, so this overwrites all of spare's old entries
+        np.divide(w, beta, out=spare[:rows])
+        v_prev, v, spare, p, beta_prev = v, spare, v_prev, rows, beta
 
 
 def _tridiagonal_expm(alphas, betas, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +305,8 @@ def _tridiagonal_expm(alphas, betas, taus) -> tuple[np.ndarray, np.ndarray]:
     return weights @ np.exp(x), np.abs(weights[-1] @ phi1) * taus
 
 
-def _first_pass(matvec, v, scale, taus, tols, max_dim):
-    """Run the recurrence until the estimate meets ``tols`` at every tau.
+def _first_pass(recurrence, scale, taus, tols, max_dim):
+    """Run ``recurrence`` until the estimate meets ``tols`` at every tau.
 
     ``scale`` is ``|y0|`` and ``tols[i]`` the tolerance for ``taus[i]``.
     Returns the alphas and betas, the columns ``exp(tau T) e_1`` for
@@ -291,7 +314,7 @@ def _first_pass(matvec, v, scale, taus, tols, max_dim):
     (all of them unless ``max_dim`` was reached first).
     """
     alphas, betas = [], []
-    for j, (_, alpha, beta) in enumerate(_lanczos(matvec, v), 1):
+    for j, (_, alpha, beta) in enumerate(recurrence, 1):
         alphas.append(alpha)
         betas.append(beta)
         if beta == 0.0 or j == max_dim or j % _CHECK_EVERY == 0:
@@ -302,23 +325,22 @@ def _first_pass(matvec, v, scale, taus, tols, max_dim):
                 return alphas, betas, coefs, met
 
 
-def _second_pass(matvec, v, coefs) -> list[np.ndarray]:
-    """Run the recurrence again; return ``V_m @ c`` for each column ``c`` of ``coefs``.
+def _second_pass(recurrence, n: int, coefs) -> list[np.ndarray]:
+    """Run ``recurrence`` again; return ``V_m @ c`` for each column ``c`` of ``coefs``.
 
-    Each result has its own array, and the basis vectors are added into
-    them a block at a time, so at most ``_BLOCK`` of them are held at once.
-    Only the leading entries up to the last nonzero seen so far take part:
-    on a BFS-ordered ball that is the Krylov reach of ``v``, so the pages
-    past it are never written.
+    Each result has its own array of length ``n``, and the basis vectors are
+    added into them a block at a time, so at most ``_BLOCK`` of them are held
+    at once.  Only each vector's prefix takes part, and a block spans the
+    prefix of its last vector: on a BFS-ordered ball that is the Krylov
+    reach, so the pages past it are never written.
     """
     m = coefs.shape[0]
-    outs = [np.zeros(v.size) for _ in range(coefs.shape[1])]
-    block = np.zeros((min(_BLOCK, m), v.size))
-    reach = 0
-    for j, (vj, _, _) in enumerate(_lanczos(matvec, v)):
-        # rows are zero past the reach they were written with, which only grows
-        reach = max(reach, vj.size - int(np.argmax(vj[::-1] != 0.0)))
-        block[j % _BLOCK, :reach] = vj[:reach]
+    outs = [np.zeros(n) for _ in range(coefs.shape[1])]
+    block = np.zeros((min(_BLOCK, m), n))
+    for j, (vj, _, _) in enumerate(recurrence):
+        # a block row is zero past the prefix it was last written with, which only grows
+        reach = vj.size
+        block[j % _BLOCK, :reach] = vj
         if j % _BLOCK == _BLOCK - 1 or j == m - 1:
             lo = j - j % _BLOCK
             for out, c in zip(outs, coefs[lo:j + 1].T):
@@ -327,13 +349,14 @@ def _second_pass(matvec, v, coefs) -> list[np.ndarray]:
             return outs
 
 
-def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
-                 sample_times: Sequence[float], atol: float = 1e-10) -> IntegrationResult:
+def lanczos_expm(matvec: Callable[..., np.ndarray], y0: np.ndarray,
+                 sample_times: Sequence[float], atol: float = 1e-10,
+                 shell_ends: np.ndarray | None = None) -> IntegrationResult:
     """``exp(tA) y0`` at every sample time for a symmetric ``A``.
 
-    ``matvec(v)`` returns ``A v`` as a new array.  A first pass runs the
-    Lanczos recurrence, keeping only the tridiagonal coefficients, until
-    Saad's estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets
+    ``matvec(v)`` returns ``A v`` as a new array (``shell_ends`` below adds
+    an argument).  A first pass runs the Lanczos recurrence, keeping only
+    the tridiagonal coefficients, until Saad's estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets
     the tolerance at every sample time (checked every few steps).  A second
     pass runs the identical recurrence again and adds each basis vector into
     every sample, so the basis is never stored.  If ``_MAX_KRYLOV_DIM``
@@ -348,6 +371,17 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     at time 0 are exact copies of ``y0``, and a zero ``y0`` gives zeros.
     A non-finite entry of ``y0`` raises ``ValueError`` before the recurrence
     starts.
+
+    ``shell_ends`` are a BFS-ordered ball's shell-end offsets, as for
+    ``integrate``, and ``A`` is then a graph operator on that ball, whose
+    rows reach one shell out.  With them both passes of every segment work
+    on prefixes: the segment's start vector vanishes past the shell ``s`` of
+    its last nonzero, so ``v_j`` vanishes past shell ``s + j - 1``, and step
+    j calls ``matvec(v_j, rows)`` for the first ``rows`` entries of ``A
+    v_j``, ``rows`` being the end of shell ``s + j`` rounded up to a
+    multiple of ``_PREFIX_ALIGN`` and capped at the ball.  ``v_j`` is a
+    full-length array that is zero past the previous step's rows, so the
+    matvec may read any column of those rows.
     """
     max_dim = _MAX_KRYLOV_DIM
     times = _checked_times(sample_times)
@@ -355,6 +389,11 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"initial value y0[{bad[0]}] = {y[bad[0]]} is not finite")
+    n = y.size
+    ends = [n] if shell_ends is None else shell_ends
+    mv = (lambda x, rows: matvec(x)) if shell_ends is None else matvec
+    # each shell's end, rounded up to whole blocks (see _PREFIX_ALIGN)
+    pads = np.minimum(-(-np.asarray(ends) // _PREFIX_ALIGN) * _PREFIX_ALIGN, n).tolist()
     samples = []
     spans: list[float] = []
     n_steps = 0
@@ -371,8 +410,13 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
         if k == len(times):
             return IntegrationResult(samples, np.array(spans), n_steps, 0)
         v = y / nrm
+        shell = int(np.searchsorted(ends, np.flatnonzero(v)[-1], side="right"))
+
+        def recurrence():  # the prefixes: v's last nonzero shell, then one more per step
+            return _lanczos(mv, v, itertools.chain(pads[shell:], itertools.repeat(n)))
+
         taus = np.array(times[k:]) - t0
-        alphas, betas, coefs, met = _first_pass(matvec, v, nrm, taus,
+        alphas, betas, coefs, met = _first_pass(recurrence(), nrm, taus,
                                                 atol * taus / times[-1], max_dim)
         reached = len(taus) if met.all() else int(np.argmin(met))
         if reached:
@@ -387,7 +431,7 @@ def lanczos_expm(matvec: Callable[[np.ndarray], np.ndarray], y0: np.ndarray,
                                     f"t={t0:.6g} with {max_dim} basis vectors")
             span = halves[good[0]]
             coefs, _ = _tridiagonal_expm(alphas, betas, [span])
-        outs = _second_pass(matvec, v, nrm * coefs)
+        outs = _second_pass(recurrence(), n, nrm * coefs)
         n_steps += len(alphas)
         spans.append(float(span))
         samples.extend(zip(times[k:k + reached], outs))

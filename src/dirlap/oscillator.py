@@ -359,8 +359,10 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
 
     def flow(b, n1):
         table = _EdgeTable(sys, cand, b)
-        # the pairs from the cut to the rest of the ball
+        # the pairs from the cut to the rest of the ball, and their ends
         across = (table.src < n1) & (table.dst >= n1) & (table.dst < len(b))
+        src, dst = table.src[across], table.dst[across]
+        kw = table.kw[across] if sine else None
         # the certificate's part fixed per table: no negative weight, and the largest lag gap
         gap = float(np.max(np.abs(table.dlag), initial=0.0)) \
             if sine and not np.any(table.kw < 0.0) else math.inf
@@ -375,8 +377,10 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                 s = table.slopes(phi)  # per-vertex sums below; the cut is the first n1
                 rows = np.bincount(table.src, np.where(table.dst < n1, np.abs(s) - s, -s))[:n1]
                 mu = float(np.max(rows, initial=0.0))
-            phi_u = np.append(phi, np.zeros(len(b) - phi.size))[table.dst[across]]
-            flux = np.bincount(table.src[across], np.abs((table.kw if sine else s)[across] * phi_u))
+            live = dst < phi.size  # phi is 0 past the window
+            phi_u = np.zeros(dst.size)
+            phi_u[live] = phi[dst[live]]
+            flux = np.bincount(src, np.abs((kw if sine else s[across]) * phi_u))
             return float(np.max(flux, initial=0.0)), mu
 
         return lambda t, y: table.rhs(y), terms

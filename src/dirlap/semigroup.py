@@ -30,6 +30,7 @@ read once per enumeration and nothing is kept beyond the snapshot.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -348,27 +349,36 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
     symmetric row in the ball.  The ball's operator applied to a vector
     that vanishes on the shell at distance ``radius`` is then the infinite
     graph's: the outer shell's truncated rows meet only zeros, and the
-    vertices past the ball have no neighbour where the vector is nonzero.  The matvec raises ``_ReachError`` on any other
-    input; a ball whose walk exhausted its component has no such shell, so
-    it is exact as it stands.  On that error the allowance ``radius -
-    support_radius`` doubles and the ball is read again, bounded only by
-    ``_BALL_BUDGET`` (``BudgetExceededError``).
+    vertices past the ball have no neighbour where the vector is nonzero.
+    The matvec raises ``_ReachError`` on any other input; a ball whose walk
+    exhausted its component has no such shell, so it is exact as it stands.
+    On that error the allowance ``radius - support_radius`` doubles and the
+    ball is read again, bounded only by ``_BALL_BUDGET``
+    (``BudgetExceededError``).
+
+    The run gets the ball's shell ends, so each matvec is asked for a row
+    prefix (see ``lanczos_expm``) and multiplies a view of the operator's
+    first rows that shares its arrays.  The input vanishes past those rows,
+    so only the outer shell's part of the prefix is scanned for the reach.
     """
     center, data, support_radius, radius = _plan(gen, x0, cfg)
     retries = 0
     while True:
         b = ball(gen, center, radius, budget=_BALL_BUDGET)
         a = TruncatedOperator(b, parts=("sym",)).matrix("sym")
+        ends = _shell_ends(b)
         edge = int(np.searchsorted(b.distances, radius))  # the outer shell's start
 
-        def matvec(y):
-            if y[edge:].any():
+        def matvec(y, rows):
+            if y[edge:rows].any():  # y is zero past the rows
                 raise _ReachError
-            return a @ y
+            view = copy.copy(a)  # shares a's arrays, which the resize only slices
+            view.resize(rows, len(y))
+            return view @ y
 
         try:
             res = lanczos_expm(matvec, StateVector.from_dict(b, data).values,
-                               cfg.resolved_sample_times(), atol=cfg.atol)
+                               cfg.resolved_sample_times(), atol=cfg.atol, shell_ends=ends)
         except _ReachError:
             retries += 1
             radius = support_radius + 2 * (radius - support_radius)
@@ -408,6 +418,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         # the exact infinity log-norm of the cut: its |row| sums, the diagonal signed
         mu = max(0.0, float((abs(cut) @ np.ones(n1) + 2 * np.minimum(cut.diagonal(), 0)).max()))
         window = a
+        past = np.zeros(out.shape[1])  # the state past the cut; zero past the window, which only grows
 
         def matvec(t, y):
             nonlocal window
@@ -416,8 +427,8 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
             return window @ y
 
         def terms(t, y, bound):  # the flux from the window past the cut
-            flux = out[:, :max(y.size - n1, 0)] @ y[n1:]
-            return float(np.max(np.abs(flux), initial=0.0)), mu
+            past[:max(y.size - n1, 0)] = y[n1:]
+            return float(np.max(np.abs(out @ past), initial=0.0)), mu
 
         return matvec, terms
 

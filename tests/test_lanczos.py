@@ -2,20 +2,24 @@
 
 Property tests draw random finite directed graphs and propagate on the
 ``sym`` operator of a ball around the root; the balls have at most nine
-vertices, so the recurrence always exhausts them before any cap.
+vertices, so the recurrence always exhausts them before any cap.  With the
+ball's shell ends the run works on BFS prefixes, checked against the
+full-length run on those balls and on small lattice balls.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirlap import (SimConfig, StateVector, TruncatedOperator, ball,
                     builtin_graph, dense_expm, evolve, integrate, semigroup)
 from dirlap.errors import StepSizeError
 from dirlap.integrate import lanczos_expm
+from dirlap.semigroup import _shell_ends
 
 from helpers import finite_graphs, k2_generator
 
@@ -25,6 +29,42 @@ ATOL = 1e-10
 def sym_operator(gen, r):
     b = ball(gen, gen.root, r)
     return TruncatedOperator(b, parts=("sym",)).matrix("sym")
+
+
+def prefix_matvec(a):
+    """``matvec(v, rows)`` for a run with shell ends, checking its prefix rule.
+
+    ``v`` must vanish past ``rows``, and ``a @ v`` must too: the rows asked
+    for hold the product's whole support.
+    """
+    def matvec(v, rows):
+        full = a @ v
+        assert not v[rows:].any() and not full[rows:].any()
+        return full[:rows]
+    return matvec
+
+
+def assert_same_run_as_full_length(gen, r, y0, ts, exact):
+    """Run with and without ``ball(gen, gen.root, r)``'s shell ends and compare.
+
+    ``exact`` asks for bit-identical samples; otherwise they agree to
+    ``1e-14 * max|y|``, since a threaded BLAS dot splits a full-length vector
+    differently from its prefix.  Both match ``dense_expm``.
+    """
+    b = ball(gen, gen.root, r)
+    a = TruncatedOperator(b, parts=("sym",)).matrix("sym")
+    full = lanczos_expm(a.dot, y0, ts, atol=ATOL)
+    pre = lanczos_expm(prefix_matvec(a), y0, ts, atol=ATOL, shell_ends=_shell_ends(b))
+    assert pre.n_steps == full.n_steps and np.array_equal(pre.steps, full.steps)
+    dense = a.toarray()
+    for (t, y), (tp, z) in zip(full.samples, pre.samples, strict=True):
+        assert t == tp
+        if exact:
+            assert z.tobytes() == y.tobytes()
+        else:
+            assert np.abs(z - y).max() <= 1e-14 * np.abs(y).max()
+        want = dense_expm(dense * t) @ y0
+        assert np.abs(z - want).max() <= 10 * ATOL * max(1.0, np.abs(want).max())
 
 
 @given(finite_graphs(), st.integers(min_value=0, max_value=4),
@@ -45,6 +85,57 @@ def test_matches_dense_expm_on_random_graphs(gen, r, times, seed, zero):
         exact = dense_expm(dense * t) @ y0
         assert np.abs(y - exact).max() <= 10 * ATOL * max(1.0, np.abs(exact).max())
         assert abs(y.sum() - y0.sum()) <= 100 * ATOL
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4),
+       st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_shell_ends_change_no_bit_on_random_graphs(gen, r, times, seed):
+    # a random support of one to three vertices, the root or not
+    n = len(ball(gen, gen.root, r))
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(n, size=rng.integers(1, min(n, 3), endpoint=True), replace=False)
+    y0 = np.zeros(n)
+    y0[picks] = rng.normal(size=picks.size)
+    assert_same_run_as_full_length(gen, r, y0, sorted(times), exact=True)
+
+
+@pytest.mark.parametrize("d, r", [(1, 60), (2, 12)])
+@settings(max_examples=25)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=4, unique=True),
+       st.lists(st.floats(min_value=0.0, max_value=4.0), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_shell_ends_match_the_full_length_run_on_lattice_balls(d, r, support, times,
+                                                               seed, restart):
+    # a support of several vertices off the root; a cap of 8 vectors forces restarts
+    y0 = np.zeros(len(ball(builtin_graph("z-lattice", d=d), (0,) * d, r)))
+    y0[support] = np.random.default_rng(seed).normal(size=len(support))
+    with mock.patch.object(integrate, "_MAX_KRYLOV_DIM", 8 if restart else 256):
+        assert_same_run_as_full_length(builtin_graph("z-lattice", d=d), r, y0,
+                                       sorted(times), exact=False)
+
+
+def test_each_matvec_asks_for_one_shell_past_the_support(monkeypatch):
+    # the plane lattice at t = 40: step j's vector is zero past shell j - 1,
+    # so its product needs the rows to the end of shell j, rounded up to 64
+    asked = []
+    expm = semigroup.lanczos_expm
+
+    def recording(matvec, *args, **kwargs):
+        def asking(v, rows):
+            asked.append(rows)
+            return matvec(v, rows)
+        return expm(asking, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "lanczos_expm", recording)
+    g = builtin_graph("z-lattice", d=2)
+    res = evolve(g, {g.root: 1.0}, SimConfig(t_max=40.0), part="sym")
+    n = len(res.ball)
+    assert (res.retries, res.n_steps, n) == (0, 88, 24_421)
+    ends = [2 * j * (j + 1) + 1 for j in range(1, 89)]  # shells 0..j of the plane lattice
+    first = [min(-(-e // 64) * 64, n) for e in ends]
+    assert asked == first + first  # the first pass, then the second
+    assert asked[:2] == [64, 64] and asked[87] == 15_680 < n
 
 
 @given(finite_graphs(), st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1,

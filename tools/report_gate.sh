@@ -44,6 +44,9 @@ run sim-skew simulate --graph z2-skew-perturbed --t-max 20
 run sim-retry simulate --graph z-lattice --d 1 --part full --t-max 6 --c-speed 0.05
 # its sym twin: the ball grows twice to hold the Krylov reach, radius 36
 run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-speed 0.05
+# sym runs on non-uniform weights: radius 80 and radius 59
+run sim-skew-sym simulate --graph z2-skew-perturbed --part sym --t-max 20
+run sim-ex22-sym simulate --graph example-2.2 --part sym --t-max 20
 run osc oscillate --t-max 10
 # the negative-bias coupling
 run osc-neg oscillate --a -0.9 --t-max 10
