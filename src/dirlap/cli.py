@@ -235,10 +235,9 @@ def _cmd_oscillate(args, config) -> int:
     t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
 
     coupling_graph = graph_builtins.builtin_graph("z2-skew-perturbed", a=a)
-    weight, support = oscillator.coupling_from_graph(coupling_graph)
     sys_ = oscillator.OscillatorSystem(
         omega=lambda v: 1.0,
-        coupling=oscillator.sin_coupling(weight, support),
+        coupling=oscillator.SeparableCoupling(coupling_graph),
         root=coupling_graph.root,
         name=f"sin/{coupling_graph.name}")
     cand = oscillator.PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)

@@ -16,12 +16,13 @@ each vertex's weights exactly once, derives the vertex measure from that
 read, and keeps every reported weight in CSR arrays: one row per ball
 vertex, one entry per neighbour in ascending neighbour order (not the order
 of the callback's maps), holding the neighbour's ball index or -1 when it
-lies outside.  Every vertex and every neighbour has one int64 id, and one
-sort of the ball's ids resolves every neighbour after the walk.  Laplacian
-parts are assembled from these arrays alone.  ``Ball.prefix(r)`` cuts the
-radius-``r`` ball out of a larger one without further adjacency calls, and
-``ball`` handed a snapshot cuts from it every ball it holds, around any of its
-vertices, by the walk's shell rule on its rows.
+lies outside (``Ball.outside`` reads those neighbours again).  Every vertex
+and every neighbour has one int64 id, and one sort of the ball's ids
+resolves every neighbour after the walk.  Laplacian parts are assembled
+from these arrays alone.  ``Ball.prefix(r)`` cuts the radius-``r`` ball out
+of a larger one without further adjacency calls, and ``ball`` handed a
+snapshot cuts from it every ball it holds, around any of its vertices, by
+the walk's shell rule on its rows.
 Truncated simulations enumerate once per attempt: the one ball of a
 symmetric-part run, or the enlarged ball of the full and nonlinear flows,
 whose first vertices are the cut their truncation bound is about.
@@ -36,7 +37,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
-from .graph import GraphGenerator, Vertex, _coords, _keys, _weights_agree
+from .graph import GraphGenerator, Vertex, _coords, _keys, _unkey, _weights_agree
 
 #: The vertex budget of a walk that is given none.  Read at call time.
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -84,6 +85,22 @@ class Ball:
         """Ordered in-ball index pairs ``(rows, cols)`` with positive symmetric weight."""
         keep = (self.nbr >= 0) & ((self.w_out + self.w_in) / 2.0 > 0.0)
         return self.entry_rows()[keep], self.nbr[keep]
+
+    def outside(self) -> list:
+        """The vertex of each outside entry (``nbr == -1``), in entry order.
+
+        The snapshot keeps no outside vertex, so the rows that hold one are
+        read again from ``source``, by the walk's shell read, as one shell.
+        """
+        rows = np.unique(self.entry_rows()[self.nbr < 0])
+        if not rows.size:
+            return []
+        read = _read_shell(self.source, [self.vertices[i] for i in rows.tolist()],
+                           None, None, None, set(), False)[0]
+        away = self.nbr[_spans(self.indptr, rows)] < 0
+        if read.keys is None:
+            return [u for u, a in zip(read.nbr, away.tolist()) if a]
+        return _unkey(read.nbr[away], len(self.center))
 
     def prefix(self, r: int) -> "Ball":
         """The radius-``r`` ball around the same center, cut from this one.
@@ -147,8 +164,8 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
     the walk's rows, shell after shell.  Each ball vertex and each row
     neighbour has one int64 id: the batch step's key, or ``_ids`` of the
     vertex-step rows; after the walk one argsort of the ball's ids and one
-    search per shell give every neighbour its ball index, or -1 when it lies
-    outside, even when the walk found it only in a later shell.  Raises
+    search give every neighbour its ball index, or -1 when it lies outside,
+    even when the walk found it only in a later shell.  Raises
     ``InconsistentAdjacencyError`` when two ball vertices report different
     weights for the edges between them.
 
@@ -175,10 +192,10 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
         counts.append(rows.counts)
         w_out.append(rows.w_out)
         w_in.append(rows.w_in)
-        shell_ids, nbr_ids = _row_ids(shell, rows, interned)
-        ids.append(shell_ids)
-        nbr.append(nbr_ids)
-    nbr = np.concatenate(_index_by_id(np.concatenate(ids), nbr))
+        keyed = rows.keys is not None  # else the vertex step's rows
+        ids.append(rows.keys if keyed else _ids(shell, interned))
+        nbr.append(rows.nbr if keyed else _ids(rows.nbr, interned))
+    nbr = _index_by_id(np.concatenate(ids), np.concatenate(nbr))
 
     indptr = np.zeros(len(order) + 1, dtype=np.int64)
     np.cumsum(_flat(counts, np.int64), out=indptr[1:])
@@ -441,22 +458,12 @@ def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
     return rows, new, new_coords, new_keys
 
 
-def _row_ids(shell: list, rows: _Rows, interned: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Int64 ids of a read shell's vertices and of its rows' neighbours."""
-    if rows.keys is None:
-        return _ids(shell, interned), _ids(rows.nbr, interned)
-    return rows.keys, rows.nbr
-
-
-def _index_by_id(ids: np.ndarray, chunks: list) -> list:
-    """The position in ``ids`` of each id of each chunk, -1 where absent: one argsort."""
+def _index_by_id(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The position in ``ids`` of each id in ``wanted``, -1 where absent: one argsort."""
     by_id = np.argsort(ids)
     sorted_ids = ids[by_id]
-    found = []
-    for chunk in chunks:
-        at = np.minimum(np.searchsorted(sorted_ids, chunk), len(ids) - 1)
-        found.append(np.where(sorted_ids[at] == chunk, by_id[at], -1))
-    return found
+    at = np.minimum(np.searchsorted(sorted_ids, wanted), len(ids) - 1)
+    return np.where(sorted_ids[at] == wanted, by_id[at], -1)
 
 
 def _ids(vertices: list, interned: dict) -> np.ndarray:

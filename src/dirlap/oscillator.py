@@ -16,28 +16,30 @@ and return the deviation from the locked state over time.  For the sine
 coupling the right-hand side is evaluated in harmonic form, two sparse
 matvecs and one sin and cos per vertex (Strogatz 2000, Physica D 143:1).
 
-A sine coupling (``SeparableCoupling``) takes its strengths from a graph,
-and is read from that graph in rows, as the skeleton walk reads any graph:
-the linearization reads a vertex's weights once, and a whole shell in one
-``batch_adjacency`` call where the graph has one; the right-hand side takes
-its coupling weights from one read of each ball vertex.  ``sin_coupling``
-wraps user callables into such a graph.  A ``GenericCoupling`` is read pair
-by pair through its callables, with no memo, so the right-hand side calls
-``h`` once per pair on every evaluation.
+The lock check and the flow walk one graph, the coupling itself
+(``_walk_graph``): a sine coupling (``SeparableCoupling``) its strength
+graph, with one batch call per large shell where the graph has one, and a
+``GenericCoupling`` its support.  So every coupled pair is sampled whatever
+its slope at the lock, and the right-hand side takes its pairs and sine
+weights from the ball's snapshot, which holds one read of each vertex.
+``sin_coupling`` wraps user callables into such a graph.  A
+``GenericCoupling`` is evaluated pair by pair through its callables, with
+no memo, so the right-hand side calls ``h`` once per pair on every
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse
 
 from .errors import BlowUpError
-from .geometry import Ball, _index_by_id, _read_shell, _row_ids, ball
-from .graph import DEFAULT_DEGREE_CAP, GraphGenerator, Vertex, _unkey
+from .geometry import Ball, ball
+from .graph import GraphGenerator, Vertex
 from .semigroup import SimConfig, StateVector, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
@@ -88,9 +90,10 @@ def sin_coupling(weight: Callable[[Vertex, Vertex], float],
     callables are wrapped once into a ``GraphGenerator`` whose read of ``v``
     is ``{u: weight(v, u)}`` and ``{u: weight(u, v)}`` over ``support(v)``,
     zero weights dropped, with no ``batch_adjacency``.  So they are read
-    through ``GraphGenerator.edges``: a self-pair is dropped, each direction
-    is capped at ``DEFAULT_DEGREE_CAP`` (64) neighbours, and an edge table
-    reads each pair's weight twice, once from each end.
+    through ``GraphGenerator.edges``: a self-pair is dropped, the walk
+    raises ``DegreeCapError`` past ``DEFAULT_DEGREE_CAP`` (64) neighbours in
+    either direction, and it reads each pair's weight twice, once from each
+    end.
     """
     owner = getattr(weight, "__self__", None)
     if isinstance(owner, SeparableCoupling) and (weight, support) == (owner.weight, owner.support):
@@ -101,7 +104,7 @@ def sin_coupling(weight: Callable[[Vertex, Vertex], float],
         return ({u: w for u in nb if (w := weight(v, u)) != 0.0},
                 {u: w for u in nb if (w := weight(u, v)) != 0.0})
 
-    # no walk starts from this graph, so its root is never read
+    # every walk of it is re-rooted at its system's root (_walk_graph)
     return SeparableCoupling(GraphGenerator(adjacency=adjacency, root=(), name="sin_coupling"))
 
 
@@ -131,22 +134,35 @@ class PhaseLockCandidate:
     lags: Callable[[Vertex], float]
 
 
+def _walk_graph(sys: OscillatorSystem) -> GraphGenerator:
+    """The graph whose balls the lock check and the flow read, rooted at ``sys.root``.
+
+    A sine coupling walks its own graph, so its batch reads stay; a
+    ``GenericCoupling`` walks its support as unit weights both ways, with no
+    degree cap.  Either way a ball's rows are the table's pairs, whatever
+    the slope at the lock.
+    """
+    coup = sys.coupling
+    if isinstance(coup, SeparableCoupling):
+        return replace(coup.graph, root=sys.root)
+    return GraphGenerator(adjacency=lambda v: (dict.fromkeys(coup.support(v), 1.0),) * 2,
+                          root=sys.root, degree_cap=math.inf)
+
+
 def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
                       radius: int) -> float:
-    """Max ansatz residual over the radius-``radius`` ball of the coupling's support.
+    """Max ansatz residual over the radius-``radius`` ball of the coupling (``_walk_graph``).
 
     The residual at v is ``|Omega - omega_v - sum H(lag_v' - lag_v, v, v')|``,
     the deviation flow's right-hand side at zero (``_EdgeTable.rhs``).  The
-    ball follows every (symmetric) support pair, whatever its slope, so an
-    anti-phase lock is sampled as fully as a synchronous one; the walk and
-    the table read each ball vertex once each.  A NaN residual at any vertex
-    gives NaN, and a negative radius ``ValueError``.  The raw residual is
-    returned; callers compare it with their own threshold and report it.
+    ball follows every coupled pair, whatever its slope, so an anti-phase
+    lock is sampled as fully as a synchronous one; the walk reads each ball
+    vertex once, and the table once more each vertex of the outer shell.  A
+    NaN residual at any vertex gives NaN, and a negative radius
+    ``ValueError``.  The raw residual is returned; callers compare it with
+    their own threshold and report it.
     """
-    coup = sys.coupling  # the support has no degree cap of its own
-    support = GraphGenerator(adjacency=lambda v: (dict.fromkeys(coup.support(v), 1.0),) * 2,
-                             root=sys.root, degree_cap=math.inf)
-    b = ball(support, sys.root, radius)
+    b = ball(_walk_graph(sys), sys.root, radius)
     return float(np.max(np.abs(_EdgeTable(sys, cand, b).rhs(np.zeros(len(b))))))
 
 
@@ -160,58 +176,25 @@ def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator
 
     For a sine coupling a vertex read is one read of the coupling graph,
     ``w(v, v') cos(lag_v' - lag_v)`` and ``w(v', v) cos(lag_v - lag_v')`` from
-    the one ``(out, inn)`` pair, and the generator has a ``batch_adjacency``
-    when the graph has one: one graph batch call per shell, times the same
-    cosines, with the lags read only on present slots.  A ``GenericCoupling``
-    is read pair by pair through ``dh``.
+    the one ``(out, inn)`` pair; a ``GenericCoupling`` is read pair by pair
+    through ``dh``.  Each read takes each lag once.  The generator has no
+    ``batch_adjacency``: the lock check and the nonlinear flow walk the
+    coupling (``_walk_graph``), not its linearization.
     """
-    coup = sys.coupling
-    lag = cand.lags
-    name = f"linearized({sys.name})"
-    if isinstance(coup, GenericCoupling):
-        def adjacency(v: Vertex):
-            out = {}
-            inn = {}
-            for u in coup.support(v):
-                w = coup.dh(lag(u) - lag(v), v, u)
-                if w != 0.0:
-                    out[u] = w
-                wb = coup.dh(lag(v) - lag(u), u, v)
-                if wb != 0.0:
-                    inn[u] = wb
-            return out, inn
-
-        return GraphGenerator(adjacency=adjacency, root=sys.root, name=name)
-
-    graph = coup.graph
-
-    def sloped(w_out, w_in, lag_v, lag_u):
-        # +0.0, not -0.0, where a weight is zero: the vertex read prunes those
-        return (np.where(w_out != 0.0, w_out * np.cos(lag_u - lag_v), 0.0),
-                np.where(w_in != 0.0, w_in * np.cos(lag_v - lag_u), 0.0))
+    coup, lag = sys.coupling, cand.lags
 
     def adjacency(v: Vertex):
-        out, inn = graph.edges(v)
-        nb = list(out.keys() | inn.keys())
-        w_out, w_in = sloped(np.array([out.get(u, 0.0) for u in nb]),
-                             np.array([inn.get(u, 0.0) for u in nb]),
-                             lag(v), np.array([lag(u) for u in nb]))
-        return ({u: w for u, w in zip(nb, w_out.tolist()) if w != 0.0},
-                {u: w for u, w in zip(nb, w_in.tolist()) if w != 0.0})
+        lag_v = lag(v)
+        if isinstance(coup, GenericCoupling):
+            gap = {u: lag(u) - lag_v for u in coup.support(v)}
+            return ({u: w for u, x in gap.items() if (w := coup.dh(x, v, u)) != 0.0},
+                    {u: w for u, x in gap.items() if (w := coup.dh(-x, u, v)) != 0.0})
+        out, inn = coup.graph.edges(v)
+        gap = {u: lag(u) - lag_v for u in out.keys() | inn.keys()}
+        return ({u: s for u, w in out.items() if (s := w * math.cos(gap[u])) != 0.0},
+                {u: s for u, w in inn.items() if (s := w * math.cos(-gap[u])) != 0.0})
 
-    def batch(coords):
-        nc, wo, wi = graph.batch_adjacency(coords)
-        nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
-        present = (wo != 0.0) | (wi != 0.0)  # an absent slot's coordinates are arbitrary
-        lag_u = np.zeros(wo.shape)
-        lag_u[present] = [lag(u) for u in zip(*nc[present].T.tolist())]
-        lag_v = np.array([lag(v) for v in zip(*coords.T.tolist())])
-        return (nc,) + sloped(wo, wi, lag_v[:, None], lag_u)
-
-    # the graph's reads cap its degree, the generator's its own
-    return GraphGenerator(adjacency=adjacency, root=sys.root, name=name,
-                          degree_cap=min(graph.degree_cap, DEFAULT_DEGREE_CAP),
-                          batch_adjacency=None if graph.batch_adjacency is None else batch)
+    return GraphGenerator(adjacency=adjacency, root=sys.root, name=f"linearized({sys.name})")
 
 
 class _EdgeTable:
@@ -224,15 +207,16 @@ class _EdgeTable:
     c_ext)``: two sparse matvecs, where ``s_ext`` and ``c_ext`` sum
     ``K_vu sin(lag_u)`` and ``K_vu cos(lag_u)`` over exterior u.  A
     ``GenericCoupling`` calls ``h`` once per ordered pair (v in ball,
-    v' in support(v)) and sums each vertex's terms with ``np.bincount``.
+    v' != v in support(v)) and sums each vertex's terms with ``np.bincount``.
 
-    The pairs come from one of two gathers.  A sine coupling reads the ball's
-    rows of its graph once, by the walk's own shell read (one batch call where
-    the keys fit), resolves their neighbours to ball indices by id as
-    ``geometry.ball`` does, and takes ``K`` from the rows' out-weights.  A
-    ``GenericCoupling`` is gathered pair by pair through ``support``.  Either
-    way the lags and ``omega`` are read once per ball vertex, and the lags
-    once more per exterior pair.
+    The ball is one of ``_walk_graph(sys)``, and its snapshot entries are the
+    pairs: ``src`` their rows, ``dst`` their ball index or ``n`` outside, and
+    a sine table's ``K`` the rows' out-weights.  A sine table whose ball was
+    not read from its coupling graph raises ``ValueError``, and so does any
+    table whose ball has an exterior pair off its outer shell: a coupled
+    pair that the walk did not follow, such as weights 0.5 and -0.5.  The
+    lags and ``omega`` are read once per ball vertex, and the lags once more
+    per exterior pair, whose ends ``Ball.outside`` reads.
 
     ``rhs`` takes the deviation on the integrator's window, the first ``w``
     ball vertices; the ball vertices past it stay at the lock like the
@@ -242,36 +226,35 @@ class _EdgeTable:
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
         self.coup, n = sys.coupling, len(b)
+        sine = isinstance(self.coup, SeparableCoupling)
+        if sine and b.source.adjacency != self.coup.graph.adjacency:
+            raise ValueError(f"the ball was read from {b.source.name}, "
+                             f"not from the coupling graph {self.coup.graph.name}")
+        self.src = b.entry_rows()
+        ext = b.nbr < 0
+        outside = b.outside()
+        cut = np.flatnonzero(b.distances[self.src[ext]] < b.radius)
+        if cut.size:
+            v, u = b.vertices[self.src[ext][cut[0]]], outside[cut[0]]
+            raise ValueError(f"the pair ({v}, {u}) is coupled, but the walk did not follow it: "
+                             f"{v} lies inside the radius-{b.radius} ball and {u} outside")
         self.offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
         self.lag = np.array([cand.lags(v) for v in b.vertices])
-        if isinstance(self.coup, SeparableCoupling):
-            rows = _read_shell(self.coup.graph, b.vertices, None, None, None, None, False)[0]
-            ids, nbr = _row_ids(b.vertices, rows, {})
-            (dst,) = _index_by_id(ids, [nbr])
-            away = np.flatnonzero(dst < 0)
-            outside = [rows.nbr[j] for j in away] if rows.keys is None \
-                else _unkey(nbr[away], len(b.center))
-            dst[away] = n
-            counts, k = rows.counts, np.asarray(rows.w_out, float)
-        else:
-            nbrs = [list(self.coup.support(v)) for v in b.vertices]
-            counts = [len(us) for us in nbrs]
-            dst = np.array([b.index.get(u, n) for us in nbrs for u in us], dtype=np.int64)
-            outside = [u for us in nbrs for u in us if u not in b.index]
-            self.pairs = [(v, u) for v, us in zip(b.vertices, nbrs) for u in us]
-        self.src = np.repeat(np.arange(n, dtype=np.int64), counts)
-        self.dst = dst  # n: exterior
-        ext = dst == n
-        lag_u = np.append(self.lag, 0.0)[dst]
+        self.dst = np.where(ext, n, b.nbr)  # n: exterior
+        lag_u = np.append(self.lag, 0.0)[self.dst]
         lag_u[ext] = [cand.lags(u) for u in outside]
         self.dlag = lag_u - self.lag[self.src]
-        if isinstance(self.coup, SeparableCoupling):
-            inner = ~ext
+        if sine:
+            k, inner = b.w_out, ~ext
             self.kw = k  # every pair's weight
             self.k = scipy.sparse.csr_matrix(
-                (k[inner], (self.src[inner], dst[inner])), shape=(n, n))
+                (k[inner], (self.src[inner], self.dst[inner])), shape=(n, n))
             self.s_ext = np.bincount(self.src[ext], k[ext] * np.sin(lag_u[ext]), n)
             self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
+        else:
+            ends = iter(outside)
+            self.pairs = [(b.vertices[i], b.vertices[j] if j >= 0 else next(ends))
+                          for i, j in zip(self.src.tolist(), b.nbr.tolist())]
         self._window = None
 
     def _cut(self, w: int) -> tuple:
@@ -333,7 +316,7 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     the deviation from the locked solution.  Exterior oscillators stay
     frozen at the locked motion, consistent with deviations that decay.  The
     ball, its truncation bound and the retries are the full linear flow's
-    (``semigroup._truncated_flow``), run on the linearization's skeleton.  A
+    (``semigroup._truncated_flow``), run on balls of ``_walk_graph``.  A
     perturbation of l1 norm above ``_MAX_PERTURBATION_L1`` (1.0) is rejected
     with ``ValueError``, and any deviation exceeding ``_BLOWUP_THRESHOLD``
     (pi/2) in sup norm aborts with ``BlowUpError``.  One ``_EdgeTable`` is
@@ -385,4 +368,4 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
 
         return lambda t, y: table.rhs(y), terms
 
-    return _truncated_flow(linearize(sys, cand), perturbation, cfg, flow)
+    return _truncated_flow(_walk_graph(sys), perturbation, cfg, flow)

@@ -56,22 +56,24 @@ _BALL_BUDGET = 4_000_000
 class StateVector:
     """Finitely supported real vector over the vertices of a ball.
 
-    Entries are implicitly zero outside the ball.  ``support_radius`` is the
-    largest distance from the ball center carrying a nonzero value.
+    Entries are implicitly zero outside the ball.
     """
 
     ball: Ball
     values: np.ndarray
-    support_radius: int
+
+    @property
+    def support_radius(self) -> int:
+        """The largest distance from the ball center carrying a nonzero value, 0 if none."""
+        nz = np.flatnonzero(self.values)
+        return int(self.ball.distances[nz].max()) if nz.size else 0
 
     @classmethod
     def from_values(cls, b: Ball, values: np.ndarray) -> "StateVector":
         values = np.asarray(values, dtype=float)
         if values.shape != (len(b),):
             raise ValueError("values must match the ball size")
-        nz = np.nonzero(values)[0]
-        radius = int(b.distances[nz].max()) if nz.size else 0
-        return cls(ball=b, values=values, support_radius=radius)
+        return cls(ball=b, values=values)
 
     @classmethod
     def from_dict(cls, b: Ball, data: Mapping[Vertex, float]) -> "StateVector":

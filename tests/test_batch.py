@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import dirlap
 from dirlap import (BudgetExceededError, DegreeCapError, GraphGenerator,
                     InconsistentAdjacencyError, OscillatorSystem, PhaseLockCandidate,
-                    ball, builtin_graph, estimate_skew_mass, linearize, sin_coupling,
+                    ball, builtin_graph, estimate_skew_mass, sin_coupling,
                     validate_generator)
 from dirlap import geometry, oscillator
 from dirlap.oscillator import coupling_from_graph
@@ -287,23 +287,8 @@ def sine_lattice(gen, a, b, radius):
     return sys_, PhaseLockCandidate(velocity=1.0, lags=lags)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(GENERATORS), st.floats(-1.5, 1.5), st.floats(0.1, 2.0))
-def test_linearized_batch_step_is_bit_equal_to_the_vertex_step(gen, a, b):
-    radius = 3 if len(gen.root) >= 3 else 7
-    sys_, cand = sine_lattice(gen, a, b, radius)
-    lin = linearize(sys_, cand)
-    with pytest.MonkeyPatch.context() as mp:
-        balls = both_steps(mp, lambda: ball(lin, gen.root, radius))
-    assert_same_ball(*balls)
-    if gen.name == "holey-plane":  # the validator reads one hop further
-        sys_, cand = sine_lattice(gen, a, b, 6)
-        lin = linearize(sys_, cand)
-    assert not [v for v in validate_generator(lin, 5).violations if v.kind == "batch-mismatch"]
-
-
 def test_oscillator_flow_reads_the_coupling_graph_once_per_vertex_step_vertex(monkeypatch):
-    # the linearized ball reads by shells, the edge table its whole ball as one
+    # the walk reads by shells, the edge table the rows with an outside entry as one
     g = builtin_graph("z2-skew-perturbed", a=0.5)
     calls = []
 
@@ -315,29 +300,33 @@ def test_oscillator_flow_reads_the_coupling_graph_once_per_vertex_step_vertex(mo
     sys_ = OscillatorSystem(omega=lambda v: 1.0, coupling=sin_coupling(weight, support),
                             root=g.root)
     cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.1 * v[0])
-    lin = linearize(sys_, cand)
     for size in (EVERY_SHELL, geometry._BATCH_MIN_SHELL, NO_SHELL):
         monkeypatch.setattr(geometry, "_BATCH_MIN_SHELL", size)
         calls.clear()
-        b = ball(lin, g.root, 10)
+        b = ball(oscillator._walk_graph(sys_), g.root, 10)
         shell_size = np.bincount(b.distances)[b.distances]
         by_vertex_step = [v for v, n in zip(b.vertices, shell_size) if n < size]
         assert Counter(calls) == Counter(by_vertex_step)
         calls.clear()
         oscillator._EdgeTable(sys_, cand, b)
-        assert Counter(calls) == Counter(b.vertices if len(b) < size else [])
+        edge = [b.vertices[i] for i in np.unique(b.entry_rows()[b.nbr < 0])]
+        assert edge == [v for v, d in zip(b.vertices, b.distances) if d == 10]
+        assert Counter(calls) == Counter(edge if len(edge) < size else [])
 
 
 @pytest.mark.parametrize("gen", GENERATORS, ids=lambda g: g.name)
 def test_edge_table_is_the_same_on_both_steps_and_pair_by_pair(monkeypatch, gen):
     radius = 3 if len(gen.root) >= 3 else 6
     sys_, cand = sine_lattice(gen, 0.7, 0.9, radius)
-    b = ball(linearize(sys_, cand), gen.root, radius)
     # sin_coupling wraps these callables into a graph of its own, read vertex by vertex
     pairwise = dataclasses.replace(sys_, coupling=sin_coupling(
         lambda v, u: sys_.coupling.weight(v, u), lambda v: sys_.coupling.support(v)))
     assert pairwise.coupling.graph.batch_adjacency is None
-    tables = both_steps(monkeypatch, lambda: oscillator._EdgeTable(sys_, cand, b))
-    tables.append(oscillator._EdgeTable(pairwise, cand, b))
-    for table in tables[1:]:
-        assert_same_edge_table(tables[0], table)
+
+    def table(s):
+        return oscillator._EdgeTable(s, cand, ball(oscillator._walk_graph(s), gen.root, radius))
+
+    tables = both_steps(monkeypatch, lambda: table(sys_))
+    tables.append(table(pairwise))
+    for other in tables[1:]:
+        assert_same_edge_table(tables[0], other)

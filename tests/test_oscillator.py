@@ -1,7 +1,9 @@
 """Phase-locked states, linearization, and nonlinear stability runs."""
 
+import ast
 import dataclasses
 import functools
+import inspect
 import math
 from collections import Counter
 
@@ -10,11 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import solve_ivp
 
 import dirlap
-from dirlap import (OscillatorSystem, PhaseLockCandidate, builtin_graph,
-                    evolve, linearize, simulate_nonlinear, sin_coupling,
-                    verify_phase_lock)
+from dirlap import (OscillatorSystem, PhaseLockCandidate, SeparableCoupling, builtin_graph,
+                    evolve, generator_from_edges, linearize, simulate_nonlinear,
+                    sin_coupling, verify_phase_lock)
 from dirlap import oscillator, semigroup
 from dirlap.errors import BlowUpError, DegreeCapError, TruncationError
 from dirlap.geometry import ball
@@ -128,7 +131,8 @@ class TestVerifyPhaseLock:
             verify_phase_lock(sys_, cand, radius=-1)
 
     def test_reads_each_vertex_at_most_twice(self):
-        # the CLI's check: once by the support ball, once by the edge table
+        # the CLI's check: once by the walk, and once more by the edge table
+        # each row with an outside entry, the outer shell's
         g = builtin_graph("z2-skew-perturbed", a=0.5)
         reads = Counter()
 
@@ -146,8 +150,10 @@ class TestVerifyPhaseLock:
                                 root=g.root)
         cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
         assert verify_phase_lock(sys_, cand, radius=6) == 0.0
-        assert set(reads) == set(ball(g, g.root, 6).vertices)
-        assert max(reads.values()) <= 2
+        b = ball(g, g.root, 6)
+        edge = [b.vertices[i] for i in np.unique(b.entry_rows()[b.nbr < 0])]
+        assert edge == [v for v, d in zip(b.vertices, b.distances) if d == 6]
+        assert reads == Counter(b.vertices) + Counter(edge)
 
     @staticmethod
     def support_bfs(sys_, radius):
@@ -338,6 +344,53 @@ class TestSimulateNonlinear:
         sys_, cand = planted_system()
         self.assert_generic_matches_separable(sys_, cand, {(0, 0): 0.05}, 1.0)
 
+    def test_a_steep_lag_lock_flows_on_every_coupled_pair(self):
+        # lags 2x on the unit line: every slope cos 2 is negative, yet each
+        # pair still couples the deviation to its neighbours
+        coup = SeparableCoupling(builtin_graph("z-lattice", d=1))
+
+        def lags(v):
+            return 2.0 * v[0]
+
+        def omega(v):
+            return 1.0 - sum(coup.h(lags(u) - lags(v), v, u) for u in coup.support(v))
+
+        sys_ = OscillatorSystem(omega=omega, coupling=coup, root=(0,))
+        cand = PhaseLockCandidate(velocity=1.0, lags=lags)
+        assert verify_phase_lock(sys_, cand, radius=5) <= 1e-15
+        ts = [0.5, 1.0, 2.0]
+        res = simulate_nonlinear(sys_, cand, {(0,): 1e-3}, SimConfig(t_max=2.0, sample_times=ts))
+        assert len(res.ball) > 1
+        # the oracle: the line -40..40, its two outer neighbours frozen at the lock
+        line = [(x,) for x in range(-40, 41)]
+        assert set(res.ball.vertices) <= set(line)
+        psi_lock = np.array([lags((x,)) for x in range(-41, 42)])
+        offset = np.array([omega(v) - 1.0 for v in line])
+
+        def rhs(t, phi):
+            psi = psi_lock + np.pad(phi, 1)
+            return offset + np.sin(psi[2:] - psi[1:-1]) + np.sin(psi[:-2] - psi[1:-1])
+
+        phi0 = np.array([1e-3 if v == (0,) else 0.0 for v in line])
+        ref = solve_ivp(rhs, (0.0, 2.0), phi0, method="DOP853", t_eval=ts, rtol=1e-12,
+                        atol=1e-15)
+        for t, expected in zip(ts, ref.y.T):
+            got = np.array([res.state_at(t).value_at(v) for v in line])
+            assert np.abs(got - expected).max() <= 1e-8
+
+    def test_a_coupled_pair_the_walk_does_not_follow_is_an_error(self):
+        # (0,) couples to (1,) at 0.5 one way and -0.5 the other: the pair has
+        # symmetric weight 0, so no walk from (0,) reaches (1,)
+        g = generator_from_edges({((0,), (1,)): 0.5, ((1,), (0,)): -0.5,
+                                  ((0,), (-1,)): 1.0, ((-1,), (0,)): 1.0}, root=(0,))
+        sys_ = OscillatorSystem(omega=lambda v: 1.0, coupling=SeparableCoupling(g), root=(0,))
+        cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+        cfg = SimConfig(t_max=1.0, sample_times=[1.0], c_speed=1.0)
+        with pytest.raises(ValueError, match=r"\(\(0,\), \(1,\)\) is coupled"):
+            simulate_nonlinear(sys_, cand, {(0,): 0.01}, cfg)
+        with pytest.raises(ValueError, match="did not follow"):
+            verify_phase_lock(sys_, cand, radius=1)
+
 
 _SKEW_PLANE = builtin_graph("z2-skew-perturbed", a=0.5)
 _RHS_BALL = ball(_SKEW_PLANE, (0, 0), 3)  # 25 vertices, 16 exterior neighbours
@@ -368,11 +421,12 @@ class TestSineCouplingGraph:
     """Every sine coupling is read from a graph; ``sin_coupling`` wraps user callables into one."""
 
     @staticmethod
-    def table(weight, support, b=_RHS_BALL):
+    def table(weight, support, root=(0, 0), radius=3):
+        """The edge table of the sine coupling on the radius-``radius`` ball it walks."""
         sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0], coupling=sin_coupling(weight, support),
-                                root=b.center)
+                                root=root)
         cand = PhaseLockCandidate(velocity=0.2, lags=lambda v: 0.4 * v[0] - 0.3 * v[-1])
-        return oscillator._EdgeTable(sys_, cand, b)
+        return oscillator._EdgeTable(sys_, cand, ball(oscillator._walk_graph(sys_), root, radius))
 
     def test_the_graph_pair_gives_back_its_graph(self):
         # so the workload's coupling keeps its batch reads
@@ -400,32 +454,34 @@ class TestSineCouplingGraph:
         def weight(v, u):
             return 1.0 if u[0] > v[0] else 0.0
 
-        line = ball(builtin_graph("z-lattice", d=1), (0,), 2)
-        sys_ = OscillatorSystem(omega=lambda v: 0.0, coupling=sin_coupling(weight, support),
-                                root=(0,))
-        lin = linearize(sys_, PhaseLockCandidate(velocity=0.0, lags=lambda v: 0.0))
-        if degree > DEFAULT_DEGREE_CAP:
+        if degree > DEFAULT_DEGREE_CAP:  # the walk's first read raises
             with pytest.raises(DegreeCapError):
-                self.table(weight, support, line)
-            with pytest.raises(DegreeCapError):
-                ball(lin, (0,), 1)
-        else:
-            assert np.array_equal(np.bincount(self.table(weight, support, line).src),
-                                  [2 * degree] * len(line))
-            assert len(ball(lin, (0,), 1)) == 2 * degree + 1
+                self.table(weight, support, (0,), 1)
+        else:  # the root and its 2 * degree neighbours, each with 2 * degree pairs
+            assert np.array_equal(np.bincount(self.table(weight, support, (0,), 1).src),
+                                  [2 * degree] * (2 * degree + 1))
 
 
 def check_harmonic_rhs(kind, lags, phi):
-    """The edge table of ``kind``, under both steps, against the pairwise sum."""
+    """The edge table of ``kind`` on the ball it walks, under both steps, against the pairwise sum."""
     coup, calls = skew_plane_coupling(kind)
     sys_ = OscillatorSystem(omega=lambda v: 0.3 * v[0] - 0.1 * v[1], coupling=coup,
                             root=(0, 0))
     cand = PhaseLockCandidate(velocity=0.2,
                               lags=dict(zip(_RHS_REACH.vertices, lags)).__getitem__)
+
+    def build():
+        b = ball(oscillator._walk_graph(sys_), (0, 0), 3)
+        assert b.vertices == _RHS_BALL.vertices
+        return oscillator._EdgeTable(sys_, cand, b)
+
     with pytest.MonkeyPatch.context() as mp:
-        tables = both_steps(mp, lambda: oscillator._EdgeTable(sys_, cand, _RHS_BALL))
-    if calls is not None:  # the wrapped callables: each pair read from both ends per build
-        assert len(calls) == 2 * sum(t.src.size for t in tables)
+        tables = both_steps(mp, build)
+    if calls is not None:
+        # the wrapped callables: each pair read from both ends by the walk, and
+        # once more by the table where its row holds an outside entry
+        edge = np.isin(_RHS_BALL.entry_rows(), _RHS_BALL.entry_rows()[_RHS_BALL.nbr < 0])
+        assert len(calls) == 2 * len(tables) * (_RHS_BALL.nbr.size + np.count_nonzero(edge))
     scale = np.array([sum(abs(coup.weight(v, u)) for u in coup.support(v))
                       for v in _RHS_BALL.vertices])
     expected = pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi)
@@ -477,6 +533,40 @@ def test_windowed_rhs_is_the_whole_ball_rhs_on_the_window(lags, phi, w, kind):
     # read in place
     assert np.array_equal(table.rhs(phi), whole)
     assert kind == "generic" or table._window[1] is table.k
+
+
+@pytest.mark.parametrize("kind", ["sine", "generic"])
+def test_the_lock_check_and_the_flow_walk_the_coupling(monkeypatch, kind):
+    sys_, _ = uniform_sin_system(d=1)
+    if kind == "generic":
+        sys_ = dataclasses.replace(sys_, coupling=generic_twin(sys_.coupling))
+    cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+    made = []  # the graphs _walk_graph gave
+    make = oscillator._walk_graph
+    monkeypatch.setattr(oscillator, "_walk_graph", lambda s: made.append(make(s)) or made[-1])
+    # the generator of every ball and shell walk
+    read = [count_builds(monkeypatch, module, name) for module, name in
+            ((oscillator, "ball"), (semigroup, "ball"), (semigroup, "shells"))]
+    verify_phase_lock(sys_, cand, radius=3)
+    simulate_nonlinear(sys_, cand, {(0,): 0.01}, SimConfig(t_max=1.0, sample_times=[1.0]))
+    assert len(made) == 2 and all(read)
+    assert all(any(args[0] is g for g in made) for calls in read for args in calls)
+    g = made[0]
+    assert g.root == sys_.root
+    if kind == "sine":
+        assert g.adjacency == sys_.coupling.graph.adjacency
+        assert g.batch_adjacency is sys_.coupling.graph.batch_adjacency
+    else:
+        assert g.degree_cap == math.inf
+
+
+def test_oscillator_imports_no_private_name_of_geometry_or_graph():
+    tree = ast.parse(inspect.getsource(oscillator))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert ("geometry", "ball") in imported
+    assert not [name for module, name in imported
+                if module in ("geometry", "graph") and name.startswith("_")]
 
 
 def lagged_lock():

@@ -16,7 +16,7 @@ from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
                     generator_from_edges)
 
 from helpers import (BUILTINS, assert_same_ball, both_steps, counted, dense_laplacian,
-                     finite_graphs)
+                     finite_graphs, k2_generator)
 
 PARTS = ("full", "sym", "skew")
 
@@ -137,6 +137,50 @@ def test_held_balls_are_cut_without_a_read(gen, radius):
     assert reads == []
     for c, r, cut in cuts:
         assert_same_ball(cut, ball(gen, c, r))
+
+
+def outside_oracle(gen, b) -> list:
+    """Every ``gen.edges`` neighbour of each ball vertex that lies outside the ball, in entry order."""
+    return [u for v in b.vertices for u in sorted(set().union(*gen.edges(v))) if u not in b]
+
+
+@given(finite_graphs(), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=4))
+def test_outside_lists_every_neighbour_past_the_ball(gen, r, extra):
+    g, reads = counted(gen)
+    snap = ball(g, g.root, r + extra)
+    for b in [snap, snap.prefix(r)] + [ball(snap, c, k) for c, k in held_balls(snap)]:
+        reads.clear()
+        assert b.outside() == outside_oracle(gen, b)
+        # only the rows that hold an outside entry are read again
+        assert reads == [b.vertices[i] for i in np.unique(b.entry_rows()[b.nbr < 0])]
+        if b.distances[-1] < b.radius:  # the walk exhausted its component
+            away = b.nbr < 0  # so only pairs it does not follow lead out
+            assert np.all((b.w_out[away] + b.w_in[away]) / 2.0 <= 0.0)
+
+
+def test_outside_of_an_exhausted_walk_is_empty():
+    b = ball(k2_generator(), (0,), 3)
+    assert b.vertices == [(0,), (1,)] and b.outside() == []
+    # a pair of symmetric weight 0 is not walked, so its far end stays outside
+    g = generator_from_edges({((0,), (1,)): 1.0, ((1,), (0,)): 1.0, ((1,), (2,)): 0.5,
+                              ((2,), (1,)): -0.5}, root=(0,))
+    assert ball(g, (0,), 3).outside() == [(2,)]
+
+
+@pytest.mark.parametrize("name, params", BUILTINS, ids=[f"{n}{p}" for n, p in BUILTINS])
+def test_outside_of_builtin_balls_on_both_steps(monkeypatch, name, params):
+    gen = builtin_graph(name, **params)
+    radius = 3 if params.get("d", 2) > 2 else 5
+
+    def outsides():
+        snap = ball(gen, gen.root, radius)
+        balls = [snap, snap.prefix(radius - 2), ball(snap, snap.vertices[1], radius - 1)]
+        return [(b.outside(), outside_oracle(gen, b)) for b in balls]
+
+    for found in both_steps(monkeypatch, outsides):
+        for got, expected in found:
+            assert got == expected and expected
 
 
 @pytest.mark.parametrize("center, r", [((4, 0), 1), ((1, 0), 3)],
