@@ -4,7 +4,8 @@ Distances, balls, and volumes all live on the symmetric skeleton: the
 undirected graph whose edges are the pairs with strictly positive symmetric
 weight.  ``ball``, ``shells``, the skew-mass scan and
 ``graph.validate_generator`` all walk it with one breadth-first walk,
-``_walk``, which owns the shell rule and the budget rule.  Sorted adjacency
+``_walk``, which owns the shell rule and the budget rule and yields each
+shell with its rows, read once.  Sorted adjacency
 makes the vertex order deterministic and gives the nesting property that the
 vertex list of ``ball(v, r)`` is a prefix of the vertex list of
 ``ball(v, r+1)``.  The walk reads a large shell in one ``batch_adjacency``
@@ -37,7 +38,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
-from .graph import GraphGenerator, Vertex, _coords, _keys, _unkey, _weights_agree
+from .graph import GraphGenerator, Vertex, _coords, _keys, _weights_agree
 
 #: The vertex budget of a walk that is given none.  Read at call time.
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -90,17 +91,13 @@ class Ball:
         """The vertex of each outside entry (``nbr == -1``), in entry order.
 
         The snapshot keeps no outside vertex, so the rows that hold one are
-        read again from ``source``, by the walk's shell read, as one shell.
+        read again from ``source``, vertex by vertex, by the walk's vertex step.
         """
         rows = np.unique(self.entry_rows()[self.nbr < 0])
-        if not rows.size:
-            return []
-        read = _read_shell(self.source, [self.vertices[i] for i in rows.tolist()],
-                           None, None, None, set(), False)[0]
+        read = _scalar_step(self.source.edges, [self.vertices[i] for i in rows.tolist()],
+                            set(), None)
         away = self.nbr[_spans(self.indptr, rows)] < 0
-        if read.keys is None:
-            return [u for u, a in zip(read.nbr, away.tolist()) if a]
-        return _unkey(read.nbr[away], len(self.center))
+        return [u for u, a in zip(read.nbr, away.tolist()) if a]
 
     def prefix(self, r: int) -> "Ball":
         """The radius-``r`` ball around the same center, cut from this one.
@@ -185,10 +182,9 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
     counts, w_out, w_in = [], [], []  # one chunk per shell
     ids, nbr = [], []  # int64 ids of each shell's vertices and of its rows' neighbours
     interned = {}  # the negative ids of the vertices that do not fit the key
-    for _, shell, read in _walk(gen, center, r, budget):
+    for _, shell, rows in _walk(gen, center, r, budget):
         order += shell
         sizes.append(len(shell))
-        rows = read()
         counts.append(rows.counts)
         w_out.append(rows.w_out)
         w_in.append(rows.w_in)
@@ -281,9 +277,9 @@ def shells(gen, root: Vertex, max_shells: int,
            budget: int | None = None) -> Iterator[tuple[int, list]]:
     """Yield ``(k, shell vertices)`` of ``_walk`` for k = 0..max_shells.
 
-    Shell k is ``ball(root, k) minus ball(root, k-1)``.  Shell k is read only
-    when the caller asks for shell k+1, so shell ``max_shells`` is yielded
-    but never read.  Stops early when the root's component is exhausted.
+    Shell k is ``ball(root, k) minus ball(root, k-1)``.  Every shell it
+    yields is read once, the last one too.  Stops early when the root's
+    component is exhausted.
     Without a ``budget`` the walk reads ``DEFAULT_BALL_BUDGET`` when it starts.
     """
     for k, shell, _ in _walk(gen, root, max_shells, budget):
@@ -319,19 +315,18 @@ class _Rows(NamedTuple):
 
 
 def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None = None):
-    """Breadth-first walk of the symmetric skeleton: ``(k, shell, read)``.
+    """Breadth-first walk of the symmetric skeleton: ``(k, shell, rows)``.
 
     Shell k+1 is shell k's new neighbours of positive symmetric weight, in
     shell order with each vertex's new neighbours sorted; the first find over
-    all earlier shells wins.  Each shell is yielded before it is read;
-    ``read()`` reads it (once, however often it is called) and returns its
-    ``_Rows``, and the walk reads what the caller left unread when it is
-    asked for the next shell.  Shell ``max_shells`` is not expanded, and is
-    read only if the caller reads it.  The walk stops at an empty shell.
-    Budget rule: before yielding a shell that takes the number of vertices
-    found past ``budget``, it raises ``BudgetExceededError`` with that number
-    as ``count``.  Without a ``budget`` the walk reads ``DEFAULT_BALL_BUDGET``
-    when it starts, not when it is defined.
+    all earlier shells wins.  Each shell is read once, just before it is
+    yielded, and ``rows`` is its ``_Rows``; the read finds the next shell
+    too, except for shell ``max_shells``, which is read but not expanded.
+    The walk stops at an empty shell.  Budget rule: before reading a shell
+    that takes the number of vertices found past ``budget``, it raises
+    ``BudgetExceededError`` with that number as ``count``.  Without a
+    ``budget`` the walk reads ``DEFAULT_BALL_BUDGET`` when it starts, not
+    when it is defined.  Nothing it yields holds its ``seen`` set.
 
     A shell is read in one ``gen.batch_adjacency`` call when the generator
     has one, the shell holds at least ``_BATCH_MIN_SHELL`` vertices, and it
@@ -351,49 +346,21 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None
         if len(seen) > budget:
             raise BudgetExceededError(
                 f"walk from {root} found {len(seen)} vertices, budget {budget}", len(seen))
-        read = _ShellRead(gen, shell, coords, keys, recent, seen, k < max_shells)
-        yield k, shell, read
-        if k == max_shells:
+        expand, step = k < max_shells, None
+        if gen.batch_adjacency is not None and len(shell) >= _BATCH_MIN_SHELL:
+            if coords is None:
+                coords = _coords(shell)
+                keys = _keys(coords) if coords is not None and coords.shape[1] <= 3 else None
+            if keys is not None and keys.min() >= 0:
+                step = _batch_step(gen, shell, coords, keys, recent, seen, expand)
+        if step is None:
+            nxt = [] if expand else None
+            step = _scalar_step(gen.edges, shell, seen, nxt), nxt, None, None
+        rows, nxt, coords, keys = step
+        yield k, shell, rows
+        if not nxt:
             return
-        rows, shell, coords, keys = read.step()
-        if not shell:
-            return
-        recent = rows.keys
-
-
-class _ShellRead:
-    """``read()`` of one shell of ``_walk``: reads it on the first call only.
-
-    ``step()`` gives ``_read_shell``'s result.  The inputs are dropped once
-    read, so that the walk's ``seen`` set does not outlive the walk.
-    """
-
-    __slots__ = ("args", "got")
-
-    def __init__(self, *args):
-        self.args, self.got = args, None
-
-    def __call__(self) -> _Rows:
-        return self.step()[0]
-
-    def step(self):
-        if self.got is None:
-            self.got, self.args = _read_shell(*self.args), None
-        return self.got
-
-
-def _read_shell(gen, shell, coords, keys, recent, seen, expand):
-    """``(rows, next shell, its coordinates and keys or None)``; the next shell only if ``expand``."""
-    if gen.batch_adjacency is not None and len(shell) >= _BATCH_MIN_SHELL:
-        if coords is None:
-            coords = _coords(shell)
-            keys = _keys(coords) if coords is not None and coords.shape[1] <= 3 else None
-        if keys is not None and keys.min() >= 0:
-            step = _batch_step(gen, shell, coords, keys, recent, seen, expand)
-            if step is not None:
-                return step
-    nxt = [] if expand else None
-    return _scalar_step(gen.edges, shell, seen, nxt), nxt or [], None, None
+        shell, recent = nxt, rows.keys
 
 
 def _scalar_step(edges, shell: list, seen: set, nxt: list | None) -> _Rows:
@@ -415,7 +382,11 @@ def _scalar_step(edges, shell: list, seen: set, nxt: list | None) -> _Rows:
 
 def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
                 recent: np.ndarray | None, seen: set, expand: bool):
-    """``_read_shell`` by one batch call; None if a neighbour does not fit the key."""
+    """A shell of ``_walk`` in one batch call, or None if a neighbour does not fit the key.
+
+    Gives the shell's rows, then the next shell, its coordinates and its keys;
+    the next shell is empty unless ``expand``.
+    """
     nc, wo, wi = gen.batch_adjacency(coords)
     nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
     nkeys = _keys(nc)
@@ -442,10 +413,7 @@ def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
     old = [keys] if recent is None else [recent, keys]
     n_old = sum(len(k) for k in old)
     every = np.concatenate(old + [nkeys[cand]])
-    order = np.argsort(every)
-    ordered = every[order]
-    heads = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
-    first = np.minimum.reduceat(order, heads)
+    first = np.unique(every, return_index=True)[1]
     first = np.sort(first[first >= n_old] - n_old)
     new_keys = nkeys[cand[first]]
     new_coords = nc.reshape(-1, nc.shape[2])[slots[cand[first]]]

@@ -75,13 +75,6 @@ def _keys(coords: np.ndarray) -> np.ndarray:
     return np.where(fits, key, -1)
 
 
-def _unkey(keys: np.ndarray, d: int) -> list:
-    """The vertices, as tuples of ``d`` ints, whose keys (``_keys``) are ``keys``."""
-    shifts = _KEY_BITS * np.arange(d - 1, -1, -1)
-    coords = ((keys[:, None] >> shifts) & ((1 << _KEY_BITS) - 1)) - _KEY_LIMIT
-    return list(zip(*coords.T.tolist()))
-
-
 def _coords(vertices: list) -> np.ndarray | None:
     """The vertices as a ``(k, d)`` int64 array, or None unless numpy makes them integers."""
     try:
@@ -301,9 +294,9 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
 
     walker = dataclasses.replace(gen, adjacency=tolerant, batch_adjacency=None)
     sampled = 0
-    for _, shell, read_rows in _walk(walker, gen.root, sample_radius, _VALIDATION_BUDGET):
+    for _, shell, rows in _walk(walker, gen.root, sample_radius, _VALIDATION_BUDGET):
         sampled += len(shell)
-        for v, row in zip(shell, read_rows().entries()):
+        for v, row in zip(shell, rows.entries()):
             if raw[v] is None:
                 continue
             out, inn = raw[v]

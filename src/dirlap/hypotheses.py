@@ -211,8 +211,8 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6) -> SkewMassEstim
     contributions: list[float] = []
     budget_cut = False
     try:
-        for _, _, read in _walk(gen, gen.root, max_shells):
-            contributions.append(_shell_skew(read()))
+        for _, _, rows in _walk(gen, gen.root, max_shells):
+            contributions.append(_shell_skew(rows))
     except BudgetExceededError:
         budget_cut = True
     total = sum(contributions)
@@ -240,19 +240,10 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6) -> SkewMassEstim
 def _shell_skew(rows) -> float:
     """Sum over a shell's rows of ``|w_skew|``, every sum added left to right."""
     if isinstance(rows.w_out, np.ndarray):
-        skew = np.abs(rows.w_out - rows.w_in) / 2.0
-        counts = rows.counts
-        width = int(counts.max(initial=0))
-        if counts.min(initial=0) == width:
-            table = skew.reshape(len(counts), width)
-        else:  # rows padded with zeros, which leave every sum as it is
-            table = np.zeros((len(counts), width))
-            table[np.repeat(np.arange(len(counts)), counts),
-                  np.arange(len(skew)) - np.repeat(np.cumsum(counts) - counts, counts)] = skew
-        sums = np.zeros(len(counts))
-        for j in range(width):
-            sums += table[:, j]
-        return float(np.cumsum(sums)[-1]) if len(sums) else 0.0
+        n = len(rows.counts)  # a shell of the walk is never empty
+        sums = np.bincount(np.repeat(np.arange(n), rows.counts),  # adds in entry order
+                           weights=np.abs(rows.w_out - rows.w_in) / 2.0, minlength=n)
+        return float(np.cumsum(sums)[-1])
     w_out, w_in = rows.w_out, rows.w_in
     c, i = 0.0, 0
     for n in rows.counts:

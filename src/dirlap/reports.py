@@ -51,10 +51,13 @@ def write_json_report(path: str, payload: dict) -> None:
     """Write a schema-tagged JSON report (sorted keys, stable float repr).
 
     ``payload`` may hold result dataclasses at any depth; see ``_fields``.
+    A NaN or infinite float, which JSON cannot hold, raises ``ValueError``
+    before anything is written.
     """
     doc = {"schema": SCHEMA_VERSION}
     doc.update(payload)
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, default=_fields) + "\n")
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2, default=_fields,
+                                   allow_nan=False) + "\n")
 
 
 def read_json_report(path: str) -> dict:

@@ -440,20 +440,8 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
 def norms(x, ps: Iterable) -> list[float]:
     """lp norms of a state for each requested p in [1, inf]."""
     values = x.values if isinstance(x, StateVector) else np.asarray(list(x), dtype=float)
-    out = []
-    for p in ps:
-        p = float(p)
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        if math.isinf(p):
-            out.append(float(np.max(np.abs(values))) if values.size else 0.0)
-        elif p == 1:
-            out.append(float(np.sum(np.abs(values))))
-        elif p == 2:
-            out.append(float(np.linalg.norm(values)))
-        else:
-            out.append(float(np.sum(np.abs(values) ** p) ** (1.0 / p)))
-    return out
+    return [float(np.linalg.norm(values)) if p == 2 else _difference_norm(np.abs(values), p)
+            for p in map(float, ps)]
 
 
 def q_seminorm(x, gen, ps: Iterable) -> list[float]:
@@ -494,9 +482,9 @@ def _sym_differences(data: dict, rows: dict, domain: Ball | None = None) -> np.n
 
 
 def _difference_norm(d: np.ndarray, p: float) -> float:
-    """lp norm, p in [1, inf], of an array of absolute differences."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    """lp norm, p in [1, inf], of an array of absolute values; NaN p raises too."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if math.isinf(p):
         return float(d.max()) if d.size else 0.0
     return float(np.sum(d ** p) ** (1.0 / p))
@@ -547,9 +535,15 @@ class DecayFit:
 def fit_power_law(times: Sequence[float], values: Sequence[float],
                   window: tuple[float, float] | None = None,
                   label: str = "norm") -> DecayFit:
-    """Fit ``value ~ C (1+t)^exponent`` by ordinary least squares in logs."""
+    """Fit ``value ~ C (1+t)^exponent`` by ordinary least squares in logs.
+
+    Raises ``ValueError`` on the first sample whose time or value is not finite.
+    """
     times = [float(t) for t in times]
     values = [float(v) for v in values]
+    for t, v in zip(times, values):
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise ValueError(f"non-finite sample: t={t}, value={v}")
     if window is None:
         hi = max(times)
         window = (max(10.0, hi / 100.0), hi)

@@ -161,6 +161,26 @@ def test_fit_decay_rejects_stacked_series(tmp_path, capsys):
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_fit_decay_rejects_a_nan_sample(tmp_path, capsys):
+    data = tmp_path / "norms.csv"
+    rows = ["t,value"] + [f"{t},{(1 + t) ** -0.5}" for t in range(50)]
+    rows[21] = "20,nan"
+    data.write_text("\n".join(rows))
+    code = run(["fit-decay", "--csv", str(data), "--window", "5", "49",
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: non-finite sample: t=20.0, value=nan"]
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_simulate_rejects_a_nan_norm_order(tmp_path, capsys):
+    code = run(["simulate", "--graph", "z-lattice", "--d", "1", "--t-max", "20",
+                "--p", "nan", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: p must be >= 1, got nan"]
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("given, missing", [("window_lo = 5", "window_hi"),
                                             ("window_hi = 49", "window_lo")],
                          ids=["lo-only", "hi-only"])

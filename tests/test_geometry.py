@@ -137,7 +137,7 @@ class TestShells:
                                                   (0, 0), 6)]
         assert sizes == [1, 4, 8, 12, 16, 20, 24]
 
-    def test_last_shell_is_not_read(self):
+    def test_every_yielded_shell_is_read_once(self):
         g = builtin_graph("z-lattice", d=2)
         reads = []
 
@@ -146,9 +146,10 @@ class TestShells:
             return g.adjacency(v)
 
         counted = GraphGenerator(adjacency=adjacency, root=g.root)
-        assert len([k for k, _ in dirlap.shells(counted, (0, 0), 4)]) == 5
-        # shells 0..3 (25 vertices) build shell 4; its 16 vertices stay unread
-        assert len(reads) == 25
+        yielded = [v for _, shell in dirlap.shells(counted, (0, 0), 4) for v in shell]
+        # shells 0..4, the last one too: 41 vertices, each read once, in shell order
+        assert len(yielded) == 41
+        assert reads == yielded
 
     def test_budget_raises(self):
         # shells 0..2 hold 13 vertices; shell 3 would bring the count to 25

@@ -55,6 +55,14 @@ def test_write_failure_cleans_temp(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_is_not_written(tmp_path, value):
+    # json.dumps would write NaN or Infinity, which are not JSON
+    with pytest.raises(ValueError):
+        write_json_report(str(tmp_path / "n.json"), {"result": {"exponent": value}})
+    assert os.listdir(tmp_path) == []
+
+
 def test_dataclass_type_is_not_serializable(tmp_path):
     with pytest.raises(TypeError):
         write_json_report(str(tmp_path / "z.json"), {"bad": ValidationReport})

@@ -50,6 +50,13 @@ class TestNorms:
         with pytest.raises(ValueError):
             norms(StateVector.indicator(b, (0,)), [0.5])
 
+    def test_nan_p_rejected(self):
+        b = dirlap.ball(k2_generator(), (0,), 1)
+        with pytest.raises(ValueError, match="p must be >= 1, got nan"):
+            norms(StateVector.indicator(b, (0,)), [float("nan")])
+        with pytest.raises(ValueError, match="p must be >= 1, got nan"):
+            q_seminorm({(0,): 1.0}, k2_generator(), ["nan"])
+
     def test_interpolation_inequality(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -512,6 +519,18 @@ class TestFitDecay:
         values = [1.0] * 9 + [0.0]
         with pytest.raises(ValueError, match="zero"):
             fit_power_law(times, values, window=(0.0, 9.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # NaN would fit with r_squared 1.0, as min(1.0, nan) is 1.0
+        times = list(range(20))
+        values = [(1.0 + t) ** -0.5 for t in times]
+        values[12] = values[15] = bad
+        with pytest.raises(ValueError, match=f"non-finite sample: t=12.0, value={bad}"):
+            fit_power_law(times, values, window=(5.0, 19.0))
+        times[3], values[12], values[15] = bad, 1.0, 1.0  # outside the window too
+        with pytest.raises(ValueError, match=f"t={bad}, value=0.5"):
+            fit_power_law(times, values, window=(5.0, 19.0))
 
     def test_fit_decay_on_trajectory(self):
         g = builtin_graph("z-lattice", d=1)

@@ -7,8 +7,10 @@
 # goes through `python -m dirlap.cli` with PYTHONPATH=SRC, so two checkouts
 # can be compared without installing either.  Runs start inside OUT, so the
 # relative input path of the fit-decay run makes its spec the same under any
-# root; each run's exit code is written to OUT/<run>/exit_code.  Compare two
-# checkouts with
+# root; each run's exit code is written to OUT/<run>/exit_code.  Last, every
+# *.json report under OUT is parsed with NaN and Infinity rejected: the paths
+# of those that fail go to OUT/nonstrict_json, and the script exits non-zero
+# if there are any.  Compare two checkouts with
 #
 #   tools/report_gate.sh parent/src /tmp/gate-a
 #   tools/report_gate.sh src /tmp/gate-b
@@ -57,3 +59,24 @@ run val-skew validate --graph z2-skew-perturbed
 mkdir -p "$OUT/fit"
 grep -e '^t,' -e ',linf,' "$OUT/sim-lat/trajectory.csv" > "$OUT/fit/linf.csv"
 run fit fit-decay --csv fit/linf.csv --window 5 20
+# Every report must be strict JSON: NaN and Infinity are not JSON.  The
+# offending paths go to OUT/nonstrict_json (empty when there are none).
+cd "$OUT" && python - <<'PY'
+import json
+import pathlib
+import sys
+
+
+def reject(token):
+    raise ValueError(token)
+
+
+bad = []
+for path in sorted(pathlib.Path(".").rglob("*.json")):
+    try:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    except ValueError:
+        bad.append(f"{path}\n")
+pathlib.Path("nonstrict_json").write_text("".join(bad))
+sys.exit(1 if bad else 0)
+PY
