@@ -139,6 +139,8 @@ def _cmd_simulate(args, config) -> int:
     gen = _make_graph(spec)
     t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
     p = math.inf if str(spec["p"]).lower() in ("inf", "infinity") else float(spec["p"])
+    if not p >= 1:  # checked before the flow runs; NaN fails too
+        raise ValueError(f"p must be >= 1, got {p}")
     cfg = semigroup.SimConfig(
         t_max=t_max, sample_times=_sample_grid(t_max),
         c_speed=None if spec["c_speed"] is None else float(spec["c_speed"]))

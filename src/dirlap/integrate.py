@@ -1,4 +1,4 @@
-"""Time propagation for the truncated flows: adaptive Runge-Kutta and Lanczos.
+"""Time propagation for the truncated flows: Runge-Kutta, uniformization and Lanczos.
 
 ``integrate`` is the Dormand-Prince 5(4) embedded pair (Dormand & Prince,
 J. Comput. Appl. Math. 6:19, 1980) with a standard PI step-size controller.
@@ -21,6 +21,20 @@ I*).  Three features matter for the truncated-domain simulations:
   dropped starts at most ``tau``, so a flow that contracts the sup norm
   loses about ``steps * tau`` at most.
 
+``rtol`` steers only ``integrate``: the truncated flows run it for nonlinear
+flows and for linear ones with a negative weight.
+
+``uniformize`` computes ``exp(tA) y0`` for a Metzler ``A`` with zero row
+sums, such as a graph Laplacian with no negative weight, by the
+uniformization series (Jensen, Skand. Aktuarietidskr. 36:87, 1953): for
+``rate`` at least every ``|a_vv|``, ``P = I + A / rate`` is row-stochastic
+and ``exp(tA) y0 = sum_k Poisson(k; rate t) P^k y0``.  One term costs one
+product with ``P``, one run serves every sample time with its own Poisson
+weights, and the weights left out of each sample's window carry at most
+``_POISSON_TAIL`` of the mass, so there is no step control and no ``rtol``.
+Term ``k`` of a graph operator vanishes ``k`` shells past ``y0``'s support,
+so on a BFS-ordered ball each product runs on a row prefix, as Lanczos does.
+
 ``lanczos_expm`` computes ``exp(tA) y0`` for a symmetric ``A`` at every
 sample time from one Lanczos basis.  It needs no step controller: each
 result is within ``atol`` by Saad's a-posteriori estimate (SIAM J. Numer.
@@ -41,6 +55,7 @@ thread.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -88,6 +103,9 @@ _MAX_KRYLOV_DIM = 256
 _CHECK_EVERY = 8
 _BLOCK = 8
 
+# uniformize: the Poisson mass that each sample's window of terms leaves out
+_POISSON_TAIL = 1e-16
+
 # With shell ends, every Lanczos prefix is rounded up to a multiple of this
 # many entries, capped at the vector's length.  BLAS dot kernels sum in
 # fixed-width blocks, so a prefix of whole blocks sums the same entries in
@@ -102,15 +120,20 @@ class IntegrationResult:
     """Samples of a propagation and what it cost.
 
     For ``integrate`` the steps are the accepted step sizes and ``n_steps``
-    counts them.  For ``lanczos_expm`` each step is the time span covered by
-    one Krylov basis, ``n_steps`` is the Krylov dimension (summed over the
-    bases when the dimension cap forced a restart) and nothing is rejected.
+    counts them.  For ``uniformize`` there are no steps, ``n_steps`` counts
+    the series terms and ``bound`` is the weighted flux sum ``F`` (0.0
+    without ``flux``), which the truncated flows report as
+    ``richardson_diff``.  For ``lanczos_expm`` each step is the time span
+    covered by one Krylov basis, ``n_steps`` is the Krylov dimension (summed
+    over the bases when the dimension cap forced a restart) and nothing is
+    rejected.  Only ``uniformize`` sets ``bound``.
     """
 
     samples: list  # (t, y) pairs at the requested sample times
     steps: np.ndarray
     n_steps: int
     n_rejected: int
+    bound: float = 0.0
 
 
 def _checked_times(sample_times: Sequence[float]) -> list[float]:
@@ -120,6 +143,15 @@ def _checked_times(sample_times: Sequence[float]) -> list[float]:
     if not times:
         raise ValueError("need at least one sample time")
     return times
+
+
+def _checked_start(y0: np.ndarray) -> np.ndarray:
+    """``y0`` as a new float array; a non-finite entry raises ``ValueError``."""
+    y = np.array(y0, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"initial value y0[{bad[0]}] = {y[bad[0]]} is not finite")
+    return y
 
 
 def _rms(x: np.ndarray, n: int) -> float:
@@ -257,6 +289,117 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     return IntegrationResult(samples, np.array(taken), len(taken), n_rejected)
 
 
+class _PoissonWeights:
+    """``Poisson(k; lam)`` for each of an array of ``lam``, over its window of terms.
+
+    A window leaves out at most half of ``_POISSON_TAIL`` on either side,
+    and ``first`` and ``last`` hold the windows' ends.  The weights are
+    taken in log space, so ``exp(-lam)`` never underflows (Fox & Glynn, CACM
+    31:440, 1988).  By Bennett's inequality at most ``exp(-40)`` of the mass
+    lies farther than ``sqrt(80 lam) + 27`` from ``lam`` on either side, so
+    each window is found within that range.
+    """
+
+    def __init__(self, lams: np.ndarray):
+        self.lams = lams
+        spread = np.sqrt(80.0 * lams) + 27.0
+        self.lgam = np.array([math.lgamma(i + 1.0)
+                              for i in range(int(np.max(lams + spread)) + 1)])
+        with np.errstate(divide="ignore"):  # lam = 0 has all its mass at k = 0
+            self.logs = np.log(lams)
+        self.first = np.zeros(lams.size, dtype=int)
+        self.last = np.zeros(lams.size, dtype=int)
+        for i, (lam, r) in enumerate(zip(lams.tolist(), spread.tolist())):
+            lo = max(0, int(lam - r))
+            w = self._terms(slice(i, i + 1), lo, int(lam + r) + 1)[0]
+            kept = np.flatnonzero((np.cumsum(w) > _POISSON_TAIL / 2)
+                                  & (np.cumsum(w[::-1])[::-1] > _POISSON_TAIL / 2))
+            self.first[i], self.last[i] = lo + kept[0], lo + kept[-1]
+
+    def _terms(self, rows: slice, lo: int, hi: int) -> np.ndarray:
+        k = np.arange(lo, hi)
+        with np.errstate(invalid="ignore"):
+            logw = np.where(k == 0, 0.0, k * self.logs[rows, None])
+        return np.exp(logw - self.lams[rows, None] - self.lgam[lo:hi])
+
+    def __call__(self, lo: int, hi: int) -> np.ndarray:
+        """The weights of the terms ``lo`` to ``hi - 1`` (columns) for each ``lam`` (rows).
+
+        A weight outside its ``lam``'s window is 0.
+        """
+        w = self._terms(slice(None), lo, hi)
+        k = np.arange(lo, hi)
+        w[(k < self.first[:, None]) | (k > self.last[:, None])] = 0.0
+        return w
+
+
+def uniformize(matvec: Callable[..., np.ndarray], rate: float, y0: np.ndarray,
+               sample_times: Sequence[float],
+               flux: Callable[[np.ndarray], np.ndarray] | None = None,
+               shell_ends: np.ndarray | None = None) -> IntegrationResult:
+    """``exp(tA) y0`` at every sample time by the uniformization series.
+
+    ``A`` is a Metzler matrix with zero row sums whose every ``|a_vv|`` is
+    at most ``rate``, and ``matvec(v)`` returns ``P v`` for the
+    row-stochastic ``P = I + A / rate``, so that ``y_{k+1} = P y_k = y_k +
+    A y_k / rate``.  The terms are added into one ``(samples, n)`` array a
+    block of ``_BLOCK`` at a time, with their weights from
+    ``_PoissonWeights(rate * t)``, each block into the samples whose
+    windows it meets; a sample at time 0 is then an exact copy of ``y0``,
+    and ``rate`` 0 leaves every sample so.  ``flux(terms)``, called once per
+    block with the block's terms as rows, returns one nonnegative number
+    ``f_k`` per term, and the result's ``bound`` is the largest ``sum_k
+    w_k(t) E_k`` over the sample times, for ``E_k = f_0 + ... + f_{k-1}``:
+    the weighted flux sum ``F``.  A non-finite entry of ``y0`` raises
+    ``ValueError``, and ``rate * t`` above ``_MAX_STEPS`` raises
+    ``StepSizeError``, before the first term.
+
+    ``shell_ends`` are a BFS-ordered ball's shell-end offsets, as for
+    ``integrate``, and ``A`` is then a graph operator on that ball.  With
+    them, ``y_k`` vanishes past the shell ``s + k`` for ``y0``'s last
+    nonzero shell ``s``, so the product of term ``k`` is ``matvec(y_k,
+    rows)``, the first ``rows`` entries of ``P y_k`` up to the end of shell
+    ``s + k + 1``; ``y_k`` is a full-length array, zero past the previous
+    term's rows.  The blocks are added over those prefixes alone.
+    """
+    times = _checked_times(sample_times)
+    y = _checked_start(y0)
+    n = y.size
+    lams = rate * np.array(times)
+    if lams[-1] > _MAX_STEPS:  # the times are sorted
+        raise StepSizeError(f"the series to t={times[-1]:.6g} needs more than {_MAX_STEPS} terms")
+    weights = _PoissonWeights(lams)
+    last = int(weights.last.max())
+    ends = [n] if shell_ends is None else list(shell_ends)
+    mv = (lambda x, rows: matvec(x)) if shell_ends is None else matvec
+    nz = np.flatnonzero(y)
+    shell = int(np.searchsorted(ends, nz[-1], side="right")) if nz.size else 0
+    out = np.zeros((len(times), n))
+    # the terms, y_k in row k % _BLOCK; a row is zero past the prefix it was
+    # last written with, and the prefixes only grow
+    block = np.zeros((min(_BLOCK, last + 1), n))
+    block[0] = y
+    sums, e = np.zeros(len(times)), 0.0
+    for k in range(last + 1):
+        if k % _BLOCK == _BLOCK - 1 or k == last:
+            lo = k - k % _BLOCK
+            reach = ends[min(shell + k, len(ends) - 1)]  # y_k vanishes past it
+            w = weights(lo, k + 1)
+            live = np.flatnonzero(w.any(axis=1))  # the samples whose windows meet the block
+            if live.size:
+                hit = slice(live[0], live[-1] + 1)
+                out[hit, :reach] += w[hit] @ block[:k + 1 - lo, :reach]
+            if flux is not None:
+                f = flux(block[:k + 1 - lo])
+                sums += w @ (e + np.cumsum(f) - f)
+                e += float(f.sum())
+        if k < last:
+            rows = ends[min(shell + k + 1, len(ends) - 1)]
+            block[(k + 1) % _BLOCK, :rows] = mv(block[k % _BLOCK], rows)
+    return IntegrationResult([(t, row) for t, row in zip(times, out)], np.array([]),
+                             last + 1, 0, float(sums.max()))
+
+
 def _lanczos(matvec, v: np.ndarray, prefixes):
     """Plain three-term Lanczos recurrence from the unit vector ``v``.
 
@@ -385,10 +528,7 @@ def lanczos_expm(matvec: Callable[..., np.ndarray], y0: np.ndarray,
     """
     max_dim = _MAX_KRYLOV_DIM
     times = _checked_times(sample_times)
-    y = np.array(y0, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"initial value y0[{bad[0]}] = {y[bad[0]]} is not finite")
+    y = _checked_start(y0)
     n = y.size
     ends = [n] if shell_ends is None else shell_ends
     mv = (lambda x, rows: matvec(x)) if shell_ends is None else matvec

@@ -40,7 +40,7 @@ import scipy.sparse
 from .errors import BlowUpError
 from .geometry import Ball, ball
 from .graph import GraphGenerator, Vertex
-from .semigroup import SimConfig, StateVector, _truncated_flow
+from .semigroup import SimConfig, StateVector, _dopri, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -366,6 +366,6 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
             flux = np.bincount(src, np.abs((kw if sine else s[across]) * phi_u))
             return float(np.max(flux, initial=0.0)), mu
 
-        return lambda t, y: table.rhs(y), terms
+        return _dopri(lambda t, y: table.rhs(y), terms, cfg)
 
     return _truncated_flow(_walk_graph(sys), perturbation, cfg, flow)

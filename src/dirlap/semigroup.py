@@ -16,12 +16,16 @@ infinite graph's, so no second radius is needed.
 Full and nonlinear runs are checked by ``_truncated_flow``, which the
 linear flow here and the nonlinear flow of ``oscillator`` share: each
 attempt enumerates the ball enlarged by the truncation margin, builds the
-flow's operator on it and integrates it once with DOPRI5.  The check is a
-bound on how far a run on the cut to the planned radius would differ from
-that run there: the coupling into the cut from the vertices past it,
-integrated under the growth the cut's logarithmic norm allows.  It must
-stay within a small multiple of the absolute tolerance, or the radius grows
-and the attempt repeats.
+flow's operator on it and runs it once.  A linear flow with no negative
+weight on that ball runs the uniformization series (``uniformize``), whose
+check sums the coupling into the cut from the vertices past it term by
+term, weighted by the terms' Poisson weights.  Nonlinear flows, and linear
+ones with a negative weight, run DOPRI5, the only place ``rtol`` acts; their
+check integrates that coupling under the growth the cut's logarithmic norm
+allows.  Either check bounds how far a run on the cut to the planned radius
+would differ from the run on the enlarged ball there.  It must stay within
+a small multiple of the absolute tolerance, or the radius grows and the
+attempt repeats.
 
 The ball is a weight snapshot (see ``geometry``), so the sparse operator is
 assembled from its arrays without further adjacency calls: each vertex is
@@ -41,7 +45,7 @@ import scipy.sparse
 from .errors import TruncationError
 from .geometry import Ball, ball, shells
 from .graph import WEIGHT_PARTS, Vertex, _laplacian, _local_rows
-from .integrate import integrate, lanczos_expm
+from .integrate import integrate, lanczos_expm, uniformize
 
 _PARTS = tuple(WEIGHT_PARTS)
 
@@ -156,11 +160,15 @@ class SimConfig:
     Lanczos vector touches the ball's outer shell, the allowance past the
     support doubles.  No ball may exceed 4,000,000 vertices.
 
-    ``rtol`` and ``atol`` are the DOPRI5 tolerances of full linear and
-    nonlinear runs.  Symmetric-part runs are controlled by ``atol`` alone:
-    the Lanczos exponential has no relative tolerance, so ``rtol`` does not
-    affect them.  ``t_max``, ``rtol`` and ``atol`` must be finite and
-    positive: an infinite ``atol`` would pass every truncation check.
+    ``rtol`` steers only DOPRI5 runs: nonlinear runs, and full linear runs
+    with a negative weight on their ball.  ``atol`` is their absolute
+    tolerance, and every truncation check must stay within ``10 * atol``.
+    Symmetric-part runs are controlled by ``atol`` alone (the Lanczos
+    exponential has no relative tolerance), and full linear runs with no
+    negative weight run the uniformization series, which leaves out at most
+    1e-16 of its Poisson mass whatever the tolerances.  ``t_max``, ``rtol``
+    and ``atol`` must be finite and positive: an infinite ``atol`` would
+    pass every truncation check.
     """
 
     t_max: float
@@ -193,12 +201,14 @@ class SimConfig:
 class EvolveResult:
     """Trajectory of a truncated run plus the truncation bookkeeping.
 
-    For full and nonlinear runs ``n_steps`` counts the accepted DOPRI5
-    steps of the one run on ``ball``, the enlarged ball, whose samples these
-    are; ``richardson_diff`` is the truncation bound of ``_truncated_flow``,
-    a bound on the max-norm distance on the planned radius between this run
-    and one on that radius alone, and ``retries`` counts the attempts whose
-    bound exceeded ``10 * atol``.
+    For full and nonlinear runs ``ball`` is the enlarged ball of the one
+    run whose samples these are; ``richardson_diff`` is the truncation bound
+    of ``_truncated_flow``, a bound on the max-norm distance on the planned
+    radius between this run and one on that radius alone, and ``retries``
+    counts the attempts whose bound exceeded ``10 * atol``.  For a full run
+    with no negative weight ``n_steps`` counts the uniformization series'
+    terms and ``richardson_diff`` is the weighted flux sum ``F``
+    (``evolve``); otherwise ``n_steps`` counts the accepted DOPRI5 steps.
     For symmetric-part runs ``n_steps`` is the Krylov dimension of the
     Lanczos basis (summed over restarts, if the dimension cap forced any),
     ``ball`` is the one ball the run used and ``retries`` counts its
@@ -294,24 +304,33 @@ class _FluxBound:
         self.value = math.exp(mu * h) * (self.value + h * max(prev, flux))
 
 
+def _dopri(f, terms, cfg: SimConfig):
+    """A ``_truncated_flow`` run: one DOPRI5 run of ``f``, its bound summed by ``_FluxBound``."""
+    def run(y0, times, ends):
+        bound = _FluxBound(terms)
+        res = integrate(f, y0, times, rtol=cfg.rtol, atol=cfg.atol, step_callback=bound,
+                        shell_ends=ends)
+        return res, bound.value
+
+    return run
+
+
 def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     """Run ``flow`` once on a ball past the planned radius, and bound what the cut would change.
 
     Serves full linear and nonlinear runs.  The ball's center and radius are
     ``_plan``'s, and each attempt reads the ball enlarged by
     ``_TRUNCATION_MARGIN`` hops.  ``flow(b, n1)`` builds the flow on ball
-    ``b`` once and returns ``(f, terms)``: ``f(t, y)`` is the right-hand
-    side on the first ``len(y)`` vertices of ``b`` (the others at rest), and
-    ``terms`` those of ``_FluxBound`` for the cut to the first ``n1``
-    vertices, the BFS prefix of the radius.  One DOPRI5 run integrates
-    ``f`` on the whole ball.
-
-    A run on the cut alone (the primary run) would differ from it there by
-    ``e`` with ``e' = J e + flux``, ``e(0) = 0``: ``J`` is the cut's
-    Jacobian and ``flux`` the coupling into the cut from the vertices past
-    it.  So ``|e(t)|_inf <= int_0^t exp(mu (t - s)) |flux(s)|_inf ds`` for
-    ``mu`` the infinity log-norm of ``J`` (Soderlind, BIT 46:631, 2006).
-    That bound, summed by ``_FluxBound``, must stay within ``10 * atol``;
+    ``b`` once and returns its run, ``run(y0, times, shell_ends) -> (result,
+    bound)``: the flow from ``y0`` on the whole ball, sampled at ``times``,
+    and a bound on how far a run on the cut to the first ``n1`` vertices,
+    the BFS prefix of the radius (the primary run), would differ from it
+    there at any sample time.  ``_dopri`` makes the run of a right-hand side
+    whose cut error obeys ``e' = J e + flux``, ``e(0) = 0``: ``J`` is the
+    cut's Jacobian and ``flux`` the coupling into the cut from the vertices
+    past it.  So ``|e(t)|_inf <= int_0^t exp(mu (t - s)) |flux(s)|_inf ds``
+    for ``mu`` the infinity log-norm of ``J`` (Soderlind, BIT 46:631, 2006),
+    summed by ``_FluxBound``.  The bound must stay within ``10 * atol``;
     otherwise the radius grows by the margin and the attempt is repeated, at
     most ``_MAX_RETRIES`` times before ``TruncationError``.
     """
@@ -320,22 +339,34 @@ def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
     while True:
         b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
         ends = _shell_ends(b)
-        f, terms = flow(b, int(ends[radius]))
-        bound = _FluxBound(terms)
-        res = integrate(f, StateVector.from_dict(b, data).values,
-                        cfg.resolved_sample_times(), rtol=cfg.rtol, atol=cfg.atol,
-                        step_callback=bound, shell_ends=ends)
-        if bound.value <= 10.0 * cfg.atol:
+        run = flow(b, int(ends[radius]))
+        res, bound = run(StateVector.from_dict(b, data).values, cfg.resolved_sample_times(), ends)
+        if bound <= 10.0 * cfg.atol:
             samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
             return EvolveResult(samples=samples, ball=b, retries=retries,
-                                n_steps=res.n_steps, richardson_diff=bound.value)
+                                n_steps=res.n_steps, richardson_diff=bound)
         if retries >= _MAX_RETRIES:
             raise TruncationError(
                 f"truncation not converged: cutting the radius-{radius + _TRUNCATION_MARGIN} "
-                f"ball to radius {radius} may change the run by up to {bound.value:.3e} "
+                f"ball to radius {radius} may change the run by up to {bound:.3e} "
                 f"(> 10 * atol = {10 * cfg.atol:.3e}) after {_MAX_RETRIES} retries")
         retries += 1
         radius += _TRUNCATION_MARGIN
+
+
+def _past_cut(a: scipy.sparse.csr_matrix, n1: int) -> scipy.sparse.csr_matrix:
+    """The part of ``a``'s first ``n1`` rows past column ``n1``, in the rows with an entry there."""
+    out = a[:n1, n1:]
+    return out[np.flatnonzero(np.diff(out.indptr))]
+
+
+def _row_prefix(a: scipy.sparse.csr_matrix, rows: int) -> scipy.sparse.csr_matrix:
+    """The first ``rows`` rows of ``a``, sharing its arrays, which the resize only slices."""
+    if rows == a.shape[0]:
+        return a
+    view = copy.copy(a)
+    view.resize(rows, a.shape[1])
+    return view
 
 
 class _ReachError(Exception):
@@ -374,9 +405,7 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
         def matvec(y, rows):
             if y[edge:rows].any():  # y is zero past the rows
                 raise _ReachError
-            view = copy.copy(a)  # shares a's arrays, which the resize only slices
-            view.resize(rows, len(y))
-            return view @ y
+            return _row_prefix(a, rows) @ y
 
         try:
             res = lanczos_expm(matvec, StateVector.from_dict(b, data).values,
@@ -397,13 +426,23 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     ``part="sym"`` computes ``exp(t L_sym) x0`` at every sample time from
     one Lanczos run (``lanczos_expm``, to ``cfg.atol`` alone; ``cfg.rtol``
     is not used) on a ball that holds its Krylov reach (``_krylov_flow``).
-    ``part="full"`` integrates with DOPRI5 to ``cfg.rtol`` and ``cfg.atol``
-    under ``_truncated_flow``, shared with ``simulate_nonlinear``, once per
-    attempt on the enlarged ball.  There ``mu`` is the exact infinity
-    log-norm of the operator cut to the planned radius, at least 0 (it is 0
-    when no weight is negative), and the flux is the cut's coupling to the
-    rest of the ball applied to the run's state there.  Only the part that
-    runs is assembled, once per attempt.
+    ``part="full"`` runs under ``_truncated_flow``, shared with
+    ``simulate_nonlinear``, once per attempt on the enlarged ball, and only
+    the full part is assembled, once per attempt.
+
+    When no weight on the enlarged ball is negative, the run is the
+    uniformization series (``uniformize``; ``cfg.rtol`` is not used) with
+    ``rho`` the largest ``|a_vv|`` there.  Then ``P = I + L / rho`` is
+    nonnegative, so its rows in the cut, ``P11`` to the cut and ``P12``
+    past it, make ``P11`` substochastic, and the run on the cut alone is
+    the same series in ``P11``.  Its error after ``k`` terms obeys
+    ``e_{k+1} = P11 e_k + P12 y_k``, so ``|e_k|_inf <= E_k``, the sum of
+    ``|P12 y_j|_inf`` over ``j < k``, and the bound is the largest
+    Poisson-weighted ``sum_k w_k(t) E_k`` over the sample times.  Otherwise
+    DOPRI5 integrates to ``cfg.rtol`` and ``cfg.atol``; there ``mu`` is the
+    exact infinity log-norm of the operator cut to the planned radius, at
+    least 0, and the flux is the cut's coupling to the rest of the ball
+    applied to the run's state there.
     Every run is checked, and the result carries the run's ball and its
     trajectory; rebuild an operator from the ball with
     ``TruncatedOperator(result.ball, parts)``.
@@ -415,8 +454,21 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
 
     def flow(b, n1):
         a = TruncatedOperator(b, parts=("full",)).matrix("full")
-        cut, out = a[:n1, :n1], a[:n1, n1:]
-        out = out[np.flatnonzero(np.diff(out.indptr))]  # the cut's rows with an edge past it
+        if not np.any(b.w_out[b.nbr >= 0] < 0.0):  # the operator's off-diagonal entries
+            rho = float(np.max(np.abs(a.diagonal()), initial=0.0))
+            p = a / (rho or 1.0)  # with rho 0, A is 0 and P is I
+            p.setdiag(p.diagonal() + 1.0)
+            p12 = _past_cut(p, n1)
+
+            def run(y0, times, ends):
+                res = uniformize(lambda y, rows: _row_prefix(p, rows) @ y, rho, y0, times,
+                                 flux=lambda terms: np.max(np.abs(p12 @ terms[:, n1:].T),
+                                                           axis=0, initial=0.0),
+                                 shell_ends=ends)
+                return res, res.bound
+
+            return run
+        out, cut = _past_cut(a, n1), a[:n1, :n1]
         # the exact infinity log-norm of the cut: its |row| sums, the diagonal signed
         mu = max(0.0, float((abs(cut) @ np.ones(n1) + 2 * np.minimum(cut.diagonal(), 0)).max()))
         window = a
@@ -432,7 +484,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
             past[:max(y.size - n1, 0)] = y[n1:]
             return float(np.max(np.abs(out @ past), initial=0.0)), mu
 
-        return matvec, terms
+        return _dopri(matvec, terms, cfg)
 
     return _truncated_flow(gen, x0, cfg, flow)
 

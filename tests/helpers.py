@@ -48,6 +48,20 @@ def tight_cut_graph():
                                  ((0,), (3,)): 1.0, ((0,), (2,)): 1.0}, root=(1,))
 
 
+def negative_line_graph():
+    """The integer line with weight -0.25 forward and 1.25 backward on every edge.
+
+    Every symmetric weight is 0.5, so balls grow as on the plain line, but
+    each vertex has a negative directed weight: a full run takes DOPRI5 and
+    its flux bound (log-norm 0.5), not the uniformization series.
+    """
+    def adjacency(v):
+        (i,) = v
+        return {(i + 1,): -0.25, (i - 1,): 1.25}, {(i + 1,): 1.25, (i - 1,): -0.25}
+
+    return GraphGenerator(adjacency=adjacency, root=(0,), name="negative-line")
+
+
 def k2_generator():
     """Two vertices joined by a unit edge in both directions."""
     return generator_from_edges(
@@ -100,6 +114,52 @@ def record_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(semigroup, "integrate", recording)
     return runs
+
+
+class Series(NamedTuple):
+    """One recorded ``uniformize`` call of a truncated flow."""
+
+    matvec: object
+    rate: float
+    y0: np.ndarray
+    sample_times: list
+    kwargs: dict
+    result: IntegrationResult
+
+
+def record_series(monkeypatch) -> list:
+    """Wrap ``semigroup.uniformize``: every finished call appends its ``Series`` to the returned list."""
+    runs = []
+    series = semigroup.uniformize
+
+    def recording(matvec, rate, y0, sample_times, **kwargs):
+        res = series(matvec, rate, y0, sample_times, **kwargs)
+        runs.append(Series(matvec, rate, y0, sample_times, kwargs, res))
+        return res
+
+    monkeypatch.setattr(semigroup, "uniformize", recording)
+    return runs
+
+
+def series_check(run: Series) -> tuple[float, float]:
+    """The bound a uniformization run reported, and the exact two-run disagreement it stands for.
+
+    The run's operator ``A = rate (P - I)`` is read back column by column
+    from its matvec of ``P``.  The disagreement is the largest
+    ``|exp(tA) y0 - exp(t A11) y0[:n1]|_inf`` on the cut over the sample
+    times, by ``dense_expm``: ``A11`` is ``A`` cut to the first ``n1``
+    vertices, the BFS prefix of the ball's radius less
+    ``semigroup._TRUNCATION_MARGIN``.
+    """
+    n = run.y0.size
+    a = run.rate * (np.column_stack([run.matvec(e, n) for e in np.eye(n)]) - np.eye(n))
+    ends = run.kwargs["shell_ends"]
+    n1 = int(ends[len(ends) - 1 - semigroup._TRUNCATION_MARGIN])
+    diff = max(float(np.max(np.abs((semigroup.dense_expm(t * a) @ run.y0)[:n1]
+                                   - semigroup.dense_expm(t * a[:n1, :n1]) @ run.y0[:n1]),
+                            initial=0.0))
+               for t in run.sample_times)
+    return run.result.bound, diff
 
 
 def dopri_replay(f, y0, sample_times, steps, shell_ends=None, tau=0.0) -> list:
@@ -349,18 +409,24 @@ _weights = st.one_of(st.sampled_from([1.0, 0.5, 2.0, -0.5, -1.0]),
                      st.floats(min_value=-1.0, max_value=3.0).filter(lambda w: w != 0.0))
 
 
+#: directed weights of which none is negative
+POSITIVE_WEIGHTS = st.one_of(st.sampled_from([1.0, 0.5, 2.0]),
+                             st.floats(min_value=0.01, max_value=3.0))
+
+
 @st.composite
-def finite_graphs(draw):
+def finite_graphs(draw, weights=_weights):
     """A random ``generator_from_edges`` graph on up to nine vertices.
 
-    The root is an endpoint of a pair of positive symmetric weight when there
-    is one, so that the root's ball has more than one vertex.
+    Its directed weights are drawn from ``weights``.  The root is an
+    endpoint of a pair of positive symmetric weight when there is one, so
+    that the root's ball has more than one vertex.
     """
     n = draw(st.integers(min_value=2, max_value=9))
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3 * n,
                            unique=True))
-    ws = draw(st.lists(_weights, min_size=len(chosen), max_size=len(chosen)))
+    ws = draw(st.lists(weights, min_size=len(chosen), max_size=len(chosen)))
     edges = {((a,), (b,)): w for (a, b), w in zip(chosen, ws)}
     linked = sorted({v for (a, b), w in edges.items()
                      if w + edges.get((b, a), 0.0) > 0.0 for v in (a, b)})

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from dirlap import hypotheses
+from dirlap import hypotheses, semigroup
 from dirlap.cli import build_parser, main
 from dirlap.errors import BudgetExceededError, InconsistentAdjacencyError
 from dirlap.reports import read_json_report
@@ -178,6 +178,18 @@ def test_simulate_rejects_a_nan_norm_order(tmp_path, capsys):
                 "--p", "nan", "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["error: p must be >= 1, got nan"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_simulate_checks_the_norm_order_before_the_flow(tmp_path, capsys, monkeypatch):
+    def flow(*args, **kwargs):
+        raise AssertionError("the flow ran")
+
+    monkeypatch.setattr(semigroup, "evolve", flow)
+    code = run(["simulate", "--graph", "z-lattice", "--t-max", "20", "--p", "0.5",
+                "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: p must be >= 1, got 0.5"]
     assert not any(tmp_path.iterdir())
 
 

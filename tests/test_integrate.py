@@ -1,5 +1,7 @@
-"""Adaptive integrator accuracy, sampling, the stacked step, the live window, the replay oracle."""
+"""Adaptive integrator accuracy, sampling, the stacked step, the live window, the replay oracle;
+the uniformization series and its Poisson weights."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,8 +15,8 @@ from dirlap.errors import StepSizeError
 from dirlap.builtins import builtin_graph
 from dirlap.geometry import ball
 from dirlap.graph import generator_from_edges
-from dirlap.integrate import integrate
-from dirlap.semigroup import TruncatedOperator, _shell_ends
+from dirlap.integrate import integrate, uniformize
+from dirlap.semigroup import TruncatedOperator, _shell_ends, dense_expm
 
 from helpers import dopri_replay
 
@@ -260,3 +262,62 @@ def test_window_of_the_nonzero_entries_changes_nothing(gen, t_max):
     assert np.allclose(win.steps, whole.steps, rtol=1e-12, atol=0.0)
     for (_, ya), (_, yb) in zip(win.samples, whole.samples):
         assert np.abs(ya - yb).max() <= 1e-13
+
+
+def poisson_pmf(k: int, lam: float) -> float:
+    """``Poisson(k; lam)`` in log space, one term at a time."""
+    if lam == 0.0:
+        return float(k == 0)
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+@settings(max_examples=40)
+@given(st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(1.0, 3000.0)))
+def test_poisson_window_leaves_out_at_most_the_tail(lam):
+    # the window's weights are the pmf's, and the terms outside it (zero
+    # weights, or past the last) hold at most the tail
+    weights = integrate_module._PoissonWeights(np.array([lam]))
+    first, last = int(weights.first[0]), int(weights.last[0])
+    w = weights(0, last + 3)[0]
+    assert not w[:first].any() and not w[last + 1:].any()
+    want = [poisson_pmf(k, lam) for k in range(first, last + 1)]
+    assert np.allclose(w[first:last + 1], want, rtol=1e-10, atol=0.0)
+    far = math.ceil(lam + 60 * math.sqrt(lam) + 200)
+    left_out = math.fsum(poisson_pmf(k, lam) for k in range(far) if not first <= k <= last)
+    assert left_out <= integrate_module._POISSON_TAIL * (1 + 1e-9)
+
+
+@settings(max_examples=15)
+@given(long_graphs(), st.floats(0.5, 20.0))
+def test_series_on_prefixes_matches_the_full_length_run_and_dense_expm(gen, t_max):
+    # term k vanishes k shells past the root, so each product runs on a row
+    # prefix; the samples are the full-length run's and the exponential's
+    b, a, y0 = whole_graph_flow(gen)
+    rate = float(np.abs(a.diagonal()).max())
+    p = a / rate + scipy.sparse.identity(len(b), format="csr")
+    ts = [0.0, t_max / 3, t_max]
+    rows_seen = []
+
+    def prefix(y, rows):
+        rows_seen.append(rows)
+        return p[:rows] @ y
+
+    pre = uniformize(prefix, rate, y0, ts, shell_ends=_shell_ends(b))
+    whole = uniformize(p.dot, rate, y0, ts)
+    assert min(rows_seen) < len(b) and pre.n_steps == whole.n_steps
+    dense = a.toarray()
+    for (t, yp), (_, yw) in zip(pre.samples, whole.samples):
+        assert np.abs(yp - yw).max() <= 1e-15
+        assert np.abs(yw - dense_expm(t * dense) @ y0).max() <= 1e-12
+    assert pre.samples[0][1].tolist() == y0.tolist()
+
+
+def test_series_past_the_step_cap_fails_before_the_first_term(monkeypatch):
+    # rate * t above the cap would need at least that many terms
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 10)
+
+    def matvec(y):
+        raise AssertionError("a term ran")
+
+    with pytest.raises(StepSizeError, match="more than 10 terms"):
+        uniformize(matvec, 2.0, np.array([1.0, 0.0]), [1.0, 6.0])

@@ -21,7 +21,7 @@ from dirlap.errors import StepSizeError
 from dirlap.integrate import lanczos_expm
 from dirlap.semigroup import _shell_ends
 
-from helpers import finite_graphs, k2_generator
+from helpers import finite_graphs, k2_generator, tight_cut_graph
 
 ATOL = 1e-10
 
@@ -211,8 +211,9 @@ def test_no_progress_raises(monkeypatch):
 
 
 def test_only_full_runs_integrate_with_replay(monkeypatch):
-    # sym runs never integrate; a full attempt integrates once, on its whole
-    # ball, and no call passes a replay
+    # sym runs never integrate, nor do full runs with no negative weight
+    # (they run the series); a full attempt with one integrates once, on its
+    # whole ball, and no call passes a replay
     calls = []
     dopri = semigroup.integrate
 
@@ -227,5 +228,9 @@ def test_only_full_runs_integrate_with_replay(monkeypatch):
     assert calls == []
     assert sym.richardson_diff == 0.0
     full = evolve(g, {(0,): 1.0}, cfg, part="full")
+    assert full.retries == 0
+    assert calls == []
+    negative = tight_cut_graph()
+    full = evolve(negative, {negative.root: 1.0}, cfg, part="full")
     assert full.retries == 0
     assert calls == [False]

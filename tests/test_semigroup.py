@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +23,10 @@ from dirlap.errors import BudgetExceededError, TruncationError
 from dirlap.integrate import lanczos_expm
 from dirlap.semigroup import SimConfig, q_norm_fast
 
-from helpers import (ROUNDOFF, assert_bound_covers_disagreement, count_builds, counted,
-                     dense_laplacian, dopri_replay, finite_graphs, k2_generator,
-                     random_support_vector, record_runs, tight_cut_graph, truncation_check)
+from helpers import (POSITIVE_WEIGHTS, ROUNDOFF, assert_bound_covers_disagreement,
+                     count_builds, counted, dense_laplacian, dopri_replay, finite_graphs,
+                     k2_generator, negative_line_graph, random_support_vector, record_runs,
+                     record_series, series_check, tight_cut_graph, truncation_check)
 
 INF = math.inf
 
@@ -393,16 +397,32 @@ class TestEvolve:
     def test_one_operator_per_attempt(self, monkeypatch, part, cfg, retries):
         built = count_builds(monkeypatch, semigroup, "TruncatedOperator")
         runs = record_runs(monkeypatch)
+        series = record_series(monkeypatch)
         res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part=part)
         assert res.retries == retries
         assert len(built) == retries + 1
         assert built[-1][0] is res.ball
-        # a full attempt integrates once, on its whole ball; sym runs never do
-        assert len(runs) == (0 if part == "sym" else retries + 1)
+        # no weight of the line is negative: a full attempt runs the series
+        # once, on its whole ball; nothing integrates
+        assert runs == []
+        assert len(series) == (0 if part == "sym" else retries + 1)
         if part == "full":
-            assert runs[-1].y0.size == len(res.ball)
+            assert series[-1].y0.size == len(res.ball)
             assert (res.n_steps, res.richardson_diff) == \
-                (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
+                (series[-1].result.n_steps, series[-1].result.bound)
+
+    def test_one_dopri_run_per_attempt_with_a_negative_weight(self, monkeypatch):
+        built = count_builds(monkeypatch, semigroup, "TruncatedOperator")
+        runs = record_runs(monkeypatch)
+        series = record_series(monkeypatch)
+        cfg = SimConfig(t_max=4.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        res = evolve(negative_line_graph(), {(0,): 1.0}, cfg, part="full")
+        assert (res.retries, res.ball.radius) == (2, 33)
+        assert len(built) == len(runs) == 3 and series == []
+        assert built[-1][0] is res.ball
+        assert runs[-1].y0.size == len(res.ball)
+        assert (res.n_steps, res.richardson_diff) == \
+            (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
 
     def test_primary_run_is_the_enlarged_operator_cut(self, monkeypatch):
         # the primary run the last attempt's bound stands for, rebuilt from the
@@ -410,8 +430,8 @@ class TestEvolve:
         # the first ends[radius] vertices, along the one run's steps, gives the
         # oracle's disagreement bit for bit, and the bound covers it
         runs = record_runs(monkeypatch)
-        g = builtin_graph("z-lattice", d=1)
-        cfg = SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        g = negative_line_graph()
+        cfg = SimConfig(t_max=4.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
         res = evolve(g, {(0,): 1.0}, cfg, part="full")
         radius = res.ball.radius - semigroup._TRUNCATION_MARGIN
         b = dirlap.ball(g, g.root, res.ball.radius)
@@ -429,14 +449,25 @@ class TestEvolve:
         assert diff <= res.richardson_diff + ROUNDOFF
 
     def test_bound_covers_the_disagreement_at_every_retry(self, monkeypatch):
-        # the sim-retry gate line: the radii 9, 17 and 25, and only the last
-        # within 10 * atol
+        # the radii 9, 17 and 25, and only the last within 10 * atol
         runs = record_runs(monkeypatch)
-        cfg = SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
-        res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part="full")
+        cfg = SimConfig(t_max=4.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        res = evolve(negative_line_graph(), {(0,): 1.0}, cfg, part="full")
         assert (res.retries, res.ball.radius, len(runs)) == (2, 33, 3)
         assert [truncation_check(r)[0] > 10 * cfg.atol for r in runs] == [True, True, False]
         assert_bound_covers_disagreement(runs)
+
+    def test_series_bound_covers_the_disagreement_at_every_retry(self, monkeypatch):
+        # the sim-retry gate line: the radii 9, 17 and 25, and only the last
+        # within 10 * atol
+        series = record_series(monkeypatch)
+        cfg = SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part="full")
+        assert (res.retries, res.ball.radius, len(series)) == (2, 33, 3)
+        checks = [series_check(r) for r in series]
+        assert [bound > 10 * cfg.atol for bound, _ in checks] == [True, True, False]
+        for bound, diff in checks:
+            assert 0.0 < diff <= bound + ROUNDOFF
 
     def test_richardson_diff_reported_small(self):
         g = builtin_graph("example-2.2")
@@ -468,16 +499,79 @@ class TestEvolve:
 @example(tight_cut_graph(), 1.0, 0.0)
 def test_bound_covers_the_two_run_disagreement(g, t_max, c_speed):
     # negative weights give the cut a positive log-norm; a one-hop margin
-    # puts the cut inside the graph, where the flux is not zero
+    # puts the cut inside the graph, where the flux is not zero.  A ball
+    # with a negative weight runs DOPRI, any other the series.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semigroup, "_TRUNCATION_MARGIN", 1)
-        runs = record_runs(mp)
+        runs, series = record_runs(mp), record_series(mp)
         cfg = SimConfig(t_max=t_max, sample_times=[t_max / 4, t_max], c_speed=c_speed)
         try:
             evolve(g, {g.root: 1.0}, cfg, part="full")
         except TruncationError:
             pass
-        assert_bound_covers_disagreement(runs)
+        assert runs or series
+        if runs:
+            assert_bound_covers_disagreement(runs)
+        for run in series:
+            bound, diff = series_check(run)
+            assert diff <= bound + ROUNDOFF
+
+
+@settings(max_examples=60)
+@given(finite_graphs(POSITIVE_WEIGHTS), st.floats(0.1, 4.0), st.sampled_from([0.0, 0.5]))
+def test_series_matches_dense_expm_and_bounds_the_cut(g, t_max, c_speed):
+    # every attempt runs the series, its bound covers the exact two-run
+    # disagreement, and the samples are the dense exponential's to atol
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semigroup, "_TRUNCATION_MARGIN", 1)
+        runs, series = record_runs(mp), record_series(mp)
+        cfg = SimConfig(t_max=t_max, sample_times=[0.0, t_max / 4, t_max], c_speed=c_speed)
+        try:
+            res = evolve(g, {g.root: 1.0}, cfg, part="full")
+        except TruncationError:
+            res = None
+        assert series and runs == []
+        for run in series:
+            bound, diff = series_check(run)
+            assert diff <= bound + ROUNDOFF
+        if res is not None:
+            a = dense_laplacian(g, res.ball, "full")
+            y0 = StateVector.indicator(res.ball, g.root).values
+            for t, s in res:
+                assert np.abs(dense_expm(t * a) @ y0 - s.values).max() <= cfg.atol
+
+
+class TestSeries:
+    def test_isolated_vertex_keeps_its_value(self):
+        # no edge on the ball: rho is 0, one term, and every sample is x0
+        g = generator_from_edges({((1,), (2,)): 1.0}, root=(0,))
+        res = evolve(g, {(0,): 0.7}, small_cfg(5.0, [0.0, 1.0, 5.0]), part="full")
+        assert len(res.ball) == 1
+        assert (res.n_steps, res.richardson_diff, res.retries) == (1, 0.0, 0)
+        assert all(s.values.tolist() == [0.7] for _, s in res)
+
+    def test_a_sample_at_time_zero_is_a_copy_of_x0(self):
+        g = builtin_graph("example-2.2")
+        x0 = {(0,): 0.3, (1,): -1.7, (-2,): 1e-300, (3,): math.pi}
+        res = evolve(g, x0, small_cfg(2.0, [0.0, 2.0]), part="full")
+        assert res.n_steps > 1
+        assert res[0][1].values.tolist() == StateVector.from_dict(res.ball, x0).values.tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_x0_fails_before_the_first_term(self, monkeypatch, bad):
+        series = record_series(monkeypatch)
+        with pytest.raises(ValueError, match=f"= {bad} is not finite"):
+            evolve(builtin_graph("z-lattice", d=1), {(0,): bad}, small_cfg(1.0), part="full")
+        assert series == []
+
+    def test_a_full_run_does_not_import_scipy_stats(self):
+        code = ("import sys\n"
+                "from dirlap import SimConfig, builtin_graph, evolve\n"
+                "evolve(builtin_graph('z2-advection'), {(0, 0): 1.0},\n"
+                "       SimConfig(t_max=4.0, c_speed=2.0), part='full')\n"
+                "assert 'scipy.stats' not in sys.modules and 'scipy.special' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=120)
 
 
 class TestSupportSearch:
