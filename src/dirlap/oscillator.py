@@ -40,7 +40,8 @@ import scipy.sparse
 from .errors import BlowUpError
 from .geometry import Ball, ball
 from .graph import GraphGenerator, Vertex
-from .semigroup import SimConfig, StateVector, _dopri, _truncated_flow
+from .integrate import integrate
+from .semigroup import SimConfig, StateVector, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -322,13 +323,14 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     (pi/2) in sup norm aborts with ``BlowUpError``.  One ``_EdgeTable`` is
     built per attempt, on the enlarged ball, and integrated once.
 
-    The bound's terms at each accepted state: since ``sin`` is 1-Lipschitz,
-    the flux into the cut is at most ``|K| |phi|`` over the pairs from the
-    cut to the rest of the ball.  ``mu`` is 0 while a certificate holds:
-    every sine weight is nonnegative and the largest lag gap over the
-    table's pairs plus ``2 (sup|phi| + bound)`` is at most pi/2, so every
-    slope between this run and one on the cut alone is nonnegative and the
-    cut's Jacobian is a Metzler matrix whose rows sum to at most 0.
+    ``integrate`` sums the bound from two terms at each accepted state.
+    Since ``sin`` is 1-Lipschitz, the flux into the cut is at most ``|K|
+    |phi|`` over the pairs from the cut to the rest of the ball.  ``mu`` is
+    0 while a certificate holds: every sine weight is nonnegative and the
+    largest lag gap over the table's pairs plus ``2 (sup|phi| + bound)`` is
+    at most pi/2, so every slope between this run and one on the cut alone
+    is nonnegative and the cut's Jacobian is a Metzler matrix whose rows sum
+    to at most 0.
     Otherwise, and always for a ``GenericCoupling``, ``mu`` is the infinity
     log-norm of the cut's Jacobian from the slopes at the accepted state
     (``_EdgeTable.slopes``), at least 0, and a ``GenericCoupling`` weighs
@@ -340,7 +342,7 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
         raise ValueError(f"perturbation exceeds the l1 budget {_MAX_PERTURBATION_L1}")
     sine = isinstance(sys.coupling, SeparableCoupling)
 
-    def flow(b, n1):
+    def run(b, n1, y0, times, ends):
         table = _EdgeTable(sys, cand, b)
         # the pairs from the cut to the rest of the ball, and their ends
         across = (table.src < n1) & (table.dst >= n1) & (table.dst < len(b))
@@ -350,7 +352,7 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
         gap = float(np.max(np.abs(table.dlag), initial=0.0)) \
             if sine and not np.any(table.kw < 0.0) else math.inf
 
-        def terms(t, phi, bound):
+        def flux(t, phi, bound):
             top = float(np.max(np.abs(phi)))
             if top > _BLOWUP_THRESHOLD:
                 raise BlowUpError(f"deviation {top:.3f} at t={t:.3g} left the perturbative regime")
@@ -363,9 +365,10 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
             live = dst < phi.size  # phi is 0 past the window
             phi_u = np.zeros(dst.size)
             phi_u[live] = phi[dst[live]]
-            flux = np.bincount(src, np.abs((kw if sine else s[across]) * phi_u))
-            return float(np.max(flux, initial=0.0)), mu
+            into = np.bincount(src, np.abs((kw if sine else s[across]) * phi_u))
+            return float(np.max(into, initial=0.0)), mu
 
-        return _dopri(lambda t, y: table.rhs(y), terms, cfg)
+        return integrate(lambda t, y: table.rhs(y), y0, times, rtol=cfg.rtol, atol=cfg.atol,
+                         flux=flux, shell_ends=ends)
 
-    return _truncated_flow(_walk_graph(sys), perturbation, cfg, flow)
+    return _truncated_flow(_walk_graph(sys), perturbation, cfg, run)

@@ -17,15 +17,13 @@ Full and nonlinear runs are checked by ``_truncated_flow``, which the
 linear flow here and the nonlinear flow of ``oscillator`` share: each
 attempt enumerates the ball enlarged by the truncation margin, builds the
 flow's operator on it and runs it once.  A linear flow with no negative
-weight on that ball runs the uniformization series (``uniformize``), whose
-check sums the coupling into the cut from the vertices past it term by
-term, weighted by the terms' Poisson weights.  Nonlinear flows, and linear
-ones with a negative weight, run DOPRI5, the only place ``rtol`` acts; their
-check integrates that coupling under the growth the cut's logarithmic norm
-allows.  Either check bounds how far a run on the cut to the planned radius
-would differ from the run on the enlarged ball there.  It must stay within
-a small multiple of the absolute tolerance, or the radius grows and the
-attempt repeats.
+weight on that ball runs the uniformization series (``uniformize``), and
+nonlinear flows, and linear ones with a negative weight, run DOPRI5
+(``integrate``), the only place ``rtol`` acts.  Either propagator sums the
+run's truncation bound from the coupling into the cut from the vertices
+past it: how far a run on the cut to the planned radius would differ from
+the run on the enlarged ball there.  It must stay within a small multiple
+of the absolute tolerance, or the radius grows and the attempt repeats.
 
 The ball is a weight snapshot (see ``geometry``), so the sparse operator is
 assembled from its arrays without further adjacency calls: each vertex is
@@ -154,8 +152,9 @@ class SimConfig:
     the 8 being the truncation margin.  When unset, the radius combines a
     ballistic term from the skew mass seen at the edge of a probe ball with a
     diffusive term from the largest vertex measure.  Full and nonlinear runs
-    validate it by the truncation bound of ``_truncated_flow``, whose margin
-    (8 hops) and retries (3) are module constants, not settings.
+    validate it by the truncation bound that their propagator sums
+    (``uniformize`` or ``integrate``); ``_truncated_flow``'s margin (8 hops)
+    and retries (3) are module constants, not settings.
     Symmetric-part runs validate it by the Krylov reach instead: when a
     Lanczos vector touches the ball's outer shell, the allowance past the
     support doubles.  No ball may exceed 4,000,000 vertices.
@@ -202,13 +201,12 @@ class EvolveResult:
     """Trajectory of a truncated run plus the truncation bookkeeping.
 
     For full and nonlinear runs ``ball`` is the enlarged ball of the one
-    run whose samples these are; ``richardson_diff`` is the truncation bound
-    of ``_truncated_flow``, a bound on the max-norm distance on the planned
-    radius between this run and one on that radius alone, and ``retries``
-    counts the attempts whose bound exceeded ``10 * atol``.  For a full run
-    with no negative weight ``n_steps`` counts the uniformization series'
-    terms and ``richardson_diff`` is the weighted flux sum ``F``
-    (``evolve``); otherwise ``n_steps`` counts the accepted DOPRI5 steps.
+    run whose samples these are; ``richardson_diff`` is the run's truncation
+    bound, summed by ``uniformize`` or ``integrate``, on the max-norm
+    distance on the planned radius between this run and one on that radius
+    alone, and ``retries`` counts the attempts whose bound exceeded ``10 *
+    atol``.  ``n_steps`` counts the series' terms or the accepted DOPRI5
+    steps.
     For symmetric-part runs ``n_steps`` is the Krylov dimension of the
     Lanczos basis (summed over restarts, if the dimension cap forced any),
     ``ball`` is the one ball the run used and ``retries`` counts its
@@ -279,76 +277,39 @@ def _plan(gen, x0, cfg: SimConfig) -> tuple[Vertex, dict, int, int]:
     return center, data, support_radius, _planned_radius(gen, center, support_radius, cfg)
 
 
-class _FluxBound:
-    """The truncation bound of one run, summed after every accepted step.
-
-    ``terms(t, y, bound)`` gives ``|flux|_inf`` and ``mu >= 0`` at the
-    accepted state ``y``, given the bound so far.  The sum stands for
-    ``int_0^t exp(mu (t - s)) |flux(s)|_inf ds``: a step of length ``h``
-    multiplies it by ``exp(mu h)``, with ``mu`` taken at the step's end, and
-    adds ``h exp(mu h)`` times the larger flux norm of the step's two ends,
-    which bounds the step's share while the flux norm is monotone over it.
-    (The trapezoid rule fell short of the two-run disagreement by up to
-    1e-4 relative where the flux feeds one cut row with one sign, so that
-    the bound is tight.)  With ``mu >= 0`` the sum never falls, so its last
-    value bounds the disagreement at every sample time.
-    """
-
-    def __init__(self, terms):
-        self.terms = terms
-        self.t = self.flux = self.value = 0.0
-
-    def __call__(self, t: float, y: np.ndarray) -> None:
-        flux, mu = self.terms(t, y, self.value)
-        h, self.t, prev, self.flux = t - self.t, t, self.flux, flux
-        self.value = math.exp(mu * h) * (self.value + h * max(prev, flux))
-
-
-def _dopri(f, terms, cfg: SimConfig):
-    """A ``_truncated_flow`` run: one DOPRI5 run of ``f``, its bound summed by ``_FluxBound``."""
-    def run(y0, times, ends):
-        bound = _FluxBound(terms)
-        res = integrate(f, y0, times, rtol=cfg.rtol, atol=cfg.atol, step_callback=bound,
-                        shell_ends=ends)
-        return res, bound.value
-
-    return run
-
-
-def _truncated_flow(gen, x0, cfg: SimConfig, flow) -> EvolveResult:
-    """Run ``flow`` once on a ball past the planned radius, and bound what the cut would change.
+def _truncated_flow(gen, x0, cfg: SimConfig, run) -> EvolveResult:
+    """Run a flow once on a ball past the planned radius, and bound what the cut would change.
 
     Serves full linear and nonlinear runs.  The ball's center and radius are
     ``_plan``'s, and each attempt reads the ball enlarged by
-    ``_TRUNCATION_MARGIN`` hops.  ``flow(b, n1)`` builds the flow on ball
-    ``b`` once and returns its run, ``run(y0, times, shell_ends) -> (result,
-    bound)``: the flow from ``y0`` on the whole ball, sampled at ``times``,
-    and a bound on how far a run on the cut to the first ``n1`` vertices,
-    the BFS prefix of the radius (the primary run), would differ from it
-    there at any sample time.  ``_dopri`` makes the run of a right-hand side
-    whose cut error obeys ``e' = J e + flux``, ``e(0) = 0``: ``J`` is the
-    cut's Jacobian and ``flux`` the coupling into the cut from the vertices
-    past it.  So ``|e(t)|_inf <= int_0^t exp(mu (t - s)) |flux(s)|_inf ds``
-    for ``mu`` the infinity log-norm of ``J`` (Soderlind, BIT 46:631, 2006),
-    summed by ``_FluxBound``.  The bound must stay within ``10 * atol``;
-    otherwise the radius grows by the margin and the attempt is repeated, at
-    most ``_MAX_RETRIES`` times before ``TruncationError``.
+    ``_TRUNCATION_MARGIN`` hops.  ``run(b, n1, y0, times, shell_ends)``
+    builds the flow on ball ``b`` and returns its ``IntegrationResult``
+    from ``y0`` on the whole ball, sampled at ``times``, whose ``bound``
+    bounds how far a run on the cut to the first ``n1`` vertices, the BFS
+    prefix of the radius (the primary run), would differ from it there at
+    any sample time.  For a right-hand side whose cut error obeys ``e' = J e
+    + flux``, ``e(0) = 0``, with ``J`` the cut's Jacobian and ``flux`` the
+    coupling into the cut from the vertices past it, ``integrate`` sums that
+    bound given ``|flux|_inf`` and ``mu``, the infinity log-norm of ``J``
+    (Soderlind, BIT 46:631, 2006).  The bound must stay within ``10 *
+    atol``; otherwise the radius grows by the margin and the attempt is
+    repeated, at most ``_MAX_RETRIES`` times before ``TruncationError``.
     """
     center, data, _, radius = _plan(gen, x0, cfg)
     retries = 0
     while True:
         b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
         ends = _shell_ends(b)
-        run = flow(b, int(ends[radius]))
-        res, bound = run(StateVector.from_dict(b, data).values, cfg.resolved_sample_times(), ends)
-        if bound <= 10.0 * cfg.atol:
+        res = run(b, int(ends[radius]), StateVector.from_dict(b, data).values,
+                  cfg.resolved_sample_times(), ends)
+        if res.bound <= 10.0 * cfg.atol:
             samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
             return EvolveResult(samples=samples, ball=b, retries=retries,
-                                n_steps=res.n_steps, richardson_diff=bound)
+                                n_steps=res.n_steps, richardson_diff=res.bound)
         if retries >= _MAX_RETRIES:
             raise TruncationError(
                 f"truncation not converged: cutting the radius-{radius + _TRUNCATION_MARGIN} "
-                f"ball to radius {radius} may change the run by up to {bound:.3e} "
+                f"ball to radius {radius} may change the run by up to {res.bound:.3e} "
                 f"(> 10 * atol = {10 * cfg.atol:.3e}) after {_MAX_RETRIES} retries")
         retries += 1
         radius += _TRUNCATION_MARGIN
@@ -416,7 +377,7 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
             continue
         samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
         return EvolveResult(samples=samples, ball=b, retries=retries,
-                            n_steps=res.n_steps, richardson_diff=0.0)
+                            n_steps=res.n_steps, richardson_diff=res.bound)
 
 
 def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
@@ -436,13 +397,12 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     nonnegative, so its rows in the cut, ``P11`` to the cut and ``P12``
     past it, make ``P11`` substochastic, and the run on the cut alone is
     the same series in ``P11``.  Its error after ``k`` terms obeys
-    ``e_{k+1} = P11 e_k + P12 y_k``, so ``|e_k|_inf <= E_k``, the sum of
-    ``|P12 y_j|_inf`` over ``j < k``, and the bound is the largest
-    Poisson-weighted ``sum_k w_k(t) E_k`` over the sample times.  Otherwise
-    DOPRI5 integrates to ``cfg.rtol`` and ``cfg.atol``; there ``mu`` is the
-    exact infinity log-norm of the operator cut to the planned radius, at
-    least 0, and the flux is the cut's coupling to the rest of the ball
-    applied to the run's state there.
+    ``e_{k+1} = P11 e_k + P12 y_k``, so ``|e_k|_inf`` is at most the sum of
+    ``|P12 y_j|_inf`` over ``j < k``, the flux that ``uniformize`` weighs.
+    Otherwise DOPRI5 (``integrate``) runs to ``cfg.rtol`` and ``cfg.atol``
+    and sums the bound; its ``mu`` is the exact infinity log-norm of the
+    operator cut to the planned radius, at least 0, and its flux is the
+    cut's coupling to the rest of the ball applied to the run's state there.
     Every run is checked, and the result carries the run's ball and its
     trajectory; rebuild an operator from the ball with
     ``TruncatedOperator(result.ball, parts)``.
@@ -452,22 +412,17 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     if part == "sym":
         return _krylov_flow(gen, x0, cfg)
 
-    def flow(b, n1):
+    def run(b, n1, y0, times, ends):
         a = TruncatedOperator(b, parts=("full",)).matrix("full")
         if not np.any(b.w_out[b.nbr >= 0] < 0.0):  # the operator's off-diagonal entries
             rho = float(np.max(np.abs(a.diagonal()), initial=0.0))
             p = a / (rho or 1.0)  # with rho 0, A is 0 and P is I
             p.setdiag(p.diagonal() + 1.0)
             p12 = _past_cut(p, n1)
-
-            def run(y0, times, ends):
-                res = uniformize(lambda y, rows: _row_prefix(p, rows) @ y, rho, y0, times,
-                                 flux=lambda terms: np.max(np.abs(p12 @ terms[:, n1:].T),
-                                                           axis=0, initial=0.0),
-                                 shell_ends=ends)
-                return res, res.bound
-
-            return run
+            return uniformize(lambda y, rows: _row_prefix(p, rows) @ y, rho, y0, times,
+                              flux=lambda terms: np.max(np.abs(p12 @ terms[:, n1:].T),
+                                                        axis=0, initial=0.0),
+                              shell_ends=ends)
         out, cut = _past_cut(a, n1), a[:n1, :n1]
         # the exact infinity log-norm of the cut: its |row| sums, the diagonal signed
         mu = max(0.0, float((abs(cut) @ np.ones(n1) + 2 * np.minimum(cut.diagonal(), 0)).max()))
@@ -480,13 +435,14 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
                 window = a if y.size == a.shape[0] else a[:y.size, :y.size]
             return window @ y
 
-        def terms(t, y, bound):  # the flux from the window past the cut
+        def flux(t, y, bound):  # the flux from the window past the cut
             past[:max(y.size - n1, 0)] = y[n1:]
             return float(np.max(np.abs(out @ past), initial=0.0)), mu
 
-        return _dopri(matvec, terms, cfg)
+        return integrate(matvec, y0, times, rtol=cfg.rtol, atol=cfg.atol, flux=flux,
+                         shell_ends=ends)
 
-    return _truncated_flow(gen, x0, cfg, flow)
+    return _truncated_flow(gen, x0, cfg, run)
 
 
 def norms(x, ps: Iterable) -> list[float]:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import strategies as st
 
-from dirlap import geometry, semigroup
+from dirlap import geometry, oscillator, semigroup
 from dirlap import integrate as integrate_module
 from dirlap.errors import SingularFormError
 from dirlap.geometry import ball
@@ -103,7 +103,10 @@ class Run(NamedTuple):
 
 
 def record_runs(monkeypatch) -> list:
-    """Wrap ``semigroup.integrate``: every finished call appends its ``Run`` to the returned list."""
+    """Wrap ``integrate`` where ``semigroup`` and ``oscillator`` call it.
+
+    Every finished call appends its ``Run`` to the returned list.
+    """
     runs = []
     dopri = semigroup.integrate
 
@@ -113,6 +116,7 @@ def record_runs(monkeypatch) -> list:
         return res
 
     monkeypatch.setattr(semigroup, "integrate", recording)
+    monkeypatch.setattr(oscillator, "integrate", recording)
     return runs
 
 
@@ -213,7 +217,7 @@ def truncation_check(run: Run) -> tuple[float, float]:
     n1 = int(ends[-1])
     diff = max(float(np.max(np.abs(y[:n1] - z), initial=0.0))
                for (_, y), (_, z) in zip(run.result.samples, primary))
-    return run.kwargs["step_callback"].value, diff
+    return run.result.bound, diff
 
 
 #: how far a truncation bound may fall short of the two-run disagreement,

@@ -233,6 +233,14 @@ def test_counterexample_short_run(tmp_path, capsys):
     assert os.path.exists(tmp_path / "counterexample.csv")
 
 
+def test_counterexample_below_one_fails_on_the_fit_window(tmp_path, capsys):
+    # the grid keeps only times within t_max, so the error names the fit window
+    code = run(["counterexample", "--t-max", "0.5", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: need >= 8 samples in window [0.125, 0.5], got 1"]
+
+
 def test_oscillate_short_run(tmp_path):
     code = run(["oscillate", "--a", "0.5", "--eps", "0.01",
                 "--t-max", "40", "--out", str(tmp_path)])

@@ -111,17 +111,51 @@ def test_rejections_tracked_on_abrupt_problem():
     assert res.n_rejected >= 1
 
 
-def test_step_callback_runs_and_can_abort():
+def test_flux_runs_and_can_abort():
     seen = []
 
-    def cb(t, y):
+    def flux(t, y, bound):
         seen.append(t)
         if t > 0.5:
             raise RuntimeError("stop")
+        return 0.0, 0.0
 
     with pytest.raises(RuntimeError):
-        integrate(lambda t, y: -y, np.array([1.0]), [2.0], step_callback=cb)
+        integrate(lambda t, y: -y, np.array([1.0]), [2.0], flux=flux)
     assert seen
+
+
+def test_constant_flux_with_zero_mu_sums_to_its_integral():
+    # without flux the bound is 0.0; with it, the same steps are taken
+    c, t_end = 0.3, 5.0
+    plain = integrate(lambda t, y: -y, np.array([1.0]), [1.0, t_end])
+    res = integrate(lambda t, y: -y, np.array([1.0]), [1.0, t_end],
+                    flux=lambda t, y, bound: (c, 0.0))
+    assert plain.bound == 0.0
+    assert res.n_steps > 1 and np.array_equal(res.steps, plain.steps)
+    assert res.bound == pytest.approx(c * t_end, rel=1e-14)
+
+
+def test_bound_is_the_recurrence_over_the_accepted_steps():
+    # |y| as the flux and a constant mu: the bound is the recurrence over the
+    # differences of the accepted step ends, bit for bit, and each call sees
+    # the step's end and the sum so far
+    mu, calls = 0.7, []
+
+    def flux(t, y, bound):
+        calls.append((t, float(abs(y[0])), bound))
+        return calls[-1][1], mu
+
+    res = integrate(lambda t, y: -y, np.array([1.0]), [0.5, 3.0], flux=flux)
+    assert len(calls) == res.n_steps > 1
+    bound = g_prev = t = 0.0
+    for h, (t_seen, g, seen) in zip(res.steps, calls):
+        assert seen == bound
+        t_prev, t = t, t + h
+        assert t_seen == t
+        bound = math.exp(mu * (t - t_prev)) * (bound + (t - t_prev) * max(g_prev, g))
+        g_prev = g
+    assert res.bound == bound
 
 
 # Dormand & Prince 1980, written out apart from the module's float tableau

@@ -636,7 +636,7 @@ class TestNonlinearTruncation:
         # each attempt integrates once, on its whole ball
         assert runs[-1].y0.size == len(res.ball)
         assert (res.n_steps, res.richardson_diff) == \
-            (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
+            (runs[-1].result.n_steps, runs[-1].result.bound)
 
     @pytest.mark.parametrize("case", ["lagged", "twisted", "generic", "negative"])
     def test_bound_covers_the_two_run_disagreement(self, monkeypatch, case):

@@ -422,7 +422,7 @@ class TestEvolve:
         assert built[-1][0] is res.ball
         assert runs[-1].y0.size == len(res.ball)
         assert (res.n_steps, res.richardson_diff) == \
-            (runs[-1].result.n_steps, runs[-1].kwargs["step_callback"].value)
+            (runs[-1].result.n_steps, runs[-1].result.bound)
 
     def test_primary_run_is_the_enlarged_operator_cut(self, monkeypatch):
         # the primary run the last attempt's bound stands for, rebuilt from the
