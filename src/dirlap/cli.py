@@ -176,8 +176,8 @@ def _cmd_counterexample(args, config) -> int:
     # truncation bound still validates the choice.
     grid = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20] + [round(t) for t in np.geomspace(1.0, t_max, 40)]
     sample_times = sorted({float(t) for t in grid if t <= t_max})
-    cfg = semigroup.SimConfig(t_max=t_max, sample_times=sample_times,
-                              rtol=1e-7, atol=1e-10, c_speed=1.25)
+    cfg = semigroup.SimConfig(t_max=t_max, sample_times=sample_times, atol=1e-10,
+                              c_speed=1.25)
     traj = semigroup.evolve(gen, {gen.root: 1.0}, cfg, part="full")
     fit = semigroup.fit_decay(traj, kind="p", p=math.inf, window=_fit_window(t_max))
 

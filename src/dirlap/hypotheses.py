@@ -22,6 +22,7 @@ import scipy.linalg
 from .errors import BudgetExceededError, SingularFormError
 from .geometry import _walk, ball
 from .graph import Vertex
+from .semigroup import TruncatedOperator
 
 # check_hypotheses' ellipticity radius and Poincare radii (read at call time)
 _ALPHA_RADIUS = 12
@@ -129,23 +130,10 @@ def estimate_alpha(gen, center: Vertex, radius: int) -> EllipticityEstimate:
 def _dirichlet_matrix(b) -> np.ndarray:
     """Quadratic form of the ordered-pair Dirichlet sum over a ball.
 
-    ``x^T Q x = sum over ordered in-ball pairs of w_sym (x_v - x_v')^2``,
-    read from the ball's weight snapshot.
+    ``x^T Q x = sum over ordered in-ball pairs of w_sym (x_v - x_v')^2``, so
+    ``Q = -2 L_sym`` from the ball's snapshot operator.
     """
-    n = len(b)
-    rows = b.entry_rows()
-    ws = (b.w_out + b.w_in) / 2.0
-    # each unordered pair appears twice in the ordered sum; take it once, from
-    # the row of its lower-index vertex
-    up = (b.nbr > rows) & (ws > 0.0)
-    i, j, w = rows[up], b.nbr[up], 2.0 * ws[up]
-    q = np.zeros((n, n))
-    # interleaved targets add each diagonal in the order of a loop over the pairs
-    q[np.diag_indices(n)] = np.bincount(np.column_stack([i, j]).ravel(),
-                                        weights=np.repeat(w, 2), minlength=n)
-    q[i, j] = -w
-    q[j, i] = -w
-    return q
+    return -2.0 * TruncatedOperator(b, ("sym",)).dense("sym")
 
 
 def estimate_poincare(gen, center: Vertex, r: int) -> PoincareEstimate:

@@ -2,7 +2,7 @@
 
 ``integrate`` is the Dormand-Prince 5(4) embedded pair (Dormand & Prince,
 J. Comput. Appl. Math. 6:19, 1980) with a standard PI step-size controller.
-The seven stages of a step are the rows of one ``(7, w)`` array, and each
+The seven stages of a step are the rows of one ``(7, n)`` array, and each
 stage input is one product of a tableau row with the earlier stages; for a
 linear ``f = A y`` a step is the method's stability polynomial applied to
 ``hA`` (Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations
@@ -16,13 +16,16 @@ I*).  Three features matter for the truncated-domain simulations:
   every accepted step it finds the last entry above ``tau = 1e-10 * atol``
   (``_WINDOW_TOL``); the window runs to that entry's shell plus 8 shells,
   grows 16 shells at a time and never shrinks.  The state and the stages
-  have the window's length, the error norm still divides by the full
-  length, and the samples are exact zeros past the window.  What is
+  are written on the window alone, the error norm still divides by the
+  full length, and the samples are exact zeros past the window.  What is
   dropped starts at most ``tau``, so a flow that contracts the sup norm
   loses about ``steps * tau`` at most.
 
-``rtol`` steers only ``integrate``: the truncated flows run it for nonlinear
-flows and for linear ones with a negative weight.
+All three propagators work on row prefixes of a BFS-ordered ball, with one
+contract: a callback gets a full-length vector, zero past ``rows``, and
+returns the first ``rows`` entries of its result.  ``rtol`` steers only
+``integrate``, which the truncated flows run for nonlinear flows and for
+linear ones with a negative weight.
 
 ``uniformize`` computes ``exp(tA) y0`` for a Metzler ``A`` with zero row
 sums, such as a graph Laplacian with no negative weight, by the
@@ -32,8 +35,7 @@ and ``exp(tA) y0 = sum_k Poisson(k; rate t) P^k y0``.  One term costs one
 product with ``P``, one run serves every sample time with its own Poisson
 weights, and the weights left out of each sample's window carry at most
 ``_POISSON_TAIL`` of the mass, so there is no step control and no ``rtol``.
-Term ``k`` of a graph operator vanishes ``k`` shells past ``y0``'s support,
-so on a BFS-ordered ball each product runs on a row prefix, as Lanczos does.
+Term ``k`` of a graph operator vanishes ``k`` shells past ``y0``'s support.
 
 ``lanczos_expm`` computes ``exp(tA) y0`` for a symmetric ``A`` at every
 sample time from one Lanczos basis.  It needs no step controller: each
@@ -159,13 +161,15 @@ def _rms(x: np.ndarray, n: int) -> float:
     return float(np.sqrt(np.sum(x ** 2) / n)) if n else 0.0
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, t_span, n):
-    scale = atol + rtol * np.abs(y0)
-    d0 = _rms(y0 / scale, n)
+def _initial_step(f, t0, y0, f0, rtol, atol, t_span, rows):
+    n = y0.size
+    scale = atol + rtol * np.abs(y0[:rows])
+    d0 = _rms(y0[:rows] / scale, n)
     d1 = _rms(f0 / scale, n)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
+    y1 = y0.copy()
+    y1[:rows] += h0 * f0
+    f1 = f(t0 + h0, y1, rows)
     d2 = _rms((f1 - f0) / scale, n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -174,17 +178,18 @@ def _initial_step(f, t0, y0, f0, rtol, atol, t_span, n):
     return min(100 * h0, h1, t_span)
 
 
-def _step(f, t, y, h, k):
-    """One Dormand-Prince step from ``y``, whose derivative ``k[0]`` holds.
+def _step(f, t, y, h, k, rows):
+    """One Dormand-Prince step from ``y``, zero past ``rows``, whose derivative ``k[0]`` holds.
 
-    Fills the stages ``k[1:]`` of the ``(7, len(y))`` array ``k`` and returns
-    ``(y_new, err_vec)``; ``k[6]`` is the derivative at ``y_new`` (FSAL).
+    Fills the stages ``k[1:, :rows]`` and returns ``y_new``, zero past ``rows``,
+    and the error's first ``rows`` entries; ``k[6]`` is ``f(y_new)`` (FSAL).
     """
+    yi = np.zeros(y.size)
     for i in range(1, 7):
-        # h scales the i weights, not the window-length sum
-        yi = y + (h * _A[i, :i]) @ k[:i]
-        k[i] = f(t + _C[i] * h, yi)
-    return yi, (h * _ERR) @ k
+        # h scales the i weights, not the sum over the window
+        np.add(y[:rows], (h * _A[i, :i]) @ k[:i, :rows], out=yi[:rows])
+        k[i, :rows] = f(t + _C[i] * h, yi, rows)
+    return yi, (h * _ERR) @ k[:, :rows]
 
 
 def _window_shells(y: np.ndarray, ends: np.ndarray, last: int, tau: float) -> int:
@@ -204,11 +209,11 @@ def _window_shells(y: np.ndarray, ends: np.ndarray, last: int, tau: float) -> in
     return min(last, len(ends) - 1)
 
 
-def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
+def integrate(f: Callable[[float, np.ndarray, int], np.ndarray], y0: np.ndarray,
               sample_times: Sequence[float], rtol: float = 1e-8, atol: float = 1e-10,
               flux: Callable[[float, np.ndarray, float], tuple[float, float]] | None = None,
               shell_ends: np.ndarray | None = None) -> IntegrationResult:
-    """Integrate ``y' = f(t, y)`` from 0, sampling at the given times.
+    """Integrate ``y' = f(t, y, rows)`` from 0, sampling at the given times.
 
     ``sample_times`` must be nondecreasing and nonnegative; a leading 0 is
     sampled from the initial state.  A run that needs more than
@@ -231,10 +236,11 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
 
     ``shell_ends`` are a BFS-ordered ball's shell-end offsets (entry ``r``
     counts the vertices within distance ``r``).  With them the run works on
-    the live window of the module docstring: ``f`` and ``flux`` get the
-    window-length vector, a grown window pads the state with zeros and
-    evaluates its derivative again, and the samples are padded back to full
-    length.  Without them the window is the whole vector.
+    the live window of the module docstring, ``rows`` being its end: ``f``
+    gets the full-length state or stage input, zero past ``rows``, and
+    returns the first ``rows`` entries of the derivative, and ``flux`` gets
+    the full-length state.  ``rows`` never falls; without shell ends it is
+    the vector's length.
     """
     times = _checked_times(sample_times)
     t_end = times[-1]
@@ -251,12 +257,13 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
     ends = np.array([n]) if shell_ends is None else np.asarray(shell_ends)
     tau = _WINDOW_TOL * atol
     last = _window_shells(y, ends, -1, tau)
-    y = y[:ends[last]].copy()
-    k = np.empty((7, y.size))
-    k[0] = f(t, y)
+    rows = int(ends[last])
+    y[rows:] = 0.0
+    k = np.zeros((7, n))  # zero past the window, which only grows
+    k[0, :rows] = f(t, y, rows)
     taken: list[float] = []
     n_rejected = 0
-    h = _initial_step(f, t, y, k[0], rtol, atol, t_end, n)
+    h = _initial_step(f, t, y, k[0, :rows], rtol, atol, t_end, rows)
     err_prev = 1.0
     bound = flux_prev = 0.0
 
@@ -270,8 +277,8 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
         if not h_try > 1e-14 * max(1.0, t):  # a NaN step fails too
             raise StepSizeError(f"step size underflow or not finite at t={t:.6g}")
 
-        y_new, err_vec = _step(f, t, y, h_try, k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        y_new, err_vec = _step(f, t, y, h_try, k, rows)
+        scale = atol + rtol * np.maximum(np.abs(y[:rows]), np.abs(y_new[:rows]))
         err = _rms(err_vec / scale, n)
         if not err <= 1.0:  # a NaN error rejects too
             # t and y are unchanged, so the FSAL stage k[0] stays valid
@@ -285,20 +292,19 @@ def integrate(f: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray,
             t_prev, t = t, t + h_try
             y = y_new
             taken.append(h_try)
-            grown = last if last == len(ends) - 1 else _window_shells(y, ends, last, tau)
+            grown = last if last == len(ends) - 1 else _window_shells(y[:rows], ends, last, tau)
             if grown > last:
-                last, y = grown, np.pad(y, (0, ends[grown] - y.size))
-                k = np.empty((7, y.size))
-                k[0] = f(t, y)
+                last, rows = grown, int(ends[grown])
+                k[0, :rows] = f(t, y, rows)
             else:
-                k[0] = k[6]
+                k[0, :rows] = k[6, :rows]
             if flux is not None:
                 g, mu = flux(t, y, bound)
                 dt = t - t_prev
                 bound = math.exp(mu * dt) * (bound + dt * max(flux_prev, g))
                 flux_prev = g
             while next_idx < len(times) and t >= times[next_idx] - 1e-12 * max(1.0, t):
-                samples.append((times[next_idx], np.pad(y, (0, n - y.size))))
+                samples.append((times[next_idx], y.copy()))
                 next_idx += 1
 
     return IntegrationResult(samples, np.array(taken), len(taken), n_rejected, bound)
@@ -348,14 +354,14 @@ class _PoissonWeights:
         return w
 
 
-def uniformize(matvec: Callable[..., np.ndarray], rate: float, y0: np.ndarray,
+def uniformize(matvec: Callable[[np.ndarray, int], np.ndarray], rate: float, y0: np.ndarray,
                sample_times: Sequence[float],
                flux: Callable[[np.ndarray], np.ndarray] | None = None,
                shell_ends: np.ndarray | None = None) -> IntegrationResult:
     """``exp(tA) y0`` at every sample time by the uniformization series.
 
     ``A`` is a Metzler matrix with zero row sums whose every ``|a_vv|`` is
-    at most ``rate``, and ``matvec(v)`` returns ``P v`` for the
+    at most ``rate``, and ``matvec(v, rows)`` returns ``(P v)[:rows]`` for the
     row-stochastic ``P = I + A / rate``, so that ``y_{k+1} = P y_k = y_k +
     A y_k / rate``.  The terms are added into one ``(samples, n)`` array a
     block of ``_BLOCK`` at a time, with their weights from
@@ -372,10 +378,9 @@ def uniformize(matvec: Callable[..., np.ndarray], rate: float, y0: np.ndarray,
     ``shell_ends`` are a BFS-ordered ball's shell-end offsets, as for
     ``integrate``, and ``A`` is then a graph operator on that ball.  With
     them, ``y_k`` vanishes past the shell ``s + k`` for ``y0``'s last
-    nonzero shell ``s``, so the product of term ``k`` is ``matvec(y_k,
-    rows)``, the first ``rows`` entries of ``P y_k`` up to the end of shell
-    ``s + k + 1``; ``y_k`` is a full-length array, zero past the previous
-    term's rows.  The blocks are added over those prefixes alone.
+    nonzero shell ``s``, so term ``k``'s product asks for the rows to the
+    end of shell ``s + k + 1``, and the blocks are added over those prefixes
+    alone.  Without them ``rows`` is ``n``.
     """
     times = _checked_times(sample_times)
     y = _checked_start(y0)
@@ -386,7 +391,6 @@ def uniformize(matvec: Callable[..., np.ndarray], rate: float, y0: np.ndarray,
     weights = _PoissonWeights(lams)
     last = int(weights.last.max())
     ends = [n] if shell_ends is None else list(shell_ends)
-    mv = (lambda x, rows: matvec(x)) if shell_ends is None else matvec
     nz = np.flatnonzero(y)
     shell = int(np.searchsorted(ends, nz[-1], side="right")) if nz.size else 0
     out = np.zeros((len(times), n))
@@ -410,7 +414,7 @@ def uniformize(matvec: Callable[..., np.ndarray], rate: float, y0: np.ndarray,
                 e += float(f.sum())
         if k < last:
             rows = ends[min(shell + k + 1, len(ends) - 1)]
-            block[(k + 1) % _BLOCK, :rows] = mv(block[k % _BLOCK], rows)
+            block[(k + 1) % _BLOCK, :rows] = matvec(block[k % _BLOCK], rows)
     return IntegrationResult([(t, row) for t, row in zip(times, out)], np.array([]),
                              last + 1, 0, float(sums.max()))
 
@@ -507,15 +511,16 @@ def _second_pass(recurrence, n: int, coefs) -> list[np.ndarray]:
             return outs
 
 
-def lanczos_expm(matvec: Callable[..., np.ndarray], y0: np.ndarray,
+def lanczos_expm(matvec: Callable[[np.ndarray, int], np.ndarray], y0: np.ndarray,
                  sample_times: Sequence[float], atol: float = 1e-10,
                  shell_ends: np.ndarray | None = None) -> IntegrationResult:
     """``exp(tA) y0`` at every sample time for a symmetric ``A``.
 
-    ``matvec(v)`` returns ``A v`` as a new array (``shell_ends`` below adds
-    an argument).  A first pass runs the Lanczos recurrence, keeping only
-    the tridiagonal coefficients, until Saad's estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets
-    the tolerance at every sample time (checked every few steps).  A second
+    ``matvec(v, rows)`` returns ``(A v)[:rows]`` as a new array, ``rows``
+    being ``n`` without ``shell_ends``.  A first pass runs the Lanczos
+    recurrence, keeping only the tridiagonal coefficients, until Saad's
+    estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets the
+    tolerance at every sample time (checked every few steps).  A second
     pass runs the identical recurrence again and adds each basis vector into
     every sample, so the basis is never stored.  If ``_MAX_KRYLOV_DIM``
     vectors do not meet it, the run restarts from the last sample time they
@@ -535,18 +540,14 @@ def lanczos_expm(matvec: Callable[..., np.ndarray], y0: np.ndarray,
     rows reach one shell out.  With them both passes of every segment work
     on prefixes: the segment's start vector vanishes past the shell ``s`` of
     its last nonzero, so ``v_j`` vanishes past shell ``s + j - 1``, and step
-    j calls ``matvec(v_j, rows)`` for the first ``rows`` entries of ``A
-    v_j``, ``rows`` being the end of shell ``s + j`` rounded up to a
-    multiple of ``_PREFIX_ALIGN`` and capped at the ball.  ``v_j`` is a
-    full-length array that is zero past the previous step's rows, so the
-    matvec may read any column of those rows.
+    j's ``rows`` are the end of shell ``s + j``, rounded up to a multiple
+    of ``_PREFIX_ALIGN`` and capped at the ball.
     """
     max_dim = _MAX_KRYLOV_DIM
     times = _checked_times(sample_times)
     y = _checked_start(y0)
     n = y.size
     ends = [n] if shell_ends is None else shell_ends
-    mv = (lambda x, rows: matvec(x)) if shell_ends is None else matvec
     # each shell's end, rounded up to whole blocks (see _PREFIX_ALIGN)
     pads = np.minimum(-(-np.asarray(ends) // _PREFIX_ALIGN) * _PREFIX_ALIGN, n).tolist()
     samples = []
@@ -568,7 +569,7 @@ def lanczos_expm(matvec: Callable[..., np.ndarray], y0: np.ndarray,
         shell = int(np.searchsorted(ends, np.flatnonzero(v)[-1], side="right"))
 
         def recurrence():  # the prefixes: v's last nonzero shell, then one more per step
-            return _lanczos(mv, v, itertools.chain(pads[shell:], itertools.repeat(n)))
+            return _lanczos(matvec, v, itertools.chain(pads[shell:], itertools.repeat(n)))
 
         taus = np.array(times[k:]) - t0
         alphas, betas, coefs, met = _first_pass(recurrence(), nrm, taus,

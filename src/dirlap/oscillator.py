@@ -41,7 +41,7 @@ from .errors import BlowUpError
 from .geometry import Ball, ball
 from .graph import GraphGenerator, Vertex
 from .integrate import integrate
-from .semigroup import SimConfig, StateVector, _truncated_flow
+from .semigroup import SimConfig, StateVector, _row_prefix, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -164,7 +164,7 @@ def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
     their own threshold and report it.
     """
     b = ball(_walk_graph(sys), sys.root, radius)
-    return float(np.max(np.abs(_EdgeTable(sys, cand, b).rhs(np.zeros(len(b))))))
+    return float(np.max(np.abs(_EdgeTable(sys, cand, b).rhs(np.zeros(len(b)), len(b)))))
 
 
 def linearize(sys: OscillatorSystem, cand: PhaseLockCandidate) -> GraphGenerator:
@@ -219,10 +219,10 @@ class _EdgeTable:
     lags and ``omega`` are read once per ball vertex, and the lags once more
     per exterior pair, whose ends ``Ball.outside`` reads.
 
-    ``rhs`` takes the deviation on the integrator's window, the first ``w``
-    ball vertices; the ball vertices past it stay at the lock like the
-    exterior.  ``slopes`` gives ``H'`` at every pair, which the truncation
-    bound of ``simulate_nonlinear`` reads where its certificate fails.
+    ``rhs(phi, rows)`` and ``slopes(phi)`` take the whole ball's deviation,
+    zero past the integrator's window ``rows``, as ``integrate`` passes it.
+    ``slopes`` gives ``H'`` at every pair, which the truncation bound of
+    ``simulate_nonlinear`` reads where its certificate fails.
     """
 
     def __init__(self, sys: OscillatorSystem, cand: PhaseLockCandidate, b: Ball):
@@ -252,53 +252,43 @@ class _EdgeTable:
                 (k[inner], (self.src[inner], self.dst[inner])), shape=(n, n))
             self.s_ext = np.bincount(self.src[ext], k[ext] * np.sin(lag_u[ext]), n)
             self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
+            # sin psi and cos psi, at the lock past the last call's rows
+            self.sin, self.cos, self.rows = np.empty(n), np.empty(n), -1
         else:
             ends = iter(outside)
             self.pairs = [(b.vertices[i], b.vertices[j] if j >= 0 else next(ends))
                           for i, j in zip(self.src.tolist(), b.nbr.tolist())]
-        self._window = None
-
-    def _cut(self, w: int) -> tuple:
-        """The sine table on the first ``w`` ball vertices; the others stay at the lock.
-
-        The frozen ball vertices past ``w`` join the exterior sums ``s_ext``
-        and ``c_ext``.
-        """
-        if w == self.k.shape[0]:  # the whole ball: no copy
-            return w, self.k, self.s_ext, self.c_ext
-        rest = self.k[:w, w:]
-        return (w, self.k[:w, :w], self.s_ext[:w] + rest @ np.sin(self.lag[w:]),
-                self.c_ext[:w] + rest @ np.cos(self.lag[w:]))
 
     def _differences(self, phi: np.ndarray) -> np.ndarray:
-        """``lag_u - lag_v + phi_u - phi_v`` of every pair, ``phi`` zero past its length."""
-        padded = np.zeros(self.lag.size + 1)  # entry n: the exterior
-        padded[:phi.size] = phi
-        return self.dlag + padded[self.dst] - padded[self.src]
+        """``lag_u - lag_v + phi_u - phi_v`` of every pair."""
+        x = np.append(phi, 0.0)  # entry n: the exterior, at the lock
+        return self.dlag + x[self.dst] - x[self.src]
 
-    def rhs(self, phi: np.ndarray) -> np.ndarray:
-        """The right-hand side on the window of ``phi``'s length.
+    def rhs(self, phi: np.ndarray, rows: int) -> np.ndarray:
+        """The right-hand side on the first ``rows`` vertices; the ball past them stays at the lock.
 
-        A sine table is cut once per window (``_cut``); a ``GenericCoupling``
-        calls ``h`` on the pairs whose ``v`` lies in the window (``src`` is
-        sorted).
+        A sine table keeps ``sin psi`` and ``cos psi`` of the whole ball,
+        rewrites them on the first ``rows`` entries, and puts the entries
+        past ``rows`` back at the lock when ``rows`` changes.  A
+        ``GenericCoupling`` calls ``h`` on the pairs whose ``v`` lies in the
+        first ``rows`` (``src`` is sorted).
         """
-        w = phi.size
-        offset = self.offset[:w]
+        offset = self.offset[:rows]
         if isinstance(self.coup, SeparableCoupling):
-            if self._window is None or self._window[0] != w:
-                self._window = self._cut(w)
-            _, k, s_ext, c_ext = self._window
-            psi = phi + self.lag[:w]
-            s, c = np.sin(psi), np.cos(psi)
-            return offset + c * (k @ s + s_ext) - s * (k @ c + c_ext)
-        m = int(np.searchsorted(self.src, w))
+            s, c = self.sin, self.cos
+            if rows != self.rows:  # a new window
+                s[rows:], c[rows:] = np.sin(self.lag[rows:]), np.cos(self.lag[rows:])
+                self.rows, self.k_rows = rows, _row_prefix(self.k, rows)
+            psi = phi[:rows] + self.lag[:rows]
+            sr, cr, k = np.sin(psi, out=s[:rows]), np.cos(psi, out=c[:rows]), self.k_rows
+            return offset + cr * (k @ s + self.s_ext[:rows]) - sr * (k @ c + self.c_ext[:rows])
+        m = int(np.searchsorted(self.src, rows))
         x = self._differences(phi)[:m].tolist()
         vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x, self.pairs)])
-        return offset + np.bincount(self.src[:m], weights=vals, minlength=w)
+        return offset + np.bincount(self.src[:m], weights=vals, minlength=rows)
 
     def slopes(self, phi: np.ndarray) -> np.ndarray:
-        """``H'`` of every pair at the deviation ``phi`` on the window, the lock past it.
+        """``H'`` of every pair at the deviation ``phi``.
 
         ``K_vu cos(psi_u - psi_v)`` for the sine coupling, ``dh`` as
         ``linearize`` reads it for a ``GenericCoupling``.
@@ -362,13 +352,10 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                 s = table.slopes(phi)  # per-vertex sums below; the cut is the first n1
                 rows = np.bincount(table.src, np.where(table.dst < n1, np.abs(s) - s, -s))[:n1]
                 mu = float(np.max(rows, initial=0.0))
-            live = dst < phi.size  # phi is 0 past the window
-            phi_u = np.zeros(dst.size)
-            phi_u[live] = phi[dst[live]]
-            into = np.bincount(src, np.abs((kw if sine else s[across]) * phi_u))
+            into = np.bincount(src, np.abs((kw if sine else s[across]) * phi[dst]))
             return float(np.max(into, initial=0.0)), mu
 
-        return integrate(lambda t, y: table.rhs(y), y0, times, rtol=cfg.rtol, atol=cfg.atol,
-                         flux=flux, shell_ends=ends)
+        return integrate(lambda t, y, rows: table.rhs(y, rows), y0, times, rtol=cfg.rtol,
+                         atol=cfg.atol, flux=flux, shell_ends=ends)
 
     return _truncated_flow(_walk_graph(sys), perturbation, cfg, run)

@@ -149,12 +149,12 @@ class SimConfig:
 
     ``c_speed`` (finite, nonnegative) overrides the light-cone heuristic: the
     simulation radius is then ``support_radius + ceil(c_speed * t_max) + 8``,
-    the 8 being the truncation margin.  When unset, the radius combines a
-    ballistic term from the skew mass seen at the edge of a probe ball with a
-    diffusive term from the largest vertex measure.  Full and nonlinear runs
-    validate it by the truncation bound that their propagator sums
-    (``uniformize`` or ``integrate``); ``_truncated_flow``'s margin (8 hops)
-    and retries (3) are module constants, not settings.
+    the 8 being the truncation margin.  When unset, the radius is a diffusive
+    term from the largest vertex measure, plus, except for ``sym`` runs, a
+    ballistic term from the skew mass at the edge of a probe ball.  Full and
+    nonlinear runs validate it by the truncation bound that their propagator
+    sums (``uniformize`` or ``integrate``); ``_truncated_flow``'s margin (8
+    hops) and retries (3) are module constants, not settings.
     Symmetric-part runs validate it by the Krylov reach instead: when a
     Lanczos vector touches the ball's outer shell, the allowance past the
     support doubles.  No ball may exceed 4,000,000 vertices.
@@ -251,17 +251,17 @@ def _support_info(gen, x0, center, budget: int) -> tuple[dict, int]:
     raise ValueError("initial support not reachable from the center")
 
 
-def _planned_radius(gen, center, support_radius: int, cfg: SimConfig) -> int:
+def _planned_radius(gen, center, support_radius: int, cfg: SimConfig, part: str) -> int:
     if cfg.c_speed is not None:
         return support_radius + math.ceil(cfg.c_speed * cfg.t_max) + _TRUNCATION_MARGIN
     probe_r = support_radius + 12
     probe = ball(gen, center, probe_r, budget=_BALL_BUDGET)
-    max_m = float(probe.measures.max())
-    skew_row_abs = np.bincount(probe.entry_rows(),
-                               weights=np.abs(probe.w_out - probe.w_in) / 2.0,
-                               minlength=len(probe))
-    c_ball = float(skew_row_abs[probe.distances == probe_r].max(initial=0.0))
-    spread = c_ball * cfg.t_max + 8.0 * math.sqrt(max_m) * math.sqrt(cfg.t_max)
+    spread = 8.0 * math.sqrt(float(probe.measures.max())) * math.sqrt(cfg.t_max)
+    if part == "full":  # the ballistic term; L_sym has no skew part
+        skew_row_abs = np.bincount(probe.entry_rows(),
+                                   weights=np.abs(probe.w_out - probe.w_in) / 2.0,
+                                   minlength=len(probe))
+        spread += float(skew_row_abs[probe.distances == probe_r].max(initial=0.0)) * cfg.t_max
     return support_radius + math.ceil(spread) + _TRUNCATION_MARGIN
 
 
@@ -270,11 +270,11 @@ def _shell_ends(b: Ball) -> np.ndarray:
     return np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
 
 
-def _plan(gen, x0, cfg: SimConfig) -> tuple[Vertex, dict, int, int]:
-    """Center (``x0``'s, or the root), support values and radius, planned radius."""
+def _plan(gen, x0, cfg: SimConfig, part: str) -> tuple[Vertex, dict, int, int]:
+    """Center (``x0``'s, or the root), support values and radius, and ``part``'s planned radius."""
     center = x0.ball.center if isinstance(x0, StateVector) else gen.root
     data, support_radius = _support_info(gen, x0, center, _BALL_BUDGET)
-    return center, data, support_radius, _planned_radius(gen, center, support_radius, cfg)
+    return center, data, support_radius, _planned_radius(gen, center, support_radius, cfg, part)
 
 
 def _truncated_flow(gen, x0, cfg: SimConfig, run) -> EvolveResult:
@@ -295,7 +295,7 @@ def _truncated_flow(gen, x0, cfg: SimConfig, run) -> EvolveResult:
     atol``; otherwise the radius grows by the margin and the attempt is
     repeated, at most ``_MAX_RETRIES`` times before ``TruncationError``.
     """
-    center, data, _, radius = _plan(gen, x0, cfg)
+    center, data, _, radius = _plan(gen, x0, cfg, "full")
     retries = 0
     while True:
         b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
@@ -355,7 +355,7 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
     first rows that shares its arrays.  The input vanishes past those rows,
     so only the outer shell's part of the prefix is scanned for the reach.
     """
-    center, data, support_radius, radius = _plan(gen, x0, cfg)
+    center, data, support_radius, radius = _plan(gen, x0, cfg, "sym")
     retries = 0
     while True:
         b = ball(gen, center, radius, budget=_BALL_BUDGET)
@@ -426,21 +426,12 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         out, cut = _past_cut(a, n1), a[:n1, :n1]
         # the exact infinity log-norm of the cut: its |row| sums, the diagonal signed
         mu = max(0.0, float((abs(cut) @ np.ones(n1) + 2 * np.minimum(cut.diagonal(), 0)).max()))
-        window = a
-        past = np.zeros(out.shape[1])  # the state past the cut; zero past the window, which only grows
 
-        def matvec(t, y):
-            nonlocal window
-            if window.shape[0] != y.size:  # a new window: the ball's diagonal, cut
-                window = a if y.size == a.shape[0] else a[:y.size, :y.size]
-            return window @ y
+        def flux(t, y, bound):  # the coupling from past the cut into it
+            return float(np.max(np.abs(out @ y[n1:]), initial=0.0)), mu
 
-        def flux(t, y, bound):  # the flux from the window past the cut
-            past[:max(y.size - n1, 0)] = y[n1:]
-            return float(np.max(np.abs(out @ past), initial=0.0)), mu
-
-        return integrate(matvec, y0, times, rtol=cfg.rtol, atol=cfg.atol, flux=flux,
-                         shell_ends=ends)
+        return integrate(lambda t, y, rows: _row_prefix(a, rows) @ y, y0, times,
+                         rtol=cfg.rtol, atol=cfg.atol, flux=flux, shell_ends=ends)
 
     return _truncated_flow(gen, x0, cfg, run)
 

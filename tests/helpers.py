@@ -173,29 +173,31 @@ def dopri_replay(f, y0, sample_times, steps, shell_ends=None, tau=0.0) -> list:
     ``integrate`` (``shell_ends`` and the threshold ``tau``; without shell
     ends, the whole vector), and samples where ``integrate`` does, so
     replaying an ``integrate`` run's own steps gives its samples bit for bit.
+    ``f(t, y, rows)`` is called as ``integrate`` calls it, with the window's
+    end ``rows``, which never passes the last shell end.
     """
     y = np.array(y0, dtype=float)
     n = y.size
     ends = np.array([n]) if shell_ends is None else np.asarray(shell_ends)
-    last = _window_shells(y, ends, -1, tau)
-    y = y[:ends[last]].copy()
-    k = np.empty((7, y.size))
-    t = 0.0
-    k[0] = f(t, y)
     times = list(sample_times)
-    samples = [(ts, np.pad(y, (0, n - y.size))) for ts in times if ts <= 0.0]
+    samples = [(ts, y.copy()) for ts in times if ts <= 0.0]
+    last = _window_shells(y, ends, -1, tau)
+    rows = int(ends[last])
+    y[rows:] = 0.0
+    k = np.zeros((7, n))
+    t = 0.0
+    k[0, :rows] = f(t, y, rows)
     for h in steps:
-        y, _ = _step(f, t, y, h, k)
+        y, _ = _step(f, t, y, h, k, rows)
         t = t + h
         grown = last if last == len(ends) - 1 else _window_shells(y, ends, last, tau)
         if grown > last:
-            last, y = grown, np.pad(y, (0, ends[grown] - y.size))
-            k = np.empty((7, y.size))
-            k[0] = f(t, y)
+            last, rows = grown, int(ends[grown])
+            k[0, :rows] = f(t, y, rows)
         else:
-            k[0] = k[6]
+            k[0, :rows] = k[6, :rows]
         while len(samples) < len(times) and t >= times[len(samples)] - 1e-12 * max(1.0, t):
-            samples.append((times[len(samples)], np.pad(y, (0, n - y.size))))
+            samples.append((times[len(samples)], y.copy()))
     return samples
 
 
@@ -204,18 +206,20 @@ def truncation_check(run: Run) -> tuple[float, float]:
 
     The primary run is the run's own right-hand side on the cut, the first
     ``n1`` ball vertices (a flow's right-hand side holds the vertices past
-    its input at rest), replayed along the run's steps from ``y0[:n1]`` on
-    its own live window, as a run on the cut alone takes it.  ``n1`` is the
-    BFS prefix of the ball's radius less ``semigroup._TRUNCATION_MARGIN``.
-    The disagreement is their largest difference on the cut over the
-    sample times, with the integrator contributing only roundoff.
+    its ``rows`` at rest), replayed along the run's steps from ``y0`` cut to
+    ``n1`` on its own live window, whose ``rows`` never pass ``n1``, as a
+    run on the cut alone takes it.  ``n1`` is the BFS prefix of the ball's
+    radius less ``semigroup._TRUNCATION_MARGIN``.  The disagreement is their
+    largest difference on the cut over the sample times, with the integrator
+    contributing only roundoff.
     """
     r = len(run.kwargs["shell_ends"]) - 1 - semigroup._TRUNCATION_MARGIN
     ends = run.kwargs["shell_ends"][:r + 1]
-    primary = dopri_replay(run.f, run.y0[:ends[-1]], run.sample_times, run.result.steps,
-                           ends, integrate_module._WINDOW_TOL * run.kwargs["atol"])
     n1 = int(ends[-1])
-    diff = max(float(np.max(np.abs(y[:n1] - z), initial=0.0))
+    y0 = np.where(np.arange(run.y0.size) < n1, run.y0, 0.0)
+    primary = dopri_replay(run.f, y0, run.sample_times, run.result.steps,
+                           ends, integrate_module._WINDOW_TOL * run.kwargs["atol"])
+    diff = max(float(np.max(np.abs(y[:n1] - z[:n1]), initial=0.0))
                for (_, y), (_, z) in zip(run.result.samples, primary))
     return run.result.bound, diff
 

@@ -1,5 +1,5 @@
 """Adaptive integrator accuracy, sampling, the stacked step, the live window, the replay oracle;
-the uniformization series and its Poisson weights."""
+the uniformization series and its Poisson weights; every propagator's row-prefix contract."""
 
 import math
 from fractions import Fraction as F
@@ -22,14 +22,14 @@ from helpers import dopri_replay
 
 
 def test_exponential_decay_accuracy():
-    res = integrate(lambda t, y: -y, np.array([1.0]), [0.5, 1.0, 3.0, 10.0],
+    res = integrate(lambda t, y, rows: -y, np.array([1.0]), [0.5, 1.0, 3.0, 10.0],
                     rtol=1e-10, atol=1e-12)
     for t, y in res.samples:
         assert y[0] == pytest.approx(np.exp(-t), abs=1e-9)
 
 
 def test_cosine_forcing():
-    res = integrate(lambda t, y: np.array([np.cos(t)]), np.array([0.0]),
+    res = integrate(lambda t, y, rows: np.array([np.cos(t)]), np.array([0.0]),
                     [1.0, 2.0, 6.0], rtol=1e-9, atol=1e-12)
     for t, y in res.samples:
         assert y[0] == pytest.approx(np.sin(t), abs=1e-8)
@@ -37,12 +37,12 @@ def test_cosine_forcing():
 
 def test_sample_times_hit_exactly():
     wanted = [0.0, 0.3, 1.7, 2.0]
-    res = integrate(lambda t, y: -0.5 * y, np.array([2.0]), wanted)
+    res = integrate(lambda t, y, rows: -0.5 * y, np.array([2.0]), wanted)
     assert [t for t, _ in res.samples] == wanted
 
 
 def test_initial_sample_is_initial_state():
-    res = integrate(lambda t, y: -y, np.array([3.0, -1.0]), [0.0, 1.0])
+    res = integrate(lambda t, y, rows: -y, np.array([3.0, -1.0]), [0.0, 1.0])
     t0, y0 = res.samples[0]
     assert t0 == 0.0
     assert y0.tolist() == [3.0, -1.0]
@@ -51,11 +51,11 @@ def test_initial_sample_is_initial_state():
 def test_replay_reproduces_exactly():
     # the oracle along integrate's own steps gives its samples bit for bit,
     # on the whole vector and on the live window of a ball
-    rhs = lambda t, y: np.array([-y[0], 0.3 * y[0] - y[1]])
+    rhs = lambda t, y, rows: np.array([-y[0], 0.3 * y[0] - y[1]])
     runs = [(rhs, np.array([1.0, 0.5]), {})]
     b = ball(builtin_graph("example-2.2"), (0,), 80)
     a = TruncatedOperator(b, parts=("full",)).matrix("full")
-    runs.append((lambda t, y: a[:y.size, :y.size] @ y, np.eye(len(b))[0],
+    runs.append((lambda t, y, rows: a[:rows] @ y, np.eye(len(b))[0],
                  {"shell_ends": _shell_ends(b)}))
     for f, y0, kw in runs:
         run = integrate(f, y0, [0.7, 2.2, 5.0], rtol=1e-8, atol=1e-11, **kw)
@@ -69,8 +69,8 @@ def test_replay_reproduces_exactly():
 
 def test_replay_on_augmented_system():
     # the replayed system may have extra components; shared ones agree
-    rhs1 = lambda t, y: -y
-    rhs2 = lambda t, y: np.concatenate([-y[:1], [-2.0 * y[1]]])
+    rhs1 = lambda t, y, rows: -y
+    rhs2 = lambda t, y, rows: np.concatenate([-y[:1], [-2.0 * y[1]]])
     base = integrate(rhs1, np.array([1.0]), [1.0, 4.0], rtol=1e-9, atol=1e-12)
     big = dopri_replay(rhs2, np.array([1.0, 1.0]), [1.0, 4.0], base.steps)
     for (_, ya), (_, yb) in zip(base.samples, big):
@@ -80,13 +80,13 @@ def test_replay_on_augmented_system():
 def test_step_budget(monkeypatch):
     monkeypatch.setattr(integrate_module, "_MAX_STEPS", 10)
     with pytest.raises(StepSizeError):
-        integrate(lambda t, y: -1000.0 * y, np.array([1.0]), [50.0],
+        integrate(lambda t, y, rows: -1000.0 * y, np.array([1.0]), [50.0],
                   rtol=1e-10, atol=1e-13)
 
 
 @pytest.mark.parametrize("rhs, y0", [
-    (lambda t, y: -y, [np.nan]),  # a NaN state
-    (lambda t, y: np.full_like(y, np.nan), [1.0]),  # a NaN derivative
+    (lambda t, y, rows: -y, [np.nan]),  # a NaN state
+    (lambda t, y, rows: np.full_like(y, np.nan), [1.0]),  # a NaN derivative
 ], ids=["state", "derivative"])
 def test_nan_raises_at_the_first_step(rhs, y0):
     # the first step size is NaN, so no step can be accepted or rejected into range
@@ -96,14 +96,14 @@ def test_nan_raises_at_the_first_step(rhs, y0):
 
 def test_bad_sample_times():
     with pytest.raises(ValueError):
-        integrate(lambda t, y: -y, np.array([1.0]), [2.0, 1.0])
+        integrate(lambda t, y, rows: -y, np.array([1.0]), [2.0, 1.0])
     with pytest.raises(ValueError):
-        integrate(lambda t, y: -y, np.array([1.0]), [-1.0, 1.0])
+        integrate(lambda t, y, rows: -y, np.array([1.0]), [-1.0, 1.0])
 
 
 def test_rejections_tracked_on_abrupt_problem():
     # forcing with a sharp knee makes at least one step get rejected
-    def rhs(t, y):
+    def rhs(t, y, rows):
         return np.array([1.0 / (1e-3 + abs(t - 1.0))])
 
     res = integrate(rhs, np.array([0.0]), [2.0], rtol=1e-8, atol=1e-10)
@@ -121,15 +121,15 @@ def test_flux_runs_and_can_abort():
         return 0.0, 0.0
 
     with pytest.raises(RuntimeError):
-        integrate(lambda t, y: -y, np.array([1.0]), [2.0], flux=flux)
+        integrate(lambda t, y, rows: -y, np.array([1.0]), [2.0], flux=flux)
     assert seen
 
 
 def test_constant_flux_with_zero_mu_sums_to_its_integral():
     # without flux the bound is 0.0; with it, the same steps are taken
     c, t_end = 0.3, 5.0
-    plain = integrate(lambda t, y: -y, np.array([1.0]), [1.0, t_end])
-    res = integrate(lambda t, y: -y, np.array([1.0]), [1.0, t_end],
+    plain = integrate(lambda t, y, rows: -y, np.array([1.0]), [1.0, t_end])
+    res = integrate(lambda t, y, rows: -y, np.array([1.0]), [1.0, t_end],
                     flux=lambda t, y, bound: (c, 0.0))
     assert plain.bound == 0.0
     assert res.n_steps > 1 and np.array_equal(res.steps, plain.steps)
@@ -146,7 +146,7 @@ def test_bound_is_the_recurrence_over_the_accepted_steps():
         calls.append((t, float(abs(y[0])), bound))
         return calls[-1][1], mu
 
-    res = integrate(lambda t, y: -y, np.array([1.0]), [0.5, 3.0], flux=flux)
+    res = integrate(lambda t, y, rows: -y, np.array([1.0]), [0.5, 3.0], flux=flux)
     assert len(calls) == res.n_steps > 1
     bound = g_prev = t = 0.0
     for h, (t_seen, g, seen) in zip(res.steps, calls):
@@ -204,7 +204,7 @@ def test_stacked_step_is_the_stability_polynomial_of_hA(seed, h):
     y = np.random.default_rng(seed + 1).standard_normal(a.shape[0])
     k = np.empty((7, y.size))
     k[0] = a @ y
-    y_new, err = integrate_module._step(lambda t, x: a @ x, 0.0, y, h, k)
+    y_new, err = integrate_module._step(lambda t, x, rows: a @ x, 0.0, y, h, k, y.size)
     powers = [y]
     for _ in range(7):
         powers.append(h * (a @ powers[-1]))
@@ -264,13 +264,13 @@ def check_window_against_replay(gen, t_max, tol):
     b, a, y0 = whole_graph_flow(gen)
     sizes = []
 
-    def rhs(t, y):
-        sizes.append(y.size)
-        return a[:y.size, :y.size] @ y
+    def rhs(t, y, rows):
+        sizes.append(rows)
+        return a[:rows] @ y
 
     ts = [t_max / 3, t_max]
     win = integrate(rhs, y0, ts, rtol=1e-8, atol=atol, shell_ends=_shell_ends(b))
-    whole = dopri_replay(lambda t, y: a @ y, y0, ts, win.steps)
+    whole = dopri_replay(lambda t, y, rows: a @ y, y0, ts, win.steps)
     assert min(sizes) < len(b)
     for (ta, ya), (tb, yb) in zip(win.samples, whole):
         assert ta == tb and ya.size == yb.size == len(b)
@@ -289,9 +289,9 @@ def test_window_of_the_nonzero_entries_changes_nothing(gen, t_max):
     ts = [t_max / 3, t_max]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(integrate_module, "_WINDOW_TOL", 0.0)
-        win = integrate(lambda t, y: a[:y.size, :y.size] @ y, y0, ts, rtol=1e-8,
+        win = integrate(lambda t, y, rows: a[:rows] @ y, y0, ts, rtol=1e-8,
                         atol=1e-10, shell_ends=_shell_ends(b))
-    whole = integrate(lambda t, y: a @ y, y0, ts, rtol=1e-8, atol=1e-10)
+    whole = integrate(lambda t, y, rows: a @ y, y0, ts, rtol=1e-8, atol=1e-10)
     assert win.n_steps == whole.n_steps and win.n_rejected == whole.n_rejected
     assert np.allclose(win.steps, whole.steps, rtol=1e-12, atol=0.0)
     for (_, ya), (_, yb) in zip(win.samples, whole.samples):
@@ -337,7 +337,7 @@ def test_series_on_prefixes_matches_the_full_length_run_and_dense_expm(gen, t_ma
         return p[:rows] @ y
 
     pre = uniformize(prefix, rate, y0, ts, shell_ends=_shell_ends(b))
-    whole = uniformize(p.dot, rate, y0, ts)
+    whole = uniformize(lambda y, rows: p @ y, rate, y0, ts)
     assert min(rows_seen) < len(b) and pre.n_steps == whole.n_steps
     dense = a.toarray()
     for (t, yp), (_, yw) in zip(pre.samples, whole.samples):
@@ -350,8 +350,73 @@ def test_series_past_the_step_cap_fails_before_the_first_term(monkeypatch):
     # rate * t above the cap would need at least that many terms
     monkeypatch.setattr(integrate_module, "_MAX_STEPS", 10)
 
-    def matvec(y):
+    def matvec(y, rows):
         raise AssertionError("a term ran")
 
     with pytest.raises(StepSizeError, match="more than 10 terms"):
         uniformize(matvec, 2.0, np.array([1.0, 0.0]), [1.0, 6.0])
+
+
+def line_flow(r=100):
+    """The shell ends, ``sym`` operator and root indicator of the line's radius-``r`` ball."""
+    b = ball(builtin_graph("z-lattice", d=1), (0,), r)
+    y0 = np.zeros(len(b))
+    y0[0] = 1.0
+    return _shell_ends(b), TruncatedOperator(b, parts=("sym",)).matrix("sym"), y0
+
+
+def recording(a, calls):
+    """``matvec(y, rows)``, the first ``rows`` entries of ``a @ y``, appending ``(y, rows, result)``."""
+    def matvec(y, rows):
+        calls.append((y.copy(), rows, a[:rows] @ y))
+        return calls[-1][2]
+    return matvec
+
+
+def assert_row_prefix_contract(calls, n):
+    """Every input has length ``n`` and is zero past its ``rows``; every output has ``rows`` entries."""
+    assert calls
+    for y, rows, out in calls:
+        assert y.shape == (n,) and not y[rows:].any() and out.shape == (rows,)
+    assert min(rows for _, rows, _ in calls) < n  # the prefixes were in use
+
+
+def test_dopri_callbacks_keep_the_row_prefix_contract():
+    # f and flux get the full-length vector, zero past the window, which never falls
+    ends, a, y0 = line_flow()
+    calls, states = [], []
+    matvec = recording(a, calls)
+
+    def flux(t, y, bound):
+        states.append((y.copy(), calls[-1][1]))
+        return 0.0, 0.0
+
+    res = integrate(lambda t, y, rows: matvec(y, rows), y0, [1.0, 5.0], flux=flux,
+                    shell_ends=ends)
+    assert_row_prefix_contract(calls, y0.size)
+    rows = [r for _, r, _ in calls]
+    assert rows == sorted(rows) and rows[-1] < y0.size
+    assert len(states) == res.n_steps
+    assert all(y.shape == y0.shape and not y[r:].any() for y, r in states)
+
+
+def test_series_callbacks_keep_the_row_prefix_contract():
+    # each term's product, and flux gets whole terms as rows
+    ends, a, y0 = line_flow()
+    p = a / 2.0 + scipy.sparse.identity(y0.size, format="csr")
+    calls, shapes = [], []
+
+    def flux(terms):
+        shapes.append(terms.shape)
+        return np.zeros(len(terms))
+
+    uniformize(recording(p, calls), 2.0, y0, [1.0, 5.0], flux=flux, shell_ends=ends)
+    assert_row_prefix_contract(calls, y0.size)
+    assert shapes and all(cols == y0.size for _, cols in shapes)
+
+
+def test_lanczos_callbacks_keep_the_row_prefix_contract():
+    ends, a, y0 = line_flow()
+    calls = []
+    integrate_module.lanczos_expm(recording(a, calls), y0, [1.0, 5.0], shell_ends=ends)
+    assert_row_prefix_contract(calls, y0.size)

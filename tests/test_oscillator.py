@@ -487,7 +487,7 @@ def check_harmonic_rhs(kind, lags, phi):
     expected = pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi)
     for table in tables:
         assert np.count_nonzero(table.s_ext) == np.count_nonzero(table.c_ext) > 0
-        err = np.abs(table.rhs(phi) - expected)
+        err = np.abs(table.rhs(phi, phi.size) - expected)
         assert np.all(err <= 1e-14 * scale)
 
 
@@ -521,18 +521,20 @@ def test_windowed_rhs_is_the_whole_ball_rhs_on_the_window(lags, phi, w, kind):
                             root=(0, 0))
     cand = PhaseLockCandidate(velocity=0.2,
                               lags=dict(zip(_RHS_REACH.vertices, lags)).__getitem__)
-    phi = np.where(np.arange(phi.size) < w, phi, 0.0)  # past the window: at the lock
-    whole = oscillator._EdgeTable(sys_, cand, _RHS_BALL).rhs(phi)
+    n = phi.size
+    cut = np.where(np.arange(n) < w, phi, 0.0)  # past the window: at the lock
+    whole = oscillator._EdgeTable(sys_, cand, _RHS_BALL).rhs(cut, n)
     table = oscillator._EdgeTable(sys_, cand, _RHS_BALL)
-    windowed = table.rhs(phi[:w])
+    windowed = table.rhs(cut, w)
     scale = np.array([1.25 * sum(abs(weight(v, u)) for u in support(v))
                       for v in _RHS_BALL.vertices[:w]])
     assert windowed.shape == (w,)
     assert np.all(np.abs(windowed - whole[:w]) <= 1e-14 * scale)
-    # a grown window is cut again: the whole ball gives the whole-ball table,
-    # read in place
-    assert np.array_equal(table.rhs(phi), whole)
-    assert kind == "generic" or table._window[1] is table.k
+    # a grown window rewrites the rows past w: the whole ball gives the whole-ball rhs
+    assert np.array_equal(table.rhs(cut, n), whole)
+    # a window that falls after a run on the whole ball puts the rows past it back at the lock
+    table.rhs(phi, n)
+    assert np.array_equal(table.rhs(cut, w), windowed)
 
 
 @pytest.mark.parametrize("kind", ["sine", "generic"])

@@ -380,12 +380,28 @@ class TestEvolve:
         n = len(res.ball)
         assert res.retries >= 1 and big.vertices[:n] == res.ball.vertices
         a = TruncatedOperator(big, ("sym",)).matrix("sym")
-        ref = lanczos_expm(a.dot, StateVector.from_dict(big, x0).values,
+        ref = lanczos_expm(lambda v, rows: a @ v, StateVector.from_dict(big, x0).values,
                            cfg.resolved_sample_times(), atol=cfg.atol)
         assert ref.n_steps == res.n_steps
         for (_, s), (_, y) in zip(res, ref.samples):
             assert np.all(y[n:] == 0.0)
             assert np.abs(s.values - y[:n]).max() <= 1e-15
+
+    def test_a_sym_plan_takes_no_ballistic_term(self):
+        # L_sym has no skew part, so on z2-advection (largest measure 2) a sym
+        # run plans the diffusive term alone, 8 sqrt(2 t) + 8 hops, where a
+        # full run adds t times the probe's skew row sum (radius 99 at t = 20);
+        # a ball of radius 88 (by c_speed) gives the same samples
+        g = builtin_graph("z2-advection")
+        res = evolve(g, {g.root: 1.0}, SimConfig(t_max=20.0), part="sym")
+        assert (res.retries, res.ball.radius) == \
+            (0, 8 + math.ceil(8.0 * math.sqrt(2.0) * math.sqrt(20.0))) == (0, 59)
+        big = evolve(g, {g.root: 1.0}, SimConfig(t_max=20.0, c_speed=4.0), part="sym")
+        n = len(res.ball)
+        assert big.ball.radius == 88 and big.n_steps == res.n_steps
+        for (_, s), (_, z) in zip(res, big, strict=True):
+            assert not z.values[n:].any()
+            assert np.abs(s.values - z.values[:n]).max() <= 1e-15
 
     @pytest.mark.parametrize("part, cfg, retries", [
         # the undersized fixture above, and the same undersized line on the full part
@@ -426,9 +442,10 @@ class TestEvolve:
 
     def test_primary_run_is_the_enlarged_operator_cut(self, monkeypatch):
         # the primary run the last attempt's bound stands for, rebuilt from the
-        # public pieces: the enlarged ball's operator cut to each window, from
-        # the first ends[radius] vertices, along the one run's steps, gives the
-        # oracle's disagreement bit for bit, and the bound covers it
+        # public pieces: the enlarged ball's operator cut to the first
+        # ends[radius] columns and to each window's rows, from the first
+        # ends[radius] vertices, along the one run's steps, gives the oracle's
+        # disagreement bit for bit, and the bound covers it
         runs = record_runs(monkeypatch)
         g = negative_line_graph()
         cfg = SimConfig(t_max=4.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
@@ -439,7 +456,7 @@ class TestEvolve:
         ends = np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
         y0 = StateVector.from_dict(b, {(0,): 1.0}).values[:ends[radius]]
         steps = runs[-1].result.steps
-        primary = dopri_replay(lambda t, y: a[:y.size, :y.size] @ y, y0,
+        primary = dopri_replay(lambda t, y, rows: a[:rows, :y.size] @ y, y0,
                                cfg.resolved_sample_times(), steps, ends[:radius + 1],
                                integrate_module._WINDOW_TOL * cfg.atol)
         diff = max(float(np.max(np.abs(s.values[:y0.size] - y)))

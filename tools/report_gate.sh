@@ -49,6 +49,8 @@ run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-spee
 # sym runs on non-uniform weights: radius 80 and radius 59
 run sim-skew-sym simulate --graph z2-skew-perturbed --part sym --t-max 20
 run sim-ex22-sym simulate --graph example-2.2 --part sym --t-max 20
+# sym on a skew graph: the plan takes no ballistic term
+run sim-adv-sym simulate --graph z2-advection --part sym --t-max 20
 # its full twin: an uneven diagonal, so the series' rate is a true maximum
 run sim-ex22-full simulate --graph example-2.2 --part full --t-max 20
 run osc oscillate --t-max 10
