@@ -15,6 +15,7 @@ import csv
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,26 +42,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, defaults: dict) -> dict:
-    """Flag > config file > default; config values are checked like flags.
-
-    A config key outside ``defaults`` is an error.  A config value is
-    converted by the type of the flag that sets its key, else by its
-    default's type, so a file and the equivalent flags give the same spec.
-    """
-    unknown = sorted(set(config) - set(defaults))
+def _resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
+    """Flag > config file > default, for ``command``'s options; a config key
+    that is not one of them is an error."""
+    options = _COMMANDS[command][2]
+    unknown = sorted(set(config) - {opt.key for opt in options})
     if unknown:
-        raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s) for {command}: {', '.join(unknown)}")
     spec = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
+    for opt in options:
+        flag_value = getattr(args, opt.key, None)
         if flag_value is not None:
-            spec[key] = flag_value
-        elif key in config:
-            convert = args.flag_types.get(key) or (str if default is None else type(default))
-            spec[key] = convert(config[key])
+            spec[opt.key] = flag_value
+        elif opt.key in config:
+            spec[opt.key] = opt.type(config[opt.key])
         else:
-            spec[key] = default
+            spec[opt.key] = opt.default
     return spec
 
 
@@ -71,11 +68,8 @@ def _embedded_spec(spec: dict) -> dict:
 
 
 def _make_graph(spec: dict):
-    params = {}
-    if spec.get("graph") == "z-lattice" and spec.get("d") is not None:
-        params["d"] = int(spec["d"])
-    if spec.get("graph") == "z2-skew-perturbed" and spec.get("a") is not None:
-        params["a"] = float(spec["a"])
+    key = {"z-lattice": "d", "z2-skew-perturbed": "a"}.get(spec["graph"])
+    params = {key: spec[key]} if key and spec[key] is not None else {}
     return graph_builtins.builtin_graph(spec["graph"], **params)
 
 
@@ -94,16 +88,14 @@ def _write_report(out_dir: str, name: str, payload: dict) -> str:
     return path
 
 
-def _cmd_schema_version(_args, _config) -> int:
+def _cmd_schema_version(_spec) -> int:
     print(reports.report_schema_version())
     return 0
 
 
-def _cmd_validate(args, config) -> int:
-    defaults = {"graph": "example-2.2", "a": None, "d": None, "radius": 10, "out": "dirlap-out"}
-    spec = _resolve(args, config, defaults)
+def _cmd_validate(spec) -> int:
     gen = _make_graph(spec)
-    report = validate_generator(gen, int(spec["radius"]))
+    report = validate_generator(gen, spec["radius"])
     payload = {"action": "validate", "spec": _embedded_spec(spec), "result": report}
     path = _write_report(spec["out"], "validate.json", payload)
     print(f"validate: {'ok' if report.ok else 'VIOLATIONS'} "
@@ -111,16 +103,11 @@ def _cmd_validate(args, config) -> int:
     return 0 if report.ok else 2
 
 
-def _cmd_check_hypotheses(args, config) -> int:
-    defaults = {"graph": "example-2.2", "a": None, "d": None,
-                "r_min": 8, "r_max": 64, "shells": None, "tol": 1e-6,
-                "seed": 0, "out": "dirlap-out"}
-    spec = _resolve(args, config, defaults)
+def _cmd_check_hypotheses(spec) -> int:
     gen = _make_graph(spec)
-    shells = None if spec["shells"] is None else int(spec["shells"])
     report = hypotheses.check_hypotheses(
-        gen, r_min=int(spec["r_min"]), r_max=int(spec["r_max"]),
-        max_shells=shells, shell_tol=float(spec["tol"]), seed=int(spec["seed"]))
+        gen, r_min=spec["r_min"], r_max=spec["r_max"], max_shells=spec["shells"],
+        shell_tol=spec["tol"], seed=spec["seed"])
     payload = {"action": "check-hypotheses", "spec": _embedded_spec(spec), "result": report}
     path = _write_report(spec["out"], "hypotheses.json", payload)
     failed = report.skew_mass.verdict == "divergent" or report.delta.alpha <= 0
@@ -132,18 +119,14 @@ def _cmd_check_hypotheses(args, config) -> int:
     return 2 if failed else 0
 
 
-def _cmd_simulate(args, config) -> int:
-    defaults = {"graph": "z-lattice", "a": None, "d": 2, "t_max": 200.0,
-                "p": "inf", "part": "full", "c_speed": None, "out": "dirlap-out"}
-    spec = _resolve(args, config, defaults)
+def _cmd_simulate(spec) -> int:
     gen = _make_graph(spec)
-    t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
-    p = math.inf if str(spec["p"]).lower() in ("inf", "infinity") else float(spec["p"])
+    t_max = semigroup.SimConfig(spec["t_max"]).t_max  # checked before any grid
+    p = math.inf if spec["p"].lower() in ("inf", "infinity") else float(spec["p"])
     if not p >= 1:  # checked before the flow runs; NaN fails too
         raise ValueError(f"p must be >= 1, got {p}")
-    cfg = semigroup.SimConfig(
-        t_max=t_max, sample_times=_sample_grid(t_max),
-        c_speed=None if spec["c_speed"] is None else float(spec["c_speed"]))
+    cfg = semigroup.SimConfig(t_max=t_max, sample_times=_sample_grid(t_max),
+                              c_speed=spec["c_speed"])
     traj = semigroup.evolve(gen, {gen.root: 1.0}, cfg, part=spec["part"])
     window = _fit_window(t_max)
     fit = semigroup.fit_decay(traj, kind="p", p=p, window=window)
@@ -164,10 +147,8 @@ def _cmd_simulate(args, config) -> int:
     return 0
 
 
-def _cmd_counterexample(args, config) -> int:
-    defaults = {"t_max": 400.0, "out": "dirlap-out"}
-    spec = _resolve(args, config, defaults)
-    t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
+def _cmd_counterexample(spec) -> int:
+    t_max = semigroup.SimConfig(spec["t_max"]).t_max  # checked before any grid
     gen = graph_builtins.builtin_graph("z2-advection")
 
     skew = hypotheses.estimate_skew_mass(gen, max_shells=48)
@@ -227,14 +208,11 @@ def _cmd_counterexample(args, config) -> int:
     return 0
 
 
-def _cmd_oscillate(args, config) -> int:
-    defaults = {"a": 0.5, "eps": 0.01, "t_max": 150.0, "tol": 1e-8, "out": "dirlap-out"}
-    spec = _resolve(args, config, defaults)
-    a = float(spec["a"])
-    eps = float(spec["eps"])
-    t_max = semigroup.SimConfig(float(spec["t_max"])).t_max  # checked before any grid
+def _cmd_oscillate(spec) -> int:
+    eps = spec["eps"]
+    t_max = semigroup.SimConfig(spec["t_max"]).t_max  # checked before any grid
 
-    coupling_graph = graph_builtins.builtin_graph("z2-skew-perturbed", a=a)
+    coupling_graph = graph_builtins.builtin_graph("z2-skew-perturbed", a=spec["a"])
     sys_ = oscillator.OscillatorSystem(
         omega=lambda v: 1.0,
         coupling=oscillator.SeparableCoupling(coupling_graph),
@@ -242,7 +220,7 @@ def _cmd_oscillate(args, config) -> int:
         name=f"sin/{coupling_graph.name}")
     cand = oscillator.PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
     residual = oscillator.verify_phase_lock(sys_, cand, radius=6)
-    if not residual <= float(spec["tol"]):  # a NaN residual fails too
+    if not residual <= spec["tol"]:  # a NaN residual fails too
         raise DirlapError(f"phase-lock candidate rejected: residual {residual}")
 
     cfg = semigroup.SimConfig(t_max=t_max, sample_times=_sample_grid(t_max),
@@ -269,9 +247,7 @@ def _cmd_oscillate(args, config) -> int:
     return 0
 
 
-def _cmd_fit_decay(args, config) -> int:
-    defaults = {"csv": None, "window_lo": None, "window_hi": None, "out": "dirlap-out"}
-    spec = _resolve(args, config, defaults)
+def _cmd_fit_decay(spec) -> int:
     if not spec["csv"]:
         raise ValueError("fit-decay needs --csv FILE with columns t,value")
     times, values = [], []
@@ -289,7 +265,7 @@ def _cmd_fit_decay(args, config) -> int:
     if bounds.count(None) == 1:
         missing = "window_hi" if bounds[1] is None else "window_lo"
         raise ValueError(f"fit-decay: {missing} is missing; set both window bounds or neither")
-    window = None if bounds[0] is None else (float(bounds[0]), float(bounds[1]))
+    window = None if bounds[0] is None else tuple(bounds)
     fit = semigroup.fit_power_law(times, values, window=window)
     payload = {"action": "fit-decay", "spec": _embedded_spec(spec), "result": fit}
     path = _write_report(spec["out"], "fit.json", payload)
@@ -298,91 +274,87 @@ def _cmd_fit_decay(args, config) -> int:
     return 0
 
 
+class _Option(NamedTuple):
+    key: str
+    type: type
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+
+
+_OUT = _Option("out", str, "dirlap-out", "output directory (default dirlap-out)")
+
+
+def _graph_options(graph: str, d: int | None = None) -> list[_Option]:
+    return [_Option("graph", str, graph, "graph family name"),
+            _Option("a", float, None, "skew-perturbation strength"),
+            _Option("d", int, d, "lattice dimension")]
+
+
+# Every subcommand once: its function, help and options.  An option's key
+# names it in the spec and in a config file, and its type reads a flag and a
+# config value alike.  Its flag is "--" and the key with "-" for "_", except
+# that fit-decay's --window LO HI sets both window_lo and window_hi.
+_COMMANDS = {
+    "validate": (_cmd_validate, "sample a generator for contract violations", [
+        _OUT, *_graph_options("example-2.2"),
+        _Option("radius", int, 10, "sampling radius (default 10)")]),
+    "check-hypotheses": (
+        _cmd_check_hypotheses, "estimate growth order, ellipticity, Poincare, skew mass", [
+            _OUT, *_graph_options("example-2.2"), _Option("r_min", int, 8),
+            _Option("r_max", int, 64),
+            _Option("shells", int, None, "shell count for the skew-mass sum"),
+            _Option("tol", float, 1e-6, "skew-mass convergence tolerance per shell"),
+            _Option("seed", int, 0, "seed for the sampled fit centers")]),
+    "simulate": (_cmd_simulate, "heat flow from a point source plus decay fit", [
+        _OUT, *_graph_options("z-lattice", 2), _Option("t_max", float, 200.0),
+        _Option("p", str, "inf", "norm order to fit (number or 'inf')"),
+        _Option("part", str, "full", choices=("full", "sym")),
+        _Option("c_speed", float, None, "override the light-cone speed heuristic")]),
+    "counterexample": (_cmd_counterexample,
+                       "advection flow: divergent skew mass degrades decay", [
+                           _OUT, _Option("t_max", float, 400.0)]),
+    "oscillate": (_cmd_oscillate, "nonlinear stability of the trivial locked state", [
+        _OUT, _Option("a", float, 0.5), _Option("eps", float, 0.01, "perturbation size"),
+        _Option("tol", float, 1e-8, "largest accepted phase-lock residual"),
+        _Option("t_max", float, 150.0)]),
+    "fit-decay": (_cmd_fit_decay, "fit a power law to a t,value CSV", [
+        _OUT, _Option("csv", str, None, "input CSV of one series: t in the first column, "
+                                        "not decreasing, value in the last"),
+        _Option("window_lo", float), _Option("window_hi", float)]),
+    "schema-version": (_cmd_schema_version, "print the report schema tag", []),
+}
+
+
+class _Window(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.window_lo, namespace.window_hi = values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirlap",
         description="Decay experiments on lazily generated directed graphs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--out", help="output directory (default dirlap-out)")
-
-    def graphish(p):
-        p.add_argument("--graph", help="graph family name")
-        p.add_argument("--a", type=float, help="skew-perturbation strength")
-        p.add_argument("--d", type=int, help="lattice dimension")
-
-    p = sub.add_parser("validate", help="sample a generator for contract violations")
-    common(p)
-    graphish(p)
-    p.add_argument("--radius", type=int, help="sampling radius (default 10)")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("check-hypotheses",
-                       help="estimate growth order, ellipticity, Poincare, skew mass")
-    common(p)
-    graphish(p)
-    p.add_argument("--r-min", dest="r_min", type=int)
-    p.add_argument("--r-max", dest="r_max", type=int)
-    p.add_argument("--shells", type=int, help="shell count for the skew-mass sum")
-    p.add_argument("--tol", type=float, help="skew-mass convergence tolerance per shell")
-    p.add_argument("--seed", type=int, help="seed for the sampled fit centers")
-    p.set_defaults(func=_cmd_check_hypotheses)
-
-    p = sub.add_parser("simulate", help="heat flow from a point source plus decay fit")
-    common(p)
-    graphish(p)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--p", help="norm order to fit (number or 'inf')")
-    p.add_argument("--part", choices=("full", "sym"))
-    p.add_argument("--c-speed", dest="c_speed", type=float,
-                   help="override the light-cone speed heuristic")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("counterexample",
-                       help="advection flow: divergent skew mass degrades decay")
-    common(p)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.set_defaults(func=_cmd_counterexample)
-
-    p = sub.add_parser("oscillate",
-                       help="nonlinear stability of the trivial locked state")
-    common(p)
-    p.add_argument("--a", type=float)
-    p.add_argument("--eps", type=float, help="perturbation size")
-    p.add_argument("--tol", type=float, help="largest accepted phase-lock residual")
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.set_defaults(func=_cmd_oscillate)
-
-    p = sub.add_parser("fit-decay", help="fit a power law to a t,value CSV")
-    common(p)
-    p.add_argument("--csv", help="input CSV of one series: t in the first column, "
-                                 "not decreasing, value in the last")
-    p.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"),
-                   dest="window_pair")
-    p.set_defaults(func=_cmd_fit_decay)
-
-    p = sub.add_parser("schema-version", help="print the report schema tag")
-    p.set_defaults(func=_cmd_schema_version)
-
-    # a config value takes the type of the flag that sets its key
-    for p in sub.choices.values():
-        types = {a.dest: a.type for a in p._actions if a.type is not None}
-        if "window_pair" in types:
-            types["window_lo"] = types["window_hi"] = types.pop("window_pair")
-        p.set_defaults(flag_types=types)
+    for command, (_func, help_, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        if options:
+            p.add_argument("--config", help="key=value config file; flags override it")
+        for opt in options:
+            if opt.key == "window_lo":
+                p.add_argument("--window", nargs=2, type=opt.type, metavar=("LO", "HI"),
+                               action=_Window)
+            elif opt.key != "window_hi":
+                p.add_argument("--" + opt.key.replace("_", "-"), type=opt.type,
+                               help=opt.help, choices=opt.choices)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "window_pair", None) is not None:
-        args.window_lo, args.window_hi = args.window_pair
+    args = build_parser().parse_args(argv)
     try:
         config = _load_config(getattr(args, "config", None))
-        return args.func(args, config)
+        return _COMMANDS[args.command][0](_resolve(args.command, args, config))
     except DirlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (BudgetExceededError, TruncationError)):

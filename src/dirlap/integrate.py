@@ -140,8 +140,8 @@ class IntegrationResult:
 
 def _checked_times(sample_times: Sequence[float]) -> list[float]:
     times = [float(t) for t in sample_times]
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must be nonnegative and sorted")
+    if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must be finite, nonnegative and sorted")  # NaN fails too
     if not times:
         raise ValueError("need at least one sample time")
     return times

@@ -41,7 +41,7 @@ from .errors import BlowUpError
 from .geometry import Ball, ball
 from .graph import GraphGenerator, Vertex
 from .integrate import integrate
-from .semigroup import SimConfig, StateVector, _row_prefix, _truncated_flow
+from .semigroup import SimConfig, _nonzero, _row_prefix, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -326,9 +326,8 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     (``_EdgeTable.slopes``), at least 0, and a ``GenericCoupling`` weighs
     the flux by the absolute slopes.
     """
-    data = perturbation.to_dict() if isinstance(perturbation, StateVector) \
-        else dict(perturbation)
-    if not sum(abs(v) for v in data.values()) <= _MAX_PERTURBATION_L1:  # NaN fails too
+    l1 = sum(abs(v) for v in _nonzero(perturbation).values())
+    if not l1 <= _MAX_PERTURBATION_L1:  # NaN fails too
         raise ValueError(f"perturbation exceeds the l1 budget {_MAX_PERTURBATION_L1}")
     sine = isinstance(sys.coupling, SeparableCoupling)
 

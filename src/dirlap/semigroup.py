@@ -166,8 +166,8 @@ class SimConfig:
     exponential has no relative tolerance), and full linear runs with no
     negative weight run the uniformization series, which leaves out at most
     1e-16 of its Poisson mass whatever the tolerances.  ``t_max``, ``rtol``
-    and ``atol`` must be finite and positive: an infinite ``atol`` would
-    pass every truncation check.
+    and ``atol`` must be finite and positive (an infinite ``atol`` would pass
+    every truncation check), and sample times finite and nonnegative.
     """
 
     t_max: float
@@ -182,6 +182,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if self.c_speed is not None and not 0 <= self.c_speed < math.inf:
             raise ValueError("c_speed must be finite and nonnegative")
+        if self.sample_times is not None and \
+                not all(0 <= float(t) < math.inf for t in self.sample_times):  # NaN fails too
+            raise ValueError("sample times must be finite and nonnegative")
 
     def resolved_sample_times(self) -> list[float]:
         if self.sample_times is not None:
@@ -241,7 +244,7 @@ class EvolveResult:
 def _support_info(gen, x0, center, budget: int) -> tuple[dict, int]:
     if isinstance(x0, StateVector):
         return x0.to_dict(), x0.support_radius
-    data = {v: float(val) for v, val in dict(x0).items() if val != 0.0}
+    data = _nonzero(x0)
     missing = set(data)
     # a ball of at most ``budget`` vertices has fewer than ``budget`` shells
     for radius, shell in shells(gen, center, budget, budget=budget):

@@ -15,7 +15,7 @@ from dirlap.errors import StepSizeError
 from dirlap.builtins import builtin_graph
 from dirlap.geometry import ball
 from dirlap.graph import generator_from_edges
-from dirlap.integrate import integrate, uniformize
+from dirlap.integrate import integrate, lanczos_expm, uniformize
 from dirlap.semigroup import TruncatedOperator, _shell_ends, dense_expm
 
 from helpers import dopri_replay
@@ -99,6 +99,19 @@ def test_bad_sample_times():
         integrate(lambda t, y, rows: -y, np.array([1.0]), [2.0, 1.0])
     with pytest.raises(ValueError):
         integrate(lambda t, y, rows: -y, np.array([1.0]), [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("propagate", [
+    lambda ts: integrate(lambda t, y, rows: -y, np.array([1.0]), ts),
+    lambda ts: uniformize(lambda y, rows: 0.0 * y[:rows], 1.0, np.array([1.0]), ts),
+    lambda ts: lanczos_expm(lambda y, rows: -y[:rows], np.array([1.0]), ts),
+], ids=["integrate", "uniformize", "lanczos_expm"])
+def test_a_non_finite_sample_time_fails_before_the_run(propagate, bad):
+    # a NaN time used to pass: the series failed on a NaN term count and
+    # Lanczos only after a whole basis
+    with pytest.raises(ValueError, match="sample times must be finite, nonnegative and sorted"):
+        propagate([0.5, bad])
 
 
 def test_rejections_tracked_on_abrupt_problem():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from dirlap import (SimConfig, StateVector, TruncatedOperator, ball,
                     builtin_graph, dense_expm, evolve, integrate, semigroup)
@@ -183,6 +184,19 @@ def test_invariant_subspace_ends_the_recurrence():
         decay = np.exp(-2.0 * t)
         np.testing.assert_allclose(y, [(1 + decay) / 2, (1 - decay) / 2],
                                    rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t_max", [20.0, 2000.0])
+def test_the_line_flow_is_the_bessel_heat_kernel(t_max):
+    # exp(t L_sym) from the root of the line is e^{-2t} I_|i|(2t) at vertex i, on
+    # the infinite graph; at t = 2000 the basis restarts at the real dimension cap
+    g = builtin_graph("z-lattice", d=1)
+    cfg = SimConfig(t_max=t_max)
+    res = evolve(g, {g.root: 1.0}, cfg, part="sym")
+    hops = np.abs([v[0] for v in res.ball.vertices])
+    for t, state in res:
+        assert np.max(np.abs(state.values - ive(hops, 2.0 * t))) <= 10 * cfg.atol
+    assert (res.n_steps > integrate._MAX_KRYLOV_DIM) == (t_max > 1000.0)
 
 
 def test_restarts_stay_within_atol_in_total(monkeypatch):

@@ -680,6 +680,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(t_max=1.0, sample_times=[2.0]).resolved_sample_times()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_a_bad_sample_time_fails_when_built(self, bad):
+        # a NaN time used to reach the flow, which read its ball before failing
+        with pytest.raises(ValueError, match="sample times must be finite and nonnegative"):
+            SimConfig(t_max=1.0, sample_times=[0.5, bad])
+
     def test_default_sample_grid(self):
         ts = SimConfig(t_max=100.0).resolved_sample_times()
         assert ts[0] == 0.0

@@ -9,8 +9,10 @@
 # relative input path of the fit-decay run makes its spec the same under any
 # root; each run's exit code is written to OUT/<run>/exit_code.  Last, every
 # *.json report under OUT is parsed with NaN and Infinity rejected: the paths
-# of those that fail go to OUT/nonstrict_json, and the script exits non-zero
-# if there are any.  Compare two checkouts with
+# of those that fail go to OUT/nonstrict_json.  The run sim-lat-cfg reads
+# sim-lat's experiment from a config file, and those of its reports that
+# differ from sim-lat's go to OUT/config_mismatch.  The script exits non-zero
+# if either list is not empty.  Compare two checkouts with
 #
 #   tools/report_gate.sh parent/src /tmp/gate-a
 #   tools/report_gate.sh src /tmp/gate-b
@@ -41,11 +43,17 @@ run ch-skew check-hypotheses --graph z2-skew-perturbed
 run ch-skew-s3 check-hypotheses --graph z2-skew-perturbed --seed 3
 run ch-lat check-hypotheses --graph z-lattice --d 2
 run sim-lat simulate --graph z-lattice --d 2 --part sym --t-max 20
+# the same experiment from a config file: the same reports
+mkdir -p "$OUT/sim-lat-cfg"
+printf 'graph = z-lattice\nd = 2\npart = sym\nt_max = 20\n' > "$OUT/sim-lat-cfg/exp.cfg"
+run sim-lat-cfg simulate --config sim-lat-cfg/exp.cfg
 run sim-skew simulate --graph z2-skew-perturbed --t-max 20
 # an undersized first radius: two retries, radius 33
 run sim-retry simulate --graph z-lattice --d 1 --part full --t-max 6 --c-speed 0.05
 # its sym twin: the ball grows twice to hold the Krylov reach, radius 36
 run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-speed 0.05
+# the one run whose Lanczos basis restarts at its dimension cap (488 vectors): radius 514
+run sim-sym-long simulate --graph z-lattice --d 1 --part sym --t-max 2000
 # sym runs on non-uniform weights: radius 80 and radius 59
 run sim-skew-sym simulate --graph z2-skew-perturbed --part sym --t-max 20
 run sim-ex22-sym simulate --graph example-2.2 --part sym --t-max 20
@@ -63,6 +71,9 @@ run val-skew validate --graph z2-skew-perturbed
 mkdir -p "$OUT/fit"
 grep -e '^t,' -e ',linf,' "$OUT/sim-lat/trajectory.csv" > "$OUT/fit/linf.csv"
 run fit fit-decay --csv fit/linf.csv --window 5 20
+for f in simulate.json trajectory.csv; do
+    cmp -s "$OUT/sim-lat/$f" "$OUT/sim-lat-cfg/$f" || echo "sim-lat-cfg/$f"
+done > "$OUT/config_mismatch"
 # Every report must be strict JSON: NaN and Infinity are not JSON.  The
 # offending paths go to OUT/nonstrict_json (empty when there are none).
 cd "$OUT" && python - <<'PY'
@@ -84,3 +95,5 @@ for path in sorted(pathlib.Path(".").rglob("*.json")):
 pathlib.Path("nonstrict_json").write_text("".join(bad))
 sys.exit(1 if bad else 0)
 PY
+strict=$?
+[ "$strict" -eq 0 ] && [ ! -s "$OUT/config_mismatch" ]
