@@ -56,6 +56,9 @@ def _resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
             spec[opt.key] = flag_value
         elif opt.key in config:
             spec[opt.key] = opt.type(config[opt.key])
+            if opt.choices is not None and spec[opt.key] not in opt.choices:
+                raise ValueError(f"config key {opt.key}: {spec[opt.key]!r} is not one of "
+                                 f"{', '.join(opt.choices)}")
         else:
             spec[opt.key] = opt.default
     return spec
@@ -282,7 +285,10 @@ class _Option(NamedTuple):
     choices: tuple | None = None
 
 
-_OUT = _Option("out", str, "dirlap-out", "output directory (default dirlap-out)")
+_OUT = _Option("out", str, "dirlap-out", "output directory")
+
+
+_T_MAX = "final simulated time"
 
 
 def _graph_options(graph: str, d: int | None = None) -> list[_Option]:
@@ -298,30 +304,36 @@ def _graph_options(graph: str, d: int | None = None) -> list[_Option]:
 _COMMANDS = {
     "validate": (_cmd_validate, "sample a generator for contract violations", [
         _OUT, *_graph_options("example-2.2"),
-        _Option("radius", int, 10, "sampling radius (default 10)")]),
+        _Option("radius", int, 10, "sampling radius")]),
     "check-hypotheses": (
         _cmd_check_hypotheses, "estimate growth order, ellipticity, Poincare, skew mass", [
-            _OUT, *_graph_options("example-2.2"), _Option("r_min", int, 8),
-            _Option("r_max", int, 64),
+            _OUT, *_graph_options("example-2.2"),
+            _Option("r_min", int, 8, "smallest radius of the volume-growth fit"),
+            _Option("r_max", int, 64, "largest radius of the volume-growth fit"),
             _Option("shells", int, None, "shell count for the skew-mass sum"),
             _Option("tol", float, 1e-6, "skew-mass convergence tolerance per shell"),
             _Option("seed", int, 0, "seed for the sampled fit centers")]),
     "simulate": (_cmd_simulate, "heat flow from a point source plus decay fit", [
-        _OUT, *_graph_options("z-lattice", 2), _Option("t_max", float, 200.0),
+        _OUT, *_graph_options("z-lattice", 2), _Option("t_max", float, 200.0, _T_MAX),
         _Option("p", str, "inf", "norm order to fit (number or 'inf')"),
-        _Option("part", str, "full", choices=("full", "sym")),
-        _Option("c_speed", float, None, "override the light-cone speed heuristic")]),
+        _Option("part", str, "full", "the Laplacian, or its symmetric part alone",
+                ("full", "sym")),
+        _Option("c_speed", float, None, "light-cone speed that sets the radius instead of "
+                                        "the heuristic; a sym run starts there and grows")]),
     "counterexample": (_cmd_counterexample,
                        "advection flow: divergent skew mass degrades decay", [
-                           _OUT, _Option("t_max", float, 400.0)]),
+                           _OUT, _Option("t_max", float, 400.0, _T_MAX)]),
     "oscillate": (_cmd_oscillate, "nonlinear stability of the trivial locked state", [
-        _OUT, _Option("a", float, 0.5), _Option("eps", float, 0.01, "perturbation size"),
+        _OUT, _Option("a", float, 0.5, "skew-perturbation strength of the coupling graph"),
+        _Option("eps", float, 0.01, "perturbation size"),
         _Option("tol", float, 1e-8, "largest accepted phase-lock residual"),
-        _Option("t_max", float, 150.0)]),
+        _Option("t_max", float, 150.0, _T_MAX)]),
     "fit-decay": (_cmd_fit_decay, "fit a power law to a t,value CSV", [
         _OUT, _Option("csv", str, None, "input CSV of one series: t in the first column, "
                                         "not decreasing, value in the last"),
-        _Option("window_lo", float), _Option("window_hi", float)]),
+        _Option("window_lo", float, None, "fit window in t; by default from max(10, "
+                                          "t_last / 100) to the last t"),
+        _Option("window_hi", float)]),
     "schema-version": (_cmd_schema_version, "print the report schema tag", []),
 }
 
@@ -341,12 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
         if options:
             p.add_argument("--config", help="key=value config file; flags override it")
         for opt in options:
+            help_ = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
             if opt.key == "window_lo":
                 p.add_argument("--window", nargs=2, type=opt.type, metavar=("LO", "HI"),
-                               action=_Window)
+                               action=_Window, help=help_)
             elif opt.key != "window_hi":
                 p.add_argument("--" + opt.key.replace("_", "-"), type=opt.type,
-                               help=opt.help, choices=opt.choices)
+                               help=help_, choices=opt.choices)
     return parser
 
 

@@ -23,16 +23,20 @@ resolves every neighbour after the walk.  Laplacian parts are assembled
 from these arrays alone.  ``Ball.prefix(r)`` cuts the radius-``r`` ball out
 of a larger one without further adjacency calls, and ``ball`` handed a
 snapshot cuts from it every ball it holds, around any of its vertices, by
-the walk's shell rule on its rows.
-Truncated simulations enumerate once per attempt: the one ball of a
-symmetric-part run, or the enlarged ball of the full and nonlinear flows,
-whose first vertices are the cut their truncation bound is about.
+the walk's shell rule on its rows.  A ball read with ``grow=True`` keeps
+its walk, and ``Ball.extend`` resumes it: the new shells are appended, so
+every array keeps its old entries as a prefix, and ``ball`` itself is that
+growth from the center in one call.
+Truncated simulations enumerate once per attempt: the enlarged ball of the
+full and nonlinear flows, whose first vertices are the cut their
+truncation bound is about.  A symmetric-part run reads one ball, grown
+shell by shell as its Lanczos basis reaches out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -54,7 +58,9 @@ class Ball:
     ``v = vertices[i]`` in either direction: ``nbr`` holds the ball index of
     ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and ``w_in``
     holds ``w(v', v)``; ``source`` is the generator they were read from.
-    Immutable after construction by convention; a prefix shares all of these.
+    Immutable after construction by convention, except that a ball read
+    with ``grow=True`` grows in place by ``extend``; a prefix shares all of
+    these.
     """
 
     center: Vertex
@@ -68,6 +74,7 @@ class Ball:
     w_out: np.ndarray
     w_in: np.ndarray
     source: GraphGenerator
+    _growth: "_Growth | None" = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -120,20 +127,163 @@ class Ball:
                     indptr=self.indptr[:n + 1], nbr=np.where(nbr < n, nbr, -1),
                     w_out=self.w_out[:m], w_in=self.w_in[:m], source=self.source)
 
+    def extend(self, r: int) -> "Ball":
+        """Grow this ball in place to radius ``r``, by resuming its walk; nothing if ``r <= radius``.
 
-def _check_consistency(b: Ball) -> None:
-    """Raise unless both endpoints of every in-ball pair report the same weights.
+        Only a ball read with ``ball(..., grow=True)`` can grow.  The shells
+        past the radius are read once each and appended in the walk's order,
+        so every array keeps its old entries as a prefix and ``index`` is
+        updated in place; the arrays are views of buffers with spare room.
+        Each added row's neighbours get their ball index from the ball's ids,
+        kept sorted (``_Growth``), and the entries that pointed outside (on a
+        graph whose every entry has positive symmetric weight, those of the
+        old outer shell) get theirs from the added vertices.  Only the pairs
+        that hold an added vertex are checked (``_check_consistency``): the
+        others were checked when the ball reached them.  A walk that runs out
+        of shells leaves the ball as it is, at radius ``r``; the walk's
+        budget rule raises ``BudgetExceededError`` before it reads a shell
+        past the budget.
+        """
+        g = self._growth
+        if r <= self.radius:
+            return self
+        if g is None:
+            raise ValueError("only a ball read with grow=True can be extended")
+        order, sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], [], []
+        for k, shell, rows in () if g.done else g.walk:
+            order += shell
+            sizes.append(len(shell))
+            counts.append(rows.counts)
+            w_out.append(rows.w_out)
+            w_in.append(rows.w_in)
+            keyed = rows.keys is not None  # else the vertex step's rows
+            # one int64 id per vertex and per row neighbour: its key, or an interned id
+            ids.append(rows.keys if keyed else _ids(shell, g.interned))
+            nbr.append(rows.nbr if keyed else _ids(rows.nbr, g.interned))
+            if k == r:
+                break
+        else:
+            g.done = True
+        if not order:
+            self.radius = r
+            return self
+        n0, m0 = len(self), int(self.indptr[-1])
+        n1 = n0 + len(order)
+        # each list of chunks goes as it is joined, and the largest temporaries
+        # before the next are made
+        ids = np.concatenate(ids)
+        g.add(ids, n0)
+        nbr_ids = np.concatenate(nbr)
+        del ids, nbr
+        nbr = g.find(nbr_ids)
+        inside = nbr >= 0
+        away_ids = nbr_ids[~inside]
+        del nbr_ids
+        counts = _flat(counts, np.int64)
+        w_out = _flat(w_out, float)
+        w_in = _flat(w_in, float)
+        rows = np.repeat(np.arange(n1 - n0), counts)  # from n0
+        ws = (w_out + w_in) / 2.0
+        # bincount adds in entry order, i.e. in the order the neighbours were read;
+        # 0.0 + keeps measures float when there are no entries (bincount gives int)
+        measures = 0.0 + np.bincount(rows, weights=np.where(ws > 0.0, ws, 0.0),
+                                     minlength=n1 - n0)
+        del ws
+        rows = rows[inside]
+        rows += n0
+        bufs = g.bufs
+        self.vertices += order
+        self.index.update(zip(order, range(n0, n1)))
+        self.distances = _put(bufs, "distances", self.distances, np.repeat(
+            np.arange(self.radius + 1, self.radius + 1 + len(sizes), dtype=np.int64), sizes))
+        self.measures = _put(bufs, "measures", self.measures, measures)
+        self.indptr = _put(bufs, "indptr", self.indptr, m0 + np.cumsum(counts))
+        self.nbr = _put(bufs, "nbr", self.nbr, nbr)
+        self.w_out = _put(bufs, "w_out", self.w_out, w_out)
+        self.w_in = _put(bufs, "w_in", self.w_in, w_in)
+        # the entries that pointed outside, looked up among the added vertices
+        found = g.find(g.pending_ids)
+        hit = found >= 0
+        resolved = g.pending[hit]
+        self.nbr[resolved] = found[hit]
+        g.pending = np.concatenate([g.pending[~hit], m0 + np.flatnonzero(~inside)])
+        g.pending_ids = np.concatenate([g.pending_ids[~hit], away_ids])
+        # the pairs that hold an added vertex: the added rows' and the resolved
+        # entries; read in one call, that is every in-ball entry, a mask
+        at = inside
+        if resolved.size or m0:
+            at = np.concatenate([resolved, m0 + np.flatnonzero(inside)])
+            rows = np.concatenate([np.searchsorted(self.indptr, resolved, "right") - 1, rows])
+        _check_consistency(self, rows, at)
+        self.radius = r
+        return self
 
-    Row ``i``'s entry for ``j`` must carry the weights of row ``j``'s entry
-    for ``i`` with the two directions swapped; a missing partner entry
-    reports zero both ways.  Weights agree by ``graph._weights_agree``, the
-    rule ``validate_generator`` applies.
+
+class _Growth:
+    """What ``Ball.extend`` resumes: the ball's walk and what places the rows it adds.
+
+    ``walk`` is the ball's ``_walk``, suspended after its outer shell, and
+    ``done`` whether it has run out of shells.  ``sorted_ids`` are the ids
+    of the ball's vertices in ascending order and ``by_id`` the ball index
+    of each; ``interned`` gives the vertices that do not fit the key their
+    negative ids.  ``pending`` holds the position of every entry whose
+    neighbour lies outside the ball and ``pending_ids`` that neighbour's id.
+    ``bufs`` are the buffers that the ball's arrays are views of.
     """
-    inside = b.nbr >= 0
-    rows, cols = b.entry_rows()[inside], b.nbr[inside]
+
+    def __init__(self, walk):
+        self.walk, self.done = walk, False
+        self.sorted_ids = self.by_id = np.zeros(0, np.int64)
+        self.interned = {}
+        self.pending = self.pending_ids = np.zeros(0, np.int64)
+        self.bufs = {}
+
+    def add(self, ids: np.ndarray, start: int) -> None:
+        """Merge the ids of the vertices with ball indices ``start, start + 1, ...``."""
+        order = np.argsort(ids)
+        at = np.searchsorted(self.sorted_ids, ids[order])
+        self.sorted_ids = np.insert(self.sorted_ids, at, ids[order])
+        self.by_id = np.insert(self.by_id, at, order + start)
+
+    def find(self, wanted: np.ndarray) -> np.ndarray:
+        """The ball index of each id in ``wanted``, -1 where it lies outside."""
+        at = np.minimum(np.searchsorted(self.sorted_ids, wanted), len(self.sorted_ids) - 1)
+        return np.where(self.sorted_ids[at] == wanted, self.by_id[at], -1)
+
+
+def _put(bufs: dict, name: str, old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``old``, a view of ``bufs[name]`` from its start, followed by ``new``.
+
+    Written into the buffer while it has room; else into a new buffer of
+    twice the length, or the first time into ``new`` itself.
+    """
+    used, need = len(old), len(old) + len(new)
+    buf = bufs.get(name)
+    if buf is None or need > len(buf):
+        if not used:
+            bufs[name] = new
+            return new
+        buf = np.empty(max(need, 2 * used), dtype=old.dtype)
+        buf[:used] = old
+        bufs[name] = buf
+    buf[used:need] = new
+    return buf[:need]
+
+
+def _check_consistency(b: Ball, rows: np.ndarray, at: np.ndarray) -> None:
+    """Raise unless both endpoints of every pair among the entries ``at`` report the same weights.
+
+    ``at`` selects in-ball entries, by position or by a mask over all of
+    them, and ``rows`` are their rows; the partner of each must be among
+    them or absent.  Row ``i``'s entry for ``j`` must carry the
+    weights of row ``j``'s entry for ``i`` with the two directions swapped;
+    a missing partner entry reports zero both ways.  Weights agree by
+    ``graph._weights_agree``, the rule ``validate_generator`` applies.
+    """
     if not rows.size:
         return
-    w_out, w_in = b.w_out[inside], b.w_in[inside]
+    cols = b.nbr[at]
+    w_out, w_in = b.w_out[at], b.w_in[at]
     n = len(b)
     keys = rows * n + cols
     wanted = cols * n + rows
@@ -152,60 +302,42 @@ def _check_consistency(b: Ball) -> None:
             f"w(v,u)={p_in[k]}, w(u,v)={p_out[k]}", (v, u))
 
 
-def ball(gen, center: Vertex, r: int, budget: int | None = None) -> Ball:
+def ball(gen, center: Vertex, r: int, budget: int | None = None, grow: bool = False) -> Ball:
     """Enumerate the radius-``r`` ball of the symmetric skeleton around ``center``.
 
     The ball is shells 0..r of ``_walk``, which reads every ball vertex once
     and raises ``BudgetExceededError`` under its budget rule; without a
-    ``budget`` it reads ``DEFAULT_BALL_BUDGET`` at call time.  The snapshot is
-    the walk's rows, shell after shell.  Each ball vertex and each row
-    neighbour has one int64 id: the batch step's key, or ``_ids`` of the
-    vertex-step rows; after the walk one argsort of the ball's ids and one
-    search give every neighbour its ball index, or -1 when it lies outside,
-    even when the walk found it only in a later shell.  Raises
-    ``InconsistentAdjacencyError`` when two ball vertices report different
-    weights for the edges between them.
+    ``budget`` it reads ``DEFAULT_BALL_BUDGET`` at call time.  It is grown
+    from the center in one ``Ball.extend`` call: the snapshot is the walk's
+    rows, shell after shell.  Each ball vertex and each row neighbour has
+    one int64 id: the batch step's key, or ``_ids`` of the vertex-step rows;
+    one argsort of the ball's ids and one search give every neighbour its
+    ball index, or -1 when it lies outside, even when the walk found it only
+    in a later shell.  Raises ``InconsistentAdjacencyError`` when two ball
+    vertices report different weights for the edges between them.  With
+    ``grow`` the ball keeps its walk, so ``extend`` can grow it further.
 
-    ``gen`` may be a ``Ball``, a snapshot.  It holds the ball when ``center``
-    lies in it at distance ``d`` with ``d + r <= radius``; that ball is cut
-    from its rows without a callback or a budget (``_cut``), and any other is
-    enumerated through the generator the snapshot was read from.
+    ``gen`` may be a ``Ball``, a snapshot.  Unless ``grow``, it holds the
+    ball when ``center`` lies in it at distance ``d`` with ``d + r <=
+    radius``; that ball is cut from its rows without a callback or a budget
+    (``_cut``), and any other is enumerated through the generator the
+    snapshot was read from.
     """
     if r < 0:
         raise ValueError("radius must be >= 0")
     if isinstance(gen, Ball):
         i = gen.index.get(center)
-        if i is not None and gen.distances[i] + r <= gen.radius:
+        if not grow and i is not None and gen.distances[i] + r <= gen.radius:
             return gen.prefix(r) if i == 0 else _cut(gen, i, r)
         gen = gen.source
-    order, sizes = [], []
-    counts, w_out, w_in = [], [], []  # one chunk per shell
-    ids, nbr = [], []  # int64 ids of each shell's vertices and of its rows' neighbours
-    interned = {}  # the negative ids of the vertices that do not fit the key
-    for _, shell, rows in _walk(gen, center, r, budget):
-        order += shell
-        sizes.append(len(shell))
-        counts.append(rows.counts)
-        w_out.append(rows.w_out)
-        w_in.append(rows.w_in)
-        keyed = rows.keys is not None  # else the vertex step's rows
-        ids.append(rows.keys if keyed else _ids(shell, interned))
-        nbr.append(rows.nbr if keyed else _ids(rows.nbr, interned))
-    nbr = _index_by_id(np.concatenate(ids), np.concatenate(nbr))
-
-    indptr = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(_flat(counts, np.int64), out=indptr[1:])
-    w_out = _flat(w_out, float)
-    w_in = _flat(w_in, float)
-    ws = (w_out + w_in) / 2.0
-    # bincount adds in entry order, i.e. in the order the neighbours were read;
-    # 0.0 + keeps measures float when there are no entries (bincount gives int)
-    measures = 0.0 + np.bincount(np.repeat(np.arange(len(order)), np.diff(indptr)),
-                                 weights=np.where(ws > 0.0, ws, 0.0), minlength=len(order))
-    b = Ball(center=center, radius=r, vertices=order, index=dict(zip(order, range(len(order)))),
-             distances=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
-             measures=measures, indptr=indptr, nbr=nbr, w_out=w_out, w_in=w_in, source=gen)
-    _check_consistency(b)
+    b = Ball(center=center, radius=-1, vertices=[], index={},
+             distances=np.zeros(0, np.int64), measures=np.zeros(0),
+             indptr=np.zeros(1, np.int64), nbr=np.zeros(0, np.int64), w_out=np.zeros(0),
+             w_in=np.zeros(0), source=gen,
+             _growth=_Growth(_walk(gen, center, None if grow else r, budget)))
+    b.extend(r)
+    if not grow:
+        b._growth = None
     return b
 
 
@@ -314,7 +446,8 @@ class _Rows(NamedTuple):
             yield list(zip(islice(nbr, n), islice(w_out, n), islice(w_in, n)))
 
 
-def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None = None):
+def _walk(gen: GraphGenerator, root: Vertex, max_shells: int | None,
+          budget: int | None = None):
     """Breadth-first walk of the symmetric skeleton: ``(k, shell, rows)``.
 
     Shell k+1 is shell k's new neighbours of positive symmetric weight, in
@@ -322,7 +455,9 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None
     all earlier shells wins.  Each shell is read once, just before it is
     yielded, and ``rows`` is its ``_Rows``; the read finds the next shell
     too, except for shell ``max_shells``, which is read but not expanded.
-    The walk stops at an empty shell.  Budget rule: before reading a shell
+    With ``max_shells`` None every shell is expanded, so the walk can be
+    resumed after any shell it yielded (``Ball.extend``).  The walk stops
+    at an empty shell.  Budget rule: before reading a shell
     that takes the number of vertices found past ``budget``, it raises
     ``BudgetExceededError`` with that number as ``count``.  Without a
     ``budget`` the walk reads ``DEFAULT_BALL_BUDGET`` when it starts, not
@@ -342,11 +477,11 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int, budget: int | None
     seen = {root}
     shell, coords, keys = [root], None, None
     recent = None  # keys of the shell before, when known
-    for k in range(max_shells + 1):
+    for k in count():
         if len(seen) > budget:
             raise BudgetExceededError(
                 f"walk from {root} found {len(seen)} vertices, budget {budget}", len(seen))
-        expand, step = k < max_shells, None
+        expand, step = max_shells is None or k < max_shells, None
         if gen.batch_adjacency is not None and len(shell) >= _BATCH_MIN_SHELL:
             if coords is None:
                 coords = _coords(shell)
@@ -424,14 +559,6 @@ def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
             new_coords[fresh], new_keys[fresh]
     seen.update(new)
     return rows, new, new_coords, new_keys
-
-
-def _index_by_id(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """The position in ``ids`` of each id in ``wanted``, -1 where absent: one argsort."""
-    by_id = np.argsort(ids)
-    sorted_ids = ids[by_id]
-    at = np.minimum(np.searchsorted(sorted_ids, wanted), len(ids) - 1)
-    return np.where(sorted_ids[at] == wanted, by_id[at], -1)
 
 
 def _ids(vertices: list, interned: dict) -> np.ndarray:

@@ -51,7 +51,9 @@ the start vector's last nonzero, so step j multiplies, dots, normalizes and
 updates only the rows to the end of the next shell, a prefix that grows by
 one shell per step.  Each prefix is rounded up to whole ``_PREFIX_ALIGN``
 blocks, so the run is bit-identical to the full-length one on one BLAS
-thread.
+thread.  The ball may grow with the run: it need only hold the next shell
+when a step asks for it.  The recurrence runs once, and each basis
+vector's prefix is kept for the samples.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ _WINDOW_GROWTH = 16
 
 
 # Lanczos: largest Krylov dimension of one basis before a restart, how many
-# steps pass between error estimates, and how many basis vectors the second
-# pass combines at once.
+# steps pass between error estimates, and how many kept basis vectors are
+# added into the samples at once.
 _MAX_KRYLOV_DIM = 256
 _CHECK_EVERY = 8
 _BLOCK = 8
@@ -424,19 +426,22 @@ def _lanczos(matvec, v: np.ndarray, prefixes):
 
     Yields ``(v_j, alpha_j, beta_j)`` for j = 1, 2, ..., where ``beta_j``
     couples ``v_j`` to ``v_{j+1}``, and stops after a zero ``beta_j`` (the
-    basis spans an invariant subspace).  ``prefixes`` yields ``p_0, p_1,
-    ...``: ``v`` vanishes past ``p_0``, and step j asks ``matvec(v_j,
-    p_j)`` for the first ``p_j`` entries of ``A v_j``, which must hold its
-    whole support.  Every update, dot and norm of step j runs over those
-    entries, and ``v_j`` is yielded as its first ``p_{j-1}`` entries, a view
-    that the step after next overwrites.  The vectors live in full-length
-    buffers that are zero past their prefix, so ``matvec`` may read any
+    basis spans an invariant subspace).  ``prefixes`` yields ``(p_0, n_0),
+    (p_1, n_1), ...``: ``v`` vanishes past ``p_0``, and step j asks
+    ``matvec(v_j, p_j)`` for the first ``p_j`` entries of ``A v_j``, which
+    must hold its whole support, with ``v_j`` of length ``n_j``, which never
+    falls.  Every update, dot and norm of step j runs over those entries,
+    and ``v_j`` is yielded as its first ``p_{j-1}`` entries, a view that the
+    step after next overwrites.  The vectors live in buffers of length
+    ``n_j`` that are zero past their prefix, so ``matvec`` may read any
     column; the same inputs give bit-identical vectors on every run.
     """
-    p = next(prefixes)
-    v, v_prev, spare = v.copy(), np.zeros(v.size), np.zeros(v.size)
+    p, size = next(prefixes)
+    v, v_prev, spare = _resized(v, size), np.zeros(size), np.zeros(size)
     beta_prev = 0.0
-    for rows in prefixes:
+    for rows, size in prefixes:
+        if size > v.size:  # the ball grew past the buffers
+            v, v_prev, spare = (_resized(x, size) for x in (v, v_prev, spare))
         w = matvec(v, rows)
         w -= beta_prev * v_prev[:rows]
         alpha = float(v[:rows] @ w)
@@ -448,6 +453,13 @@ def _lanczos(matvec, v: np.ndarray, prefixes):
         # the prefixes never shrink, so this overwrites all of spare's old entries
         np.divide(w, beta, out=spare[:rows])
         v_prev, v, spare, p, beta_prev = v, spare, v_prev, rows, beta
+
+
+def _resized(x: np.ndarray, n: int) -> np.ndarray:
+    """A new array of ``x``'s first ``n`` entries, zeros past ``x``."""
+    out = np.zeros(n)
+    out[:min(n, x.size)] = x[:n]
+    return out
 
 
 def _tridiagonal_expm(alphas, betas, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -471,12 +483,14 @@ def _first_pass(recurrence, scale, taus, tols, max_dim):
     """Run ``recurrence`` until the estimate meets ``tols`` at every tau.
 
     ``scale`` is ``|y0|`` and ``tols[i]`` the tolerance for ``taus[i]``.
-    Returns the alphas and betas, the columns ``exp(tau T) e_1`` for
-    ``taus``, and a mask of the taus whose estimate meets its tolerance
-    (all of them unless ``max_dim`` was reached first).
+    Returns a copy of each basis vector's prefix, the alphas and betas, the
+    columns ``exp(tau T) e_1`` for ``taus``, and a mask of the taus whose
+    estimate meets its tolerance (all of them unless ``max_dim`` was
+    reached first).
     """
-    alphas, betas = [], []
-    for j, (_, alpha, beta) in enumerate(recurrence, 1):
+    basis, alphas, betas = [], [], []
+    for j, (vj, alpha, beta) in enumerate(recurrence, 1):
+        basis.append(vj.copy())
         alphas.append(alpha)
         betas.append(beta)
         if beta == 0.0 or j == max_dim or j % _CHECK_EVERY == 0:
@@ -484,72 +498,80 @@ def _first_pass(recurrence, scale, taus, tols, max_dim):
             # an invariant subspace makes the approximation exact
             met = (beta * scale * factors <= tols) | (beta == 0.0)
             if met.all() or j == max_dim:
-                return alphas, betas, coefs, met
+                return basis, alphas, betas, coefs, met
 
 
-def _second_pass(recurrence, n: int, coefs) -> list[np.ndarray]:
-    """Run ``recurrence`` again; return ``V_m @ c`` for each column ``c`` of ``coefs``.
+def _combine(basis: list, n: int, coefs) -> list[np.ndarray]:
+    """``V_m @ c`` for each column ``c`` of ``coefs``, each its own array of length ``n``.
 
-    Each result has its own array of length ``n``, and the basis vectors are
-    added into them a block at a time, so at most ``_BLOCK`` of them are held
-    at once.  Only each vector's prefix takes part, and a block spans the
-    prefix of its last vector: on a BFS-ordered ball that is the Krylov
-    reach, so the pages past it are never written.
+    The basis vectors, each its prefix, are added into the results a block
+    of ``_BLOCK`` at a time, and a block spans the prefix of its last
+    vector: on a BFS-ordered ball that is the Krylov reach, so the pages
+    past it are never written.
     """
-    m = coefs.shape[0]
+    m = len(basis)
     outs = [np.zeros(n) for _ in range(coefs.shape[1])]
     block = np.zeros((min(_BLOCK, m), n))
-    for j, (vj, _, _) in enumerate(recurrence):
+    for lo in range(0, m, _BLOCK):
+        group = basis[lo:lo + _BLOCK]
         # a block row is zero past the prefix it was last written with, which only grows
-        reach = vj.size
-        block[j % _BLOCK, :reach] = vj
-        if j % _BLOCK == _BLOCK - 1 or j == m - 1:
-            lo = j - j % _BLOCK
-            for out, c in zip(outs, coefs[lo:j + 1].T):
-                out[:reach] += c @ block[:j + 1 - lo, :reach]
-        if j == m - 1:
-            return outs
+        for i, vj in enumerate(group):
+            block[i, :vj.size] = vj
+        k, reach = len(group), group[-1].size
+        for out, c in zip(outs, coefs[lo:lo + k].T):
+            out[:reach] += c @ block[:k, :reach]
+    return outs
 
 
 def lanczos_expm(matvec: Callable[[np.ndarray, int], np.ndarray], y0: np.ndarray,
                  sample_times: Sequence[float], atol: float = 1e-10,
-                 shell_ends: np.ndarray | None = None) -> IntegrationResult:
+                 shell_ends=None) -> IntegrationResult:
     """``exp(tA) y0`` at every sample time for a symmetric ``A``.
 
     ``matvec(v, rows)`` returns ``(A v)[:rows]`` as a new array, ``rows``
-    being ``n`` without ``shell_ends``.  A first pass runs the Lanczos
-    recurrence, keeping only the tridiagonal coefficients, until Saad's
-    estimate ``beta_m |y0| |e_m^T tau phi_1(tau T_m) e_1|`` meets the
-    tolerance at every sample time (checked every few steps).  A second
-    pass runs the identical recurrence again and adds each basis vector into
-    every sample, so the basis is never stored.  If ``_MAX_KRYLOV_DIM``
-    vectors do not meet it, the run restarts from the last sample time they
-    do reach (Sidje 1998, Expokit), or from the longest halving of the span
-    to the next sample time when they reach none; ``StepSizeError`` is
-    raised when not even 1/1024 of that span is reached.  As in Expokit, a
-    segment of length ``tau`` from a restart point gets the share
-    ``atol * tau / t_end`` of the tolerance, so the estimated errors of the
-    segments before any sample time add up to at most ``atol`` (the flow of
-    a symmetric negative semidefinite ``A`` does not amplify them).  Samples
-    at time 0 are exact copies of ``y0``, and a zero ``y0`` gives zeros.
-    A non-finite entry of ``y0`` raises ``ValueError`` before the recurrence
-    starts.
+    being ``n`` without ``shell_ends``.  One pass runs the Lanczos
+    recurrence, keeping a copy of each basis vector's prefix and the
+    tridiagonal coefficients, until Saad's estimate ``beta_m |y0| |e_m^T
+    tau phi_1(tau T_m) e_1|`` meets the tolerance at every sample time
+    (checked every few steps); then the kept vectors are added into every
+    sample.  If ``_MAX_KRYLOV_DIM`` vectors do not meet it, the run restarts
+    from the last sample time they do reach (Sidje 1998, Expokit), or from
+    the longest halving of the span to the next sample time when they reach
+    none; ``StepSizeError`` is raised when not even 1/1024 of that span is
+    reached.  As in Expokit, a segment of length ``tau`` from a restart
+    point gets the share ``atol * tau / t_end`` of the tolerance, so the
+    estimated errors of the segments before any sample time add up to at
+    most ``atol`` (the flow of a symmetric negative semidefinite ``A`` does
+    not amplify them).  Samples at time 0 are exact copies of ``y0``, and a
+    zero ``y0`` gives zeros.  A non-finite entry of ``y0`` raises
+    ``ValueError`` before the recurrence starts.
 
     ``shell_ends`` are a BFS-ordered ball's shell-end offsets, as for
     ``integrate``, and ``A`` is then a graph operator on that ball, whose
-    rows reach one shell out.  With them both passes of every segment work
-    on prefixes: the segment's start vector vanishes past the shell ``s`` of
-    its last nonzero, so ``v_j`` vanishes past shell ``s + j - 1``, and step
-    j's ``rows`` are the end of shell ``s + j``, rounded up to a multiple
-    of ``_PREFIX_ALIGN`` and capped at the ball.
+    rows reach one shell out.  With them every segment works on prefixes:
+    its start vector vanishes past the shell ``s`` of its last nonzero, so
+    ``v_j`` vanishes past shell ``s + j - 1``, and step j's ``rows`` are the
+    end of shell ``s + j``, rounded up to a multiple of ``_PREFIX_ALIGN``
+    and capped at the vectors' length.  For a ball that grows with the run,
+    ``shell_ends`` is instead a callable ``grow(k) -> (ends, n)``: it grows
+    the ball to radius ``k`` (or its whole component) before step j asks
+    for shell ``k = s + j``, and returns its shell ends and the length
+    ``n`` of the vectors ``matvec`` takes from then on, which never falls
+    and is at least every ``rows``.  The vectors, and the samples, have the
+    length ``n`` had when they were made; ``y0`` is zero-padded to the
+    first ``n``.
     """
     max_dim = _MAX_KRYLOV_DIM
     times = _checked_times(sample_times)
     y = _checked_start(y0)
-    n = y.size
-    ends = [n] if shell_ends is None else shell_ends
-    # each shell's end, rounded up to whole blocks (see _PREFIX_ALIGN)
-    pads = np.minimum(-(-np.asarray(ends) // _PREFIX_ALIGN) * _PREFIX_ALIGN, n).tolist()
+    grow = shell_ends
+    if not callable(shell_ends):
+        static = (np.array([y.size]) if shell_ends is None else np.asarray(shell_ends), y.size)
+
+        def grow(k):
+            return static
+    if grow(0)[1] > y.size:
+        y = _resized(y, grow(0)[1])
     samples = []
     spans: list[float] = []
     n_steps = 0
@@ -566,14 +588,20 @@ def lanczos_expm(matvec: Callable[[np.ndarray, int], np.ndarray], y0: np.ndarray
         if k == len(times):
             return IntegrationResult(samples, np.array(spans), n_steps, 0)
         v = y / nrm
-        shell = int(np.searchsorted(ends, np.flatnonzero(v)[-1], side="right"))
+        shell = int(np.searchsorted(grow(0)[0], np.flatnonzero(v)[-1], side="right"))
 
-        def recurrence():  # the prefixes: v's last nonzero shell, then one more per step
-            return _lanczos(matvec, v, itertools.chain(pads[shell:], itertools.repeat(n)))
+        def prefixes():  # v's last nonzero shell, then one more per step
+            for j in itertools.count():
+                # the run takes every step to the next estimate, so the ball
+                # grows that far at once
+                ends, n = grow(shell + min(-(-j // _CHECK_EVERY) * _CHECK_EVERY, max_dim))
+                # the shell's end, rounded up to whole blocks (see _PREFIX_ALIGN)
+                end = int(ends[min(shell + j, len(ends) - 1)])
+                yield min(-(-end // _PREFIX_ALIGN) * _PREFIX_ALIGN, n), n
 
         taus = np.array(times[k:]) - t0
-        alphas, betas, coefs, met = _first_pass(recurrence(), nrm, taus,
-                                                atol * taus / times[-1], max_dim)
+        basis, alphas, betas, coefs, met = _first_pass(
+            _lanczos(matvec, v, prefixes()), nrm, taus, atol * taus / times[-1], max_dim)
         reached = len(taus) if met.all() else int(np.argmin(met))
         if reached:
             span = taus[reached - 1]
@@ -587,7 +615,7 @@ def lanczos_expm(matvec: Callable[[np.ndarray, int], np.ndarray], y0: np.ndarray
                                     f"t={t0:.6g} with {max_dim} basis vectors")
             span = halves[good[0]]
             coefs, _ = _tridiagonal_expm(alphas, betas, [span])
-        outs = _second_pass(recurrence(), n, nrm * coefs)
+        outs = _combine(basis, grow(0)[1], nrm * coefs)
         n_steps += len(alphas)
         spans.append(float(span))
         samples.extend(zip(times[k:k + reached], outs))

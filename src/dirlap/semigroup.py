@@ -9,9 +9,10 @@ constants stay in its kernel and the run conserves counting mass).
 
 Symmetric-part runs (``part="sym"``) use the Lanczos exponential, whose
 estimated error at every sample time is held under the absolute tolerance
-(restart segments share it), on one ball that holds the Krylov reach of
-``x0`` (``_krylov_flow``).  There the basis and the error estimate are the
-infinite graph's, so no second radius is needed.
+(restart segments share it), on one ball that grows with the Krylov reach
+of ``x0`` as the recurrence runs (``_krylov_flow``).  There the basis and
+the error estimate are the infinite graph's, so no second radius is needed,
+and no radius is planned.
 
 Full and nonlinear runs are checked by ``_truncated_flow``, which the
 linear flow here and the nonlinear flow of ``oscillator`` share: each
@@ -27,7 +28,8 @@ of the absolute tolerance, or the radius grows and the attempt repeats.
 
 The ball is a weight snapshot (see ``geometry``), so the sparse operator is
 assembled from its arrays without further adjacency calls: each vertex is
-read once per enumeration and nothing is kept beyond the snapshot.
+read once per enumeration (once per run for a growing ``sym`` ball) and
+nothing is kept beyond the snapshot.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ import numpy as np
 import scipy.sparse
 
 from .errors import TruncationError
-from .geometry import Ball, ball, shells
+from .geometry import Ball, _put, ball
 from .graph import WEIGHT_PARTS, Vertex, _laplacian, _local_rows
-from .integrate import integrate, lanczos_expm, uniformize
+from .integrate import _PREFIX_ALIGN, integrate, lanczos_expm, uniformize
 
 _PARTS = tuple(WEIGHT_PARTS)
 
@@ -115,23 +117,7 @@ class TruncatedOperator:
         for p in self.parts:
             if p not in _PARTS:
                 raise ValueError(f"unknown part {p!r}")
-        n = len(b)
-        inside = b.nbr >= 0
-        rows, cols = b.entry_rows()[inside], b.nbr[inside]
-        wf, wb = b.w_out[inside], b.w_in[inside]
-        ids = np.arange(n)
-        self._mats = {}
-        for p in self.parts:
-            w = WEIGHT_PARTS[p](wf, wb)
-            keep = w != 0.0
-            r, c, w = rows[keep], cols[keep], w[keep]
-            # bincount adds each row in snapshot order, so the diagonal is
-            # summed in the order the neighbours were read
-            d = 0.0 - np.bincount(r, weights=w, minlength=n)
-            self._mats[p] = scipy.sparse.csr_matrix(
-                (np.concatenate([w, d]),
-                 (np.concatenate([r, ids]), np.concatenate([c, ids]))),
-                shape=(n, n))
+        self._mats = {p: _part_rows(b, p) for p in self.parts}
 
     def matrix(self, part: str) -> scipy.sparse.csr_matrix:
         try:
@@ -143,21 +129,44 @@ class TruncatedOperator:
         return self.matrix(part).toarray()
 
 
+def _part_rows(b: Ball, part: str, lo: int = 0) -> scipy.sparse.csr_matrix:
+    """Rows ``lo`` on of ``part``'s restriction to ``b``, over all of its columns.
+
+    Edges with an endpoint outside the ball are dropped from the weights and
+    from the diagonal alike.  bincount adds each row in snapshot order, so
+    the diagonal is summed in the order the neighbours were read; each row
+    keeps its entries in column order.
+    """
+    n, e0 = len(b), int(b.indptr[lo])
+    inside = b.nbr[e0:] >= 0
+    rows = np.repeat(np.arange(n - lo), np.diff(b.indptr[lo:]))[inside]
+    cols = b.nbr[e0:][inside]
+    w = WEIGHT_PARTS[part](b.w_out[e0:][inside], b.w_in[e0:][inside])
+    keep = w != 0.0
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    d = 0.0 - np.bincount(rows, weights=w, minlength=n - lo)
+    ids = np.arange(n - lo)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([w, d]), (np.concatenate([rows, ids]), np.concatenate([cols, ids + lo]))),
+        shape=(n - lo, n))
+
+
 @dataclass
 class SimConfig:
     """Settings for a truncated simulation.
 
     ``c_speed`` (finite, nonnegative) overrides the light-cone heuristic: the
     simulation radius is then ``support_radius + ceil(c_speed * t_max) + 8``,
-    the 8 being the truncation margin.  When unset, the radius is a diffusive
-    term from the largest vertex measure, plus, except for ``sym`` runs, a
-    ballistic term from the skew mass at the edge of a probe ball.  Full and
-    nonlinear runs validate it by the truncation bound that their propagator
-    sums (``uniformize`` or ``integrate``); ``_truncated_flow``'s margin (8
-    hops) and retries (3) are module constants, not settings.
-    Symmetric-part runs validate it by the Krylov reach instead: when a
-    Lanczos vector touches the ball's outer shell, the allowance past the
-    support doubles.  No ball may exceed 4,000,000 vertices.
+    the 8 being the truncation margin.  When unset, the radius of a full or
+    nonlinear run is a diffusive term from the largest vertex measure plus a
+    ballistic term from the skew mass at the edge of a probe ball.  Those
+    runs validate it by the truncation bound that their propagator sums
+    (``uniformize`` or ``integrate``); ``_truncated_flow``'s margin (8 hops)
+    and retries (3) are module constants, not settings.
+    Symmetric-part runs plan no radius and read no probe ball: their ball
+    starts at the support radius, or at the ``c_speed`` radius when that is
+    set, and grows with the Lanczos basis to its Krylov reach.  No ball may
+    exceed 4,000,000 vertices.
 
     ``rtol`` steers only DOPRI5 runs: nonlinear runs, and full linear runs
     with a negative weight on their ball.  ``atol`` is their absolute
@@ -167,7 +176,8 @@ class SimConfig:
     negative weight run the uniformization series, which leaves out at most
     1e-16 of its Poisson mass whatever the tolerances.  ``t_max``, ``rtol``
     and ``atol`` must be finite and positive (an infinite ``atol`` would pass
-    every truncation check), and sample times finite and nonnegative.
+    every truncation check), and sample times finite, nonnegative and at
+    most ``t_max``.
     """
 
     t_max: float
@@ -182,15 +192,15 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if self.c_speed is not None and not 0 <= self.c_speed < math.inf:
             raise ValueError("c_speed must be finite and nonnegative")
-        if self.sample_times is not None and \
-                not all(0 <= float(t) < math.inf for t in self.sample_times):  # NaN fails too
-            raise ValueError("sample times must be finite and nonnegative")
+        if self.sample_times is not None:
+            if not all(0 <= float(t) < math.inf for t in self.sample_times):  # NaN fails too
+                raise ValueError("sample times must be finite and nonnegative")
+            if any(float(t) > self.t_max for t in self.sample_times):
+                raise ValueError("sample times exceed t_max")
 
     def resolved_sample_times(self) -> list[float]:
         if self.sample_times is not None:
             ts = sorted(float(t) for t in self.sample_times)
-            if ts and ts[-1] > self.t_max:
-                raise ValueError("sample times exceed t_max")
             if not ts or ts[-1] < self.t_max:
                 ts.append(self.t_max)
             return ts
@@ -212,11 +222,12 @@ class EvolveResult:
     steps.
     For symmetric-part runs ``n_steps`` is the Krylov dimension of the
     Lanczos basis (summed over restarts, if the dimension cap forced any),
-    ``ball`` is the one ball the run used and ``retries`` counts its
-    growths.  Their ``richardson_diff`` is 0.0 by construction: no vector
-    of the run touched the ball's outer shell, so its matvecs, Krylov
-    vectors and error estimate are those of the infinite graph, and a
-    larger ball would give the same samples.
+    ``ball`` is the one ball the run grew (one shell past the last basis
+    vector's support) and ``retries`` is 0: nothing is rerun.  Their
+    ``richardson_diff`` is 0.0 by construction: the ball held every
+    vector's support one shell inside its outer shell when the vector was
+    multiplied, so the matvecs, Krylov vectors and error estimate are those
+    of the infinite graph, and a larger ball would give the same samples.
     """
 
     samples: list  # (t, StateVector)
@@ -241,30 +252,17 @@ class EvolveResult:
         raise KeyError(f"no sample at t={t}")
 
 
-def _support_info(gen, x0, center, budget: int) -> tuple[dict, int]:
-    if isinstance(x0, StateVector):
-        return x0.to_dict(), x0.support_radius
-    data = _nonzero(x0)
-    missing = set(data)
-    # a ball of at most ``budget`` vertices has fewer than ``budget`` shells
-    for radius, shell in shells(gen, center, budget, budget=budget):
-        missing.difference_update(shell)
-        if not missing:
-            return data, radius
-    raise ValueError("initial support not reachable from the center")
-
-
-def _planned_radius(gen, center, support_radius: int, cfg: SimConfig, part: str) -> int:
+def _planned_radius(gen, center, support_radius: int, cfg: SimConfig) -> int:
     if cfg.c_speed is not None:
         return support_radius + math.ceil(cfg.c_speed * cfg.t_max) + _TRUNCATION_MARGIN
     probe_r = support_radius + 12
     probe = ball(gen, center, probe_r, budget=_BALL_BUDGET)
+    # a diffusive term from the largest measure and a ballistic one from the skew row sums
     spread = 8.0 * math.sqrt(float(probe.measures.max())) * math.sqrt(cfg.t_max)
-    if part == "full":  # the ballistic term; L_sym has no skew part
-        skew_row_abs = np.bincount(probe.entry_rows(),
-                                   weights=np.abs(probe.w_out - probe.w_in) / 2.0,
-                                   minlength=len(probe))
-        spread += float(skew_row_abs[probe.distances == probe_r].max(initial=0.0)) * cfg.t_max
+    skew_row_abs = np.bincount(probe.entry_rows(),
+                               weights=np.abs(probe.w_out - probe.w_in) / 2.0,
+                               minlength=len(probe))
+    spread += float(skew_row_abs[probe.distances == probe_r].max(initial=0.0)) * cfg.t_max
     return support_radius + math.ceil(spread) + _TRUNCATION_MARGIN
 
 
@@ -273,11 +271,10 @@ def _shell_ends(b: Ball) -> np.ndarray:
     return np.searchsorted(b.distances, np.arange(b.radius + 1), side="right")
 
 
-def _plan(gen, x0, cfg: SimConfig, part: str) -> tuple[Vertex, dict, int, int]:
-    """Center (``x0``'s, or the root), support values and radius, and ``part``'s planned radius."""
-    center = x0.ball.center if isinstance(x0, StateVector) else gen.root
-    data, support_radius = _support_info(gen, x0, center, _BALL_BUDGET)
-    return center, data, support_radius, _planned_radius(gen, center, support_radius, cfg, part)
+def _plan(gen, x0, cfg: SimConfig) -> tuple[Vertex, dict, int]:
+    """Center (``x0``'s, or the root), support values, and the planned radius."""
+    b, data = _support_ball(gen, x0)
+    return b.center, data, _planned_radius(gen, b.center, b.radius, cfg)
 
 
 def _truncated_flow(gen, x0, cfg: SimConfig, run) -> EvolveResult:
@@ -298,7 +295,7 @@ def _truncated_flow(gen, x0, cfg: SimConfig, run) -> EvolveResult:
     atol``; otherwise the radius grows by the margin and the attempt is
     repeated, at most ``_MAX_RETRIES`` times before ``TruncationError``.
     """
-    center, data, _, radius = _plan(gen, x0, cfg, "full")
+    center, data, radius = _plan(gen, x0, cfg)
     retries = 0
     while True:
         b = ball(gen, center, radius + _TRUNCATION_MARGIN, budget=_BALL_BUDGET)
@@ -333,54 +330,104 @@ def _row_prefix(a: scipy.sparse.csr_matrix, rows: int) -> scipy.sparse.csr_matri
     return view
 
 
-class _ReachError(Exception):
-    """A Lanczos vector is nonzero on the outer shell of its ball."""
+class _SymRows:
+    """The ``sym`` part of ``TruncatedOperator`` on a ball that grows, rows appended as it grows.
+
+    Its rows are those of ``TruncatedOperator(ball, ("sym",))``, entry for
+    entry.  A row's neighbours of positive symmetric weight lie within one
+    shell of it, so only the rows of the outer shell change when the ball
+    grows: ``grow`` cuts them off and appends them again with the rows of
+    the added shells (``_part_rows``), in CSR buffers with spare room.  The
+    vectors it multiplies have ``n`` entries, the ball rounded up to whole
+    ``_PREFIX_ALIGN`` blocks; the rows past the ball are empty.
+    """
+
+    def __init__(self, b: Ball):
+        self.ball, self.lo, self.bufs = b, 0, {}  # lo: the outer shell's first row
+        self.indptr = np.zeros(1, np.int32)
+        self.indices = np.zeros(0, np.int32)
+        self.data = np.zeros(0)
+        self._build()
+
+    def grow(self, k: int) -> tuple[np.ndarray, int]:
+        """Grow the ball to radius ``k``; its shell ends and the vectors' length."""
+        if k > self.ball.radius:
+            self.ball.extend(k)
+            self._build()
+        return self.ends, self.n
+
+    def matvec(self, y: np.ndarray, rows: int) -> np.ndarray:
+        return _row_prefix(self.a, rows) @ y
+
+    def _build(self) -> None:
+        b, lo = self.ball, self.lo
+        block = _part_rows(b, "sym", lo)
+        start = int(self.indptr[lo])
+        self.n = -(-len(b) // _PREFIX_ALIGN) * _PREFIX_ALIGN
+        self.data = _put(self.bufs, "data", self.data[:start], block.data)
+        self.indices = _put(self.bufs, "indices", self.indices[:start], block.indices)
+        self.indptr = _put(self.bufs, "indptr", self.indptr[:lo + 1], np.concatenate(
+            [start + block.indptr[1:], np.full(self.n - len(b), start + block.nnz)]))
+        self.a = scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                         shape=(self.n, self.n))
+        self.ends = _shell_ends(b)
+        self.lo = int(np.searchsorted(b.distances, b.radius))
+
+
+def _support_ball(gen, x0) -> tuple[Ball, dict]:
+    """The growing ball of the support's radius around ``x0``'s center (or the root), and its values.
+
+    The ball around the root grows shell by shell until it holds the
+    support of a mapping, so each vertex is read once; a support that the
+    walk does not reach raises ``ValueError`` when the walk runs out, or
+    ``BudgetExceededError`` at ``_BALL_BUDGET``.
+    """
+    if isinstance(x0, StateVector):
+        return ball(gen, x0.ball.center, x0.support_radius, budget=_BALL_BUDGET,
+                    grow=True), x0.to_dict()
+    data = _nonzero(x0)
+    b = ball(gen, gen.root, 0, budget=_BALL_BUDGET, grow=True)
+    missing = set(data).difference(b.vertices)
+    while missing:
+        n = len(b)
+        b.extend(b.radius + 1)
+        if len(b) == n:
+            raise ValueError("initial support not reachable from the center")
+        missing.difference_update(b.vertices[n:])
+    return b, data
 
 
 def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
-    """``exp(t L_sym) x0`` from one Lanczos run on a ball that holds its reach.
+    """``exp(t L_sym) x0`` from one Lanczos run on a ball that grows with its Krylov reach.
 
-    The ball has ``_plan``'s radius.  By the generator contract every
-    nonzero symmetric weight is positive, hence an edge of the skeleton
-    walk, so every vertex within ``radius - 1`` hops has its whole
-    symmetric row in the ball.  The ball's operator applied to a vector
-    that vanishes on the shell at distance ``radius`` is then the infinite
-    graph's: the outer shell's truncated rows meet only zeros, and the
-    vertices past the ball have no neighbour where the vector is nonzero.
-    The matvec raises ``_ReachError`` on any other input; a ball whose walk
-    exhausted its component has no such shell, so it is exact as it stands.
-    On that error the allowance ``radius - support_radius`` doubles and the
-    ball is read again, bounded only by ``_BALL_BUDGET``
-    (``BudgetExceededError``).
-
-    The run gets the ball's shell ends, so each matvec is asked for a row
-    prefix (see ``lanczos_expm``) and multiplies a view of the operator's
-    first rows that shares its arrays.  The input vanishes past those rows,
-    so only the outer shell's part of the prefix is scanned for the reach.
+    The ball starts as the smallest that holds the support (``c_speed``, if
+    set, adds its light cone and the margin), and ``lanczos_expm`` grows it
+    through ``_SymRows.grow`` before step j asks for the rows of shell
+    ``s + j``, ``s`` the shell of the start vector's last nonzero: eight
+    shells at a time, to the next error estimate, which the run always
+    reaches.  By the generator contract every nonzero symmetric weight is
+    positive, hence an edge of the skeleton walk, so step j's vector, zero
+    past shell ``s + j - 1``, meets only rows that hold all their symmetric
+    neighbours, and the outer shell's truncated rows meet only its zeros:
+    the products, the basis and the error estimate are the infinite
+    graph's.  Growth keeps what was computed, restart segments included, so
+    the samples are those of any larger ball, exact zeros past this one,
+    and nothing is rerun (``retries`` 0).  The ball ends one shell past the
+    last basis vector's support, or at the component's end.
     """
-    center, data, support_radius, radius = _plan(gen, x0, cfg, "sym")
-    retries = 0
-    while True:
-        b = ball(gen, center, radius, budget=_BALL_BUDGET)
-        a = TruncatedOperator(b, parts=("sym",)).matrix("sym")
-        ends = _shell_ends(b)
-        edge = int(np.searchsorted(b.distances, radius))  # the outer shell's start
-
-        def matvec(y, rows):
-            if y[edge:rows].any():  # y is zero past the rows
-                raise _ReachError
-            return _row_prefix(a, rows) @ y
-
-        try:
-            res = lanczos_expm(matvec, StateVector.from_dict(b, data).values,
-                               cfg.resolved_sample_times(), atol=cfg.atol, shell_ends=ends)
-        except _ReachError:
-            retries += 1
-            radius = support_radius + 2 * (radius - support_radius)
-            continue
-        samples = [(t, StateVector.from_values(b, y)) for t, y in res.samples]
-        return EvolveResult(samples=samples, ball=b, retries=retries,
-                            n_steps=res.n_steps, richardson_diff=res.bound)
+    b, data = _support_ball(gen, x0)
+    if cfg.c_speed is not None:
+        b.extend(b.radius + math.ceil(cfg.c_speed * cfg.t_max) + _TRUNCATION_MARGIN)
+    op = _SymRows(b)
+    res = lanczos_expm(op.matvec, StateVector.from_dict(b, data).values,
+                       cfg.resolved_sample_times(), atol=cfg.atol, shell_ends=op.grow)
+    b._growth = None  # the result's ball is a snapshot; its walk and ids go
+    n = len(b)  # the samples are zero past the ball, whatever their length
+    samples = [(t, StateVector.from_values(b, y[:n] if y.size >= n else
+                                           np.concatenate([y, np.zeros(n - y.size)])))
+               for t, y in res.samples]
+    return EvolveResult(samples=samples, ball=b, retries=0,
+                        n_steps=res.n_steps, richardson_diff=res.bound)
 
 
 def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
@@ -389,7 +436,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     ``x0`` may be a StateVector or a mapping from vertex to value.
     ``part="sym"`` computes ``exp(t L_sym) x0`` at every sample time from
     one Lanczos run (``lanczos_expm``, to ``cfg.atol`` alone; ``cfg.rtol``
-    is not used) on a ball that holds its Krylov reach (``_krylov_flow``).
+    is not used) on a ball that grows with its Krylov reach (``_krylov_flow``).
     ``part="full"`` runs under ``_truncated_flow``, shared with
     ``simulate_nonlinear``, once per attempt on the enlarged ball, and only
     the full part is assembled, once per attempt.
@@ -440,8 +487,15 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
 
 
 def norms(x, ps: Iterable) -> list[float]:
-    """lp norms of a state for each requested p in [1, inf]."""
+    """lp norms of a state for each requested p in [1, inf].
+
+    The sums run to the last nonzero entry, so a state on a larger ball
+    that only adds zeros past it has the same norms, bit for bit.
+    """
     values = x.values if isinstance(x, StateVector) else np.asarray(list(x), dtype=float)
+    if values.size:
+        end = values.size - int(np.argmax(values[::-1] != 0.0))  # past the last nonzero
+        values = values[:end if values[end - 1] != 0.0 else 0]
     return [float(np.linalg.norm(values)) if p == 2 else _difference_norm(np.abs(values), p)
             for p in map(float, ps)]
 

@@ -318,6 +318,36 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "validate.json").exists()
 
 
+def test_a_config_value_outside_the_choices_is_an_error(tmp_path, capsys, monkeypatch):
+    # it used to pass the config and fail in evolve, after the graph was built
+    monkeypatch.setattr(semigroup, "evolve", None)  # never reached
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("graph = z-lattice\nd = 1\npart = bogus\n")
+    code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "part" in err and "bogus" in err and "full, sym" in err
+    assert not (tmp_path / "simulate.json").exists()
+
+
+def test_every_option_has_help_and_shows_its_default():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    for command, parser in subparsers.items():
+        for action in parser._actions:
+            if action.dest in ("help", "config"):
+                continue
+            assert action.help, (command, action.dest)
+    defaults = {"--t-max": "200.0", "--part": "full", "--d": "2", "--out": "dirlap-out"}
+    helps = {a.option_strings[0]: a.help for a in subparsers["simulate"]._actions}
+    for flag, default in defaults.items():
+        assert helps[flag].endswith(f"(default {default})")
+    assert "default" not in helps["--c-speed"]  # no default: the heuristic
+    helps = {a.option_strings[0]: a.help for a in subparsers["check-hypotheses"]._actions}
+    assert helps["--r-min"].endswith("(default 8)") and helps["--r-max"].endswith("(default 64)")
+    helps = {a.option_strings[0]: a.help for a in subparsers["oscillate"]._actions}
+    assert helps["--a"].endswith("(default 0.5)")
+
+
 @pytest.mark.parametrize("command, config, flags, report", [
     ("validate", "graph = z-lattice\nd = 1\nradius = 2\n",
      ["--graph", "z-lattice", "--d", "1", "--radius", "2"], "validate.json"),

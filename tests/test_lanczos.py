@@ -118,25 +118,29 @@ def test_shell_ends_match_the_full_length_run_on_lattice_balls(d, r, support, ti
 
 def test_each_matvec_asks_for_one_shell_past_the_support(monkeypatch):
     # the plane lattice at t = 40: step j's vector is zero past shell j - 1,
-    # so its product needs the rows to the end of shell j, rounded up to 64
-    asked = []
+    # so its product needs the rows to the end of shell j, rounded up to 64;
+    # the ball grows to shell 88 and no further, so the last step's rows
+    # run past it (those are zero), and one pass asks each product once
+    asked, radii = [], []
     expm = semigroup.lanczos_expm
 
-    def recording(matvec, *args, **kwargs):
+    def recording(matvec, *args, shell_ends, **kwargs):
         def asking(v, rows):
             asked.append(rows)
+            radii.append(len(shell_ends(0)[0]) - 1)
             return matvec(v, rows)
-        return expm(asking, *args, **kwargs)
+        return expm(asking, *args, shell_ends=shell_ends, **kwargs)
 
     monkeypatch.setattr(semigroup, "lanczos_expm", recording)
     g = builtin_graph("z-lattice", d=2)
     res = evolve(g, {g.root: 1.0}, SimConfig(t_max=40.0), part="sym")
     n = len(res.ball)
-    assert (res.retries, res.n_steps, n) == (0, 88, 24_421)
+    assert (res.retries, res.n_steps, res.ball.radius, n) == (0, 88, 88, 15_665)
     ends = [2 * j * (j + 1) + 1 for j in range(1, 89)]  # shells 0..j of the plane lattice
-    first = [min(-(-e // 64) * 64, n) for e in ends]
-    assert asked == first + first  # the first pass, then the second
-    assert asked[:2] == [64, 64] and asked[87] == 15_680 < n
+    assert asked == [-(-e // 64) * 64 for e in ends]
+    assert asked[:2] == [64, 64] and asked[87] == 15_680 > n
+    # the ball grows 8 shells ahead of step j, to the next error estimate
+    assert radii == [-(-j // 8) * 8 for j in range(1, 89)]
 
 
 @given(finite_graphs(), st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1,
@@ -166,8 +170,8 @@ def test_non_finite_initial_value_fails_fast(bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_sym_evolve_fails_fast(monkeypatch, bad):
-    # a non-finite Lanczos vector would read as touching the outer shell and
-    # grow the ball without end; the small budget bounds that failure mode
+    # a non-finite start fails before the recurrence grows the ball; the
+    # small budget would bound that failure mode
     monkeypatch.setattr(semigroup, "_BALL_BUDGET", 10_000)
     g = builtin_graph("z-lattice", d=1)
     cfg = SimConfig(t_max=6.0, c_speed=0.05)

@@ -546,9 +546,9 @@ def test_the_lock_check_and_the_flow_walk_the_coupling(monkeypatch, kind):
     made = []  # the graphs _walk_graph gave
     make = oscillator._walk_graph
     monkeypatch.setattr(oscillator, "_walk_graph", lambda s: made.append(make(s)) or made[-1])
-    # the generator of every ball and shell walk
+    # the generator of every ball walk, the support search's too
     read = [count_builds(monkeypatch, module, name) for module, name in
-            ((oscillator, "ball"), (semigroup, "ball"), (semigroup, "shells"))]
+            ((oscillator, "ball"), (semigroup, "ball"))]
     verify_phase_lock(sys_, cand, radius=3)
     simulate_nonlinear(sys_, cand, {(0,): 0.01}, SimConfig(t_max=1.0, sample_times=[1.0]))
     assert len(made) == 2 and all(read)

@@ -318,26 +318,28 @@ class TestEvolve:
             assert s.values.min() >= -10 * cfg.atol
 
     def test_undersized_sym_ball_grows_to_the_krylov_reach(self):
-        # a deliberately absurd light cone: the allowance past the support
-        # doubles, 9 -> 18 -> 36, until the ball holds the Krylov reach
-        g = builtin_graph("z-lattice", d=1)
+        # a deliberately absurd light cone: the run starts on radius 9 and the
+        # ball grows with the Lanczos basis to its reach, 32 shells, reading
+        # each vertex once
+        g, reads = counted(builtin_graph("z-lattice", d=1))
         cfg = SimConfig(t_max=6.0, sample_times=[6.0], rtol=1e-8, atol=1e-10,
                         c_speed=0.05)
         res = evolve(g, {(0,): 1.0}, cfg, part="sym")
-        assert (res.retries, res.ball.radius, res.n_steps) == (2, 36, 32)
-        assert res.ball.radius >= res.n_steps  # support radius 0, one basis
+        assert (res.retries, res.ball.radius, res.n_steps) == (0, 32, 32)
+        assert res.ball.radius == res.n_steps  # support radius 0, one basis
+        assert sorted(reads) == sorted(res.ball.vertices)
         assert res.richardson_diff == 0.0
 
     def test_undersized_sym_line_matches_dense_on_twice_the_ball(self):
         # the input that used to exhaust the two-radius comparison's retries
-        # now grows three times, 10 -> 80, and matches the exponential on a
-        # ball of twice the radius
+        # now grows from radius 10 to the reach, 64, and matches the
+        # exponential on a ball of twice the radius
         g = builtin_graph("z-lattice", d=1)
         cfg = SimConfig(t_max=40.0, sample_times=[40.0], rtol=1e-8, atol=1e-10,
                         c_speed=0.05)
         res = evolve(g, {(0,): 1.0}, cfg, part="sym")
-        assert (res.retries, res.ball.radius, res.n_steps) == (3, 80, 64)
-        big = dirlap.ball(g, (0,), 160)
+        assert (res.retries, res.ball.radius, res.n_steps) == (0, 64, 64)
+        big = dirlap.ball(g, (0,), 128)
         n = len(res.ball)
         assert big.vertices[:n] == res.ball.vertices
         a = TruncatedOperator(big, ("sym",)).dense("sym")
@@ -348,7 +350,7 @@ class TestEvolve:
     def test_sym_restarts_stay_inside_the_grown_ball(self, monkeypatch):
         # a cap of 8 vectors forces restarts; each basis of m vectors starts
         # from the last one's output and reaches m - 1 hops further, and the
-        # last matvec input must stay off the outer shell
+        # ball grows across the restarts to one shell past the last output
         monkeypatch.setattr(integrate_module, "_MAX_KRYLOV_DIM", 8)
         runs = []
         lanczos = semigroup.lanczos_expm
@@ -358,18 +360,19 @@ class TestEvolve:
             return runs[-1]
 
         monkeypatch.setattr(semigroup, "lanczos_expm", recording)
-        g = builtin_graph("z-lattice", d=1)
+        g, reads = counted(builtin_graph("z-lattice", d=1))
         cfg = SimConfig(t_max=6.0, sample_times=[1.0, 3.0, 6.0], atol=1e-10, c_speed=0.05)
         res = evolve(g, {(0,): 1.0, (2,): 0.5}, cfg, part="sym")
         bases = len(runs[-1].steps)
-        assert len(runs) == 1 and res.retries >= 1 and bases > 1
+        assert len(runs) == 1 and res.retries == 0 and bases > 1
         assert res.n_steps == runs[-1].n_steps
         # on the line each matvec spreads exactly one hop
         reach = 2 + res.n_steps - bases
-        assert res.state_at(6.0).support_radius == reach < res.ball.radius
+        assert res.state_at(6.0).support_radius == reach == res.ball.radius - 1
+        assert sorted(reads) == sorted(res.ball.vertices)
 
     def test_sym_samples_equal_those_on_twice_the_ball(self):
-        # once the ball holds the Krylov reach, more vertices change nothing:
+        # the ball holds the Krylov reach, so more vertices change nothing:
         # the larger run's samples are exact zeros past the ball and agree on
         # it to roundoff (bit for bit under one BLAS thread)
         g = builtin_graph("z-lattice", d=2)
@@ -378,7 +381,7 @@ class TestEvolve:
         res = evolve(g, x0, cfg, part="sym")
         big = dirlap.ball(g, (0, 0), 2 * res.ball.radius)
         n = len(res.ball)
-        assert res.retries >= 1 and big.vertices[:n] == res.ball.vertices
+        assert res.retries == 0 and big.vertices[:n] == res.ball.vertices
         a = TruncatedOperator(big, ("sym",)).matrix("sym")
         ref = lanczos_expm(lambda v, rows: a @ v, StateVector.from_dict(big, x0).values,
                            cfg.resolved_sample_times(), atol=cfg.atol)
@@ -387,15 +390,14 @@ class TestEvolve:
             assert np.all(y[n:] == 0.0)
             assert np.abs(s.values - y[:n]).max() <= 1e-15
 
-    def test_a_sym_plan_takes_no_ballistic_term(self):
-        # L_sym has no skew part, so on z2-advection (largest measure 2) a sym
-        # run plans the diffusive term alone, 8 sqrt(2 t) + 8 hops, where a
-        # full run adds t times the probe's skew row sum (radius 99 at t = 20);
-        # a ball of radius 88 (by c_speed) gives the same samples
+    def test_a_sym_ball_ends_at_the_krylov_reach(self):
+        # with no c_speed a sym run plans nothing: on z2-advection at t = 20
+        # the ball grows from the root to the Krylov dimension, 48 shells,
+        # where the old plan read 8 sqrt(2 t) + 8 = 59; a ball of radius 88
+        # (by c_speed) gives the same samples and the same norm rows
         g = builtin_graph("z2-advection")
         res = evolve(g, {g.root: 1.0}, SimConfig(t_max=20.0), part="sym")
-        assert (res.retries, res.ball.radius) == \
-            (0, 8 + math.ceil(8.0 * math.sqrt(2.0) * math.sqrt(20.0))) == (0, 59)
+        assert (res.retries, res.ball.radius, res.n_steps) == (0, 48, 48)
         big = evolve(g, {g.root: 1.0}, SimConfig(t_max=20.0, c_speed=4.0), part="sym")
         n = len(res.ball)
         assert big.ball.radius == 88 and big.n_steps == res.n_steps
@@ -403,10 +405,43 @@ class TestEvolve:
             assert not z.values[n:].any()
             assert np.abs(s.values - z.values[:n]).max() <= 1e-15
 
+    def test_sym_norm_rows_do_not_depend_on_the_ball(self):
+        # norms sum to the last nonzero entry, so a run on its own ball and
+        # on a c_speed ball twice as wide give the same l1, l2 and linf rows,
+        # bit for bit
+        g = builtin_graph("z-lattice", d=2)
+        cfg = SimConfig(t_max=20.0)
+        res = evolve(g, {g.root: 1.0}, cfg, part="sym")
+        wide = evolve(g, {g.root: 1.0},
+                      SimConfig(t_max=20.0, c_speed=2 * res.ball.radius / cfg.t_max),
+                      part="sym")
+        assert wide.ball.radius >= 2 * res.ball.radius
+        for p in (1.0, 2.0, INF):
+            assert trajectory_norms(res, p=p) == trajectory_norms(wide, p=p)
+
+    def test_sym_rows_match_the_truncated_operator(self):
+        # the growing sym operator is TruncatedOperator's, entry for entry,
+        # at every radius it grows through, the outer shell's cut rows too
+        for g in (builtin_graph("z2-skew-perturbed"), builtin_graph("example-2.2"),
+                  negative_line_graph()):
+            b = dirlap.ball(g, g.root, 0, grow=True)
+            op = semigroup._SymRows(b)
+            for r in (1, 2, 5, 6, 13):
+                ends, n = op.grow(r)
+                a = TruncatedOperator(b, ("sym",)).matrix("sym")
+                m = len(b)
+                assert b.radius == r and n >= m and n % 64 == 0
+                assert np.array_equal(ends, semigroup._shell_ends(b))
+                assert np.array_equal(op.indptr[:m + 1], a.indptr)
+                assert not np.any(op.indptr[m + 1:n + 1] - a.indptr[-1])
+                nnz = a.indptr[-1]
+                assert np.array_equal(op.indices[:nnz], a.indices)
+                assert op.data[:nnz].tobytes() == a.data.tobytes()
+
     @pytest.mark.parametrize("part, cfg, retries", [
         # the undersized fixture above, and the same undersized line on the full part
         ("sym", SimConfig(t_max=6.0, sample_times=[6.0], rtol=1e-8, atol=1e-10,
-                          c_speed=0.05), 2),
+                          c_speed=0.05), 0),
         ("full", SimConfig(t_max=6.0, rtol=1e-8, atol=1e-10, c_speed=0.05), 2),
         ("full", small_cfg(3.0, [3.0], c_speed=8.0), 0),
     ])
@@ -416,16 +451,19 @@ class TestEvolve:
         series = record_series(monkeypatch)
         res = evolve(builtin_graph("z-lattice", d=1), {(0,): 1.0}, cfg, part=part)
         assert res.retries == retries
+        # no weight of the line is negative: nothing integrates
+        assert runs == []
+        if part == "sym":
+            # one attempt whose one operator grows with the ball (_SymRows)
+            assert built == series == [] and res.ball.radius == 32
+            return
         assert len(built) == retries + 1
         assert built[-1][0] is res.ball
-        # no weight of the line is negative: a full attempt runs the series
-        # once, on its whole ball; nothing integrates
-        assert runs == []
-        assert len(series) == (0 if part == "sym" else retries + 1)
-        if part == "full":
-            assert series[-1].y0.size == len(res.ball)
-            assert (res.n_steps, res.richardson_diff) == \
-                (series[-1].result.n_steps, series[-1].result.bound)
+        # a full attempt runs the series once, on its whole ball
+        assert len(series) == retries + 1
+        assert series[-1].y0.size == len(res.ball)
+        assert (res.n_steps, res.richardson_diff) == \
+            (series[-1].result.n_steps, series[-1].result.bound)
 
     def test_one_dopri_run_per_attempt_with_a_negative_weight(self, monkeypatch):
         built = count_builds(monkeypatch, semigroup, "TruncatedOperator")
@@ -685,6 +723,12 @@ class TestSimConfig:
         # a NaN time used to reach the flow, which read its ball before failing
         with pytest.raises(ValueError, match="sample times must be finite and nonnegative"):
             SimConfig(t_max=1.0, sample_times=[0.5, bad])
+
+    def test_a_sample_time_past_t_max_fails_when_built(self):
+        # it used to pass until resolved_sample_times, after evolve read its balls
+        with pytest.raises(ValueError, match="sample times exceed t_max"):
+            SimConfig(t_max=50.0, sample_times=[10.0, 60.0])
+        assert SimConfig(t_max=50.0, sample_times=[50.0]).resolved_sample_times() == [50.0]
 
     def test_default_sample_grid(self):
         ts = SimConfig(t_max=100.0).resolved_sample_times()

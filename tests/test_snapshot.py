@@ -251,3 +251,89 @@ def test_missing_partner_entry_is_inconsistent():
 
 def test_inconsistency_beyond_the_ball_is_not_seen():
     assert len(ball(planted_line(), (0,), 2)) == 5
+
+
+@given(finite_graphs(), st.lists(st.integers(min_value=0, max_value=2), min_size=1,
+                                 max_size=4))
+def test_a_grown_ball_is_the_ball_read_in_one_call(gen, steps):
+    # grown in steps of 0, 1 or 2 shells, each vertex read once, past the component too
+    g, reads = counted(gen)
+    b = ball(g, g.root, 0, grow=True)
+    r = 0
+    for step in steps:
+        r += step
+        assert b.extend(r) is b
+        assert_same_ball(b, ball(gen, gen.root, r))
+    assert sorted(reads) == sorted(b.vertices)
+
+
+@pytest.mark.parametrize("name, params", BUILTINS, ids=[f"{n}{p}" for n, p in BUILTINS])
+def test_grown_builtin_balls_on_both_steps(monkeypatch, name, params):
+    gen = builtin_graph(name, **params)
+
+    def compare():
+        b = ball(gen, gen.root, 1, grow=True)
+        for r in (2, 3, 5, 8):
+            b.extend(r)
+            assert_same_ball(b, ball(gen, gen.root, r))
+
+    both_steps(monkeypatch, compare)
+
+
+def long_edge_line(reports):
+    """The line with an edge of zero symmetric weight, w(0,4) = 1 and w(4,0) = -1.
+
+    ``reports`` names the endpoints, ``(0,)`` and/or ``(4,)``, that report it.
+    """
+    def adjacency(v):
+        (n,) = v
+        out = {(n + 1,): 1.0, (n - 1,): 1.0}
+        inn = {(n + 1,): 1.0, (n - 1,): 1.0}
+        if v in reports and n in (0, 4):
+            far = (4 - n,)
+            out[far], inn[far] = (1.0, -1.0) if n == 0 else (-1.0, 1.0)
+        return out, inn
+
+    return GraphGenerator(adjacency=adjacency, root=(0,), name="long-edge")
+
+
+def test_growth_places_an_edge_to_an_old_row():
+    # (0,) reads its edge to (4,) four shells before (4,) joins the ball
+    g = long_edge_line({(0,), (4,)})
+    b = ball(g, (0,), 1, grow=True)
+    for r in range(2, 6):
+        b.extend(r)
+        assert_same_ball(b, ball(g, (0,), r))
+    full = TruncatedOperator(b).dense("full")
+    assert full[b.index[(0,)], b.index[(4,)]] == 1.0
+    assert full[b.index[(4,)], b.index[(0,)]] == -1.0
+
+
+@pytest.mark.parametrize("reports", [{(0,)}, {(4,)}])
+def test_growth_checks_the_pairs_it_adds(reports):
+    # one endpoint of the long edge is silent: the growth that adds (4,)
+    # finds the pair inconsistent, as the ball read in one call does
+    g = long_edge_line(reports)
+    with pytest.raises(InconsistentAdjacencyError) as one_call:
+        ball(g, (0,), 4)
+    b = ball(g, (0,), 3, grow=True)
+    with pytest.raises(InconsistentAdjacencyError) as grown:
+        b.extend(4)
+    assert set(one_call.value.pair) == set(grown.value.pair) == {(0,), (4,)}
+
+
+def test_growth_sees_a_planted_inconsistency_when_it_reaches_it():
+    b = ball(planted_line(), (0,), 2, grow=True)
+    with pytest.raises(InconsistentAdjacencyError) as err:
+        b.extend(3)
+    assert set(err.value.pair) == {(2,), (3,)}
+
+
+def test_only_a_growing_ball_extends():
+    b = ball(builtin_graph("z-lattice", d=2), (0, 0), 3)
+    assert b.extend(2) is b and b.radius == 3
+    with pytest.raises(ValueError, match="grow=True"):
+        b.extend(4)
+    grown = ball(builtin_graph("z-lattice", d=2), (0, 0), 0, budget=100, grow=True)
+    with pytest.raises(dirlap.BudgetExceededError):
+        grown.extend(20)

@@ -11,8 +11,11 @@
 # *.json report under OUT is parsed with NaN and Infinity rejected: the paths
 # of those that fail go to OUT/nonstrict_json.  The run sim-lat-cfg reads
 # sim-lat's experiment from a config file, and those of its reports that
-# differ from sim-lat's go to OUT/config_mismatch.  The script exits non-zero
-# if either list is not empty.  Compare two checkouts with
+# differ from sim-lat's go to OUT/config_mismatch.  The run sim-adv-sym-wide
+# starts sim-adv-sym's experiment on a ball past its Krylov reach; its
+# trajectory.csv goes to OUT/radius_mismatch if it differs from
+# sim-adv-sym's, since a report must not depend on the ball.  The script
+# exits non-zero if any of the three lists is not empty.  Compare two checkouts with
 #
 #   tools/report_gate.sh parent/src /tmp/gate-a
 #   tools/report_gate.sh src /tmp/gate-b
@@ -42,6 +45,7 @@ run ch-skew check-hypotheses --graph z2-skew-perturbed
 # other fit centers, (0, 1) and (1, -2): a cut ball at distance 1
 run ch-skew-s3 check-hypotheses --graph z2-skew-perturbed --seed 3
 run ch-lat check-hypotheses --graph z-lattice --d 2
+# the plane lattice's sym run: radius 64, its Krylov reach
 run sim-lat simulate --graph z-lattice --d 2 --part sym --t-max 20
 # the same experiment from a config file: the same reports
 mkdir -p "$OUT/sim-lat-cfg"
@@ -50,15 +54,18 @@ run sim-lat-cfg simulate --config sim-lat-cfg/exp.cfg
 run sim-skew simulate --graph z2-skew-perturbed --t-max 20
 # an undersized first radius: two retries, radius 33
 run sim-retry simulate --graph z-lattice --d 1 --part full --t-max 6 --c-speed 0.05
-# its sym twin: the ball grows twice to hold the Krylov reach, radius 36
+# its sym twin: the ball starts at radius 9 and grows with the Krylov reach to 32
 run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-speed 0.05
-# the one run whose Lanczos basis restarts at its dimension cap (488 vectors): radius 514
+# the one run whose Lanczos basis restarts at its dimension cap (488 vectors):
+# the ball grows across the restart to radius 487
 run sim-sym-long simulate --graph z-lattice --d 1 --part sym --t-max 2000
-# sym runs on non-uniform weights: radius 80 and radius 59
+# sym runs on non-uniform weights: radius 64 and radius 48, their Krylov reach
 run sim-skew-sym simulate --graph z2-skew-perturbed --part sym --t-max 20
 run sim-ex22-sym simulate --graph example-2.2 --part sym --t-max 20
-# sym on a skew graph: the plan takes no ballistic term
+# sym on a skew graph: the ball ends at the Krylov reach, radius 48
 run sim-adv-sym simulate --graph z2-advection --part sym --t-max 20
+# the same from radius 88, past the reach: the same trajectory
+run sim-adv-sym-wide simulate --graph z2-advection --part sym --t-max 20 --c-speed 4
 # its full twin: an uneven diagonal, so the series' rate is a true maximum
 run sim-ex22-full simulate --graph example-2.2 --part full --t-max 20
 run osc oscillate --t-max 10
@@ -74,6 +81,8 @@ run fit fit-decay --csv fit/linf.csv --window 5 20
 for f in simulate.json trajectory.csv; do
     cmp -s "$OUT/sim-lat/$f" "$OUT/sim-lat-cfg/$f" || echo "sim-lat-cfg/$f"
 done > "$OUT/config_mismatch"
+{ cmp -s "$OUT/sim-adv-sym/trajectory.csv" "$OUT/sim-adv-sym-wide/trajectory.csv" ||
+    echo "sim-adv-sym-wide/trajectory.csv"; } > "$OUT/radius_mismatch"
 # Every report must be strict JSON: NaN and Infinity are not JSON.  The
 # offending paths go to OUT/nonstrict_json (empty when there are none).
 cd "$OUT" && python - <<'PY'
@@ -96,4 +105,4 @@ pathlib.Path("nonstrict_json").write_text("".join(bad))
 sys.exit(1 if bad else 0)
 PY
 strict=$?
-[ "$strict" -eq 0 ] && [ ! -s "$OUT/config_mismatch" ]
+[ "$strict" -eq 0 ] && [ ! -s "$OUT/config_mismatch" ] && [ ! -s "$OUT/radius_mismatch" ]
