@@ -24,8 +24,8 @@ from .oscillator import (GenericCoupling, OscillatorSystem,
                          sin_coupling, verify_phase_lock)
 from .reports import report_schema_version
 from .semigroup import (DecayFit, EvolveResult, SimConfig, StateVector,
-                        TruncatedOperator, advection_oracle, advection_peak,
-                        advection_stirling_lower, dense_expm, evolve,
+                        TruncatedOperator, advection_oracle,
+                        advection_stirling_lower, evolve,
                         fit_decay, fit_power_law, norms, q_seminorm,
                         skew_bound_check, trajectory_norms)
 

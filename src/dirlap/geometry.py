@@ -5,7 +5,11 @@ undirected graph whose edges are the pairs with strictly positive symmetric
 weight.  ``ball``, ``shells``, the skew-mass scan and
 ``graph.validate_generator`` all walk it with one breadth-first walk,
 ``_walk``, which owns the shell rule and the budget rule and yields each
-shell with its rows, read once.  Sorted adjacency
+shell with its rows, read once.  The walk keeps the vertices it has found
+in a set until its first batch read, then by int64 key in a few sorted
+arrays (``_Found``), and a shell that a batch read found is its coordinate
+array, turned into tuples (``_vertices``) by ``ball`` and ``shells`` but not
+by the skew-mass scan.  Sorted adjacency
 makes the vertex order deterministic and gives the nesting property that the
 vertex list of ``ball(v, r)`` is a prefix of the vertex list of
 ``ball(v, r+1)``.  The walk reads a large shell in one ``batch_adjacency``
@@ -151,6 +155,7 @@ class Ball:
             raise ValueError("only a ball read with grow=True can be extended")
         order, sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], [], []
         for k, shell, rows in () if g.done else g.walk:
+            shell = _vertices(shell)
             order += shell
             sizes.append(len(shell))
             counts.append(rows.counts)
@@ -415,7 +420,7 @@ def shells(gen, root: Vertex, max_shells: int,
     Without a ``budget`` the walk reads ``DEFAULT_BALL_BUDGET`` when it starts.
     """
     for k, shell, _ in _walk(gen, root, max_shells, budget):
-        yield k, shell
+        yield k, _vertices(shell)
 
 
 #: Shells with fewer vertices are read vertex by vertex even when the generator
@@ -461,41 +466,112 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int | None,
     that takes the number of vertices found past ``budget``, it raises
     ``BudgetExceededError`` with that number as ``count``.  Without a
     ``budget`` the walk reads ``DEFAULT_BALL_BUDGET`` when it starts, not
-    when it is defined.  Nothing it yields holds its ``seen`` set.
+    when it is defined.  Nothing it yields holds the vertices it has found.
 
     A shell is read in one ``gen.batch_adjacency`` call when the generator
     has one, the shell holds at least ``_BATCH_MIN_SHELL`` vertices, and it
     and every neighbour the call reports fit the int64 key; otherwise each
     vertex is read with ``gen.edges``.  Both steps drop self-loops, apply the
-    degree cap, share one ``seen`` set and give the same rows, so which one
-    read a shell changes nothing but the time.
+    degree cap and give the same rows, so which one read a shell changes
+    nothing but the time.  A shell that the vertex step found is a list of
+    vertices; one that a batch step found is the ``(k, d)`` int64 array of
+    its coordinates, and ``_vertices`` turns either into a list.  The walk
+    records what it has found in a ``_Found``: in a set until its first
+    batch step, by int64 key from then on.
 
     ``graph.validate_generator`` walks a tolerant copy of the generator, so
     that it can record defective callbacks and go on.
     """
     budget = DEFAULT_BALL_BUDGET if budget is None else budget
-    seen = {root}
-    shell, coords, keys = [root], None, None
+    found = _Found(root)
+    shell, keys = [root], None  # keys: those of a shell that a batch step found
     recent = None  # keys of the shell before, when known
     for k in count():
-        if len(seen) > budget:
+        if len(found) > budget:
             raise BudgetExceededError(
-                f"walk from {root} found {len(seen)} vertices, budget {budget}", len(seen))
+                f"walk from {root} found {len(found)} vertices, budget {budget}", len(found))
         expand, step = max_shells is None or k < max_shells, None
         if gen.batch_adjacency is not None and len(shell) >= _BATCH_MIN_SHELL:
-            if coords is None:
+            coords = shell
+            if keys is None:
                 coords = _coords(shell)
                 keys = _keys(coords) if coords is not None and coords.shape[1] <= 3 else None
             if keys is not None and keys.min() >= 0:
-                step = _batch_step(gen, shell, coords, keys, recent, seen, expand)
+                found.keep_by_key()
+                step = _batch_step(gen, shell, coords, keys, recent, found, expand)
         if step is None:
             nxt = [] if expand else None
-            step = _scalar_step(gen.edges, shell, seen, nxt), nxt, None, None
-        rows, nxt, coords, keys = step
+            # once vertices are kept by key, the step only drops repeats within
+            # the shell, and ``fresh`` drops those found before
+            rows = _scalar_step(gen.edges, _vertices(shell),
+                                set() if found.runs else found.other, nxt)
+            step = rows, found.fresh(nxt) if found.runs and nxt else nxt, None
+        rows, nxt, keys = step
         yield k, shell, rows
-        if not nxt:
+        if nxt is None or not len(nxt):
             return
         shell, recent = nxt, rows.keys
+
+
+class _Found:
+    """The vertices a walk has found.
+
+    Until the walk's first batch step they are the set ``other``.  From then
+    on (``keep_by_key``) a vertex with a key (``graph._keys``) is kept only
+    by it, in ``runs``: sorted int64 arrays, each more than twice as long as
+    the next, so there are at most ``log2`` of the count of them and each
+    key is copied that many times.  ``other`` keeps the vertices that have
+    none.  A tuple in a set takes about 148 bytes, a key in ``runs`` 8.
+    """
+
+    def __init__(self, root: Vertex):
+        self.other, self.runs = {root}, []
+
+    def __len__(self) -> int:
+        return len(self.other) + sum(map(len, self.runs))
+
+    def keep_by_key(self) -> None:
+        """Move every vertex of ``other`` that has a key into ``runs``, the first time."""
+        if not self.runs:
+            other = list(self.other)
+            keys = _vertex_keys(other)
+            self.other = {v for v, key in zip(other, keys.tolist()) if key < 0}
+            self.add(keys[keys >= 0])
+
+    def add(self, keys: np.ndarray) -> None:
+        """Record the keys, none found before."""
+        if not keys.size:
+            return
+        run = np.sort(keys)
+        while self.runs and len(self.runs[-1]) <= 2 * len(run):
+            run = np.sort(np.concatenate([self.runs.pop(), run]), kind="stable")
+        self.runs.append(run)
+
+    def holds(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each key was found before; a sorted ``keys`` is searched fastest."""
+        hit = np.zeros(len(keys), dtype=bool)
+        for run in self.runs:
+            at = np.minimum(np.searchsorted(run, keys), len(run) - 1)
+            hit |= run[at] == keys
+        return hit
+
+    def fresh(self, vertices: list) -> list:
+        """Those of the vertices, none repeated, not found before, in order; now found."""
+        keys = _vertex_keys(vertices)
+        keyed = keys >= 0
+        new = keyed & ~self.holds(keys)
+        for i in np.flatnonzero(~keyed).tolist():
+            new[i] = vertices[i] not in self.other
+            self.other.add(vertices[i])
+        self.add(keys[new & keyed])
+        return [v for v, n in zip(vertices, new.tolist()) if n]
+
+
+def _vertices(shell) -> list:
+    """A shell of ``_walk`` as a list of vertices: a coordinate array becomes tuples."""
+    if isinstance(shell, np.ndarray):
+        return list(zip(*shell.T.tolist()))
+    return shell
 
 
 def _scalar_step(edges, shell: list, seen: set, nxt: list | None) -> _Rows:
@@ -515,12 +591,12 @@ def _scalar_step(edges, shell: list, seen: set, nxt: list | None) -> _Rows:
     return _Rows(counts, nbr, w_out, w_in, None)
 
 
-def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
-                recent: np.ndarray | None, seen: set, expand: bool):
+def _batch_step(gen, shell, coords: np.ndarray, keys: np.ndarray,
+                recent: np.ndarray | None, found: _Found, expand: bool):
     """A shell of ``_walk`` in one batch call, or None if a neighbour does not fit the key.
 
-    Gives the shell's rows, then the next shell, its coordinates and its keys;
-    the next shell is empty unless ``expand``.
+    Gives the shell's rows, then the next shell's coordinates and its keys,
+    recorded in ``found``; there is no next shell unless ``expand``.
     """
     nc, wo, wi = gen.batch_adjacency(coords)
     nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
@@ -534,46 +610,46 @@ def _batch_step(gen, shell: list, coords: np.ndarray, keys: np.ndarray,
         over = np.flatnonzero((n_out > gen.degree_cap) | (n_in > gen.degree_cap))
         if over.size:
             i = over[0]
-            raise DegreeCapError(f"vertex {shell[i]} reports {max(n_out[i], n_in[i])} "
-                                 f"edges, cap is {gen.degree_cap}")
+            raise DegreeCapError(f"vertex {_vertices(shell[i:i + 1])[0]} reports "
+                                 f"{max(n_out[i], n_in[i])} edges, cap is {gen.degree_cap}")
     counts = present.sum(axis=1)
     slots = np.flatnonzero(present)
     nkeys, wo, wi = nkeys.ravel()[slots], wo.ravel()[slots], wi.ravel()[slots]
     rows = _Rows(counts, nkeys, wo, wi, keys)
     if not expand:
-        return rows, [], None, None
-    # the first find of each key that no earlier shell holds, in read order;
-    # a consistent graph's neighbours lie in this shell, the one before and the next
+        return rows, None, None
+    # the first find of each key that no earlier shell holds, in read order; a
+    # consistent graph's neighbours lie in this shell, the one before and the next,
+    # so only the others are searched for among the older shells' keys
     cand = np.flatnonzero((wo + wi) / 2.0 > 0.0)
     old = [keys] if recent is None else [recent, keys]
     n_old = sum(len(k) for k in old)
-    every = np.concatenate(old + [nkeys[cand]])
-    first = np.unique(every, return_index=True)[1]
-    first = np.sort(first[first >= n_old] - n_old)
+    unique, first = np.unique(np.concatenate(old + [nkeys[cand]]), return_index=True)
+    keep = first >= n_old
+    unique, first = unique[keep], first[keep] - n_old
+    first = np.sort(first[~found.holds(unique)])
     new_keys = nkeys[cand[first]]
-    new_coords = nc.reshape(-1, nc.shape[2])[slots[cand[first]]]
-    new = list(zip(*new_coords.T.tolist()))
-    if not seen.isdisjoint(new):  # an older shell's vertex
-        fresh = np.array([u not in seen for u in new], dtype=bool)
-        new, new_coords, new_keys = [u for u, f in zip(new, fresh) if f], \
-            new_coords[fresh], new_keys[fresh]
-    seen.update(new)
-    return rows, new, new_coords, new_keys
+    found.add(new_keys)
+    return rows, nc.reshape(-1, nc.shape[2])[slots[cand[first]]], new_keys
 
 
-def _ids(vertices: list, interned: dict) -> np.ndarray:
-    """One int64 id per vertex: its key (``graph._keys``), or a negative id from ``interned``.
+def _vertex_keys(vertices: list) -> np.ndarray:
+    """The key (``graph._keys``) of each vertex, -1 where it has none.
 
-    The id depends on the vertex alone, so a list that is not one integer
+    The key depends on the vertex alone, so a list that is not one integer
     array is converted vertex by vertex.
     """
     coords = _coords(vertices)
     if coords is None and len(vertices) > 1:
-        return np.concatenate([_ids([v], interned) for v in vertices])
+        return np.concatenate([_vertex_keys([v]) for v in vertices])
     if coords is None or coords.shape[1] > 3:
-        ids = np.full(len(vertices), -1, np.int64)
-    else:
-        ids = _keys(coords)
+        return np.full(len(vertices), -1, np.int64)
+    return _keys(coords)
+
+
+def _ids(vertices: list, interned: dict) -> np.ndarray:
+    """One int64 id per vertex: its key (``_vertex_keys``), or a negative id from ``interned``."""
+    ids = _vertex_keys(vertices)
     for i in np.flatnonzero(ids < 0):
         ids[i] = interned.setdefault(vertices[i], -1 - len(interned))
     return ids

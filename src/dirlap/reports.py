@@ -60,15 +60,6 @@ def write_json_report(path: str, payload: dict) -> None:
                                    allow_nan=False) + "\n")
 
 
-def read_json_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"report {path} carries schema {doc.get('schema')!r}, "
-                         f"expected {SCHEMA_VERSION!r}")
-    return doc
-
-
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")

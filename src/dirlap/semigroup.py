@@ -668,44 +668,8 @@ def advection_oracle(i: int, t: float) -> float:
     return math.exp(i * math.log(t) - math.lgamma(i + 1) - t)
 
 
-def advection_peak(i: int) -> float:
-    """Maximum over time of the axis solution; attained at t = i."""
-    if i < 0:
-        raise ValueError("need i >= 0")
-    if i == 0:
-        return 1.0
-    return math.exp(i * math.log(i) - math.lgamma(i + 1) - i)
-
-
 def advection_stirling_lower(i: int) -> float:
     """Lower bound ``exp(-1) / sqrt(i)`` for the peak value, i >= 1."""
     if i < 1:
         raise ValueError("need i >= 1")
     return math.exp(-1.0) / math.sqrt(i)
-
-
-def dense_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Taylor core.
-
-    Independent of the time-stepping code on purpose: it serves as the
-    oracle that simulated trajectories are checked against.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("need a square matrix")
-    nrm = float(np.linalg.norm(a, np.inf))
-    s = 0
-    if nrm > 0.5:
-        s = int(math.ceil(math.log2(nrm / 0.5)))
-    b = a / (2.0 ** s)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ b / k
-        out = out + term
-        if np.linalg.norm(term, np.inf) < 1e-18 * np.linalg.norm(out, np.inf):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out

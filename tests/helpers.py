@@ -5,6 +5,7 @@ assembly code paths so that agreement between the two is meaningful.
 """
 
 import itertools
+import json
 import math
 from typing import NamedTuple
 
@@ -19,6 +20,53 @@ from dirlap.geometry import ball
 from dirlap.graph import GraphGenerator, generator_from_edges
 from dirlap.hypotheses import PoincareEstimate, _dirichlet_matrix
 from dirlap.integrate import IntegrationResult, _step, _window_shells
+from dirlap.reports import SCHEMA_VERSION
+
+
+def dense_expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a Taylor core.
+
+    Independent of the time-stepping code on purpose: it serves as the
+    oracle that simulated trajectories are checked against.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("need a square matrix")
+    nrm = float(np.linalg.norm(a, np.inf))
+    s = 0
+    if nrm > 0.5:
+        s = int(math.ceil(math.log2(nrm / 0.5)))
+    b = a / (2.0 ** s)
+    out = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, 60):
+        term = term @ b / k
+        out = out + term
+        if np.linalg.norm(term, np.inf) < 1e-18 * np.linalg.norm(out, np.inf):
+            break
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def advection_peak(i: int) -> float:
+    """Maximum over time of the axis solution; attained at t = i."""
+    if i < 0:
+        raise ValueError("need i >= 0")
+    if i == 0:
+        return 1.0
+    return math.exp(i * math.log(i) - math.lgamma(i + 1) - i)
+
+
+def read_json_report(path: str) -> dict:
+    """A report written by ``reports.write_json_report``; raises unless it carries the schema."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if doc.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"report {path} carries schema {doc.get('schema')!r}, "
+                         f"expected {SCHEMA_VERSION!r}")
+    return doc
 
 
 def l1_ball_count(d: int, r: int) -> int:
@@ -159,8 +207,8 @@ def series_check(run: Series) -> tuple[float, float]:
     a = run.rate * (np.column_stack([run.matvec(e, n) for e in np.eye(n)]) - np.eye(n))
     ends = run.kwargs["shell_ends"]
     n1 = int(ends[len(ends) - 1 - semigroup._TRUNCATION_MARGIN])
-    diff = max(float(np.max(np.abs((semigroup.dense_expm(t * a) @ run.y0)[:n1]
-                                   - semigroup.dense_expm(t * a[:n1, :n1]) @ run.y0[:n1]),
+    diff = max(float(np.max(np.abs((dense_expm(t * a) @ run.y0)[:n1]
+                                   - dense_expm(t * a[:n1, :n1]) @ run.y0[:n1]),
                             initial=0.0))
                for t in run.sample_times)
     return run.result.bound, diff

@@ -13,18 +13,16 @@ import numpy as np
 import pytest
 
 import dirlap
-from dirlap import (builtin_graph, check_hypotheses, dense_expm,
-                    estimate_poincare, estimate_skew_mass, evolve, fit_decay,
+from dirlap import (builtin_graph, check_hypotheses, estimate_poincare, estimate_skew_mass, evolve, fit_decay,
                     norms, skew_bound_check)
 from dirlap.oscillator import (OscillatorSystem, PhaseLockCandidate,
                                coupling_from_graph, linearize, sin_coupling,
                                simulate_nonlinear)
 from dirlap.semigroup import (SimConfig, StateVector, TruncatedOperator,
-                              advection_oracle, advection_peak,
-                              advection_stirling_lower, fit_power_law,
+                              advection_oracle, advection_stirling_lower, fit_power_law,
                               trajectory_norms)
 
-from helpers import k2_generator, random_support_vector
+from helpers import advection_peak, dense_expm, k2_generator, random_support_vector
 
 INF = math.inf
 

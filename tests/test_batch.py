@@ -8,6 +8,7 @@ and setting it to 10**9 reads none.
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,10 +32,10 @@ LIMIT = 1 << 20  # the first coordinate magnitude that the int64 key cannot hold
 
 
 def walk_record(gen, root, k):
-    """Every shell of the walk and every shell's skew contribution."""
+    """Every shell of the walk, as a list of vertices, and every shell's skew contribution."""
     shells, contributions = [], []
     for _, shell, rows in geometry._walk(gen, root, k):
-        shells.append(shell)
+        shells.append(geometry._vertices(shell))
         contributions.append(_shell_skew(rows))
     return shells, contributions
 
@@ -162,6 +163,80 @@ def test_inconsistent_batch_weights_raise(monkeypatch):
     assert set(err.value.pair) == {(1, 0), (2, 0)}
 
 
+def one_way_plane():
+    """The plane lattice with a one-way edge (6, 0) -> (1, 0), which (1, 0) does not report.
+
+    The walk finds (1, 0) in shell 1 and meets it again from shell 6, past
+    the shell before, on both steps.
+    """
+    plain = builtin_graph("z-lattice", d=2)
+
+    def adjacency(v):
+        out, inn = plain.adjacency(v)
+        if v == (6, 0):
+            out[(1, 0)] = 1.0
+        return out, inn
+
+    def batch(coords):
+        nbrs, w_out, w_in = plain.batch_adjacency(coords)
+        k = len(coords)
+        # a first slot, absent but at (6, 0): (1, 0) sorts before its other neighbours
+        nbrs = np.concatenate([np.broadcast_to([[[1, 0]]], (k, 1, 2)), nbrs], axis=1)
+        one_way = (coords == (6, 0)).all(axis=1)
+        return (nbrs, np.concatenate([np.where(one_way, 1.0, 0.0)[:, None], w_out], axis=1),
+                np.concatenate([np.zeros((k, 1)), w_in], axis=1))
+
+    return lattice_with(batch, adjacency)
+
+
+def test_an_older_shell_is_not_found_again(monkeypatch):
+    g = one_way_plane()
+    reads = Counter()
+
+    def adjacency(v):
+        reads[v] += 1
+        return g.adjacency(v)
+
+    def batch(coords):
+        reads.update(map(tuple, coords.tolist()))
+        return g.batch_adjacency(coords)
+
+    counted = dataclasses.replace(g, adjacency=adjacency, batch_adjacency=batch)
+
+    def run():
+        reads.clear()
+        shells, contributions = walk_record(counted, (0, 0), 8)
+        walked = [v for shell in shells for v in shell]
+        assert Counter(reads) == Counter(walked) == Counter(set(walked))  # each read once
+        reads.clear()
+        skew = estimate_skew_mass(counted, 8)
+        assert Counter(reads) == Counter(set(walked))
+        return shells, contributions, skew
+
+    runs = both_steps(monkeypatch, run, sizes=(EVERY_SHELL, 5, NO_SHELL))
+    assert runs[0] == runs[1] == runs[2]
+    shells, contributions, _ = runs[0]
+    assert (1, 0) in shells[1] and (6, 0) in shells[6]
+    assert contributions[6] == 0.5  # the one-way edge's skew weight
+    errors = both_steps(monkeypatch,
+                        lambda: pytest.raises(InconsistentAdjacencyError, ball, g, (0, 0), 8),
+                        sizes=(EVERY_SHELL, 5, NO_SHELL))
+    assert [set(e.value.pair) for e in errors] == [{(1, 0), (6, 0)}] * 3
+
+
+def test_the_skew_scan_keeps_few_bytes_per_vertex():
+    # batch-read vertices are kept as int64 keys, not as tuples in a set
+    g = builtin_graph("z2-skew-perturbed", a=0.5)
+    estimate_skew_mass(g, 20)
+    tracemalloc.start()
+    try:
+        estimate_skew_mass(g, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 20_201  # shells 0..100 hold 20,201 vertices
+
+
 def test_budget_count_is_the_vertex_steps(monkeypatch):
     g = builtin_graph("z2-skew-perturbed")
     errors = both_steps(monkeypatch,
@@ -243,9 +318,13 @@ def test_validation_reports_each_defect_once():
 
 
 def test_package_exports_no_test_only_helpers():
-    for name in ("decompose_edge", "split_coupling_matrix", "poincare_quotient"):
+    for name in ("decompose_edge", "split_coupling_matrix", "poincare_quotient", "dense_expm",
+                 "advection_peak", "read_json_report"):
         assert not hasattr(dirlap, name)
-    assert not hasattr(dirlap.oscillator, "check_coupling_gradient")
+    for module, name in ((dirlap.oscillator, "check_coupling_gradient"),
+                         (dirlap.semigroup, "dense_expm"), (dirlap.semigroup, "advection_peak"),
+                         (dirlap.reports, "read_json_report")):
+        assert not hasattr(module, name)
 
 
 # The oscillator flow reads its coupling graph through the same two steps.

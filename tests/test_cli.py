@@ -10,7 +10,8 @@ import pytest
 from dirlap import hypotheses, semigroup
 from dirlap.cli import build_parser, main
 from dirlap.errors import BudgetExceededError, InconsistentAdjacencyError
-from dirlap.reports import read_json_report
+
+from helpers import read_json_report
 
 
 def run(args):

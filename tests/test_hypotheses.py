@@ -14,10 +14,10 @@ from dirlap import (GraphGenerator, SingularFormError, ball, builtin_graph,
                     check_hypotheses, estimate_alpha, estimate_poincare,
                     estimate_skew_mass, fit_volume_growth, generator_from_edges,
                     geometry, hypotheses)
-from dirlap.reports import read_json_report, write_json_report
+from dirlap.reports import write_json_report
 
 from helpers import (counted, finite_graphs, k2_generator, l1_ball_count, ols_loglog,
-                     poincare_projected, poincare_quotient, sym_neighbors)
+                     poincare_projected, poincare_quotient, read_json_report, sym_neighbors)
 
 Z2_CENTERS = [(0, 0), (3, -2), (-5, 1)]
 

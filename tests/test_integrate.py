@@ -16,9 +16,9 @@ from dirlap.builtins import builtin_graph
 from dirlap.geometry import ball
 from dirlap.graph import generator_from_edges
 from dirlap.integrate import integrate, lanczos_expm, uniformize
-from dirlap.semigroup import TruncatedOperator, _shell_ends, dense_expm
+from dirlap.semigroup import TruncatedOperator, _shell_ends
 
-from helpers import dopri_replay
+from helpers import dense_expm, dopri_replay
 
 
 def test_exponential_decay_accuracy():

@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 from scipy.special import ive
 
 from dirlap import (SimConfig, StateVector, TruncatedOperator, ball,
-                    builtin_graph, dense_expm, evolve, integrate, semigroup)
+                    builtin_graph, evolve, integrate, semigroup)
 from dirlap.errors import StepSizeError
 from dirlap.integrate import lanczos_expm
 from dirlap.semigroup import _shell_ends
 
-from helpers import finite_graphs, k2_generator, tight_cut_graph
+from helpers import dense_expm, finite_graphs, k2_generator, tight_cut_graph
 
 ATOL = 1e-10
 

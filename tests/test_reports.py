@@ -7,8 +7,9 @@ import os
 import pytest
 
 from dirlap.graph import GraphGenerator, ValidationReport, validate_generator
-from dirlap.reports import (read_json_report, report_schema_version,
-                            write_json_report, write_trajectory_csv)
+from dirlap.reports import report_schema_version, write_json_report, write_trajectory_csv
+
+from helpers import read_json_report
 
 
 def test_schema_version_constant():

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 import dirlap
 from dirlap import (StateVector, TruncatedOperator, advection_oracle,
-                    advection_peak, advection_stirling_lower, builtin_graph,
-                    dense_expm, evolve, fit_decay, fit_power_law,
+                    advection_stirling_lower, builtin_graph, evolve, fit_decay, fit_power_law,
                     generator_from_edges, norms, q_seminorm, skew_bound_check,
                     trajectory_norms)
 from dirlap import semigroup
@@ -23,8 +22,9 @@ from dirlap.errors import BudgetExceededError, TruncationError
 from dirlap.integrate import lanczos_expm
 from dirlap.semigroup import SimConfig, q_norm_fast
 
-from helpers import (POSITIVE_WEIGHTS, ROUNDOFF, assert_bound_covers_disagreement,
-                     count_builds, counted, dense_laplacian, dopri_replay, finite_graphs,
+from helpers import (POSITIVE_WEIGHTS, ROUNDOFF, advection_peak,
+                     assert_bound_covers_disagreement, count_builds, counted, dense_expm,
+                     dense_laplacian, dopri_replay, finite_graphs,
                      k2_generator, negative_line_graph, random_support_vector, record_runs,
                      record_series, series_check, tight_cut_graph, truncation_check)
 

@@ -56,6 +56,8 @@ run sim-skew simulate --graph z2-skew-perturbed --t-max 20
 run sim-retry simulate --graph z-lattice --d 1 --part full --t-max 6 --c-speed 0.05
 # its sym twin: the ball starts at radius 9 and grows with the Krylov reach to 32
 run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-speed 0.05
+# the 3-axis lattice: shells of 3-axis keys read in batch
+run sim-lat3 simulate --graph z-lattice --d 3 --part sym --t-max 4
 # the one run whose Lanczos basis restarts at its dimension cap (488 vectors):
 # the ball grows across the restart to radius 487
 run sim-sym-long simulate --graph z-lattice --d 1 --part sym --t-max 2000
