@@ -26,9 +26,11 @@ Families
     the reverse ``1 + a/(1+|b|^2)^2``.  The symmetric weights are exactly 1,
     and the bias decays fast enough for the total skew mass to converge.
 
-Each family also has a ``batch_adjacency`` that computes the same weights
-with the same floating-point operations for a whole array of vertices, so a
-walk gives the same snapshot whether it reads a vertex alone or in a batch.
+``z-lattice``, ``z2-advection`` and ``z2-skew-perturbed`` also have a
+``batch_adjacency`` that computes the same weights with the same
+floating-point operations for a whole array of vertices, so a walk gives the
+same snapshot whether it reads a vertex alone or in a batch.  The shells of
+``example-2.2`` hold at most two vertices, too few for a batch read.
 """
 
 from __future__ import annotations
@@ -94,16 +96,7 @@ def _example22() -> GraphGenerator:
             inn[(n - 1,)] = wb
         return out, inn
 
-    def batch(coords):
-        n = coords[:, 0]
-        # slots (n-1,) and (n+1,); forward(n) is 0.0 at n == 0, so one weight of a slot may be 0
-        nbrs = np.stack([coords - 1, coords + 1], axis=1)
-        w_out = np.stack([backward(n - 1), forward(n)], axis=1)
-        w_in = np.stack([forward(n - 1), backward(n)], axis=1)
-        return nbrs, w_out, w_in
-
-    return GraphGenerator(adjacency=adjacency, root=(0,), name="example-2.2",
-                          batch_adjacency=batch)
+    return GraphGenerator(adjacency=adjacency, root=(0,), name="example-2.2")
 
 
 def _z_lattice(d: int = 2) -> GraphGenerator:

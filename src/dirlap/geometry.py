@@ -137,90 +137,96 @@ class Ball:
         Only a ball read with ``ball(..., grow=True)`` can grow.  The shells
         past the radius are read once each and appended in the walk's order,
         so every array keeps its old entries as a prefix and ``index`` is
-        updated in place; the arrays are views of buffers with spare room.
-        Each added row's neighbours get their ball index from the ball's ids,
-        kept sorted (``_Growth``), and the entries that pointed outside (on a
-        graph whose every entry has positive symmetric weight, those of the
-        old outer shell) get theirs from the added vertices.  Only the pairs
-        that hold an added vertex are checked (``_check_consistency``): the
-        others were checked when the ball reached them.  A walk that runs out
-        of shells leaves the ball as it is, at radius ``r``; the walk's
-        budget rule raises ``BudgetExceededError`` before it reads a shell
-        past the budget.
+        updated in place.  Each added row's neighbours get their ball index
+        from the ball's ids, kept sorted (``_Growth``), and the entries that
+        pointed outside (on a graph whose every entry has positive symmetric
+        weight, those of the old outer shell) get theirs from the added
+        vertices.  Only the pairs that hold an added vertex are checked
+        (``_check_consistency``): the others were checked when the ball
+        reached them.  A walk that runs out of shells leaves the ball as it
+        is, at radius ``r``; the walk's budget rule raises
+        ``BudgetExceededError`` before it reads a shell past the budget.
+        Whatever ``extend`` raises, the ball keeps what it holds, its radius
+        becomes its last shell, and it grows no further: a later ``extend``
+        past that radius raises ``ValueError``.
         """
         g = self._growth
         if r <= self.radius:
             return self
         if g is None:
             raise ValueError("only a ball read with grow=True can be extended")
-        order, sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], [], []
-        for k, shell, rows in () if g.done else g.walk:
-            shell = _vertices(shell)
-            order += shell
-            sizes.append(len(shell))
-            counts.append(rows.counts)
-            w_out.append(rows.w_out)
-            w_in.append(rows.w_in)
-            keyed = rows.keys is not None  # else the vertex step's rows
-            # one int64 id per vertex and per row neighbour: its key, or an interned id
-            ids.append(rows.keys if keyed else _ids(shell, g.interned))
-            nbr.append(rows.nbr if keyed else _ids(rows.nbr, g.interned))
-            if k == r:
-                break
-        else:
-            g.done = True
-        if not order:
+        if g.error is not None:
+            raise ValueError(f"the ball stopped growing at radius {self.radius}: {g.error!r}")
+        try:
+            order, sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], [], []
+            for k, shell, rows in g.walk:
+                shell = _vertices(shell)
+                order += shell
+                sizes.append(len(shell))
+                counts.append(rows.counts)
+                w_out.append(rows.w_out)
+                w_in.append(rows.w_in)
+                keyed = rows.keys is not None  # else the vertex step's rows
+                # one int64 id per vertex and per row neighbour: its key, or an interned id
+                ids.append(rows.keys if keyed else _ids(shell, g.interned))
+                nbr.append(rows.nbr if keyed else _ids(rows.nbr, g.interned))
+                if k == r:
+                    break
+            if not order:
+                self.radius = r
+                return self
+            n0, m0 = len(self), int(self.indptr[-1])
+            n1 = n0 + len(order)
+            # each list of chunks goes as it is joined, and the largest temporaries
+            # before the next are made
+            ids = np.concatenate(ids)
+            g.add(ids, n0)
+            nbr_ids = np.concatenate(nbr)
+            del ids, nbr
+            nbr = g.find(nbr_ids)
+            inside = nbr >= 0
+            away_ids = nbr_ids[~inside]
+            del nbr_ids
+            counts = _flat(counts, np.int64)
+            w_out = _flat(w_out, float)
+            w_in = _flat(w_in, float)
+            rows = np.repeat(np.arange(n1 - n0), counts)  # from n0
+            ws = (w_out + w_in) / 2.0
+            # bincount adds in entry order, i.e. in the order the neighbours were read;
+            # 0.0 + keeps measures float when there are no entries (bincount gives int)
+            measures = 0.0 + np.bincount(rows, weights=np.where(ws > 0.0, ws, 0.0),
+                                         minlength=n1 - n0)
+            del ws
+            rows = rows[inside]
+            rows += n0
+            self.vertices += order
+            self.index.update(zip(order, range(n0, n1)))
+            self.distances = _append(self.distances, np.repeat(
+                np.arange(self.radius + 1, self.radius + 1 + len(sizes), dtype=np.int64), sizes))
+            self.measures = _append(self.measures, measures)
+            self.indptr = _append(self.indptr, m0 + np.cumsum(counts))
+            self.nbr = _append(self.nbr, nbr)
+            self.w_out = _append(self.w_out, w_out)
+            self.w_in = _append(self.w_in, w_in)
+            # the entries that pointed outside, looked up among the added vertices
+            found = g.find(g.pending_ids)
+            hit = found >= 0
+            resolved = g.pending[hit]
+            self.nbr[resolved] = found[hit]
+            g.pending = np.concatenate([g.pending[~hit], m0 + np.flatnonzero(~inside)])
+            g.pending_ids = np.concatenate([g.pending_ids[~hit], away_ids])
+            # the pairs that hold an added vertex: the added rows' and the resolved
+            # entries; read in one call, that is every in-ball entry, a mask
+            at = inside
+            if resolved.size or m0:
+                at = np.concatenate([resolved, m0 + np.flatnonzero(inside)])
+                rows = np.concatenate([np.searchsorted(self.indptr, resolved, "right") - 1, rows])
+            _check_consistency(self, rows, at)
             self.radius = r
-            return self
-        n0, m0 = len(self), int(self.indptr[-1])
-        n1 = n0 + len(order)
-        # each list of chunks goes as it is joined, and the largest temporaries
-        # before the next are made
-        ids = np.concatenate(ids)
-        g.add(ids, n0)
-        nbr_ids = np.concatenate(nbr)
-        del ids, nbr
-        nbr = g.find(nbr_ids)
-        inside = nbr >= 0
-        away_ids = nbr_ids[~inside]
-        del nbr_ids
-        counts = _flat(counts, np.int64)
-        w_out = _flat(w_out, float)
-        w_in = _flat(w_in, float)
-        rows = np.repeat(np.arange(n1 - n0), counts)  # from n0
-        ws = (w_out + w_in) / 2.0
-        # bincount adds in entry order, i.e. in the order the neighbours were read;
-        # 0.0 + keeps measures float when there are no entries (bincount gives int)
-        measures = 0.0 + np.bincount(rows, weights=np.where(ws > 0.0, ws, 0.0),
-                                     minlength=n1 - n0)
-        del ws
-        rows = rows[inside]
-        rows += n0
-        bufs = g.bufs
-        self.vertices += order
-        self.index.update(zip(order, range(n0, n1)))
-        self.distances = _put(bufs, "distances", self.distances, np.repeat(
-            np.arange(self.radius + 1, self.radius + 1 + len(sizes), dtype=np.int64), sizes))
-        self.measures = _put(bufs, "measures", self.measures, measures)
-        self.indptr = _put(bufs, "indptr", self.indptr, m0 + np.cumsum(counts))
-        self.nbr = _put(bufs, "nbr", self.nbr, nbr)
-        self.w_out = _put(bufs, "w_out", self.w_out, w_out)
-        self.w_in = _put(bufs, "w_in", self.w_in, w_in)
-        # the entries that pointed outside, looked up among the added vertices
-        found = g.find(g.pending_ids)
-        hit = found >= 0
-        resolved = g.pending[hit]
-        self.nbr[resolved] = found[hit]
-        g.pending = np.concatenate([g.pending[~hit], m0 + np.flatnonzero(~inside)])
-        g.pending_ids = np.concatenate([g.pending_ids[~hit], away_ids])
-        # the pairs that hold an added vertex: the added rows' and the resolved
-        # entries; read in one call, that is every in-ball entry, a mask
-        at = inside
-        if resolved.size or m0:
-            at = np.concatenate([resolved, m0 + np.flatnonzero(inside)])
-            rows = np.concatenate([np.searchsorted(self.indptr, resolved, "right") - 1, rows])
-        _check_consistency(self, rows, at)
-        self.radius = r
+        except BaseException as exc:
+            g.error = exc
+            self.radius = int(self.distances.max(initial=-1))
+            raise
         return self
 
 
@@ -228,20 +234,16 @@ class _Growth:
     """What ``Ball.extend`` resumes: the ball's walk and what places the rows it adds.
 
     ``walk`` is the ball's ``_walk``, suspended after its outer shell, and
-    ``done`` whether it has run out of shells.  ``sorted_ids`` are the ids
+    ``error`` what a growth raised, if one did.  ``sorted_ids`` are the ids
     of the ball's vertices in ascending order and ``by_id`` the ball index
     of each; ``interned`` gives the vertices that do not fit the key their
     negative ids.  ``pending`` holds the position of every entry whose
     neighbour lies outside the ball and ``pending_ids`` that neighbour's id.
-    ``bufs`` are the buffers that the ball's arrays are views of.
     """
 
     def __init__(self, walk):
-        self.walk, self.done = walk, False
-        self.sorted_ids = self.by_id = np.zeros(0, np.int64)
-        self.interned = {}
-        self.pending = self.pending_ids = np.zeros(0, np.int64)
-        self.bufs = {}
+        self.walk, self.error, self.interned = walk, None, {}
+        self.sorted_ids = self.by_id = self.pending = self.pending_ids = np.zeros(0, np.int64)
 
     def add(self, ids: np.ndarray, start: int) -> None:
         """Merge the ids of the vertices with ball indices ``start, start + 1, ...``."""
@@ -256,23 +258,9 @@ class _Growth:
         return np.where(self.sorted_ids[at] == wanted, self.by_id[at], -1)
 
 
-def _put(bufs: dict, name: str, old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """``old``, a view of ``bufs[name]`` from its start, followed by ``new``.
-
-    Written into the buffer while it has room; else into a new buffer of
-    twice the length, or the first time into ``new`` itself.
-    """
-    used, need = len(old), len(old) + len(new)
-    buf = bufs.get(name)
-    if buf is None or need > len(buf):
-        if not used:
-            bufs[name] = new
-            return new
-        buf = np.empty(max(need, 2 * used), dtype=old.dtype)
-        buf[:used] = old
-        bufs[name] = buf
-    buf[used:need] = new
-    return buf[:need]
+def _append(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``old`` followed by ``new``, in ``old``'s dtype; ``new`` itself when ``old`` is empty."""
+    return np.concatenate([old, new], dtype=old.dtype) if len(old) else new
 
 
 def _check_consistency(b: Ball, rows: np.ndarray, at: np.ndarray) -> None:
@@ -495,7 +483,7 @@ def _walk(gen: GraphGenerator, root: Vertex, max_shells: int | None,
             coords = shell
             if keys is None:
                 coords = _coords(shell)
-                keys = _keys(coords) if coords is not None and coords.shape[1] <= 3 else None
+                keys = None if coords is None else _keys(coords)
             if keys is not None and keys.min() >= 0:
                 found.keep_by_key()
                 step = _batch_step(gen, shell, coords, keys, recent, found, expand)
@@ -642,9 +630,7 @@ def _vertex_keys(vertices: list) -> np.ndarray:
     coords = _coords(vertices)
     if coords is None and len(vertices) > 1:
         return np.concatenate([_vertex_keys([v]) for v in vertices])
-    if coords is None or coords.shape[1] > 3:
-        return np.full(len(vertices), -1, np.int64)
-    return _keys(coords)
+    return np.full(len(vertices), -1, np.int64) if coords is None else _keys(coords)
 
 
 def _ids(vertices: list, interned: dict) -> np.ndarray:

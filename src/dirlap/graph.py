@@ -68,7 +68,7 @@ _KEY_LIMIT = 1 << (_KEY_BITS - 1)
 
 def _keys(coords: np.ndarray) -> np.ndarray:
     """Int64 key of each coordinate row, -1 where a row does not fit; keys sort as rows do."""
-    fits = ((coords > -_KEY_LIMIT) & (coords < _KEY_LIMIT)).all(axis=-1)
+    fits = ((coords > -_KEY_LIMIT) & (coords < _KEY_LIMIT)).all(axis=-1) & (coords.shape[-1] <= 3)
     key = np.zeros(coords.shape[:-1], dtype=np.int64)
     for j in range(coords.shape[-1]):
         key = (key << _KEY_BITS) | (coords[..., j] + _KEY_LIMIT)
@@ -353,13 +353,13 @@ def validate_generator(gen: GraphGenerator, sample_radius: int) -> ValidationRep
 def _batch_mismatches(gen: GraphGenerator, reads: list) -> list[Violation]:
     """Compare one ``batch_adjacency`` call with the vertex step's rows ``(v, row)``.
 
-    Only vertices that the batch walk would read take part: at most three
-    integer axes, each with ``|c| < 2**20``.  A row matches when it lists the
-    same ``(neighbour, w_out, w_in)`` entries, in the same order, once
-    self-loops and absent slots are dropped, as the walk drops them.
+    Only vertices that the batch walk would read take part: those with a
+    key (``_keys``).  A row matches when it lists the same ``(neighbour,
+    w_out, w_in)`` entries, in the same order, once self-loops and absent
+    slots are dropped, as the walk drops them.
     """
     coords = _coords([v for v, _ in reads])
-    keep = [] if coords is None or coords.shape[1] > 3 else np.flatnonzero(_keys(coords) >= 0)
+    keep = [] if coords is None else np.flatnonzero(_keys(coords) >= 0)
     if not len(keep):
         return []
     coords = coords[keep]

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import TruncationError
-from .geometry import Ball, _put, ball
+from .geometry import Ball, _append, ball
 from .graph import WEIGHT_PARTS, Vertex, _laplacian, _local_rows
 from .integrate import _PREFIX_ALIGN, integrate, lanczos_expm, uniformize
 
@@ -337,13 +337,13 @@ class _SymRows:
     entry.  A row's neighbours of positive symmetric weight lie within one
     shell of it, so only the rows of the outer shell change when the ball
     grows: ``grow`` cuts them off and appends them again with the rows of
-    the added shells (``_part_rows``), in CSR buffers with spare room.  The
-    vectors it multiplies have ``n`` entries, the ball rounded up to whole
-    ``_PREFIX_ALIGN`` blocks; the rows past the ball are empty.
+    the added shells (``_part_rows``).  The vectors it multiplies have
+    ``n`` entries, the ball rounded up to whole ``_PREFIX_ALIGN`` blocks;
+    the rows past the ball are empty.
     """
 
     def __init__(self, b: Ball):
-        self.ball, self.lo, self.bufs = b, 0, {}  # lo: the outer shell's first row
+        self.ball, self.lo = b, 0  # lo: the outer shell's first row
         self.indptr = np.zeros(1, np.int32)
         self.indices = np.zeros(0, np.int32)
         self.data = np.zeros(0)
@@ -364,9 +364,9 @@ class _SymRows:
         block = _part_rows(b, "sym", lo)
         start = int(self.indptr[lo])
         self.n = -(-len(b) // _PREFIX_ALIGN) * _PREFIX_ALIGN
-        self.data = _put(self.bufs, "data", self.data[:start], block.data)
-        self.indices = _put(self.bufs, "indices", self.indices[:start], block.indices)
-        self.indptr = _put(self.bufs, "indptr", self.indptr[:lo + 1], np.concatenate(
+        self.data = _append(self.data[:start], block.data)
+        self.indices = _append(self.indices[:start], block.indices)
+        self.indptr = _append(self.indptr[:lo + 1], np.concatenate(
             [start + block.indptr[1:], np.full(self.n - len(b), start + block.nnz)]))
         self.a = scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
                                          shape=(self.n, self.n))

@@ -327,6 +327,11 @@ def test_growth_sees_a_planted_inconsistency_when_it_reaches_it():
     with pytest.raises(InconsistentAdjacencyError) as err:
         b.extend(3)
     assert set(err.value.pair) == {(2,), (3,)}
+    # the ball keeps the shell it read, as its radius, and grows no further
+    assert b.radius == b.distances[-1] == 3 and len(b) == 7
+    with pytest.raises(ValueError, match="stopped growing at radius 3.*InconsistentAdjacency"):
+        b.extend(5)
+    assert b.radius == 3 and len(b) == 7
 
 
 def test_only_a_growing_ball_extends():
@@ -337,3 +342,9 @@ def test_only_a_growing_ball_extends():
     grown = ball(builtin_graph("z-lattice", d=2), (0, 0), 0, budget=100, grow=True)
     with pytest.raises(dirlap.BudgetExceededError):
         grown.extend(20)
+    # the ball stays at the shell it holds and cannot grow again
+    assert grown.radius == 0 and len(grown) == 1
+    assert grown.extend(0) is grown
+    with pytest.raises(ValueError, match="stopped growing at radius 0.*BudgetExceeded"):
+        grown.extend(20)
+    assert grown.radius == 0 and len(grown) == 1

@@ -76,6 +76,9 @@ run osc-neg oscillate --a -0.9 --t-max 10
 run cex counterexample --t-max 20
 run val-ex22 validate --graph example-2.2
 run val-skew validate --graph z2-skew-perturbed
+# 3-axis lattice vertices fit the int64 key (377 vertices), 4-axis ones do not (1,289)
+run val-lat3 validate --graph z-lattice --d 3 --radius 6
+run val-lat4 validate --graph z-lattice --d 4 --radius 6
 # the linf series of sim-lat, one series as fit-decay reads it
 mkdir -p "$OUT/fit"
 grep -e '^t,' -e ',linf,' "$OUT/sim-lat/trajectory.csv" > "$OUT/fit/linf.csv"
