@@ -8,8 +8,8 @@ weight.  ``ball``, ``shells``, the skew-mass scan and
 shell with its rows, read once.  The walk keeps the vertices it has found
 in a set until its first batch read, then by int64 key in a few sorted
 arrays (``_Found``), and a shell that a batch read found is its coordinate
-array, turned into tuples (``_vertices``) by ``ball`` and ``shells`` but not
-by the skew-mass scan.  Sorted adjacency
+array, turned into tuples (``_vertices``) by ``shells`` but not by ``ball``
+or the skew-mass scan.  Sorted adjacency
 makes the vertex order deterministic and gives the nesting property that the
 vertex list of ``ball(v, r)`` is a prefix of the vertex list of
 ``ball(v, r+1)``.  The walk reads a large shell in one ``batch_adjacency``
@@ -22,8 +22,11 @@ read, and keeps every reported weight in CSR arrays: one row per ball
 vertex, one entry per neighbour in ascending neighbour order (not the order
 of the callback's maps), holding the neighbour's ball index or -1 when it
 lies outside (``Ball.outside`` reads those neighbours again).  Every vertex
-and every neighbour has one int64 id, and one sort of the ball's ids
-resolves every neighbour after the walk.  Laplacian parts are assembled
+and every neighbour has one int64 id, its key or an interned id, and the
+ids are the ball's only record of its vertices: one sort of them resolves
+every neighbour after the walk and finds any vertex (``Ball.locate``), and
+a vertex is made from its id only when a caller asks for it (``Ball.at``).
+Laplacian parts are assembled
 from these arrays alone.  ``Ball.prefix(r)`` cuts the radius-``r`` ball out
 of a larger one without further adjacency calls, and ``ball`` handed a
 snapshot cuts from it every ball it holds, around any of its vertices, by
@@ -46,7 +49,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
-from .graph import GraphGenerator, Vertex, _coords, _keys, _weights_agree
+from .graph import (_KEY_BITS, _KEY_LIMIT, GraphGenerator, Vertex, _coords, _keys,
+                    _weights_agree)
 
 #: The vertex budget of a walk that is given none.  Read at call time.
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -56,12 +60,20 @@ DEFAULT_BALL_BUDGET = 1_000_000
 class Ball:
     """A finite ball of the symmetric skeleton: distances, measures, weights.
 
-    ``vertices[i]`` has index ``i`` in every per-vertex array attached to the
-    ball; ``index`` inverts that.  Row ``i`` of the weight snapshot spans
-    entries ``indptr[i]:indptr[i+1]``, one per neighbour ``v'`` of
-    ``v = vertices[i]`` in either direction: ``nbr`` holds the ball index of
-    ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and ``w_in``
-    holds ``w(v', v)``; ``source`` is the generator they were read from.
+    ``ids[i]``, one int64 per vertex, is the only record of the vertex with
+    index ``i`` in every per-vertex array attached to the ball: its key
+    (``graph._keys``) or, for a vertex without one, a negative id from
+    ``interned``, which gives its ``i``-th vertex the id ``-1 - i`` and is
+    shared with prefixes and cuts.  ``sorted_ids`` holds the ids in
+    ascending order and ``by_id`` the ball index of each, so ``locate``
+    finds vertices by one search; ``at`` and ``vertices`` make vertices
+    from ids when they are asked for: a key becomes a tuple of Python ints,
+    an interned id the object the callback gave.  Row ``i`` of the weight
+    snapshot spans entries ``indptr[i]:indptr[i+1]``, one per neighbour
+    ``v'`` of the vertex in either direction: ``nbr`` holds the ball index
+    of ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and
+    ``w_in`` holds ``w(v', v)``; ``source`` is the generator they were read
+    from.
     Immutable after construction by convention, except that a ball read
     with ``grow=True`` grows in place by ``extend``; a prefix shares all of
     these.
@@ -69,8 +81,7 @@ class Ball:
 
     center: Vertex
     radius: int
-    vertices: list
-    index: dict
+    ids: np.ndarray
     distances: np.ndarray
     measures: np.ndarray
     indptr: np.ndarray
@@ -78,13 +89,37 @@ class Ball:
     w_out: np.ndarray
     w_in: np.ndarray
     source: GraphGenerator
+    sorted_ids: np.ndarray
+    by_id: np.ndarray
+    interned: dict
     _growth: "_Growth | None" = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.ids)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.index
+        return bool(self.locate([v])[0] >= 0)
+
+    @property
+    def vertices(self) -> list:
+        """Every vertex in ball order, made from ``ids`` on each call."""
+        return self.at(slice(None))
+
+    def at(self, rows) -> list:
+        """The vertices with the ball indices ``rows`` (an index array or a slice)."""
+        return _decode(self.ids[rows], list(self.interned))
+
+    def locate(self, vertices: list) -> np.ndarray:
+        """The ball index of each vertex, -1 where it lies outside the ball."""
+        ids = _vertex_keys(vertices)
+        for i in np.flatnonzero(ids < 0):
+            ids[i] = self.interned.get(vertices[i], 0)  # 0 is no vertex's id
+        return self.find(ids)
+
+    def find(self, ids: np.ndarray) -> np.ndarray:
+        """The ball index of each id, -1 where it lies outside the ball."""
+        at = np.minimum(np.searchsorted(self.sorted_ids, ids), len(self.sorted_ids) - 1)
+        return np.where(self.sorted_ids[at] == ids, self.by_id[at], -1)
 
     def volume(self) -> float:
         return float(self.measures.sum())
@@ -105,8 +140,7 @@ class Ball:
         read again from ``source``, vertex by vertex, by the walk's vertex step.
         """
         rows = np.unique(self.entry_rows()[self.nbr < 0])
-        read = _scalar_step(self.source.edges, [self.vertices[i] for i in rows.tolist()],
-                            set(), None)
+        read = _scalar_step(self.source.edges, self.at(rows), set(), None)
         away = self.nbr[_spans(self.indptr, rows)] < 0
         return [u for u, a in zip(read.nbr, away.tolist()) if a]
 
@@ -123,28 +157,30 @@ class Ball:
             return self
         n = int(np.searchsorted(self.distances, r, side="right"))
         m = int(self.indptr[n])
-        vertices = self.vertices[:n]
         nbr = self.nbr[:m]
-        return Ball(center=self.center, radius=r, vertices=vertices,
-                    index=dict(zip(vertices, range(n))),
+        kept = self.by_id < n
+        return Ball(center=self.center, radius=r, ids=self.ids[:n],
                     distances=self.distances[:n], measures=self.measures[:n],
                     indptr=self.indptr[:n + 1], nbr=np.where(nbr < n, nbr, -1),
-                    w_out=self.w_out[:m], w_in=self.w_in[:m], source=self.source)
+                    w_out=self.w_out[:m], w_in=self.w_in[:m], source=self.source,
+                    sorted_ids=self.sorted_ids[kept], by_id=self.by_id[kept],
+                    interned=self.interned)
 
     def extend(self, r: int) -> "Ball":
         """Grow this ball in place to radius ``r``, by resuming its walk; nothing if ``r <= radius``.
 
         Only a ball read with ``ball(..., grow=True)`` can grow.  The shells
         past the radius are read once each and appended in the walk's order,
-        so every array keeps its old entries as a prefix and ``index`` is
-        updated in place.  Each added row's neighbours get their ball index
-        from the ball's ids, kept sorted (``_Growth``), and the entries that
-        pointed outside (on a graph whose every entry has positive symmetric
-        weight, those of the old outer shell) get theirs from the added
-        vertices.  Only the pairs that hold an added vertex are checked
-        (``_check_consistency``): the others were checked when the ball
-        reached them.  A walk that runs out of shells leaves the ball as it
-        is, at radius ``r``; the walk's budget rule raises
+        so every array keeps its old entries as a prefix.  A shell that a
+        batch step read brings its keys as its ids; one that the vertex step
+        read is given its ids by ``_ids``.  Each added row's neighbours get
+        their ball index from the ball's ids, merged into ``sorted_ids``,
+        and the entries that pointed outside (on a graph whose every entry
+        has positive symmetric weight, those of the old outer shell) get
+        theirs from the added vertices.  Only the pairs that hold an added
+        vertex are checked (``_check_consistency``): the others were checked
+        when the ball reached them.  A walk that runs out of shells leaves
+        the ball as it is, at radius ``r``; the walk's budget rule raises
         ``BudgetExceededError`` before it reads a shell past the budget.
         Whatever ``extend`` raises, the ball keeps what it holds, its radius
         becomes its last shell, and it grows no further: a later ``extend``
@@ -158,49 +194,48 @@ class Ball:
         if g.error is not None:
             raise ValueError(f"the ball stopped growing at radius {self.radius}: {g.error!r}")
         try:
-            order, sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], [], []
+            sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], []
             for k, shell, rows in g.walk:
-                shell = _vertices(shell)
-                order += shell
                 sizes.append(len(shell))
                 counts.append(rows.counts)
                 w_out.append(rows.w_out)
                 w_in.append(rows.w_in)
                 keyed = rows.keys is not None  # else the vertex step's rows
                 # one int64 id per vertex and per row neighbour: its key, or an interned id
-                ids.append(rows.keys if keyed else _ids(shell, g.interned))
-                nbr.append(rows.nbr if keyed else _ids(rows.nbr, g.interned))
+                ids.append(rows.keys if keyed else _ids(shell, self.interned))
+                nbr.append(rows.nbr if keyed else _ids(rows.nbr, self.interned))
                 if k == r:
                     break
-            if not order:
+            if not sizes:
                 self.radius = r
                 return self
             n0, m0 = len(self), int(self.indptr[-1])
-            n1 = n0 + len(order)
             # each list of chunks goes as it is joined, and the largest temporaries
             # before the next are made
             ids = np.concatenate(ids)
-            g.add(ids, n0)
+            order = np.argsort(ids)  # merged into sorted_ids
+            at = np.searchsorted(self.sorted_ids, ids[order])
+            self.sorted_ids = np.insert(self.sorted_ids, at, ids[order])
+            self.by_id = np.insert(self.by_id, at, order + n0)
             nbr_ids = np.concatenate(nbr)
-            del ids, nbr
-            nbr = g.find(nbr_ids)
+            del nbr
+            nbr = self.find(nbr_ids)
             inside = nbr >= 0
             away_ids = nbr_ids[~inside]
             del nbr_ids
             counts = _flat(counts, np.int64)
             w_out = _flat(w_out, float)
             w_in = _flat(w_in, float)
-            rows = np.repeat(np.arange(n1 - n0), counts)  # from n0
+            rows = np.repeat(np.arange(len(ids)), counts)  # from n0
             ws = (w_out + w_in) / 2.0
             # bincount adds in entry order, i.e. in the order the neighbours were read;
             # 0.0 + keeps measures float when there are no entries (bincount gives int)
             measures = 0.0 + np.bincount(rows, weights=np.where(ws > 0.0, ws, 0.0),
-                                         minlength=n1 - n0)
+                                         minlength=len(ids))
             del ws
             rows = rows[inside]
             rows += n0
-            self.vertices += order
-            self.index.update(zip(order, range(n0, n1)))
+            self.ids = _append(self.ids, ids)
             self.distances = _append(self.distances, np.repeat(
                 np.arange(self.radius + 1, self.radius + 1 + len(sizes), dtype=np.int64), sizes))
             self.measures = _append(self.measures, measures)
@@ -209,7 +244,7 @@ class Ball:
             self.w_out = _append(self.w_out, w_out)
             self.w_in = _append(self.w_in, w_in)
             # the entries that pointed outside, looked up among the added vertices
-            found = g.find(g.pending_ids)
+            found = self.find(g.pending_ids)
             hit = found >= 0
             resolved = g.pending[hit]
             self.nbr[resolved] = found[hit]
@@ -231,31 +266,17 @@ class Ball:
 
 
 class _Growth:
-    """What ``Ball.extend`` resumes: the ball's walk and what places the rows it adds.
+    """What ``Ball.extend`` resumes: the ball's walk and its entries that point outside.
 
     ``walk`` is the ball's ``_walk``, suspended after its outer shell, and
-    ``error`` what a growth raised, if one did.  ``sorted_ids`` are the ids
-    of the ball's vertices in ascending order and ``by_id`` the ball index
-    of each; ``interned`` gives the vertices that do not fit the key their
-    negative ids.  ``pending`` holds the position of every entry whose
-    neighbour lies outside the ball and ``pending_ids`` that neighbour's id.
+    ``error`` what a growth raised, if one did.  ``pending`` holds the
+    position of every entry whose neighbour lies outside the ball and
+    ``pending_ids`` that neighbour's id.
     """
 
     def __init__(self, walk):
-        self.walk, self.error, self.interned = walk, None, {}
-        self.sorted_ids = self.by_id = self.pending = self.pending_ids = np.zeros(0, np.int64)
-
-    def add(self, ids: np.ndarray, start: int) -> None:
-        """Merge the ids of the vertices with ball indices ``start, start + 1, ...``."""
-        order = np.argsort(ids)
-        at = np.searchsorted(self.sorted_ids, ids[order])
-        self.sorted_ids = np.insert(self.sorted_ids, at, ids[order])
-        self.by_id = np.insert(self.by_id, at, order + start)
-
-    def find(self, wanted: np.ndarray) -> np.ndarray:
-        """The ball index of each id in ``wanted``, -1 where it lies outside."""
-        at = np.minimum(np.searchsorted(self.sorted_ids, wanted), len(self.sorted_ids) - 1)
-        return np.where(self.sorted_ids[at] == wanted, self.by_id[at], -1)
+        self.walk, self.error = walk, None
+        self.pending = self.pending_ids = np.zeros(0, np.int64)
 
 
 def _append(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -288,7 +309,7 @@ def _check_consistency(b: Ball, rows: np.ndarray, at: np.ndarray) -> None:
     bad = np.flatnonzero(~(_weights_agree(w_out, p_in) & _weights_agree(w_in, p_out)))
     if bad.size:
         k = bad[0]
-        v, u = b.vertices[rows[k]], b.vertices[cols[k]]
+        v, u = b.at([rows[k], cols[k]])
         raise InconsistentAdjacencyError(
             f"adjacency callbacks disagree on the pair ({v}, {u}): {v} reports "
             f"w(v,u)={w_out[k]}, w(u,v)={w_in[k]}; {u} reports "
@@ -319,14 +340,14 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None, grow: bool = Fa
     if r < 0:
         raise ValueError("radius must be >= 0")
     if isinstance(gen, Ball):
-        i = gen.index.get(center)
-        if not grow and i is not None and gen.distances[i] + r <= gen.radius:
-            return gen.prefix(r) if i == 0 else _cut(gen, i, r)
+        i = int(gen.locate([center])[0])
+        if not grow and i >= 0 and gen.distances[i] + r <= gen.radius:
+            return gen.prefix(r) if i == 0 else _cut(gen, center, i, r)
         gen = gen.source
-    b = Ball(center=center, radius=-1, vertices=[], index={},
-             distances=np.zeros(0, np.int64), measures=np.zeros(0),
-             indptr=np.zeros(1, np.int64), nbr=np.zeros(0, np.int64), w_out=np.zeros(0),
-             w_in=np.zeros(0), source=gen,
+    no_ids = np.zeros(0, np.int64)
+    b = Ball(center=center, radius=-1, ids=no_ids, distances=no_ids, measures=np.zeros(0),
+             indptr=np.zeros(1, np.int64), nbr=no_ids, w_out=np.zeros(0), w_in=np.zeros(0),
+             source=gen, sorted_ids=no_ids, by_id=no_ids, interned={},
              _growth=_Growth(_walk(gen, center, None if grow else r, budget)))
     b.extend(r)
     if not grow:
@@ -334,14 +355,15 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None, grow: bool = Fa
     return b
 
 
-def _cut(snap: Ball, i: int, r: int) -> Ball:
-    """``ball(snap.source, snap.vertices[i], r)`` read from the rows of ``snap``, which holds it.
+def _cut(snap: Ball, center: Vertex, i: int, r: int) -> Ball:
+    """``ball(snap.source, center, r)`` read from the rows of ``snap``, which holds it at index ``i``.
 
     The walk's shell rule on the rows: shell k+1 is the first find of each
     neighbour of positive symmetric weight that no earlier shell holds, in
     shell order and ascending neighbour order.  Every vertex of the cut lies within ``snap.radius`` of the snapshot's
     center, so its row and its in-ball neighbours are all in ``snap``; the
-    measures are the snapshot's, and pairs it checked need no second check.
+    measures are the snapshot's, and pairs it checked need no second check;
+    the ids, and their order, are gathered from the snapshot's.
     """
     step = (snap.nbr >= 0) & ((snap.w_out + snap.w_in) / 2.0 > 0.0)
     found = np.zeros(len(snap), dtype=bool)
@@ -363,12 +385,14 @@ def _cut(snap: Ball, i: int, r: int) -> Ball:
     to_cut[idx] = np.arange(n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(snap.indptr[idx + 1] - snap.indptr[idx], out=indptr[1:])
-    vertices = [snap.vertices[j] for j in idx.tolist()]
-    return Ball(center=vertices[0], radius=r, vertices=vertices, index=dict(zip(vertices, range(n))),
+    by_id = to_cut[snap.by_id]
+    kept = by_id >= 0
+    return Ball(center=center, radius=r, ids=snap.ids[idx],
                 distances=np.repeat(np.arange(len(shells), dtype=np.int64),
                                     [s.size for s in shells]),
                 measures=snap.measures[idx], indptr=indptr, nbr=to_cut[snap.nbr[at]],
-                w_out=snap.w_out[at], w_in=snap.w_in[at], source=snap.source)
+                w_out=snap.w_out[at], w_in=snap.w_in[at], source=snap.source,
+                sorted_ids=snap.sorted_ids[kept], by_id=by_id[kept], interned=snap.interned)
 
 
 def _spans(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -513,10 +537,10 @@ class _Found:
     """
 
     def __init__(self, root: Vertex):
-        self.other, self.runs = {root}, []
+        self.other, self.runs, self.n_runs = {root}, [], 0  # n_runs: the keys in runs
 
     def __len__(self) -> int:
-        return len(self.other) + sum(map(len, self.runs))
+        return len(self.other) + self.n_runs
 
     def keep_by_key(self) -> None:
         """Move every vertex of ``other`` that has a key into ``runs``, the first time."""
@@ -530,6 +554,7 @@ class _Found:
         """Record the keys, none found before."""
         if not keys.size:
             return
+        self.n_runs += keys.size
         run = np.sort(keys)
         while self.runs and len(self.runs[-1]) <= 2 * len(run):
             run = np.sort(np.concatenate([self.runs.pop(), run]), kind="stable")
@@ -624,8 +649,10 @@ def _batch_step(gen, shell, coords: np.ndarray, keys: np.ndarray,
 def _vertex_keys(vertices: list) -> np.ndarray:
     """The key (``graph._keys``) of each vertex, -1 where it has none.
 
-    The key depends on the vertex alone, so a list that is not one integer
-    array is converted vertex by vertex.
+    A vertex has a key when it is a tuple of at most 3 integers within the
+    key's limit, and then ``_decode`` of its key equals it.  The key
+    depends on the vertex alone, so a list that is not one integer array is
+    converted vertex by vertex.
     """
     coords = _coords(vertices)
     if coords is None and len(vertices) > 1:
@@ -633,9 +660,24 @@ def _vertex_keys(vertices: list) -> np.ndarray:
     return np.full(len(vertices), -1, np.int64) if coords is None else _keys(coords)
 
 
-def _ids(vertices: list, interned: dict) -> np.ndarray:
-    """One int64 id per vertex: its key (``_vertex_keys``), or a negative id from ``interned``."""
+def _ids(vertices, interned: dict) -> np.ndarray:
+    """One int64 id per vertex: its key (``_vertex_keys``), or a negative id from ``interned``.
+
+    ``vertices`` is a list or a shell's coordinate array, whose rows all have keys.
+    """
     ids = _vertex_keys(vertices)
     for i in np.flatnonzero(ids < 0):
         ids[i] = interned.setdefault(vertices[i], -1 - len(interned))
     return ids
+
+
+def _decode(ids: np.ndarray, interned: list) -> list:
+    """The vertex of each id (``_ids``): ``interned[-1 - id]``, or a key's tuple of Python ints.
+
+    A key holds one 21-bit chunk per axis, none of them 0, so its size gives the axis count.
+    """
+    axes = np.searchsorted([0, 1 << _KEY_BITS, 1 << 2 * _KEY_BITS], ids, side="right")
+    cols = [(((ids >> _KEY_BITS * j) & (2 * _KEY_LIMIT - 1)) - _KEY_LIMIT).tolist()
+            for j in (2, 1, 0)]
+    return [(a, b, c)[3 - d:] if d else interned[-1 - i]
+            for i, a, b, c, d in zip(ids.tolist(), *cols, axes.tolist())]

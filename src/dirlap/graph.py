@@ -60,8 +60,9 @@ WEIGHT_PARTS = {
 
 
 #: Bits per axis of the int64 key (>= 0) of a vertex with at most 3 integer axes,
-#: each with |c| < 2**20; different axis counts give different keys.  The batch
-#: walk reads only vertices with a key.
+#: each with |c| < 2**20: one 21-bit chunk per axis, none of them 0, so the
+#: chunks give the axis count back and no key is 0.  The batch walk reads
+#: only vertices with a key.
 _KEY_BITS = 21
 _KEY_LIMIT = 1 << (_KEY_BITS - 1)
 
@@ -76,14 +77,14 @@ def _keys(coords: np.ndarray) -> np.ndarray:
 
 
 def _coords(vertices: list) -> np.ndarray | None:
-    """The vertices as a ``(k, d)`` int64 array, or None unless numpy makes them integers."""
+    """The vertices as a ``(k, d)`` int64 array, or None unless numpy makes them 2-D integers."""
     try:
         coords = np.array(vertices)
     except (TypeError, ValueError, OverflowError):
         return None
-    if coords.dtype.kind not in "biu" or coords.dtype == np.uint64:
+    if coords.ndim != 2 or coords.dtype.kind not in "biu" or coords.dtype == np.uint64:
         return None
-    return coords.astype(np.int64).reshape(len(vertices), -1)
+    return coords.astype(np.int64)
 
 
 def _weights_agree(a, b):

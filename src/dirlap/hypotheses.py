@@ -14,6 +14,8 @@ radii, and shells were inspected.  The four estimators cover
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -114,7 +116,7 @@ def estimate_alpha(gen, center: Vertex, radius: int) -> EllipticityEstimate:
     bad = np.flatnonzero(b.measures[:n] <= 0.0)
     if bad.size:
         i = bad[0]
-        raise ValueError(f"vertex {b.vertices[i]} has nonpositive measure {b.measures[i]}")
+        raise ValueError(f"vertex {b.at([i])[0]} has nonpositive measure {b.measures[i]}")
     rows = b.entry_rows()[:b.indptr[n]]
     ws = (b.w_out[:rows.size] + b.w_in[:rows.size]) / 2.0
     pos = np.flatnonzero(ws > 0.0)
@@ -122,7 +124,7 @@ def estimate_alpha(gen, center: Vertex, radius: int) -> EllipticityEstimate:
         raise ValueError("sample contains no symmetric edges")
     ratios = ws[pos] / b.measures[rows[pos]]
     k = pos[np.argmin(ratios)]
-    witness = (b.vertices[rows[k]], b.vertices[b.nbr[k]])
+    witness = tuple(b.at([rows[k], b.nbr[k]]))
     return EllipticityEstimate(alpha=float(ratios.min()), witness=witness,
                                vertices_checked=n)
 
@@ -203,7 +205,7 @@ def estimate_skew_mass(gen, max_shells: int, tol: float = 1e-6) -> SkewMassEstim
             contributions.append(_shell_skew(rows))
     except BudgetExceededError:
         budget_cut = True
-    total = sum(contributions)
+    total = reduce(add, contributions, 0.0)  # left to right, unlike sum() from Python 3.12
     exhausted = len(contributions) <= max_shells  # the shells ran out early
 
     tail_slope = _tail_slope(contributions)

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable
 
 import numpy as np
@@ -232,15 +234,16 @@ class _EdgeTable:
             raise ValueError(f"the ball was read from {b.source.name}, "
                              f"not from the coupling graph {self.coup.graph.name}")
         self.src = b.entry_rows()
+        vertices = b.vertices
         ext = b.nbr < 0
         outside = b.outside()
         cut = np.flatnonzero(b.distances[self.src[ext]] < b.radius)
         if cut.size:
-            v, u = b.vertices[self.src[ext][cut[0]]], outside[cut[0]]
+            v, u = vertices[self.src[ext][cut[0]]], outside[cut[0]]
             raise ValueError(f"the pair ({v}, {u}) is coupled, but the walk did not follow it: "
                              f"{v} lies inside the radius-{b.radius} ball and {u} outside")
-        self.offset = np.array([sys.omega(v) - cand.velocity for v in b.vertices])
-        self.lag = np.array([cand.lags(v) for v in b.vertices])
+        self.offset = np.array([sys.omega(v) - cand.velocity for v in vertices])
+        self.lag = np.array([cand.lags(v) for v in vertices])
         self.dst = np.where(ext, n, b.nbr)  # n: exterior
         lag_u = np.append(self.lag, 0.0)[self.dst]
         lag_u[ext] = [cand.lags(u) for u in outside]
@@ -256,7 +259,7 @@ class _EdgeTable:
             self.sin, self.cos, self.rows = np.empty(n), np.empty(n), -1
         else:
             ends = iter(outside)
-            self.pairs = [(b.vertices[i], b.vertices[j] if j >= 0 else next(ends))
+            self.pairs = [(vertices[i], vertices[j] if j >= 0 else next(ends))
                           for i, j in zip(self.src.tolist(), b.nbr.tolist())]
 
     def _differences(self, phi: np.ndarray) -> np.ndarray:
@@ -326,7 +329,8 @@ def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
     (``_EdgeTable.slopes``), at least 0, and a ``GenericCoupling`` weighs
     the flux by the absolute slopes.
     """
-    l1 = sum(abs(v) for v in _nonzero(perturbation).values())
+    # left to right: from Python 3.12 on, sum() of floats is compensated
+    l1 = reduce(add, map(abs, _nonzero(perturbation).values()), 0.0)
     if not l1 <= _MAX_PERTURBATION_L1:  # NaN fails too
         raise ValueError(f"perturbation exceeds the l1 budget {_MAX_PERTURBATION_L1}")
     sine = isinstance(sys.coupling, SeparableCoupling)

@@ -37,6 +37,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,12 +83,12 @@ class StateVector:
 
     @classmethod
     def from_dict(cls, b: Ball, data: Mapping[Vertex, float]) -> "StateVector":
+        vertices = list(data)
+        at = b.locate(vertices)
+        if (at < 0).any():
+            raise ValueError(f"vertex {vertices[int(np.argmax(at < 0))]} lies outside the ball")
         values = np.zeros(len(b))
-        for v, val in data.items():
-            try:
-                values[b.index[v]] = val
-            except KeyError:
-                raise ValueError(f"vertex {v} lies outside the ball") from None
+        values[at] = list(data.values())
         return cls.from_values(b, values)
 
     @classmethod
@@ -95,11 +97,11 @@ class StateVector:
 
     def to_dict(self) -> dict[Vertex, float]:
         nz = np.nonzero(self.values)[0]
-        return {self.ball.vertices[i]: float(self.values[i]) for i in nz}
+        return dict(zip(self.ball.at(nz), self.values[nz].tolist()))
 
     def value_at(self, v: Vertex) -> float:
-        i = self.ball.index.get(v)
-        return 0.0 if i is None else float(self.values[i])
+        i = int(self.ball.locate([v])[0])
+        return 0.0 if i < 0 else float(self.values[i])
 
 
 class TruncatedOperator:
@@ -387,13 +389,12 @@ def _support_ball(gen, x0) -> tuple[Ball, dict]:
                     grow=True), x0.to_dict()
     data = _nonzero(x0)
     b = ball(gen, gen.root, 0, budget=_BALL_BUDGET, grow=True)
-    missing = set(data).difference(b.vertices)
-    while missing:
+    missing = list(data)
+    while missing := [v for v, i in zip(missing, b.locate(missing).tolist()) if i < 0]:
         n = len(b)
         b.extend(b.radius + 1)
         if len(b) == n:
             raise ValueError("initial support not reachable from the center")
-        missing.difference_update(b.vertices[n:])
     return b, data
 
 
@@ -421,7 +422,7 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
     op = _SymRows(b)
     res = lanczos_expm(op.matvec, StateVector.from_dict(b, data).values,
                        cfg.resolved_sample_times(), atol=cfg.atol, shell_ends=op.grow)
-    b._growth = None  # the result's ball is a snapshot; its walk and ids go
+    b._growth = None  # the result's ball is a snapshot; its walk goes
     n = len(b)  # the samples are zero past the ball, whatever their length
     samples = [(t, StateVector.from_values(b, y[:n] if y.size >= n else
                                            np.concatenate([y, np.zeros(n - y.size)])))
@@ -564,7 +565,8 @@ def skew_bound_check(x, gen) -> tuple[float, float]:
     """
     data = _nonzero(x)
     rows = _local_rows(gen, data)
-    lhs = sum(abs(val) for val in _laplacian(data, rows, WEIGHT_PARTS["skew"]).values())
+    # left to right: from Python 3.12 on, sum() of floats is compensated
+    lhs = reduce(add, map(abs, _laplacian(data, rows, WEIGHT_PARTS["skew"]).values()), 0.0)
     w_local = 0.0
     for v, row in rows.items():
         xv = data.get(v, 0.0)

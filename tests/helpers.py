@@ -324,7 +324,7 @@ def assert_same_ball(a, b):
     """Two balls agree in center, radius, vertices and every snapshot array, bit for bit."""
     assert (a.center, a.radius) == (b.center, b.radius)
     assert a.vertices == b.vertices
-    assert a.index == b.index
+    assert a.locate(a.vertices).tolist() == b.locate(a.vertices).tolist() == list(range(len(a)))
     for name in ("distances", "measures", "indptr", "nbr", "w_out", "w_in"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
@@ -434,12 +434,13 @@ def dense_laplacian(gen, b, part: str) -> np.ndarray:
     """
     n = len(b)
     m = np.zeros((n, n))
+    index = dict(zip(b.vertices, range(n)))
     for i, v in enumerate(b.vertices):
         out, inn = gen.adjacency(v)
         for u in set(out) | set(inn):
             if u == v:
                 continue
-            j = b.index.get(u)
+            j = index.get(u)
             if j is None:
                 continue
             wf, wb = out.get(u, 0.0), inn.get(u, 0.0)
@@ -501,11 +502,12 @@ def pairwise_sine_rhs(sys, cand, b, phi) -> np.ndarray:
     """
     coup, lag = sys.coupling, cand.lags
     n = len(b)
+    index = dict(zip(b.vertices, range(n)))
     src, dst, dlag, par = [], [], [], []
     for i, v in enumerate(b.vertices):
         for u in coup.support(v):
             src.append(i)
-            dst.append(b.index.get(u, n))
+            dst.append(index.get(u, n))
             dlag.append(lag(u) - lag(v))
             par.append(coup.weight(v, u))
     padded = np.append(phi, 0.0)

@@ -36,7 +36,7 @@ class TestBall:
         g = builtin_graph("z-lattice", d=2)
         b = ball(g, (1, 1), 4)
         for i, v in enumerate(b.vertices):
-            assert b.index[v] == i
+            assert b.locate([v])[0] == i
             assert b.distances[i] == abs(v[0] - 1) + abs(v[1] - 1)
         assert b.distances.max() == 4
 

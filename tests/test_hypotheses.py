@@ -3,6 +3,8 @@
 import inspect
 import math
 import re
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -278,7 +280,13 @@ class TestEstimateSkewMass:
             per_shell = [float(c) for c in np.bincount(b.distances, weights=rows)]
             assert est.shells_used == len(per_shell)
             assert est.last_contributions == per_shell[-3:]
-            assert est.w_partial == sum(per_shell)
+            assert est.w_partial == reduce(add, per_shell, 0.0)
+
+    def test_shells_add_left_to_right(self, monkeypatch):
+        # a compensated sum, as sum() is from Python 3.12 on, gives 1 + 2**-51
+        terms = iter([1.0, 2**-53, 2**-53, 2**-53])
+        monkeypatch.setattr(hypotheses, "_shell_skew", lambda rows: next(terms))
+        assert estimate_skew_mass(builtin_graph("example-2.2"), 3).w_partial == 1.0
 
     def test_finite_graph_exact(self):
         g = generator_from_edges(

@@ -5,6 +5,9 @@ directed weights and pairs whose symmetric weight is not positive, and check
 the snapshot-derived operators against the edge-by-edge dense oracle.
 """
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,8 +18,8 @@ from dirlap import (GraphGenerator, InconsistentAdjacencyError, SimConfig,
                     TruncatedOperator, ball, builtin_graph, evolve,
                     generator_from_edges)
 
-from helpers import (BUILTINS, assert_same_ball, both_steps, counted, dense_laplacian,
-                     finite_graphs, k2_generator)
+from helpers import (BUILTINS, EVERY_SHELL, NO_SHELL, assert_same_ball, both_steps, counted,
+                     dense_laplacian, finite_graphs, k2_generator)
 
 PARTS = ("full", "sym", "skew")
 
@@ -44,7 +47,7 @@ def test_prefix_equals_smaller_ball(gen, r, extra):
     direct = ball(gen, gen.root, r)
     assert cut.radius == direct.radius
     assert cut.vertices == direct.vertices
-    assert cut.index == direct.index
+    assert cut.locate(direct.vertices).tolist() == list(range(len(direct)))
     assert np.array_equal(cut.distances, direct.distances)
     assert np.array_equal(cut.measures, direct.measures)
     a, c = TruncatedOperator(cut), TruncatedOperator(direct)
@@ -305,8 +308,9 @@ def test_growth_places_an_edge_to_an_old_row():
         b.extend(r)
         assert_same_ball(b, ball(g, (0,), r))
     full = TruncatedOperator(b).dense("full")
-    assert full[b.index[(0,)], b.index[(4,)]] == 1.0
-    assert full[b.index[(4,)], b.index[(0,)]] == -1.0
+    i, j = b.locate([(0,), (4,)])
+    assert full[i, j] == 1.0
+    assert full[j, i] == -1.0
 
 
 @pytest.mark.parametrize("reports", [{(0,)}, {(4,)}])
@@ -348,3 +352,56 @@ def test_only_a_growing_ball_extends():
     with pytest.raises(ValueError, match="stopped growing at radius 0.*BudgetExceeded"):
         grown.extend(20)
     assert grown.radius == 0 and len(grown) == 1
+
+
+def test_a_ball_read_makes_no_object_per_vertex():
+    # a batch-read ball keeps its vertices as int64 ids, so neither a ball of
+    # 7,321 vertices nor a sym run on 15,665 leaves a Python object per vertex
+    g = builtin_graph("z-lattice", d=2)
+    ts = [0.0] + np.geomspace(0.5, 40.0, 48).tolist()
+    cfg = SimConfig(t_max=40.0, sample_times=ts, rtol=1e-8, atol=1e-10)
+    for read in (lambda: ball(g, (0, 0), 60), lambda: evolve(g, {(0, 0): 1.0}, cfg, part="sym")):
+        read()  # the first call may import and cache
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            kept = read()
+            made = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert made < 1000, (made, kept)
+
+
+def line_of(vertices):
+    """A cycle through ``vertices`` in order, unit weights both ways, rooted at the first."""
+    pairs = list(zip(vertices, vertices[1:] + vertices[:1]))
+    return generator_from_edges({e: 1.0 for a, b in pairs for e in ((a, b), (b, a))},
+                                root=vertices[0])
+
+
+#: balls whose ids are keys, interned ids, or both: every builtin, the plane
+#: across the key limit, and vertices that are not integer tuples (an int is
+#: not the 1-tuple that has its key)
+ID_GRAPHS = [builtin_graph(name, **params) for name, params in BUILTINS] + [
+    dataclasses.replace(builtin_graph("z-lattice", d=2), root=(2**20 - 3, 0)),
+    line_of([str(k) for k in range(12)]), line_of(list(range(12))),
+    line_of([(k / 2,) for k in range(12)])]
+
+
+@pytest.mark.parametrize("gen", ID_GRAPHS, ids=[f"{g.name}-{g.root!r}" for g in ID_GRAPHS])
+def test_ids_give_the_vertices_of_a_vertex_read(monkeypatch, gen):
+    radius = 3 if isinstance(gen.root, tuple) and len(gen.root) > 2 else 6
+    b, direct = both_steps(monkeypatch, lambda: ball(gen, gen.root, radius),
+                           sizes=(EVERY_SHELL, NO_SHELL))
+    assert_same_ball(b, direct)
+    assert [type(v) for v in b.vertices] == [type(v) for v in direct.vertices]
+    # the lookup gives each vertex its position, and nothing outside
+    vertices = b.vertices
+    assert b.locate(vertices).tolist() == list(range(len(b)))
+    assert b.at(np.arange(len(b) - 1, -1, -1)) == vertices[::-1]
+    past = b.outside() + [("nowhere",), 2**20, (2**21, 0, 0, 0)]
+    assert (b.locate(past) == -1).all() and not any(v in b for v in past)
+    for r in range(radius):
+        assert_same_ball(b.prefix(r), ball(gen, gen.root, r))
+    for c, r in held_balls(b)[::5]:
+        assert_same_ball(ball(b, c, r), ball(gen, c, r))

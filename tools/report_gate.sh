@@ -58,6 +58,8 @@ run sim-retry simulate --graph z-lattice --d 1 --part full --t-max 6 --c-speed 0
 run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-speed 0.05
 # the 3-axis lattice: shells of 3-axis keys read in batch
 run sim-lat3 simulate --graph z-lattice --d 3 --part sym --t-max 4
+# the 4-axis lattice: vertices without a key, so interned ids grow the ball (radius 16)
+run sim-lat4 simulate --graph z-lattice --d 4 --part sym --t-max 0.5
 # the one run whose Lanczos basis restarts at its dimension cap (488 vectors):
 # the ball grows across the restart to radius 487
 run sim-sym-long simulate --graph z-lattice --d 1 --part sym --t-max 2000
