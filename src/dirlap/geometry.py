@@ -66,14 +66,14 @@ class Ball:
     ``interned``, which gives its ``i``-th vertex the id ``-1 - i`` and is
     shared with prefixes and cuts.  ``sorted_ids`` holds the ids in
     ascending order and ``by_id`` the ball index of each, so ``locate``
-    finds vertices by one search; ``at`` and ``vertices`` make vertices
-    from ids when they are asked for: a key becomes a tuple of Python ints,
-    an interned id the object the callback gave.  Row ``i`` of the weight
-    snapshot spans entries ``indptr[i]:indptr[i+1]``, one per neighbour
-    ``v'`` of the vertex in either direction: ``nbr`` holds the ball index
-    of ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v, v')`` and
-    ``w_in`` holds ``w(v', v)``; ``source`` is the generator they were read
-    from.
+    finds vertices by one search; ``at``, ``slices`` and ``vertices`` make
+    vertices from ids when they are asked for: a key becomes a tuple of
+    Python ints, an interned id the object the callback gave.  Row ``i``
+    of the weight snapshot spans entries ``indptr[i]:indptr[i+1]``, one per
+    neighbour ``v'`` of the vertex in either direction: ``nbr`` holds the
+    ball index of ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v,
+    v')`` and ``w_in`` holds ``w(v', v)``; ``source`` is the generator they
+    were read from.
     Immutable after construction by convention, except that a ball read
     with ``grow=True`` grows in place by ``extend``; a prefix shares all of
     these.
@@ -108,6 +108,12 @@ class Ball:
     def at(self, rows) -> list:
         """The vertices with the ball indices ``rows`` (an index array or a slice)."""
         return _decode(self.ids[rows], list(self.interned))
+
+    def slices(self, size: int):
+        """The vertices in ball order, ``size`` at a time: one list per slice, made when asked."""
+        interned = list(self.interned)
+        for i in range(0, len(self), size):
+            yield _decode(self.ids[i:i + size], interned)
 
     def locate(self, vertices: list) -> np.ndarray:
         """The ball index of each vertex, -1 where it lies outside the ball."""

@@ -43,7 +43,7 @@ from .errors import BlowUpError
 from .geometry import Ball, ball
 from .graph import GraphGenerator, Vertex
 from .integrate import integrate
-from .semigroup import SimConfig, _nonzero, _row_prefix, _truncated_flow
+from .semigroup import SimConfig, _nonzero, _PrefixProduct, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
 _MAX_PERTURBATION_L1 = 1.0
@@ -218,8 +218,9 @@ class _EdgeTable:
     not read from its coupling graph raises ``ValueError``, and so does any
     table whose ball has an exterior pair off its outer shell: a coupled
     pair that the walk did not follow, such as weights 0.5 and -0.5.  The
-    lags and ``omega`` are read once per ball vertex, and the lags once more
-    per exterior pair, whose ends ``Ball.outside`` reads.
+    lags and ``omega`` are read once per ball vertex, decoded from
+    ``Ball.ids`` a slice at a time, and the lags once more per exterior
+    pair, whose ends ``Ball.outside`` reads.
 
     ``rhs(phi, rows)`` and ``slopes(phi)`` take the whole ball's deviation,
     zero past the integrator's window ``rows``, as ``integrate`` passes it.
@@ -234,16 +235,18 @@ class _EdgeTable:
             raise ValueError(f"the ball was read from {b.source.name}, "
                              f"not from the coupling graph {self.coup.graph.name}")
         self.src = b.entry_rows()
-        vertices = b.vertices
         ext = b.nbr < 0
         outside = b.outside()
         cut = np.flatnonzero(b.distances[self.src[ext]] < b.radius)
         if cut.size:
-            v, u = vertices[self.src[ext][cut[0]]], outside[cut[0]]
+            v, u = b.at(self.src[ext][cut[:1]])[0], outside[cut[0]]
             raise ValueError(f"the pair ({v}, {u}) is coupled, but the walk did not follow it: "
                              f"{v} lies inside the radius-{b.radius} ball and {u} outside")
-        self.offset = np.array([sys.omega(v) - cand.velocity for v in vertices])
-        self.lag = np.array([cand.lags(v) for v in vertices])
+        offset, lag = [], []
+        for vertices in b.slices(256):  # a slice stays below gen-0 GC's threshold, 700
+            offset += [sys.omega(v) - cand.velocity for v in vertices]
+            lag += [cand.lags(v) for v in vertices]
+        self.offset, self.lag = np.array(offset), np.array(lag)
         self.dst = np.where(ext, n, b.nbr)  # n: exterior
         lag_u = np.append(self.lag, 0.0)[self.dst]
         lag_u[ext] = [cand.lags(u) for u in outside]
@@ -253,12 +256,13 @@ class _EdgeTable:
             self.kw = k  # every pair's weight
             self.k = scipy.sparse.csr_matrix(
                 (k[inner], (self.src[inner], self.dst[inner])), shape=(n, n))
+            self.k_prefix = _PrefixProduct(self.k)
             self.s_ext = np.bincount(self.src[ext], k[ext] * np.sin(lag_u[ext]), n)
             self.c_ext = np.bincount(self.src[ext], k[ext] * np.cos(lag_u[ext]), n)
             # sin psi and cos psi, at the lock past the last call's rows
-            self.sin, self.cos, self.rows = np.empty(n), np.empty(n), -1
+            self.sin, self.cos, self.psi, self.rows = np.empty(n), np.empty(n), np.empty(n), -1
         else:
-            ends = iter(outside)
+            vertices, ends = b.vertices, iter(outside)
             self.pairs = [(vertices[i], vertices[j] if j >= 0 else next(ends))
                           for i, j in zip(self.src.tolist(), b.nbr.tolist())]
 
@@ -272,7 +276,9 @@ class _EdgeTable:
 
         A sine table keeps ``sin psi`` and ``cos psi`` of the whole ball,
         rewrites them on the first ``rows`` entries, and puts the entries
-        past ``rows`` back at the lock when ``rows`` changes.  A
+        past ``rows`` back at the lock when ``rows`` changes.  ``psi`` goes
+        into a kept buffer, and the result is built in the array of the
+        first product, so a call allocates only the two products.  A
         ``GenericCoupling`` calls ``h`` on the pairs whose ``v`` lies in the
         first ``rows`` (``src`` is sorted).
         """
@@ -281,10 +287,18 @@ class _EdgeTable:
             s, c = self.sin, self.cos
             if rows != self.rows:  # a new window
                 s[rows:], c[rows:] = np.sin(self.lag[rows:]), np.cos(self.lag[rows:])
-                self.rows, self.k_rows = rows, _row_prefix(self.k, rows)
-            psi = phi[:rows] + self.lag[:rows]
-            sr, cr, k = np.sin(psi, out=s[:rows]), np.cos(psi, out=c[:rows]), self.k_rows
-            return offset + cr * (k @ s + self.s_ext[:rows]) - sr * (k @ c + self.c_ext[:rows])
+                self.rows = rows
+            psi = np.add(phi[:rows], self.lag[:rows], out=self.psi[:rows])
+            sr, cr = np.sin(psi, out=s[:rows]), np.cos(psi, out=c[:rows])
+            # offset + cr * (K s + s_ext) - sr * (K c + c_ext), in the products' own arrays
+            out, inn = self.k_prefix(s, rows), self.k_prefix(c, rows)
+            out += self.s_ext[:rows]
+            out *= cr
+            out += offset
+            inn += self.c_ext[:rows]
+            inn *= sr
+            out -= inn
+            return out
         m = int(np.searchsorted(self.src, rows))
         x = self._differences(phi)[:m].tolist()
         vals = np.array([self.coup.h(xi, v, u) for xi, (v, u) in zip(x, self.pairs)])

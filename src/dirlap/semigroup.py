@@ -332,6 +332,18 @@ def _row_prefix(a: scipy.sparse.csr_matrix, rows: int) -> scipy.sparse.csr_matri
     return view
 
 
+class _PrefixProduct:
+    """``(y, rows) -> a[:rows] @ y``, one prefix view (``_row_prefix``) per window, not per call."""
+
+    def __init__(self, a: scipy.sparse.csr_matrix):
+        self.a, self.rows = a, -1
+
+    def __call__(self, y: np.ndarray, rows: int) -> np.ndarray:
+        if rows != self.rows:
+            self.rows, self.view = rows, _row_prefix(self.a, rows)
+        return self.view @ y
+
+
 class _SymRows:
     """The ``sym`` part of ``TruncatedOperator`` on a ball that grows, rows appended as it grows.
 
@@ -359,7 +371,7 @@ class _SymRows:
         return self.ends, self.n
 
     def matvec(self, y: np.ndarray, rows: int) -> np.ndarray:
-        return _row_prefix(self.a, rows) @ y
+        return self.product(y, rows)
 
     def _build(self) -> None:
         b, lo = self.ball, self.lo
@@ -370,8 +382,8 @@ class _SymRows:
         self.indices = _append(self.indices[:start], block.indices)
         self.indptr = _append(self.indptr[:lo + 1], np.concatenate(
             [start + block.indptr[1:], np.full(self.n - len(b), start + block.nnz)]))
-        self.a = scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
-                                         shape=(self.n, self.n))
+        self.product = _PrefixProduct(scipy.sparse.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.n, self.n)))
         self.ends = _shell_ends(b)
         self.lo = int(np.searchsorted(b.distances, b.radius))
 
@@ -470,7 +482,7 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
             p = a / (rho or 1.0)  # with rho 0, A is 0 and P is I
             p.setdiag(p.diagonal() + 1.0)
             p12 = _past_cut(p, n1)
-            return uniformize(lambda y, rows: _row_prefix(p, rows) @ y, rho, y0, times,
+            return uniformize(_PrefixProduct(p), rho, y0, times,
                               flux=lambda terms: np.max(np.abs(p12 @ terms[:, n1:].T),
                                                         axis=0, initial=0.0),
                               shell_ends=ends)
@@ -481,7 +493,8 @@ def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
         def flux(t, y, bound):  # the coupling from past the cut into it
             return float(np.max(np.abs(out @ y[n1:]), initial=0.0)), mu
 
-        return integrate(lambda t, y, rows: _row_prefix(a, rows) @ y, y0, times,
+        matvec = _PrefixProduct(a)
+        return integrate(lambda t, y, rows: matvec(y, rows), y0, times,
                          rtol=cfg.rtol, atol=cfg.atol, flux=flux, shell_ends=ends)
 
     return _truncated_flow(gen, x0, cfg, run)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import gc
 import inspect
 import math
 from collections import Counter
@@ -535,6 +536,53 @@ def test_windowed_rhs_is_the_whole_ball_rhs_on_the_window(lags, phi, w, kind):
     # a window that falls after a run on the whole ball puts the rows past it back at the lock
     table.rhs(phi, n)
     assert np.array_equal(table.rhs(cut, w), windowed)
+
+
+def test_the_sine_rhs_is_its_formula_bit_for_bit():
+    # the table builds the result in the products' arrays; it equals the
+    # formula computed afresh, with the entries past the window at the lock
+    sys_, cand = planted_system()  # nonuniform omega and lags, nonzero s_ext and c_ext
+    b = ball(oscillator._walk_graph(sys_), sys_.root, 6)
+    table, n = oscillator._EdgeTable(sys_, cand, b), len(b)
+    ends, rng = semigroup._shell_ends(b), np.random.default_rng(7)
+    assert np.count_nonzero(table.s_ext) and np.count_nonzero(table.c_ext)
+    last = kept = None
+    for rows in (int(ends[1]), int(ends[3]), int(ends[3]), int(ends[5]), n, n):
+        phi = np.where(np.arange(n) < rows, rng.uniform(-0.5, 0.5, n), 0.0)
+        psi = phi[:rows] + table.lag[:rows]
+        s = np.concatenate([np.sin(psi), np.sin(table.lag[rows:])])
+        c = np.concatenate([np.cos(psi), np.cos(table.lag[rows:])])
+        k = table.k[:rows]
+        expected = table.offset[:rows] + np.cos(psi) * (k @ s + table.s_ext[:rows]) \
+            - np.sin(psi) * (k @ c + table.c_ext[:rows])
+        got = table.rhs(phi, rows)
+        assert np.array_equal(got, expected)
+        if last is not None:  # the last call's result is no buffer the table writes again
+            assert np.array_equal(last, kept)
+        last, kept = got, got.copy()
+
+
+def test_the_table_reads_omega_and_lags_with_no_tuple_per_vertex():
+    # the workload's coupling on its radius-60 ball, 7,321 vertices: a list of
+    # them all, alive while omega is read, would keep one tracked tuple each
+    sys_, _ = uniform_sin_system("z2-skew-perturbed", a=0.5)
+    b = ball(oscillator._walk_graph(sys_), sys_.root, 60)
+    young = []
+
+    def omega(v):
+        young.append(gc.get_count()[0])  # net tracked objects made since the collection
+        return 1.0
+
+    sys_ = dataclasses.replace(sys_, omega=omega)
+    cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
+    gc.collect()
+    gc.disable()
+    try:
+        oscillator._EdgeTable(sys_, cand, b)
+    finally:
+        gc.enable()
+    assert len(young) == len(b) == 7321
+    assert max(young) < 3000
 
 
 @pytest.mark.parametrize("kind", ["sine", "generic"])

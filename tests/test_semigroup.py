@@ -511,6 +511,34 @@ class TestEvolve:
         assert diff == truncation_check(runs[-1])[1]
         assert diff <= res.richardson_diff + ROUNDOFF
 
+    def test_dopri_makes_one_prefix_view_per_window(self, monkeypatch):
+        # a full run with a negative weight keeps its prefix view while the
+        # window stays, and its samples are those of a fresh view per call
+        row_prefix, dopri = semigroup._row_prefix, semigroup.integrate
+        views, runs = [], []
+        monkeypatch.setattr(semigroup, "_row_prefix",
+                            lambda a, rows: views.append(rows) or row_prefix(a, rows))
+
+        def recording(f, y0, times, **kwargs):
+            windows = []
+            res = dopri(lambda t, y, rows: windows.append(rows) or f(t, y, rows),
+                        y0, times, **kwargs)
+            runs.append((windows, y0, times, kwargs, res))
+            return res
+
+        monkeypatch.setattr(semigroup, "integrate", recording)
+        cfg = SimConfig(t_max=4.0, rtol=1e-8, atol=1e-10, c_speed=0.05)
+        res = evolve(negative_line_graph(), {(0,): 1.0}, cfg, part="full")
+        assert (res.retries, len(runs)) == (2, 3)
+        # the window never falls, so its distinct values are its changes
+        assert views == [r for windows, *_ in runs for r in dict.fromkeys(windows)]
+        assert len(views) < sum(len(windows) for windows, *_ in runs) / 10
+        _, y0, times, kwargs, last = runs[-1]
+        a = TruncatedOperator(res.ball, ("full",)).matrix("full")
+        fresh = dopri(lambda t, y, rows: row_prefix(a, rows) @ y, y0, times, **kwargs)
+        assert (fresh.n_steps, fresh.bound) == (last.n_steps, last.bound)
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(fresh.samples, last.samples))
+
     def test_bound_covers_the_disagreement_at_every_retry(self, monkeypatch):
         # the radii 9, 17 and 25, and only the last within 10 * atol
         runs = record_runs(monkeypatch)

@@ -399,6 +399,8 @@ def test_ids_give_the_vertices_of_a_vertex_read(monkeypatch, gen):
     vertices = b.vertices
     assert b.locate(vertices).tolist() == list(range(len(b)))
     assert b.at(np.arange(len(b) - 1, -1, -1)) == vertices[::-1]
+    assert [len(s) for s in b.slices(7)][:-1] == [7] * ((len(b) - 1) // 7)
+    assert [v for s in b.slices(7) for v in s] == vertices
     past = b.outside() + [("nowhere",), 2**20, (2**21, 0, 0, 0)]
     assert (b.locate(past) == -1).all() and not any(v in b for v in past)
     for r in range(radius):
