@@ -21,11 +21,12 @@ each vertex's weights exactly once, derives the vertex measure from that
 read, and keeps every reported weight in CSR arrays: one row per ball
 vertex, one entry per neighbour in ascending neighbour order (not the order
 of the callback's maps), holding the neighbour's ball index or -1 when it
-lies outside (``Ball.outside`` reads those neighbours again).  Every vertex
+lies outside, whose own id the ball keeps (``Ball.away``).  Every vertex
 and every neighbour has one int64 id, its key or an interned id, and the
 ids are the ball's only record of its vertices: one sort of them resolves
 every neighbour after the walk and finds any vertex (``Ball.locate``), and
-a vertex is made from its id only when a caller asks for it (``Ball.at``).
+a vertex is made from its id only when a caller asks for it (``Ball.at``,
+``Ball.outside``), so nothing a ball holds is read from its graph twice.
 Laplacian parts are assembled
 from these arrays alone.  ``Ball.prefix(r)`` cuts the radius-``r`` ball out
 of a larger one without further adjacency calls, and ``ball`` handed a
@@ -49,8 +50,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import BudgetExceededError, DegreeCapError, InconsistentAdjacencyError
-from .graph import (_KEY_BITS, _KEY_LIMIT, GraphGenerator, Vertex, _coords, _keys,
-                    _weights_agree)
+from .graph import (GraphGenerator, Vertex, _batch_read, _coords, _decode, _ids, _keys,
+                    _vertex_keys, _weights_agree)
 
 #: The vertex budget of a walk that is given none.  Read at call time.
 DEFAULT_BALL_BUDGET = 1_000_000
@@ -73,10 +74,11 @@ class Ball:
     neighbour ``v'`` of the vertex in either direction: ``nbr`` holds the
     ball index of ``v'`` (-1 outside the ball), ``w_out`` holds ``w(v,
     v')`` and ``w_in`` holds ``w(v', v)``; ``source`` is the generator they
-    were read from.
+    were read from.  ``away`` holds the id of each outside entry's
+    neighbour, in entry order.
     Immutable after construction by convention, except that a ball read
-    with ``grow=True`` grows in place by ``extend``; a prefix shares all of
-    these.
+    with ``grow=True`` grows in place by ``extend``, resuming its ``_walk``
+    (None once it cannot grow); a prefix shares all of these.
     """
 
     center: Vertex
@@ -92,7 +94,9 @@ class Ball:
     sorted_ids: np.ndarray
     by_id: np.ndarray
     interned: dict
-    _growth: "_Growth | None" = field(default=None, repr=False, compare=False)
+    away: np.ndarray
+    _walk: Iterator | None = field(default=None, repr=False, compare=False)
+    _error: BaseException | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -140,15 +144,8 @@ class Ball:
         return self.entry_rows()[keep], self.nbr[keep]
 
     def outside(self) -> list:
-        """The vertex of each outside entry (``nbr == -1``), in entry order.
-
-        The snapshot keeps no outside vertex, so the rows that hold one are
-        read again from ``source``, vertex by vertex, by the walk's vertex step.
-        """
-        rows = np.unique(self.entry_rows()[self.nbr < 0])
-        read = _scalar_step(self.source.edges, self.at(rows), set(), None)
-        away = self.nbr[_spans(self.indptr, rows)] < 0
-        return [u for u, a in zip(read.nbr, away.tolist()) if a]
+        """The vertex of each outside entry (``nbr == -1``), in entry order: ``away`` decoded."""
+        return _decode(self.away, list(self.interned))
 
     def prefix(self, r: int) -> "Ball":
         """The radius-``r`` ball around the same center, cut from this one.
@@ -170,7 +167,8 @@ class Ball:
                     indptr=self.indptr[:n + 1], nbr=np.where(nbr < n, nbr, -1),
                     w_out=self.w_out[:m], w_in=self.w_in[:m], source=self.source,
                     sorted_ids=self.sorted_ids[kept], by_id=self.by_id[kept],
-                    interned=self.interned)
+                    interned=self.interned,
+                    away=_nbr_ids(self, np.flatnonzero((nbr < 0) | (nbr >= n))))
 
     def extend(self, r: int) -> "Ball":
         """Grow this ball in place to radius ``r``, by resuming its walk; nothing if ``r <= radius``.
@@ -183,25 +181,25 @@ class Ball:
         their ball index from the ball's ids, merged into ``sorted_ids``,
         and the entries that pointed outside (on a graph whose every entry
         has positive symmetric weight, those of the old outer shell) get
-        theirs from the added vertices.  Only the pairs that hold an added
-        vertex are checked (``_check_consistency``): the others were checked
-        when the ball reached them.  A walk that runs out of shells leaves
-        the ball as it is, at radius ``r``; the walk's budget rule raises
+        theirs by looking up their ``away`` ids among the added vertices.
+        Only the pairs that hold an added vertex are checked
+        (``_check_consistency``): the others were checked when the ball
+        reached them.  A walk that runs out of shells leaves the ball as it
+        is, at radius ``r``; the walk's budget rule raises
         ``BudgetExceededError`` before it reads a shell past the budget.
         Whatever ``extend`` raises, the ball keeps what it holds, its radius
         becomes its last shell, and it grows no further: a later ``extend``
         past that radius raises ``ValueError``.
         """
-        g = self._growth
         if r <= self.radius:
             return self
-        if g is None:
-            raise ValueError("only a ball read with grow=True can be extended")
-        if g.error is not None:
-            raise ValueError(f"the ball stopped growing at radius {self.radius}: {g.error!r}")
+        if self._walk is None:
+            raise ValueError(
+                "only a ball read with grow=True can be extended" if self._error is None
+                else f"the ball stopped growing at radius {self.radius}: {self._error!r}")
         try:
             sizes, counts, w_out, w_in, ids, nbr = [], [], [], [], [], []
-            for k, shell, rows in g.walk:
+            for k, shell, rows in self._walk:
                 sizes.append(len(shell))
                 counts.append(rows.counts)
                 w_out.append(rows.w_out)
@@ -227,11 +225,11 @@ class Ball:
             del nbr
             nbr = self.find(nbr_ids)
             inside = nbr >= 0
-            away_ids = nbr_ids[~inside]
+            away = nbr_ids[~inside]
             del nbr_ids
-            counts = _flat(counts, np.int64)
-            w_out = _flat(w_out, float)
-            w_in = _flat(w_in, float)
+            counts = np.concatenate(counts, dtype=np.int64)
+            w_out = np.concatenate(w_out, dtype=float)
+            w_in = np.concatenate(w_in, dtype=float)
             rows = np.repeat(np.arange(len(ids)), counts)  # from n0
             ws = (w_out + w_in) / 2.0
             # bincount adds in entry order, i.e. in the order the neighbours were read;
@@ -250,12 +248,11 @@ class Ball:
             self.w_out = _append(self.w_out, w_out)
             self.w_in = _append(self.w_in, w_in)
             # the entries that pointed outside, looked up among the added vertices
-            found = self.find(g.pending_ids)
+            found = self.find(self.away)
             hit = found >= 0
-            resolved = g.pending[hit]
+            resolved = np.flatnonzero(self.nbr[:m0] < 0)[hit]
             self.nbr[resolved] = found[hit]
-            g.pending = np.concatenate([g.pending[~hit], m0 + np.flatnonzero(~inside)])
-            g.pending_ids = np.concatenate([g.pending_ids[~hit], away_ids])
+            self.away = _append(self.away[~hit], away)
             # the pairs that hold an added vertex: the added rows' and the resolved
             # entries; read in one call, that is every in-ball entry, a mask
             at = inside
@@ -265,24 +262,18 @@ class Ball:
             _check_consistency(self, rows, at)
             self.radius = r
         except BaseException as exc:
-            g.error = exc
+            self._walk, self._error = None, exc
             self.radius = int(self.distances.max(initial=-1))
             raise
         return self
 
 
-class _Growth:
-    """What ``Ball.extend`` resumes: the ball's walk and its entries that point outside.
-
-    ``walk`` is the ball's ``_walk``, suspended after its outer shell, and
-    ``error`` what a growth raised, if one did.  ``pending`` holds the
-    position of every entry whose neighbour lies outside the ball and
-    ``pending_ids`` that neighbour's id.
-    """
-
-    def __init__(self, walk):
-        self.walk, self.error = walk, None
-        self.pending = self.pending_ids = np.zeros(0, np.int64)
+def _nbr_ids(b: Ball, at: np.ndarray) -> np.ndarray:
+    """The id of the neighbour of each entry ``at``: from ``ids``, or from ``away`` if outside."""
+    ids = b.ids[b.nbr[at]]
+    out = b.nbr[at] < 0
+    ids[out] = b.away[np.searchsorted(np.flatnonzero(b.nbr < 0), at[out])]
+    return ids
 
 
 def _append(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -353,11 +344,11 @@ def ball(gen, center: Vertex, r: int, budget: int | None = None, grow: bool = Fa
     no_ids = np.zeros(0, np.int64)
     b = Ball(center=center, radius=-1, ids=no_ids, distances=no_ids, measures=np.zeros(0),
              indptr=np.zeros(1, np.int64), nbr=no_ids, w_out=np.zeros(0), w_in=np.zeros(0),
-             source=gen, sorted_ids=no_ids, by_id=no_ids, interned={},
-             _growth=_Growth(_walk(gen, center, None if grow else r, budget)))
+             source=gen, sorted_ids=no_ids, by_id=no_ids, interned={}, away=no_ids,
+             _walk=_walk(gen, center, None if grow else r, budget))
     b.extend(r)
     if not grow:
-        b._growth = None
+        b._walk = None
     return b
 
 
@@ -366,10 +357,12 @@ def _cut(snap: Ball, center: Vertex, i: int, r: int) -> Ball:
 
     The walk's shell rule on the rows: shell k+1 is the first find of each
     neighbour of positive symmetric weight that no earlier shell holds, in
-    shell order and ascending neighbour order.  Every vertex of the cut lies within ``snap.radius`` of the snapshot's
-    center, so its row and its in-ball neighbours are all in ``snap``; the
-    measures are the snapshot's, and pairs it checked need no second check;
-    the ids, and their order, are gathered from the snapshot's.
+    shell order and ascending neighbour order.  Every vertex of the cut
+    lies within ``snap.radius`` of the snapshot's center, so its row and its
+    in-ball neighbours are all in ``snap``; the measures are the
+    snapshot's, and pairs it checked need no second check; the ids, their
+    order and those of the outside neighbours are gathered from the
+    snapshot's.
     """
     step = (snap.nbr >= 0) & ((snap.w_out + snap.w_in) / 2.0 > 0.0)
     found = np.zeros(len(snap), dtype=bool)
@@ -385,20 +378,20 @@ def _cut(snap: Ball, center: Vertex, i: int, r: int) -> Ball:
         found[shell] = True
         shells.append(shell)
     idx = np.concatenate(shells)
-    n = idx.size
     at = _spans(snap.indptr, idx)
     to_cut = np.full(len(snap) + 1, -1, np.int64)  # the last slot takes the -1 entries
-    to_cut[idx] = np.arange(n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(snap.indptr[idx + 1] - snap.indptr[idx], out=indptr[1:])
+    to_cut[idx] = np.arange(idx.size)
+    indptr = np.concatenate([[0], np.cumsum(snap.indptr[idx + 1] - snap.indptr[idx])])
     by_id = to_cut[snap.by_id]
     kept = by_id >= 0
+    nbr = to_cut[snap.nbr[at]]
     return Ball(center=center, radius=r, ids=snap.ids[idx],
                 distances=np.repeat(np.arange(len(shells), dtype=np.int64),
                                     [s.size for s in shells]),
-                measures=snap.measures[idx], indptr=indptr, nbr=to_cut[snap.nbr[at]],
+                measures=snap.measures[idx], indptr=indptr, nbr=nbr,
                 w_out=snap.w_out[at], w_in=snap.w_in[at], source=snap.source,
-                sorted_ids=snap.sorted_ids[kept], by_id=by_id[kept], interned=snap.interned)
+                sorted_ids=snap.sorted_ids[kept], by_id=by_id[kept], interned=snap.interned,
+                away=_nbr_ids(snap, at[nbr < 0]))
 
 
 def _spans(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -406,11 +399,6 @@ def _spans(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
-def _flat(chunks: list, dtype) -> np.ndarray:
-    """One array from per-shell lists or arrays."""
-    return np.concatenate([np.asarray(c, dtype=dtype) for c in chunks])
 
 
 def volume(gen, center: Vertex, r: int) -> float:
@@ -617,8 +605,7 @@ def _batch_step(gen, shell, coords: np.ndarray, keys: np.ndarray,
     Gives the shell's rows, then the next shell's coordinates and its keys,
     recorded in ``found``; there is no next shell unless ``expand``.
     """
-    nc, wo, wi = gen.batch_adjacency(coords)
-    nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
+    nc, wo, wi = _batch_read(gen, coords)
     nkeys = _keys(nc)
     present = ((wo != 0.0) | (wi != 0.0)) & (nkeys != keys[:, None])  # no self-loops
     if (nkeys[present] < 0).any():
@@ -650,40 +637,3 @@ def _batch_step(gen, shell, coords: np.ndarray, keys: np.ndarray,
     new_keys = nkeys[cand[first]]
     found.add(new_keys)
     return rows, nc.reshape(-1, nc.shape[2])[slots[cand[first]]], new_keys
-
-
-def _vertex_keys(vertices: list) -> np.ndarray:
-    """The key (``graph._keys``) of each vertex, -1 where it has none.
-
-    A vertex has a key when it is a tuple of at most 3 integers within the
-    key's limit, and then ``_decode`` of its key equals it.  The key
-    depends on the vertex alone, so a list that is not one integer array is
-    converted vertex by vertex.
-    """
-    coords = _coords(vertices)
-    if coords is None and len(vertices) > 1:
-        return np.concatenate([_vertex_keys([v]) for v in vertices])
-    return np.full(len(vertices), -1, np.int64) if coords is None else _keys(coords)
-
-
-def _ids(vertices, interned: dict) -> np.ndarray:
-    """One int64 id per vertex: its key (``_vertex_keys``), or a negative id from ``interned``.
-
-    ``vertices`` is a list or a shell's coordinate array, whose rows all have keys.
-    """
-    ids = _vertex_keys(vertices)
-    for i in np.flatnonzero(ids < 0):
-        ids[i] = interned.setdefault(vertices[i], -1 - len(interned))
-    return ids
-
-
-def _decode(ids: np.ndarray, interned: list) -> list:
-    """The vertex of each id (``_ids``): ``interned[-1 - id]``, or a key's tuple of Python ints.
-
-    A key holds one 21-bit chunk per axis, none of them 0, so its size gives the axis count.
-    """
-    axes = np.searchsorted([0, 1 << _KEY_BITS, 1 << 2 * _KEY_BITS], ids, side="right")
-    cols = [(((ids >> _KEY_BITS * j) & (2 * _KEY_LIMIT - 1)) - _KEY_LIMIT).tolist()
-            for j in (2, 1, 0)]
-    return [(a, b, c)[3 - d:] if d else interned[-1 - i]
-            for i, a, b, c, d in zip(ids.tolist(), *cols, axes.tolist())]

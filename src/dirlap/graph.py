@@ -87,6 +87,58 @@ def _coords(vertices: list) -> np.ndarray | None:
     return coords.astype(np.int64)
 
 
+def _vertex_keys(vertices: list) -> np.ndarray:
+    """The key (``_keys``) of each vertex, -1 where it has none.
+
+    A vertex has a key when it is a tuple of at most 3 integers within the
+    key's limit, and then ``_decode`` of its key equals it.  The key
+    depends on the vertex alone, so a list that is not one integer array is
+    converted vertex by vertex.
+    """
+    coords = _coords(vertices)
+    if coords is None and len(vertices) > 1:
+        return np.concatenate([_vertex_keys([v]) for v in vertices])
+    return np.full(len(vertices), -1, np.int64) if coords is None else _keys(coords)
+
+
+def _ids(vertices, interned: dict) -> np.ndarray:
+    """One int64 id per vertex: its key (``_vertex_keys``), or a negative id from ``interned``.
+
+    ``vertices`` is a list or a shell's coordinate array, whose rows all have keys.
+    """
+    ids = _vertex_keys(vertices)
+    for i in np.flatnonzero(ids < 0):
+        ids[i] = interned.setdefault(vertices[i], -1 - len(interned))
+    return ids
+
+
+def _decode(ids: np.ndarray, interned: list) -> list:
+    """The vertex of each id (``_ids``): ``interned[-1 - id]``, or a key's tuple of Python ints.
+
+    A key holds one 21-bit chunk per axis, none of them 0, so its size gives the axis count.
+    """
+    axes = np.searchsorted([0, 1 << _KEY_BITS, 1 << 2 * _KEY_BITS], ids, side="right")
+    cols = [(((ids >> _KEY_BITS * j) & (2 * _KEY_LIMIT - 1)) - _KEY_LIMIT).tolist()
+            for j in (2, 1, 0)]
+    return [(a, b, c)[3 - d:] if d else interned[-1 - i]
+            for i, a, b, c, d in zip(ids.tolist(), *cols, axes.tolist())]
+
+
+class _BatchShapeError(ValueError):
+    """``batch_adjacency`` gave arrays whose shapes break its contract."""
+
+
+def _batch_read(gen: "GraphGenerator", coords: np.ndarray) -> tuple:
+    """``gen.batch_adjacency(coords)`` as int64 and float arrays of the contract's shapes."""
+    nc, wo, wi = gen.batch_adjacency(coords)
+    nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
+    if wo.shape != wi.shape or wo.shape[:1] != coords.shape[:1] \
+            or nc.shape != wo.shape + coords.shape[1:]:
+        raise _BatchShapeError(f"batch_adjacency failed: shapes {nc.shape}, {wo.shape}, "
+                               f"{wi.shape} for {coords.shape[0]} vertices")
+    return nc, wo, wi
+
+
 def _weights_agree(a, b):
     """Whether two reports of one weight agree to ``WEIGHT_RTOL``; floats or arrays."""
     return abs(a - b) <= WEIGHT_RTOL * np.maximum(abs(a), abs(b))
@@ -365,12 +417,9 @@ def _batch_mismatches(gen: GraphGenerator, reads: list) -> list[Violation]:
         return []
     coords = coords[keep]
     try:
-        nc, wo, wi = gen.batch_adjacency(coords)
-        nc, wo, wi = np.asarray(nc, np.int64), np.asarray(wo, float), np.asarray(wi, float)
-        if wo.shape != wi.shape or wo.shape[:1] != coords.shape[:1] \
-                or nc.shape != wo.shape + coords.shape[1:]:
-            raise ValueError(f"shapes {nc.shape}, {wo.shape}, {wi.shape} "
-                             f"for {coords.shape[0]} vertices")
+        nc, wo, wi = _batch_read(gen, coords)
+    except _BatchShapeError as exc:
+        return [Violation("batch-mismatch", (), str(exc))]
     except Exception as exc:
         return [Violation("batch-mismatch", (), f"batch_adjacency failed: {exc}")]
     present = ((wo != 0.0) | (wi != 0.0)) & ~(nc == coords[:, None, :]).all(axis=2)

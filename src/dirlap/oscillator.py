@@ -160,10 +160,9 @@ def verify_phase_lock(sys: OscillatorSystem, cand: PhaseLockCandidate,
     the deviation flow's right-hand side at zero (``_EdgeTable.rhs``).  The
     ball follows every coupled pair, whatever its slope, so an anti-phase
     lock is sampled as fully as a synchronous one; the walk reads each ball
-    vertex once, and the table once more each vertex of the outer shell.  A
-    NaN residual at any vertex gives NaN, and a negative radius
-    ``ValueError``.  The raw residual is returned; callers compare it with
-    their own threshold and report it.
+    vertex once, and the table reads nothing.  A NaN residual at any vertex
+    gives NaN, and a negative radius ``ValueError``.  The raw residual is
+    returned; callers compare it with their own threshold and report it.
     """
     b = ball(_walk_graph(sys), sys.root, radius)
     return float(np.max(np.abs(_EdgeTable(sys, cand, b).rhs(np.zeros(len(b)), len(b)))))
@@ -220,7 +219,7 @@ class _EdgeTable:
     pair that the walk did not follow, such as weights 0.5 and -0.5.  The
     lags and ``omega`` are read once per ball vertex, decoded from
     ``Ball.ids`` a slice at a time, and the lags once more per exterior
-    pair, whose ends ``Ball.outside`` reads.
+    pair, whose ends ``Ball.outside`` decodes from the ball's ids.
 
     ``rhs(phi, rows)`` and ``slopes(phi)`` take the whole ball's deviation,
     zero past the integrator's window ``rows``, as ``integrate`` passes it.

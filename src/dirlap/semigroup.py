@@ -434,7 +434,7 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
     op = _SymRows(b)
     res = lanczos_expm(op.matvec, StateVector.from_dict(b, data).values,
                        cfg.resolved_sample_times(), atol=cfg.atol, shell_ends=op.grow)
-    b._growth = None  # the result's ball is a snapshot; its walk goes
+    b._walk = None  # the result's ball is a snapshot; its walk goes
     n = len(b)  # the samples are zero past the ball, whatever their length
     samples = [(t, StateVector.from_values(b, y[:n] if y.size >= n else
                                            np.concatenate([y, np.zeros(n - y.size)])))

@@ -321,13 +321,15 @@ def both_steps(monkeypatch, fn, sizes=(EVERY_SHELL, NO_SHELL)):
 
 
 def assert_same_ball(a, b):
-    """Two balls agree in center, radius, vertices and every snapshot array, bit for bit."""
+    """Two balls agree in center, radius, vertices, outside vertices and every array, bit for bit."""
     assert (a.center, a.radius) == (b.center, b.radius)
     assert a.vertices == b.vertices
     assert a.locate(a.vertices).tolist() == b.locate(a.vertices).tolist() == list(range(len(a)))
     for name in ("distances", "measures", "indptr", "nbr", "w_out", "w_in"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    # an interned id depends on the read order, so ``away`` is compared decoded
+    assert a.away.dtype == b.away.dtype and a.outside() == b.outside()
 
 
 def assert_same_edge_table(a, b):

@@ -131,9 +131,8 @@ class TestVerifyPhaseLock:
         with pytest.raises(ValueError, match="radius"):
             verify_phase_lock(sys_, cand, radius=-1)
 
-    def test_reads_each_vertex_at_most_twice(self):
-        # the CLI's check: once by the walk, and once more by the edge table
-        # each row with an outside entry, the outer shell's
+    def test_reads_each_vertex_once(self):
+        # the CLI's check: by the walk, and not again by the edge table
         g = builtin_graph("z2-skew-perturbed", a=0.5)
         reads = Counter()
 
@@ -151,10 +150,7 @@ class TestVerifyPhaseLock:
                                 root=g.root)
         cand = PhaseLockCandidate(velocity=1.0, lags=lambda v: 0.0)
         assert verify_phase_lock(sys_, cand, radius=6) == 0.0
-        b = ball(g, g.root, 6)
-        edge = [b.vertices[i] for i in np.unique(b.entry_rows()[b.nbr < 0])]
-        assert edge == [v for v, d in zip(b.vertices, b.distances) if d == 6]
-        assert reads == Counter(b.vertices) + Counter(edge)
+        assert reads == Counter(ball(g, g.root, 6).vertices)
 
     @staticmethod
     def support_bfs(sys_, radius):
@@ -480,9 +476,8 @@ def check_harmonic_rhs(kind, lags, phi):
         tables = both_steps(mp, build)
     if calls is not None:
         # the wrapped callables: each pair read from both ends by the walk, and
-        # once more by the table where its row holds an outside entry
-        edge = np.isin(_RHS_BALL.entry_rows(), _RHS_BALL.entry_rows()[_RHS_BALL.nbr < 0])
-        assert len(calls) == 2 * len(tables) * (_RHS_BALL.nbr.size + np.count_nonzero(edge))
+        # not again by the table
+        assert len(calls) == 2 * len(tables) * _RHS_BALL.nbr.size
     scale = np.array([sum(abs(coup.weight(v, u)) for u in coup.support(v))
                       for v in _RHS_BALL.vertices])
     expected = pairwise_sine_rhs(sys_, cand, _RHS_BALL, phi)

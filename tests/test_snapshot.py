@@ -155,8 +155,7 @@ def test_outside_lists_every_neighbour_past_the_ball(gen, r, extra):
     for b in [snap, snap.prefix(r)] + [ball(snap, c, k) for c, k in held_balls(snap)]:
         reads.clear()
         assert b.outside() == outside_oracle(gen, b)
-        # only the rows that hold an outside entry are read again
-        assert reads == [b.vertices[i] for i in np.unique(b.entry_rows()[b.nbr < 0])]
+        assert reads == []  # the ball keeps its outside neighbours' ids
         if b.distances[-1] < b.radius:  # the walk exhausted its component
             away = b.nbr < 0  # so only pairs it does not follow lead out
             assert np.all((b.w_out[away] + b.w_in[away]) / 2.0 <= 0.0)
@@ -352,6 +351,21 @@ def test_only_a_growing_ball_extends():
     with pytest.raises(ValueError, match="stopped growing at radius 0.*BudgetExceeded"):
         grown.extend(20)
     assert grown.radius == 0 and len(grown) == 1
+
+
+@pytest.mark.parametrize("gen, r0, r, error", [
+    (planted_line(), 2, 3, InconsistentAdjacencyError),
+    (builtin_graph("z-lattice", d=2), 0, 20, dirlap.BudgetExceededError),
+], ids=["inconsistent", "budget"])
+def test_a_ball_whose_growth_raised_lists_its_outside_without_a_read(gen, r0, r, error):
+    # the cases of the two tests above
+    g, reads = counted(gen)
+    b = ball(g, gen.root, r0, budget=100, grow=True)
+    with pytest.raises(error):
+        b.extend(r)
+    reads.clear()
+    assert b.outside() == outside_oracle(gen, b) != []
+    assert reads == []
 
 
 def test_a_ball_read_makes_no_object_per_vertex():
