@@ -23,6 +23,7 @@ from . import builtins as graph_builtins
 from . import hypotheses, oscillator, reports, semigroup
 from .errors import BudgetExceededError, DirlapError, TruncationError
 from .graph import validate_generator
+from .integrate import _one_blas_thread
 
 
 def _load_config(path: str | None) -> dict:
@@ -367,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command][0](_resolve(args.command, args, config))
+        with _one_blas_thread:
+            return _COMMANDS[args.command][0](_resolve(args.command, args, config))
     except DirlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (BudgetExceededError, TruncationError)):

@@ -24,6 +24,7 @@ import scipy.linalg
 from .errors import BudgetExceededError, SingularFormError
 from .geometry import _walk, ball
 from .graph import Vertex
+from .integrate import _one_blas_thread
 from .semigroup import TruncatedOperator
 
 # check_hypotheses' ellipticity radius and Poincare radii (read at call time)
@@ -138,6 +139,7 @@ def _dirichlet_matrix(b) -> np.ndarray:
     return -2.0 * TruncatedOperator(b, ("sym",)).dense("sym")
 
 
+@_one_blas_thread
 def estimate_poincare(gen, center: Vertex, r: int) -> PoincareEstimate:
     """Sharpest Poincare constant on one ball pair, by dense eigensolve.
 
@@ -270,6 +272,7 @@ class HypothesisReport:
     warnings: list[str] = field(default_factory=list)
 
 
+@_one_blas_thread
 def check_hypotheses(gen, r_min: int = 8, r_max: int = 64,
                      max_shells: int | None = None,
                      shell_tol: float = 1e-6,

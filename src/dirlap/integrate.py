@@ -58,8 +58,14 @@ vector's prefix is kept for the samples.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -115,8 +121,66 @@ _POISSON_TAIL = 1e-16
 # fixed-width blocks, so a prefix of whole blocks sums the same entries in
 # the same order as the full-length call did over a vector that is zero past
 # it: the run is bit-identical to one without shell ends (on one BLAS
-# thread; a threaded dot splits the two lengths differently).
+# thread, which _one_blas_thread gives every run; a threaded dot splits the
+# two lengths differently).
 _PREFIX_ALIGN = 64
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """``(set, get)`` thread-count functions of each OpenBLAS in ``numpy.libs/``
+    and ``scipy.libs/`` that is loaded; ``import dirlap`` loads both wheels'."""
+    if not hasattr(os, "RTLD_NOLOAD"):  # not a dlopen platform
+        return ()
+    found = []
+    for package in (np, scipy):
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in sorted(glob.glob(os.path.join(site, package.__name__ + ".libs", "*openblas*"))):
+            try:  # RTLD_NOLOAD: only a library that is loaded already
+                lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            except OSError:
+                continue
+            for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                         "openblas_{}_num_threads"):
+                if hasattr(lib, name.format("set")):
+                    set_count, get_count = lib[name.format("set")], lib[name.format("get")]
+                    set_count.argtypes, set_count.restype = [ctypes.c_int], None
+                    get_count.argtypes, get_count.restype = [], ctypes.c_int
+                    found.append((set_count, get_count))
+                    break
+    return tuple(found)
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Run a block, or each call of a decorated function, on one thread of
+    every loaded OpenBLAS.  The first entry saves each library's count and
+    sets 1, which every thread of the process then gets; the last exit, also
+    on an error, restores the saved counts, so nested and concurrent calls
+    never leave them at 1.  Without an OpenBLAS (``_openblas()`` empty) it
+    does nothing."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_count, get_count()) for set_count, get_count in _openblas()]
+                for set_count, _ in self._saved:
+                    set_count(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_count, count in self._saved:
+                    set_count(count)
+
+
+_one_blas_thread = _OneBlasThread()
 
 
 @dataclass

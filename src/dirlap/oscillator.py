@@ -42,7 +42,7 @@ import scipy.sparse
 from .errors import BlowUpError
 from .geometry import Ball, ball
 from .graph import GraphGenerator, Vertex
-from .integrate import integrate
+from .integrate import _one_blas_thread, integrate
 from .semigroup import SimConfig, _nonzero, _PrefixProduct, _truncated_flow
 
 # simulate_nonlinear's guards, read at call time
@@ -315,6 +315,7 @@ class _EdgeTable:
         return np.array([self.coup.dh(xi, v, u) for xi, (v, u) in zip(x.tolist(), self.pairs)])
 
 
+@_one_blas_thread
 def simulate_nonlinear(sys: OscillatorSystem, cand: PhaseLockCandidate,
                        perturbation, cfg: SimConfig):
     """Integrate the full lattice near a locked state; return the deviation.

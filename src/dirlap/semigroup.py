@@ -47,7 +47,8 @@ import scipy.sparse
 from .errors import TruncationError
 from .geometry import Ball, _append, ball
 from .graph import WEIGHT_PARTS, Vertex, _laplacian, _local_rows
-from .integrate import _PREFIX_ALIGN, integrate, lanczos_expm, uniformize
+from .integrate import (_PREFIX_ALIGN, _one_blas_thread, integrate, lanczos_expm,
+                        uniformize)
 
 _PARTS = tuple(WEIGHT_PARTS)
 
@@ -443,6 +444,7 @@ def _krylov_flow(gen, x0, cfg: SimConfig) -> EvolveResult:
                         n_steps=res.n_steps, richardson_diff=res.bound)
 
 
+@_one_blas_thread
 def evolve(gen, x0, cfg: SimConfig, part: str = "full") -> EvolveResult:
     """Integrate ``x' = Lx`` (or the symmetric part) from ``x0`` on a ball.
 

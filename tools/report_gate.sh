@@ -17,8 +17,12 @@
 # differ from sim-lat's go to OUT/config_mismatch.  The run sim-adv-sym-wide
 # starts sim-adv-sym's experiment on a ball past its Krylov reach; its
 # trajectory.csv goes to OUT/radius_mismatch if it differs from
-# sim-adv-sym's, since a report must not depend on the ball.  The script
-# exits non-zero if any of the four lists is not empty.  Compare two checkouts with
+# sim-adv-sym's, since a report must not depend on the ball.  Every run has
+# one OpenBLAS thread, except ch-lat-t2 and sim-lat3-t2: they repeat ch-lat
+# and sim-lat3 under OPENBLAS_NUM_THREADS=2, and those of their reports that
+# differ from the one-thread run's go to OUT/thread_mismatch, since a report
+# must not depend on the thread count.  The script exits non-zero if any of
+# the five lists is not empty.  Compare two checkouts with
 #
 #   tools/report_gate.sh parent/src /tmp/gate-a
 #   tools/report_gate.sh src /tmp/gate-b
@@ -31,14 +35,15 @@ fi
 mkdir -p "$2" || exit 1
 SRC=$(cd "$1" && pwd) || exit 1
 OUT=$(cd "$2" && pwd) || exit 1
-export OPENBLAS_NUM_THREADS=1
 export PYTHONPATH="$SRC"
 
 run() {
     name=$1
     shift
     mkdir -p "$OUT/$name"
-    (cd "$OUT" && python -m dirlap.cli "$@" --out "$name" > /dev/null)
+    threads=1
+    case $name in *-t2) threads=2 ;; esac
+    (cd "$OUT" && OPENBLAS_NUM_THREADS=$threads python -m dirlap.cli "$@" --out "$name" > /dev/null)
     code=$?
     echo "$code" > "$OUT/$name/exit_code"
     expected=0
@@ -54,6 +59,8 @@ run ch-skew check-hypotheses --graph z2-skew-perturbed
 # other fit centers, (0, 1) and (1, -2): a cut ball at distance 1
 run ch-skew-s3 check-hypotheses --graph z2-skew-perturbed --seed 3
 run ch-lat check-hypotheses --graph z-lattice --d 2
+# the thread twin: the same run on two OpenBLAS threads, the same reports
+run ch-lat-t2 check-hypotheses --graph z-lattice --d 2
 # the plane lattice's sym run: radius 64, its Krylov reach
 run sim-lat simulate --graph z-lattice --d 2 --part sym --t-max 20
 # the same experiment from a config file: the same reports
@@ -67,6 +74,7 @@ run sim-retry simulate --graph z-lattice --d 1 --part full --t-max 6 --c-speed 0
 run sim-sym-retry simulate --graph z-lattice --d 1 --part sym --t-max 6 --c-speed 0.05
 # the 3-axis lattice: shells of 3-axis keys read in batch
 run sim-lat3 simulate --graph z-lattice --d 3 --part sym --t-max 4
+run sim-lat3-t2 simulate --graph z-lattice --d 3 --part sym --t-max 4
 # the 4-axis lattice: vertices without a key, so interned ids grow the ball (radius 16)
 run sim-lat4 simulate --graph z-lattice --d 4 --part sym --t-max 0.5
 # the one run whose Lanczos basis restarts at its dimension cap (488 vectors):
@@ -99,6 +107,12 @@ for f in simulate.json trajectory.csv; do
 done > "$OUT/config_mismatch"
 { cmp -s "$OUT/sim-adv-sym/trajectory.csv" "$OUT/sim-adv-sym-wide/trajectory.csv" ||
     echo "sim-adv-sym-wide/trajectory.csv"; } > "$OUT/radius_mismatch"
+for name in ch-lat sim-lat3; do
+    for f in "$OUT/$name"/*; do
+        f=${f##*/}
+        cmp -s "$OUT/$name/$f" "$OUT/$name-t2/$f" || echo "$name-t2/$f"
+    done
+done > "$OUT/thread_mismatch"
 # Every report must be strict JSON: NaN and Infinity are not JSON.  The
 # offending paths go to OUT/nonstrict_json (empty when there are none).
 cd "$OUT" && python - <<'PY'
@@ -122,4 +136,4 @@ sys.exit(1 if bad else 0)
 PY
 strict=$?
 [ "$strict" -eq 0 ] && [ ! -s "$OUT/config_mismatch" ] && [ ! -s "$OUT/radius_mismatch" ] &&
-    [ ! -s "$OUT/exit_mismatch" ]
+    [ ! -s "$OUT/exit_mismatch" ] && [ ! -s "$OUT/thread_mismatch" ]
